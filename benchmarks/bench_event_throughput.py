@@ -11,17 +11,15 @@ Workload: a 3-tier fat-tree (k=4: core, aggregation, edge — 20 switches,
 host's end-host shim stamps each UDP packet with a two-instruction TPP
 (``PUSH [Switch:SwitchID]`` / ``PUSH [Queue:QueueOccupancy]``), and the
 registered ``cross-pod-bursts`` workload sends periodic bursts to a
-cross-pod partner through the batched injection path
-(:meth:`repro.endhost.dataplane.DataplaneShim.send_burst`).  Reported:
+cross-pod partner through
+:meth:`repro.endhost.dataplane.DataplaneShim.send_burst`.  Reported:
 
 * **events/sec** — discrete events executed per wall-clock second,
 * **TPP-hops/sec** — TPP executions (one per switch traversal) per second.
 
 The simulation itself is deterministic: for a given ``--duration`` the
 event count, TPP-hop count, and per-flow delivery totals are identical on
-every run and on every machine; only the wall-clock rates vary.  The
-``--no-batch`` flag drives the identical workload through per-packet
-``host.send`` calls for an apples-to-apples view of what batching buys.
+every run and on every machine; only the wall-clock rates vary.
 
 TCPU engines
 ------------
@@ -62,8 +60,7 @@ TPP_SOURCE = "PUSH [Switch:SwitchID]\nPUSH [Queue:QueueOccupancy]"
 EXPECTED_TRACE_SPEEDUP = 1.15
 
 
-def build_workload(use_batch: bool = True, compile_traces: bool = False,
-                   telemetry=None, recorder=None):
+def build_workload(compile_traces: bool = False, telemetry=None, recorder=None):
     """The 3-tier topology plus per-host burst generators, via one Scenario.
 
     ``recorder`` (a :class:`repro.obs.RecorderSpec`) attaches the flight
@@ -77,17 +74,15 @@ def build_workload(use_batch: bool = True, compile_traces: bool = False,
         .tpp("event-throughput", TPP_SOURCE, num_hops=8,
              filter=PacketFilter(protocol="udp"))
         .workload("cross-pod-bursts", burst_packets=BURST_PACKETS,
-                  burst_interval_s=BURST_INTERVAL_S, payload_bytes=PAYLOAD_BYTES,
-                  use_batch=use_batch))
+                  burst_interval_s=BURST_INTERVAL_S, payload_bytes=PAYLOAD_BYTES))
     if recorder is not None:
         scenario.flight_recorder(recorder)
     return scenario.build(telemetry=telemetry)
 
 
-def run_once(duration_s: float, use_batch: bool = True,
-             compile_traces: bool = False, recorder=None) -> dict:
-    experiment = build_workload(use_batch=use_batch,
-                                compile_traces=compile_traces,
+def run_once(duration_s: float, compile_traces: bool = False,
+             recorder=None) -> dict:
+    experiment = build_workload(compile_traces=compile_traces,
                                 recorder=recorder)
     sim, net = experiment.sim, experiment.network
     start = time.perf_counter()
@@ -114,23 +109,22 @@ def run_once(duration_s: float, use_batch: bool = True,
     }
 
 
-def run_best(duration_s: float, repeat: int, use_batch: bool = True,
-             compile_traces: bool = False, recorder=None) -> dict:
+def run_best(duration_s: float, repeat: int, compile_traces: bool = False,
+             recorder=None) -> dict:
     """Best (highest events/sec) of ``repeat`` runs."""
     best = None
     for _ in range(max(1, repeat)):
-        result = run_once(duration_s, use_batch=use_batch,
-                          compile_traces=compile_traces, recorder=recorder)
+        result = run_once(duration_s, compile_traces=compile_traces,
+                          recorder=recorder)
         if best is None or result["events_per_s"] > best["events_per_s"]:
             best = result
     return best
 
 
-def print_result(result: dict, use_batch: bool) -> None:
-    mode = "batched" if use_batch else "per-packet"
+def print_result(result: dict) -> None:
     engine = "compiled traces" if result["compile_traces"] else "interpreter"
     print(f"3-tier fat-tree (k=4), {result['duration_s'] * 1e3:g} ms simulated, "
-          f"{mode} injection, TCPU engine: {engine}")
+          f"TCPU engine: {engine}")
     print(f"  events executed     : {result['events']:,}")
     print(f"  TPP hops executed   : {result['tpp_hops']:,} "
           f"({result['instructions']:,} instructions)")
@@ -140,13 +134,10 @@ def print_result(result: dict, use_batch: bool) -> None:
     print(f"  TPP-hops/sec        : {result['tpp_hops_per_s']:,.0f}")
 
 
-def compare_traces(duration_s: float, repeat: int, use_batch: bool,
-                   output: str) -> None:
+def compare_traces(duration_s: float, repeat: int, output: str) -> None:
     """Interpreter vs compiled traces on the identical workload + artifact."""
-    interpreted = run_best(duration_s, repeat, use_batch=use_batch,
-                           compile_traces=False)
-    compiled = run_best(duration_s, repeat, use_batch=use_batch,
-                        compile_traces=True)
+    interpreted = run_best(duration_s, repeat, compile_traces=False)
+    compiled = run_best(duration_s, repeat, compile_traces=True)
 
     # The compiled engine must change nothing but speed.
     for field in ("events", "tpp_hops", "instructions", "packets_forwarded"):
@@ -157,9 +148,9 @@ def compare_traces(duration_s: float, repeat: int, use_batch: bool,
         "every TPP hop should have taken the compiled trace"
 
     speedup = compiled["events_per_s"] / interpreted["events_per_s"]
-    print_result(interpreted, use_batch)
+    print_result(interpreted)
     print()
-    print_result(compiled, use_batch)
+    print_result(compiled)
     print()
     print(f"compiled-trace speedup: {speedup:.3f}x events/sec "
           f"({interpreted['events_per_s']:,.0f} -> {compiled['events_per_s']:,.0f}); "
@@ -178,7 +169,6 @@ def compare_traces(duration_s: float, repeat: int, use_batch: bool,
             "burst_packets": BURST_PACKETS,
             "burst_interval_s": BURST_INTERVAL_S,
             "payload_bytes": PAYLOAD_BYTES,
-            "use_batch": use_batch,
             "repeat": repeat,
         },
         "interpreted": interpreted,
@@ -190,12 +180,10 @@ def compare_traces(duration_s: float, repeat: int, use_batch: bool,
     print(f"  artifact written    : {output}")
 
 
-def profile(duration_s: float, use_batch: bool, compile_traces: bool,
-            trace_output: str) -> None:
+def profile(duration_s: float, compile_traces: bool, trace_output: str) -> None:
     """One instrumented run: Perfetto trace out, top-5 span self-times."""
     telemetry = obs.Telemetry(slices=8)
-    experiment = build_workload(use_batch=use_batch,
-                                compile_traces=compile_traces,
+    experiment = build_workload(compile_traces=compile_traces,
                                 telemetry=telemetry)
     result = experiment.run(duration_s)
     obs.write_trace(telemetry, trace_output)
@@ -215,8 +203,6 @@ def main() -> None:
                         help="simulated seconds to run (default 10ms)")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: 2ms of simulated time")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="drive the workload through per-packet sends")
     parser.add_argument("--traces", action="store_true",
                         help="run with the compiled-trace TCPU engine")
     parser.add_argument("--compare-traces", action="store_true",
@@ -241,28 +227,22 @@ def main() -> None:
     args = parser.parse_args()
 
     duration = 2e-3 if args.quick else args.duration
-    use_batch = not args.no_batch
 
     if args.profile:
-        profile(duration, use_batch, args.traces, args.trace_output)
+        profile(duration, args.traces, args.trace_output)
         return
 
     if args.compare_traces:
-        compare_traces(duration, args.repeat, use_batch, args.output)
+        compare_traces(duration, args.repeat, args.output)
         return
 
-    best = run_best(duration, args.repeat, use_batch=use_batch,
-                    compile_traces=args.traces)
-    print_result(best, use_batch)
+    best = run_best(duration, args.repeat, compile_traces=args.traces)
+    print_result(best)
 
     # Determinism guard: the simulated side of the workload must not depend
-    # on wall-clock, batching, or the TCPU engine.  The check run flips one
-    # lever from the measured run — the engine when batching is on (the
-    # default), else batching — and must land on exactly the same totals.
-    if use_batch:
-        check = run_once(duration, use_batch=True, compile_traces=not args.traces)
-    else:
-        check = run_once(duration, use_batch=True, compile_traces=args.traces)
+    # on wall-clock or the TCPU engine.  The check run flips the engine and
+    # must land on exactly the same totals.
+    check = run_once(duration, compile_traces=not args.traces)
     assert check["events"] == best["events"], "event count must be deterministic"
     assert check["tpp_hops"] == best["tpp_hops"], "TPP hops must be deterministic"
 
@@ -278,7 +258,6 @@ def main() -> None:
                 "burst_packets": BURST_PACKETS,
                 "burst_interval_s": BURST_INTERVAL_S,
                 "payload_bytes": PAYLOAD_BYTES,
-                "use_batch": use_batch,
                 "compile_traces": args.traces,
                 "repeat": args.repeat,
             },

@@ -13,7 +13,7 @@ six-host dumbbell.  The paper's qualitative claims checked here:
 
 import pytest
 
-from repro.apps.microburst import microburst_tpp, run_microburst_experiment
+from repro.apps.microburst import microburst_scenario, microburst_tpp
 from repro.core.tcpu import PacketContext, TCPU
 from repro.net import mbps
 from repro.stats import ExperimentSummary
@@ -21,8 +21,8 @@ from repro.stats import ExperimentSummary
 
 @pytest.fixture(scope="module")
 def experiment():
-    return run_microburst_experiment(duration_s=1.5, link_rate_bps=mbps(10),
-                                     offered_load=0.3, message_bytes=10_000, seed=1)
+    return microburst_scenario(link_rate_bps=mbps(10), offered_load=0.3,
+                               message_bytes=10_000, seed=1).run(duration_s=1.5)
 
 
 def test_fig1_microburst(benchmark, experiment, print_summary):

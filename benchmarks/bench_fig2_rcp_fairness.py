@@ -10,7 +10,7 @@ the paper's 100 Mb/s allocations map to 5 / 5 / 5 and 3.3 / 6.7 / 6.7 Mb/s.
 import pytest
 
 from repro.apps.rcp import (ALPHA_MAXMIN, ALPHA_PROPORTIONAL, RcpParameters, alpha_fair_rate,
-                            expected_fair_shares, rcp_update, run_rcp_fairness_experiment)
+                            expected_fair_shares, rcp_scenario, rcp_update)
 from repro.net import mbps
 from repro.stats import ExperimentSummary
 
@@ -19,14 +19,14 @@ LINK_RATE = mbps(10)
 
 @pytest.fixture(scope="module")
 def maxmin():
-    return run_rcp_fairness_experiment(alpha=ALPHA_MAXMIN, duration_s=10.0,
-                                       link_rate_bps=LINK_RATE)
+    return rcp_scenario(alpha=ALPHA_MAXMIN,
+                        link_rate_bps=LINK_RATE).run(duration_s=10.0)
 
 
 @pytest.fixture(scope="module")
 def proportional():
-    return run_rcp_fairness_experiment(alpha=ALPHA_PROPORTIONAL, duration_s=10.0,
-                                       link_rate_bps=LINK_RATE)
+    return rcp_scenario(alpha=ALPHA_PROPORTIONAL,
+                        link_rate_bps=LINK_RATE).run(duration_s=10.0)
 
 
 def test_fig2_rcp_fairness(benchmark, maxmin, proportional, print_summary):

@@ -10,7 +10,7 @@ of the (scaled-down) fabric link rate.
 
 import pytest
 
-from repro.apps.conga import run_conga_experiment
+from repro.apps.conga import conga_scenario
 from repro.baselines.ecmp import expected_figure4_conga, expected_figure4_ecmp
 from repro.core.compiler import compile_tpp
 from repro.apps.conga import PROBE_TPP_SOURCE
@@ -22,12 +22,12 @@ LINK_RATE = mbps(10)
 
 @pytest.fixture(scope="module")
 def ecmp():
-    return run_conga_experiment("ecmp", duration_s=8.0, link_rate_bps=LINK_RATE)
+    return conga_scenario("ecmp", link_rate_bps=LINK_RATE).run(duration_s=8.0)
 
 
 @pytest.fixture(scope="module")
 def conga():
-    return run_conga_experiment("conga", duration_s=8.0, link_rate_bps=LINK_RATE)
+    return conga_scenario("conga", link_rate_bps=LINK_RATE).run(duration_s=8.0)
 
 
 def test_fig4_conga_vs_ecmp(benchmark, ecmp, conga, print_summary):

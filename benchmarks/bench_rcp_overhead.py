@@ -8,7 +8,7 @@ overhead.  The reproduction measures both on the same two-bottleneck chain
 
 import pytest
 
-from repro.apps.rcp import ALPHA_MAXMIN, run_rcp_fairness_experiment
+from repro.apps.rcp import ALPHA_MAXMIN, rcp_scenario
 from repro.baselines.tcp_baseline import run_tcp_overhead_experiment
 from repro.core.compiler import compile_tpp
 from repro.apps.rcp import COLLECT_TPP_SOURCE
@@ -18,8 +18,8 @@ from repro.stats import ExperimentSummary
 
 @pytest.fixture(scope="module")
 def rcp_run():
-    return run_rcp_fairness_experiment(alpha=ALPHA_MAXMIN, duration_s=8.0,
-                                       link_rate_bps=mbps(10))
+    return rcp_scenario(alpha=ALPHA_MAXMIN,
+                        link_rate_bps=mbps(10)).run(duration_s=8.0)
 
 
 @pytest.fixture(scope="module")

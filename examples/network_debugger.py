@@ -9,7 +9,7 @@ This example plays the role of the operator in the paper's introduction:
 2. install a *deliberately wrong* forwarding entry on one switch,
 3. let netwatch catch the policy violation and use the ndb-style query
    interface to pinpoint exactly where the misrouted packets diverged,
-4. fail a fabric link and let :func:`run_route_verification_experiment`
+4. fail a fabric link and let :func:`verification_scenario`
    measure how long forwarding takes to converge onto the backup route —
    per-packet path visibility makes this direct to observe.
 
@@ -20,7 +20,7 @@ import os
 
 from repro.apps.netsight import (NetSightAggregator, NetWatch,
                                  PACKET_HISTORY_TPP_SOURCE)
-from repro.apps.netverify import RouteVerifier, run_route_verification_experiment
+from repro.apps.netverify import RouteVerifier, verification_scenario
 from repro.net import mbps, udp_packet
 from repro.session import Scenario
 
@@ -82,10 +82,10 @@ def main() -> None:
     # A fresh scenario: probe the path every 2 ms, fail the active spine
     # uplink at t=0.2s, reroute 30 ms later, and report the convergence time.
     print("\nfailing the active spine uplink at t=0.2s and probing the path every 2 ms...")
-    result = run_route_verification_experiment(
-        duration_s=max(0.5 * DURATION_SCALE, 0.3), src=src, dst=dst,
-        failure_time=0.2, reroute_delay_s=0.03, probe_interval_s=2e-3,
-        link_rate_bps=mbps(10))
+    result = verification_scenario(
+        src=src, dst=dst, failure_time=0.2, reroute_delay_s=0.03,
+        probe_interval_s=2e-3, link_rate_bps=mbps(10),
+    ).run(duration_s=max(0.5 * DURATION_SCALE, 0.3))
     convergence = result.convergence
     print(f"  pre-failure path verified against control-plane intent: "
           f"{result.pre_failure.matches} (path {result.pre_failure.observed})")

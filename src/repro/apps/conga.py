@@ -18,7 +18,7 @@ sending host then:
 3. steers each of its flowlets onto the least congested path by rewriting the
    tag on that flowlet's packets.
 
-Figure 4's example is reproduced by :func:`run_conga_experiment`: leaf L1
+Figure 4's example is reproduced by :func:`conga_scenario`: leaf L1
 sends 120 % of a link's worth of traffic to L2 over two paths while L0 sends
 50 % over its single path.  ECMP splits L1's flows evenly and saturates the
 shared path; CONGA* shifts just enough traffic to the other path to meet both
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
 from repro.core.compiler import compile_tpp
 from repro.core.packet_format import TPP
@@ -281,6 +280,10 @@ def conga_scenario(scheme: str = "conga", link_rate_bps: float = mbps(10),
                    warmup_s: float = 2.0, seed: int = 1) -> Scenario:
     """The Figure 4 scenario as a :class:`Scenario` ("conga" or "ecmp").
 
+    Demands are expressed as fractions of the fabric link rate (the paper uses
+    50 and 120 Mb/s on 100 Mb/s links); each demand is realised as a bundle of
+    equal-rate UDP subflows so ECMP has something to hash.
+
     ``conga_scenario(scheme).run(duration_s=10.0)`` returns a
     :class:`CongaExperimentResult`.  Subflows, meters, the CONGA* controller
     and the warm-up counter snapshot are wired in a setup hook.  Hooks are
@@ -306,24 +309,3 @@ def conga_scenario(scheme: str = "conga", link_rate_bps: float = mbps(10),
                                 demand_l0=demand_l0, demand_l1=demand_l1,
                                 link_rate_bps=link_rate_bps,
                                 warmup_s=warmup_s)))
-
-
-def run_conga_experiment(scheme: str = "conga", duration_s: float = 10.0,
-                         link_rate_bps: float = mbps(10),
-                         demand_l0_fraction: float = 0.5,
-                         demand_l1_fraction: float = 1.2,
-                         subflow_rate_fraction: float = 0.1,
-                         warmup_s: float = 2.0,
-                         seed: int = 1) -> CongaExperimentResult:
-    """Reproduce the Figure 4 scenario (thin wrapper over :func:`conga_scenario`).
-
-    Demands are expressed as fractions of the fabric link rate (the paper uses
-    50 and 120 Mb/s on 100 Mb/s links); each demand is realised as a bundle of
-    equal-rate UDP subflows so ECMP has something to hash.
-    """
-    scenario = conga_scenario(scheme=scheme, link_rate_bps=link_rate_bps,
-                              demand_l0_fraction=demand_l0_fraction,
-                              demand_l1_fraction=demand_l1_fraction,
-                              subflow_rate_fraction=subflow_rate_fraction,
-                              warmup_s=warmup_s, seed=seed)
-    return scenario.run(duration_s=duration_s)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.collect import CounterSummary, SeriesSummary, SummaryBundle
-from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
 from repro.endhost import Aggregator, Collector, PacketFilter
 from repro.net import mbps
@@ -55,11 +54,6 @@ PUSH [Link:TX-Packets]
 
 #: Values each hop appends to packet memory.
 VALUES_PER_HOP = 3
-
-
-def losslocal_tpp(num_hops: int = 6, app_id: int = 0) -> CompiledTPP:
-    """Compile the loss-localization TPP."""
-    return compile_tpp(LOSSLOCAL_TPP_SOURCE, num_hops=num_hops, app_id=app_id)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,14 @@ which is what lets end-hosts catch micro-bursts that a polling monitor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.collect import (CounterSummary, HistogramSummary, SeriesSummary,
                            SummaryBundle, TopKSummary)
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
-from repro.endhost import (Aggregator, Collector, EndHostStack, PacketFilter,
-                           PiggybackApplication, deploy)
+from repro.endhost import Aggregator, Collector, PacketFilter
 from repro.net import MessageWorkload, mbps
 from repro.net.packet import Packet
 from repro.session import ExperimentResult, Scenario
@@ -134,24 +133,6 @@ class MicroburstResult:
         return sorted(self.series)
 
 
-def deploy_microburst_monitor(stacks: dict[str, EndHostStack], collector: Collector,
-                              sample_frequency: int = 1, num_hops: int = 6,
-                              sender_hosts: Optional[list[str]] = None,
-                              receiver_hosts: Optional[list[str]] = None):
-    """Deploy the monitor as a piggy-backed application on existing stacks."""
-    any_stack = next(iter(stacks.values()))
-    descriptor = PiggybackApplication(
-        name="microburst-monitor",
-        packet_filter=PacketFilter(protocol="udp"),
-        compiled_tpp=microburst_tpp(num_hops=num_hops),
-        aggregator_factory=MicroburstAggregator,
-        collector=collector,
-        sample_frequency=sample_frequency,
-    )
-    return deploy(descriptor, stacks, any_stack.control_plane,
-                  sender_hosts=sender_hosts, receiver_hosts=receiver_hosts)
-
-
 def _to_microburst_result(result: ExperimentResult) -> MicroburstResult:
     """Assemble the Figure 1 result object from a finished session run."""
     workload: MessageWorkload = result.workloads["messages"]
@@ -169,6 +150,10 @@ def microburst_scenario(hosts_per_side: int = 3, link_rate_bps: float = mbps(100
                         num_hops: int = 6) -> Scenario:
     """The Figure 1 experiment as a :class:`Scenario`.
 
+    Six hosts on a dumbbell send 10 kB messages to each other at 30 % offered
+    load; every packet carries the micro-burst TPP; one collector gathers the
+    per-queue samples observed by all receivers.
+
     ``microburst_scenario(...).run(duration_s=1.0)`` returns a
     :class:`MicroburstResult`; tweak the scenario (extra TPP apps, different
     workloads) before running for variants.
@@ -184,21 +169,3 @@ def microburst_scenario(hosts_per_side: int = 3, link_rate_bps: float = mbps(100
                       offered_load=offered_load, message_bytes=message_bytes,
                       seed=seed)
             .map_result(_to_microburst_result))
-
-
-def run_microburst_experiment(duration_s: float = 1.0, hosts_per_side: int = 3,
-                              link_rate_bps: float = mbps(100), offered_load: float = 0.3,
-                              message_bytes: int = 10_000, sample_frequency: int = 1,
-                              seed: int = 1) -> MicroburstResult:
-    """Reproduce the Figure 1 experiment (thin wrapper over :func:`microburst_scenario`).
-
-    Six hosts on a dumbbell send 10 kB messages to each other at 30 % offered
-    load; every packet carries the micro-burst TPP; one collector gathers the
-    per-queue samples observed by all receivers.
-    """
-    scenario = microburst_scenario(hosts_per_side=hosts_per_side,
-                                   link_rate_bps=link_rate_bps,
-                                   offered_load=offered_load,
-                                   message_bytes=message_bytes,
-                                   sample_frequency=sample_frequency, seed=seed)
-    return scenario.run(duration_s=duration_s)

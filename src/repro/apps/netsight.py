@@ -316,21 +316,6 @@ def netsight_scenario(hosts_per_side: int = 3, link_rate_bps: float = mbps(10),
             .map_result(partial(_to_netsight_result, num_hops=num_hops)))
 
 
-def run_netsight_experiment(duration_s: float = 0.5, hosts_per_side: int = 3,
-                            link_rate_bps: float = mbps(10), offered_load: float = 0.3,
-                            message_bytes: int = 10_000, sample_frequency: int = 1,
-                            num_hops: int = 10, netwatch: Optional[NetWatch] = None,
-                            seed: int = 1) -> NetSightExperimentResult:
-    """Collect packet histories for every message-workload packet (§2.3)."""
-    scenario = netsight_scenario(hosts_per_side=hosts_per_side,
-                                 link_rate_bps=link_rate_bps,
-                                 offered_load=offered_load,
-                                 message_bytes=message_bytes,
-                                 sample_frequency=sample_frequency,
-                                 num_hops=num_hops, netwatch=netwatch, seed=seed)
-    return scenario.run(duration_s=duration_s)
-
-
 def history_overhead_bytes(num_hops: int = 10) -> int:
     """The per-packet overhead of packet-history collection (§2.3's 84 bytes)."""
     return packet_history_tpp(num_hops=num_hops).tpp.wire_length()

@@ -31,8 +31,6 @@ from repro.core.packet_format import AddressingMode, TPP, make_tpp
 from repro.endhost import EndHostStack
 from repro.net.topology import Network
 
-from .netsight import PacketHistory
-
 PATH_TPP_SOURCE = """
 PUSH [Switch:SwitchID]
 PUSH [PacketMetadata:InputPort]
@@ -86,12 +84,6 @@ class RouteVerifier:
                 divergence = min(len(expected), len(observed))
         return VerificationResult(expected=expected, observed=observed,
                                   matches=matches, divergence_hop=divergence)
-
-    def verify_history(self, history: PacketHistory) -> VerificationResult:
-        """Verify a NetSight packet history against the expected path."""
-        expected = self.expected_switch_path(history.src, history.dst)
-        return self.verify(expected, history.switch_path)
-
 
 def observation_from_tpp(tpp: TPP, time: float) -> PathObservation:
     """Parse a completed path TPP into a :class:`PathObservation`."""
@@ -272,12 +264,6 @@ def verification_scenario(src: str = "h0_0", dst: str = "h1_1",
                      link_rate_bps=link_rate_bps)
             .setup(wire_probes)
             .map_result(to_result))
-
-
-def run_route_verification_experiment(duration_s: float = 0.5, **kwargs
-                                      ) -> RouteVerificationResult:
-    """Run :func:`verification_scenario` (probe, fail, reroute, measure)."""
-    return verification_scenario(**kwargs).run(duration_s=duration_s)
 
 
 # ---------------------------------------------------------------------------

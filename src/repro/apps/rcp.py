@@ -307,7 +307,16 @@ def rcp_scenario(alpha: float = ALPHA_MAXMIN, link_rate_bps: float = mbps(10),
                  packet_payload_bytes: int = 1000,
                  warmup_fraction: float = 0.4,
                  utilization_ewma_alpha: float = 0.25, seed: int = 1) -> Scenario:
-    """The Figure 2 experiment as a :class:`Scenario`.
+    """The Figure 2 experiment, for one fairness criterion, as a :class:`Scenario`.
+
+    Flow *a* crosses both 100 %-capacity links (s0-s1 and s1-s2); flows *b*
+    and *c* cross one each.  Max-min fairness should give every flow half a
+    link; proportional fairness gives *a* one third and *b*, *c* two thirds.
+
+    The default link rate is scaled down from the paper's 100 Mb/s to keep the
+    discrete-event simulation fast; fairness shares are rate-relative, so the
+    figure's *shape* is unchanged.  Pass ``link_rate_bps=mbps(100)`` for the
+    full-scale run.
 
     ``rcp_scenario(alpha=...).run(duration_s=15.0)`` returns an
     :class:`RcpExperimentResult`.  Flows, meters and per-flow controllers
@@ -326,31 +335,6 @@ def rcp_scenario(alpha: float = ALPHA_MAXMIN, link_rate_bps: float = mbps(10),
             .map_result(partial(_to_rcp_result, alpha=alpha,
                                 link_rate_bps=link_rate_bps,
                                 warmup_fraction=warmup_fraction)))
-
-
-def run_rcp_fairness_experiment(alpha: float = ALPHA_MAXMIN,
-                                duration_s: float = 15.0,
-                                link_rate_bps: float = mbps(10),
-                                params: Optional[RcpParameters] = None,
-                                packet_payload_bytes: int = 1000,
-                                warmup_fraction: float = 0.4,
-                                utilization_ewma_alpha: float = 0.25) -> RcpExperimentResult:
-    """Reproduce Figure 2 for one fairness criterion (wrapper over :func:`rcp_scenario`).
-
-    Flow *a* crosses both 100 %-capacity links (s0-s1 and s1-s2); flows *b*
-    and *c* cross one each.  Max-min fairness should give every flow half a
-    link; proportional fairness gives *a* one third and *b*, *c* two thirds.
-
-    The default link rate is scaled down from the paper's 100 Mb/s to keep the
-    discrete-event simulation fast; fairness shares are rate-relative, so the
-    figure's *shape* is unchanged.  Pass ``link_rate_bps=mbps(100)`` for the
-    full-scale run.
-    """
-    scenario = rcp_scenario(alpha=alpha, link_rate_bps=link_rate_bps, params=params,
-                            packet_payload_bytes=packet_payload_bytes,
-                            warmup_fraction=warmup_fraction,
-                            utilization_ewma_alpha=utilization_ewma_alpha)
-    return scenario.run(duration_s=duration_s)
 
 
 def expected_fair_shares(alpha: float, link_rate_bps: float) -> dict[str, float]:

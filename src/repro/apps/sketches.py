@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.collect import SummaryBundle
 from repro.core.compiler import CompiledTPP, compile_tpp
@@ -261,20 +261,6 @@ def sketch_scenario(num_leaves: int = 4, num_spines: int = 2, hosts_per_leaf: in
             .workload("all-to-all-once", payload_bytes=300, dport=9999)
             .finalize(_push_sketch_summaries)
             .map_result(partial(_to_sketch_result, num_hops=num_hops)))
-
-
-def run_sketch_experiment(duration_s: float = 1.0, num_leaves: int = 4,
-                          num_spines: int = 2, hosts_per_leaf: int = 4,
-                          link_rate_bps: float = mbps(50), bits: int = 1024,
-                          key_field: str = "src", sample_frequency: int = 1,
-                          seed: int = 1) -> SketchExperimentResult:
-    """Run the §2.5 sketch experiment and merge every host's bitmaps."""
-    scenario = sketch_scenario(num_leaves=num_leaves, num_spines=num_spines,
-                               hosts_per_leaf=hosts_per_leaf,
-                               link_rate_bps=link_rate_bps, bits=bits,
-                               key_field=key_field,
-                               sample_frequency=sample_frequency, seed=seed)
-    return scenario.run(duration_s=duration_s)
 
 
 def sketch_memory_projection(num_links: int = 65_536, bits_per_link: int = 1024,

@@ -45,12 +45,5 @@ class PollingMonitor:
     def stop(self) -> None:
         self._process.stop()
 
-    def max_observed(self, queue: tuple[int, int]) -> float:
-        series = self.series.get(queue)
-        return series.maximum() if series else 0.0
-
-    def max_observed_any(self) -> float:
-        return max((ts.maximum() for ts in self.series.values()), default=0.0)
-
     def samples_total(self) -> int:
         return sum(len(ts) for ts in self.series.values())

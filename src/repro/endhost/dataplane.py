@@ -113,12 +113,11 @@ class DataplaneShim:
         return True
 
     def send_burst(self, packets: list[Packet]) -> int:
-        """Batched injection: send a burst through the interposition path.
+        """Send a burst through the interposition path, one packet at a time.
 
-        Each packet still traverses the filter table individually (so
-        sampling counters stay exact), but same-flow runs hit the filter
-        table's one-entry memo and the host enqueues the burst with a single
-        uplink pass.  Returns how many packets made it onto the wire.
+        Each packet traverses the filter table individually (so sampling
+        counters stay exact); same-flow runs hit the filter table's
+        one-entry memo.  Returns how many packets made it onto the wire.
         """
         self.bursts_sent += 1
         return self.host.send_many(packets)

@@ -19,7 +19,7 @@ the discrete-event simulator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core import addressing
@@ -116,12 +116,11 @@ class TPPExecutor:
         self.stack.host.send(probe)
 
     def _send_probes(self, requests: Sequence[PendingRequest]) -> None:
-        """Dispatch several probes as one burst (batched injection path).
+        """Dispatch several probes as one burst.
 
-        The retry timers land on the heap via ``schedule_many`` and the
-        probes leave through the host's burst transmit, so fanning a
-        scatter-gather across dozens of switches costs one heap rebuild and
-        one uplink pass instead of per-probe churn.
+        The retry timers land on the heap via ``schedule_many``, so fanning
+        a scatter-gather across dozens of switches costs one heap rebuild
+        instead of per-probe churn.
         """
         if not requests:
             return

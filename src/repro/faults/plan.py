@@ -29,7 +29,7 @@ that resolves to a concrete plan once the topology exists;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -18,8 +18,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from .port import DROP_CORRUPTED, DROP_LINK_DOWN, DROP_PEER_DOWN
-
 if TYPE_CHECKING:  # pragma: no cover
     from .packet import Packet
     from .port import Port
@@ -74,92 +72,6 @@ class Link:
         """Account for a packet serialised onto the link (either direction)."""
         self.total_bytes += packet.size
         self.total_packets += 1
-
-    def deliver_burst(self, packets: list["Packet"], from_port: "Port") -> int:
-        """Batched injection: hand ``packets`` to the node at the far end of
-        ``from_port`` as if they had just arrived off the wire.
-
-        Load generators and macro benchmarks use this to drive the fabric at
-        scale: it skips the per-packet serialisation/propagation state
-        machine (the caller models an ideal source, not a NIC) while keeping
-        link- and port-level byte/packet accounting consistent, so TPPs that
-        read ``[Link:RX-Bytes]`` and friends still see coherent values.
-        TPP-capable switches are fed through their batched receive path —
-        one reused PacketContext and one pipeline lookup per same-flow run.
-        Returns the number of packets delivered.
-        """
-        peer = self.other_end(from_port)
-        if not self.up or not from_port.up:
-            # Send-side failure: mirrors Port.send's link-down accounting.
-            queue = from_port.queue
-            recorder = from_port.recorder
-            for packet in packets:
-                packet.dropped = True
-                packet.drop_reason = f"link down at {from_port.name}"
-                queue.packets_dropped_total += 1
-                queue.bytes_dropped_total += packet.size
-                from_port.count_drop(DROP_LINK_DOWN)
-                if recorder is not None:
-                    recorder.on_drop(from_port.name, from_port.node.name,
-                                     packet, DROP_LINK_DOWN,
-                                     packet.drop_reason)
-            return 0
-        burst_bytes = 0
-        for packet in packets:
-            burst_bytes += packet.size
-        count = len(packets)
-        self.total_bytes += burst_bytes
-        self.total_packets += count
-        from_port.tx_bytes += burst_bytes
-        from_port.tx_packets += count
-        if not peer.up:
-            # Receive-side failure: the burst was "serialised" (tx and link
-            # counters above stand), then lost — mirrors _deliver_to_peer.
-            # Like the counters, the drop record lands at the *sending*
-            # port: the downed receive side never saw the packet.
-            recorder = from_port.recorder
-            for packet in packets:
-                packet.dropped = True
-                packet.drop_reason = "peer port down"
-                from_port.count_drop(DROP_PEER_DOWN)
-                if recorder is not None:
-                    recorder.on_drop(from_port.name, from_port.node.name,
-                                     packet, DROP_PEER_DOWN,
-                                     packet.drop_reason)
-            return 0
-        if self.loss_rate:
-            recorder = peer.recorder
-            survivors = []
-            for packet in packets:
-                if self.corrupt(packet):
-                    # Corruption is a failed CRC at the *receiving* port —
-                    # the asymmetry the loss-localization TPP measures.
-                    peer.error_packets += 1
-                    peer.count_drop(DROP_CORRUPTED)
-                    if recorder is not None:
-                        recorder.on_drop(peer.name, peer.node.name, packet,
-                                         DROP_CORRUPTED, packet.drop_reason)
-                else:
-                    survivors.append(packet)
-            packets = survivors
-            count = len(packets)
-            burst_bytes = sum(packet.size for packet in packets)
-            if not packets:
-                return 0
-        peer.rx_bytes += burst_bytes
-        peer.rx_packets += count
-        recorder = peer.recorder
-        if recorder is not None:
-            for packet in packets:
-                recorder.on_deliver(peer, packet)
-        receive_batch = getattr(peer.node, "receive_batch", None)
-        if receive_batch is not None:
-            receive_batch(packets, peer)
-        else:
-            receive = peer.node.receive
-            for packet in packets:
-                receive(packet, peer)
-        return count
 
     # ---------------------------------------------------------- degradation
     def set_loss(self, loss_rate: float, rng: Optional[random.Random] = None) -> None:

@@ -107,36 +107,11 @@ class Host(Node):
         return self.uplink_port.send(packet)
 
     def send_many(self, packets: list[Packet]) -> int:
-        """Send a burst of packets in one call (the batched injection path).
+        """Send a burst: one :meth:`send` per packet, in order.
 
-        Transmit hooks still run per packet and in order (the dataplane shim
-        relies on seeing every packet), but the uplink's link-state checks
-        and transmitter kick happen once for the whole burst.  Returns how
-        many packets were accepted onto the uplink queue.
+        Returns how many packets were accepted onto the uplink queue.
         """
-        now = self.sim.now
-        name = self.name
-        accepted: list[Packet] = []
-        for packet in packets:
-            packet.created_at = packet.created_at or now
-            ok = True
-            for hook in self.tx_hooks:
-                if not hook(packet):
-                    packet.dropped = True
-                    packet.drop_reason = f"tx hook rejected at {name}"
-                    ok = False
-                    break
-            if not ok:
-                continue
-            self.packets_sent += 1
-            self.bytes_sent += packet.size
-            packet.record_hop(name)
-            if self.recorder is not None:
-                self.recorder.on_host_send(self, packet)
-            accepted.append(packet)
-        if not accepted:
-            return 0
-        return self.uplink_port.send_many(accepted)
+        return sum(map(self.send, packets))
 
     def receive(self, packet: Packet, in_port: Port) -> None:
         packet.record_hop(self.name)

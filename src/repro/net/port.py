@@ -62,9 +62,6 @@ class EgressQueue:
         """Packets currently waiting in the queue."""
         return len(self._queue)
 
-    def is_empty(self) -> bool:
-        return not self._queue
-
     # ------------------------------------------------------------ operations
     def enqueue(self, packet: Packet) -> bool:
         """Append a packet; returns False (and counts a drop) when full."""
@@ -186,51 +183,12 @@ class Port:
         return True
 
     def send_many(self, packets: list[Packet]) -> int:
-        """Enqueue a burst of packets for transmission in one call.
+        """Enqueue a burst: one :meth:`send` per packet, in order.
 
-        The link-state checks run once for the whole burst, but enqueueing
-        interleaves with transmitter kicks exactly like a loop of
-        :meth:`send` calls — in particular, an idle transmitter dequeues the
-        burst's head *before* later packets hit the queue-capacity check, so
-        drop behaviour at a near-full queue is identical.  Returns how many
-        packets were accepted (the rest were dropped, with per-packet drop
-        accounting).
+        Returns how many packets were accepted (the rest were dropped, with
+        per-packet drop accounting).
         """
-        if self.link is None or self.peer is None:
-            raise RuntimeError(f"port {self.name} is not connected")
-        recorder = self.recorder
-        if not self.up or not self.link.up:
-            queue = self.queue
-            for packet in packets:
-                packet.dropped = True
-                packet.drop_reason = f"link down at {self.name}"
-                queue.packets_dropped_total += 1
-                queue.bytes_dropped_total += packet.size
-                self.count_drop(DROP_LINK_DOWN)
-                if recorder is not None:
-                    recorder.on_drop(self._name, self.node.name, packet,
-                                     DROP_LINK_DOWN, packet.drop_reason)
-            return 0
-        queue = self.queue
-        now = self.sim.now
-        accepted = 0
-        for packet in packets:
-            if queue.enqueue(packet):
-                packet.enqueue_times.append(now)
-                accepted += 1
-                if recorder is not None:
-                    recorder.on_enqueue(self, packet)
-                if not self.transmitting:
-                    self._start_transmission()
-            else:
-                packet.dropped = True
-                packet.drop_reason = f"queue overflow at {self.name}"
-                self.count_drop(DROP_QUEUE_OVERFLOW)
-                if recorder is not None:
-                    recorder.on_drop(self._name, self.node.name, packet,
-                                     DROP_QUEUE_OVERFLOW, packet.drop_reason)
-                self.node.on_packet_dropped(packet, self)
-        return accepted
+        return sum(map(self.send, packets))
 
     def _start_transmission(self) -> None:
         packet = self.queue.dequeue()
@@ -274,8 +232,8 @@ class Port:
             packet.drop_reason = "peer port down"
             self.count_drop(DROP_PEER_DOWN)
             if self.recorder is not None:
-                # Counted at the *sending* port — the receive side never saw
-                # the packet (see deliver_burst's asymmetry note).
+                # Counted at the *sending* port, like the drop itself: the
+                # downed receive side never saw the packet.
                 self.recorder.on_drop(self._name, self.node.name, packet,
                                       DROP_PEER_DOWN, packet.drop_reason)
             return

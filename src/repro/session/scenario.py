@@ -195,11 +195,6 @@ class Scenario:
         return WORKLOADS.names()
 
     # ---------------------------------------------------------------- fluency
-    def configure(self, **topology_kwargs) -> "Scenario":
-        """Merge extra keyword arguments into the topology builder call."""
-        self.topology_kwargs.update(topology_kwargs)
-        return self
-
     def tpp(self, name: str, program, *, filter: Optional[PacketFilter] = None,
             sample_frequency: int = 1, num_hops: int = 8, priority: int = 0,
             echo_to_source: bool = False,

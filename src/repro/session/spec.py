@@ -287,15 +287,6 @@ class ScenarioSpec:
     def fingerprint(self) -> str:
         return spec_fingerprint(self)
 
-    def with_overrides(self, **replacements: Any) -> "ScenarioSpec":
-        """An independent copy with top-level fields replaced."""
-        clone = copy.deepcopy(self)
-        for key, value in replacements.items():
-            if not hasattr(clone, key):
-                raise SpecError(f"ScenarioSpec has no field {key!r}")
-            setattr(clone, key, value)
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ScenarioSpec {self.name!r} topology={self.topology!r} "
                 f"seed={self.seed} tpps={[t.name for t in self.tpps]} "

@@ -102,7 +102,6 @@ class BurstTraffic:
     burst_packets: int
     burst_interval_s: float
     payload_bytes: int
-    use_batch: bool
     bursts_injected: int = 0
     packets_injected: int = 0
     processes: list = field(default_factory=list)
@@ -115,12 +114,12 @@ class BurstTraffic:
 @register_workload("cross-pod-bursts")
 def cross_pod_bursts(experiment, *, burst_packets: int = 8,
                      burst_interval_s: float = 100e-6, payload_bytes: int = 700,
-                     dport: int = 2000, use_batch: bool = True) -> BurstTraffic:
+                     dport: int = 2000) -> BurstTraffic:
     """Periodic cross-pod UDP bursts from every host to a distant partner.
 
     The event-throughput benchmark's workload: host *i* bursts to host
-    ``i + n/2 (mod n)`` every ``burst_interval_s`` through the batched
-    injection path (or per-packet ``host.send`` with ``use_batch=False``).
+    ``i + n/2 (mod n)`` every ``burst_interval_s``, through its shim's
+    ``send_burst`` when the scenario built end-host stacks.
     """
     hosts = _host_objects(experiment, None)
     n = len(hosts)
@@ -128,7 +127,7 @@ def cross_pod_bursts(experiment, *, burst_packets: int = 8,
         raise ValueError("cross-pod-bursts needs at least two hosts")
     handle = BurstTraffic(burst_packets=burst_packets,
                           burst_interval_s=burst_interval_s,
-                          payload_bytes=payload_bytes, use_batch=use_batch)
+                          payload_bytes=payload_bytes)
     for i, host in enumerate(hosts):
         partner = hosts[(i + n // 2) % n].name
         shim = experiment.stacks[host.name].shim if experiment.stacks else None
@@ -137,11 +136,10 @@ def cross_pod_bursts(experiment, *, burst_packets: int = 8,
             packets: list[Packet] = [
                 udp_packet(host.name, partner, handle.payload_bytes, dport=dport)
                 for _ in range(handle.burst_packets)]
-            if handle.use_batch and shim is not None:
+            if shim is not None:
                 shim.send_burst(packets)
             else:
-                for packet in packets:
-                    host.send(packet)
+                host.send_many(packets)
             handle.bursts_injected += 1
             handle.packets_injected += len(packets)
 

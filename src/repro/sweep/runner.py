@@ -86,17 +86,6 @@ class TaskOutcome:
     wall_s: float = 0.0
     source: str = "run"                           # run | manifest
 
-    def jsonable(self) -> dict:
-        row = {"index": self.index, "label": self.label,
-               "fingerprint": self.fingerprint, "status": self.status,
-               "attempts": self.attempts, "source": self.source,
-               "wall_s": self.wall_s}
-        if self.error is not None:
-            row["error"] = self.error
-        if self.summary is not None:
-            row["summary"] = self.summary.as_jsonable()
-        return row
-
 
 class SweepManifest:
     """The on-disk resume ledger: fingerprint -> terminal outcome.

@@ -12,8 +12,8 @@ separately), but the stage structure is real: forwarding happens in the first
 stage that produces a match, and the matched stage index is recorded in the
 packet's metadata so TPPs can read it.
 
-Batched processing
-------------------
+Same-flow lookup memo
+---------------------
 
 Traffic is bursty, and consecutive packets at a switch usually belong to the
 same flow.  :class:`FlowLookupCache` memoizes the last forwarding decision
@@ -23,8 +23,8 @@ match-action scan entirely.  The cache only engages while *every* installed
 entry matches on flow-identity fields (the common case — routes match on
 ``dst``); any entry matching on another attribute, or any table mutation,
 disables or invalidates it, so results are always identical to
-:meth:`Pipeline.process`.  :meth:`Pipeline.process_batch` and the switch's
-batched receive path are built on it.
+:meth:`Pipeline.process`.  :meth:`TPPSwitch.receive
+<repro.switches.switch.TPPSwitch.receive>` looks every packet up through it.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ class Pipeline:
     def lookup_cache(self) -> "FlowLookupCache":
         """A fresh same-flow memoizing view of this pipeline (see module docs)."""
         return FlowLookupCache(self)
-
-    def process_batch(self, packets: list[Packet]) -> list[PipelineResult]:
-        """Process a list of packets in one call, skipping re-lookup for
-        same-flow runs.  Results and statistics match per-packet
-        :meth:`process` calls exactly."""
-        process = FlowLookupCache(self).process
-        return [process(packet) for packet in packets]
 
 
 #: Packet attributes that together identify a flow for memoization purposes —

@@ -134,24 +134,7 @@ class TPPSwitch(Node):
 
     # ------------------------------------------------------------- forwarding
     def receive(self, packet: Packet, in_port: Port) -> None:
-        self._receive_one(packet, in_port.index, PacketContext())
-
-    def receive_batch(self, packets: list[Packet], in_port: Port) -> None:
-        """Process a burst of packets arriving on one port in a single call.
-
-        The batched injection path: one :class:`PacketContext` is reused
-        across the whole burst (every field is rewritten per packet) and the
-        same-flow lookup memo turns back-to-back packets of one flow into a
-        single match-action scan.  Per-packet results, statistics, and any
-        events scheduled are identical to sequential :meth:`receive` calls.
-        """
-        context = PacketContext()
         in_index = in_port.index
-        for packet in packets:
-            self._receive_one(packet, in_index, context)
-
-    def _receive_one(self, packet: Packet, in_index: int,
-                     context: PacketContext) -> None:
         packet.record_hop(self.name)
         if self.recorder is not None:
             self.recorder.on_switch_recv(self, packet, in_index)
@@ -170,6 +153,7 @@ class TPPSwitch(Node):
             return
 
         entry = result.matched_entry
+        context = PacketContext()
         context.input_port = in_index
         context.output_port = output_port
         context.output_queue = 0

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.apps.microburst import (MicroburstAggregator, QueueSample, microburst_tpp,
-                                   run_microburst_experiment)
+from repro.apps.microburst import (MicroburstAggregator, QueueSample,
+                                   microburst_scenario, microburst_tpp)
 from repro.apps.netsight import (HistoryStore, HopRecord, NetWatch, PacketHistory,
                                  deploy_netsight, history_bandwidth_overhead,
                                  history_from_tpp, history_overhead_bytes,
@@ -41,8 +41,8 @@ class TestMicroburstTpp:
 class TestMicroburstExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_microburst_experiment(duration_s=0.6, link_rate_bps=mbps(10),
-                                         offered_load=0.4, seed=2)
+        return microburst_scenario(link_rate_bps=mbps(10), offered_load=0.4,
+                                   seed=2).run(duration_s=0.6)
 
     def test_samples_collected_from_instrumented_packets(self, result):
         assert result.packets_instrumented > 100

@@ -5,11 +5,11 @@ import math
 import pytest
 
 from repro.apps import rcp
-from repro.apps.conga import CongaController, PathState, run_conga_experiment
+from repro.apps.conga import CongaController, PathState, conga_scenario
 from repro.apps.rcp import (ALPHA_MAXMIN, ALPHA_PROPORTIONAL, LinkSample, RcpParameters,
                             alpha_fair_rate, build_update_tpp, collect_tpp,
-                            expected_fair_shares, parse_collect_tpp, rcp_update,
-                            run_rcp_fairness_experiment)
+                            expected_fair_shares, parse_collect_tpp, rcp_scenario,
+                            rcp_update)
 from repro.baselines.ecmp import expected_figure4_conga, expected_figure4_ecmp
 from repro.net import mbps
 
@@ -117,8 +117,8 @@ class TestRcpTpps:
 class TestRcpExperiment:
     @pytest.fixture(scope="class")
     def maxmin(self):
-        return run_rcp_fairness_experiment(alpha=ALPHA_MAXMIN, duration_s=6.0,
-                                           link_rate_bps=mbps(10))
+        return rcp_scenario(alpha=ALPHA_MAXMIN,
+                            link_rate_bps=mbps(10)).run(duration_s=6.0)
 
     def test_maxmin_shares_converge_to_half_link(self, maxmin):
         expected = expected_fair_shares(ALPHA_MAXMIN, mbps(10))
@@ -129,8 +129,8 @@ class TestRcpExperiment:
         assert 0.005 < maxmin.control_overhead_fraction < 0.10
 
     def test_proportional_fairness_gives_one_third_to_long_flow(self):
-        result = run_rcp_fairness_experiment(alpha=ALPHA_PROPORTIONAL, duration_s=6.0,
-                                             link_rate_bps=mbps(10))
+        result = rcp_scenario(alpha=ALPHA_PROPORTIONAL,
+                              link_rate_bps=mbps(10)).run(duration_s=6.0)
         expected = expected_fair_shares(ALPHA_PROPORTIONAL, mbps(10))
         assert result.mean_throughput_bps["a"] == pytest.approx(expected["a"], rel=0.35)
         assert result.mean_throughput_bps["b"] == pytest.approx(expected["b"], rel=0.35)
@@ -191,8 +191,8 @@ class TestFigure4Expectations:
 @pytest.mark.slow
 class TestCongaExperiment:
     def test_conga_meets_demands_and_beats_ecmp_utilisation(self):
-        ecmp = run_conga_experiment("ecmp", duration_s=6.0, link_rate_bps=mbps(10))
-        conga = run_conga_experiment("conga", duration_s=6.0, link_rate_bps=mbps(10))
+        ecmp = conga_scenario("ecmp", link_rate_bps=mbps(10)).run(duration_s=6.0)
+        conga = conga_scenario("conga", link_rate_bps=mbps(10)).run(duration_s=6.0)
         # ECMP cannot satisfy L1's demand; CONGA* (nearly) can.
         assert ecmp.achieved_bps["L1:L2"] < 0.99 * ecmp.demand_bps["L1:L2"]
         assert conga.achieved_bps["L1:L2"] > ecmp.achieved_bps["L1:L2"]

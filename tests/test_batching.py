@@ -1,8 +1,9 @@
-"""Tests for the batched injection path and the same-flow lookup memos.
+"""Tests for burst injection, the same-flow lookup memos and the batched
+propagation leg.
 
-The contract under test everywhere: batching is a *mechanical* fast path —
-results, statistics, and the executed event sequence must be identical to
-the equivalent per-packet calls.
+The contract under test everywhere: a burst call or a memo hit is
+*mechanical* — results, statistics, and the executed event sequence must be
+identical to the equivalent per-packet calls and full scans.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.net.link import mbps
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import Network, build_dumbbell
-from repro.switches.pipeline import FlowLookupCache, Pipeline
+from repro.switches.pipeline import Pipeline
 from repro.switches.tables import FlowEntry, Group, GroupTable
 
 
@@ -85,84 +86,6 @@ class TestHostSendMany:
         assert h0.uplink_port.queue.packets_dropped_total == 4
 
 
-class TestLinkDeliverBurst:
-    def test_burst_delivery_and_accounting(self):
-        sim, net = small_net()
-        h0 = net.hosts["h0"]
-        uplink = h0.uplink_port
-        link = uplink.link
-        before_packets = link.total_packets
-        packets = burst("h0", "h3", 5)
-        delivered = link.deliver_burst(packets, uplink)
-        net.stop_switch_processes()
-        sim.run_until_idle()
-        assert delivered == 5
-        assert link.total_packets == before_packets + 5
-        assert uplink.peer.rx_packets >= 5
-        assert net.hosts["h3"].packets_received == 5
-
-    def test_burst_dropped_when_link_down(self):
-        sim, net = small_net()
-        uplink = net.hosts["h0"].uplink_port
-        uplink.link.set_down()
-        packets = burst("h0", "h3", 3)
-        assert uplink.link.deliver_burst(packets, uplink) == 0
-        assert all(p.dropped for p in packets)
-        assert uplink.queue.packets_dropped_total == 3
-
-    def test_burst_dropped_when_sending_port_admin_down(self):
-        sim, net = small_net()
-        uplink = net.hosts["h0"].uplink_port
-        uplink.up = False                        # port down, link itself up
-        packets = burst("h0", "h3", 3)
-        assert uplink.link.deliver_burst(packets, uplink) == 0
-        assert all(p.dropped for p in packets)
-        assert uplink.tx_packets == 0
-
-    def test_burst_to_down_peer_accounts_like_per_packet_path(self):
-        # Peer-side failure: tx/link counters stand (the burst left the
-        # port), the packets are lost with the per-packet path's reason,
-        # and no queue drop counters move — mirroring _deliver_to_peer.
-        sim, net = small_net()
-        uplink = net.hosts["h0"].uplink_port
-        uplink.peer.up = False
-        packets = burst("h0", "h3", 3)
-        assert uplink.link.deliver_burst(packets, uplink) == 0
-        assert all(p.drop_reason == "peer port down" for p in packets)
-        assert uplink.tx_packets == 3
-        assert uplink.link.total_packets == 3
-        assert uplink.peer.rx_packets == 0
-        assert uplink.queue.packets_dropped_total == 0
-
-
-class TestSwitchReceiveBatch:
-    def test_batch_matches_sequential_receives(self):
-        compiled = compile_tpp("PUSH [Switch:SwitchID]", num_hops=4)
-        outcomes = []
-        for batched in (False, True):
-            sim, net = small_net()
-            switch = net.switches["s0"]
-            in_port = net.hosts["h0"].uplink_port.peer
-            packets = burst("h0", "h3", 6)
-            for packet in packets:
-                packet.attach_tpp(compiled.clone_tpp())
-            if batched:
-                switch.receive_batch(packets, in_port)
-            else:
-                for packet in packets:
-                    switch.receive(packet, in_port)
-            net.stop_switch_processes()
-            sim.run_until_idle()
-            received = net.hosts["h3"].packets_received
-            hops = [p.tpp.hop_number for p in packets]
-            words = [p.tpp.pushed_words() for p in packets]
-            outcomes.append((received, hops, words, sim.events_executed,
-                             switch.packets_forwarded))
-        assert outcomes[0] == outcomes[1]
-        # Both switches executed the TPP: two pushed switch ids per packet.
-        assert all(len(words) == 2 for words in outcomes[1][2])
-
-
 class TestFlowLookupCache:
     def _pipeline_with_routes(self):
         pipeline = Pipeline(num_stages=2)
@@ -212,15 +135,6 @@ class TestFlowLookupCache:
         big = udp_packet("h0", "h1", 800)   # same flow key, 842B on the wire
         assert cache.process(small).action == "forward"
         assert cache.process(big).action == "drop"
-
-    def test_process_batch_equals_per_packet(self):
-        reference = self._pipeline_with_routes()
-        batched = self._pipeline_with_routes()
-        packets = burst("h0", "h1", 5) + burst("h0", "h2", 5)
-        expect = [reference.process(p) for p in packets]
-        got = batched.process_batch(packets)
-        assert [(r.action, r.output_port) for r in got] == \
-               [(r.action, r.output_port) for r in expect]
 
 
 class TestGroupSelectionMemo:
@@ -298,30 +212,3 @@ class TestBatchedPropagationLeg:
         # FIFO order is preserved.
         assert [p.flow_id for p in h3.received_log] == \
             [p.flow_id for p in packets]
-
-    def test_bench_workload_event_totals_batch_vs_unbatched_injection(self):
-        # The bench_event_throughput workload (scaled down) must execute the
-        # exact same event sequence whether bursts enter through send_burst
-        # or a loop of host.send calls — and therefore land on identical
-        # event and TPP-hop totals.
-        from repro.net.link import gbps
-        from repro.session import Scenario
-
-        def run(use_batch: bool):
-            experiment = (
-                Scenario("fat-tree", seed=1, k=4, link_rate_bps=gbps(1),
-                         link_delay_s=5e-6)
-                .tpp("event-throughput",
-                     "PUSH [Switch:SwitchID]\nPUSH [Queue:QueueOccupancy]",
-                     num_hops=8, filter=PacketFilter(protocol="udp"))
-                .workload("cross-pod-bursts", use_batch=use_batch)
-                .build())
-            experiment.sim.run(until=5e-4)
-            tpp_hops = sum(switch.tcpu.tpps_executed
-                           for switch in experiment.network.switches.values())
-            delivered = tuple(sorted(
-                (name, host.packets_received)
-                for name, host in experiment.network.hosts.items()))
-            return experiment.sim.events_executed, tpp_hops, delivered
-
-        assert run(True) == run(False)

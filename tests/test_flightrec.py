@@ -2,8 +2,7 @@
 
 Covers the record/query core (journeys, flow traces, ring-buffer
 overwrite accounting, flow sampling), drop forensics — one test per
-``drops_by_reason`` category, including the ``deliver_burst``
-send-vs-receive asymmetry — the session-layer integration (the
+``drops_by_reason`` category — the session-layer integration (the
 ``.flight_recorder(...)`` declaration, spec round-trip, sweep axes, and
 the sweep-worker pickle round-trip of ``journey()``/``explain_drop``),
 the Perfetto network-timeline export (validated against
@@ -272,40 +271,6 @@ class TestDropForensics:
         assert "corrupted on" in explanation.reason
         assert explanation.fault_context is not None
         assert explanation.fault_context[REC_A] == "set-loss"
-
-    def test_deliver_burst_send_vs_receive_asymmetry(self):
-        # Send-side failure (link down): recorded at from_port, like the
-        # counters — nothing serialised, nothing at the peer.
-        sim, a, b, link, recorder = _pair()
-        link.set_down()
-        packets = [udp_packet("a", "b", 100) for _ in range(3)]
-        assert link.deliver_burst(packets, a.ports[0]) == 0
-        for packet in packets:
-            explanation = recorder.explain_drop(packet.packet_id)
-            assert explanation.site == "a.p0"
-            assert explanation.category == DROP_LINK_DOWN
-
-        # Receive-side failure (corruption): the burst crossed the wire,
-        # so the drop is recorded at the peer port instead.
-        sim2, a2, b2, link2, recorder2 = _pair()
-        link2.set_loss(1.0)
-        packets2 = [udp_packet("a", "b", 100) for _ in range(3)]
-        assert link2.deliver_burst(packets2, a2.ports[0]) == 0
-        for packet in packets2:
-            explanation = recorder2.explain_drop(packet.packet_id)
-            assert explanation.site == "b.p0"
-            assert explanation.category == DROP_CORRUPTED
-
-        # Receive-side failure (peer down): serialised then lost; counted
-        # (and recorded) at the sender, same as _deliver_to_peer.
-        sim3, a3, b3, link3, recorder3 = _pair()
-        b3.ports[0].up = False
-        packets3 = [udp_packet("a", "b", 100) for _ in range(3)]
-        assert link3.deliver_burst(packets3, a3.ports[0]) == 0
-        for packet in packets3:
-            explanation = recorder3.explain_drop(packet.packet_id)
-            assert explanation.site == "a.p0"
-            assert explanation.category == DROP_PEER_DOWN
 
     def test_drops_bypass_flow_sampling(self):
         spec = RecorderSpec(sample_every=1_000_000)   # samples ~no flows

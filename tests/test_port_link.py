@@ -106,13 +106,25 @@ class TestTransmission:
         assert a.ports[0].queue.packets_dropped_total == 7
 
     def test_link_down_drops_packets(self):
-        sim, a, b, link = _pair()
-        link.set_down()
-        packet = udp_packet("a", "b", 100)
-        assert a.send(packet) is False
-        assert packet.dropped
-        link.set_up()
-        assert a.send(udp_packet("a", "b", 100)) is True
+        # A failed link and an admin-down sending port (link itself up) drop
+        # alike: before serialisation, so no tx/link/rx counter moves.
+        for failed in ("link", "port"):
+            sim, a, b, link = _pair()
+            if failed == "link":
+                link.set_down()
+            else:
+                a.ports[0].up = False
+            packet = udp_packet("a", "b", 100)
+            assert a.send(packet) is False
+            sim.run_until_idle()
+            assert packet.dropped and "link down" in packet.drop_reason
+            assert a.ports[0].drops_by_reason == {DROP_LINK_DOWN: 1}
+            assert a.ports[0].queue.packets_dropped_total == 1
+            assert a.ports[0].tx_packets == link.total_packets == 0
+            assert b.ports[0].rx_packets == 0
+            link.set_up()
+            a.ports[0].up = True
+            assert a.send(udp_packet("a", "b", 100)) is True
 
     def test_counters_updated(self):
         sim, a, b, link = _pair()
@@ -149,74 +161,6 @@ class TestTransmission:
         assert link.total_packets == 1
 
 
-class TestDeliverBurst:
-    """Failure-path accounting for the batched injection entry point.
-
-    The asymmetry under test: a send-side failure (link or sending port
-    down) drops *before* any serialisation — tx/link counters must not
-    move — while a receive-side failure (peer port down, corruption)
-    happens *after* the burst crossed the wire, so tx/link counters stand
-    and only the peer's rx side stays silent.
-    """
-
-    def _burst(self, n=3):
-        return [udp_packet("a", "b", 100) for _ in range(n)]
-
-    def test_send_side_link_down(self):
-        sim, a, b, link = _pair()
-        link.set_down()
-        packets = self._burst()
-        assert link.deliver_burst(packets, a.ports[0]) == 0
-        assert a.ports[0].queue.packets_dropped_total == 3
-        assert a.ports[0].drops_by_reason == {DROP_LINK_DOWN: 3}
-        assert a.ports[0].tx_packets == 0
-        assert link.total_packets == 0
-        assert b.ports[0].rx_packets == 0
-        assert all(p.dropped and "link down" in p.drop_reason for p in packets)
-
-    def test_send_side_port_down(self):
-        sim, a, b, link = _pair()
-        a.ports[0].up = False
-        assert link.deliver_burst(self._burst(), a.ports[0]) == 0
-        assert a.ports[0].drops_by_reason == {DROP_LINK_DOWN: 3}
-        assert link.total_packets == 0
-
-    def test_receive_side_peer_down(self):
-        sim, a, b, link = _pair()
-        b.ports[0].up = False
-        packets = self._burst()
-        assert link.deliver_burst(packets, a.ports[0]) == 0
-        # The burst was serialised before the receive-side loss.
-        assert a.ports[0].tx_packets == 3
-        assert link.total_packets == 3
-        assert a.ports[0].queue.packets_dropped_total == 0
-        assert a.ports[0].drops_by_reason == {DROP_PEER_DOWN: 3}
-        assert b.ports[0].rx_packets == 0
-        assert all(p.drop_reason == "peer port down" for p in packets)
-
-    def test_corrupting_link_filters_burst(self):
-        sim, a, b, link = _pair()
-        link.set_loss(1.0)
-        packets = self._burst()
-        assert link.deliver_burst(packets, a.ports[0]) == 0
-        assert a.ports[0].tx_packets == 3
-        assert link.total_packets == 3
-        assert link.packets_corrupted == 3
-        assert b.ports[0].rx_packets == 0
-        assert b.ports[0].error_packets == 3
-        assert b.ports[0].drops_by_reason == {DROP_CORRUPTED: 3}
-        assert all("corrupted on" in p.drop_reason for p in packets)
-
-    def test_partial_corruption_delivers_survivors(self):
-        sim, a, b, link = _pair()
-        link.set_loss(0.5)
-        delivered = link.deliver_burst(self._burst(40), a.ports[0])
-        assert delivered == 40 - link.packets_corrupted
-        assert 0 < link.packets_corrupted < 40
-        assert b.ports[0].rx_packets == delivered
-        assert b.ports[0].error_packets == link.packets_corrupted
-
-
 class TestDegradation:
     def test_set_loss_validates_rate(self):
         _, _, _, link = _pair()
@@ -226,18 +170,28 @@ class TestDegradation:
             link.set_loss(-0.1)
 
     def test_transmit_path_corruption(self):
-        sim, a, b, link = _pair()
-        link.set_loss(1.0)
-        packet = udp_packet("a", "b", 958)
-        a.send(packet)
-        sim.run_until_idle()
-        assert packet.dropped and "corrupted on" in packet.drop_reason
-        assert b.ports[0].rx_packets == 0
-        assert b.ports[0].error_packets == 1
-        assert b.ports[0].drops_by_reason == {DROP_CORRUPTED: 1}
-        assert a.ports[0].tx_packets == 1      # it did serialise
-        assert link.packets_corrupted == 1
-        assert link.bytes_corrupted == 1000
+        # Total loss, then partial loss: the survivors are delivered and the
+        # receive side accounts for exactly the corrupted ones.
+        for loss_rate, count in ((1.0, 1), (0.5, 40)):
+            sim, a, b, link = _pair()
+            link.set_loss(loss_rate)
+            packets = [udp_packet("a", "b", 958) for _ in range(count)]
+            for packet in packets:
+                a.send(packet)
+            sim.run_until_idle()
+            corrupted = link.packets_corrupted
+            if loss_rate == 1.0:
+                assert corrupted == count
+            else:
+                assert 0 < corrupted < count
+            dropped = [p for p in packets if p.dropped]
+            assert len(dropped) == corrupted
+            assert all("corrupted on" in p.drop_reason for p in dropped)
+            assert b.ports[0].rx_packets == b.packets_received == count - corrupted
+            assert b.ports[0].error_packets == corrupted
+            assert b.ports[0].drops_by_reason == {DROP_CORRUPTED: corrupted}
+            assert a.ports[0].tx_packets == count   # they all did serialise
+            assert link.bytes_corrupted == 1000 * corrupted
 
     def test_clear_loss_restores_delivery(self):
         sim, a, b, link = _pair()

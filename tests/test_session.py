@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.apps.microburst import microburst_scenario, run_microburst_experiment
-from repro.apps.rcp import ALPHA_MAXMIN, rcp_scenario, run_rcp_fairness_experiment
+from repro.apps.microburst import microburst_scenario
 from repro.endhost import Aggregator, PacketFilter
 from repro.net import mbps
 from repro.session import (DuplicateRegistration, Registry, Scenario, TOPOLOGIES,
@@ -165,34 +164,6 @@ class TestResultAccessors:
         assert result.tpps_attached == per_host > 0
 
 
-class TestWrapperEquivalence:
-    """The legacy run_*_experiment wrappers == the direct Scenario path."""
-
-    def test_microburst_wrapper_matches_scenario(self):
-        kwargs = dict(link_rate_bps=mbps(10), offered_load=0.4, seed=3)
-        wrapped = run_microburst_experiment(duration_s=0.3, **kwargs)
-        direct = microburst_scenario(**kwargs).run(duration_s=0.3)
-        assert wrapped.samples == direct.samples
-        assert wrapped.messages_sent == direct.messages_sent
-        assert wrapped.packets_instrumented == direct.packets_instrumented
-        assert wrapped.tpp_overhead_bytes_per_packet == direct.tpp_overhead_bytes_per_packet
-        assert sorted(wrapped.series) == sorted(direct.series)
-        for key in wrapped.series:
-            assert wrapped.series[key].times == direct.series[key].times
-            assert wrapped.series[key].values == direct.series[key].values
-
-    def test_rcp_wrapper_matches_scenario(self):
-        wrapped = run_rcp_fairness_experiment(alpha=ALPHA_MAXMIN, duration_s=2.0,
-                                              link_rate_bps=mbps(10))
-        direct = rcp_scenario(alpha=ALPHA_MAXMIN, link_rate_bps=mbps(10)) \
-            .run(duration_s=2.0)
-        assert wrapped.mean_throughput_bps == direct.mean_throughput_bps
-        assert wrapped.control_overhead_fraction == direct.control_overhead_fraction
-        for flow in ("a", "b", "c"):
-            assert wrapped.throughput_series[flow].values == \
-                direct.throughput_series[flow].values
-
-
 class TestSeedPlumbing:
     def test_identical_seeds_identical_runs(self):
         def fingerprint(seed):
@@ -301,26 +272,26 @@ class TestAppScenariosSmoke:
     """All six apps expose a Scenario-based experiment that runs end to end."""
 
     def test_netsight(self):
-        from repro.apps.netsight import NetWatch, run_netsight_experiment
+        from repro.apps.netsight import NetWatch, netsight_scenario
         watch = NetWatch()
         watch.add_loop_freedom_policy()
-        result = run_netsight_experiment(duration_s=0.2, netwatch=watch)
+        result = netsight_scenario(netwatch=watch).run(duration_s=0.2)
         assert result.histories_collected > 0
         assert result.histories_collected == len(result.store)
         assert result.violations == []
         assert result.tpp_overhead_bytes_per_packet == 84
 
     def test_sketches(self):
-        from repro.apps.sketches import run_sketch_experiment
-        result = run_sketch_experiment(duration_s=0.5, num_leaves=2, num_spines=1,
-                                       hosts_per_leaf=2)
+        from repro.apps.sketches import sketch_scenario
+        result = sketch_scenario(num_leaves=2, num_spines=1,
+                                 hosts_per_leaf=2).run(duration_s=0.5)
         assert result.estimates
         assert result.packets_instrumented > 0
         assert all(estimate >= 0 for estimate in result.estimates.values())
 
     def test_netverify(self):
-        from repro.apps.netverify import run_route_verification_experiment
-        result = run_route_verification_experiment(duration_s=0.35)
+        from repro.apps.netverify import verification_scenario
+        result = verification_scenario().run(duration_s=0.35)
         assert result.pre_failure.matches
         assert result.convergence.convergence_seconds is not None
         assert result.convergence.convergence_seconds >= 0.03   # reroute delay
