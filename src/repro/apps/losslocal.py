@@ -65,7 +65,7 @@ class HopRecord:
     tx_packets: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeficitSample:
     """One adjacent-hop diff extracted from a completed TPP."""
 

@@ -50,7 +50,7 @@ def microburst_tpp(num_hops: int = 6, app_id: int = 0) -> CompiledTPP:
     return compile_tpp(MICROBURST_TPP_SOURCE, num_hops=num_hops, app_id=app_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueSample:
     """One queue-occupancy observation extracted from a completed TPP."""
 
@@ -71,6 +71,10 @@ class MicroburstAggregator(Aggregator):
         super().__init__(host_name, collector)
         self.samples: list[QueueSample] = []
         self.series: dict[tuple[int, int], TimeSeries] = {}
+        # The mergeable monoids, folded per hop; summarize() snapshots them.
+        self._occupancy = HistogramSummary(OCCUPANCY_EDGES)
+        self._busiest = TopKSummary(k=8)
+        self._queue_series = SeriesSummary()
 
     def on_tpp(self, tpp: TPP, packet: Packet) -> None:
         super().on_tpp(tpp, packet)
@@ -82,7 +86,11 @@ class MicroburstAggregator(Aggregator):
             sample = QueueSample(time=now, switch_id=switch_id, port=port,
                                  occupancy_packets=occupancy)
             self.samples.append(sample)
-            self.series.setdefault(sample.queue_key, TimeSeries()).add(now, occupancy)
+            key = (switch_id, port)
+            self.series.setdefault(key, TimeSeries()).add(now, occupancy)
+            self._occupancy.observe(occupancy)
+            self._busiest.observe(key)
+            self._queue_series.add(now, key, occupancy)
 
     def summarize(self) -> SummaryBundle:
         """A mergeable snapshot: counters + occupancy histogram + busiest
@@ -91,15 +99,10 @@ class MicroburstAggregator(Aggregator):
         counters = CounterSummary({"tpps": self.tpps_received,
                                    "tpps_truncated": self.tpps_truncated,
                                    "samples": len(self.samples)})
-        occupancy = HistogramSummary(OCCUPANCY_EDGES)
-        busiest = TopKSummary(k=8)
-        series = SeriesSummary()
-        for sample in self.samples:
-            occupancy.observe(sample.occupancy_packets)
-            busiest.observe(sample.queue_key)
-            series.add(sample.time, sample.queue_key, sample.occupancy_packets)
-        return SummaryBundle({"counters": counters, "occupancy": occupancy,
-                              "busiest_queues": busiest, "queue_series": series})
+        return SummaryBundle({"counters": counters,
+                              "occupancy": self._occupancy.copy(),
+                              "busiest_queues": self._busiest.copy(),
+                              "queue_series": self._queue_series.copy()})
 
 
 @dataclass

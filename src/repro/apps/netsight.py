@@ -198,11 +198,13 @@ class NetSightAggregator(Aggregator):
         super().__init__(host_name, collector)
         self.store = HistoryStore()
         self.netwatch = netwatch
+        self._paths = TopKSummary(k=16)     # folded per TPP, snapshot on push
 
     def on_tpp(self, tpp: TPP, packet: Packet) -> None:
         super().on_tpp(tpp, packet)
         history = history_from_tpp(tpp, packet)
         self.store.add(history)
+        self._paths.observe(tuple(history.switch_path))
         if self.netwatch is not None:
             self.netwatch.check(history)
 
@@ -210,14 +212,11 @@ class NetSightAggregator(Aggregator):
         """A mergeable snapshot: history counters plus per-path tallies
         (path-count addition commutes, so shard merges reconstruct the
         network-wide nprof view exactly)."""
-        paths = TopKSummary(k=16)
-        for path, count in self.store.path_counts().items():
-            paths.observe(path, count)
         return SummaryBundle({
             "counters": CounterSummary({"tpps": self.tpps_received,
                                         "tpps_truncated": self.tpps_truncated,
                                         "histories": len(self.store)}),
-            "paths": paths,
+            "paths": self._paths.copy(),
         })
 
 

@@ -89,6 +89,11 @@ class BitmapSketch:
         for i, byte in enumerate(other.bitmap):
             self.bitmap[i] |= byte
 
+    def copy(self) -> "BitmapSketch":
+        clone = BitmapSketch(self.bits, self.salt)
+        clone.bitmap[:] = self.bitmap
+        return clone
+
     def memory_bytes(self) -> int:
         return len(self.bitmap)
 
@@ -130,8 +135,10 @@ class SketchAggregator(Aggregator):
 
     def summarize(self) -> SummaryBundle:
         """One mergeable part per traversed link (bitmap OR commutes, so
-        the collector tier shards per-link sketches freely)."""
-        return SummaryBundle(dict(self.bitmaps))
+        the collector tier shards per-link sketches freely), snapshotted:
+        collectors retain what they are handed."""
+        return SummaryBundle({key: sketch.copy()
+                              for key, sketch in self.bitmaps.items()})
 
     def memory_bytes(self) -> int:
         return sum(sketch.memory_bytes() for sketch in self.bitmaps.values())

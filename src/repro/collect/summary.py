@@ -20,8 +20,9 @@ Concrete monoids:
 * :class:`TopKSummary` — exact per-key counts with a top-k *view*; merge
   adds counts (k bounds the report, not the state, so merging stays a true
   monoid — a capped space-saving sketch would be order-dependent).
-* :class:`SeriesSummary` — a multiset of ``(time, key, value)`` samples
-  kept in canonical order; merge is multiset union.
+* :class:`SeriesSummary` — a multiset of ``(time, key, value)`` samples,
+  canonically ordered *on read* (``add`` is an O(1) append); merge is
+  multiset union and ``diff`` against a prefix snapshot is the tail.
 * :class:`SummaryBundle` — a keyed product of the above (and of any foreign
   object with a commutative ``merge``, e.g.
   :class:`repro.apps.sketches.BitmapSketch`); merge is key-wise.
@@ -97,8 +98,8 @@ class MergeableSummary(Protocol):
 def summary_copy(summary: Any) -> Any:
     """Clone a summary: its own ``copy()`` when it has one, deepcopy otherwise.
 
-    The deepcopy fallback adapts foreign mergeables (e.g. ``BitmapSketch``)
-    that expose ``merge`` but no explicit clone.
+    The deepcopy fallback adapts foreign mergeables that expose ``merge``
+    but no explicit clone.
     """
     copier = getattr(summary, "copy", None)
     if callable(copier):
@@ -124,6 +125,11 @@ def summary_jsonable(summary: Any) -> Any:
 def _canonical_key(key: Any) -> str:
     """A total order over arbitrary hashable keys (str for str, repr else)."""
     return key if isinstance(key, str) else repr(key)
+
+
+def _exact(value: float) -> int | Fraction:
+    """``value`` as an exact addend: ints stay ints, the rest go rational."""
+    return value if isinstance(value, int) else Fraction(value)
 
 
 @register_summary
@@ -196,20 +202,22 @@ class HistogramSummary:
     the first bin whose edge is >= value, or the overflow bin past the last
     edge.  Two histograms merge only when their edges are identical.
 
-    The value total is accumulated as an exact rational
-    (:class:`fractions.Fraction` represents every float exactly), not a
-    float: float addition is not associative, so a float accumulator would
-    make merge results depend on fold shape — flat vs tree merges could
-    differ in the last ulp, breaking the byte-identity invariant.  The
-    generated commutativity suite (``tools/gen_merge_cases.py``) caught
-    exactly that.  ``total`` reads back as the nearest float.
+    The value total is accumulated exactly, never as a float: an ``int``
+    while every observed value is an int (all the shipped aggregators), a
+    :class:`fractions.Fraction` (which represents every float exactly) from
+    the first non-int on.  Float addition is not associative, so a float
+    accumulator would make merge results depend on fold shape — flat vs
+    tree merges could differ in the last ulp, breaking the byte-identity
+    invariant.  The generated commutativity suite
+    (``tools/gen_merge_cases.py``) caught exactly that.  ``total`` reads
+    back as the nearest float.
     """
 
     __slots__ = ("edges", "bins", "count", "_total")
 
     def __init__(self, edges: Iterable[float],
                  bins: Optional[list[int]] = None,
-                 count: int = 0, total: float = 0.0) -> None:
+                 count: int = 0, total: float = 0) -> None:
         self.edges: tuple[float, ...] = tuple(edges)
         if not self.edges or list(self.edges) != sorted(self.edges):
             raise ValueError("histogram edges must be non-empty and sorted")
@@ -218,7 +226,7 @@ class HistogramSummary:
         if len(self.bins) != len(self.edges) + 1:
             raise ValueError("histogram needs len(edges)+1 bins (one overflow)")
         self.count = count
-        self._total = Fraction(total)
+        self._total = _exact(total)
 
     @property
     def total(self) -> float:
@@ -227,7 +235,7 @@ class HistogramSummary:
     def observe(self, value: float, n: int = 1) -> None:
         self.bins[bisect_left(self.edges, value)] += n
         self.count += n
-        self._total += Fraction(value) * n
+        self._total += _exact(value) * n
 
     def merge(self, other: "HistogramSummary") -> None:
         if other.edges != self.edges:
@@ -255,7 +263,7 @@ class HistogramSummary:
         for index, n in payload["bins"].items():
             self.bins[index] = n
         self.count = payload["count"]
-        self._total = Fraction(payload["total"])
+        self._total = _exact(payload["total"])
 
     def mean(self) -> float:
         return float(self._total / self.count) if self.count else 0.0
@@ -339,52 +347,73 @@ class TopKSummary:
 
 @register_summary
 class SeriesSummary:
-    """A multiset of ``(time, key, value)`` samples in canonical order.
+    """A multiset of ``(time, key, value)`` samples, canonical on read.
 
-    ``merge`` is multiset union followed by a canonical re-sort on
-    ``(time, key, value)``, so any merge order (and any sharding of the
-    sources) lands on the identical sample sequence.
+    ``add``, ``merge`` and ``apply_delta`` only append; canonical
+    ``(time, key, value)`` order is restored when :attr:`samples` is read,
+    by sorting the not-yet-canonical tail (and the whole list only when
+    that tail interleaves with the canonical prefix).  Observation cost is
+    therefore per sample, not per sample x run length, while any merge
+    order (and any sharding of the sources) still reads back as the
+    identical sample sequence.
     """
 
-    __slots__ = ("samples",)
+    __slots__ = ("_samples", "_canonical")
 
     def __init__(self, samples: Optional[Iterable[tuple]] = None) -> None:
-        self.samples: list[tuple] = sorted(samples, key=self._sort_key) \
-            if samples else []
+        self._samples: list[tuple] = list(samples) if samples else []
+        self._canonical = 0             # leading samples known to be in order
 
     @staticmethod
     def _sort_key(sample: tuple) -> tuple:
         time, key, value = sample
         return (time, _canonical_key(key), value)
 
+    @property
+    def samples(self) -> list[tuple]:
+        """The samples as a plain list in canonical order."""
+        items, done, key = self._samples, self._canonical, self._sort_key
+        if done < len(items):
+            items[done:] = sorted(items[done:], key=key)
+            if done and key(items[done - 1]) > key(items[done]):
+                items.sort(key=key)     # the tail interleaves the prefix
+            self._canonical = len(items)
+        return items
+
+    @samples.setter
+    def samples(self, samples: Iterable[tuple]) -> None:
+        self._samples = list(samples)
+        self._canonical = 0
+
     def add(self, time: float, key: Any, value: float) -> None:
-        self.samples.append((time, key, value))
-        # Keep canonical order without a full re-sort on in-order appends.
-        if len(self.samples) > 1 and \
-                self._sort_key(self.samples[-2]) > self._sort_key(self.samples[-1]):
-            self.samples.sort(key=self._sort_key)
+        self._samples.append((time, key, value))
 
     def merge(self, other: "SeriesSummary") -> None:
-        self.samples.extend(other.samples)
-        self.samples.sort(key=self._sort_key)
+        self._samples.extend(other._samples)
 
     def copy(self) -> "SeriesSummary":
-        clone = SeriesSummary()
-        clone.samples = list(self.samples)
+        clone = SeriesSummary(self.samples)
+        clone._canonical = len(clone._samples)
         return clone
 
     def diff(self, prev: "SeriesSummary") -> dict:
         """The samples appended since ``prev`` (a multiset difference).
 
-        Series only ever grow under observation and merge; a base that is
+        When ``prev`` is a prefix of this snapshot — the steady state of an
+        observing aggregator — the difference is the tail, found by one
+        list comparison.  Otherwise the exact multiset path runs: series
+        only ever grow under observation and merge, so a base that is
         *not* a multiset subset of this snapshot cannot be expressed as an
         append-only delta and raises ``ValueError`` (the channel then falls
         back to a cumulative re-send).
         """
         if not isinstance(prev, SeriesSummary):
             raise ValueError("series diffs need a SeriesSummary base")
-        added = _Counter(self.samples)
-        added.subtract(prev.samples)
+        mine, base = self.samples, prev.samples
+        if mine[:len(base)] == base:
+            return {"op": "series", "add": mine[len(base):]}
+        added = _Counter(mine)
+        added.subtract(base)
         if any(n < 0 for n in added.values()):
             raise ValueError("series base is not a subset; cumulative resend "
                              "required")
@@ -393,8 +422,7 @@ class SeriesSummary:
         return {"op": "series", "add": samples}
 
     def apply_delta(self, payload: dict) -> None:
-        self.samples.extend(payload["add"])
-        self.samples.sort(key=self._sort_key)
+        self._samples.extend(payload["add"])
 
     def series(self, key: Any) -> list[tuple[float, float]]:
         """The (time, value) points recorded for one key, in time order."""
@@ -405,7 +433,7 @@ class SeriesSummary:
         return sorted(seen, key=_canonical_key)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._samples)
 
     def as_dict(self) -> dict:
         return {"type": "series",

@@ -99,6 +99,11 @@ class Aggregator:
             self.tpps_truncated += 1
 
     def summarize(self) -> object:
+        """An independent snapshot of what has been observed so far.
+
+        Fold observations into mergeable state in :meth:`on_tpp` and copy
+        it here: collectors and delta channels retain what they are handed.
+        """
         return CounterSummary({"tpps": self.tpps_received,
                                "tpps_truncated": self.tpps_truncated})
 

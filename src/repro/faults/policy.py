@@ -155,8 +155,7 @@ class RemediationController:
         self.reroutes = 0
         self.refusals = 0
         self.push_rounds = 0
-        self._penalty_points: list[tuple[float, int]] = []
-        self._diversity_points: list[tuple[float, int]] = []
+        self._timeseries = SeriesSummary()        # both metrics, per tick
         self._acted: set[str] = set()             # disabled or refused links
         self._process = None
         # Baseline penalty at attach time: a remediation loop declared on an
@@ -195,8 +194,9 @@ class RemediationController:
             elif action == "refused":
                 self._acted.add(verdict.link)
                 self.refusals += 1
-        self._penalty_points.append((now, self.loss_penalty()))
-        self._diversity_points.append((now, self.worst_tor_diversity()))
+        self._timeseries.add(now, "loss-penalty", self.loss_penalty())
+        self._timeseries.add(now, "worst-tor-diversity",
+                             self.worst_tor_diversity())
 
     def detect(self) -> Optional[LinkVerdict]:
         """The worst actionable verdict across the detector's aggregators.
@@ -340,12 +340,8 @@ class RemediationController:
             "refusals": self.refusals,
             "loss_penalty": self.loss_penalty(),
         })
-        series = SeriesSummary()
-        for time, penalty in self._penalty_points:
-            series.add(time, "loss-penalty", penalty)
-        for time, diversity in self._diversity_points:
-            series.add(time, "worst-tor-diversity", diversity)
-        return SummaryBundle({"counters": counters, "timeseries": series})
+        return SummaryBundle({"counters": counters,
+                              "timeseries": self._timeseries.copy()})
 
     def push_summary(self, now: float = 0.0) -> None:
         if self.collector is not None:

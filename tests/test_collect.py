@@ -56,6 +56,28 @@ class TestSummaryMonoids:
         with pytest.raises(ValueError):
             h.merge(HistogramSummary((0, 1)))
 
+    def test_histogram_total_stays_exact_across_the_int_fast_path(self):
+        # Ints accumulate as an int; the first non-int promotes to Fraction.
+        # Either way the value equals an all-rational accumulation exactly.
+        from fractions import Fraction
+        values = (3, 0, 7, 2**70, 1)
+        fast, exact = HistogramSummary((0, 2, 4)), Fraction(0)
+        for value in values:
+            fast.observe(value, n=2)
+            exact += Fraction(value) * 2
+        assert type(fast._total) is int and fast._total == exact
+        before = fast.copy()
+        for value in (0.1, 5, 0.2):
+            fast.observe(value)
+            exact += Fraction(value)
+        assert type(fast._total) is Fraction and fast._total == exact
+        assert fast.total == float(exact) and fast.mean() == float(exact / 13)
+        replayed = before.copy()            # int base, Fraction target
+        replayed.apply_delta(fast.diff(before))
+        assert replayed == fast and replayed.as_dict() == fast.as_dict()
+        before.merge(fast)                  # int + Fraction merges exactly
+        assert before._total == exact + sum(values) * 2
+
     def test_topk_is_exact_underneath(self):
         t = TopKSummary(k=2)
         for key, n in (("a", 5), ("b", 3), ("c", 9), ("d", 1)):
@@ -708,6 +730,28 @@ class TestDeltaChannel:
             decoded = decoder.decode(("g",), channel.encode(state))
             assert decoded == state
         assert decoder.applied == 4 and decoder.resyncs == 1
+
+    def test_series_stream_ships_tails_and_keeps_its_fallbacks(self):
+        channel, decoder = DeltaChannel(), DeltaDecoder()
+        state = SeriesSummary()
+
+        def push():
+            unit = channel.encode(state)
+            assert decoder.decode(("g",), unit) == state
+            return unit
+
+        state.add(1.0, "q", 1)
+        state.add(1.0, "b", 2)              # same instant, not in key order
+        assert push().kind == "full"
+        state.add(2.0, "q", 3)
+        unit = push()                       # base is a prefix: the tail
+        assert (unit.kind, unit.payload["add"]) == ("delta", [(2.0, "q", 3)])
+        state.add(2.0, "a", 4)              # ties the base's last, sorts before
+        unit = push()                       # no prefix: the multiset path
+        assert (unit.kind, unit.payload["add"]) == ("delta", [(2.0, "a", 4)])
+        state.samples = state.samples[1:]   # lost a sample: inexpressible
+        assert push().kind == "full"
+        assert decoder.gaps == 0 and decoder.applied == 2
 
     def test_gap_discards_and_requests_resync(self):
         channel, decoder = DeltaChannel(), DeltaDecoder()

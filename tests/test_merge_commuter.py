@@ -13,7 +13,9 @@ plane's scale-out story rests on is machine-checked per type:
 * delta round-trip exactness (``apply_delta(diff(a, b)) == b``) along
   growth chains of cumulative snapshots, directly and through a
   ``DeltaChannel``/``DeltaDecoder`` pair, across random interleavings of
-  many channels into one decoder.
+  many channels into one decoder;
+* for series, the prefix-tail ``diff`` against its multiset definition
+  (the ``Counter`` path, kept below as the oracle).
 
 Equality everywhere is canonical-JSON byte-identity.  A new summary type
 only has to register itself (``@register_summary``) and give the tool a
@@ -25,14 +27,16 @@ enumeration fails loudly if a registered type has no generator at all.
 
 import importlib.util
 import os
+import pickle
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collect import (DeltaChannel, DeltaDecoder, SUMMARY_TYPES,
-                           summary_copy)
+                           SeriesSummary, summary_copy)
 
 settings.register_profile("quick", max_examples=15)
 settings.register_profile("default", max_examples=60)
@@ -177,6 +181,69 @@ class TestInterleavedChannels:
             assert latest_decoded[name] \
                 == gen_merge_cases.canonical(source["state"])
         assert decoder.gaps == 0 and not decoder.take_resyncs()
+
+
+def _multiset_difference(current, prev):
+    """``SeriesSummary.diff`` by definition: the Counter path, as oracle."""
+    added = Counter(current.samples)
+    added.subtract(prev.samples)
+    assert all(n >= 0 for n in added.values())
+    return sorted((sample for sample, n in added.items() for _ in range(n)),
+                  key=SeriesSummary._sort_key)
+
+
+class TestSeriesTailDelta:
+    """``diff`` ships the tail when the base is a prefix — and that tail is
+    exactly the multiset difference, whichever path computed it."""
+
+    @given(seed=_seeds, in_time_order=st.booleans())
+    def test_diff_equals_multiset_difference_along_growth_chains(
+            self, seed, in_time_order):
+        # in_time_order: an observing aggregator (times never decrease, with
+        # ties inside and across snapshots) — mostly the prefix path; else
+        # arbitrary times, mostly the Counter path.  Same answer either way.
+        rng = random.Random(seed)
+        state, clock = SeriesSummary(), 0.0
+        prev = state.copy()
+        for _ in range(5):
+            for _ in range(rng.randrange(0, 6)):
+                clock = clock + rng.choice((0.0, 0.5)) if in_time_order \
+                    else round(rng.uniform(0.0, 10.0), 1)
+                state.add(clock, rng.choice(gen_merge_cases._WORDS),
+                          rng.randrange(0, 100))
+            payload = state.diff(prev)
+            assert payload["add"] == _multiset_difference(state, prev)
+            replayed = prev.copy()
+            replayed.apply_delta(payload)
+            assert gen_merge_cases.canonical(replayed) \
+                == gen_merge_cases.canonical(state)
+            prev = state.copy()
+
+    def test_tie_with_a_smaller_key_defeats_the_prefix_but_round_trips(self):
+        state = SeriesSummary([(1.0, "m", 1), (2.0, "m", 2)])
+        prev = state.copy()
+        state.add(2.0, "a", 3)              # sorts *before* the base's last
+        assert state.samples[:len(prev)] != prev.samples
+        payload = state.diff(prev)
+        assert payload["add"] == [(2.0, "a", 3)]
+        prev.apply_delta(payload)
+        assert prev == state and prev.as_dict() == state.as_dict()
+
+    def test_a_base_that_is_not_a_subset_still_raises(self):
+        state = SeriesSummary([(1.0, "a", 1), (2.0, "b", 2)])
+        with pytest.raises(ValueError):
+            state.diff(SeriesSummary([(1.0, "a", 1), (1.5, "gone", 9)]))
+        with pytest.raises(ValueError):     # same length, different content
+            state.diff(SeriesSummary([(1.0, "a", 1), (2.0, "b", 3)]))
+
+    def test_pending_tail_survives_pickling(self):
+        state = SeriesSummary([(1.0, "a", 1)])
+        assert state.samples                # canonical prefix of one ...
+        state.add(3.0, "z", 3)
+        state.add(0.5, (2, 1), 2)           # ... and an unsorted pending tail
+        clone = pickle.loads(pickle.dumps(state))
+        assert clone.as_dict() == state.as_dict()
+        assert clone == state and len(clone) == 3
 
 
 class TestToolCli:

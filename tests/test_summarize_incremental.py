@@ -1,0 +1,262 @@
+"""Host-side summary cost is per observation, not per epoch x run length.
+
+Three guards for the rules `docs/ARCHITECTURE.md` states as collect-plane
+invariant 3:
+
+* **run-length independence, by count** — canonical-key computations per
+  sample must not grow with the duration of a monitored delta/tree run
+  (counted, not timed, so the guard is exact on any machine);
+* **incremental == rebuild** — every ``summarize()`` implementer folds on
+  arrival; the from-scratch bodies they replaced live on here as the
+  reference oracles and must render identically after every TPP / tick;
+* **snapshot isolation** — ``summarize()`` hands out independent
+  snapshots: collectors, shard state and delta channels retain what they
+  are handed, so a later observation must never show through.
+"""
+
+import random
+
+import pytest
+
+import repro.collect.summary as summary_module
+from repro.apps.losslocal import (LOSSLOCAL_TPP_SOURCE,
+                                  LossLocalizationAggregator,
+                                  losslocal_scenario)
+from repro.apps.microburst import (MICROBURST_TPP_SOURCE, OCCUPANCY_EDGES,
+                                   MicroburstAggregator)
+from repro.apps.netsight import PACKET_HISTORY_TPP_SOURCE, NetSightAggregator
+from repro.apps.sketches import SKETCH_TPP_SOURCE, SketchAggregator
+from repro.collect import (CollectPlane, CounterSummary, HistogramSummary,
+                           SeriesSummary, SummaryBundle, TopKSummary,
+                           summary_jsonable)
+from repro.core.compiler import compile_tpp
+from repro.endhost import PacketFilter
+from repro.faults import FaultEvent, FaultPlan
+from repro.net import mbps, udp_packet
+from repro.session import Scenario
+
+
+# --------------------------------------------------------------------------
+# The from-scratch summarize() bodies this PR replaced: the reference oracles
+# --------------------------------------------------------------------------
+def _tpp_counters(aggregator, **extra):
+    return CounterSummary({"tpps": aggregator.tpps_received,
+                           "tpps_truncated": aggregator.tpps_truncated,
+                           **extra})
+
+
+def rebuild_microburst(aggregator):
+    occupancy = HistogramSummary(OCCUPANCY_EDGES)
+    busiest = TopKSummary(k=8)
+    series = SeriesSummary()
+    for sample in aggregator.samples:
+        occupancy.observe(sample.occupancy_packets)
+        busiest.observe(sample.queue_key)
+        series.add(sample.time, sample.queue_key, sample.occupancy_packets)
+    return SummaryBundle({
+        "counters": _tpp_counters(aggregator, samples=len(aggregator.samples)),
+        "occupancy": occupancy, "busiest_queues": busiest,
+        "queue_series": series})
+
+
+def rebuild_netsight(aggregator):
+    paths = TopKSummary(k=16)
+    for path, count in aggregator.store.path_counts().items():
+        paths.observe(path, count)
+    return SummaryBundle({
+        "counters": _tpp_counters(aggregator, histories=len(aggregator.store)),
+        "paths": paths})
+
+
+def rebuild_losslocal(aggregator):
+    deficits = SeriesSummary()
+    for (sid_a, sid_b), deficit in aggregator.link_deficits.items():
+        deficits.add(0.0, f"{sid_a}->{sid_b}", deficit)
+    return SummaryBundle({
+        "counters": _tpp_counters(aggregator, samples=len(aggregator.samples)),
+        "max_deficits": deficits})
+
+
+def rebuild_sketches(aggregator):
+    return SummaryBundle(dict(aggregator.bitmaps))
+
+
+def rebuild_controller(controller, ticks):
+    """``ticks``: the (time, penalty, diversity) the test saw at each tick."""
+    series = SeriesSummary()
+    for time, penalty, _ in ticks:
+        series.add(time, "loss-penalty", penalty)
+    for time, _, diversity in ticks:
+        series.add(time, "worst-tor-diversity", diversity)
+    return SummaryBundle({
+        "counters": CounterSummary({
+            "ticks": controller.ticks, "verdicts": controller.verdicts_seen,
+            "links_disabled": controller.links_disabled,
+            "links_repaired": controller.links_repaired,
+            "reroutes": controller.reroutes, "refusals": controller.refusals,
+            "loss_penalty": controller.loss_penalty()}),
+        "timeseries": series})
+
+
+#: name -> (aggregator class, TPP source, values per hop, reference oracle)
+AGGREGATORS = {
+    "microburst": (MicroburstAggregator, MICROBURST_TPP_SOURCE, 3,
+                   rebuild_microburst),
+    "netsight": (NetSightAggregator, PACKET_HISTORY_TPP_SOURCE, 3,
+                 rebuild_netsight),
+    "losslocal": (LossLocalizationAggregator, LOSSLOCAL_TPP_SOURCE, 3,
+                  rebuild_losslocal),
+    "sketches": (SketchAggregator, SKETCH_TPP_SOURCE, 2, rebuild_sketches),
+}
+
+
+def feed(aggregator, source, values_per_hop, rng, clock):
+    """Deliver one generated TPP; returns its delivery time — often equal to
+    the previous one, so same-instant hops out of key order and ties across
+    snapshots (the tail interleaving the canonical prefix) both occur."""
+    clock += rng.choice((0.0, 0.0, 0.25, 1.0))
+    tpp = compile_tpp(source, num_hops=6).clone_tpp()
+    for _ in range(rng.randrange(1, 6)):
+        for _ in range(values_per_hop):
+            tpp.push(rng.randrange(0, 12))
+        tpp.advance_hop()
+    packet = udp_packet(f"h{rng.randrange(4)}", "h9", 100)
+    packet.delivered_at = clock
+    aggregator.on_tpp(tpp, packet)
+    return clock
+
+
+def controller_experiment():
+    plan = FaultPlan(events=(FaultEvent(0.0, "edge0_0<->agg0_0", "loss", 0.10),),
+                     seed=7)
+    return losslocal_scenario(k=4, link_rate_bps=mbps(100), offered_load=0.2,
+                              seed=1, faults=plan,
+                              remediation="disable-and-repair").build(0.2)
+
+
+class TestIncrementalEqualsRebuild:
+    @pytest.mark.parametrize("name", sorted(AGGREGATORS))
+    @pytest.mark.parametrize("seed", [1, 20140817])
+    def test_aggregator_after_every_tpp(self, name, seed):
+        cls, source, values_per_hop, rebuild = AGGREGATORS[name]
+        rng, clock, aggregator = random.Random(seed), 0.0, cls("h0")
+        for _ in range(40):
+            clock = feed(aggregator, source, values_per_hop, rng, clock)
+            assert summary_jsonable(aggregator.summarize()) \
+                == summary_jsonable(rebuild(aggregator))
+
+    def test_controller_after_every_tick(self):
+        experiment = controller_experiment()
+        controller, ticks = experiment.remediation, []
+        real_tick = controller._tick
+
+        def checked_tick():
+            real_tick()
+            ticks.append((controller.sim.now, controller.loss_penalty(),
+                          controller.worst_tor_diversity()))
+            assert summary_jsonable(controller.summarize()) \
+                == summary_jsonable(rebuild_controller(controller, ticks))
+
+        controller.stop()                   # re-arm the loop on the wrapper
+        controller._tick = checked_tick
+        controller.start()
+        experiment.run(0.2)
+        assert len(ticks) >= 3 and controller.links_disabled == 1
+
+
+class TestSnapshotIsolation:
+    @pytest.mark.parametrize("name", sorted(AGGREGATORS))
+    def test_later_tpps_never_show_through_a_snapshot(self, name):
+        cls, source, values_per_hop, rebuild = AGGREGATORS[name]
+        rng, clock, aggregator = random.Random(5), 0.0, cls("h0")
+        for _ in range(10):
+            clock = feed(aggregator, source, values_per_hop, rng, clock)
+        snapshot = aggregator.summarize()
+        rendered = summary_jsonable(snapshot)
+        for _ in range(10):
+            clock = feed(aggregator, source, values_per_hop, rng, clock)
+        later = aggregator.summarize()
+        assert summary_jsonable(snapshot) == rendered
+        assert summary_jsonable(later) != rendered
+        # ... and the other way round: folding into a handed-out snapshot
+        # (what a collector does) must not reach the aggregator's state.
+        snapshot.merge(later)
+        assert summary_jsonable(aggregator.summarize()) \
+            == summary_jsonable(rebuild(aggregator))
+
+    def test_later_ticks_never_show_through_a_controller_snapshot(self):
+        experiment = controller_experiment()
+        controller = experiment.remediation
+        experiment.sim.run(until=0.05)
+        snapshot = controller.summarize()
+        rendered = summary_jsonable(snapshot)
+        assert snapshot["counters"]["ticks"] >= 1
+        experiment.sim.run(until=0.1)
+        assert controller.summarize()["counters"]["ticks"] \
+            > snapshot["counters"]["ticks"]
+        assert summary_jsonable(snapshot) == rendered
+
+    def test_unpushed_sketch_bits_stay_out_of_the_collector_view(self):
+        # The aliasing bug: summarize() used to ship the live bitmaps, so in
+        # cumulative mode the front-door log and shard state changed with
+        # every later on_tpp — without any push.
+        plane = CollectPlane(2)
+        door = plane.front_door("sketch")
+        aggregator = SketchAggregator("h0", collector=door, bits=64)
+
+        def deliver(src):
+            tpp = compile_tpp(SKETCH_TPP_SOURCE, num_hops=4).clone_tpp()
+            tpp.push(1)
+            tpp.push(2)
+            tpp.advance_hop()
+            aggregator.on_tpp(tpp, udp_packet(src, "h9", 100))
+
+        deliver("h1")
+        aggregator.push_summary(0.0)
+        (sketch,) = door.merged_summary().parts.values()
+        assert sketch.set_bits() == 1
+        pushed = summary_jsonable(door.merged_summary())
+        logged = summary_jsonable(door.summaries[0][1])
+        deliver("h2")
+        deliver("h3")
+        assert summary_jsonable(door.merged_summary()) == pushed
+        assert summary_jsonable(door.summaries[0][1]) == logged
+        aggregator.push_summary(1.0)
+        (sketch,) = door.merged_summary().parts.values()
+        assert sketch.set_bits() == 3
+
+
+class TestRunLengthIndependence:
+    @staticmethod
+    def _key_computations_per_sample(duration_s, monkeypatch):
+        calls = [0]
+        real = summary_module._canonical_key
+
+        def counting(key):
+            calls[0] += 1
+            return real(key)
+
+        scenario = (Scenario("dumbbell", seed=3, hosts_per_side=2,
+                             link_rate_bps=mbps(10))
+                    .tpp("monitor", MICROBURST_TPP_SOURCE, num_hops=6,
+                         filter=PacketFilter(protocol="udp"),
+                         aggregator=MicroburstAggregator)
+                    .workload("messages", offered_load=0.3, message_bytes=2000)
+                    .collector(shards=4, epoch_s=0.01, tree=2, delta=True))
+        with monkeypatch.context() as patch:
+            patch.setattr(summary_module, "_canonical_key", counting)
+            result = scenario.run(duration_s=duration_s)
+            summary_jsonable(result.merged_summary("monitor"))
+        samples = sum(len(aggregator.samples) for aggregator
+                      in result.aggregators("monitor").values())
+        assert result.summary_delta_applied > 0 and samples > 100
+        return calls[0] / samples
+
+    def test_key_computations_per_sample_do_not_grow_with_duration(
+            self, monkeypatch):
+        # At the parent commit this read 85 -> 828 computations per sample
+        # (9.7x): every out-of-order add re-sorted the whole list and every
+        # epoch re-added every sample.
+        short = self._key_computations_per_sample(0.15, monkeypatch)
+        long = self._key_computations_per_sample(0.6, monkeypatch)
+        assert long <= 1.25 * short, (short, long)
