@@ -26,7 +26,9 @@ Subpackages
   dataplane throughput).
 * :mod:`repro.stats` — series/CDF helpers and experiment summaries.
 * :mod:`repro.obs` — the runtime observability plane: spans, metrics
-  registry, Perfetto trace export, provenance stamping.
+  registry, flight recorder, Perfetto trace export.
+* :mod:`repro.fidelity` — ``python -m repro.fidelity``: the paper's tables
+  and figures against what this reproduction measures, with tolerances.
 """
 
 __version__ = "1.0.0"

@@ -24,8 +24,8 @@ to one shard at any shard count, and (b) the per-key summaries are
 commutative monoids (:mod:`repro.collect.summary`), so
 :meth:`CollectPlane.merge` reconstructs the identical global view from any
 partition — merged results are invariant across shard counts, submission
-orders, tree shapes, and wire encodings (tested, and swept by
-``benchmarks/bench_collector_scale.py``).
+orders, tree shapes, and wire encodings (``TestDeltaTreeDifferential`` in
+``tests/test_collect.py`` sweeps all four on the six apps).
 
 Delta-channel plumbing: the plane owns one sender
 :class:`~repro.collect.delta.DeltaChannel` per (app, host, key) source;

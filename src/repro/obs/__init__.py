@@ -1,10 +1,10 @@
 """repro.obs — the runtime observability plane.
 
-Spans, a typed metrics registry, Perfetto trace export, and provenance
-stamping for recorded artifacts.  A *sidecar* layer: nothing below the
-session layer imports it — engine components keep plain counters and the
-session layer registers gauges over them — and it must never perturb
-results (see :mod:`repro.obs.telemetry` for the two invariants).
+Spans, a typed metrics registry, the dataplane flight recorder, and
+Perfetto trace export.  A *sidecar* layer: nothing below the session layer
+imports it — engine components keep plain counters and the session layer
+registers gauges over them — and it must never perturb results (see
+:mod:`repro.obs.telemetry` for the two invariants).
 
 Quick start::
 
@@ -23,7 +23,6 @@ from .flightrec import (DropExplanation, FlightRecorder, JourneyLog,
                         PacketJourney, RecorderSpec)
 from .perfetto import (network_trace_events, trace_events,
                        write_network_trace, write_trace)
-from .provenance import config_fingerprint, provenance, stamp
 from .telemetry import (Counter, Gauge, Histogram, MetricsRegistry,
                         NULL_TELEMETRY, Span, Telemetry, get_telemetry,
                         set_telemetry, use)
@@ -31,7 +30,7 @@ from .telemetry import (Counter, Gauge, Histogram, MetricsRegistry,
 __all__ = [
     "Counter", "DropExplanation", "FlightRecorder", "Gauge", "Histogram",
     "JourneyLog", "MetricsRegistry", "NULL_TELEMETRY", "PacketJourney",
-    "RecorderSpec", "Span", "Telemetry", "config_fingerprint",
-    "get_telemetry", "network_trace_events", "provenance", "set_telemetry",
-    "stamp", "trace_events", "use", "write_network_trace", "write_trace",
+    "RecorderSpec", "Span", "Telemetry", "get_telemetry",
+    "network_trace_events", "set_telemetry", "trace_events", "use",
+    "write_network_trace", "write_trace",
 ]

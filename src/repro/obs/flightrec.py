@@ -411,7 +411,7 @@ class FlightRecorder:
     def _wants(self, packet: "Packet") -> bool:
         # One flat function, no helper calls: this runs for every packet at
         # every hook site, and on the dominant unsampled-flow path its cost
-        # IS the recorder's overhead (see bench_flightrec_overhead.py).
+        # IS the recorder's overhead.
         if self._sample_every > 1:
             flow_id = packet.flow_id
             memo = self._flow_pass_memo

@@ -304,9 +304,9 @@ class Scenario:
                 happen regardless).
 
         Single-shard inline planes are byte-identical to the legacy
-        in-memory :class:`~repro.endhost.Collector` (differential-tested
-        for all six apps); ``benchmarks/bench_collector_scale.py`` sweeps
-        shard counts and asserts merged-view invariance.
+        in-memory :class:`~repro.endhost.Collector`, and merged views are
+        invariant across shard counts, encodings and tree shapes (both
+        differential-tested for all six apps in ``tests/test_collect.py``).
         """
         # Validation is eager (like topology/workload names) so mistakes
         # surface at declaration, not deep inside the build.

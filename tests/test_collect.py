@@ -880,19 +880,24 @@ class TestDeltaBytesRegression:
 
 class TestDeltaTreeDifferential:
     """Six-app acceptance: merged views byte-identical across
-    {cumulative, delta} x {flat, 2-level tree}, shedding off."""
+    {cumulative, delta} x {flat, 2-level tree} at 4 shards and across
+    shard counts 1/2/4/8, shedding off."""
 
     CONFIGS = (
-        ("cumulative-flat", {}),
-        ("delta-flat", dict(delta=True)),
-        ("cumulative-tree", dict(tree=2)),
-        ("delta-tree", dict(tree=2, delta=True, delta_resync_every=4)),
+        ("cumulative-flat", dict(shards=4)),
+        ("delta-flat", dict(shards=4, delta=True)),
+        ("cumulative-tree", dict(shards=4, tree=2)),
+        ("delta-tree", dict(shards=4, tree=2, delta=True,
+                            delta_resync_every=4)),
+        ("1-shard", dict(shards=1)),
+        ("2-shards", dict(shards=2)),
+        ("8-shards", dict(shards=8)),
     )
 
     @classmethod
     def _canonical_run(cls, build, duration, **collector_kwargs):
         scenario = build()
-        scenario.collector(shards=4, epoch_s=0.05, **collector_kwargs)
+        scenario.collector(epoch_s=0.05, **collector_kwargs)
         scenario._result_mapper = None          # raw ExperimentResult
         result = scenario.run(duration_s=duration)
         plane = result.experiment.collect_plane
@@ -902,12 +907,18 @@ class TestDeltaTreeDifferential:
         return result.events_executed, view
 
     def _differential(self, build, duration):
-        reference = None
+        reference_view = None
+        events_at = {}
         for label, collector_kwargs in self.CONFIGS:
-            outcome = self._canonical_run(build, duration, **collector_kwargs)
-            if reference is None:
-                reference = outcome
-            assert outcome == reference, label
+            events, view = self._canonical_run(build, duration,
+                                               **collector_kwargs)
+            if reference_view is None:
+                reference_view = view
+            assert view == reference_view, label
+            # Every shard's epoch clock is a simulator event, so event
+            # totals are comparable only at equal shard counts.
+            shards = collector_kwargs["shards"]
+            assert events == events_at.setdefault(shards, events), label
 
     def test_microburst(self):
         from repro.apps.microburst import microburst_scenario

@@ -21,6 +21,7 @@ from repro.net import mbps
 from repro.session import ResultSummary, Scenario, SpecError
 from repro.session.registry import UnknownRegistration
 from repro.sweep import SweepSpec
+from test_flightrec import _app_rows, _canonical_view
 
 #: The link the end-to-end tests corrupt — an edge-to-aggregation link on
 #: the k=4 fat tree, so all-hosts traffic crosses it from both sides.
@@ -271,6 +272,22 @@ class TestEndToEnd:
         assert ResultSummary.from_result(empty).as_jsonable() \
             == ResultSummary.from_result(baseline).as_jsonable()
 
+    @pytest.mark.parametrize("name,factory,duration", _app_rows(),
+                             ids=[row[0] for row in _app_rows()])
+    def test_empty_plan_is_byte_identical_on_every_app(self, name, factory,
+                                                       duration):
+        def run(scenario):
+            result = scenario.build(duration).run(duration)
+            return result, ResultSummary.from_result(result)
+
+        baseline, baseline_summary = run(factory())
+        empty, empty_summary = run(factory().faults(FaultPlan()))
+        assert empty.fault_events_applied == 0
+        assert empty.events_executed == baseline.events_executed
+        # Address-scrubbed view: some sketch parts repr-render.
+        assert _canonical_view(empty_summary) \
+            == _canonical_view(baseline_summary)
+
     def test_detector_names_the_corrupting_link(self):
         result = quick_losslocal(faults=one_link_plan()) \
             .run(self.DURATION)
@@ -300,6 +317,8 @@ class TestEndToEnd:
         assert acting_exp.remediation.links_disabled == 1
         assert acting_exp.remediation.reroutes >= 1
         assert acting.packets_corrupted < nothing.packets_corrupted
+        assert acting_exp.remediation.loss_penalty() \
+            < nothing_exp.remediation.loss_penalty()
         assert acting.remediation_actions >= 1
         # Both controllers streamed their metric series.
         for experiment in (nothing_exp, acting_exp):

@@ -537,20 +537,28 @@ class TestRecorderDifferential:
                              ids=[row[0] for row in _app_rows()])
     def test_recorder_off_vs_on_identical(self, tmp_path, name, factory,
                                           duration):
-        def run(recorded):
+        def run(sample_every=None):
             scenario = factory()
-            if recorded:
-                scenario.flight_recorder(capacity=4096)
+            if sample_every is not None:
+                scenario.flight_recorder(capacity=4096,
+                                         sample_every=sample_every)
             result = scenario.build(duration).run(duration)
             return result, ResultSummary.from_result(result)
 
-        off_result, off_summary = run(recorded=False)
-        on_result, on_summary = run(recorded=True)
+        off_result, off_summary = run()
+        sampled_result, sampled_summary = run(sample_every=8)
+        on_result, on_summary = run(sample_every=1)
 
-        assert off_result.events_executed == on_result.events_executed
-        assert _canonical_view(off_summary) == _canonical_view(on_summary)
+        assert off_result.events_executed == sampled_result.events_executed \
+            == on_result.events_executed
+        assert _canonical_view(off_summary) == _canonical_view(sampled_summary) \
+            == _canonical_view(on_summary)
         assert off_result.journeys is None
+        assert sampled_result.journeys is not None
         assert on_result.journeys is not None and on_result.journeys.records
+        # Sampling records a subset of what full recording does.
+        assert len(sampled_result.journeys.records) \
+            <= len(on_result.journeys.records)
         # The on-run's journeys export to a schema-valid network timeline.
         trace_path = tmp_path / f"{name}.json"
         trace = write_network_trace(on_result.journeys, trace_path)

@@ -4,8 +4,8 @@ Covers the :class:`Telemetry` span recorder (nesting, intervals,
 self-times), the typed metrics registry (counters, pull gauges,
 histograms), the zero-overhead-off contract (a disabled telemetry hands
 out one shared no-op span), the Perfetto trace-event exporter (validated
-against ``tools/check_trace_schema.py``), provenance stamping, and the
-two load-bearing invariants end to end:
+against ``tools/check_trace_schema.py``), and the two load-bearing
+invariants end to end:
 
 * **No perturbation** — every app scenario in the repo runs with
   telemetry off, on, and exporting, and all three land on the identical
@@ -26,8 +26,7 @@ import pytest
 from repro import obs
 from repro.net import mbps
 from repro.obs import (MetricsRegistry, NULL_TELEMETRY, Telemetry,
-                       config_fingerprint, provenance, stamp, trace_events,
-                       write_trace)
+                       trace_events, write_trace)
 from repro.obs.perfetto import MAIN_TRACK_TID
 from repro.obs.telemetry import _NULL_SPAN
 from repro.session import ResultSummary
@@ -278,33 +277,6 @@ class TestPerfettoExport:
 
 
 # ---------------------------------------------------------------------------
-# Provenance
-# ---------------------------------------------------------------------------
-class TestProvenance:
-    def test_block_has_uniform_keys(self):
-        block = provenance()
-        assert set(block) == {"git_commit", "python", "implementation",
-                              "platform", "machine", "hostname", "cpu_count"}
-        assert block["python"] and block["cpu_count"] >= 1
-
-    def test_config_fingerprint_is_order_insensitive(self):
-        assert config_fingerprint({"a": 1, "b": 2}) == \
-            config_fingerprint({"b": 2, "a": 1})
-        assert config_fingerprint({"a": 1}) != config_fingerprint({"a": 2})
-
-    def test_stamp_fingerprints_the_workload_section(self):
-        artifact = {"workload": {"duration_s": 0.01}, "result": 42}
-        stamp(artifact)
-        assert artifact["provenance"]["config_fingerprint"] == \
-            config_fingerprint({"duration_s": 0.01})
-
-    def test_stamp_without_config_omits_fingerprint(self):
-        artifact = {"result": 42}
-        stamp(artifact)
-        assert "config_fingerprint" not in artifact["provenance"]
-
-
-# ---------------------------------------------------------------------------
 # Experiment integration
 # ---------------------------------------------------------------------------
 def _microburst():
@@ -379,8 +351,8 @@ def _app_rows():
 
 
 def _canonical_view(summary: ResultSummary) -> str:
-    """Sorted canonical JSON with object addresses masked (as in the
-    fault-localization benchmark: some sketch parts repr-render)."""
+    """Sorted canonical JSON with object addresses masked (some sketch
+    parts repr-render)."""
     view = json.dumps(summary.as_jsonable(), sort_keys=True)
     return re.sub(r"0x[0-9a-f]+", "0x-", view)
 

@@ -98,3 +98,30 @@ class TestExperimentSummary:
         assert row.ratio() == 0.5
         assert ComparisonRow("x", None, 5.0).ratio() is None
         assert ComparisonRow("x", 0.0, 5.0).ratio() is None
+
+    def test_tolerance_gates_relative_to_the_paper_value(self):
+        assert ComparisonRow("x", 10.0, 9.5, tolerance=0.05).passed() is True
+        assert ComparisonRow("x", 10.0, 9.4, tolerance=0.05).passed() is False
+        assert ComparisonRow("x", 54, 54, tolerance=0).passed() is True
+        assert ComparisonRow("x", 54, 55, tolerance=0).passed() is False
+
+    def test_band_gates_on_the_measured_value(self):
+        assert ComparisonRow("x", 25.0, 45.0, band=(20, 50)).passed() is True
+        assert ComparisonRow("x", 25.0, 51.0, band=(20, 50)).passed() is False
+        assert ComparisonRow("x", 0.0, 0.04, band=(0, 0.05)).passed() is True
+
+    def test_rows_without_a_paper_value_or_a_gate_never_gate(self):
+        assert ComparisonRow("x", None, 5.0, tolerance=0.01).passed() is None
+        assert ComparisonRow("x", None, 5.0, band=(0, 1)).passed() is None
+        assert ComparisonRow("x", 10.0, 5.0).passed() is None
+
+    def test_summary_reports_failed_rows_and_renders_the_verdict(self):
+        summary = ExperimentSummary("E0", "A test experiment")
+        summary.add("inside", 10.0, 10.2, tolerance=0.05)
+        outside = summary.add("outside", 10.0, 12.0, tolerance=0.05)
+        summary.add("unmeasured by the paper", None, 3.0)
+        assert summary.failed() == [outside]
+        inside_line, outside_line, info_line = summary.render().splitlines()[1:]
+        assert "tol=±5%" in inside_line and "PASS" in inside_line
+        assert "FAIL" in outside_line
+        assert "info" in info_line

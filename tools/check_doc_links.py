@@ -12,9 +12,10 @@ references that were never part of this repo):
 * external links (http/https/mailto) are *not* fetched — CI must not
   depend on the network — but obviously malformed ones (no host) fail;
 * backtick-quoted repo paths (````tests/test_sweep.py````,
-  ````benchmarks/bench_sweep_scale.py```` …) must exist, resolved against
-  the repo root, ``src/``, or ``src/repro/`` — so docs cannot reference
-  files that were renamed or never landed.
+  ````core/tcpu.py```` …) must exist, resolved against the repo root,
+  ``src/``, or ``src/repro/`` — so docs cannot reference files that were
+  renamed or never landed.  The history logs (CHANGES.md, ROADMAP.md) are
+  exempt from this rule only: they name files later PRs deleted, by design.
 
 Exit status 0 when every link resolves, 1 otherwise (each broken link is
 reported as ``file:line: message``).
@@ -47,6 +48,9 @@ CODE_PATH_RE = re.compile(r"(?<![\w./-])([\w.-]+(?:/[\w.-]+)+"
 #: ``tests/...``/``benchmarks/...``, the source roots for module paths the
 #: architecture docs quote as ``core/tcpu.py`` or ``repro/sweep/plan.py``.
 PATH_ROOTS = ("", "src", "src/repro")
+
+#: Per-PR history: checked for links, not for stale code references.
+HISTORY_LOGS = ("CHANGES.md", "ROADMAP.md")
 
 
 def github_slug(heading: str) -> str:
@@ -85,6 +89,8 @@ def check_file(md_file: Path, repo_root: Path) -> list[str]:
             error = check_target(md_file, target)
             if error:
                 errors.append(f"{md_file}:{lineno}: {error}")
+        if md_file.name in HISTORY_LOGS:
+            continue
         for candidate in code_path_candidates(line):
             if not any((repo_root / root / candidate).exists()
                        for root in PATH_ROOTS):
