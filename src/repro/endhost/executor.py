@@ -116,20 +116,14 @@ class TPPExecutor:
         self.stack.host.send(probe)
 
     def _send_probes(self, requests: Sequence[PendingRequest]) -> None:
-        """Dispatch several probes as one burst.
-
-        The retry timers land on the heap via ``schedule_many``, so fanning
-        a scatter-gather across dozens of switches costs one heap rebuild
-        instead of per-probe churn.
-        """
+        """Dispatch several probes as one burst: every retry timer is armed
+        before the first probe leaves, then the probes go out together."""
         if not requests:
             return
         probes = [self._build_probe(request) for request in requests]
-        timeouts = self.sim.schedule_many(
-            [(request.timeout_s, self._on_timeout, (request.request_id,))
-             for request in requests])
-        for request, event in zip(requests, timeouts):
-            request.timeout_event = event
+        for request in requests:
+            request.timeout_event = self.sim.schedule(
+                request.timeout_s, self._on_timeout, request.request_id)
         self.stack.host.send_many(probes)
 
     def _on_timeout(self, request_id: int) -> None:

@@ -57,8 +57,7 @@ class FaultInjector:
     def schedule(self, sim: "Simulator") -> None:
         """Register every plan event with the simulator (one pass)."""
         for event in self.plan.events:
-            sim.schedule_at(event.time, self._apply, event,
-                            name=f"fault:{event.kind}@{event.link}")
+            sim.schedule_at(event.time, self._apply, event)
 
     def _apply(self, event: FaultEvent) -> None:
         link = self._links[event.link]

@@ -239,8 +239,7 @@ class RemediationController:
         self.links_disabled += 1
         self._reroute()
         if self.spec.repair_time_s is not None:
-            self.sim.schedule(self.spec.repair_time_s, self._repair, link,
-                              name=f"repair:{link.name}")
+            self.sim.schedule(self.spec.repair_time_s, self._repair, link)
 
     def _repair(self, link: "Link") -> None:
         link.set_up()

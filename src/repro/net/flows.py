@@ -94,8 +94,7 @@ class RateLimitedFlow:
         return wire_bytes * 8.0 / self.rate_bps
 
     def _schedule_next(self, delay: float) -> None:
-        self._next_send_event = self.sim.schedule(delay, self._send_one,
-                                                  name=f"flow{self.flow_id}")
+        self._next_send_event = self.sim.schedule(delay, self._send_one)
 
     def _send_one(self) -> None:
         if not self.running:

@@ -48,6 +48,8 @@ class Link:
         self.delay_s = delay_s
         self.up = True
         self.name = name or f"{port_a.name}<->{port_b.name}"
+        # Packets serialised onto the link, both directions; each port's
+        # transmit chain counts here as it finishes a serialisation.
         self.total_bytes = 0
         self.total_packets = 0
         # Degradation state (repro.faults): Bernoulli corruption probability
@@ -67,11 +69,6 @@ class Link:
         self.recorder = None
         port_a.attach(self, port_b)
         port_b.attach(self, port_a)
-
-    def on_transmit(self, packet: "Packet", from_port: "Port") -> None:
-        """Account for a packet serialised onto the link (either direction)."""
-        self.total_bytes += packet.size
-        self.total_packets += 1
 
     # ---------------------------------------------------------- degradation
     def set_loss(self, loss_rate: float, rng: Optional[random.Random] = None) -> None:

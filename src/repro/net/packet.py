@@ -68,7 +68,6 @@ class Packet:
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     # Filled in by the network as the packet travels.
     path: list = field(default_factory=list)
-    enqueue_times: list = field(default_factory=list)
     dropped: bool = False
     drop_reason: str = ""
     delivered_at: Optional[float] = None
@@ -121,7 +120,10 @@ class Packet:
         self.path.append(node_name)
 
     def transmission_time(self, rate_bps: float) -> float:
-        """Serialisation delay of this packet on a link of ``rate_bps``."""
+        """Serialisation delay of this packet on a link of ``rate_bps``.
+
+        The port transmit chain spells this expression out inline.
+        """
         return self.size * 8.0 / rate_bps
 
     def copy_headers(self) -> "Packet":

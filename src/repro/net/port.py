@@ -117,11 +117,7 @@ class Port:
         self.error_packets = 0
         # Drops at this port, keyed by the categories above.
         self.drops_by_reason: dict[str, int] = {}
-        # Precomputed labels: the transmit state machine schedules two events
-        # per packet, and building f-strings there is measurable at scale.
         self._name = f"{node.name}.p{index}"
-        self._tx_name = f"tx@{self._name}"
-        self._prop_name = f"prop@{self._name}"
 
     # -------------------------------------------------------------- identity
     @property
@@ -153,9 +149,10 @@ class Port:
         Returns False when the packet was dropped (queue overflow or link
         down); the caller is responsible for any loss handling.
         """
-        if self.link is None or self.peer is None:
+        link = self.link
+        if link is None or self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
-        if not self.up or not self.link.up:
+        if not self.up or not link.up:
             packet.dropped = True
             packet.drop_reason = f"link down at {self.name}"
             self.queue.packets_dropped_total += 1
@@ -165,8 +162,7 @@ class Port:
                 self.recorder.on_drop(self._name, self.node.name, packet,
                                       DROP_LINK_DOWN, packet.drop_reason)
             return False
-        accepted = self.queue.enqueue(packet)
-        if not accepted:
+        if not self.queue.enqueue(packet):
             packet.dropped = True
             packet.drop_reason = f"queue overflow at {self.name}"
             self.count_drop(DROP_QUEUE_OVERFLOW)
@@ -175,7 +171,6 @@ class Port:
                                       DROP_QUEUE_OVERFLOW, packet.drop_reason)
             self.node.on_packet_dropped(packet, self)
             return False
-        packet.enqueue_times.append(self.sim.now)
         if self.recorder is not None:
             self.recorder.on_enqueue(self, packet)
         if not self.transmitting:
@@ -198,32 +193,21 @@ class Port:
         if self.recorder is not None:
             self.recorder.on_dequeue(self, packet)
         self.transmitting = True
-        tx_time = packet.transmission_time(self.link.rate_bps)
-        self.sim.schedule(tx_time, self._finish_transmission, packet,
-                          name=self._tx_name)
+        self.node.sim.post(packet.size * 8.0 / self.link.rate_bps,
+                           self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
-        self.tx_bytes += packet.size
+        size = packet.size
+        self.tx_bytes += size
         self.tx_packets += 1
-        self.link.on_transmit(packet, self)
-        next_packet = self.queue.dequeue()
-        if next_packet is not None and self.recorder is not None:
-            self.recorder.on_dequeue(self, next_packet)
-        if next_packet is None:
-            # Propagate to the peer after the link delay; transmitter idles.
-            self.transmitting = False
-            self.sim.schedule(self.link.delay_s, self._deliver_to_peer, packet,
-                              name=self._prop_name)
-            return
-        # Busy port: the propagation of this packet and the serialisation of
-        # the next one are scheduled together (one heap insertion pass).  The
-        # propagation spec comes first, so the two events carry the same
-        # (time, seq) keys — hence the same execution order — as the
-        # schedule() pair the unbatched chain would have produced.
-        self.sim.schedule_many(
-            ((self.link.delay_s, self._deliver_to_peer, (packet,), self._prop_name),
-             (next_packet.transmission_time(self.link.rate_bps),
-              self._finish_transmission, (next_packet,), self._tx_name)))
+        link = self.link
+        link.total_bytes += size
+        link.total_packets += 1
+        # Propagation of this packet first, then the serialisation of the
+        # next one: on a busy port the two events are posted at the same
+        # instant, and their sequence numbers fix their relative order.
+        self.node.sim.post(link.delay_s, self._deliver_to_peer, packet)
+        self._start_transmission()
 
     def _deliver_to_peer(self, packet: Packet) -> None:
         peer = self.peer

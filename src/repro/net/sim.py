@@ -5,12 +5,21 @@ applications) is driven by a single :class:`Simulator` instance.  The engine
 is a classic event-heap design:
 
 * time is a ``float`` number of seconds,
-* events are ``(time, sequence, Event)`` tuples on a binary heap, so events
-  scheduled for the same instant fire in FIFO order.  Plain tuples keep the
-  heap comparisons in C (the sequence number breaks every tie, so the Event
-  object itself is never compared),
+* a heap entry is the plain tuple ``(time, sequence, callback, args,
+  handle)``, so events scheduled for the same instant fire in FIFO order and
+  the heap comparisons stay in C (the sequence number breaks every tie, so
+  nothing after it is ever compared),
 * callbacks are plain callables; periodic processes are built on top with
   :meth:`Simulator.schedule_periodic`.
+
+There are two scheduling forms over that one entry shape.
+:meth:`Simulator.post` is fire-and-forget: it returns nothing and its entry's
+``handle`` is ``None`` — the form for the dataplane's per-hop events, which
+nobody ever cancels.  :meth:`Simulator.schedule` / :meth:`schedule_at`
+allocate an :class:`Event` handle as well and return it, for the callers that
+keep one to cancel (pacing and retransmit timers, periodic processes, probe
+timeouts).  Both draw from the same sequence counter, so interleaved calls
+fire in call order.
 
 Cancellation is lazy: a cancelled event stays in the heap and is skipped when
 popped, which keeps :meth:`Event.cancel` O(1).  To stop long-lived workloads
@@ -19,28 +28,25 @@ entries, the simulator counts cancelled-but-still-heaped events and compacts
 the heap once more than half of it is dead.  :attr:`Simulator.pending_events`
 therefore reports only *live* events.
 
-Bursty producers (links draining a queue, the end-host dataplane injecting a
-batch of packets) should use :meth:`Simulator.schedule_many`, which validates
-once and inserts the whole burst with a single heapify when that is cheaper
-than repeated pushes.
-
 The simulator is deliberately synchronous and single-threaded: determinism is
 a design requirement because the reproduced experiments (queue occupancy time
-series, fairness convergence) are compared against the paper's figures.  All
-of the fast paths above preserve the exact (time, sequence) execution order
-of the straightforward implementation.
+series, fairness convergence) are compared against the paper's figures.
+Execution order is determined by the ``(time, sequence)`` keys and nothing
+else.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Callable, Optional
 
 #: Never bother compacting heaps smaller than this; the scan costs more than
 #: the dead entries do.
 _COMPACT_MIN_HEAP = 64
+
+_INF = math.inf
 
 
 class SimulationError(RuntimeError):
@@ -48,29 +54,20 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """The cancellable handle of a scheduled callback.
 
-    Events support cancellation: a cancelled event stays in the heap but is
-    skipped when popped.  This keeps scheduling O(log n) without requiring
-    heap surgery; the owning simulator tracks how many dead entries remain
-    and compacts the heap when they dominate.
+    A cancelled event stays in the heap but is skipped when popped.  This
+    keeps scheduling O(log n) without requiring heap surgery; the owning
+    simulator tracks how many dead entries remain and compacts the heap
+    when they dominate.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "_name", "_sim")
+    __slots__ = ("time", "cancelled", "_sim")
 
-    def __init__(self, time: float, callback: Callable, args: tuple, name: str = "",
-                 sim: Optional["Simulator"] = None):
+    def __init__(self, time: float, sim: "Simulator"):
         self.time = time
-        self.callback = callback
-        self.args = args
         self.cancelled = False
-        self._name = name
-        self._sim = sim
-
-    @property
-    def name(self) -> str:
-        """Debugging label (resolved lazily so the hot path never pays for it)."""
-        return self._name or getattr(self.callback, "__name__", "event")
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when its time comes."""
@@ -81,7 +78,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event {self.name} t={self.time:.9f} {state}>"
+        return f"<Event t={self.time:.9f} {state}>"
 
 
 class PeriodicProcess:
@@ -131,14 +128,14 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        # Heap of (time, seq, Event) tuples; seq is unique so ties never
-        # compare the Event objects.
-        self._heap: list[tuple[float, int, Event]] = []
+        # Heap of (time, seq, callback, args, handle) tuples; seq is unique,
+        # so ties never compare anything after it.  handle is the Event that
+        # schedule()/schedule_at() returned, or None for a post()ed entry.
+        self._heap: list[tuple[float, int, Callable, tuple, Optional[Event]]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_executed = 0
         self._cancelled = 0
-        self._running = False
 
     # ------------------------------------------------------------------ time
     @property
@@ -167,16 +164,28 @@ class Simulator:
         return len(self._heap)
 
     # ------------------------------------------------------------ scheduling
-    def schedule(self, delay: float, callback: Callable, *args, name: str = "") -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        self._check_delay(delay)
+    def post(self, delay: float, callback: Callable, *args) -> None:
+        """Fire-and-forget: run ``callback(*args)`` ``delay`` seconds from now.
+
+        Nothing is returned, so the event cannot be cancelled; callers that
+        need to cancel use :meth:`schedule`.
+        """
+        if not 0.0 <= delay < _INF:
+            self._check_delay(delay)
+        heappush(self._heap,
+                 (self._now + delay, next(self._seq), callback, args, None))
+
+    def schedule(self, delay: float, callback: Callable, *args) -> Event:
+        """Schedule ``callback(*args)`` ``delay`` seconds from now; cancellable."""
+        if not 0.0 <= delay < _INF:
+            self._check_delay(delay)
         when = self._now + delay
-        event = Event(when, callback, args, name=name, sim=self)
-        heapq.heappush(self._heap, (when, next(self._seq), event))
+        event = Event(when, self)
+        heappush(self._heap, (when, next(self._seq), callback, args, event))
         return event
 
-    def schedule_at(self, when: float, callback: Callable, *args, name: str = "") -> Event:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
+    def schedule_at(self, when: float, callback: Callable, *args) -> Event:
+        """Schedule ``callback(*args)`` at absolute time ``when``; cancellable."""
         if math.isnan(when):
             raise SimulationError("cannot schedule an event at a NaN time")
         if math.isinf(when):
@@ -184,44 +193,9 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when} which is before now={self._now}")
-        event = Event(when, callback, args, name=name, sim=self)
-        heapq.heappush(self._heap, (when, next(self._seq), event))
+        event = Event(when, self)
+        heappush(self._heap, (when, next(self._seq), callback, args, event))
         return event
-
-    def schedule_many(self, specs: Iterable[Sequence], name: str = "") -> list[Event]:
-        """Schedule a burst of events in one call (the batch-injection path).
-
-        ``specs`` is an iterable of ``(delay, callback)``,
-        ``(delay, callback, args)`` or ``(delay, callback, args, name)``
-        tuples, each relative to *now* (a per-spec name overrides the
-        burst-wide ``name``).  The events receive consecutive sequence
-        numbers in iteration order, so the execution order is exactly what
-        the equivalent loop of :meth:`schedule` calls would produce; the
-        difference is purely that large bursts are inserted with one heapify
-        instead of per-event sifting.
-        """
-        now = self._now
-        seq = self._seq
-        entries: list[tuple[float, int, Event]] = []
-        events: list[Event] = []
-        for spec in specs:
-            delay, callback = spec[0], spec[1]
-            args = tuple(spec[2]) if len(spec) > 2 else ()
-            self._check_delay(delay)
-            event = Event(now + delay, callback, args,
-                          name=spec[3] if len(spec) > 3 else name, sim=self)
-            entries.append((event.time, next(seq), event))
-            events.append(event)
-        heap = self._heap
-        if len(entries) * 4 >= len(heap):
-            # O(n + k) rebuild beats k O(log n) pushes for big bursts.
-            heap.extend(entries)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-        return events
 
     def schedule_periodic(self, interval: float, callback: Callable, *args,
                           jitter_fn: Optional[Callable[[], float]] = None) -> PeriodicProcess:
@@ -230,9 +204,10 @@ class Simulator:
 
     @staticmethod
     def _check_delay(delay: float) -> None:
+        """Name what is wrong with a delay that failed ``0 <= delay < inf``."""
         if delay != delay:  # NaN compares unequal to itself
             raise SimulationError("cannot schedule an event with a NaN delay")
-        if delay == math.inf or delay == -math.inf:
+        if delay == _INF or delay == -_INF:
             raise SimulationError("cannot schedule an event with an infinite delay")
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
@@ -254,28 +229,17 @@ class Simulator:
         the heap list while callbacks (which may cancel events and trigger
         compaction) execute, so the list object must never be swapped out.
         """
-        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        self._heap[:] = [entry for entry in self._heap
+                         if entry[4] is None or not entry[4].cancelled]
+        heapify(self._heap)
         self._cancelled = 0
 
     # --------------------------------------------------------------- running
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns False when idle."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            when, _seq, event = pop(heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            # Detach before executing: a late cancel() on an event that has
-            # already left the heap must not skew the dead-entry counter.
-            event._sim = None
-            self._now = when
-            event.callback(*event.args)
-            self._events_executed += 1
-            return True
-        return False
+        before = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events in time order.
@@ -290,31 +254,29 @@ class Simulator:
         budget or (unlike a naive peek-then-step loop) letting an event past
         ``until`` slip through behind them.
         """
-        self._running = True
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         executed = 0
-        try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                when, _seq, event = heap[0]
-                if event.cancelled:
-                    pop(heap)
-                    self._cancelled -= 1
-                    continue
-                if until is not None and when > until:
-                    break
+        while heap and executed < budget:
+            when, _seq, callback, args, handle = heap[0]
+            if handle is not None and handle.cancelled:
                 pop(heap)
-                # Detach before executing (see step()): a late cancel() on a
-                # popped event must not skew the dead-entry counter.
-                event._sim = None
-                self._now = when
-                event.callback(*event.args)
-                self._events_executed += 1
-                executed += 1
-        finally:
-            self._running = False
+                self._cancelled -= 1
+                continue
+            if when > horizon:
+                break
+            pop(heap)
+            if handle is not None:
+                # Detach before executing: a late cancel() on an event that
+                # has already left the heap must not skew the dead-entry
+                # counter.
+                handle._sim = None
+            self._now = when
+            callback(*args)
+            self._events_executed += 1
+            executed += 1
         if until is not None and self._now < until:
             self._now = until
 
@@ -340,8 +302,9 @@ class Simulator:
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
-        for _, _, event in self._heap:
-            event._sim = None       # late cancels must not touch the counter
+        for entry in self._heap:
+            if entry[4] is not None:
+                entry[4]._sim = None    # late cancels must not touch the counter
         self._heap.clear()
         self._now = 0.0
         self._events_executed = 0

@@ -66,7 +66,6 @@ class TPPSwitch(Node):
         self.port_stats: list[PortStats] = []
         # Same-flow forwarding memo (semantics-preserving; see pipeline docs).
         self._lookup_cache = self.pipeline.lookup_cache()
-        self._fwd_name = f"fwd@{name}"
 
         # Drop visibility hook (§2.6: dropped packets can be sent to a collector).
         self.drop_callback: Optional[Callable[[Packet, "TPPSwitch"], None]] = None
@@ -152,22 +151,23 @@ class TPPSwitch(Node):
             self._drop(packet, reason=f"invalid output port at {self.name}")
             return
 
-        entry = result.matched_entry
-        context = PacketContext()
-        context.input_port = in_index
-        context.output_port = output_port
-        context.output_queue = 0
-        context.matched_entry_id = entry.entry_id if entry else 0
-        context.matched_entry_version = entry.version if entry else 0
-        context.matched_stage = result.matched_stage
-        context.hop_number = packet.tpp.hop_number if packet.tpp is not None else 0
-        context.path_id = packet.vlan
-        context.packet_length = packet.size
-        context.arrival_time = self.sim.now
-
         if packet.tpp is not None and self.tpp_enabled:
             if self.parser.classify(packet):
                 self.tpp_packets_seen += 1
+                # The per-packet context exists only on hops where a TPP
+                # will read it; a bare packet pays nothing for the TCPU.
+                entry = result.matched_entry
+                context = PacketContext()
+                context.input_port = in_index
+                context.output_port = output_port
+                context.output_queue = 0
+                context.matched_entry_id = entry.entry_id if entry else 0
+                context.matched_entry_version = entry.version if entry else 0
+                context.matched_stage = result.matched_stage
+                context.hop_number = packet.tpp.hop_number
+                context.path_id = packet.vlan
+                context.packet_length = packet.size
+                context.arrival_time = self.sim.now
                 execution = self.tcpu.execute_program(packet.tpp, self.memory,
                                                       context)
                 if execution.packet_full:
@@ -195,10 +195,9 @@ class TPPSwitch(Node):
 
         self.packets_forwarded += 1
         if self.forwarding_latency_s > 0:
-            self.sim.schedule(self.forwarding_latency_s, self._enqueue, packet, output_port,
-                              name=self._fwd_name)
+            self.sim.post(self.forwarding_latency_s, self._enqueue, packet, output_port)
         else:
-            self._enqueue(packet, output_port)
+            self.ports[output_port].send(packet)
 
     def _enqueue(self, packet: Packet, output_port: int) -> None:
         self.ports[output_port].send(packet)

@@ -1,4 +1,4 @@
-"""Tests for burst injection, the same-flow lookup memos and the batched
+"""Tests for burst injection, the same-flow lookup memos and the busy-port
 propagation leg.
 
 The contract under test everywhere: a burst call or a memo hit is
@@ -182,14 +182,13 @@ class TestShimBurst:
 
 
 class TestBatchedPropagationLeg:
-    """The transmit chain schedules (propagation, next-serialisation) in one
-    schedule_many burst; the event order must match the unbatched chain."""
+    """A busy port posts (propagation, next-serialisation) at one instant, in
+    that order; delivery must match the store-and-forward reference."""
 
     def test_delivery_times_match_store_and_forward_reference(self):
         # 10 packets through one bottleneck hop: delivery time of packet i at
         # the far host must be (i+1) * serialisation + 2 hops of serialisation
-        # pipelining + propagation delays, exactly as the unbatched
-        # schedule()/schedule() chain produced.
+        # pipelining + propagation delays.
         sim, net = small_net()
         h0, h3 = net.hosts["h0"], net.hosts["h3"]
         h3.keep_received_log = True

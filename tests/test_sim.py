@@ -103,44 +103,172 @@ class TestCancellation:
 
 
 class TestScheduleMany:
+    """Many events scheduled in one go: a burst is a loop of schedule() calls."""
+
     def test_burst_runs_in_time_then_fifo_order(self):
         sim = Simulator()
         order = []
         sim.schedule(0.15, order.append, "solo")
-        events = sim.schedule_many([
-            (0.2, order.append, ("b1",)),
-            (0.1, order.append, ("a",)),
-            (0.2, order.append, ("b2",)),
-        ])
+        events = [sim.schedule(delay, order.append, tag)
+                  for delay, tag in ((0.2, "b1"), (0.1, "a"), (0.2, "b2"))]
         assert len(events) == 3
         sim.run_until_idle()
         assert order == ["a", "solo", "b1", "b2"]
 
     def test_burst_matches_sequential_schedules(self):
-        loop_order, batch_order = [], []
+        # The two scheduling forms draw one sequence: the same burst through
+        # schedule(), through post(), or alternating, pops in the same order.
         specs = [(0.01 * (i % 5), i) for i in range(50)]
-        sim = Simulator()
-        for delay, tag in specs:
-            sim.schedule(delay, loop_order.append, tag)
-        sim.run_until_idle()
-        sim2 = Simulator()
-        sim2.schedule_many([(delay, batch_order.append, (tag,))
-                            for delay, tag in specs])
-        sim2.run_until_idle()
-        assert batch_order == loop_order
+        orders = []
+        for forms in (("schedule",), ("post",), ("schedule", "post")):
+            sim, order = Simulator(), []
+            for delay, tag in specs:
+                getattr(sim, forms[tag % len(forms)])(delay, order.append, tag)
+            sim.run_until_idle()
+            orders.append(order)
+        assert orders[0] == orders[1] == orders[2]
+        assert orders[0] == [tag for _, tag in sorted(specs)]
 
     def test_burst_events_are_cancellable(self):
         sim = Simulator()
         fired = []
-        events = sim.schedule_many([(0.1, fired.append, (i,)) for i in range(4)])
+        events = [sim.schedule(0.1, fired.append, i) for i in range(4)]
         events[1].cancel()
         events[2].cancel()
         sim.run_until_idle()
         assert fired == [0, 3]
 
     def test_burst_validates_delays(self):
+        sim = Simulator()
+        fired = []
         with pytest.raises(SimulationError):
-            Simulator().schedule_many([(0.1, lambda: None), (-1.0, lambda: None)])
+            for delay in (0.1, -1.0, 0.2):
+                sim.schedule(delay, fired.append, delay)
+        # The rejected delay left nothing behind; the one before it stands.
+        assert sim.pending_events == 1
+        sim.run_until_idle()
+        assert fired == [0.1]
+
+
+class TestPost:
+    """The fire-and-forget form shares the heap, the sequence and the loop."""
+
+    def test_post_returns_nothing_and_fires(self):
+        sim = Simulator()
+        fired = []
+        assert sim.post(0.5, fired.append, "x") is None
+        sim.run_until_idle()
+        assert fired == ["x"]
+        assert sim.now == pytest.approx(0.5)
+        assert sim.events_executed == 1
+
+    def test_post_and_schedule_at_one_instant_fire_in_call_order(self):
+        sim = Simulator()
+        order = []
+        sim.post(1.0, order.append, "p0")
+        sim.schedule(1.0, order.append, "s1")
+        sim.post(1.0, order.append, "p2")
+        sim.schedule_at(1.0, order.append, "a3")
+        sim.post(1.0, order.append, "p4")
+        sim.run_until_idle()
+        assert order == ["p0", "s1", "p2", "a3", "p4"]
+
+    def test_cancelled_handle_between_posts_costs_no_budget(self):
+        sim = Simulator()
+        fired = []
+        sim.post(0.1, fired.append, "first")
+        doomed = sim.schedule(0.2, fired.append, "dead")
+        sim.post(0.3, fired.append, "second")
+        sim.post(0.4, fired.append, "third")
+        doomed.cancel()
+        sim.run(max_events=2)
+        assert fired == ["first", "second"]
+        assert sim.events_executed == 2
+        assert sim.cancelled_events_pending == 0
+        assert sim.pending_events == 1
+
+    def test_cancelled_handle_ahead_of_until_lets_no_late_post_through(self):
+        sim = Simulator()
+        fired = []
+        doomed = sim.schedule(0.5, fired.append, "dead")
+        sim.post(5.0, fired.append, "late")
+        doomed.cancel()
+        sim.run(until=1.0)
+        assert fired == []
+        assert sim.now == pytest.approx(1.0)
+        assert sim.pending_events == 1
+        sim.run_until_idle()
+        assert fired == ["late"]
+
+    def test_handle_left_past_until_is_still_cancellable(self):
+        # The event at the head when run(until=...) stops was looked at but
+        # not executed; cancelling it afterwards must count and must hold.
+        sim = Simulator()
+        fired = []
+        late = sim.schedule(5.0, fired.append, "late")
+        sim.run(until=1.0)
+        late.cancel()
+        assert sim.pending_events == 0
+        assert sim.cancelled_events_pending == 1
+        sim.run_until_idle()
+        assert fired == []
+        assert sim.cancelled_events_pending == 0
+
+    def test_compaction_mid_run_keeps_posted_entries_and_order(self):
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule(0.5, fired.append, f"dead{i}") for i in range(100)]
+        for i in range(20):
+            sim.post(0.2 + 0.01 * (i % 4), fired.append, i)
+
+        def cancel_all():
+            for event in doomed:
+                event.cancel()          # drives cancelled > half the heap
+            sim.post(0.05, fired.append, "late")
+
+        sim.post(0.1, cancel_all)
+        sim.run_until_idle()
+        assert sim.heap_size == 0
+        expected = sorted(range(20), key=lambda i: (i % 4, i))
+        assert fired == ["late"] + expected
+
+    def test_counters_reset_and_step_over_mixed_entries(self):
+        sim = Simulator()
+        fired = []
+        sim.post(0.1, fired.append, "p")
+        doomed = sim.schedule(0.2, fired.append, "dead")
+        kept = sim.schedule(0.3, fired.append, "s")
+        sim.post(0.4, fired.append, "q")
+        doomed.cancel()
+        assert sim.heap_size == 4
+        assert sim.pending_events == 3
+        assert sim.cancelled_events_pending == 1
+        assert sim.step() is True and fired == ["p"]
+        assert sim.step() is True and fired == ["p", "s"]     # skips the dead one
+        assert sim.now == pytest.approx(0.3)
+        assert sim.cancelled_events_pending == 0
+        kept.cancel()                      # already executed: must not count
+        assert sim.cancelled_events_pending == 0
+        assert sim.pending_events == 1
+        late = sim.schedule(1.0, fired.append, "never")
+        sim.reset()
+        late.cancel()                      # after reset: must not count either
+        assert (sim.now, sim.heap_size, sim.pending_events,
+                sim.cancelled_events_pending, sim.events_executed) == (0.0, 0, 0, 0, 0)
+        assert sim.step() is False
+        assert fired == ["p", "s"]
+
+    @pytest.mark.parametrize("delay, message", [
+        (float("nan"), "NaN delay"),
+        (float("inf"), "infinite"),
+        (float("-inf"), "infinite"),
+        (-1e-9, "in the past"),
+    ])
+    def test_post_rejects_bad_delays(self, delay, message):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match=message):
+            sim.post(delay, lambda: None)
+        assert sim.heap_size == 0
 
 
 class TestHeapHygiene:

@@ -173,6 +173,95 @@ class TestTppExecutionAtSwitch:
         assert occupancies == sorted(occupancies)
 
 
+class TestLazyPacketContext:
+    """A PacketContext is built only on a hop where a TPP will read it."""
+
+    N = 12
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every PacketContext the switch module constructs during the test."""
+        built = []
+
+        class CountingContext(PacketContext):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr("repro.switches.switch.PacketContext", CountingContext)
+        return built
+
+    def run_packets(self, with_tpp, **switch_kwargs):
+        sim, net = small_network(**switch_kwargs)
+        compiled = compile_tpp("PUSH [Switch:SwitchID]", num_hops=2)
+        for _ in range(self.N):
+            packet = udp_packet("h0", "h1", 100)
+            if with_tpp:
+                packet.attach_tpp(compiled.clone_tpp())
+            net.hosts["h0"].send(packet)
+        sim.run(until=0.05)
+        assert net.hosts["h1"].packets_received == self.N
+        assert net.switches["s1"].packets_forwarded == self.N
+        return net.switches["s1"]
+
+    def test_bare_packets_build_no_context(self, built):
+        switch = self.run_packets(with_tpp=False)
+        assert len(built) == 0
+        assert switch.tpp_packets_seen == 0
+
+    def test_tpp_disabled_switch_builds_no_context(self, built):
+        switch = self.run_packets(with_tpp=True, tpp_enabled=False)
+        assert len(built) == 0
+        assert switch.tpp_packets_seen == 0
+
+    def test_one_context_per_tpp_hop(self, built):
+        switch = self.run_packets(with_tpp=True)
+        assert len(built) == self.N
+        assert switch.tpp_packets_seen == self.N
+
+    def test_every_packet_metadata_field_reads_the_forwarding_state(self):
+        # All ten [PacketMetadata:*] fields (Table 2), five PUSHes a TPP —
+        # the instruction limit — read at the second switch of h0-s1-s2-h1
+        # and checked against values computed without the context: ports
+        # from the topology, the entry from the table it was installed in,
+        # arrival from the link arithmetic.
+        sim = Simulator()
+        net = Network(sim)
+        for name in ("h0", "h1"):
+            net.add_host(name)
+        for name in ("s1", "s2"):
+            net.add_switch(name)
+        hops = [net.connect(a, b, rate_bps=mbps(10))
+                for a, b in (("h0", "s1"), ("s1", "s2"), ("s2", "h1"))]
+        net.switches["s1"].install_route("h1", net.ports_towards("s1", "s2")[0])
+        s2 = net.switches["s2"]
+        in_port = net.ports_towards("s2", "s1")[0]
+        out_port = net.ports_towards("s2", "h1")[0]
+        entry = s2.install_route("h1", out_port, stage=2)
+        h1 = net.hosts["h1"]
+        h1.keep_received_log = True
+
+        fields = list(addressing.PACKET_METADATA_FIELDS)
+        assert len(fields) == 10
+        sizes = []
+        for half in (fields[:5], fields[5:]):
+            source = "\n".join(f"PUSH [PacketMetadata:{name}]" for name in half)
+            packet = udp_packet("h0", "h1", 100, vlan=7)
+            packet.attach_tpp(compile_tpp(source, num_hops=2, word_bytes=4).clone_tpp())
+            sizes.append(packet.size)
+            net.hosts["h0"].send(packet)
+        sim.run(until=0.01)
+
+        # Store-and-forward: the second packet leaves each hop one of its
+        # own serialisations after the first packet did.
+        tx = [size * 8.0 / mbps(10) for size in sizes]
+        arrival_at_s2 = tx[0] + 2 * tx[1] + hops[0].delay_s + hops[1].delay_s
+        first, second = (packet.tpp.words_by_hop(5)[1] for packet in h1.received_log)
+        assert first == [in_port, out_port, 0, entry.entry_id, entry.version]
+        assert second == [2, 1, 7, sizes[1], int(arrival_at_s2 * 1e6)]
+        assert entry.entry_id > 0 and int(arrival_at_s2 * 1e6) > 0
+
+
 class TestSwitchMemoryMap:
     def test_switch_namespace_reads(self):
         sim, net = small_network()
