@@ -289,13 +289,17 @@ class CollectorShard:
                 merged[target] = summary_copy(submission.summary)
         return merged
 
-    def metrics(self) -> dict[str, int]:
+    def counters(self) -> dict[str, int]:
         """This shard's flush/drop accounting, by canonical metric name.
 
-        Pull-based observability face: the session layer registers gauges
-        over these (``collect.shard<i>.<name>``), read only at snapshot
-        time — intake and flush paths stay telemetry-free.
+        Read only at snapshot time — intake and flush paths stay
+        observer-free.  :meth:`CollectPlane.counters` sums these across the
+        tier; every drop reason reports (zero included) as
+        ``drops.<reason>``, so the key set does not depend on what the run
+        happened to shed.
         """
+        drops = {f"drops.{reason}": self.drops_by_policy.get(reason, 0)
+                 for reason in SHED_POLICIES + (DELTA_GAP_REASON,)}
         return {
             "submitted": self.submitted,
             "received": self.received,
@@ -311,6 +315,7 @@ class CollectorShard:
             "delta_applied": self.decoder.applied,
             "delta_gaps": self.decoder.gaps,
             "delta_resyncs": self.decoder.resyncs,
+            **drops,
         }
 
     # --------------------------------------------------------------- lifecycle

@@ -38,7 +38,7 @@ their next push, closing the gap-recovery loop.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Union
 
 from repro.net.packet import (ETHERNET_HEADER_BYTES, IPV4_HEADER_BYTES,
@@ -398,38 +398,42 @@ class CollectPlane:
                 in sorted(merged, key=lambda t: (t[0], _canonical_key(t[1])))}
 
     # ------------------------------------------------------------- accounting
-    def stats(self) -> PlaneStats:
-        stats = PlaneStats()
-        stats.summaries_submitted = sum(d.submitted for d in self.front_doors.values())
-        stats.parts_routed = self._seq
-        stats.packets_sent = self.packets_sent
-        stats.bytes_routed = self.bytes_routed
-        stats.resync_requests = self.resync_requests
-        stats.tree_levels = self.tree_root.level if self.tree_root else 0
-        stats.tree_node_merges = sum(n.merges for n in self.tree_nodes)
+    def counters(self) -> dict[str, int]:
+        """The tier's accounting: plane-level ints plus the sum of every
+        shard's :meth:`~repro.collect.shard.CollectorShard.counters` face
+        (``collect.<name>`` in ``Experiment.counters()``)."""
+        totals = {
+            "shards": self.shard_count,
+            "summaries_submitted": sum(door.submitted
+                                       for door in self.front_doors.values()),
+            "parts_routed": self._seq,
+            "packets_sent": self.packets_sent,
+            "bytes_routed": self.bytes_routed,
+            "resync_requests": self.resync_requests,
+            "tree_node_merges": sum(node.merges for node in self.tree_nodes),
+        }
         for shard in self.shards:
-            stats.parts_received += shard.received
-            stats.parts_delivered += shard.delivered
-            stats.parts_dropped += shard.dropped
-            stats.flushes += shard.flushes
-            stats.epoch_flushes += shard.epoch_flushes
-            stats.batch_flushes += shard.batch_flushes
-            stats.bytes_received += shard.bytes_received
-            stats.delta_applied += shard.decoder.applied
-            stats.delta_gaps += shard.decoder.gaps
-            stats.delta_resyncs += shard.decoder.resyncs
-            for reason, count in shard.drops_by_policy.items():
-                stats.drops_by_policy[reason] = \
-                    stats.drops_by_policy.get(reason, 0) + count
-            stats.per_shard.append({
-                "shard": shard.name, "host": shard.host_name,
-                "submitted": shard.submitted, "received": shard.received,
-                "delivered": shard.delivered, "dropped": shard.dropped,
-                "drops_by_policy": dict(shard.drops_by_policy),
-                "flushes": shard.flushes, "state_groups": len(shard.state),
-                "bytes_received": shard.bytes_received,
-            })
-        return stats
+            for name, value in shard.counters().items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
+
+    def stats(self) -> PlaneStats:
+        """:meth:`counters` as a :class:`PlaneStats`, plus per-shard faces."""
+        totals = self.counters()
+        same_name = {f.name: totals[f.name] for f in fields(PlaneStats)
+                     if f.name in totals}
+        prefix = "drops."
+        return PlaneStats(
+            **same_name,
+            parts_received=totals["received"],
+            parts_delivered=totals["delivered"],
+            parts_dropped=totals["dropped"],
+            drops_by_policy={name[len(prefix):]: count
+                             for name, count in totals.items()
+                             if count and name.startswith(prefix)},
+            tree_levels=self.tree_root.level if self.tree_root else 0,
+            per_shard=[dict(shard.counters(), shard=shard.name,
+                            host=shard.host_name) for shard in self.shards])
 
     def stop(self) -> None:
         """Stop every periodic process the plane owns (idempotent)."""

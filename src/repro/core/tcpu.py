@@ -247,8 +247,8 @@ class TCPU:
         self.trace_fallbacks = 0
         # Cache-health telemetry: how often execute_program found its plan /
         # bound trace already cached.  Plain int increments (one per hop) so
-        # the hot path never tests a telemetry flag; the session layer
-        # exposes them as pull-based gauges (see telemetry_counters()).
+        # the hot path never tests a telemetry flag; observers read them
+        # through counters().
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.trace_cache_hits = 0
@@ -280,12 +280,12 @@ class TCPU:
         # one binding per program.
         self._trace_cache: dict[tuple, tuple] = {}
 
-    def telemetry_counters(self) -> dict[str, int]:
+    def counters(self) -> dict[str, int]:
         """This TCPU's execution/cache accounting, by canonical metric name.
 
-        The session layer sums these across every switch and exposes them
-        as pull-based gauges (``tcpu.<name>``) — observation is a read at
-        snapshot time, so registering telemetry never touches this hot path.
+        ``Experiment.counters()`` sums these across every switch as
+        ``tcpu.<name>`` — observation is a read at snapshot time, so the
+        hot path never sees an observer.
         """
         return {
             "tpps_executed": self.tpps_executed,

@@ -98,6 +98,11 @@ class Aggregator:
         if tpp.out_of_room:
             self.tpps_truncated += 1
 
+    def counters(self) -> dict[str, int]:
+        """This aggregator's receive accounting (``apps.<name>``)."""
+        return {"tpps_received": self.tpps_received,
+                "tpps_truncated": self.tpps_truncated}
+
     def summarize(self) -> object:
         """An independent snapshot of what has been observed so far.
 

@@ -190,3 +190,15 @@ class DataplaneShim:
     def overhead_bytes(self) -> int:
         """Extra bytes this shim added to the host's transmitted traffic."""
         return self.tpp_bytes_added + self.echo_bytes_sent
+
+    def counters(self) -> dict[str, int]:
+        """This shim's instrumentation accounting (``shim.<name>``)."""
+        return {
+            "tpps_attached": self.tpps_attached,
+            "tpp_bytes_added": self.tpp_bytes_added,
+            "tpps_completed": self.tpps_completed,
+            "tpps_echoed": self.tpps_echoed,
+            "echo_bytes_sent": self.echo_bytes_sent,
+            "overhead_bytes": self.overhead_bytes,
+            "bursts_sent": self.bursts_sent,
+        }

@@ -74,6 +74,10 @@ class FaultInjector:
             link.clear_loss()
         self.events_applied += 1
 
+    def counters(self) -> dict[str, int]:
+        """Plan events applied so far (``faults.<name>``)."""
+        return {"events_applied": self.events_applied}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FaultInjector {len(self.plan)} events over "
                 f"{len(self._links)} links, applied={self.events_applied}>")

@@ -327,6 +327,16 @@ class RemediationController:
         finally:
             link.up = True
 
+    def counters(self) -> dict[str, int]:
+        """This loop's action accounting (``faults.<name>``)."""
+        return {
+            "remediation_actions": len(self.actions),
+            "links_disabled": self.links_disabled,
+            "links_repaired": self.links_repaired,
+            "reroutes": self.reroutes,
+            "refusals": self.refusals,
+        }
+
     # ------------------------------------------------------- collector face
     def summarize(self) -> SummaryBundle:
         """A mergeable snapshot: action counters + the two metric series."""

@@ -129,6 +129,17 @@ class Link:
             if self.recorder is not None:
                 self.recorder.on_fault(self, "set-up")
 
+    def counters(self) -> dict[str, int]:
+        """This link's traffic and fault accounting (``link.<name>``)."""
+        return {
+            "total_packets": self.total_packets,
+            "total_bytes": self.total_bytes,
+            "packets_corrupted": self.packets_corrupted,
+            "bytes_corrupted": self.bytes_corrupted,
+            "down_transitions": self.down_transitions,
+            "up_transitions": self.up_transitions,
+        }
+
     def other_end(self, port: "Port") -> "Port":
         """The port at the opposite end of ``port``."""
         if port is self.port_a:

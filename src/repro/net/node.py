@@ -130,3 +130,12 @@ class Host(Node):
         listener = self._listeners.get(packet.dport, self.default_listener)
         if listener is not None:
             listener(packet)
+
+    def counters(self) -> dict[str, int]:
+        """This host's send/receive accounting (``host.<name>``)."""
+        return {
+            "packets_sent": self.packets_sent,
+            "packets_received": self.packets_received,
+            "bytes_sent": self.bytes_sent,
+            "bytes_received": self.bytes_received,
+        }

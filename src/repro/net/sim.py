@@ -254,6 +254,8 @@ class Simulator:
         budget or (unlike a naive peek-then-step loop) letting an event past
         ``until`` slip through behind them.
         """
+        if until != until:  # NaN: ``when > until`` would never stop the loop
+            raise SimulationError("cannot run until a NaN time")
         heap = self._heap
         pop = heappop
         horizon = _INF if until is None else until
@@ -285,20 +287,14 @@ class Simulator:
         self.run(max_events=max_events)
 
     # ----------------------------------------------------------- observability
-    def register_telemetry(self, telemetry, prefix: str = "sim") -> None:
-        """Register this simulator's health as pull-based gauges.
-
-        The gauges read existing counters at snapshot time only — the run
-        loop is untouched, so registering telemetry can never perturb the
-        event sequence (the repro.obs no-perturbation invariant).
-        """
-        metrics = telemetry.metrics
-        metrics.gauge(f"{prefix}.now_s", lambda: self._now)
-        metrics.gauge(f"{prefix}.events_executed", lambda: self._events_executed)
-        metrics.gauge(f"{prefix}.pending_events", lambda: self.pending_events)
-        metrics.gauge(f"{prefix}.heap_size", lambda: len(self._heap))
-        metrics.gauge(f"{prefix}.cancelled_events_pending",
-                      lambda: self._cancelled)
+    def counters(self) -> dict[str, int]:
+        """This simulator's event accounting (pure reads of existing ints)."""
+        return {
+            "events_executed": self._events_executed,
+            "pending_events": self.pending_events,
+            "heap_size": len(self._heap),
+            "cancelled_events_pending": self._cancelled,
+        }
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""

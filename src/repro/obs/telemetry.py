@@ -13,9 +13,10 @@ primitive, and it must never perturb what it observes.  Two faces:
 * **Metrics** — a typed registry (:class:`Counter` push-incremented,
   :class:`Gauge` pull-read at snapshot time, :class:`Histogram` of
   observations).  Engine components do **not** call the registry on their
-  hot paths; they keep their existing plain-int counters and the session
-  layer registers *gauges over them*, so observation is a read at snapshot
-  time, never a write per event.
+  hot paths; they keep their existing plain-int counters behind one
+  ``counters()`` face each, and the session layer registers their fold as
+  one gauge *source*, so observation is a read at snapshot time, never a
+  write per event.
 
 Two invariants carry the design (enforced by ``tests/test_obs.py``):
 
@@ -118,12 +119,14 @@ class Histogram:
 
 class MetricsRegistry:
     """Named, typed metrics.  Re-registering a name with a different type
-    is an error; re-registering a gauge replaces its reader (components are
-    rebuilt per experiment, the registry may outlive them)."""
+    is an error; re-registering a gauge (or a gauge source) replaces its
+    reader (components are rebuilt per experiment, the registry may
+    outlive them)."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
+        self._sources: dict[str, Callable[[], dict[str, Any]]] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -135,6 +138,15 @@ class MetricsRegistry:
         gauge = Gauge(name, fn)
         self._gauges[name] = gauge
         return gauge
+
+    def source(self, name: str, fn: Callable[[], dict[str, Any]]) -> None:
+        """Register a pull source: ``fn()`` returns ``{gauge name: value}``.
+
+        Called once per snapshot, so a component that already answers
+        "all my counters" in one dict (``Experiment.counters``) becomes
+        gauges without naming any of them here.
+        """
+        self._sources[name] = fn
 
     def histogram(self, name: str) -> Histogram:
         self._check_free(name, self._histograms)
@@ -150,18 +162,25 @@ class MetricsRegistry:
         """Canonical rendering: sorted names, gauges read *now*.
 
         A gauge whose reader raises (its component was torn down) reports
-        ``None`` rather than poisoning the snapshot.
+        ``None`` rather than poisoning the snapshot; a source that raises
+        contributes nothing.  A registered gauge wins over a source entry
+        of the same name.
         """
         gauges: dict[str, Any] = {}
-        for name in sorted(self._gauges):
+        for fn in self._sources.values():
             try:
-                gauges[name] = self._gauges[name].read()
+                gauges.update(fn())
+            except Exception:            # noqa: BLE001 - snapshot must succeed
+                pass
+        for name, gauge in self._gauges.items():
+            try:
+                gauges[name] = gauge.read()
             except Exception:            # noqa: BLE001 - snapshot must succeed
                 gauges[name] = None
         return {
             "counters": {name: self._counters[name].value
                          for name in sorted(self._counters)},
-            "gauges": gauges,
+            "gauges": {name: gauges[name] for name in sorted(gauges)},
             "histograms": {name: self._histograms[name].snapshot()
                            for name in sorted(self._histograms)},
         }

@@ -6,23 +6,26 @@ TPP applications, and the instantiated workloads.  It is created by
 :meth:`repro.session.Scenario.build` and torn down exactly once by
 :meth:`finish` (or :meth:`run`, which drives the clock and then finishes).
 
-Determinism contract: building an experiment performs every step in a fixed
-order — topology, ECMP salting, stacks, TPP deployments (in declaration
-order), workloads (in declaration order), the fault plane (injector then
-remediation, each on its own seed), the flight recorder (pure observation:
-no draws, no events), setup hooks (in declaration order) — and all workload
-randomness flows from one ``random.Random(seed)``, so two experiments built
-from equal scenarios produce byte-identical event sequences.
+Determinism contract: building an experiment performs every step in the fixed
+order listed in :mod:`repro.session.scenario` ("The fixed build order" — the
+one authoritative list), and all workload randomness flows from one
+``random.Random(seed)``, so two experiments built from equal scenarios
+produce byte-identical event sequences.
+
+Accounting contract: :meth:`Experiment.counters` is the one fold over every
+component's ``counters()`` face; the telemetry gauges, the result's scalars
+and the sweep's side field all read that snapshot (see ARCHITECTURE, "One
+counter snapshot").
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.collect import CollectPlane, SHED_POLICIES
+from repro.collect import CollectPlane
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
 from repro.endhost import (Aggregator, Collector, DeployedApplication,
@@ -34,6 +37,7 @@ from repro.obs import get_telemetry
 from repro.stats import TimeSeries
 
 from .registry import TOPOLOGIES, WORKLOADS
+from .spec import RESULT_COUNTERS, JourneyQueries, counters_under
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.endhost import EndHostStack
@@ -87,6 +91,18 @@ def _aggregator_factory(spec: "TppSpec") -> Callable[[str, Optional[Collector]],
     return factory
 
 
+def check_duration(duration_s: Optional[float]) -> None:
+    """Reject a run length that is not ``None`` or finite and ``>= 0``.
+
+    A NaN or infinite horizon never compares past the next event, so the
+    clock would run for as long as any periodic process keeps the heap
+    non-empty — forever; a negative one silently runs nothing.
+    """
+    if duration_s is not None and not 0.0 <= duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and >= 0, "
+                         f"got {duration_s!r}")
+
+
 class Experiment:
     """A live, built scenario — also the context object hooks receive.
 
@@ -104,6 +120,7 @@ class Experiment:
 
     def __init__(self, scenario: "Scenario", duration_s: Optional[float] = None,
                  telemetry: Optional["Telemetry"] = None) -> None:
+        check_duration(duration_s)
         self.scenario = scenario
         self.duration_s = duration_s
         self.seed = scenario.seed
@@ -309,58 +326,59 @@ class Experiment:
         self._stop_callbacks.append(callback)
 
     # ------------------------------------------------------------ observability
-    def _register_metrics(self) -> None:
-        """Register pull-based gauges over the engine layers' counters.
+    def counters(self) -> dict[str, int]:
+        """Every integer the run counts, as one flat ``<prefix><name>`` dict.
 
-        Everything registered here is read at snapshot time only — the
-        simulator run loop, TCPU hot path, and shard intake never see the
-        registry, which is how the no-perturbation invariant holds.
+        The single fold over the components' ``counters()`` faces — summed
+        per prefix — plus the ports' ``drops_by_reason`` under ``drops.``.
+        The gauges, the result's scalars and the sweep's side channel all
+        derive from this snapshot, so a new counter is one int and one
+        dict entry on the component that owns it.  Pure reads: no RNG, no
+        scheduled event, no import.
+        """
+        network = self.network
+        switches = list(network.switches.values())
+        groups = (
+            ("sim.", (self.sim,)),
+            ("switch.", switches),
+            ("tcpu.", [switch.tcpu for switch in switches]),
+            ("host.", network.hosts.values()),
+            ("link.", network.links),
+            ("shim.", [stack.shim for stack in self.stacks.values()]),
+            ("apps.", [aggregator for deployed in self.apps.values()
+                       for aggregator in deployed.aggregators.values()]),
+            ("collect.", (self.collect_plane,)),
+            ("faults.", (self.fault_injector, self.remediation)),
+        )
+        faces = [(prefix, component.counters())
+                 for prefix, components in groups
+                 for component in components if component is not None]
+        faces += [("drops.", port.drops_by_reason)
+                  for node in network.nodes.values() for port in node.ports]
+        total: dict[str, int] = {}
+        for prefix, face in faces:
+            for name, value in face.items():
+                key = prefix + name
+                total[key] = total.get(key, 0) + value
+        return total
+
+    def _register_metrics(self) -> None:
+        """Expose :meth:`counters` as pull-based gauges, one per key.
+
+        Read at snapshot time only — the simulator run loop, TCPU hot path
+        and shard intake never see the registry, which is how the
+        no-perturbation invariant holds.  The clock and the process-wide
+        codegen memo are readings, not per-experiment counts, so they are
+        gauges beside the snapshot rather than keys of it.
         """
         from repro.core import trace as trace_engine
 
-        self.sim.register_telemetry(self.telemetry)
         metrics = self.telemetry.metrics
-        for name in ("tpps_executed", "instructions_executed",
-                     "plan_cache_hits", "plan_cache_misses",
-                     "trace_cache_hits", "trace_cache_misses",
-                     "traces_compiled", "trace_executions", "trace_fallbacks"):
-            metrics.gauge(f"tcpu.{name}",
-                          functools.partial(self._tcpu_total, name))
-        for name in ("hits", "misses", "ineligible"):
-            metrics.gauge(f"trace.codegen_{name}",
-                          functools.partial(self._codegen_stat,
-                                            trace_engine.codegen_stats, name))
-        if self.collect_plane is not None:
-            metrics.gauge("collect.shards",
-                          lambda: self.collect_plane.shard_count)
-            for name in ("submitted", "received", "delivered", "dropped",
-                         "bytes_received", "pending", "state_groups",
-                         "flushes", "batch_flushes", "epoch_flushes",
-                         "stale_replaced", "delta_applied", "delta_gaps",
-                         "delta_resyncs"):
-                metrics.gauge(f"collect.{name}",
-                              functools.partial(self._collect_total, name))
-            metrics.gauge("collect.bytes_routed",
-                          lambda: self.collect_plane.bytes_routed)
-            for reason in SHED_POLICIES + ("delta-gap",):
-                metrics.gauge(f"collect.drops.{reason}",
-                              functools.partial(self._collect_drop_reason,
-                                                reason))
-
-    def _tcpu_total(self, name: str) -> int:
-        return sum(switch.tcpu.telemetry_counters()[name]
-                   for switch in self.network.switches.values())
-
-    @staticmethod
-    def _codegen_stat(stats: Callable[[], dict], name: str) -> int:
-        return stats()[name]
-
-    def _collect_total(self, name: str) -> int:
-        return sum(shard.metrics()[name] for shard in self.collect_plane.shards)
-
-    def _collect_drop_reason(self, reason: str) -> int:
-        return sum(shard.drops_by_policy.get(reason, 0)
-                   for shard in self.collect_plane.shards)
+        metrics.source("experiment", self.counters)
+        metrics.gauge("sim.now_s", lambda: self.sim.now)
+        metrics.source("trace.codegen", lambda: {
+            f"trace.codegen_{name}": count
+            for name, count in trace_engine.codegen_stats().items()})
 
     # ---------------------------------------------------------------- running
     def run(self, duration_s: Optional[float] = None, *,
@@ -368,6 +386,7 @@ class Experiment:
         """Drive the clock, then tear down and assemble the result."""
         if duration_s is None:
             duration_s = self.duration_s
+        check_duration(duration_s)
         with self.telemetry.span("experiment.run", duration_s=duration_s):
             if duration_s is not None:
                 self.duration_s = duration_s
@@ -464,87 +483,13 @@ class Experiment:
         self._result = self._assemble_result()
 
     def _assemble_result(self) -> "ExperimentResult":
-        attached = bytes_added = completed = echoed = overhead = 0
-        for stack in self.stacks.values():
-            shim = stack.shim
-            attached += shim.tpps_attached
-            bytes_added += shim.tpp_bytes_added
-            completed += shim.tpps_completed
-            echoed += shim.tpps_echoed
-            overhead += shim.overhead_bytes
-        received = truncated = 0
-        for deployed in self.apps.values():
-            for aggregator in deployed.aggregators.values():
-                received += aggregator.tpps_received
-                truncated += aggregator.tpps_truncated
-        traces = trace_runs = trace_falls = 0
-        for switch in self.network.switches.values():
-            tcpu = switch.tcpu
-            traces += tcpu.traces_compiled
-            trace_runs += tcpu.trace_executions
-            trace_falls += tcpu.trace_fallbacks
-        shards = submitted = delivered = dropped = flushes = 0
-        bytes_on_wire = delta_applied = delta_gaps = delta_resyncs = 0
-        drops_by_policy: dict[str, int] = {}
-        if self.collect_plane is not None:
-            plane_stats = self.collect_plane.stats()
-            shards = self.collect_plane.shard_count
-            submitted = plane_stats.summaries_submitted
-            delivered = plane_stats.parts_delivered
-            dropped = plane_stats.parts_dropped
-            flushes = plane_stats.flushes
-            bytes_on_wire = plane_stats.bytes_routed
-            delta_applied = plane_stats.delta_applied
-            delta_gaps = plane_stats.delta_gaps
-            delta_resyncs = plane_stats.delta_resyncs
-            drops_by_policy = dict(plane_stats.drops_by_policy)
-        corrupted = downs = ups = 0
-        for link in self.network.links:
-            corrupted += link.packets_corrupted
-            downs += link.down_transitions
-            ups += link.up_transitions
-        drop_reasons: dict[str, int] = {}
-        for name in sorted(self.network.nodes):
-            for port in self.network.nodes[name].ports:
-                for reason, count in port.drops_by_reason.items():
-                    drop_reasons[reason] = drop_reasons.get(reason, 0) + count
-        fault_events = self.fault_injector.events_applied \
-            if self.fault_injector is not None else 0
-        actions = len(self.remediation.actions) \
-            if self.remediation is not None else 0
         return ExperimentResult(
             scenario=self.scenario.name,
             topology=self.scenario.topology_name,
             seed=self.seed,
             duration_s=self.duration_s,
             end_time_s=self.sim.now,
-            events_executed=self.sim.events_executed,
-            tpps_attached=attached,
-            tpp_bytes_added=bytes_added,
-            tpps_completed=completed,
-            tpps_echoed=echoed,
-            instrumentation_overhead_bytes=overhead,
-            tpps_received=received,
-            tpps_truncated=truncated,
-            traces_compiled=traces,
-            trace_executions=trace_runs,
-            trace_fallbacks=trace_falls,
-            collect_shards=shards,
-            summaries_submitted=submitted,
-            summary_parts_delivered=delivered,
-            summary_parts_dropped=dropped,
-            summary_flushes=flushes,
-            summary_bytes_on_wire=bytes_on_wire,
-            summary_delta_applied=delta_applied,
-            summary_delta_gaps=delta_gaps,
-            summary_delta_resyncs=delta_resyncs,
-            summary_drops_by_policy=drops_by_policy,
-            fault_events_applied=fault_events,
-            packets_corrupted=corrupted,
-            link_down_transitions=downs,
-            link_up_transitions=ups,
-            remediation_actions=actions,
-            drop_reasons=drop_reasons,
+            counters=self.counters(),
             apps=dict(self.apps),
             collectors=dict(self.collectors),
             workloads=dict(self.workloads),
@@ -554,14 +499,23 @@ class Experiment:
 
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(JourneyQueries):
     """Everything a finished experiment measured, plus live-object handles.
 
-    The scalar fields are the cross-cutting accounting every scenario gets
-    for free (event totals and instrumentation overhead); application data
-    lives in the per-app aggregators/collectors and in ``extras``, with
-    :meth:`merged_series` / :meth:`merged_samples` doing the common
-    gather-across-hosts step.
+    ``counters`` is the :meth:`Experiment.counters` snapshot taken at
+    finish.  The cross-cutting accounting every scenario gets for free —
+    ``events_executed``, the shims' ``tpps_attached`` / ``tpp_bytes_added``
+    / ``tpps_completed`` / ``tpps_echoed`` / ``instrumentation_overhead_bytes``,
+    the aggregators' ``tpps_received`` / ``tpps_truncated``, the trace
+    engine's ``traces_compiled`` / ``trace_executions`` / ``trace_fallbacks``,
+    the collection plane's ``collect_shards`` / ``summaries_submitted`` /
+    ``summary_*``, the fault plane's ``fault_events_applied`` /
+    ``packets_corrupted`` / ``link_*_transitions`` / ``remediation_actions``
+    — are read-only attributes over it, one per row of
+    :data:`repro.session.spec.RESULT_COUNTERS` (zero when the run had no
+    such plane).  Application data lives in the per-app
+    aggregators/collectors and in ``extras``, with :meth:`merged_series` /
+    :meth:`merged_samples` doing the common gather-across-hosts step.
     """
 
     scenario: str
@@ -569,47 +523,7 @@ class ExperimentResult:
     seed: int
     duration_s: Optional[float]
     end_time_s: float
-    events_executed: int
-    # Instrumentation-overhead counters, summed across every end-host shim.
-    tpps_attached: int
-    tpp_bytes_added: int
-    tpps_completed: int
-    tpps_echoed: int
-    instrumentation_overhead_bytes: int
-    # Aggregator-side totals, summed across every deployed application.
-    tpps_received: int
-    tpps_truncated: int
-    # Compiled-trace engine telemetry, summed across every switch TCPU
-    # (all zero unless the scenario was built with compile_traces=True).
-    traces_compiled: int = 0
-    trace_executions: int = 0
-    trace_fallbacks: int = 0
-    # Collection-plane telemetry (all zero unless the scenario was built
-    # with .collector(...)): tier size, front-door submissions, shard-side
-    # deliveries/backpressure drops (in summary parts), and flush rounds.
-    collect_shards: int = 0
-    summaries_submitted: int = 0
-    summary_parts_delivered: int = 0
-    summary_parts_dropped: int = 0
-    summary_flushes: int = 0
-    # Streaming-collection telemetry: front-door bytes routed (the wire-size
-    # estimate under the configured encoding), delta-channel replay totals,
-    # and shard drops broken down by shed policy / delta-gap reason.
-    summary_bytes_on_wire: int = 0
-    summary_delta_applied: int = 0
-    summary_delta_gaps: int = 0
-    summary_delta_resyncs: int = 0
-    summary_drops_by_policy: dict[str, int] = field(default_factory=dict)
-    # Fault-plane telemetry (all zero/empty on a healthy run): plan events
-    # applied, link corruption and up/down transition totals, remediation
-    # actions taken, and network-wide per-category drop counts (the
-    # canonical repro.net.port.DROP_* categories), summed over every port.
-    fault_events_applied: int = 0
-    packets_corrupted: int = 0
-    link_down_transitions: int = 0
-    link_up_transitions: int = 0
-    remediation_actions: int = 0
-    drop_reasons: dict[str, int] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)
     apps: dict[str, DeployedApplication] = field(default_factory=dict)
     collectors: dict[str, Collector] = field(default_factory=dict)
     workloads: dict[str, Any] = field(default_factory=dict)
@@ -626,6 +540,25 @@ class ExperimentResult:
     flightrec: Optional[dict] = None
     journeys: Optional[Any] = None            # repro.obs.JourneyLog
 
+    def __getattr__(self, name: str) -> int:
+        """The canonical scalars: one attribute per ``RESULT_COUNTERS`` row."""
+        key = RESULT_COUNTERS.get(name)
+        if key is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        return self.counters.get(key, 0)
+
+    @property
+    def drop_reasons(self) -> dict[str, int]:
+        """Network-wide drops per canonical ``repro.net.port.DROP_*``
+        category, summed over every port (categories that occurred)."""
+        return counters_under(self.counters, "drops.")
+
+    @property
+    def summary_drops_by_policy(self) -> dict[str, int]:
+        """Collector-shard drops per shed policy / ``delta-gap`` reason."""
+        return counters_under(self.counters, "collect.drops.")
+
     # ----------------------------------------------------------- live handles
     @property
     def network(self) -> Network:
@@ -638,26 +571,6 @@ class ExperimentResult:
     @property
     def sim(self) -> Simulator:
         return self.experiment.sim
-
-    # --------------------------------------------------------- flight recorder
-    def _journeys(self):
-        if self.journeys is None:
-            raise TypeError(
-                "no flight-recorder data on this result; build the scenario "
-                "with .flight_recorder(...)")
-        return self.journeys
-
-    def journey(self, packet_id: int):
-        """One recorded packet's ordered hop records (or None)."""
-        return self._journeys().journey(packet_id)
-
-    def trace_flow(self, flow_id: int) -> list:
-        """Every recorded packet journey of one flow."""
-        return self._journeys().trace_flow(flow_id)
-
-    def explain_drop(self, packet_id: Optional[int] = None, **filters):
-        """Drop forensics (see :meth:`repro.obs.JourneyLog.explain_drop`)."""
-        return self._journeys().explain_drop(packet_id, **filters)
 
     # ------------------------------------------------------------ per-app data
     def _app(self, app: Optional[str]) -> DeployedApplication:

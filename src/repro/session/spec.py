@@ -56,8 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
 __all__ = [
-    "ResultSummary", "ScenarioSpec", "SpecError", "callable_ref",
-    "ensure_picklable", "spec_fingerprint", "spec_jsonable",
+    "RESULT_COUNTERS", "ResultSummary", "ScenarioSpec", "SpecError",
+    "callable_ref", "ensure_picklable", "spec_fingerprint", "spec_jsonable",
 ]
 
 
@@ -296,24 +296,78 @@ class ScenarioSpec:
 # --------------------------------------------------------------------------
 # The result view that crosses back
 # --------------------------------------------------------------------------
-#: ExperimentResult's integer accounting fields, in canonical order.  These
-#: become the ``counters`` part of :meth:`ResultSummary.bundle`, so a sweep's
-#: merged view sums them across experiments.
-RESULT_COUNTER_FIELDS = (
-    "events_executed", "tpps_attached", "tpp_bytes_added", "tpps_completed",
-    "tpps_echoed", "instrumentation_overhead_bytes", "tpps_received",
-    "tpps_truncated", "traces_compiled", "trace_executions",
-    "trace_fallbacks", "collect_shards", "summaries_submitted",
-    "summary_parts_delivered", "summary_parts_dropped", "summary_flushes",
-    "summary_bytes_on_wire", "summary_delta_applied", "summary_delta_gaps",
-    "summary_delta_resyncs",
-    "fault_events_applied", "packets_corrupted", "link_down_transitions",
-    "link_up_transitions", "remediation_actions",
-)
+#: The canonical counter set: public name -> key of ``Experiment.counters()``.
+#: Each name is an :class:`~repro.session.ExperimentResult` attribute and an
+#: entry of :attr:`ResultSummary.counters` — the byte contract every pinned
+#: digest and sweep fingerprint rests on (a sweep's merged view sums them
+#: across experiments), so rows are added or renamed only with a re-pin.  A
+#: key the run never produced (no plane, no fault plane) reads as zero.
+RESULT_COUNTERS = {
+    "events_executed": "sim.events_executed",
+    "tpps_attached": "shim.tpps_attached",
+    "tpp_bytes_added": "shim.tpp_bytes_added",
+    "tpps_completed": "shim.tpps_completed",
+    "tpps_echoed": "shim.tpps_echoed",
+    "instrumentation_overhead_bytes": "shim.overhead_bytes",
+    "tpps_received": "apps.tpps_received",
+    "tpps_truncated": "apps.tpps_truncated",
+    "traces_compiled": "tcpu.traces_compiled",
+    "trace_executions": "tcpu.trace_executions",
+    "trace_fallbacks": "tcpu.trace_fallbacks",
+    "collect_shards": "collect.shards",
+    "summaries_submitted": "collect.summaries_submitted",
+    "summary_parts_delivered": "collect.delivered",
+    "summary_parts_dropped": "collect.dropped",
+    "summary_flushes": "collect.flushes",
+    "summary_bytes_on_wire": "collect.bytes_routed",
+    "summary_delta_applied": "collect.delta_applied",
+    "summary_delta_gaps": "collect.delta_gaps",
+    "summary_delta_resyncs": "collect.delta_resyncs",
+    "fault_events_applied": "faults.events_applied",
+    "packets_corrupted": "link.packets_corrupted",
+    "link_down_transitions": "link.down_transitions",
+    "link_up_transitions": "link.up_transitions",
+    "remediation_actions": "faults.remediation_actions",
+}
+
+
+def counters_under(counters: dict[str, int], prefix: str) -> dict[str, int]:
+    """The non-zero ``<prefix><name>`` entries of a snapshot, by ``name``."""
+    return {key[len(prefix):]: count for key, count in counters.items()
+            if count and key.startswith(prefix)}
+
+
+class JourneyQueries:
+    """The flight-recorder query face shared by results and summaries.
+
+    Expects a ``journeys`` attribute (a :class:`repro.obs.JourneyLog`, or
+    ``None`` when the scenario declared no ``.flight_recorder(...)``).
+    """
+
+    _journeys_owner = "result"
+
+    def _journeys(self):
+        if self.journeys is None:
+            raise TypeError(
+                f"no flight-recorder data on this {self._journeys_owner}; "
+                f"build the scenario with .flight_recorder(...)")
+        return self.journeys
+
+    def journey(self, packet_id: int):
+        """One recorded packet's ordered hop records (or None)."""
+        return self._journeys().journey(packet_id)
+
+    def trace_flow(self, flow_id: int) -> list:
+        """Every recorded packet journey of one flow."""
+        return self._journeys().trace_flow(flow_id)
+
+    def explain_drop(self, packet_id: Optional[int] = None, **filters):
+        """Drop forensics (see :meth:`repro.obs.JourneyLog.explain_drop`)."""
+        return self._journeys().explain_drop(packet_id, **filters)
 
 
 @dataclass
-class ResultSummary:
+class ResultSummary(JourneyQueries):
     """The picklable slice of an :class:`ExperimentResult`.
 
     Carries the scalar accounting plus each app's *mergeable* summary (the
@@ -342,11 +396,18 @@ class ResultSummary:
     # and the query API works identically in the parent.
     flightrec: Optional[dict] = None
     journeys: Optional[Any] = None                # repro.obs.JourneyLog
+    # The whole ``Experiment.counters()`` snapshot (same exclusion rule):
+    # ``counters`` above is the canonical 25-name slice of it; everything
+    # else a component counts — drop categories, TCPU and switch totals —
+    # rides here, so it survives the process boundary without a new field.
+    snapshot: Optional[dict[str, int]] = None
+
+    _journeys_owner = "summary"
 
     @classmethod
     def from_result(cls, result: "ExperimentResult") -> "ResultSummary":
-        counters = {name: int(getattr(result, name))
-                    for name in RESULT_COUNTER_FIELDS}
+        counters = {name: int(result.counters.get(key, 0))
+                    for name, key in RESULT_COUNTERS.items()}
         app_summaries: dict[str, Any] = {}
         plane = result.experiment.collect_plane \
             if result.experiment is not None else None
@@ -373,27 +434,8 @@ class ResultSummary:
                    app_summaries=app_summaries,
                    telemetry=result.telemetry,
                    flightrec=result.flightrec,
-                   journeys=result.journeys)
-
-    # --------------------------------------------------------- flight recorder
-    def _journeys(self):
-        if self.journeys is None:
-            raise TypeError(
-                "no flight-recorder data on this summary; build the scenario "
-                "with .flight_recorder(...)")
-        return self.journeys
-
-    def journey(self, packet_id: int):
-        """One recorded packet's ordered hop records (or None)."""
-        return self._journeys().journey(packet_id)
-
-    def trace_flow(self, flow_id: int) -> list:
-        """Every recorded packet journey of one flow."""
-        return self._journeys().trace_flow(flow_id)
-
-    def explain_drop(self, packet_id: Optional[int] = None, **filters):
-        """Drop forensics (see :meth:`repro.obs.JourneyLog.explain_drop`)."""
-        return self._journeys().explain_drop(packet_id, **filters)
+                   journeys=result.journeys,
+                   snapshot=dict(result.counters))
 
     # ------------------------------------------------------------ monoid face
     def bundle(self) -> "SummaryBundle":

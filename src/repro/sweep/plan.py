@@ -54,8 +54,16 @@ from repro.session.spec import SpecError, ensure_picklable
 
 __all__ = ["Axis", "SweepSpec", "SweepTask"]
 
-#: Top-level spec fields an axis may address directly.
-_SCALAR_PATHS = ("seed", "name", "stacks", "seed_ecmp", "compile_traces")
+#: Top-level spec fields an axis may address directly, and the type each
+#: value must have (``bool`` is an ``int`` in Python; a seed may not be one).
+_SCALAR_PATHS = {"seed": int, "name": str, "stacks": bool, "seed_ecmp": bool,
+                 "compile_traces": bool}
+
+#: Flat sub-spec roots: the axis head is also the ScenarioSpec attribute.
+#: ``replace()`` re-runs ``__post_init__`` validation where the class has
+#: one, so bad axis values (capacity=0, ...) fail at declaration time.
+_SUBSPEC_PATHS = {"faults": FaultSpec, "remediation": RemediationSpec,
+                  "recorder": RecorderSpec}
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,11 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
     if head in _SCALAR_PATHS:
         if rest:
             raise SpecError(f"axis path {path!r}: {head!r} takes no sub-path")
+        expected = _SCALAR_PATHS[head]
+        if not isinstance(value, expected) \
+                or (expected is int and isinstance(value, bool)):
+            raise SpecError(f"axis path {path!r}: {head!r} takes "
+                            f"{expected.__name__} values, got {value!r}")
         setattr(spec, head, value)
         return
     if head == "topology":
@@ -137,37 +150,15 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
             value = ShedSpec(policy=value)
         spec.collector = replace(spec.collector, **{rest: value})
         return
-    if head == "faults":
+    if head in _SUBSPEC_PATHS:
+        spec_cls = _SUBSPEC_PATHS[head]
         if not rest or "." in rest:
-            raise SpecError(f"axis path {path!r} must be faults.<field>")
-        if spec.faults is None:
-            spec.faults = FaultSpec()
-        if rest not in {f.name for f in fields(FaultSpec)}:
-            raise SpecError(f"axis path {path!r}: FaultSpec has no "
+            raise SpecError(f"axis path {path!r} must be {head}.<field>")
+        if rest not in {f.name for f in fields(spec_cls)}:
+            raise SpecError(f"axis path {path!r}: {spec_cls.__name__} has no "
                             f"field {rest!r}")
-        spec.faults = replace(spec.faults, **{rest: value})
-        return
-    if head == "remediation":
-        if not rest or "." in rest:
-            raise SpecError(f"axis path {path!r} must be remediation.<field>")
-        if spec.remediation is None:
-            spec.remediation = RemediationSpec()
-        if rest not in {f.name for f in fields(RemediationSpec)}:
-            raise SpecError(f"axis path {path!r}: RemediationSpec has no "
-                            f"field {rest!r}")
-        spec.remediation = replace(spec.remediation, **{rest: value})
-        return
-    if head == "recorder":
-        if not rest or "." in rest:
-            raise SpecError(f"axis path {path!r} must be recorder.<field>")
-        if spec.recorder is None:
-            spec.recorder = RecorderSpec()
-        if rest not in {f.name for f in fields(RecorderSpec)}:
-            raise SpecError(f"axis path {path!r}: RecorderSpec has no "
-                            f"field {rest!r}")
-        # RecorderSpec is frozen; replace() re-runs its validation, so bad
-        # axis values (capacity=0, ...) fail at declaration time.
-        spec.recorder = replace(spec.recorder, **{rest: value})
+        current = getattr(spec, head) or spec_cls()
+        setattr(spec, head, replace(current, **{rest: value}))
         return
     if head == "workload":
         wname, _, kwarg = rest.partition(".")
@@ -194,7 +185,7 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
                         f"(have {[t.name for t in spec.tpps]})")
     raise SpecError(
         f"axis path {path!r}: unknown root {head!r}; expected one of "
-        f"{_SCALAR_PATHS + ('topology', 'collector', 'faults', 'remediation', 'recorder', 'workload', 'tpp')}")
+        f"{(*_SCALAR_PATHS, 'topology', 'collector', *_SUBSPEC_PATHS, 'workload', 'tpp')}")
 
 
 class SweepSpec:

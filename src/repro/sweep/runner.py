@@ -44,6 +44,7 @@ import multiprocessing
 from repro.collect import SummaryBundle, summary_jsonable
 from repro.obs import Telemetry
 from repro.session import ResultSummary, ScenarioSpec
+from repro.session.experiment import check_duration
 
 from .plan import SweepSpec, SweepTask
 
@@ -300,6 +301,7 @@ class SweepRunner:
                  worker_slices: int = 0) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
+        check_duration(duration_s)
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if retries < 0:

@@ -221,6 +221,15 @@ class TPPSwitch(Node):
             self.drop_callback(packet, self)
 
     # ------------------------------------------------------------- statistics
+    def counters(self) -> dict[str, int]:
+        """This switch's aggregate packet accounting (``switch.<name>``)."""
+        return {
+            "packets_forwarded": self.packets_forwarded,
+            "packets_dropped": self.packets_dropped,
+            "tpp_packets_seen": self.tpp_packets_seen,
+            "tpps_packet_full": self.tpps_packet_full,
+        }
+
     def _update_port_stats(self) -> None:
         """Refresh per-port rates/utilisation from the raw port counters."""
         for port, stats in zip(self.ports, self.port_stats):

@@ -637,7 +637,7 @@ class TestShedPolicies:
         for seq in range(7):
             shard.ingest(submission(seq, host=f"h{seq % 2}"))
         assert sum(shard.drops_by_policy.values()) == shard.dropped == 6
-        assert shard.metrics()["dropped"] == 6
+        assert shard.counters()["dropped"] == 6
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            policy=st.sampled_from(SHED_POLICIES),

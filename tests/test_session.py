@@ -134,6 +134,23 @@ class TestScenarioBuilder:
         # finish() is idempotent.
         assert experiment.finish() is result
 
+    # A NaN or infinite horizon used to spin forever (the switches' periodic
+    # processes keep the heap non-empty) and a negative one returned an
+    # empty result; each entry point must *return* by raising, so a
+    # reintroduced hang fails here instead of stalling the suite.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_durations_rejected_where_they_enter(self, bad):
+        scenario = Scenario("dumbbell").workload("messages", offered_load=0.3)
+        with pytest.raises(ValueError, match="duration_s"):
+            scenario.run(bad)
+        with pytest.raises(ValueError, match="duration_s"):
+            scenario.build(bad)
+        experiment = scenario.build()
+        with pytest.raises(ValueError, match="duration_s"):
+            experiment.run(bad)
+        assert experiment.sim.events_executed == 0
+        assert experiment.run(0.0).events_executed == 0      # zero is legal
+
     def test_copy_is_independent(self):
         base = Scenario("dumbbell").workload("messages")
         variant = base.copy().tpp("t", "PUSH [Switch:SwitchID]")

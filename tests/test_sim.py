@@ -59,6 +59,13 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="infinite"):
             sim.schedule_at(float("inf"), lambda: None)
 
+    def test_nan_horizon_rejected_instead_of_running_forever(self):
+        sim = Simulator()
+        sim.schedule_periodic(1.0, lambda: None)     # keeps the heap non-empty
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert sim.events_executed == 0
+
     def test_schedule_in_the_past_rejected(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)

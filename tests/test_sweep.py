@@ -162,6 +162,16 @@ class TestSweepSpec:
         with pytest.raises(SpecError, match="CollectorSpec has no"):
             sweep.axis("collector.nope", [1])
 
+    @pytest.mark.parametrize("path,values", [
+        ("seed", ("a", "b")), ("seed", (True,)), ("seed", (1.5,)),
+        ("stacks", (3,)), ("seed_ecmp", ("yes",)), ("compile_traces", (None,)),
+        ("name", (7,))])
+    def test_scalar_axis_values_are_typed(self, path, values):
+        # A bare setattr used to accept these; the nonsense was only met
+        # inside a worker.
+        with pytest.raises(SpecError, match=f"axis path '{path}'"):
+            SweepSpec(monitor_scenario()).axis(path, values)
+
     def test_duplicate_points_rejected(self):
         sweep = (SweepSpec(monitor_scenario())
                  .axis("seed", [1])
@@ -249,6 +259,14 @@ class TestSweepDifferential:
 
 
 class TestFailurePaths:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_durations_rejected_at_construction(self, bad):
+        # With timeout_s=None a NaN duration left its task short of
+        # done/failed forever; it must never reach a worker.
+        with pytest.raises(ValueError, match="duration_s"):
+            SweepRunner(duration_s=bad)
+        SweepRunner(duration_s=None)                 # "run until idle" stays legal
+
     def test_worker_exception_is_recorded(self):
         tasks = [SweepTask(index=0, label="boom", overrides={},
                            spec=workload_scenario("sweep-test-explode",

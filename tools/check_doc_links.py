@@ -14,8 +14,13 @@ references that were never part of this repo):
 * backtick-quoted repo paths (````tests/test_sweep.py````,
   ````core/tcpu.py```` …) must exist, resolved against the repo root,
   ``src/``, or ``src/repro/`` — so docs cannot reference files that were
-  renamed or never landed.  The history logs (CHANGES.md, ROADMAP.md) are
-  exempt from this rule only: they name files later PRs deleted, by design.
+  renamed or never landed;
+* a ``path.py::Name`` (or ``path.py::Name::name``) citation must also name
+  symbols the file defines: each component needs a ``class``/``def`` line
+  of that name in the file (plain text search, nothing is imported) — so
+  docs cannot go on citing a test class after it was removed.  The history
+  logs (CHANGES.md, ROADMAP.md) are exempt from these two rules only: they
+  name files and symbols later PRs deleted, by design.
 
 Exit status 0 when every link resolves, 1 otherwise (each broken link is
 reported as ``file:line: message``).
@@ -42,7 +47,8 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 #: globs are skipped too).
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 CODE_PATH_RE = re.compile(r"(?<![\w./-])([\w.-]+(?:/[\w.-]+)+"
-                          r"\.(?:py|md|json|yml|yaml|toml))(?![\w/-])")
+                          r"\.(?:py|md|json|yml|yaml|toml))"
+                          r"((?:::\w+)*)(?![\w/-])")
 
 #: Roots a backtick-quoted path may be relative to: repo root for
 #: ``tests/...``/``benchmarks/...``, the source roots for module paths the
@@ -91,18 +97,28 @@ def check_file(md_file: Path, repo_root: Path) -> list[str]:
                 errors.append(f"{md_file}:{lineno}: {error}")
         if md_file.name in HISTORY_LOGS:
             continue
-        for candidate in code_path_candidates(line):
-            if not any((repo_root / root / candidate).exists()
-                       for root in PATH_ROOTS):
+        for candidate, symbols in code_path_candidates(line):
+            found = [repo_root / root / candidate for root in PATH_ROOTS
+                     if (repo_root / root / candidate).exists()]
+            if not found:
                 errors.append(f"{md_file}:{lineno}: stale code reference "
                               f"`{candidate}`: not found under repo root, "
                               f"src/, or src/repro/")
+                continue
+            source = found[0].read_text(encoding="utf-8")
+            for symbol in filter(None, symbols.split("::")):
+                if not re.search(rf"^\s*(?:class|def|async def)\s+{symbol}\b",
+                                 source, re.MULTILINE):
+                    errors.append(f"{md_file}:{lineno}: stale symbol "
+                                  f"reference `{candidate}{symbols}`: no "
+                                  f"class/def `{symbol}` in {candidate}")
     return errors
 
 
-def code_path_candidates(line: str) -> list[str]:
-    """File-looking paths quoted in the line's inline code spans."""
-    candidates: list[str] = []
+def code_path_candidates(line: str) -> list[tuple[str, str]]:
+    """``(path, "::Symbol…" or "")`` for each file-looking path quoted in
+    the line's inline code spans."""
+    candidates: list[tuple[str, str]] = []
     for span in CODE_SPAN_RE.findall(line):
         if any(ch in span for ch in "*{<"):   # globs / templates, not paths
             continue
