@@ -23,7 +23,7 @@ Deviation from the paper's listing: the collect TPP reads
 ``[Link:Capacity]`` instead of ``[Switch:SwitchID]`` (and TX- rather than
 RX-utilisation) so that a controller needs no out-of-band knowledge of the
 topology; both reads address the same output link the queue sample refers
-to.  DESIGN.md records this substitution.
+to.  docs/PAPER_MAP.md records this substitution.
 """
 
 from __future__ import annotations

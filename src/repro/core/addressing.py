@@ -140,7 +140,8 @@ PACKET_METADATA_FIELDS = {
 }
 
 # RX-flavoured link fields resolve against the packet's *input* port.
-_RX_LINK_FIELDS = {"RX-Bytes", "RX-Packets", "RX-Utilization", "RX-Rate"}
+_RX_LINK_OFFSETS = frozenset(
+    LINK_FIELDS[name] for name in ("RX-Bytes", "RX-Packets", "RX-Utilization", "RX-Rate"))
 
 _MNEMONIC_RE = re.compile(
     r"^\s*\[?\s*(?P<ns>[A-Za-z]+)(?P<idx>(?:\$\d+)*)\s*:\s*(?P<field>[A-Za-z0-9_\-]+)\s*\]?\s*$")
@@ -279,7 +280,7 @@ def decode(address: int) -> DecodedAddress:
 
 def is_dynamic_rx_field(field_offset: int) -> bool:
     """True when a dynamic-link field offset is an RX statistic (input-port relative)."""
-    return field_offset in {LINK_FIELDS[name] for name in _RX_LINK_FIELDS}
+    return field_offset in _RX_LINK_OFFSETS
 
 
 def describe(address: int) -> str:

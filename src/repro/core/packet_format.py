@@ -21,7 +21,7 @@ Header fields::
 The paper's Figure 7b sketches slightly different field widths (e.g. a 4-byte
 application id); we keep the total at 12 bytes because that is the number the
 paper's own overhead arithmetic uses (§2.1: 12 B header + 12 B instructions +
-6 B/hop × 5 hops = 54 B).  The deviation is documented in DESIGN.md.
+6 B/hop × 5 hops = 54 B).  The deviation is recorded in docs/PAPER_MAP.md.
 
 Packet memory is preallocated by the end-host and never grows or shrinks
 inside the network (Figure 1a); switches only overwrite words in place and
@@ -61,8 +61,20 @@ class EncapProtocol(enum.IntEnum):
     IPV4 = 2
 
 
+#: Bound once: an enum member read through its class costs a descriptor call
+#: in CPython 3.11+, and the word accessors below test the mode on every word.
+_HOP = AddressingMode.HOP
+
 _WORD_CODE = {2: 0, 4: 1}
 _CODE_WORD = {0: 2, 1: 4}
+
+
+def _header_code(codes: type[enum.IntEnum], code: int, name: str) -> enum.IntEnum:
+    """The member of ``codes`` a header field holds; reserved codes are malformed."""
+    try:
+        return codes(code)
+    except ValueError:
+        raise EncodingError(f"reserved {name} code {code} in TPP header") from None
 
 
 def checksum16(data: bytes) -> int:
@@ -148,30 +160,31 @@ class TPP:
         return len(self.memory) // per_hop if per_hop else 0
 
     # ------------------------------------------------------------ word access
-    def _check_range(self, byte_offset: int) -> bool:
-        return 0 <= byte_offset and byte_offset + self.word_bytes <= len(self.memory)
-
+    # The TCPU touches packet memory several times per instruction, so the
+    # four accessors it calls (hop words, push, pop) each compute their byte
+    # offset and make their one range check in place instead of stacking
+    # calls on read_word_bytes / write_word_bytes / hop_byte_offset; 2-byte
+    # words, the common wire format, stay allocation-free.
     def read_word_bytes(self, byte_offset: int) -> Optional[int]:
         """Read the word at ``byte_offset``; None when out of range."""
-        if not self._check_range(byte_offset):
+        memory, word_bytes = self.memory, self.word_bytes
+        if byte_offset < 0 or byte_offset + word_bytes > len(memory):
             return None
-        if self.word_bytes == 2:     # the common wire format, kept allocation-free
-            memory = self.memory
+        if word_bytes == 2:
             return (memory[byte_offset] << 8) | memory[byte_offset + 1]
-        return int.from_bytes(self.memory[byte_offset:byte_offset + self.word_bytes], "big")
+        return int.from_bytes(memory[byte_offset:byte_offset + word_bytes], "big")
 
     def write_word_bytes(self, byte_offset: int, value: int) -> bool:
         """Write ``value`` (truncated to the word size) at ``byte_offset``."""
-        if not self._check_range(byte_offset):
+        memory, word_bytes = self.memory, self.word_bytes
+        if byte_offset < 0 or byte_offset + word_bytes > len(memory):
             return False
-        if self.word_bytes == 2:     # the common wire format, kept allocation-free
-            memory = self.memory
+        if word_bytes == 2:
             memory[byte_offset] = (value >> 8) & 0xFF
             memory[byte_offset + 1] = value & 0xFF
-            return True
-        mask = (1 << (8 * self.word_bytes)) - 1
-        self.memory[byte_offset:byte_offset + self.word_bytes] = \
-            int(value & mask).to_bytes(self.word_bytes, "big")
+        else:
+            memory[byte_offset:byte_offset + word_bytes] = \
+                (value & ((1 << (8 * word_bytes)) - 1)).to_bytes(word_bytes, "big")
         return True
 
     def hop_byte_offset(self, word_offset: int, hop: Optional[int] = None) -> int:
@@ -182,25 +195,56 @@ class TPP:
         return word_offset * self.word_bytes
 
     def read_hop_word(self, word_offset: int, hop: Optional[int] = None) -> Optional[int]:
-        return self.read_word_bytes(self.hop_byte_offset(word_offset, hop))
+        """``read_word_bytes(hop_byte_offset(word_offset, hop))``, flattened."""
+        memory, word_bytes = self.memory, self.word_bytes
+        byte_offset = word_offset * word_bytes
+        if self.mode is _HOP:
+            byte_offset += (self.hop_number if hop is None else hop) * self.hop_size
+        if byte_offset < 0 or byte_offset + word_bytes > len(memory):
+            return None
+        if word_bytes == 2:
+            return (memory[byte_offset] << 8) | memory[byte_offset + 1]
+        return int.from_bytes(memory[byte_offset:byte_offset + word_bytes], "big")
 
     def write_hop_word(self, word_offset: int, value: int, hop: Optional[int] = None) -> bool:
-        return self.write_word_bytes(self.hop_byte_offset(word_offset, hop), value)
+        """``write_word_bytes(hop_byte_offset(word_offset, hop), value)``, flattened."""
+        memory, word_bytes = self.memory, self.word_bytes
+        byte_offset = word_offset * word_bytes
+        if self.mode is _HOP:
+            byte_offset += (self.hop_number if hop is None else hop) * self.hop_size
+        if byte_offset < 0 or byte_offset + word_bytes > len(memory):
+            return False
+        if word_bytes == 2:
+            memory[byte_offset] = (value >> 8) & 0xFF
+            memory[byte_offset + 1] = value & 0xFF
+        else:
+            memory[byte_offset:byte_offset + word_bytes] = \
+                (value & ((1 << (8 * word_bytes)) - 1)).to_bytes(word_bytes, "big")
+        return True
 
     def push(self, value: int) -> bool:
         """Append a word at the stack pointer; False if memory is exhausted."""
-        if not self.write_word_bytes(self.stack_pointer, value):
+        memory, word_bytes, pointer = self.memory, self.word_bytes, self.stack_pointer
+        if pointer < 0 or pointer + word_bytes > len(memory):
             return False
-        self.stack_pointer += self.word_bytes
+        if word_bytes == 2:
+            memory[pointer] = (value >> 8) & 0xFF
+            memory[pointer + 1] = value & 0xFF
+        else:
+            memory[pointer:pointer + word_bytes] = \
+                (value & ((1 << (8 * word_bytes)) - 1)).to_bytes(word_bytes, "big")
+        self.stack_pointer = pointer + word_bytes
         return True
 
     def pop(self) -> Optional[int]:
         """Consume and return the word at the stack pointer."""
-        value = self.read_word_bytes(self.stack_pointer)
-        if value is None:
+        memory, word_bytes, pointer = self.memory, self.word_bytes, self.stack_pointer
+        if pointer < 0 or pointer + word_bytes > len(memory):
             return None
-        self.stack_pointer += self.word_bytes
-        return value
+        self.stack_pointer = pointer + word_bytes
+        if word_bytes == 2:
+            return (memory[pointer] << 8) | memory[pointer + 1]
+        return int.from_bytes(memory[pointer:pointer + word_bytes], "big")
 
     def advance_hop(self) -> None:
         """Increment the hop number (each TPP-capable switch does this once)."""
@@ -262,7 +306,8 @@ class TPP:
             raise EncodingError(f"TPP needs at least {TPP_HEADER_BYTES} header bytes, got {len(data)}")
         byte0 = data[0]
         version = byte0 >> 4
-        mode = AddressingMode((byte0 >> 2) & 0x3)
+        mode = _header_code(AddressingMode, (byte0 >> 2) & 0x3, "addressing-mode")
+        encap = _header_code(EncapProtocol, data[7], "encapsulated-protocol")
         word_bytes = _CODE_WORD.get(byte0 & 0x3)
         if word_bytes is None:
             raise EncodingError(f"unknown word-size code {byte0 & 0x3}")
@@ -271,7 +316,6 @@ class TPP:
         hop_number = data[4]
         stack_pointer = data[5]
         hop_size = data[6]
-        encap = EncapProtocol(data[7])
         check = (data[8] << 8) | data[9]
         app_id = (data[10] << 8) | data[11]
         body_start = TPP_HEADER_BYTES

@@ -98,8 +98,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Protocol
 
+from . import addressing
 from .isa import Instruction, Opcode
 from .packet_format import TPP
 
@@ -130,27 +132,27 @@ class PacketContext:
         can carry); the TCPU masks every metadata read down to the executing
         TPP's word size, so narrower TPPs see a well-defined truncation.
         """
-        if field_offset == 0:
-            return self.input_port
-        if field_offset == 1:
-            return self.output_port
-        if field_offset == 2:
-            return self.output_queue
-        if field_offset == 3:
-            return self.matched_entry_id
-        if field_offset == 4:
-            return self.matched_entry_version
-        if field_offset == 5:
-            return self.matched_stage
-        if field_offset == 6:
-            return self.hop_number
-        if field_offset == 7:
-            return self.path_id
-        if field_offset == 8:
-            return self.packet_length
-        if field_offset == 9:
-            return int(self.arrival_time * 1e6) & 0xFFFFFFFF  # microsecond timestamp
-        return None
+        reader = METADATA_READERS.get(field_offset)
+        return None if reader is None else reader(self)
+
+
+_M = addressing.PACKET_METADATA_FIELDS
+#: ``PacketMetadata:`` — field offset -> ``row(context)``: the one declaration
+#: of each field, shared by :meth:`PacketContext.metadata_word` and the
+#: switch memory map (:mod:`repro.switches.memory`).
+METADATA_READERS = {
+    _M["InputPort"]: attrgetter("input_port"),
+    _M["OutputPort"]: attrgetter("output_port"),
+    _M["OutputQueue"]: attrgetter("output_queue"),
+    _M["MatchedEntryID"]: attrgetter("matched_entry_id"),
+    _M["MatchedEntryVersion"]: attrgetter("matched_entry_version"),
+    _M["MatchedStage"]: attrgetter("matched_stage"),
+    _M["HopNumber"]: attrgetter("hop_number"),
+    _M["PathID"]: attrgetter("path_id"),
+    _M["PacketLength"]: attrgetter("packet_length"),
+    # Microsecond timestamp, kept to the widest word a TPP can carry.
+    _M["ArrivalTimestamp"]: lambda context: int(context.arrival_time * 1e6) & 0xFFFFFFFF,
+}
 
 
 class MemoryInterface(Protocol):
@@ -176,6 +178,16 @@ class InstructionStatus(enum.Enum):
     FAILED_CONDITION = "failed_condition"
 
 
+# Bound once: an enum member read through its class costs a descriptor call in
+# CPython 3.11+, and the interpreter names a status on every instruction.
+_EXECUTED = InstructionStatus.EXECUTED
+_SKIPPED_NO_MEMORY = InstructionStatus.SKIPPED_NO_MEMORY
+_SKIPPED_PACKET_FULL = InstructionStatus.SKIPPED_PACKET_FULL
+_SKIPPED_HALTED = InstructionStatus.SKIPPED_HALTED
+_SKIPPED_WRITE_DISABLED = InstructionStatus.SKIPPED_WRITE_DISABLED
+_FAILED_CONDITION = InstructionStatus.FAILED_CONDITION
+
+
 @dataclass(slots=True)
 class ExecutionResult:
     """Outcome of executing one TPP at one hop."""
@@ -194,7 +206,7 @@ class ExecutionResult:
     @property
     def packet_full(self) -> bool:
         """True when any instruction was skipped because packet memory ran out."""
-        return InstructionStatus.SKIPPED_PACKET_FULL in self.statuses
+        return _SKIPPED_PACKET_FULL in self.statuses
 
     @property
     def status_label(self) -> str:
@@ -401,14 +413,14 @@ class TCPU:
         executed = 0
         for handler, instruction in steps:
             if halted:
-                append(InstructionStatus.SKIPPED_HALTED)
+                append(_SKIPPED_HALTED)
                 continue
             status = handler(instruction, tpp, memory, context, result, word_mask)
             append(status)
-            if status is InstructionStatus.FAILED_CONDITION:
+            if status is _FAILED_CONDITION:
                 halted = True
                 executed += 1
-            elif status is InstructionStatus.EXECUTED:
+            elif status is _EXECUTED:
                 executed += 1
         result.halted = halted
         self.tpps_executed += 1
@@ -419,7 +431,7 @@ class TCPU:
     def _op_nop(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
                 context: PacketContext, result: ExecutionResult,
                 word_mask: int) -> InstructionStatus:
-        return InstructionStatus.EXECUTED
+        return _EXECUTED
 
     def _op_push(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
                  context: PacketContext, result: ExecutionResult,
@@ -427,25 +439,25 @@ class TCPU:
         value = memory.read(instruction.address, context)
         result.switch_reads += 1
         if value is None:
-            return InstructionStatus.SKIPPED_NO_MEMORY
+            return _SKIPPED_NO_MEMORY
         if not tpp.push(value & word_mask):
-            return InstructionStatus.SKIPPED_PACKET_FULL
-        return InstructionStatus.EXECUTED
+            return _SKIPPED_PACKET_FULL
+        return _EXECUTED
 
     def _op_pop(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
                 context: PacketContext, result: ExecutionResult,
                 word_mask: int) -> InstructionStatus:
         if not self.write_enabled:
-            return InstructionStatus.SKIPPED_WRITE_DISABLED
+            return _SKIPPED_WRITE_DISABLED
         value = tpp.pop()
         if value is None:
-            return InstructionStatus.SKIPPED_PACKET_FULL
+            return _SKIPPED_PACKET_FULL
         ok = memory.write(instruction.address, value, context)
         result.switch_writes += 1
         if not ok:
-            return InstructionStatus.SKIPPED_NO_MEMORY
+            return _SKIPPED_NO_MEMORY
         result.wrote_switch_memory = True
-        return InstructionStatus.EXECUTED
+        return _EXECUTED
 
     def _op_load(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
                  context: PacketContext, result: ExecutionResult,
@@ -453,25 +465,25 @@ class TCPU:
         value = memory.read(instruction.address, context)
         result.switch_reads += 1
         if value is None:
-            return InstructionStatus.SKIPPED_NO_MEMORY
+            return _SKIPPED_NO_MEMORY
         if not tpp.write_hop_word(instruction.packet_offset, value & word_mask):
-            return InstructionStatus.SKIPPED_PACKET_FULL
-        return InstructionStatus.EXECUTED
+            return _SKIPPED_PACKET_FULL
+        return _EXECUTED
 
     def _op_store(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
                   context: PacketContext, result: ExecutionResult,
                   word_mask: int) -> InstructionStatus:
         if not self.write_enabled:
-            return InstructionStatus.SKIPPED_WRITE_DISABLED
+            return _SKIPPED_WRITE_DISABLED
         value = tpp.read_hop_word(instruction.packet_offset)
         if value is None:
-            return InstructionStatus.SKIPPED_PACKET_FULL
+            return _SKIPPED_PACKET_FULL
         ok = memory.write(instruction.address, value, context)
         result.switch_writes += 1
         if not ok:
-            return InstructionStatus.SKIPPED_NO_MEMORY
+            return _SKIPPED_NO_MEMORY
         result.wrote_switch_memory = True
-        return InstructionStatus.EXECUTED
+        return _EXECUTED
 
     def _op_cstore(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
                    context: PacketContext, result: ExecutionResult,
@@ -482,7 +494,7 @@ class TCPU:
         old = tpp.read_hop_word(instruction.packet_offset)
         new = tpp.read_hop_word(instruction.packet_offset + 1)
         if current is None or old is None or new is None:
-            return InstructionStatus.FAILED_CONDITION
+            return _FAILED_CONDITION
         current &= word_mask
         succeeded = current == (old & word_mask)
         if succeeded:
@@ -490,9 +502,9 @@ class TCPU:
                 # The store half is suppressed.  The "old" slot already holds
                 # the observed value (the compare just succeeded on it), so
                 # the end-host sees a coherent §3.3.3 record as-is.
-                return InstructionStatus.SKIPPED_WRITE_DISABLED
+                return _SKIPPED_WRITE_DISABLED
             if not memory.write(instruction.address, new, context):
-                return InstructionStatus.FAILED_CONDITION
+                return _FAILED_CONDITION
             result.switch_writes += 1
             result.wrote_switch_memory = True
             observed = new & word_mask
@@ -501,7 +513,7 @@ class TCPU:
         # Always write the observed value of X back into the "old" slot so the
         # end-host can tell whether the compare-and-swap succeeded.
         tpp.write_hop_word(instruction.packet_offset, observed)
-        return InstructionStatus.EXECUTED if succeeded else InstructionStatus.FAILED_CONDITION
+        return _EXECUTED if succeeded else _FAILED_CONDITION
 
     def _op_cexec(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
                   context: PacketContext, result: ExecutionResult,
@@ -512,7 +524,7 @@ class TCPU:
         mask = tpp.read_hop_word(instruction.packet_offset)
         value = tpp.read_hop_word(instruction.packet_offset + 1)
         if switch_value is None or mask is None or value is None:
-            return InstructionStatus.FAILED_CONDITION
+            return _FAILED_CONDITION
         if (switch_value & mask & word_mask) == (value & word_mask):
-            return InstructionStatus.EXECUTED
-        return InstructionStatus.FAILED_CONDITION
+            return _EXECUTED
+        return _FAILED_CONDITION

@@ -49,14 +49,10 @@ class EgressQueue:
         self.packets_dropped_total = 0
         self.bytes_dequeued_total = 0
         self.packets_dequeued_total = 0
-        self._occupancy_bytes = 0
+        #: Bytes currently waiting in the queue.
+        self.occupancy_bytes = 0
 
     # ------------------------------------------------------------- occupancy
-    @property
-    def occupancy_bytes(self) -> int:
-        """Bytes currently waiting in the queue."""
-        return self._occupancy_bytes
-
     @property
     def occupancy_packets(self) -> int:
         """Packets currently waiting in the queue."""
@@ -65,7 +61,7 @@ class EgressQueue:
     # ------------------------------------------------------------ operations
     def enqueue(self, packet: Packet) -> bool:
         """Append a packet; returns False (and counts a drop) when full."""
-        over_bytes = self._occupancy_bytes + packet.size > self.capacity_bytes
+        over_bytes = self.occupancy_bytes + packet.size > self.capacity_bytes
         over_packets = (self.capacity_packets is not None
                         and len(self._queue) >= self.capacity_packets)
         if over_bytes or over_packets:
@@ -73,7 +69,7 @@ class EgressQueue:
             self.packets_dropped_total += 1
             return False
         self._queue.append(packet)
-        self._occupancy_bytes += packet.size
+        self.occupancy_bytes += packet.size
         self.bytes_enqueued_total += packet.size
         self.packets_enqueued_total += 1
         return True
@@ -83,7 +79,7 @@ class EgressQueue:
         if not self._queue:
             return None
         packet = self._queue.popleft()
-        self._occupancy_bytes -= packet.size
+        self.occupancy_bytes -= packet.size
         self.bytes_dequeued_total += packet.size
         self.packets_dequeued_total += 1
         return packet

@@ -9,33 +9,161 @@ Read-only vs read-write follows Table 2: statistics and metadata are
 readable; the per-link application-specific registers, per-stage registers,
 and a packet's output port / queue / path tag are writable (the latter is how
 "fast network updates" and output-port rewriting work).
+
+The memory map is **declared once, resolved once**.  Each region below is a
+table with one row per field, keyed by the field's offset in
+:mod:`repro.core.addressing`; a field without a row in a ``*_WRITERS`` table
+is read-only.  On the first access to an address, :class:`SwitchMemory`
+decodes it, picks the row and closes it over the state it names — the way the
+paper's execution units are wired to their statistics at tape-out (§3.5) —
+so every later ``read`` / ``write`` of that address is a dict lookup plus a
+call.  Rows read *live* state: a closure may capture the switch, its ``ports``
+and ``stages`` lists (which grow in place) and this memory, never a port, a
+queue or a count, so ports added, routes installed and registers written
+after an address was resolved are seen by the next access.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import TYPE_CHECKING, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import addressing
-from repro.core.tcpu import PacketContext
+from repro.core.tcpu import METADATA_READERS, PacketContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from .switch import TPPSwitch
 
-#: Field-level readers mirroring :meth:`PacketContext.metadata_word` (same
-#: offsets, same values); used by :meth:`SwitchMemory.read_resolver`.
-_METADATA_RESOLVERS = {
-    0: lambda context: context.input_port,
-    1: lambda context: context.output_port,
-    2: lambda context: context.output_queue,
-    3: lambda context: context.matched_entry_id,
-    4: lambda context: context.matched_entry_version,
-    5: lambda context: context.matched_stage,
-    6: lambda context: context.hop_number,
-    7: lambda context: context.path_id,
-    8: lambda context: context.packet_length,
-    9: lambda context: int(context.arrival_time * 1e6) & 0xFFFFFFFF,
+Reader = Callable[[PacketContext], Optional[int]]
+Writer = Callable[[int, PacketContext], bool]
+
+_S, _T, _L, _Q, _M = (addressing.SWITCH_FIELDS, addressing.STAGE_FIELDS,
+                      addressing.LINK_FIELDS, addressing.QUEUE_FIELDS,
+                      addressing.PACKET_METADATA_FIELDS)
+
+
+def _port(path: str):
+    """A ``Link:`` / ``Queue:`` row reading an attribute path off the port."""
+    get = attrgetter(path)
+    return lambda memory, index: get(memory.switch.ports[index])
+
+
+def _stats(path: str):
+    """A ``Link:`` row reading the port's periodically refreshed statistics."""
+    get = attrgetter(path)
+    return lambda memory, index: get(memory.switch.port_stats[index])
+
+
+def _port_status(memory: "SwitchMemory", index: int) -> int:
+    port = memory.switch.ports[index]
+    return 1 if (port.up and port.link is not None and port.link.up) else 0
+
+
+def _capacity_mbps(memory: "SwitchMemory", index: int) -> int:
+    link = memory.switch.ports[index].link
+    return int(link.rate_bps // 1_000_000) if link else 0
+
+
+def _set_app_register(register: int):
+    def write(memory: "SwitchMemory", index: int, value: int) -> bool:
+        memory.app_registers[(index, register)] = value
+        return True
+    return write
+
+
+def _set_output_port(memory: "SwitchMemory", value: int, context: PacketContext) -> bool:
+    if not 0 <= value < len(memory.switch.ports):
+        return False
+    context.output_port = value
+    return True
+
+
+def _set_context(name: str):
+    def write(memory: "SwitchMemory", value: int, context: PacketContext) -> bool:
+        setattr(context, name, value)
+        return True
+    return write
+
+
+#: ``Switch:`` — field offset -> ``row(switch)``.
+SWITCH_READERS = {
+    _S["SwitchID"]: attrgetter("switch_id"),
+    _S["VersionNumber"]: attrgetter("forwarding_version"),
+    _S["Clock"]: lambda switch: int(switch.sim.now * switch.clock_hz) & 0xFFFFFFFF,
+    _S["ClockFrequency"]: lambda switch: int(switch.clock_hz),
+    _S["VendorID"]: attrgetter("vendor_id"),
+    _S["NumPorts"]: lambda switch: len(switch.ports),
+    _S["Uptime"]: lambda switch: int(switch.sim.now * 1000),
 }
+
+#: ``Stage$i:`` — field offset -> ``row(stage)`` / ``row(stage, value)``.
+STAGE_READERS = {
+    _T["VersionNumber"]: attrgetter("table.version"),
+    _T["ReferenceCount"]: attrgetter("table.reference_count"),
+    _T["LookupPackets"]: attrgetter("table.lookup_stats.packets"),
+    _T["LookupBytes"]: attrgetter("table.lookup_stats.bytes"),
+    _T["MatchPackets"]: attrgetter("table.match_stats.packets"),
+    _T["MatchBytes"]: attrgetter("table.match_stats.bytes"),
+    **{_T[f"Reg{r}"]: (lambda stage, r=r: stage.read_register(r)) for r in range(8)},
+}
+STAGE_WRITERS = {
+    _T[f"Reg{r}"]: (lambda stage, value, r=r: stage.write_register(r, value))
+    for r in range(8)
+}
+
+#: ``Link$i:`` and packet-relative ``Link:`` — field offset ->
+#: ``row(memory, port_index)`` / ``row(memory, port_index, value)``; the port
+#: index has been range-checked by the caller.
+LINK_READERS = {
+    _L["ID"]: lambda memory, index: memory.switch.link_id(index),
+    _L["QueueSizeBytes"]: _port("queue.occupancy_bytes"),
+    _L["QueueSizePackets"]: _port("queue.occupancy_packets"),
+    _L["TX-Bytes"]: _port("tx_bytes"),
+    _L["TX-Packets"]: _port("tx_packets"),
+    _L["TX-Utilization"]: _stats("tx_utilization_bp"),
+    _L["RX-Bytes"]: _port("rx_bytes"),
+    _L["RX-Packets"]: _port("rx_packets"),
+    _L["RX-Utilization"]: _stats("rx_utilization_bp"),
+    _L["Drop-Bytes"]: _port("queue.bytes_dropped_total"),
+    _L["Drop-Packets"]: _port("queue.packets_dropped_total"),
+    _L["PortStatus"]: _port_status,
+    _L["TX-Rate"]: lambda memory, index: int(memory.switch.port_stats[index].transmit.byte_rate),
+    _L["RX-Rate"]: lambda memory, index: int(memory.switch.port_stats[index].receive.byte_rate),
+    _L["Capacity"]: _capacity_mbps,
+    **{_L[f"AppSpecific_{r}"]:
+       (lambda memory, index, r=r: memory.app_registers.get((index, r), 0))
+       for r in range(8)},
+}
+LINK_WRITERS = {_L[f"AppSpecific_{r}"]: _set_app_register(r) for r in range(8)}
+
+#: ``Queue$i$j:`` and packet-relative ``Queue:`` — rows as for ``Link:``.  The
+#: model keeps one queue per port, so only queue id 0 exists.
+QUEUE_READERS = {
+    _Q["QueueOccupancy"]: _port("queue.occupancy_packets"),
+    _Q["QueueOccupancyBytes"]: _port("queue.occupancy_bytes"),
+    _Q["Drop-Packets"]: _port("queue.packets_dropped_total"),
+    _Q["Drop-Bytes"]: _port("queue.bytes_dropped_total"),
+    _Q["TX-Packets"]: _port("queue.packets_dequeued_total"),
+    _Q["TX-Bytes"]: _port("queue.bytes_dequeued_total"),
+}
+
+#: ``PacketMetadata:`` — the readers are :data:`repro.core.tcpu.METADATA_READERS`;
+#: field offset -> ``row(memory, value, context)`` for the writable three.
+METADATA_WRITERS = {
+    _M["OutputPort"]: _set_output_port,
+    _M["OutputQueue"]: _set_context("output_queue"),
+    _M["PathID"]: _set_context("path_id"),
+}
+
+
+def _absent(context: PacketContext) -> None:
+    """Reader of every address that names nothing on this switch."""
+    return None
+
+
+def _read_only(value: int, context: PacketContext) -> bool:
+    """Writer of every address that is absent or not writable (Table 2)."""
+    return False
 
 
 class SwitchMemory:
@@ -45,289 +173,97 @@ class SwitchMemory:
         self.switch = switch
         # Per-port application-specific registers: (port index, register) -> value.
         self.app_registers: dict[tuple[int, int], int] = {}
-        # Region dispatch table: one dict lookup on the hot path instead of a
-        # string-comparison ladder.
-        self._readers = {
-            "switch": self._read_switch_region,
-            "stage": self._read_stage_region,
-            "link": self._read_link_region,
-            "queue": self._read_queue_region,
-            "packet_metadata": self._read_metadata_region,
-            "dynamic_link": self._read_dynamic_link_region,
-            "dynamic_queue": self._read_dynamic_queue_region,
-        }
+        # address -> closure, filled on first access; the 16-bit address
+        # space bounds both.
+        self._resolved_reads: dict[int, Reader] = {}
+        self._resolved_writes: dict[int, Writer] = {}
 
-    # ------------------------------------------------------------------ read
     def read(self, address: int, context: PacketContext) -> Optional[int]:
         try:
-            decoded = addressing.decode(address)
-        except addressing.AddressError:
-            return None
-        reader = self._readers.get(decoded.region)
-        if reader is None:
-            return None
-        return reader(decoded, context)
+            reader = self._resolved_reads[address]
+        except KeyError:
+            reader = self._resolve(address)[0]
+        return reader(context)
 
-    def read_resolver(self, address: int):
-        """An address-specialized reader: ``resolver(context)`` ≡ ``read(address, context)``.
-
-        The compiled-trace engine (:mod:`repro.core.trace`) binds one of
-        these per read instruction, paying the address decode and region
-        dispatch once per (program, switch) instead of once per packet.  The
-        hottest regions (switch globals, packet-relative queue statistics,
-        packet metadata) get field-level closures that read the same live
-        state the generic ladder would; everything else wraps the per-region
-        reader ``read`` itself dispatches to, so the paths cannot diverge —
-        the differential sweep in ``tests/test_trace.py`` runs both engines
-        over every specialized field.
-        """
-        try:
-            decoded = addressing.decode(address)
-        except addressing.AddressError:
-            return lambda context: None
-        if decoded.region == "switch":
-            return self._resolve_switch_field(decoded.field_offset)
-        if decoded.region == "dynamic_queue":
-            return self._resolve_dynamic_queue_field(decoded.field_offset)
-        if decoded.region == "packet_metadata":
-            return _METADATA_RESOLVERS.get(decoded.field_offset,
-                                           lambda context: None)
-        reader = self._readers.get(decoded.region)
-        if reader is None:
-            return lambda context: None
-        return lambda context, _reader=reader, _decoded=decoded: _reader(_decoded, context)
-
-    def _resolve_switch_field(self, offset: int):
-        """Field-level closures mirroring :meth:`_read_switch` branch for branch."""
-        switch = self.switch
-        fields = addressing.SWITCH_FIELDS
-        if offset == fields["SwitchID"]:
-            return lambda context: switch.switch_id
-        if offset == fields["VersionNumber"]:
-            return lambda context: switch.forwarding_version
-        if offset == fields["Clock"]:
-            return lambda context: int(switch.sim.now * switch.clock_hz) & 0xFFFFFFFF
-        if offset == fields["ClockFrequency"]:
-            return lambda context: int(switch.clock_hz)
-        if offset == fields["VendorID"]:
-            return lambda context: switch.vendor_id
-        if offset == fields["NumPorts"]:
-            return lambda context: len(switch.ports)
-        if offset == fields["Uptime"]:
-            return lambda context: int(switch.sim.now * 1000)
-        return lambda context: None
-
-    def _resolve_dynamic_queue_field(self, offset: int):
-        """Field-level closures mirroring :meth:`_read_queue` for the
-        packet-relative queue region (port/queue taken from the context)."""
-        fields = addressing.QUEUE_FIELDS
-        attr = {
-            fields["QueueOccupancy"]: "occupancy_packets",
-            fields["QueueOccupancyBytes"]: "occupancy_bytes",
-            fields["Drop-Packets"]: "packets_dropped_total",
-            fields["Drop-Bytes"]: "bytes_dropped_total",
-            fields["TX-Packets"]: "packets_dequeued_total",
-            fields["TX-Bytes"]: "bytes_dequeued_total",
-        }.get(offset)
-        if attr is None:
-            return lambda context: None
-        get_field = operator.attrgetter("queue." + attr)
-        ports = self.switch.ports          # the live list object; grows in place
-
-        def read_field(context):
-            port_index = context.output_port
-            if not 0 <= port_index < len(ports):
-                return None
-            if context.output_queue not in (0, None):
-                # One queue per port (see _read_queue): other ids fail gracefully.
-                return None
-            return get_field(ports[port_index])
-
-        return read_field
-
-    def _read_switch_region(self, decoded, context: PacketContext) -> Optional[int]:
-        return self._read_switch(decoded.field_offset)
-
-    def _read_stage_region(self, decoded, context: PacketContext) -> Optional[int]:
-        return self._read_stage(decoded.index, decoded.field_offset)
-
-    def _read_link_region(self, decoded, context: PacketContext) -> Optional[int]:
-        return self._read_link(decoded.index, decoded.field_offset)
-
-    def _read_queue_region(self, decoded, context: PacketContext) -> Optional[int]:
-        return self._read_queue(decoded.index, decoded.queue_index, decoded.field_offset)
-
-    def _read_metadata_region(self, decoded, context: PacketContext) -> Optional[int]:
-        return context.metadata_word(decoded.field_offset)
-
-    def _read_dynamic_link_region(self, decoded, context: PacketContext) -> Optional[int]:
-        port = self._dynamic_port(decoded.field_offset, context)
-        return self._read_link(port, decoded.field_offset)
-
-    def _read_dynamic_queue_region(self, decoded, context: PacketContext) -> Optional[int]:
-        return self._read_queue(context.output_port, context.output_queue,
-                                decoded.field_offset)
-
-    # ----------------------------------------------------------------- write
     def write(self, address: int, value: int, context: PacketContext) -> bool:
         try:
+            writer = self._resolved_writes[address]
+        except KeyError:
+            writer = self._resolve(address)[1]
+        return writer(value, context)
+
+    def read_resolver(self, address: int) -> Reader:
+        """The closure ``read(address, ·)`` calls: ``resolver(context)``.
+
+        The compiled-trace engine (:mod:`repro.core.trace`) binds one per
+        read instruction and so skips even the cache lookup.
+        """
+        return self._resolved_reads.get(address) or self._resolve(address)[0]
+
+    # ------------------------------------------------------------ resolution
+    def _resolve(self, address: int) -> tuple[Reader, Writer]:
+        try:
             decoded = addressing.decode(address)
         except addressing.AddressError:
-            return False
+            # Unmapped, or outside the address space: not worth an entry, and
+            # caching arbitrary integers would unbound the cache.
+            return _absent, _read_only
+        pair = self._bind(decoded)
+        self._resolved_reads[address], self._resolved_writes[address] = pair
+        return pair
 
-        if decoded.region in ("link", "dynamic_link"):
-            port = (decoded.index if decoded.region == "link"
-                    else self._dynamic_port(decoded.field_offset, context))
-            return self._write_link(port, decoded.field_offset, value)
-        if decoded.region == "stage":
-            stage = self.switch.pipeline.stage(decoded.index)
-            if stage is None:
-                return False
-            reg = decoded.field_offset - addressing.STAGE_FIELDS["Reg0"]
-            return stage.write_register(reg, value) if reg >= 0 else False
-        if decoded.region == "packet_metadata":
-            return self._write_packet_metadata(decoded.field_offset, value, context)
-        # Everything else (switch globals, queue stats, counters) is read-only.
-        return False
-
-    # ------------------------------------------------------------ resolvers
-    def _dynamic_port(self, field_offset: int, context: PacketContext) -> int:
-        """Packet-relative Link: fields — RX stats come from the input port."""
-        if addressing.is_dynamic_rx_field(field_offset):
-            return context.input_port
-        return context.output_port
-
-    def _read_switch(self, offset: int) -> Optional[int]:
+    def _bind(self, decoded: addressing.DecodedAddress) -> tuple[Reader, Writer]:
+        """Close the field's table rows over the live state they name."""
+        region, offset, index = decoded.region, decoded.field_offset, decoded.index
         switch = self.switch
-        fields = addressing.SWITCH_FIELDS
-        if offset == fields["SwitchID"]:
-            return switch.switch_id
-        if offset == fields["VersionNumber"]:
-            return switch.forwarding_version
-        if offset == fields["Clock"]:
-            return int(switch.sim.now * switch.clock_hz) & 0xFFFFFFFF
-        if offset == fields["ClockFrequency"]:
-            return int(switch.clock_hz)
-        if offset == fields["VendorID"]:
-            return switch.vendor_id
-        if offset == fields["NumPorts"]:
-            return len(switch.ports)
-        if offset == fields["Uptime"]:
-            return int(switch.sim.now * 1000)
-        return None
+        if region == "switch":
+            get = SWITCH_READERS.get(offset)
+            return (lambda context: get(switch)) if get else _absent, _read_only
+        if region == "packet_metadata":
+            put = METADATA_WRITERS.get(offset)
+            return (METADATA_READERS.get(offset, _absent),
+                    (lambda value, context: put(self, value, context)) if put else _read_only)
+        if region == "stage":
+            get, put = STAGE_READERS.get(offset), STAGE_WRITERS.get(offset)
+            stages = switch.pipeline.stages
+            return ((lambda context: get(stages[index]) if index < len(stages) else None)
+                    if get else _absent,
+                    (lambda value, context:
+                     put(stages[index], value) if index < len(stages) else False)
+                    if put else _read_only)
 
-    def _read_stage(self, stage_index: int, offset: int) -> Optional[int]:
-        stage = self.switch.pipeline.stage(stage_index)
-        if stage is None:
-            return None
-        fields = addressing.STAGE_FIELDS
-        table = stage.table
-        if offset == fields["VersionNumber"]:
-            return table.version
-        if offset == fields["ReferenceCount"]:
-            return table.reference_count
-        if offset == fields["LookupPackets"]:
-            return table.lookup_stats.packets
-        if offset == fields["LookupBytes"]:
-            return table.lookup_stats.bytes
-        if offset == fields["MatchPackets"]:
-            return table.match_stats.packets
-        if offset == fields["MatchBytes"]:
-            return table.match_stats.bytes
-        if offset >= fields["Reg0"]:
-            return stage.read_register(offset - fields["Reg0"])
-        return None
+        # Per-port regions: the port is named by the address, or — for the
+        # index-less aliases — taken from the packet each time.
+        if region in ("link", "dynamic_link"):
+            get, put = LINK_READERS.get(offset), LINK_WRITERS.get(offset)
+        else:
+            get = None if decoded.queue_index else QUEUE_READERS.get(offset)
+            put = None
+        ports = switch.ports
+        if index is not None:
+            def reader(context):
+                return get(self, index) if index < len(ports) else None
 
-    def _read_link(self, port_index: Optional[int], offset: int) -> Optional[int]:
-        if port_index is None or not 0 <= port_index < len(self.switch.ports):
-            return None
-        port = self.switch.ports[port_index]
-        stats = self.switch.port_stats[port_index]
-        fields = addressing.LINK_FIELDS
-        if offset == fields["ID"]:
-            return self.switch.link_id(port_index)
-        if offset == fields["QueueSizeBytes"]:
-            return port.queue.occupancy_bytes
-        if offset == fields["QueueSizePackets"]:
-            return port.queue.occupancy_packets
-        if offset == fields["TX-Bytes"]:
-            return port.tx_bytes
-        if offset == fields["TX-Packets"]:
-            return port.tx_packets
-        if offset == fields["TX-Utilization"]:
-            return stats.tx_utilization_bp
-        if offset == fields["RX-Bytes"]:
-            return port.rx_bytes
-        if offset == fields["RX-Packets"]:
-            return port.rx_packets
-        if offset == fields["RX-Utilization"]:
-            return stats.rx_utilization_bp
-        if offset == fields["Drop-Bytes"]:
-            return port.queue.bytes_dropped_total
-        if offset == fields["Drop-Packets"]:
-            return port.queue.packets_dropped_total
-        if offset == fields["PortStatus"]:
-            return 1 if (port.up and port.link is not None and port.link.up) else 0
-        if offset == fields["TX-Rate"]:
-            return int(stats.transmit.byte_rate)
-        if offset == fields["RX-Rate"]:
-            return int(stats.receive.byte_rate)
-        if offset == fields["Capacity"]:
-            return int(port.link.rate_bps // 1_000_000) if port.link else 0
-        if offset >= fields["AppSpecific_0"]:
-            reg = offset - fields["AppSpecific_0"]
-            if reg >= 8:
-                return None
-            return self.app_registers.get((port_index, reg), 0)
-        return None
+            def writer(value, context):
+                return put(self, index, value) if index < len(ports) else False
+        else:
+            # RX statistics describe the link the packet arrived on.
+            port_of = attrgetter(
+                "input_port" if region == "dynamic_link"
+                and addressing.is_dynamic_rx_field(offset) else "output_port")
+            queue_relative = region == "dynamic_queue"
 
-    def _write_link(self, port_index: Optional[int], offset: int, value: int) -> bool:
-        if port_index is None or not 0 <= port_index < len(self.switch.ports):
-            return False
-        fields = addressing.LINK_FIELDS
-        if offset >= fields["AppSpecific_0"]:
-            reg = offset - fields["AppSpecific_0"]
-            if reg >= 8:
-                return False
-            self.app_registers[(port_index, reg)] = value
-            return True
-        return False
+            def reader(context):
+                port = port_of(context)
+                if port is None or not 0 <= port < len(ports):
+                    return None
+                if queue_relative and context.output_queue not in (0, None):
+                    return None
+                return get(self, port)
 
-    def _read_queue(self, port_index: Optional[int], queue_index: Optional[int],
-                    offset: int) -> Optional[int]:
-        if port_index is None or not 0 <= port_index < len(self.switch.ports):
-            return None
-        if queue_index not in (0, None):
-            # The model keeps a single queue per port; other queue ids do not exist,
-            # so instructions addressing them fail gracefully.
-            return None
-        queue = self.switch.ports[port_index].queue
-        fields = addressing.QUEUE_FIELDS
-        if offset == fields["QueueOccupancy"]:
-            return queue.occupancy_packets
-        if offset == fields["QueueOccupancyBytes"]:
-            return queue.occupancy_bytes
-        if offset == fields["Drop-Packets"]:
-            return queue.packets_dropped_total
-        if offset == fields["Drop-Bytes"]:
-            return queue.bytes_dropped_total
-        if offset == fields["TX-Packets"]:
-            return queue.packets_dequeued_total
-        if offset == fields["TX-Bytes"]:
-            return queue.bytes_dequeued_total
-        return None
-
-    def _write_packet_metadata(self, offset: int, value: int, context: PacketContext) -> bool:
-        fields = addressing.PACKET_METADATA_FIELDS
-        if offset == fields["OutputPort"]:
-            if not 0 <= value < len(self.switch.ports):
-                return False
-            context.output_port = value
-            return True
-        if offset == fields["OutputQueue"]:
-            context.output_queue = value
-            return True
-        if offset == fields["PathID"]:
-            context.path_id = value
-            return True
-        return False
+            def writer(value, context):
+                port = port_of(context)
+                if port is None or not 0 <= port < len(ports):
+                    return False
+                return put(self, port, value)
+        return reader if get else _absent, writer if put else _read_only

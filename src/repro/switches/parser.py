@@ -60,18 +60,11 @@ class TPPParser:
         self.packets_parsed += 1
         if packet.tpp is None:
             return ParseResult(is_tpp=False, mode="none")
-        if packet.tpp_standalone:
-            # ether.type == 0x6666 -> TPP (optionally encapsulating a payload).
-            self.tpps_identified += 1
-            return ParseResult(is_tpp=True, mode="standalone", tpp=packet.tpp)
-        # Transparent mode: IPv4/UDP with the reserved port carries the TPP.
-        if packet.protocol == "udp" and (packet.dport == self.udp_port
-                                         or packet.sport == self.udp_port
-                                         or packet.tpp is not None):
-            self.tpps_identified += 1
-            return ParseResult(is_tpp=True, mode="piggybacked", tpp=packet.tpp)
+        # ether.type == 0x6666 -> TPP (optionally encapsulating a payload);
+        # otherwise the TPP rides in front of a UDP payload (transparent mode).
         self.tpps_identified += 1
-        return ParseResult(is_tpp=True, mode="piggybacked", tpp=packet.tpp)
+        mode = "standalone" if packet.tpp_standalone else "piggybacked"
+        return ParseResult(is_tpp=True, mode=mode, tpp=packet.tpp)
 
 
 def parse_graph_edges() -> list[tuple[str, str, str]]:

@@ -157,17 +157,12 @@ class TPPSwitch(Node):
                 # The per-packet context exists only on hops where a TPP
                 # will read it; a bare packet pays nothing for the TCPU.
                 entry = result.matched_entry
-                context = PacketContext()
-                context.input_port = in_index
-                context.output_port = output_port
-                context.output_queue = 0
-                context.matched_entry_id = entry.entry_id if entry else 0
-                context.matched_entry_version = entry.version if entry else 0
-                context.matched_stage = result.matched_stage
-                context.hop_number = packet.tpp.hop_number
-                context.path_id = packet.vlan
-                context.packet_length = packet.size
-                context.arrival_time = self.sim.now
+                # One call, positional in field order (Tables 7/8).
+                context = PacketContext(
+                    in_index, output_port, 0,
+                    entry.entry_id if entry else 0, entry.version if entry else 0,
+                    result.matched_stage, packet.tpp.hop_number, packet.vlan,
+                    packet.size, self.sim.now)
                 execution = self.tcpu.execute_program(packet.tpp, self.memory,
                                                       context)
                 if execution.packet_full:

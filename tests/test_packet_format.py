@@ -154,6 +154,23 @@ class TestEncodeDecode:
         with pytest.raises(EncodingError):
             TPP.decode(encoded[:-4])
 
+    @pytest.mark.parametrize("verify_checksum", [True, False])
+    @pytest.mark.parametrize("index, corrupt, names", [
+        (0, lambda byte: (byte & ~0x0C) | (2 << 2), "addressing-mode code 2"),
+        (0, lambda byte: byte | (3 << 2), "addressing-mode code 3"),
+        (7, lambda byte: 3, "encapsulated-protocol code 3"),
+        (7, lambda byte: 9, "encapsulated-protocol code 9"),
+    ])
+    def test_reserved_header_codes_are_encoding_errors(self, index, corrupt, names,
+                                                       verify_checksum):
+        # Header bytes sit outside the checksum, so these reach the enum
+        # lookups with or without verification; a bare ValueError would slip
+        # past callers that catch TPPError per the module's contract.
+        data = bytearray(make_tpp(_push_program(2), num_hops=2).encode())
+        data[index] = corrupt(data[index])
+        with pytest.raises(EncodingError, match=names):
+            TPP.decode(bytes(data), verify_checksum=verify_checksum)
+
     def test_checksum16_known_properties(self):
         assert checksum16(b"") == 0xFFFF
         assert checksum16(b"\x00\x00") == 0xFFFF

@@ -184,9 +184,9 @@ class TestLazyPacketContext:
         built = []
 
         class CountingContext(PacketContext):
-            def __init__(self):
+            def __init__(self, *args):
                 built.append(self)
-                super().__init__()
+                super().__init__(*args)
 
         monkeypatch.setattr("repro.switches.switch.PacketContext", CountingContext)
         return built

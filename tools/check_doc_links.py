@@ -22,12 +22,17 @@ references that were never part of this repo):
   logs (CHANGES.md, ROADMAP.md) are exempt from these two rules only: they
   name files and symbols later PRs deleted, by design.
 
+Python sources (default: ``src/**/*.py``) are scanned for one thing only: a
+``NAME.md`` a docstring or comment mentions must exist at the repo root or
+under ``docs/`` — so code cannot cite a design document the repository never
+had.
+
 Exit status 0 when every link resolves, 1 otherwise (each broken link is
 reported as ``file:line: message``).
 
 Usage::
 
-    python tools/check_doc_links.py [file.md ...]
+    python tools/check_doc_links.py [file.md | file.py ...]
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ PATH_ROOTS = ("", "src", "src/repro")
 
 #: Per-PR history: checked for links, not for stale code references.
 HISTORY_LOGS = ("CHANGES.md", "ROADMAP.md")
+
+#: A markdown file named in Python source, with any directories in front.
+SOURCE_DOC_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
 
 
 def github_slug(heading: str) -> str:
@@ -115,6 +123,18 @@ def check_file(md_file: Path, repo_root: Path) -> list[str]:
     return errors
 
 
+def check_source(py_file: Path, repo_root: Path) -> list[str]:
+    """Every ``NAME.md`` the source mentions exists at the root or in docs/."""
+    errors: list[str] = []
+    for lineno, line in enumerate(py_file.read_text(encoding="utf-8").splitlines(),
+                                  start=1):
+        for cited in SOURCE_DOC_RE.findall(line):
+            if not any((repo_root / base / cited).exists() for base in ("", "docs")):
+                errors.append(f"{py_file}:{lineno}: cites {cited}, which is "
+                              f"neither at the repo root nor under docs/")
+    return errors
+
+
 def code_path_candidates(line: str) -> list[tuple[str, str]]:
     """``(path, "::Symbol…" or "")`` for each file-looking path quoted in
     the line's inline code spans."""
@@ -157,19 +177,26 @@ def main(argv: list[str]) -> int:
         files = [repo_root / name
                  for name in ("README.md", "ROADMAP.md", "CHANGES.md", "PAPER.md")]
         files += sorted((repo_root / "docs").glob("*.md"))
+        files += sorted((repo_root / "src").rglob("*.py"))
     missing = [f for f in files if not f.exists()]
     if missing:
         for path in missing:
             print(f"{path}: file not found", file=sys.stderr)
         return 1
+    sources = [f for f in files if f.suffix == ".py"]
+    files = [f for f in files if f.suffix != ".py"]
     errors = [error
               for md_file in files
               for error in check_file(md_file, repo_root)]
+    errors += [error
+               for py_file in sources
+               for error in check_source(py_file, repo_root)]
     for error in errors:
         print(error, file=sys.stderr)
     checked = sum(len(LINK_RE.findall(f.read_text(encoding='utf-8'))) for f in files)
     if not errors:
-        print(f"OK: {checked} links across {len(files)} files resolve")
+        print(f"OK: {checked} links across {len(files)} files resolve; "
+              f"{len(sources)} source files cite only documents that exist")
     return 1 if errors else 0
 
 
