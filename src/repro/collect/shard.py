@@ -97,6 +97,15 @@ class ShedSpec:
         object.__setattr__(self, "priority", tuple(self.priority))
 
 
+def check_buffer_knobs(batch: Optional[int], capacity: int) -> None:
+    """Reject a shard buffer shape (see :class:`CollectorShard`)."""
+    if batch is not None and batch < 1:
+        raise ValueError("batch must be >= 1 (or None to fold only on "
+                         "epoch/finish flushes)")
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
+
+
 def as_shed_spec(shed: Union[str, ShedSpec, None]) -> ShedSpec:
     """Normalise the scenario-facing knob: name, spec, or None (default)."""
     if shed is None:
@@ -132,11 +141,7 @@ class CollectorShard:
     def __init__(self, index: int, *, batch: Optional[int] = 64,
                  capacity: int = 4096, name: Optional[str] = None,
                  shed: Union[str, ShedSpec, None] = None) -> None:
-        if batch is not None and batch < 1:
-            raise ValueError("batch must be >= 1 (or None to fold only on "
-                             "epoch/finish flushes)")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        check_buffer_knobs(batch, capacity)
         self.index = index
         self.name = name if name is not None else f"shard{index}"
         self.batch = batch

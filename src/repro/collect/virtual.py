@@ -38,6 +38,7 @@ their next push, closing the gap-recovery loop.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Union
 
@@ -46,12 +47,31 @@ from repro.net.packet import (ETHERNET_HEADER_BYTES, IPV4_HEADER_BYTES,
 
 from .delta import DeltaChannel, summary_wire_bytes
 from .shard import (COLLECT_UDP_PORT_BASE, _ENVELOPE_BYTES, CollectorShard,
-                    ShedSpec, Submission, as_shed_spec)
+                    ShedSpec, Submission, as_shed_spec, check_buffer_knobs)
 from .summary import SummaryBundle, _canonical_key, summary_copy
 from .tree import AggregationNode, TreeSpec, build_tree
 
 #: Transports the plane understands.
 TRANSPORTS = ("inline", "network")
+
+
+def check_plane_knobs(shard_count: int, transport: str,
+                      epoch_s: Optional[float], batch: Optional[int],
+                      capacity: int, delta_resync_every: int) -> None:
+    """Reject a collector-tier shape: the one copy of these checks, run by
+    :class:`CollectPlane` when built and by the session's ``CollectorSpec``
+    when a scenario declares it."""
+    if shard_count < 1:
+        raise ValueError("the collector tier needs at least one shard")
+    if transport not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport!r}; "
+                         f"choose from {TRANSPORTS}")
+    if epoch_s is not None and not 0.0 < epoch_s < math.inf:
+        raise ValueError(f"epoch_s must be finite and positive when set, "
+                         f"got {epoch_s!r}")
+    check_buffer_knobs(batch, capacity)
+    if delta_resync_every < 0:
+        raise ValueError("delta_resync_every must be >= 0")
 
 
 def as_tree_spec(tree: Union[int, TreeSpec, None]) -> Optional[TreeSpec]:
@@ -204,15 +224,8 @@ class CollectPlane:
                  shed: Union[str, ShedSpec, None] = None,
                  delta: bool = False,
                  delta_resync_every: int = 0) -> None:
-        if shard_count < 1:
-            raise ValueError("the collector tier needs at least one shard")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; "
-                             f"choose from {TRANSPORTS}")
-        if epoch_s is not None and epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
-        if delta_resync_every < 0:
-            raise ValueError("delta_resync_every must be >= 0")
+        check_plane_knobs(shard_count, transport, epoch_s, batch, capacity,
+                          delta_resync_every)
         self.shard_count = shard_count
         self.transport = transport
         self.epoch_s = epoch_s

@@ -59,6 +59,13 @@ def match_all() -> PacketFilter:
     return PacketFilter()
 
 
+def check_sample_frequency(sample_frequency: int) -> None:
+    """Reject a sampling rate below one stamp per matching packet."""
+    if sample_frequency < 1:
+        raise ValueError(f"sample_frequency must be >= 1, "
+                         f"got {sample_frequency!r}")
+
+
 @dataclass
 class FilterEntry:
     """One installed (filter, TPP, sampling, priority) rule."""
@@ -75,8 +82,7 @@ class FilterEntry:
     _rng: random.Random = field(default_factory=lambda: random.Random(0), repr=False)
 
     def __post_init__(self) -> None:
-        if self.sample_frequency < 1:
-            raise ValueError("sample_frequency must be >= 1")
+        check_sample_frequency(self.sample_frequency)
 
     def should_stamp(self, packet: Packet) -> bool:
         """Decide whether this matching packet gets the TPP."""

@@ -29,6 +29,7 @@ that resolves to a concrete plan once the topology exists;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -56,8 +57,9 @@ class FaultEvent:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"fault event time cannot be negative, got {self.time}")
+        if not 0.0 <= self.time < math.inf:
+            raise ValueError(f"fault event time must be finite and "
+                             f"non-negative, got {self.time!r}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"choose from {FAULT_KINDS}")
@@ -168,10 +170,15 @@ class FaultSpec:
             if not 0.0 < self.loss_rate <= 1.0:
                 raise ValueError(f"loss_rate must be in (0, 1], "
                                  f"got {self.loss_rate}")
-        if self.onset_s < 0 or self.fail_at_s < 0:
-            raise ValueError("onset_s/fail_at_s cannot be negative")
-        if self.repair_after_s is not None and self.repair_after_s <= 0:
-            raise ValueError("repair_after_s must be positive when set")
+        for name, value in (("onset_s", self.onset_s),
+                            ("fail_at_s", self.fail_at_s)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {value!r}")
+        if self.repair_after_s is not None \
+                and not 0.0 < self.repair_after_s < math.inf:
+            raise ValueError(f"repair_after_s must be finite and positive "
+                             f"when set, got {self.repair_after_s!r}")
         if self.links is not None:
             self.links = tuple(self.links)
 
@@ -217,11 +224,16 @@ class RemediationSpec:
     repair_time_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
+        from .policy import POLICIES    # deferred: policy.py imports this module
+        POLICIES.get(self.policy)       # raises with the registered menu
+        if not 0.0 < self.period_s < math.inf:
+            raise ValueError(f"period_s must be finite and positive, "
+                             f"got {self.period_s!r}")
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1 packet")
         if self.min_path_diversity < 0:
             raise ValueError("min_path_diversity cannot be negative")
-        if self.repair_time_s is not None and self.repair_time_s <= 0:
-            raise ValueError("repair_time_s must be positive when set")
+        if self.repair_time_s is not None \
+                and not 0.0 < self.repair_time_s < math.inf:
+            raise ValueError(f"repair_time_s must be finite and positive "
+                             f"when set, got {self.repair_time_s!r}")

@@ -2,14 +2,16 @@
 
 An :class:`Experiment` is a *built* scenario: it owns the simulator, the
 constructed topology, the per-host end-host stacks, the deployed piggy-backed
-TPP applications, and the instantiated workloads.  It is created by
-:meth:`repro.session.Scenario.build` and torn down exactly once by
-:meth:`finish` (or :meth:`run`, which drives the clock and then finishes).
+TPP applications, and the instantiated workloads.  It is built from one
+:class:`~repro.session.spec.ScenarioSpec` (kept as ``experiment.spec``) —
+by :meth:`repro.session.Scenario.build` and by the sweep worker alike — and
+torn down exactly once by :meth:`finish` (or :meth:`run`, which drives the
+clock and then finishes).
 
 Determinism contract: building an experiment performs every step in the fixed
 order listed in :mod:`repro.session.scenario` ("The fixed build order" — the
 one authoritative list), and all workload randomness flows from one
-``random.Random(seed)``, so two experiments built from equal scenarios
+``random.Random(seed)``, so two experiments built from equal specs
 produce byte-identical event sequences.
 
 Accounting contract: :meth:`Experiment.counters` is the one fold over every
@@ -44,7 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host
     from repro.obs import Telemetry
 
-    from .scenario import Scenario, TppSpec
+    from .scenario import TppSpec
+    from .spec import ScenarioSpec
 
 
 class _TemplateAdapter:
@@ -108,6 +111,7 @@ class Experiment:
 
     Attributes hooks and workload factories can rely on:
 
+    * ``spec`` — the :class:`~repro.session.spec.ScenarioSpec` it was built from
     * ``sim`` / ``network`` / ``topology`` / ``stacks`` / ``control_plane``
     * ``rng`` — the scenario's master :class:`random.Random`
     * ``seed`` / ``duration_s`` (``None`` when built without a duration)
@@ -118,36 +122,36 @@ class Experiment:
     * ``on_stop(fn)`` — register teardown callbacks (run LIFO at finish)
     """
 
-    def __init__(self, scenario: "Scenario", duration_s: Optional[float] = None,
+    def __init__(self, spec: "ScenarioSpec", duration_s: Optional[float] = None,
                  telemetry: Optional["Telemetry"] = None) -> None:
         check_duration(duration_s)
-        self.scenario = scenario
+        self.spec = spec
         self.duration_s = duration_s
-        self.seed = scenario.seed
+        self.seed = spec.seed
         # Observability (repro.obs): explicit instance, else the ambient one
         # (disabled unless installed via obs.use()).  Spans and metrics read
         # wall-clock and existing counters only — never simulation state —
         # so telemetry on/off/exporting is byte-identical (tests/test_obs.py).
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         with self.telemetry.span("experiment.build",
-                                 scenario=scenario.name or scenario.topology_name,
-                                 seed=scenario.seed):
-            self._build(scenario)
+                                 scenario=spec.name or spec.topology,
+                                 seed=spec.seed):
+            self._build(spec)
         if self.telemetry.enabled:
             self._register_metrics()
 
-    def _build(self, scenario: "Scenario") -> None:
+    def _build(self, spec: "ScenarioSpec") -> None:
         span = self.telemetry.span
-        self.rng = random.Random(scenario.seed)
+        self.rng = random.Random(spec.seed)
         self.sim = Simulator()
-        with span("build.topology", topology=scenario.topology_name):
-            builder = TOPOLOGIES.get(scenario.topology_name)
+        with span("build.topology", topology=spec.topology):
+            builder = TOPOLOGIES.get(spec.topology)
             self.topology: BuiltTopology = builder(self.sim,
-                                                   **scenario.topology_kwargs)
+                                                   **spec.topology_kwargs)
             self.network: Network = self.topology.network
-        if scenario.seed_ecmp:
+        if spec.seed_ecmp:
             self._salt_ecmp_groups()
-        if scenario.compile_traces:
+        if spec.compile_traces:
             # Flip every switch's TCPU onto the compiled-trace engine before
             # any packet moves; byte-identical results, faster hot path.
             for switch in self.network.switches.values():
@@ -155,9 +159,8 @@ class Experiment:
 
         self.stacks: dict[str, "EndHostStack"] = {}
         with span("build.stacks"):
-            if scenario.install_stacks:
-                self.stacks = install_stacks(self.network,
-                                             hosts=scenario.host_subset)
+            if spec.stacks:
+                self.stacks = install_stacks(self.network, hosts=spec.hosts)
                 self.control_plane = next(iter(self.stacks.values())).control_plane \
                     if self.stacks else TPPControlPlane()
             else:
@@ -173,7 +176,7 @@ class Experiment:
         # so every TPP deployment below gets a virtual-IP front door.
         self.collect_plane: Optional[CollectPlane] = None
         self._plane_push_rounds = 0
-        cspec = scenario.collector_spec
+        cspec = spec.collector
         if cspec is not None:
             with span("build.collect_plane", shards=cspec.shards):
                 self.collect_plane = CollectPlane(
@@ -187,13 +190,13 @@ class Experiment:
 
         self.apps: dict[str, DeployedApplication] = {}
         self.collectors: dict[str, Collector] = {}
-        with span("build.tpps", apps=len(scenario.tpp_specs)):
-            for spec in scenario.tpp_specs:
-                self._deploy_tpp(spec)
+        with span("build.tpps", apps=len(spec.tpps)):
+            for tspec in spec.tpps:
+                self._deploy_tpp(tspec)
 
         self.workloads: dict[str, Any] = {}
-        with span("build.workloads", workloads=len(scenario.workload_specs)):
-            for wspec in scenario.workload_specs:
+        with span("build.workloads", workloads=len(spec.workloads)):
+            for wspec in spec.workloads:
                 factory = WORKLOADS.get(wspec.workload) \
                     if isinstance(wspec.workload, str) else wspec.workload
                 self.workloads[wspec.name] = factory(self, **wspec.kwargs)
@@ -203,15 +206,15 @@ class Experiment:
         # empty plan must leave the event sequence byte-identical.
         self.fault_injector = None
         self.remediation = None
-        if scenario.fault_spec is not None:
+        if spec.faults is not None:
             from repro.faults import FaultInjector
             with span("build.faults"):
-                plan = scenario.fault_spec.resolve(self.network)
+                plan = spec.faults.resolve(self.network)
                 self.fault_injector = FaultInjector(self.network, plan)
                 self.fault_injector.schedule(self.sim)
-        if scenario.remediation_spec is not None:
+        if spec.remediation is not None:
             from repro.faults import RemediationController
-            rspec = scenario.remediation_spec
+            rspec = spec.remediation
             if rspec.app not in self.apps:
                 raise ValueError(
                     f"remediation watches app {rspec.app!r}, which is not "
@@ -230,9 +233,9 @@ class Experiment:
         # event, and before setup hooks so hook-driven traffic is visible.
         # Recording is pure observation — the run stays byte-identical.
         self.flight_recorder = None
-        if scenario.recorder_spec is not None:
+        if spec.recorder is not None:
             from repro.obs import FlightRecorder
-            rspec = scenario.recorder_spec
+            rspec = spec.recorder
             with span("build.flightrec", capacity=rspec.capacity,
                       sample_every=rspec.sample_every):
                 app_ids = None
@@ -248,8 +251,8 @@ class Experiment:
                 self.flight_recorder = FlightRecorder(rspec).attach(
                     self.network, app_ids=app_ids)
 
-        with span("build.hooks", hooks=len(scenario.setup_hooks)):
-            for hook in scenario.setup_hooks:
+        with span("build.hooks", hooks=len(spec.setup_hooks)):
+            for hook in spec.setup_hooks:
                 hook(self)
 
     # ------------------------------------------------------------------ build
@@ -308,7 +311,7 @@ class Experiment:
         if not self.stacks:
             raise RuntimeError(
                 f"cannot deploy TPP application {spec.name!r}: the scenario was "
-                f"built with install_stacks=False, so no end-host stacks exist")
+                f"built with stacks=False, so no end-host stacks exist")
         self.apps[spec.name] = deploy(descriptor, self.stacks, self.control_plane,
                                       sender_hosts=spec.senders,
                                       receiver_hosts=spec.receivers)
@@ -462,7 +465,7 @@ class Experiment:
             self.remediation.stop()
         for callback in reversed(self._stop_callbacks):
             callback()
-        for hook in self.scenario.finalize_hooks:
+        for hook in self.spec.finalize_hooks:
             hook(self)
         if self.remediation is not None and self.collect_plane is None:
             # Mirror the aggregator contract: one final snapshot at finish.
@@ -484,8 +487,8 @@ class Experiment:
 
     def _assemble_result(self) -> "ExperimentResult":
         return ExperimentResult(
-            scenario=self.scenario.name,
-            topology=self.scenario.topology_name,
+            scenario=self.spec.name,
+            topology=self.spec.topology,
             seed=self.seed,
             duration_s=self.duration_s,
             end_time_s=self.sim.now,

@@ -4,7 +4,11 @@ The paper's pitch is that one mechanism (tiny packet programs) serves many
 tasks; this module makes one *API* serve many experiments.  A scenario is a
 declarative recipe — topology + stacks + TPP applications + workloads +
 collection — that :meth:`Scenario.run` turns into a deterministic
-discrete-event run::
+discrete-event run.  The recipe has one home: every fluent method writes
+into the scenario's :class:`~repro.session.spec.ScenarioSpec`
+(``scenario.spec``), the sub-spec dataclasses below check their own knobs
+when constructed, and :class:`~repro.session.Experiment` builds from that
+spec::
 
     from repro.session import Scenario
     from repro.endhost import PacketFilter
@@ -24,7 +28,8 @@ discrete-event run::
 Every mutator returns ``self``, so scenarios chain; :meth:`build` hands back
 the live :class:`~repro.session.Experiment` for callers that want to drive
 the simulator interactively (probe, fail a link, run some more) before
-calling :meth:`Experiment.finish`.
+calling :meth:`Experiment.finish`; :meth:`to_spec` hands back a validated,
+picklable copy of the declaration for the sweep layer.
 
 The fixed build order
 ---------------------
@@ -75,7 +80,10 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
+from repro.collect.shard import as_shed_spec
+from repro.collect.virtual import as_tree_spec, check_plane_knobs
 from repro.endhost import Aggregator, Collector, PacketFilter
+from repro.endhost.filters import check_sample_frequency
 
 from .experiment import Experiment, ExperimentResult
 from .registry import TOPOLOGIES, WORKLOADS
@@ -102,6 +110,9 @@ class TppSpec:
     receivers: Optional[list[str]] = None
     callbacks: list[Callable] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        check_sample_frequency(self.sample_frequency)
+
 
 @dataclass
 class WorkloadSpec:
@@ -121,6 +132,7 @@ class CollectorSpec:
     :class:`~repro.collect.virtual.VirtualCollector` front door onto the
     shared shard tier (user-supplied collector objects become the front
     door's downstream sink, so their behaviour is preserved exactly).
+    Knobs are documented on :meth:`Scenario.collector`.
     """
 
     shards: int = 1
@@ -136,6 +148,15 @@ class CollectorSpec:
     shed: Optional["ShedSpec"] = None        # repro.collect.ShedSpec
     delta: bool = False
     delta_resync_every: int = 0
+
+    def __post_init__(self) -> None:
+        check_plane_knobs(self.shards, self.transport, self.epoch_s,
+                          self.batch, self.capacity, self.delta_resync_every)
+        self.hosts = list(self.hosts) if self.hosts else None
+        self.tree = as_tree_spec(self.tree)      # a fan-in becomes a TreeSpec
+        if self.shed is not None:
+            self.shed = as_shed_spec(self.shed)  # a policy name becomes a ShedSpec
+        self.delta = bool(self.delta)
 
 
 class Scenario:
@@ -156,6 +177,10 @@ class Scenario:
             to the interpreted default; only wall-clock speed changes, so
             experiments can flip this freely for A/B throughput runs.
         **topology_kwargs: forwarded to the topology builder verbatim.
+
+    The declaration lives in ``spec`` (a
+    :class:`~repro.session.spec.ScenarioSpec`); the scenario holds nothing
+    else.
     """
 
     def __init__(self, topology: str = "dumbbell", seed: int = 1, *,
@@ -163,25 +188,12 @@ class Scenario:
                  hosts: Optional[list[str]] = None, seed_ecmp: bool = False,
                  compile_traces: bool = False,
                  **topology_kwargs) -> None:
-        if topology not in TOPOLOGIES:
-            TOPOLOGIES.get(topology)         # raises with the registered menu
-        self.topology_name = topology
-        self.topology_kwargs = dict(topology_kwargs)
-        self.seed = seed
-        self.name = name if name is not None else topology
-        self.install_stacks = stacks
-        self.host_subset = list(hosts) if hosts is not None else None
-        self.seed_ecmp = seed_ecmp
-        self.compile_traces = compile_traces
-        self.collector_spec: Optional[CollectorSpec] = None
-        self.fault_spec = None                   # Optional[FaultSpec]
-        self.remediation_spec = None             # Optional[RemediationSpec]
-        self.recorder_spec = None                # Optional[obs.RecorderSpec]
-        self.tpp_specs: list[TppSpec] = []
-        self.workload_specs: list[WorkloadSpec] = []
-        self.setup_hooks: list[Hook] = []
-        self.finalize_hooks: list[Hook] = []
-        self._result_mapper: Optional[Callable[[ExperimentResult], Any]] = None
+        self.spec = ScenarioSpec(
+            topology=topology, seed=seed,
+            name=name if name is not None else topology,
+            topology_kwargs=topology_kwargs, stacks=stacks,
+            hosts=list(hosts) if hosts is not None else None,
+            seed_ecmp=seed_ecmp, compile_traces=compile_traces)
 
     # ------------------------------------------------------------- registries
     @staticmethod
@@ -210,9 +222,9 @@ class Scenario:
         per-host factory ``(host_name, collector) -> Aggregator``; omit it
         and attach plain callbacks with :meth:`collect` instead.
         """
-        if any(spec.name == name for spec in self.tpp_specs):
+        if any(spec.name == name for spec in self.spec.tpps):
             raise ValueError(f"a TPP application named {name!r} is already declared")
-        self.tpp_specs.append(TppSpec(
+        self.spec.tpps.append(TppSpec(
             name=name, program=program,
             packet_filter=filter if filter is not None else PacketFilter(),
             sample_frequency=sample_frequency, num_hops=num_hops,
@@ -236,14 +248,14 @@ class Scenario:
                 WORKLOADS.get(workload)      # raises with the registered menu
             label = name or workload
         elif callable(workload):
-            label = name or getattr(workload, "__name__", f"workload{len(self.workload_specs)}")
+            label = name or getattr(workload, "__name__", f"workload{len(self.spec.workloads)}")
         else:
             raise TypeError("workload must be a registered name or a callable factory")
-        if any(spec.name == label for spec in self.workload_specs):
+        if any(spec.name == label for spec in self.spec.workloads):
             raise ValueError(f"a workload named {label!r} is already declared; "
                              f"pass name= to disambiguate")
-        self.workload_specs.append(WorkloadSpec(name=label, workload=workload,
-                                                kwargs=dict(kwargs)))
+        self.spec.workloads.append(WorkloadSpec(name=label, workload=workload,
+                                                kwargs=kwargs))
         return self
 
     def collector(self, shards: int = 1, *, epoch_s: Optional[float] = None,
@@ -307,32 +319,12 @@ class Scenario:
         in-memory :class:`~repro.endhost.Collector`, and merged views are
         invariant across shard counts, encodings and tree shapes (both
         differential-tested for all six apps in ``tests/test_collect.py``).
+        Bad knobs fail here, in :class:`CollectorSpec`'s own checks.
         """
-        # Validation is eager (like topology/workload names) so mistakes
-        # surface at declaration, not deep inside the build.
-        from repro.collect import TRANSPORTS
-        from repro.collect.shard import as_shed_spec
-        from repro.collect.virtual import as_tree_spec
-        if shards < 1:
-            raise ValueError("the collector tier needs at least one shard")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; "
-                             f"choose from {TRANSPORTS}")
-        if epoch_s is not None and epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
-        if (batch is not None and batch < 1) or capacity < 1:
-            raise ValueError("batch (when set) and capacity must be >= 1")
-        if delta_resync_every < 0:
-            raise ValueError("delta_resync_every must be >= 0")
-        self.collector_spec = CollectorSpec(shards=shards, epoch_s=epoch_s,
-                                            transport=transport, batch=batch,
-                                            capacity=capacity,
-                                            hosts=list(hosts) if hosts else None,
-                                            retain=retain,
-                                            tree=as_tree_spec(tree),
-                                            shed=as_shed_spec(shed) if shed is not None else None,
-                                            delta=bool(delta),
-                                            delta_resync_every=delta_resync_every)
+        self.spec.collector = CollectorSpec(
+            shards=shards, epoch_s=epoch_s, transport=transport, batch=batch,
+            capacity=capacity, hosts=hosts, retain=retain, tree=tree,
+            shed=shed, delta=delta, delta_resync_every=delta_resync_every)
         return self
 
     def faults(self, plan=None, **generator_kwargs) -> "Scenario":
@@ -351,14 +343,14 @@ class Scenario:
             if generator_kwargs:
                 raise ValueError("pass either a FaultSpec or generator "
                                  "kwargs, not both")
-            self.fault_spec = plan
+            self.spec.faults = plan
         elif isinstance(plan, FaultPlan):
             if generator_kwargs:
                 raise ValueError("pass either a FaultPlan or generator "
                                  "kwargs, not both")
-            self.fault_spec = FaultSpec(plan=plan)
+            self.spec.faults = FaultSpec(plan=plan)
         elif plan is None:
-            self.fault_spec = FaultSpec(**generator_kwargs)
+            self.spec.faults = FaultSpec(**generator_kwargs)
         else:
             raise TypeError(f"faults() takes a FaultSpec, a FaultPlan, or "
                             f"generator kwargs; got {type(plan).__name__}")
@@ -373,20 +365,17 @@ class Scenario:
         (``app``, ``period_s``, ``threshold``, ``min_path_diversity``,
         ``repair_time_s``) forward to the spec.
         """
-        from repro.faults import POLICIES, RemediationSpec
+        from repro.faults import RemediationSpec
         if isinstance(policy, RemediationSpec):
             if spec_kwargs:
                 raise ValueError("pass either a RemediationSpec or spec "
                                  "kwargs, not both")
-            spec = policy
+            self.spec.remediation = policy
         elif isinstance(policy, str):
-            spec = RemediationSpec(policy=policy, **spec_kwargs)
+            self.spec.remediation = RemediationSpec(policy=policy, **spec_kwargs)
         else:
             raise TypeError(f"remediation() takes a policy name or a "
                             f"RemediationSpec; got {type(policy).__name__}")
-        if spec.policy not in POLICIES:
-            POLICIES.get(spec.policy)        # raises with the registered menu
-        self.remediation_spec = spec
         return self
 
     def flight_recorder(self, spec=None, *, capacity: int = 4096,
@@ -414,12 +403,11 @@ class Scenario:
                     or sample_every != 1:
                 raise ValueError("pass either a RecorderSpec or policy "
                                  "kwargs, not both")
-            self.recorder_spec = spec
+            self.spec.recorder = spec
         elif spec is None:
-            self.recorder_spec = RecorderSpec(
-                capacity=capacity, sample_every=sample_every,
-                apps=tuple(apps) if apps is not None else None,
-                links=tuple(links) if links is not None else None)
+            self.spec.recorder = RecorderSpec(capacity=capacity,
+                                              sample_every=sample_every,
+                                              apps=apps, links=links)
         else:
             raise TypeError(f"flight_recorder() takes a RecorderSpec or "
                             f"policy kwargs; got {type(spec).__name__}")
@@ -432,8 +420,7 @@ class Scenario:
         ``.tpp(...).collect(on_tpp=...)`` reads naturally.  The callback runs
         after the app's aggregator (if any) on every receiving host.
         """
-        spec = self._find_tpp(app)
-        spec.callbacks.append(on_tpp)
+        self._find_tpp(app).callbacks.append(on_tpp)
         return self
 
     def setup(self, hook: Hook) -> "Scenario":
@@ -443,7 +430,7 @@ class Scenario:
         per-flow controllers, scheduled link failures, custom meters.  Hooks
         run in declaration order.
         """
-        self.setup_hooks.append(hook)
+        self.spec.setup_hooks.append(hook)
         return self
 
     def finalize(self, hook: Hook) -> "Scenario":
@@ -451,7 +438,7 @@ class Scenario:
 
         Use it to compute derived results into ``experiment.extras``.
         """
-        self.finalize_hooks.append(hook)
+        self.spec.finalize_hooks.append(hook)
         return self
 
     def map_result(self, mapper: Callable[[ExperimentResult], Any]) -> "Scenario":
@@ -461,19 +448,20 @@ class Scenario:
         (``MicroburstResult``, ``RcpExperimentResult``, ...) while the whole
         run goes through the session layer.
         """
-        self._result_mapper = mapper
+        self.spec.result_mapper = mapper
         return self
 
     def _find_tpp(self, app: Optional[str]) -> TppSpec:
-        if not self.tpp_specs:
+        tpps = self.spec.tpps
+        if not tpps:
             raise ValueError("declare a .tpp(...) application before .collect(...)")
         if app is None:
-            return self.tpp_specs[-1]
-        for spec in self.tpp_specs:
+            return tpps[-1]
+        for spec in tpps:
             if spec.name == app:
                 return spec
         raise KeyError(f"no declared TPP application {app!r}; "
-                       f"have {[spec.name for spec in self.tpp_specs]}")
+                       f"have {[spec.name for spec in tpps]}")
 
     # ---------------------------------------------------------------- running
     def build(self, duration_s: Optional[float] = None,
@@ -484,7 +472,7 @@ class Scenario:
         the experiment uses the ambient one (disabled unless installed with
         :func:`repro.obs.use`).
         """
-        return Experiment(self, duration_s=duration_s, telemetry=telemetry)
+        return Experiment(self.spec, duration_s=duration_s, telemetry=telemetry)
 
     def run(self, duration_s: Optional[float] = 1.0, *,
             run_until_idle: bool = False, telemetry=None):
@@ -495,8 +483,8 @@ class Scenario:
         """
         result = self.build(duration_s, telemetry=telemetry) \
             .run(duration_s, run_until_idle=run_until_idle)
-        if self._result_mapper is not None:
-            return self._result_mapper(result)
+        if self.spec.result_mapper is not None:
+            return self.spec.result_mapper(result)
         return result
 
     def copy(self) -> "Scenario":
@@ -504,26 +492,19 @@ class Scenario:
         return copy.deepcopy(self)
 
     # ----------------------------------------------------------- serialization
-    def to_spec(self) -> "ScenarioSpec":
-        """Extract a picklable :class:`~repro.session.spec.ScenarioSpec`.
+    def to_spec(self) -> ScenarioSpec:
+        """A validated copy of this scenario's :class:`ScenarioSpec`.
 
         The spec crosses process boundaries (the sweep layer fans specs
-        across a pool) and rebuilds a byte-identical scenario via
-        :meth:`ScenarioSpec.to_scenario`.  Every callable the scenario
-        holds — hooks, collect callbacks, aggregator factories, workload
-        factories — must be a module-level callable or a
-        ``functools.partial`` of one; lambdas and closures raise
-        :class:`~repro.session.spec.SpecError` here, eagerly, with the
-        offending piece named.
+        across a pool) and builds a byte-identical run on the other side.
+        Every callable the scenario holds — hooks, collect callbacks,
+        aggregator factories, workload factories — must be a module-level
+        callable or a ``functools.partial`` of one; lambdas and closures
+        raise :class:`~repro.session.spec.SpecError` here, eagerly, with
+        the offending piece named.
         """
-        return ScenarioSpec.from_scenario(self)
-
-    @classmethod
-    def from_spec(cls, spec: "ScenarioSpec") -> "Scenario":
-        """Rebuild a scenario from a spec (``spec.to_scenario()`` mirror)."""
-        return spec.to_scenario()
+        return self.spec.copy().validate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Scenario {self.name!r} topology={self.topology_name!r} "
-                f"seed={self.seed} tpps={[s.name for s in self.tpp_specs]} "
-                f"workloads={[s.name for s in self.workload_specs]}>")
+        return f"<Scenario of {self.spec!r}>"
+

@@ -1,17 +1,17 @@
-"""Serializable scenario specs and result summaries — the process-boundary
-faces of the session layer.
+"""Scenario specs and result summaries — the declaration every scenario is,
+and the faces of the session layer that cross a process boundary.
 
-The fluent :class:`~repro.session.Scenario` builder is a *live* object: it
-may hold hook callables, aggregator factories, and collector objects.  To
-fan experiments across a process pool (:mod:`repro.sweep`), a scenario must
-cross a pickle boundary and rebuild **byte-identically** on the other side.
-This module provides that contract:
-
-* :class:`ScenarioSpec` — a picklable, declarative snapshot of a scenario
-  (topology name + kwargs, engine toggles, collector knobs, TPP and
-  workload descriptors, hooks, seed).  :meth:`Scenario.to_spec` extracts
-  one, validating every piece; :meth:`ScenarioSpec.to_scenario` rebuilds a
-  scenario that produces the identical event sequence.
+* :class:`ScenarioSpec` — the one object a scenario's declaration lives in
+  (topology name + kwargs, engine toggles, collector / fault / recorder
+  sub-specs, TPP and workload descriptors, hooks, seed).  The fluent
+  :class:`~repro.session.Scenario` writes into one (``scenario.spec``),
+  :class:`~repro.session.Experiment` builds from one, and the sweep layer
+  copies and edits them.  Each sub-spec dataclass checks its own knobs in
+  ``__post_init__``, so a value is rejected when it is declared — by a
+  builder method or a sweep axis alike.  :meth:`Scenario.to_spec` is a
+  copy plus :meth:`ScenarioSpec.validate`, which checks that every piece
+  survives the pickle boundary a process pool (:mod:`repro.sweep`) puts
+  between declaration and run; the rebuilt run is byte-identical.
 * :class:`ResultSummary` — a slim, picklable view of an
   :class:`~repro.session.ExperimentResult`: the scalar accounting plus each
   app's *mergeable* summary, so worker processes ship monoid elements home
@@ -40,15 +40,17 @@ Everything in a spec must survive ``pickle`` **by reference or by value**:
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import json
 import pickle
+from copy import deepcopy
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.collect import summary_copy, summary_jsonable
+
+from .registry import TOPOLOGIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.collect import SummaryBundle
@@ -171,12 +173,13 @@ def spec_fingerprint(spec: "ScenarioSpec") -> str:
 # --------------------------------------------------------------------------
 @dataclass
 class ScenarioSpec:
-    """A picklable snapshot of everything a :class:`Scenario` declares.
+    """Everything a :class:`Scenario` declares; the scenario's only state.
 
-    Construct via :meth:`Scenario.to_spec` (which validates) rather than by
-    hand; rebuild with :meth:`to_scenario`.  Equal specs with equal seeds
-    rebuild scenarios that produce byte-identical runs — the determinism
-    contract the sweep layer's differential tests pin down.
+    Declare through the fluent :class:`Scenario` (its ``spec``), take a
+    validated copy with :meth:`Scenario.to_spec`, and wrap one back into a
+    fluent scenario with :meth:`to_scenario`.  Equal specs with equal seeds
+    build byte-identical runs — the determinism contract the sweep layer's
+    differential tests pin down.
     """
 
     topology: str
@@ -197,33 +200,15 @@ class ScenarioSpec:
     finalize_hooks: list[Any] = field(default_factory=list)
     result_mapper: Optional[Any] = None
 
-    @classmethod
-    def from_scenario(cls, scenario: "Scenario") -> "ScenarioSpec":
-        """Extract and validate a spec (see :meth:`Scenario.to_spec`)."""
-        spec = cls(
-            topology=scenario.topology_name,
-            seed=scenario.seed,
-            name=scenario.name,
-            topology_kwargs=copy.deepcopy(scenario.topology_kwargs),
-            stacks=scenario.install_stacks,
-            hosts=list(scenario.host_subset)
-            if scenario.host_subset is not None else None,
-            seed_ecmp=scenario.seed_ecmp,
-            compile_traces=scenario.compile_traces,
-            collector=copy.deepcopy(scenario.collector_spec),
-            faults=copy.deepcopy(scenario.fault_spec),
-            remediation=copy.deepcopy(scenario.remediation_spec),
-            recorder=copy.deepcopy(scenario.recorder_spec),
-            tpps=copy.deepcopy(scenario.tpp_specs),
-            workloads=copy.deepcopy(scenario.workload_specs),
-            setup_hooks=list(scenario.setup_hooks),
-            finalize_hooks=list(scenario.finalize_hooks),
-            result_mapper=scenario._result_mapper,
-        )
-        spec.validate()
-        # Sanity: the rendering the fingerprint hashes must serialise.
-        json.dumps(spec_jsonable(spec), sort_keys=True)
-        return spec
+    def __post_init__(self) -> None:
+        if self.topology not in TOPOLOGIES:
+            TOPOLOGIES.get(self.topology)        # raises with the registered menu
+
+    def copy(self) -> "ScenarioSpec":
+        """An independent copy: declarations are deep-copied, while hooks and
+        the result mapper are shared by reference."""
+        shared = (*self.setup_hooks, *self.finalize_hooks, self.result_mapper)
+        return deepcopy(self, {id(obj): obj for obj in shared})
 
     # ------------------------------------------------------------- validation
     def validate(self) -> "ScenarioSpec":
@@ -256,33 +241,17 @@ class ScenarioSpec:
             ensure_picklable(hook, f"finalize hook #{index}")
         if self.result_mapper is not None:
             ensure_picklable(self.result_mapper, "result mapper")
+        # Sanity: the rendering the fingerprint hashes must serialise.
+        json.dumps(spec_jsonable(self), sort_keys=True)
         return self
 
-    # ------------------------------------------------------------------ build
     def to_scenario(self) -> "Scenario":
-        """Rebuild the fluent scenario this spec was extracted from."""
+        """A fluent scenario declaring a copy of this spec."""
         from .scenario import Scenario
 
-        scenario = Scenario(self.topology, seed=self.seed, name=self.name,
-                            stacks=self.stacks, hosts=self.hosts,
-                            seed_ecmp=self.seed_ecmp,
-                            compile_traces=self.compile_traces,
-                            **copy.deepcopy(self.topology_kwargs))
-        scenario.collector_spec = copy.deepcopy(self.collector)
-        scenario.fault_spec = copy.deepcopy(self.faults)
-        scenario.remediation_spec = copy.deepcopy(self.remediation)
-        scenario.recorder_spec = copy.deepcopy(self.recorder)
-        scenario.tpp_specs = copy.deepcopy(self.tpps)
-        scenario.workload_specs = copy.deepcopy(self.workloads)
-        scenario.setup_hooks = list(self.setup_hooks)
-        scenario.finalize_hooks = list(self.finalize_hooks)
-        scenario._result_mapper = self.result_mapper
+        scenario = Scenario(self.topology)
+        scenario.spec = self.copy()
         return scenario
-
-    def run(self, duration_s: Optional[float] = 1.0, *,
-            run_until_idle: bool = False):
-        """Rebuild and run (a convenience mirroring :meth:`Scenario.run`)."""
-        return self.to_scenario().run(duration_s, run_until_idle=run_until_idle)
 
     def fingerprint(self) -> str:
         return spec_fingerprint(self)

@@ -1,9 +1,12 @@
 """Sweep plans: declarative expansion of one base spec into many.
 
-A :class:`SweepSpec` takes a base scenario (or spec) plus a set of *axes*
-and expands them into a list of :class:`SweepTask`s — one fully-resolved,
-picklable :class:`~repro.session.ScenarioSpec` per experiment.  Three
-expansion modes cover the paper-reproduction workloads:
+A :class:`SweepSpec` takes a base :class:`~repro.session.ScenarioSpec` (or
+the :class:`~repro.session.Scenario` that declares one) plus a set of
+*axes* and expands them into a list of :class:`SweepTask`s — one
+fully-resolved, picklable spec per experiment.  An axis edits a copy of
+the base spec with ``dataclasses.replace``, so every value passes the same
+``__post_init__`` checks the builder methods run, when the axis is
+declared.  Three expansion modes cover the paper-reproduction workloads:
 
 * ``grid`` (default) — the cartesian product of all axes, in axis
   declaration order (first axis varies slowest);
@@ -40,7 +43,6 @@ what lets the runner's manifest recognise completed work across runs.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -59,11 +61,16 @@ __all__ = ["Axis", "SweepSpec", "SweepTask"]
 _SCALAR_PATHS = {"seed": int, "name": str, "stacks": bool, "seed_ecmp": bool,
                  "compile_traces": bool}
 
-#: Flat sub-spec roots: the axis head is also the ScenarioSpec attribute.
-#: ``replace()`` re-runs ``__post_init__`` validation where the class has
-#: one, so bad axis values (capacity=0, ...) fail at declaration time.
-_SUBSPEC_PATHS = {"faults": FaultSpec, "remediation": RemediationSpec,
-                  "recorder": RecorderSpec}
+#: Sub-spec roots: the axis head is also the ScenarioSpec attribute, and a
+#: missing sub-spec is materialised with its defaults.  ``replace()`` re-runs
+#: the class's ``__post_init__`` checks — the same ones the builder method
+#: runs — so a bad axis value fails at declaration time.
+_SUBSPEC_PATHS = {"collector": CollectorSpec, "faults": FaultSpec,
+                  "remediation": RemediationSpec, "recorder": RecorderSpec}
+
+#: Sub-specs one level further down: ``<root>.<field>.<leaf>``.
+_NESTED_PATHS = {("collector", "tree"): TreeSpec,
+                 ("collector", "shed"): ShedSpec}
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,20 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
+def _rebuilt(path: str, declared: Any, name: str, value: Any) -> Any:
+    """``replace(declared, name=value)``: the dataclass re-runs its own
+    checks, and a rejected value is reported against the axis path."""
+    if name not in {f.name for f in fields(declared)}:
+        raise SpecError(f"axis path {path!r}: {type(declared).__name__} has "
+                        f"no field {name!r}")
+    try:
+        return replace(declared, **{name: value})
+    except (ValueError, TypeError, KeyError) as exc:
+        raise SpecError(f"axis path {path!r}: {exc}") from exc
+
+
 def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
-    """Set one axis value on a (deep-copied) spec, validating the path."""
+    """Set one axis value on a (copied) spec, validating path and value."""
     head, _, rest = path.partition(".")
     if head in _SCALAR_PATHS:
         if rest:
@@ -117,48 +136,22 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
             raise SpecError(f"axis path {path!r} needs a topology kwarg name")
         spec.topology_kwargs[rest] = value
         return
-    if head == "collector":
-        if not rest:
-            raise SpecError(f"axis path {path!r} must be collector.<field>")
-        if spec.collector is None:
-            spec.collector = CollectorSpec()
-        if "." in rest:
-            # Nested streaming-collection knobs: collector.tree.<field> /
-            # collector.shed.<field>, rewriting the sub-spec immutably so
-            # sibling tasks sharing the base spec never alias state.
-            sub, _, leaf = rest.partition(".")
-            nested = {"tree": TreeSpec, "shed": ShedSpec}
-            if sub not in nested or not leaf or "." in leaf:
-                raise SpecError(f"axis path {path!r} must be "
-                                f"collector.<field>, collector.tree.<field>, "
-                                f"or collector.shed.<field>")
-            sub_cls = nested[sub]
-            if leaf not in {f.name for f in fields(sub_cls)}:
-                raise SpecError(f"axis path {path!r}: {sub_cls.__name__} has "
-                                f"no field {leaf!r}")
-            current = getattr(spec.collector, sub) or sub_cls()
-            spec.collector = replace(spec.collector,
-                                     **{sub: replace(current, **{leaf: value})})
-            return
-        if rest not in {f.name for f in fields(CollectorSpec)}:
-            raise SpecError(f"axis path {path!r}: CollectorSpec has no "
-                            f"field {rest!r}")
-        if rest == "tree" and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = TreeSpec(fanin=value)
-        elif rest == "shed" and isinstance(value, str):
-            value = ShedSpec(policy=value)
-        spec.collector = replace(spec.collector, **{rest: value})
-        return
     if head in _SUBSPEC_PATHS:
-        spec_cls = _SUBSPEC_PATHS[head]
-        if not rest or "." in rest:
-            raise SpecError(f"axis path {path!r} must be {head}.<field>")
-        if rest not in {f.name for f in fields(spec_cls)}:
-            raise SpecError(f"axis path {path!r}: {spec_cls.__name__} has no "
-                            f"field {rest!r}")
-        current = getattr(spec, head) or spec_cls()
-        setattr(spec, head, replace(current, **{rest: value}))
+        name, _, leaf = rest.partition(".")
+        nested = _NESTED_PATHS.get((head, name))
+        if not name or "." in leaf or (leaf and nested is None):
+            shapes = [f"{head}.<field>"] + [f"{head}.{sub}.<field>"
+                                            for root, sub in _NESTED_PATHS
+                                            if root == head]
+            raise SpecError(f"axis path {path!r} must be "
+                            f"{' or '.join(shapes)}")
+        current = getattr(spec, head) or _SUBSPEC_PATHS[head]()
+        if leaf:
+            # Rewrite the nested sub-spec immutably, so sibling tasks
+            # sharing the base spec never alias state.
+            value = _rebuilt(path, getattr(current, name) or nested(),
+                             leaf, value)
+        setattr(spec, head, _rebuilt(path, current, name, value))
         return
     if head == "workload":
         wname, _, kwarg = rest.partition(".")
@@ -174,27 +167,24 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
         tname, _, attr = rest.partition(".")
         if not tname or not attr:
             raise SpecError(f"axis path {path!r} must be tpp.<name>.<field>")
-        for tspec in spec.tpps:
+        for index, tspec in enumerate(spec.tpps):
             if tspec.name == tname:
-                if not hasattr(tspec, attr):
-                    raise SpecError(f"axis path {path!r}: TppSpec has no "
-                                    f"field {attr!r}")
-                setattr(tspec, attr, value)
+                spec.tpps[index] = _rebuilt(path, tspec, attr, value)
                 return
         raise SpecError(f"axis path {path!r}: no declared TPP {tname!r} "
                         f"(have {[t.name for t in spec.tpps]})")
     raise SpecError(
         f"axis path {path!r}: unknown root {head!r}; expected one of "
-        f"{(*_SCALAR_PATHS, 'topology', 'collector', *_SUBSPEC_PATHS, 'workload', 'tpp')}")
+        f"{(*_SCALAR_PATHS, 'topology', *_SUBSPEC_PATHS, 'workload', 'tpp')}")
 
 
 class SweepSpec:
     """A base spec plus swept axes; :meth:`expand` yields the task list.
 
     Args:
-        base: a :class:`Scenario` (converted via ``to_spec()``, so it must
-            be spec-serializable) or an already-extracted
-            :class:`ScenarioSpec`.
+        base: a :class:`ScenarioSpec`, or a :class:`Scenario` standing for
+            its ``spec``; the sweep keeps a validated copy (see
+            :meth:`Scenario.to_spec`), so the base must be picklable.
         mode: ``"grid"`` (cartesian product, default) or ``"zip"``
             (lockstep axes of equal length).
     """
@@ -204,12 +194,10 @@ class SweepSpec:
         if mode not in ("grid", "zip"):
             raise ValueError(f"unknown sweep mode {mode!r}; use 'grid' or 'zip'")
         if isinstance(base, Scenario):
-            base = base.to_spec()
-        elif isinstance(base, ScenarioSpec):
-            base = copy.deepcopy(base).validate()
-        else:
+            base = base.spec
+        elif not isinstance(base, ScenarioSpec):
             raise TypeError("base must be a Scenario or a ScenarioSpec")
-        self.base = base
+        self.base = base.copy().validate()
         self.mode = mode
         self.axes: list[Axis] = []
 
@@ -222,7 +210,7 @@ class SweepSpec:
         ensure_picklable(list(values), f"axis {path!r} values")
         # Validate the path (and each value's applicability) eagerly, on a
         # throwaway copy, so typos fail at declaration — not inside a worker.
-        probe = copy.deepcopy(self.base)
+        probe = self.base.copy()
         for value in values:
             _apply_override(probe, path, value)
         self.axes.append(Axis(path, values))
@@ -262,7 +250,7 @@ class SweepSpec:
         for combo in self._combinations():
             overrides = {axis.path: value
                          for axis, value in zip(self.axes, combo)}
-            spec = copy.deepcopy(self.base)
+            spec = self.base.copy()
             for path, value in overrides.items():
                 _apply_override(spec, path, value)
             label = ",".join(f"{path}={_format_value(value)}"

@@ -3,7 +3,7 @@
 :class:`SweepRunner` drives a list of :class:`~repro.sweep.plan.SweepTask`s
 (or a whole :class:`~repro.sweep.plan.SweepSpec`) to completion:
 
-* **serial** (``workers <= 1``): every spec rebuilds and runs in-process,
+* **serial** (``workers <= 1``): every spec builds and runs in-process,
   in task order — the reference execution the differential tests compare
   the pool against;
 * **parallel** (``workers >= 2``): specs are pickled across a
@@ -43,7 +43,7 @@ import multiprocessing
 
 from repro.collect import SummaryBundle, summary_jsonable
 from repro.obs import Telemetry
-from repro.session import ResultSummary, ScenarioSpec
+from repro.session import Experiment, ResultSummary, ScenarioSpec
 from repro.session.experiment import check_duration
 
 from .plan import SweepSpec, SweepTask
@@ -57,18 +57,20 @@ DONE, FAILED, TIMEOUT = "done", "failed", "timeout"
 def _execute_task(spec: ScenarioSpec, duration_s: Optional[float],
                   run_until_idle: bool,
                   telemetry_slices: Optional[int] = None) -> ResultSummary:
-    """Worker entry point: rebuild the scenario, run it, summarise.
+    """Worker entry point: build the spec's experiment, run it, summarise.
 
     Module-level so the pool can import it; returns only the picklable
     :class:`ResultSummary` — live simulator state never crosses back.
     ``telemetry_slices`` (not ``None``) runs the experiment under a
     worker-local :class:`~repro.obs.Telemetry`, so the summary carries a
     telemetry snapshot home — observation only, never part of the
-    canonical rendering.
+    canonical rendering.  The experiment builds from a copy, so a serial
+    run leaves the task's spec — and any collector object in it — fresh
+    for a retry or a second run.
     """
     telemetry = Telemetry(slices=telemetry_slices) \
         if telemetry_slices is not None else None
-    experiment = spec.to_scenario().build(duration_s, telemetry=telemetry)
+    experiment = Experiment(spec.copy(), duration_s, telemetry=telemetry)
     result = experiment.run(duration_s, run_until_idle=run_until_idle)
     return ResultSummary.from_result(result)
 

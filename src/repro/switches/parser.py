@@ -35,9 +35,7 @@ class ParseResult:
 class TPPParser:
     """Classifies packets according to the TPP parse graph."""
 
-    def __init__(self, ethertype: int = TPP_ETHERTYPE, udp_port: int = TPP_UDP_PORT) -> None:
-        self.ethertype = ethertype
-        self.udp_port = udp_port
+    def __init__(self) -> None:
         self.packets_parsed = 0
         self.tpps_identified = 0
 

@@ -287,6 +287,12 @@ class TestVirtualCollector:
         assert door.submission_times == legacy.submission_times
         assert len(door) == len(legacy) == 2
 
+    @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf"), 0.0])
+    def test_plane_rejects_a_non_finite_or_zero_epoch(self, epoch_s):
+        # The plane and the scenario's CollectorSpec share one check.
+        with pytest.raises(ValueError, match="epoch_s must be finite"):
+            CollectPlane(2, epoch_s=epoch_s)
+
     def test_duplicate_front_door_rejected(self):
         plane = CollectPlane(1)
         plane.front_door("app")
@@ -383,7 +389,7 @@ class TestScenarioIntegration:
     def test_collector_spec_normalises_streaming_knobs(self):
         spec = (Scenario("dumbbell")
                 .collector(shards=4, tree=2, shed="drop-oldest", delta=True)
-                .collector_spec)
+                .spec.collector)
         assert spec.tree == TreeSpec(fanin=2)
         assert spec.shed == ShedSpec(policy="drop-oldest")
         assert spec.delta is True
@@ -898,7 +904,7 @@ class TestDeltaTreeDifferential:
     def _canonical_run(cls, build, duration, **collector_kwargs):
         scenario = build()
         scenario.collector(epoch_s=0.05, **collector_kwargs)
-        scenario._result_mapper = None          # raw ExperimentResult
+        scenario.spec.result_mapper = None      # raw ExperimentResult
         result = scenario.run(duration_s=duration)
         plane = result.experiment.collect_plane
         view = json.dumps({f"{app}|{key}": summary_jsonable(s)

@@ -50,6 +50,11 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match="negative"):
             FaultEvent(-0.1, "a<->b", "down")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FaultEvent(bad, "a<->b", "down")
+
     def test_loss_rate_bounds(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             FaultEvent(0.0, "a<->b", "loss", 0.0)
@@ -227,8 +232,8 @@ class TestSpecAndSweep:
                                    remediation="disable-and-repair")
         spec = scenario.to_spec()
         rebuilt = pickle.loads(pickle.dumps(spec)).to_scenario()
-        assert rebuilt.fault_spec.plan == one_link_plan()
-        assert rebuilt.remediation_spec.policy == "disable-and-repair"
+        assert rebuilt.spec.faults.plan == one_link_plan()
+        assert rebuilt.spec.remediation.policy == "disable-and-repair"
         assert rebuilt.to_spec().fingerprint() == spec.fingerprint()
 
     def test_fault_axes_expand(self):

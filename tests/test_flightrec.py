@@ -341,9 +341,9 @@ class TestSessionIntegration:
     def test_spec_round_trip(self):
         scenario = _scenario().flight_recorder(capacity=256, sample_every=8)
         spec = scenario.to_spec()
-        assert spec.recorder == scenario.recorder_spec
+        assert spec.recorder == scenario.spec.recorder
         rebuilt = pickle.loads(pickle.dumps(spec)).to_scenario()
-        assert rebuilt.recorder_spec == scenario.recorder_spec
+        assert rebuilt.spec.recorder == scenario.spec.recorder
         # The recorder changes the spec's identity but not the run's bytes.
         assert spec.fingerprint() != _scenario().to_spec().fingerprint()
 

@@ -154,7 +154,7 @@ class TestScenarioBuilder:
     def test_copy_is_independent(self):
         base = Scenario("dumbbell").workload("messages")
         variant = base.copy().tpp("t", "PUSH [Switch:SwitchID]")
-        assert not base.tpp_specs and len(variant.tpp_specs) == 1
+        assert not base.spec.tpps and len(variant.spec.tpps) == 1
 
 
 class TestResultAccessors:

@@ -12,12 +12,17 @@ manifest (completed fingerprints are skipped, artifacts stay identical).
 import json
 import os
 import pickle
+import re
 import time
 
 import pytest
 
+from repro.apps.conga import conga_scenario
+from repro.apps.netsight import netsight_scenario
+from repro.apps.rcp import rcp_scenario
 from repro.session import (ResultSummary, Scenario, ScenarioSpec, SpecError,
-                           register_workload)
+                           UnknownRegistration, register_workload,
+                           spec_jsonable)
 from repro.sweep import SweepRunner, SweepSpec, SweepTask
 
 #: Simulated seconds per experiment in the differential tests — tiny, the
@@ -68,7 +73,7 @@ class TestScenarioSpec:
 
     def test_spec_run_matches_builder_run(self):
         direct = monitor_scenario().run(duration_s=DT)
-        via_spec = monitor_scenario().to_spec().run(duration_s=DT)
+        via_spec = monitor_scenario().to_spec().to_scenario().run(duration_s=DT)
         assert direct.events_executed == via_spec.events_executed
 
     def test_lambda_hooks_rejected_eagerly(self):
@@ -88,7 +93,7 @@ class TestScenarioSpec:
 
     def test_from_spec_round_trips_through_scenario(self):
         spec = monitor_scenario().to_spec()
-        again = Scenario.from_spec(spec).to_spec()
+        again = spec.to_scenario().to_spec()
         assert spec.fingerprint() == again.fingerprint()
 
     @pytest.mark.parametrize("maker", [
@@ -118,6 +123,94 @@ class TestScenarioSpec:
         assert merged["experiment-counters"]["experiments"] == 2
         assert merged["experiment-counters"]["events_executed"] == \
             2 * summary.counters["events_executed"]
+
+
+def pinned_base() -> Scenario:
+    return (Scenario("dumbbell", seed=1, hosts_per_side=2)
+            .tpp("monitor", "PUSH [Switch:SwitchID]")
+            .workload("messages", offered_load=0.3))
+
+
+#: label -> (scenario factory, fingerprint).  The fingerprint is the content
+#: address a sweep manifest resumes by, so these are a byte contract on the
+#: spec's canonical rendering: a moved pin means the rendering changed.
+FINGERPRINT_PINS = {
+    "base": (pinned_base, "d3ed4816b3cbd992b9fcf3282df855f0"),
+    "collector": (lambda: pinned_base().collector(
+        shards=3, epoch_s=0.01, tree=2, shed="drop-oldest", delta=True,
+        delta_resync_every=4), "3df0cc5889303dd2822d618cdb6a7a47"),
+    "recorder": (lambda: pinned_base().flight_recorder(
+        capacity=128, sample_every=4), "6ba5d0c10362dbfa088a8d788b86fef2"),
+    "faults": (lambda: pinned_base()
+               .faults(seed=3, corrupt_links=1, loss_rate=0.05)
+               .remediation("disable-and-repair", app="monitor"),
+               "284441c1e7f66aa40431d4366f82fb42"),
+    "rcp": (rcp_scenario, "e9326869548e545d540ab15a19462aec"),
+    "conga": (conga_scenario, "5ef59e3daef1decf68235b43981a744e"),
+    "netsight": (netsight_scenario, "41448385797a891c62007aa69c490fcc"),
+}
+
+
+class TestFingerprintPins:
+    @pytest.mark.parametrize("label", sorted(FINGERPRINT_PINS))
+    def test_spec_fingerprint_is_pinned(self, label):
+        build, pin = FINGERPRINT_PINS[label]
+        spec = build().to_spec()
+        # A pickle-hashed leaf would tie the pin to one Python's pickle bytes.
+        assert "pickle_blake2b" not in json.dumps(spec_jsonable(spec))
+        assert spec.fingerprint() == pin
+
+
+class TestDeclareTimeChecks:
+    """A knob is checked once, on the dataclass that holds it, so a sweep
+    axis meets the same check as the builder method — at declaration,
+    never inside a worker."""
+
+    @pytest.mark.parametrize("path,value", [
+        ("collector.shards", 0), ("collector.transport", "pigeon"),
+        ("collector.epoch_s", -1.0), ("collector.batch", 0),
+        ("collector.delta_resync_every", -3), ("collector.tree", "x"),
+        ("collector.shed", 3), ("remediation.policy", "nope"),
+        ("tpp.monitor.sample_frequency", 0), ("tpp.monitor.__class__", 1)])
+    def test_bad_axis_values_fail_at_axis(self, path, value):
+        sweep = SweepSpec(pinned_base())
+        with pytest.raises(SpecError,
+                           match=re.escape(f"axis path '{path}': ")) as caught:
+            sweep.axis(path, [value])
+        if path.endswith("__class__"):
+            # hasattr() let a dunder through to a bare setattr; the path is
+            # now checked against the dataclass's fields.
+            assert "TppSpec has no field" in str(caught.value)
+        else:
+            assert isinstance(caught.value.__cause__,
+                              (ValueError, TypeError, UnknownRegistration))
+
+    def test_builder_rejects_the_same_values_at_the_fluent_call(self):
+        with pytest.raises(ValueError, match="at least one shard"):
+            pinned_base().collector(shards=0)
+        with pytest.raises(UnknownRegistration, match="nope"):
+            pinned_base().remediation("nope")
+        with pytest.raises(ValueError, match="sample_frequency"):
+            Scenario("dumbbell").tpp("t", "PUSH [Switch:SwitchID]",
+                                     sample_frequency=0)
+
+    @pytest.mark.parametrize("root,knob,value", [
+        (root, knob, value)
+        for root, knob in (("collector", "epoch_s"), ("faults", "onset_s"),
+                           ("faults", "fail_at_s"),
+                           ("faults", "repair_after_s"),
+                           ("remediation", "period_s"),
+                           ("remediation", "repair_time_s"))
+        for value in (float("nan"), float("inf"))])
+    def test_non_finite_times_fail_at_declaration(self, root, knob, value):
+        # ``x <= 0`` is False for NaN, so these used to pass declaration and
+        # fail inside the build or run — or, for the repair times, run on
+        # silently.  The builder method is named after the axis root.
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            getattr(pinned_base(), root)(**{knob: value})
+        with pytest.raises(SpecError, match=re.escape(
+                f"axis path '{root}.{knob}': {knob} must be finite")):
+            SweepSpec(pinned_base()).axis(f"{root}.{knob}", [value])
 
 
 class TestSweepSpec:
