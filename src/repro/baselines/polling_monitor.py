@@ -40,7 +40,7 @@ class PollingMonitor:
             for port in switch.ports:
                 key = (switch.switch_id, port.index)
                 self.series.setdefault(key, TimeSeries()).add(
-                    now, port.queue.occupancy_packets)
+                    now, port.occupancy_packets)
 
     def stop(self) -> None:
         self._process.stop()

@@ -4,7 +4,7 @@ from .link import Link, gbps, mbps
 from .node import Host, Node
 from .packet import (Packet, TPP_ETHERTYPE, TPP_UDP_PORT, tcp_packet, tpp_probe_packet,
                      udp_packet)
-from .port import EgressQueue, Port
+from .port import Port
 from .sim import Event, PeriodicProcess, SimulationError, Simulator
 from .topology import (BuiltTopology, Network, build_conga_topology, build_dumbbell,
                        build_fat_tree, build_leaf_spine, build_rcp_chain)
@@ -12,8 +12,8 @@ from .flows import MessageWorkload, RateLimitedFlow, ThroughputMeter, next_flow_
 from .tcp import TcpConnection, TcpStats
 
 __all__ = [
-    "BuiltTopology", "EgressQueue", "Event", "Host", "Link", "MessageWorkload",
-    "Network", "Node", "Packet", "PeriodicProcess", "Port", "RateLimitedFlow",
+    "BuiltTopology", "Event", "Host", "Link", "MessageWorkload", "Network",
+    "Node", "Packet", "PeriodicProcess", "Port", "RateLimitedFlow",
     "SimulationError", "Simulator", "TPP_ETHERTYPE", "TPP_UDP_PORT", "TcpConnection",
     "TcpStats", "ThroughputMeter", "build_conga_topology", "build_dumbbell",
     "build_fat_tree", "build_leaf_spine", "build_rcp_chain", "gbps", "mbps",

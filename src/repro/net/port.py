@@ -1,13 +1,16 @@
-"""Ports and egress queues.
+"""Ports and their egress queues.
 
 Each :class:`Port` models one full-duplex interface on a node.  Transmission
-follows the usual store-and-forward state machine: packets are placed in a
-drop-tail egress queue; when the transmitter is idle the head packet is
-serialised onto the attached link (``size * 8 / rate`` seconds) and then
+follows the usual store-and-forward state machine: packets wait in the
+port's drop-tail egress queue; when the transmitter is idle the head packet
+is serialised onto the attached link (``size * 8 / rate`` seconds) and then
 propagated to the peer port (link propagation delay).
 
-The egress queue keeps the occupancy and drop accounting the paper's TPPs
-read ([Queue:QueueOccupancy], [Link:QueueSize], drop stats, …).
+The port keeps the occupancy and drop accounting the paper's TPPs read
+([Queue:QueueOccupancy], [Link:QueueSize], drop stats, …).  A packet sent
+to an idle, unrecorded port goes straight to serialisation: it is counted
+as enqueued and dequeued, but never touches the queue, whose occupancy it
+would have left at zero anyway.
 """
 
 from __future__ import annotations
@@ -33,78 +36,43 @@ DROP_PEER_DOWN = "peer-down"
 DROP_CORRUPTED = "corrupted"
 
 
-class EgressQueue:
-    """Drop-tail FIFO with byte/packet occupancy and drop accounting."""
-
-    def __init__(self, capacity_bytes: int = 512 * 1024,
-                 capacity_packets: Optional[int] = None) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("queue capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.capacity_packets = capacity_packets
-        self._queue: deque[Packet] = deque()
-        self.bytes_enqueued_total = 0
-        self.packets_enqueued_total = 0
-        self.bytes_dropped_total = 0
-        self.packets_dropped_total = 0
-        self.bytes_dequeued_total = 0
-        self.packets_dequeued_total = 0
-        #: Bytes currently waiting in the queue.
-        self.occupancy_bytes = 0
-
-    # ------------------------------------------------------------- occupancy
-    @property
-    def occupancy_packets(self) -> int:
-        """Packets currently waiting in the queue."""
-        return len(self._queue)
-
-    # ------------------------------------------------------------ operations
-    def enqueue(self, packet: Packet) -> bool:
-        """Append a packet; returns False (and counts a drop) when full."""
-        over_bytes = self.occupancy_bytes + packet.size > self.capacity_bytes
-        over_packets = (self.capacity_packets is not None
-                        and len(self._queue) >= self.capacity_packets)
-        if over_bytes or over_packets:
-            self.bytes_dropped_total += packet.size
-            self.packets_dropped_total += 1
-            return False
-        self._queue.append(packet)
-        self.occupancy_bytes += packet.size
-        self.bytes_enqueued_total += packet.size
-        self.packets_enqueued_total += 1
-        return True
-
-    def dequeue(self) -> Optional[Packet]:
-        """Pop the head packet, or None when empty."""
-        if not self._queue:
-            return None
-        packet = self._queue.popleft()
-        self.occupancy_bytes -= packet.size
-        self.bytes_dequeued_total += packet.size
-        self.packets_dequeued_total += 1
-        return packet
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
 class Port:
-    """One interface of a node, with an egress queue and a transmitter."""
+    """One interface of a node: a drop-tail egress queue and a transmitter."""
 
     def __init__(self, node: "Node", index: int,
-                 queue_capacity_bytes: int = 512 * 1024,
+                 queue_capacity_bytes: float = 512 * 1024,
                  queue_capacity_packets: Optional[int] = None) -> None:
+        self._name = f"{node.name}.p{index}"
+        if not queue_capacity_bytes > 0:          # also rejects NaN
+            raise ValueError(f"port {self._name}: queue capacity_bytes must be "
+                             f"positive, got {queue_capacity_bytes!r}")
+        if queue_capacity_packets is not None and queue_capacity_packets < 1:
+            raise ValueError(f"port {self._name}: queue capacity_packets must be "
+                             f"at least 1, got {queue_capacity_packets!r}")
         self.node = node
         self.index = index
         self.link: Optional["Link"] = None
         self.peer: Optional["Port"] = None
-        self.queue = EgressQueue(queue_capacity_bytes, queue_capacity_packets)
         self.transmitting = False
         self.up = True
         # Flight-recorder tap (repro.obs.flightrec).  None by default: every
         # hook site below guards on it, so an untapped port runs exactly the
         # pre-recorder code path (the recorder-off byte-identity invariant).
         self.recorder = None
+        # Egress queue: packets waiting behind the one being serialised.
+        self._waiting: deque[Packet] = deque()
+        self._post = node.sim.post
+        self.capacity_bytes = queue_capacity_bytes
+        self.capacity_packets = queue_capacity_packets
+        #: Bytes currently waiting in the queue.
+        self.occupancy_bytes = 0
+        # Everything enqueued has been dequeued or is still waiting, so the
+        # dequeued totals are derived (see the properties below).
+        self.bytes_enqueued_total = 0
+        self.packets_enqueued_total = 0
+        # Link-down and overflow drops (the switch's ``Link:Drop-*`` stats).
+        self.bytes_dropped_total = 0
+        self.packets_dropped_total = 0
         # Raw counters (the switch statistics layer derives rates from these).
         self.tx_bytes = 0
         self.tx_packets = 0
@@ -113,7 +81,6 @@ class Port:
         self.error_packets = 0
         # Drops at this port, keyed by the categories above.
         self.drops_by_reason: dict[str, int] = {}
-        self._name = f"{node.name}.p{index}"
 
     # -------------------------------------------------------------- identity
     @property
@@ -130,6 +97,20 @@ class Port:
             raise RuntimeError(f"port {self.name} is not attached to a link")
         return self.link.rate_bps
 
+    @property
+    def occupancy_packets(self) -> int:
+        """Packets currently waiting in the queue."""
+        return len(self._waiting)
+
+    @property
+    def packets_dequeued_total(self) -> int:
+        """Packets that left the queue for the transmitter."""
+        return self.packets_enqueued_total - len(self._waiting)
+
+    @property
+    def bytes_dequeued_total(self) -> int:
+        return self.bytes_enqueued_total - self.occupancy_bytes
+
     def attach(self, link: "Link", peer: "Port") -> None:
         self.link = link
         self.peer = peer
@@ -140,7 +121,7 @@ class Port:
 
     # ------------------------------------------------------------ transmit path
     def send(self, packet: Packet) -> bool:
-        """Enqueue a packet for transmission out of this port.
+        """Queue a packet for transmission out of this port.
 
         Returns False when the packet was dropped (queue overflow or link
         down); the caller is responsible for any loss handling.
@@ -148,17 +129,23 @@ class Port:
         link = self.link
         if link is None or self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
+        size = packet.size
         if not self.up or not link.up:
             packet.dropped = True
             packet.drop_reason = f"link down at {self.name}"
-            self.queue.packets_dropped_total += 1
-            self.queue.bytes_dropped_total += packet.size
+            self.packets_dropped_total += 1
+            self.bytes_dropped_total += size
             self.count_drop(DROP_LINK_DOWN)
             if self.recorder is not None:
                 self.recorder.on_drop(self._name, self.node.name, packet,
                                       DROP_LINK_DOWN, packet.drop_reason)
             return False
-        if not self.queue.enqueue(packet):
+        waiting = self._waiting
+        if (self.occupancy_bytes + size > self.capacity_bytes
+                or (self.capacity_packets is not None
+                    and len(waiting) >= self.capacity_packets)):
+            self.bytes_dropped_total += size
+            self.packets_dropped_total += 1
             packet.dropped = True
             packet.drop_reason = f"queue overflow at {self.name}"
             self.count_drop(DROP_QUEUE_OVERFLOW)
@@ -167,30 +154,35 @@ class Port:
                                       DROP_QUEUE_OVERFLOW, packet.drop_reason)
             self.node.on_packet_dropped(packet, self)
             return False
-        if self.recorder is not None:
-            self.recorder.on_enqueue(self, packet)
-        if not self.transmitting:
-            self._start_transmission()
+        self.bytes_enqueued_total += size
+        self.packets_enqueued_total += 1
+        recorder = self.recorder
+        if self.transmitting or recorder is not None:
+            # A recorded port queues even when idle, so its ENQUEUE record
+            # sees the packet in the queue and its DEQUEUE record sees it
+            # leave, exactly as on a busy port.
+            waiting.append(packet)
+            self.occupancy_bytes += size
+            if recorder is None:
+                return True
+            recorder.on_enqueue(self, packet)
+            if self.transmitting:
+                return True
+            waiting.popleft()
+            self.occupancy_bytes -= size
+            recorder.on_dequeue(self, packet)
+        # Idle port: straight to serialisation.
+        self.transmitting = True
+        self._post(size * 8.0 / link.rate_bps, self._finish_transmission, packet)
         return True
 
     def send_many(self, packets: list[Packet]) -> int:
-        """Enqueue a burst: one :meth:`send` per packet, in order.
+        """Queue a burst: one :meth:`send` per packet, in order.
 
         Returns how many packets were accepted (the rest were dropped, with
         per-packet drop accounting).
         """
         return sum(map(self.send, packets))
-
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self.transmitting = False
-            return
-        if self.recorder is not None:
-            self.recorder.on_dequeue(self, packet)
-        self.transmitting = True
-        self.node.sim.post(packet.size * 8.0 / self.link.rate_bps,
-                           self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
         size = packet.size
@@ -202,8 +194,18 @@ class Port:
         # Propagation of this packet first, then the serialisation of the
         # next one: on a busy port the two events are posted at the same
         # instant, and their sequence numbers fix their relative order.
-        self.node.sim.post(link.delay_s, self._deliver_to_peer, packet)
-        self._start_transmission()
+        post = self._post
+        post(link.delay_s, self._deliver_to_peer, packet)
+        waiting = self._waiting
+        if not waiting:
+            self.transmitting = False
+            return
+        packet = waiting.popleft()
+        size = packet.size
+        self.occupancy_bytes -= size
+        if self.recorder is not None:
+            self.recorder.on_dequeue(self, packet)
+        post(size * 8.0 / link.rate_bps, self._finish_transmission, packet)
 
     def _deliver_to_peer(self, packet: Packet) -> None:
         peer = self.peer
@@ -236,4 +238,4 @@ class Port:
         peer.node.receive(packet, peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Port {self.name} q={self.queue.occupancy_packets}pkts>"
+        return f"<Port {self.name} q={self.occupancy_packets}pkts>"

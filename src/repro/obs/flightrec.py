@@ -456,17 +456,15 @@ class FlightRecorder:
 
     def on_enqueue(self, port: "Port", packet: "Packet") -> None:
         if self._wants(packet):
-            queue = port.queue
             self._append(port.node.name, ENQUEUE, packet.packet_id,
                          packet.flow_id, port.name,
-                         queue.occupancy_packets, queue.occupancy_bytes)
+                         port.occupancy_packets, port.occupancy_bytes)
 
     def on_dequeue(self, port: "Port", packet: "Packet") -> None:
         if self._wants(packet):
-            queue = port.queue
             self._append(port.node.name, DEQUEUE, packet.packet_id,
                          packet.flow_id, port.name,
-                         queue.occupancy_packets, queue.occupancy_bytes)
+                         port.occupancy_packets, port.occupancy_bytes)
 
     def on_deliver(self, rx_port: "Port", packet: "Packet") -> None:
         if self._wants(packet):

@@ -18,8 +18,8 @@ decodes it, picks the row and closes it over the state it names — the way the
 paper's execution units are wired to their statistics at tape-out (§3.5) —
 so every later ``read`` / ``write`` of that address is a dict lookup plus a
 call.  Rows read *live* state: a closure may capture the switch, its ``ports``
-and ``stages`` lists (which grow in place) and this memory, never a port, a
-queue or a count, so ports added, routes installed and registers written
+and ``stages`` lists (which grow in place) and this memory, never a port or
+a count, so ports added, routes installed and registers written
 after an address was resolved are seen by the next access.
 """
 
@@ -42,9 +42,10 @@ _S, _T, _L, _Q, _M = (addressing.SWITCH_FIELDS, addressing.STAGE_FIELDS,
                       addressing.PACKET_METADATA_FIELDS)
 
 
-def _port(path: str):
-    """A ``Link:`` / ``Queue:`` row reading an attribute path off the port."""
-    get = attrgetter(path)
+def _port(name: str):
+    """A ``Link:`` / ``Queue:`` row reading one attribute of the port (the
+    port holds its egress queue's state too)."""
+    get = attrgetter(name)
     return lambda memory, index: get(memory.switch.ports[index])
 
 
@@ -116,16 +117,16 @@ STAGE_WRITERS = {
 #: index has been range-checked by the caller.
 LINK_READERS = {
     _L["ID"]: lambda memory, index: memory.switch.link_id(index),
-    _L["QueueSizeBytes"]: _port("queue.occupancy_bytes"),
-    _L["QueueSizePackets"]: _port("queue.occupancy_packets"),
+    _L["QueueSizeBytes"]: _port("occupancy_bytes"),
+    _L["QueueSizePackets"]: _port("occupancy_packets"),
     _L["TX-Bytes"]: _port("tx_bytes"),
     _L["TX-Packets"]: _port("tx_packets"),
     _L["TX-Utilization"]: _stats("tx_utilization_bp"),
     _L["RX-Bytes"]: _port("rx_bytes"),
     _L["RX-Packets"]: _port("rx_packets"),
     _L["RX-Utilization"]: _stats("rx_utilization_bp"),
-    _L["Drop-Bytes"]: _port("queue.bytes_dropped_total"),
-    _L["Drop-Packets"]: _port("queue.packets_dropped_total"),
+    _L["Drop-Bytes"]: _port("bytes_dropped_total"),
+    _L["Drop-Packets"]: _port("packets_dropped_total"),
     _L["PortStatus"]: _port_status,
     _L["TX-Rate"]: lambda memory, index: int(memory.switch.port_stats[index].transmit.byte_rate),
     _L["RX-Rate"]: lambda memory, index: int(memory.switch.port_stats[index].receive.byte_rate),
@@ -139,12 +140,12 @@ LINK_WRITERS = {_L[f"AppSpecific_{r}"]: _set_app_register(r) for r in range(8)}
 #: ``Queue$i$j:`` and packet-relative ``Queue:`` — rows as for ``Link:``.  The
 #: model keeps one queue per port, so only queue id 0 exists.
 QUEUE_READERS = {
-    _Q["QueueOccupancy"]: _port("queue.occupancy_packets"),
-    _Q["QueueOccupancyBytes"]: _port("queue.occupancy_bytes"),
-    _Q["Drop-Packets"]: _port("queue.packets_dropped_total"),
-    _Q["Drop-Bytes"]: _port("queue.bytes_dropped_total"),
-    _Q["TX-Packets"]: _port("queue.packets_dequeued_total"),
-    _Q["TX-Bytes"]: _port("queue.bytes_dequeued_total"),
+    _Q["QueueOccupancy"]: _port("occupancy_packets"),
+    _Q["QueueOccupancyBytes"]: _port("occupancy_bytes"),
+    _Q["Drop-Packets"]: _port("packets_dropped_total"),
+    _Q["Drop-Bytes"]: _port("bytes_dropped_total"),
+    _Q["TX-Packets"]: _port("packets_dequeued_total"),
+    _Q["TX-Bytes"]: _port("bytes_dequeued_total"),
 }
 
 #: ``PacketMetadata:`` — the readers are :data:`repro.core.tcpu.METADATA_READERS`;

@@ -142,50 +142,49 @@ class FlowLookupCache:
     #: exceeded (flow populations in the reproduced experiments are small).
     MEMO_LIMIT = 4096
 
-    __slots__ = ("pipeline", "_memo", "_generation", "_safe")
+    __slots__ = ("pipeline", "_generation_cell", "_generation", "_memo")
 
     def __init__(self, pipeline: Pipeline) -> None:
         self.pipeline = pipeline
-        # flow key -> (PipelineResult, consulted tables, matched table).
-        self._memo: dict[tuple, tuple] = {}
+        self._generation_cell = pipeline.generation
         self._generation: Optional[int] = None
-        self._safe = False
+        # flow key -> (PipelineResult, the StatsBlocks a lookup counts into);
+        # None while some entry matches on a field outside the flow key.
+        self._memo: Optional[dict[tuple, tuple]] = None
 
     def process(self, packet: Packet) -> PipelineResult:
-        pipeline = self.pipeline
-        generation = pipeline.generation[0]
-        if generation != self._generation:
-            self._generation = generation
-            self._memo.clear()
-            self._safe = all(
-                FLOW_KEY_FIELDS.issuperset(entry.match)
-                for stage in pipeline.stages
-                for entry in stage.table.entries)
-        if not self._safe:
-            return pipeline.process(packet)
+        if self._generation_cell[0] != self._generation:
+            self._revalidate()
+        memo = self._memo
+        if memo is None:
+            return self.pipeline.process(packet)
         key = packet.flow_key()
-        hit = self._memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
-            result, consulted, matched_table = hit
+            result, blocks = hit
             size = packet.size
-            for table in consulted:
-                table.lookup_stats.count(size)
-            entry = result.matched_entry
-            if entry is not None:
-                entry.stats.count(size)
-                matched_table.match_stats.count(size)
+            for block in blocks:
+                block.packets += 1
+                block.bytes += size
             return result
-        result = pipeline.process(packet)
-        stages = pipeline.stages
-        if result.action == "no_match":
-            consulted = tuple(stage.table for stage in stages if stage.table.entries)
-            matched_table = None
-        else:
-            consulted = tuple(stage.table
-                              for stage in stages[:result.matched_stage + 1]
-                              if stage.table.entries)
-            matched_table = stages[result.matched_stage].table
-        if len(self._memo) >= self.MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = (result, consulted, matched_table)
+        result = self.pipeline.process(packet)
+        stages = self.pipeline.stages
+        entry = result.matched_entry
+        # Every table the scan consulted counts a lookup; the matched entry
+        # and its table count a match.
+        searched = stages if entry is None else stages[:result.matched_stage + 1]
+        blocks = [stage.table.lookup_stats for stage in searched if stage.table.entries]
+        if entry is not None:
+            blocks += (entry.stats, stages[result.matched_stage].table.match_stats)
+        if len(memo) >= self.MEMO_LIMIT:
+            memo.clear()
+        memo[key] = (result, tuple(blocks))
         return result
+
+    def _revalidate(self) -> None:
+        """A table changed: drop the memo and re-check that it may engage."""
+        self._generation = self._generation_cell[0]
+        safe = all(FLOW_KEY_FIELDS.issuperset(entry.match)
+                   for stage in self.pipeline.stages
+                   for entry in stage.table.entries)
+        self._memo = {} if safe else None

@@ -134,7 +134,7 @@ class TPPSwitch(Node):
     # ------------------------------------------------------------- forwarding
     def receive(self, packet: Packet, in_port: Port) -> None:
         in_index = in_port.index
-        packet.record_hop(self.name)
+        packet.path.append(self.name)          # Packet.record_hop, inlined
         if self.recorder is not None:
             self.recorder.on_switch_recv(self, packet, in_index)
         result = self._lookup_cache.process(packet)
@@ -232,8 +232,8 @@ class TPPSwitch(Node):
             stats.transmit.bytes = port.tx_bytes
             stats.receive.packets = port.rx_packets
             stats.receive.bytes = port.rx_bytes
-            stats.drops.packets = port.queue.packets_dropped_total
-            stats.drops.bytes = port.queue.bytes_dropped_total
+            stats.drops.packets = port.packets_dropped_total
+            stats.drops.bytes = port.bytes_dropped_total
             capacity = port.link.rate_bps if port.link is not None else 0.0
             if capacity > 0:
                 stats.update(self.utilization_interval_s, capacity,

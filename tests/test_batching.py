@@ -64,14 +64,14 @@ class TestHostSendMany:
             sim, net = small_net()
             h0 = net.hosts["h0"]
             packet_size = udp_packet("h0", "h3", 700).size
-            h0.uplink_port.queue.capacity_bytes = 3 * packet_size
+            h0.uplink_port.capacity_bytes = 3 * packet_size
             packets = burst("h0", "h3", 4)
             if batched:
                 accepted = h0.uplink_port.send_many(packets)
             else:
                 accepted = sum(h0.uplink_port.send(p) for p in packets)
             outcomes.append((accepted,
-                             h0.uplink_port.queue.packets_dropped_total))
+                             h0.uplink_port.packets_dropped_total))
         assert outcomes[0] == outcomes[1]
         assert outcomes[1] == (4, 0)
 
@@ -83,7 +83,7 @@ class TestHostSendMany:
         packets = burst("h0", "h3", 4)
         assert h0.send_many(packets) == 0
         assert all(p.dropped for p in packets)
-        assert h0.uplink_port.queue.packets_dropped_total == 4
+        assert h0.uplink_port.packets_dropped_total == 4
 
 
 class TestFlowLookupCache:

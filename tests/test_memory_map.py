@@ -127,9 +127,9 @@ class ReferenceMemory:
         if offset == fields["ID"]:
             return self.switch.link_id(port_index)
         if offset == fields["QueueSizeBytes"]:
-            return port.queue.occupancy_bytes
+            return port.occupancy_bytes
         if offset == fields["QueueSizePackets"]:
-            return port.queue.occupancy_packets
+            return port.occupancy_packets
         if offset == fields["TX-Bytes"]:
             return port.tx_bytes
         if offset == fields["TX-Packets"]:
@@ -143,9 +143,9 @@ class ReferenceMemory:
         if offset == fields["RX-Utilization"]:
             return stats.rx_utilization_bp
         if offset == fields["Drop-Bytes"]:
-            return port.queue.bytes_dropped_total
+            return port.bytes_dropped_total
         if offset == fields["Drop-Packets"]:
-            return port.queue.packets_dropped_total
+            return port.packets_dropped_total
         if offset == fields["PortStatus"]:
             return 1 if (port.up and port.link is not None and port.link.up) else 0
         if offset == fields["TX-Rate"]:
@@ -178,20 +178,20 @@ class ReferenceMemory:
             return None
         if queue_index not in (0, None):
             return None
-        queue = self.switch.ports[port_index].queue
+        port = self.switch.ports[port_index]
         fields = addressing.QUEUE_FIELDS
         if offset == fields["QueueOccupancy"]:
-            return queue.occupancy_packets
+            return port.occupancy_packets
         if offset == fields["QueueOccupancyBytes"]:
-            return queue.occupancy_bytes
+            return port.occupancy_bytes
         if offset == fields["Drop-Packets"]:
-            return queue.packets_dropped_total
+            return port.packets_dropped_total
         if offset == fields["Drop-Bytes"]:
-            return queue.bytes_dropped_total
+            return port.bytes_dropped_total
         if offset == fields["TX-Packets"]:
-            return queue.packets_dequeued_total
+            return port.packets_dequeued_total
         if offset == fields["TX-Bytes"]:
-            return queue.bytes_dequeued_total
+            return port.bytes_dequeued_total
         return None
 
     def _read_metadata(self, offset, context):
@@ -261,8 +261,8 @@ class TestAgainstReferenceMemory:
     def test_traffic_left_something_to_read(self):
         switch = busy_switch()
         bottleneck = switch.ports[1]
-        assert bottleneck.tx_packets and bottleneck.queue.packets_dropped_total
-        assert bottleneck.queue.occupancy_bytes
+        assert bottleneck.tx_packets and bottleneck.packets_dropped_total
+        assert bottleneck.occupancy_bytes
         assert switch.port_stats[1].tx_utilization_bp
         for counter in ("rx_bytes", "rx_packets", "tx_bytes", "tx_packets"):
             assert len({getattr(port, counter) for port in switch.ports}) == 3, counter

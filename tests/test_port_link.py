@@ -1,13 +1,20 @@
-"""Tests for ports, egress queues and links."""
+"""Tests for ports (with their egress queues) and links."""
+
+import math
 
 import pytest
 
+from repro.core.compiler import compile_tpp
 from repro.net.link import Link, gbps, mbps
 from repro.net.node import Host
 from repro.net.packet import udp_packet
 from repro.net.port import (DROP_CORRUPTED, DROP_LINK_DOWN, DROP_PEER_DOWN,
-                            DROP_QUEUE_OVERFLOW, EgressQueue)
+                            DROP_QUEUE_OVERFLOW)
 from repro.net.sim import Simulator
+from repro.net.topology import Network
+from repro.obs import FlightRecorder
+from repro.obs.flightrec import DEQUEUE, ENQUEUE, REC_A, REC_B, REC_KIND
+from repro.session import Scenario
 
 
 def _pair(rate=mbps(100), delay=1e-6, queue_bytes=512 * 1024, queue_packets=None):
@@ -20,43 +27,144 @@ def _pair(rate=mbps(100), delay=1e-6, queue_bytes=512 * 1024, queue_packets=None
 
 
 class TestEgressQueue:
+    """The port's drop-tail FIFO: packets waiting behind the one serialising."""
+
     def test_fifo_order(self):
-        queue = EgressQueue()
-        first, second = udp_packet("a", "b", 10), udp_packet("a", "b", 10)
-        queue.enqueue(first)
-        queue.enqueue(second)
-        assert queue.dequeue() is first
-        assert queue.dequeue() is second
+        sim, a, b, _ = _pair(rate=mbps(10))
+        b.keep_received_log = True
+        packets = [udp_packet("a", "b", 958) for _ in range(4)]
+        for packet in packets:
+            a.send(packet)
+        sim.run_until_idle()
+        assert b.received_log == packets
 
     def test_occupancy_tracks_bytes_and_packets(self):
-        queue = EgressQueue()
-        packet = udp_packet("a", "b", 100)
-        queue.enqueue(packet)
-        assert queue.occupancy_packets == 1
-        assert queue.occupancy_bytes == packet.size
-        queue.dequeue()
-        assert queue.occupancy_packets == 0
-        assert queue.occupancy_bytes == 0
+        sim, a, _, _ = _pair(rate=mbps(10))
+        port = a.ports[0]
+        a.send(udp_packet("a", "b", 958))      # idle: straight to the wire
+        a.send(udp_packet("a", "b", 458))      # waits behind it
+        assert port.transmitting
+        assert (port.occupancy_packets, port.occupancy_bytes) == (1, 500)
+        assert (port.packets_enqueued_total, port.bytes_enqueued_total) == (2, 1500)
+        assert (port.packets_dequeued_total, port.bytes_dequeued_total) == (1, 1000)
+        sim.run_until_idle()
+        assert (port.occupancy_packets, port.occupancy_bytes) == (0, 0)
+        assert (port.packets_dequeued_total, port.bytes_dequeued_total) == (2, 1500)
 
     def test_byte_capacity_drop(self):
-        queue = EgressQueue(capacity_bytes=200)
-        assert queue.enqueue(udp_packet("a", "b", 100))
-        assert not queue.enqueue(udp_packet("a", "b", 100))
-        assert queue.packets_dropped_total == 1
+        # One packet serialising plus 2000 waiting bytes fit; the next is over.
+        sim, a, _, _ = _pair(rate=mbps(10), queue_bytes=2000)
+        accepted = [a.send(udp_packet("a", "b", 958)) for _ in range(4)]
+        assert accepted == [True, True, True, False]
+        port = a.ports[0]
+        assert (port.packets_dropped_total, port.bytes_dropped_total) == (1, 1000)
+        assert port.drops_by_reason == {DROP_QUEUE_OVERFLOW: 1}
 
     def test_packet_capacity_drop(self):
-        queue = EgressQueue(capacity_packets=2)
-        assert queue.enqueue(udp_packet("a", "b", 10))
-        assert queue.enqueue(udp_packet("a", "b", 10))
-        assert not queue.enqueue(udp_packet("a", "b", 10))
-        assert queue.packets_dropped_total == 1
+        sim, a, _, _ = _pair(rate=mbps(10), queue_packets=2)
+        accepted = [a.send(udp_packet("a", "b", 10)) for _ in range(4)]
+        assert accepted == [True, True, True, False]
+        assert a.ports[0].packets_dropped_total == 1
 
-    def test_dequeue_empty_returns_none(self):
-        assert EgressQueue().dequeue() is None
+    def test_drained_port_goes_idle(self):
+        sim, a, b, _ = _pair()
+        port = a.ports[0]
+        assert not port.transmitting and port.occupancy_packets == 0
+        for _ in range(3):
+            a.send(udp_packet("a", "b", 958))
+        sim.run_until_idle()
+        assert not port.transmitting and port.occupancy_packets == 0
+        assert a.send(udp_packet("a", "b", 958)) and port.transmitting
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            EgressQueue(capacity_bytes=0)
+        with pytest.raises(ValueError, match=r"port a\.p0: .*capacity_bytes.*got 0"):
+            _pair(queue_bytes=0)
+
+    @pytest.mark.parametrize("queue_bytes, queue_packets, named", [
+        (-1, None, "capacity_bytes"), (math.nan, None, "capacity_bytes"),
+        (-math.inf, None, "capacity_bytes"),
+        (512 * 1024, 0, "capacity_packets"), (512 * 1024, -3, "capacity_packets"),
+    ])
+    def test_absurd_capacities_name_the_port_and_value(self, queue_bytes,
+                                                       queue_packets, named):
+        # Regressions: a packet cap of 0 or -3 used to drop every packet as
+        # queue-overflow, and a NaN byte cap never overflowed.
+        value = queue_bytes if named == "capacity_bytes" else queue_packets
+        with pytest.raises(ValueError, match=rf"port a\.p0: .*{named}.*{value!r}"):
+            _pair(queue_bytes=queue_bytes, queue_packets=queue_packets)
+
+    def test_infinite_byte_capacity_is_legal(self):
+        sim, a, b, _ = _pair(queue_bytes=math.inf)
+        assert all(a.send(udp_packet("a", "b", 958)) for _ in range(50))
+        sim.run_until_idle()
+        assert b.packets_received == 50
+
+    def test_absurd_scenario_capacity_rejected_at_build(self):
+        with pytest.raises(ValueError, match="capacity_packets"):
+            Scenario("dumbbell", queue_capacity_packets=0).build()
+
+
+class TestIdleCutThrough:
+    """An idle, unrecorded port sends straight to serialisation; every
+    observable — drops, records, TPP reads — is as if the packet had queued."""
+
+    def test_oversized_packet_dropped_on_idle_port(self):
+        sim, a, _, _ = _pair(queue_bytes=500)
+        port = a.ports[0]
+        assert a.send(udp_packet("a", "b", 958)) is False
+        assert port.drops_by_reason == {DROP_QUEUE_OVERFLOW: 1}
+        assert not port.transmitting and port.packets_enqueued_total == 0
+        assert sim.pending_events == 0
+
+    def test_link_down_idle_port_drops_before_serialisation(self):
+        sim, a, _, link = _pair()
+        link.set_down()
+        port = a.ports[0]
+        assert a.send(udp_packet("a", "b", 958)) is False
+        assert port.drops_by_reason == {DROP_LINK_DOWN: 1}
+        assert not port.transmitting and port.packets_enqueued_total == 0
+        assert sim.pending_events == 0
+
+    def test_recorded_idle_port_keeps_queue_records(self):
+        sim, a, _, _ = _pair(rate=mbps(10))
+        recorder = FlightRecorder().attach_nodes(sim, [a])
+        first, second = udp_packet("a", "b", 958), udp_packet("a", "b", 458)
+        a.send(first)                           # idle port
+        a.send(second)                          # busy port
+        sim.run_until_idle()
+        queue_records = {
+            packet.packet_id: [(r[REC_KIND], r[REC_A], r[REC_B])
+                               for r in recorder.journey(packet.packet_id).records
+                               if r[REC_KIND] in (ENQUEUE, DEQUEUE)]
+            for packet in (first, second)}
+        assert queue_records == {
+            first.packet_id: [(ENQUEUE, 1, 1000), (DEQUEUE, 0, 0)],
+            second.packet_id: [(ENQUEUE, 1, 500), (DEQUEUE, 0, 0)]}
+
+    def test_queue_occupancy_read_behind_a_busy_port(self):
+        # A fast ingress link feeds a slow egress port: the first packet
+        # finds it idle, the second finds it serialising with nothing
+        # waiting, and each later one sees one more packet waiting.
+        sim = Simulator()
+        net = Network(sim)
+        for name in ("h0", "h1"):
+            net.add_host(name)
+        net.add_switch("s1")
+        net.connect("h0", "s1", rate_bps=mbps(100))
+        net.connect("h1", "s1", rate_bps=mbps(10))
+        net.install_shortest_path_routes()
+        net.hosts["h1"].keep_received_log = True
+        compiled = compile_tpp("PUSH [Queue:QueueOccupancy]\n"
+                               "PUSH [Queue:QueueOccupancyBytes]", num_hops=2)
+        for _ in range(5):
+            packet = udp_packet("h0", "h1", 958)
+            packet.attach_tpp(compiled.clone_tpp())
+            net.hosts["h0"].send(packet)
+        net.stop_switch_processes()
+        sim.run_until_idle()
+        size = net.hosts["h1"].received_log[0].size
+        assert [p.tpp.pushed_words() for p in net.hosts["h1"].received_log] == [
+            [0, 0], [0, 0], [1, size], [2, 2 * size], [3, 3 * size]]
 
 
 class TestLink:
@@ -103,7 +211,7 @@ class TestTransmission:
             a.send(udp_packet("a", "b", 958))
         sim.run_until_idle()
         assert b.packets_received == 3
-        assert a.ports[0].queue.packets_dropped_total == 7
+        assert a.ports[0].packets_dropped_total == 7
 
     def test_link_down_drops_packets(self):
         # A failed link and an admin-down sending port (link itself up) drop
@@ -119,7 +227,7 @@ class TestTransmission:
             sim.run_until_idle()
             assert packet.dropped and "link down" in packet.drop_reason
             assert a.ports[0].drops_by_reason == {DROP_LINK_DOWN: 1}
-            assert a.ports[0].queue.packets_dropped_total == 1
+            assert a.ports[0].packets_dropped_total == 1
             assert a.ports[0].tx_packets == link.total_packets == 0
             assert b.ports[0].rx_packets == 0
             link.set_up()

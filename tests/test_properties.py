@@ -1,14 +1,16 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import itertools
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.rcp import RcpParameters, alpha_fair_rate, rcp_update
 from repro.apps.sketches import BitmapSketch
 from repro.core.isa import Instruction, Opcode, decode_program, encode_program
 from repro.core.packet_format import AddressingMode, TPP, checksum16, make_tpp
-from repro.net.port import EgressQueue
+from repro.net.link import Link, gbps, mbps
+from repro.net.node import Host
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.stats.series import TimeSeries, cdf, fractiles, fraction_at_or_below
@@ -93,24 +95,74 @@ class TestTppFormatProperties:
 # ---------------------------------------------------------------------------
 # Queues
 # ---------------------------------------------------------------------------
+def fifo_model(arrivals, sizes, rate, capacity_bytes, capacity_packets):
+    """One drop-tail FIFO port, independent of the simulator.
+
+    Returns, per packet, the time its last bit leaves (None when dropped)
+    and ``waiting_at(t)``: the (packets, bytes) still queued at time ``t``.
+    A send at instant t runs before a serialisation that finishes at t.
+    """
+    accepted = []                       # (start, size, queued behind another)
+    departures, busy_until = [], -math.inf
+    for arrival, size in zip(arrivals, sizes):
+        waiting = [s for start, s, queued in accepted if queued and start >= arrival]
+        if (sum(waiting) + size > capacity_bytes
+                or (capacity_packets is not None and len(waiting) >= capacity_packets)):
+            departures.append(None)
+            continue
+        queued = busy_until >= arrival
+        start = max(arrival, busy_until)
+        busy_until = start + size * 8.0 / rate
+        accepted.append((start, size, queued))
+        departures.append(busy_until)
+
+    def waiting_at(t):
+        left = [s for start, s, queued in accepted if queued and start > t]
+        return len(left), sum(left)
+    return departures, waiting_at
+
+
 class TestQueueProperties:
-    @given(st.lists(st.integers(min_value=64, max_value=1500), max_size=60),
-           st.integers(min_value=1000, max_value=20000))
-    @settings(max_examples=50)
-    def test_conservation_and_capacity(self, sizes, capacity):
-        queue = EgressQueue(capacity_bytes=capacity)
-        accepted = 0
-        for size in sizes:
-            if queue.enqueue(udp_packet("a", "b", size)):
-                accepted += 1
-        assert queue.occupancy_bytes <= capacity
-        assert queue.occupancy_packets == accepted
-        assert accepted + queue.packets_dropped_total == len(sizes)
-        drained = 0
-        while queue.dequeue() is not None:
-            drained += 1
-        assert drained == accepted
-        assert queue.occupancy_bytes == 0
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2e-3)),
+                              st.integers(min_value=22, max_value=1458)),
+                    min_size=1, max_size=40),
+           st.sampled_from([mbps(1), mbps(10), mbps(100), gbps(1)]),
+           st.floats(0.0, 1e-3),
+           st.one_of(st.integers(min_value=64, max_value=20000), st.just(math.inf)),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+    @example([(1e-3, 958)] * 10, mbps(100), 1e-6, 512 * 1024, None)   # sparse
+    @example([(0.0, 958)] * 10, mbps(10), 1e-6, 4000, 3)              # one burst
+    @settings(max_examples=150, deadline=None)
+    def test_port_matches_store_and_forward_oracle(self, arrivals, rate, delay,
+                                                   capacity_bytes, capacity_packets):
+        times = list(itertools.accumulate(gap for gap, _ in arrivals))
+        packets = [udp_packet("a", "b", payload) for _, payload in arrivals]
+        sim = Simulator()
+        a, b = Host(sim, "a"), Host(sim, "b")
+        port = a.add_port(capacity_bytes, capacity_packets)
+        Link(port, b.add_port(), rate_bps=rate, delay_s=delay)
+        for when, packet in zip(times, packets):
+            sim.schedule_at(when, port.send, packet)
+        departures, waiting_at = fifo_model(times, [p.size for p in packets], rate,
+                                            capacity_bytes, capacity_packets)
+
+        sim.run(until=times[-1])
+        assert (port.occupancy_packets, port.occupancy_bytes) == waiting_at(times[-1])
+        sim.run_until_idle()
+        for packet, departure in zip(packets, departures):
+            if departure is None:
+                assert packet.dropped and packet.delivered_at is None
+            else:
+                assert not packet.dropped
+                assert packet.delivered_at == departure + delay
+        accepted = sum(d is not None for d in departures)
+        assert port.packets_enqueued_total == accepted
+        assert accepted + port.packets_dropped_total == len(packets)
+        assert port.packets_dequeued_total + port.occupancy_packets == accepted
+        assert port.bytes_dequeued_total + port.occupancy_bytes \
+            == port.bytes_enqueued_total
+        assert port.occupancy_packets == port.occupancy_bytes == 0
+        assert port.tx_packets == b.packets_received == accepted
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ between its quartiles), the pairs the change won, and a verdict:
   regression by the benchmark's rule);
 * ``unresolved`` — anything else: the difference is inside the noise.
 
-Exit status 1 if any run reported failed operations, else 0.
+A speedup counts only if the simulation did the same work, so after every
+run it also reads that tree's ``benchmarks/suite/out/result.json`` and
+prints each side's event total and canonical-result digest per workload.
+
+Exit status 1 if any run reported failed operations or the two sides'
+event totals or digests differ, else 0.
 
 Usage::
 
@@ -40,17 +45,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+RESULT = Path("benchmarks", "suite", "out", "result.json")
 
 
-def run_once(tree: Path, workload: str, seed: int, length: list[str]) -> dict:
-    """One driver-form run in ``tree``; the contract object it printed."""
+def run_once(tree: Path, workload: str, seed: int,
+             length: list[str]) -> tuple[dict, tuple[int, str]]:
+    """One run of the benchmark command in ``tree``: the contract object it
+    printed and the ``(events, digest)`` of the record it wrote."""
     done = subprocess.run(
         [*SPEC["command"], "--workload", workload, "--seed", str(seed),
          *length, "--trace", "0"], cwd=tree, capture_output=True, text=True)
     if not done.stdout.strip():
         raise SystemExit(f"{workload} in {tree} printed nothing "
                          f"(exit {done.returncode}):\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    written = json.loads((tree / RESULT).read_text(encoding="utf-8"))
+    (record,) = written["records"]
+    return (json.loads(done.stdout.strip().splitlines()[-1]),
+            (record["events"], record["digest"]))
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -94,7 +105,7 @@ def main() -> int:
     args = parser.parse_args()
     length = ["--reps", str(args.reps)] if args.reps \
         else ["--seconds", str(SPEC["run_seconds"])]
-    failed = 0
+    failed = differ = 0
     with tempfile.TemporaryDirectory(prefix="bench-compare-") as tmp:
         trees = {side: Path(tmp, side) for side in ("parent", "change")}
         trees["parent"].mkdir()
@@ -113,11 +124,13 @@ def main() -> int:
               f"{'won':>7} verdict   (seed {args.seed}, {' '.join(length)})")
         for workload in args.workload or WORKLOADS:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            totals: dict[str, set] = {"parent": set(), "change": set()}
             for pair in range(args.pairs):
                 for side in (("parent", "change"), ("change", "parent"))[pair % 2]:
-                    result = run_once(trees[side], workload, args.seed, length)
+                    result, total = run_once(trees[side], workload, args.seed, length)
                     failed += result["failed"]
                     runs[side].append(result["metrics"])
+                    totals[side].add(total)
                 print(f"# {workload} pair {pair + 1}: " + "  ".join(
                     f"{name} {runs['parent'][-1][name]['value']:.5g} -> "
                     f"{runs['change'][-1][name]['value']:.5g}"
@@ -127,9 +140,19 @@ def main() -> int:
                          for side in ("parent", "change")]
                 print(f"{workload:<16} {metric['name']:<18} "
                       + verdict(metric, *sides))
+            same = totals["parent"] == totals["change"] and len(totals["parent"]) == 1
+            differ += not same
+            print(f"{workload:<16} {'events, digest':<18} "
+                  + "".join(", ".join(f"{events:,} {digest}" for events, digest
+                                      in sorted(totals[side])).ljust(50)
+                            for side in ("parent", "change"))
+                  + ("identical" if same else "DIFFER"))
     if failed:
         print(f"{failed} failed operations reported", file=sys.stderr)
-    return 1 if failed else 0
+    if differ:
+        print(f"{differ} workload(s) with differing event totals or digests",
+              file=sys.stderr)
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":
