@@ -17,17 +17,20 @@ which is what lets end-hosts catch micro-bursts that a polling monitor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.collect import (CounterSummary, HistogramSummary, SeriesSummary,
                            SummaryBundle, TopKSummary)
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
 from repro.endhost import Aggregator, Collector, PacketFilter
-from repro.net import MessageWorkload, mbps
+from repro.net import mbps
 from repro.net.packet import Packet
 from repro.session import ExperimentResult, Scenario
 from repro.stats import TimeSeries, cdf, fraction_at_or_below
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net import MessageWorkload
 
 #: The §2.1 program, verbatim apart from the explicit output-port read that
 #: lets the aggregator distinguish the queues of a multi-port switch.

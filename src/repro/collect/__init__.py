@@ -25,28 +25,22 @@ This package is that deployment model, reproduced:
 Experiments opt in with ``Scenario(...).collector(shards=N, ...)``; see
 :mod:`repro.session.scenario`.  This package depends only on the network
 substrate, so the end-host layer can emit its summary types without
-circular imports.
+circular imports.  Names resolve on first use: an experiment that declares
+no collector loads only :mod:`~repro.collect.summary`.
 """
 
-from .delta import (DeltaChannel, DeltaDecoder, SummaryDelta,
-                    delta_wire_bytes)
-from .shard import (COLLECT_UDP_PORT_BASE, CollectorShard, SHED_POLICIES,
-                    ShedSpec, Submission, summary_wire_bytes)
-from .summary import (CounterSummary, HistogramSummary, MergeableSummary,
-                      SUMMARY_TYPES, SeriesSummary, SummaryBundle,
-                      TopKSummary, merge_summaries, register_summary,
-                      summary_copy, summary_jsonable)
-from .tree import AggregationNode, TreeSpec, build_tree
-from .virtual import (CollectPlane, PlaneStats, TRANSPORTS, VirtualCollector,
-                      shard_index)
+from repro import lazy_exports
 
-__all__ = [
-    "AggregationNode", "COLLECT_UDP_PORT_BASE", "CollectPlane",
-    "CollectorShard", "CounterSummary", "DeltaChannel", "DeltaDecoder",
-    "HistogramSummary", "MergeableSummary", "PlaneStats", "SHED_POLICIES",
-    "SUMMARY_TYPES", "SeriesSummary", "ShedSpec", "Submission",
-    "SummaryBundle", "SummaryDelta", "TRANSPORTS", "TopKSummary", "TreeSpec",
-    "VirtualCollector", "build_tree", "delta_wire_bytes", "merge_summaries",
-    "register_summary", "shard_index", "summary_copy", "summary_jsonable",
-    "summary_wire_bytes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "delta": ("DeltaChannel", "DeltaDecoder", "SummaryDelta",
+              "delta_wire_bytes"),
+    "shard": ("COLLECT_UDP_PORT_BASE", "CollectorShard", "SHED_POLICIES",
+              "ShedSpec", "Submission", "summary_wire_bytes"),
+    "summary": ("CounterSummary", "HistogramSummary", "MergeableSummary",
+                "SUMMARY_TYPES", "SeriesSummary", "SummaryBundle",
+                "TopKSummary", "merge_summaries", "register_summary",
+                "summary_copy", "summary_jsonable"),
+    "tree": ("AggregationNode", "TreeSpec", "build_tree"),
+    "virtual": ("CollectPlane", "PlaneStats", "TRANSPORTS",
+                "VirtualCollector", "shard_index"),
+})

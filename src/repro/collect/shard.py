@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _replace
 from typing import Any, Optional, Union
 
+from repro import check_count
 from repro.net.packet import Packet
 
 from .delta import DeltaDecoder, SummaryDelta, summary_wire_bytes
@@ -98,12 +99,11 @@ class ShedSpec:
 
 
 def check_buffer_knobs(batch: Optional[int], capacity: int) -> None:
-    """Reject a shard buffer shape (see :class:`CollectorShard`)."""
-    if batch is not None and batch < 1:
-        raise ValueError("batch must be >= 1 (or None to fold only on "
-                         "epoch/finish flushes)")
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
+    """Reject a shard buffer shape (see :class:`CollectorShard`); ``batch``
+    may also be None, to fold only on epoch/finish flushes."""
+    if batch is not None:
+        check_count("batch", batch)
+    check_count("capacity", capacity)
 
 
 def as_shed_spec(shed: Union[str, ShedSpec, None]) -> ShedSpec:

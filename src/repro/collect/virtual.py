@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Union
 
+from repro import check_count
 from repro.net.packet import (ETHERNET_HEADER_BYTES, IPV4_HEADER_BYTES,
                               UDP_HEADER_BYTES, Packet)
 
@@ -61,8 +62,7 @@ def check_plane_knobs(shard_count: int, transport: str,
     """Reject a collector-tier shape: the one copy of these checks, run by
     :class:`CollectPlane` when built and by the session's ``CollectorSpec``
     when a scenario declares it."""
-    if shard_count < 1:
-        raise ValueError("the collector tier needs at least one shard")
+    check_count("shards", shard_count)
     if transport not in TRANSPORTS:
         raise ValueError(f"unknown transport {transport!r}; "
                          f"choose from {TRANSPORTS}")
@@ -70,8 +70,7 @@ def check_plane_knobs(shard_count: int, transport: str,
         raise ValueError(f"epoch_s must be finite and positive when set, "
                          f"got {epoch_s!r}")
     check_buffer_knobs(batch, capacity)
-    if delta_resync_every < 0:
-        raise ValueError("delta_resync_every must be >= 0")
+    check_count("delta_resync_every", delta_resync_every, minimum=0)
 
 
 def as_tree_spec(tree: Union[int, TreeSpec, None]) -> Optional[TreeSpec]:

@@ -12,17 +12,16 @@ Three cooperating pieces (see the module docstrings for the contracts):
 
 The degradation mechanics themselves live on :class:`repro.net.link.Link`
 (``set_loss`` / ``set_down`` / ``set_up``); this package only decides
-*when* and *what*, so the net layer stays usable without it.
+*when* and *what*, so the net layer stays usable without it.  Names
+resolve on first use, so declaring a fault plan loads only ``plan``.
 """
 
-from .injector import FaultInjector, link_rng
-from .plan import (FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec,
-                   RemediationSpec)
-from .policy import (POLICIES, LinkVerdict, RemediationController,
-                     RemediationPolicy, register_policy)
+from repro import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS", "FaultEvent", "FaultInjector", "FaultPlan", "FaultSpec",
-    "LinkVerdict", "POLICIES", "RemediationController", "RemediationPolicy",
-    "RemediationSpec", "link_rng", "register_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector", "link_rng"),
+    "plan": ("FAULT_KINDS", "FaultEvent", "FaultPlan", "FaultSpec",
+             "RemediationSpec"),
+    "policy": ("POLICIES", "LinkVerdict", "RemediationController",
+               "RemediationPolicy", "register_policy"),
+})

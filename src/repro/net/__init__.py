@@ -1,21 +1,22 @@
-"""Discrete-event network substrate: simulator, packets, links, hosts, topologies."""
+"""Discrete-event network substrate: simulator, packets, links, hosts, topologies.
 
-from .link import Link, gbps, mbps
-from .node import Host, Node
-from .packet import (Packet, TPP_ETHERTYPE, TPP_UDP_PORT, tcp_packet, tpp_probe_packet,
-                     udp_packet)
-from .port import Port
-from .sim import Event, PeriodicProcess, SimulationError, Simulator
-from .topology import (BuiltTopology, Network, build_conga_topology, build_dumbbell,
-                       build_fat_tree, build_leaf_spine, build_rcp_chain)
-from .flows import MessageWorkload, RateLimitedFlow, ThroughputMeter, next_flow_id
-from .tcp import TcpConnection, TcpStats
+Names resolve on first use, so the traffic models (``flows``, ``tcp``) load
+only for the experiments that generate their traffic.
+"""
 
-__all__ = [
-    "BuiltTopology", "Event", "Host", "Link", "MessageWorkload", "Network",
-    "Node", "Packet", "PeriodicProcess", "Port", "RateLimitedFlow",
-    "SimulationError", "Simulator", "TPP_ETHERTYPE", "TPP_UDP_PORT", "TcpConnection",
-    "TcpStats", "ThroughputMeter", "build_conga_topology", "build_dumbbell",
-    "build_fat_tree", "build_leaf_spine", "build_rcp_chain", "gbps", "mbps",
-    "next_flow_id", "tcp_packet", "tpp_probe_packet", "udp_packet",
-]
+from repro import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "flows": ("MessageWorkload", "RateLimitedFlow", "ThroughputMeter",
+              "next_flow_id"),
+    "link": ("Link", "gbps", "mbps"),
+    "node": ("Host", "Node"),
+    "packet": ("Packet", "TPP_ETHERTYPE", "TPP_UDP_PORT", "tcp_packet",
+               "tpp_probe_packet", "udp_packet"),
+    "port": ("Port",),
+    "sim": ("Event", "PeriodicProcess", "SimulationError", "Simulator"),
+    "tcp": ("TcpConnection", "TcpStats"),
+    "topology": ("BuiltTopology", "Network", "build_conga_topology",
+                 "build_dumbbell", "build_fat_tree", "build_leaf_spine",
+                 "build_rcp_chain"),
+})

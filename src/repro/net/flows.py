@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro import check_count
+
 from .node import Host
 from .packet import (ETHERNET_HEADER_BYTES, IPV4_HEADER_BYTES, UDP_HEADER_BYTES,
                      Packet, udp_packet)
@@ -140,6 +142,8 @@ class MessageWorkload:
             raise ValueError("offered_load must be in (0, 1]")
         if len(hosts) < 2:
             raise ValueError("the workload needs at least two hosts")
+        check_count("message_bytes", message_bytes)
+        check_count("packet_payload_bytes", packet_payload_bytes)
         self.sim = sim
         self.hosts = hosts
         self.message_bytes = message_bytes

@@ -17,20 +17,19 @@ Quick start::
     result.telemetry                      # canonical metrics snapshot
     telemetry.self_times()                # span name -> self wall-clock
     obs.write_trace(telemetry, "run.json")  # load in ui.perfetto.dev
+
+Names resolve on first use: the recorder and the exporter load only when a
+scenario declares one or a trace is written.
 """
 
-from .flightrec import (DropExplanation, FlightRecorder, JourneyLog,
-                        PacketJourney, RecorderSpec)
-from .perfetto import (network_trace_events, trace_events,
-                       write_network_trace, write_trace)
-from .telemetry import (Counter, Gauge, Histogram, MetricsRegistry,
-                        NULL_TELEMETRY, Span, Telemetry, get_telemetry,
-                        set_telemetry, use)
+from repro import lazy_exports
 
-__all__ = [
-    "Counter", "DropExplanation", "FlightRecorder", "Gauge", "Histogram",
-    "JourneyLog", "MetricsRegistry", "NULL_TELEMETRY", "PacketJourney",
-    "RecorderSpec", "Span", "Telemetry", "get_telemetry",
-    "network_trace_events", "set_telemetry", "trace_events", "use",
-    "write_network_trace", "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "flightrec": ("DropExplanation", "FlightRecorder", "JourneyLog",
+                  "PacketJourney", "RecorderSpec"),
+    "perfetto": ("network_trace_events", "trace_events",
+                 "write_network_trace", "write_trace"),
+    "telemetry": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                  "NULL_TELEMETRY", "Span", "Telemetry", "get_telemetry",
+                  "set_telemetry", "use"),
+})

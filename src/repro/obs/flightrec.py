@@ -62,6 +62,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro import check_count
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tcpu import ExecutionResult
     from repro.net.link import Link
@@ -137,12 +139,8 @@ class RecorderSpec:
     links: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"recorder capacity must be >= 1, "
-                             f"got {self.capacity}")
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, "
-                             f"got {self.sample_every}")
+        check_count("recorder capacity", self.capacity)
+        check_count("sample_every", self.sample_every)
         for name, value in (("apps", self.apps), ("links", self.links)):
             if value is not None:
                 if isinstance(value, str):

@@ -27,7 +27,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.collect import CollectPlane
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
 from repro.endhost import (Aggregator, Collector, DeployedApplication,
@@ -42,6 +41,7 @@ from .registry import TOPOLOGIES, WORKLOADS
 from .spec import RESULT_COUNTERS, JourneyQueries, counters_under
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.collect import CollectPlane
     from repro.endhost import EndHostStack
     from repro.net.node import Host
     from repro.obs import Telemetry
@@ -178,6 +178,7 @@ class Experiment:
         self._plane_push_rounds = 0
         cspec = spec.collector
         if cspec is not None:
+            from repro.collect import CollectPlane
             with span("build.collect_plane", shards=cspec.shards):
                 self.collect_plane = CollectPlane(
                     cspec.shards, transport=cspec.transport, epoch_s=cspec.epoch_s,

@@ -80,8 +80,6 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
-from repro.collect.shard import as_shed_spec
-from repro.collect.virtual import as_tree_spec, check_plane_knobs
 from repro.endhost import Aggregator, Collector, PacketFilter
 from repro.endhost.filters import check_sample_frequency
 
@@ -150,6 +148,9 @@ class CollectorSpec:
     delta_resync_every: int = 0
 
     def __post_init__(self) -> None:
+        from repro.collect.shard import as_shed_spec
+        from repro.collect.virtual import as_tree_spec, check_plane_knobs
+
         check_plane_knobs(self.shards, self.transport, self.epoch_s,
                           self.batch, self.capacity, self.delta_resync_every)
         self.hosts = list(self.hosts) if self.hosts else None

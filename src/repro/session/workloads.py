@@ -11,12 +11,15 @@ scenario's single seed makes the whole run reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.net.flows import MessageWorkload, RateLimitedFlow
+from repro import check_count
 from repro.net.packet import Packet, udp_packet
 
 from .registry import register_workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.flows import MessageWorkload, RateLimitedFlow
 
 __all__ = ["BurstTraffic", "all_to_all_once", "cross_pod_bursts", "messages",
            "paced_flows"]
@@ -43,6 +46,8 @@ def messages(experiment, *, link_rate_bps: Optional[float] = None,
 
     ``stop_time`` defaults to the scenario's run duration.
     """
+    from repro.net.flows import MessageWorkload
+
     if link_rate_bps is None:
         link_rate_bps = _default_link_rate(experiment)
     if seed is None:
@@ -65,6 +70,8 @@ def paced_flows(experiment, *, flows: list[dict],
     (``dport``, ``vlan``, ``packet_payload_bytes``, ``start_time``, ``name``)
     pass through to :class:`RateLimitedFlow`.  Returns name -> flow.
     """
+    from repro.net.flows import RateLimitedFlow
+
     handles: dict[str, RateLimitedFlow] = {}
     for index, spec in enumerate(flows):
         spec = dict(spec)
@@ -121,6 +128,8 @@ def cross_pod_bursts(experiment, *, burst_packets: int = 8,
     ``i + n/2 (mod n)`` every ``burst_interval_s``, through its shim's
     ``send_burst`` when the scenario built end-host stacks.
     """
+    check_count("burst_packets", burst_packets)
+    check_count("payload_bytes", payload_bytes)
     hosts = _host_objects(experiment, None)
     n = len(hosts)
     if n < 2:

@@ -21,10 +21,14 @@ byte-identical regardless of worker count or completion order::
              .replicate(4))
     result = SweepRunner(workers=4, duration_s=0.5).run(sweep)
     print(result.canonical_json())
+
+Names resolve on first use: declaring a sweep does not load the process
+pool (``runner``, with ``concurrent.futures`` and ``multiprocessing``).
 """
 
-from .plan import Axis, SweepSpec, SweepTask
-from .runner import SweepResult, SweepRunner, TaskOutcome
+from repro import lazy_exports
 
-__all__ = ["Axis", "SweepResult", "SweepRunner", "SweepSpec", "SweepTask",
-           "TaskOutcome"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "plan": ("Axis", "SweepSpec", "SweepTask"),
+    "runner": ("SweepResult", "SweepRunner", "TaskOutcome"),
+})

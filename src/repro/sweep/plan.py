@@ -43,15 +43,12 @@ what lets the runner's manifest recognise completed work across runs.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from repro.collect import ShedSpec, TreeSpec
-from repro.faults import FaultSpec, RemediationSpec
-from repro.obs import RecorderSpec
 from repro.session import Scenario, ScenarioSpec
-from repro.session.scenario import CollectorSpec
 from repro.session.spec import SpecError, ensure_picklable
 
 __all__ = ["Axis", "SweepSpec", "SweepTask"]
@@ -64,13 +61,23 @@ _SCALAR_PATHS = {"seed": int, "name": str, "stacks": bool, "seed_ecmp": bool,
 #: Sub-spec roots: the axis head is also the ScenarioSpec attribute, and a
 #: missing sub-spec is materialised with its defaults.  ``replace()`` re-runs
 #: the class's ``__post_init__`` checks — the same ones the builder method
-#: runs — so a bad axis value fails at declaration time.
-_SUBSPEC_PATHS = {"collector": CollectorSpec, "faults": FaultSpec,
-                  "remediation": RemediationSpec, "recorder": RecorderSpec}
+#: runs — so a bad axis value fails at declaration time.  Each class is named
+#: ``module:class`` and imported only when an axis path names it, so a sweep
+#: over seeds never imports the planes it does not sweep.
+_SUBSPEC_PATHS = {"collector": "repro.session.scenario:CollectorSpec",
+                  "faults": "repro.faults:FaultSpec",
+                  "remediation": "repro.faults:RemediationSpec",
+                  "recorder": "repro.obs:RecorderSpec"}
 
 #: Sub-specs one level further down: ``<root>.<field>.<leaf>``.
-_NESTED_PATHS = {("collector", "tree"): TreeSpec,
-                 ("collector", "shed"): ShedSpec}
+_NESTED_PATHS = {("collector", "tree"): "repro.collect:TreeSpec",
+                 ("collector", "shed"): "repro.collect:ShedSpec"}
+
+
+def _default(where: str) -> Any:
+    """A default instance of the ``module:class`` sub-spec ``where``."""
+    module, _, name = where.partition(":")
+    return getattr(importlib.import_module(module), name)()
 
 
 @dataclass(frozen=True)
@@ -145,11 +152,11 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
                                             if root == head]
             raise SpecError(f"axis path {path!r} must be "
                             f"{' or '.join(shapes)}")
-        current = getattr(spec, head) or _SUBSPEC_PATHS[head]()
+        current = getattr(spec, head) or _default(_SUBSPEC_PATHS[head])
         if leaf:
             # Rewrite the nested sub-spec immutably, so sibling tasks
             # sharing the base spec never alias state.
-            value = _rebuilt(path, getattr(current, name) or nested(),
+            value = _rebuilt(path, getattr(current, name) or _default(nested),
                              leaf, value)
         setattr(spec, head, _rebuilt(path, current, name, value))
         return

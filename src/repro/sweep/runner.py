@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import pickle
 from collections import deque
@@ -304,8 +305,9 @@ class SweepRunner:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         check_duration(duration_s)
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if timeout_s is not None and not 0.0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be finite and positive, "
+                             f"got {timeout_s!r}")
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.workers = workers

@@ -83,6 +83,18 @@ class TestRecorderSpec:
         with pytest.raises(ValueError):
             RecorderSpec(**kwargs)
 
+    # NaN and 2.5 passed ``< 1`` and raised TypeError mid-run, when the
+    # first ring was sized; True passed as a sampling stride of one.
+    @pytest.mark.parametrize("kwargs", [
+        {"capacity": float("nan")}, {"capacity": 2.5}, {"capacity": True},
+        {"sample_every": True}, {"sample_every": 1.0}])
+    def test_non_integer_counts_rejected_at_declaration(self, kwargs):
+        (knob, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"{knob} must be an int >= 1"):
+            RecorderSpec(**kwargs)
+        with pytest.raises(ValueError, match=f"{knob} must be an int >= 1"):
+            _scenario().flight_recorder(**kwargs)
+
     def test_filters_normalised_to_tuples(self):
         spec = RecorderSpec(apps=["x"], links=("l1", "l2"))
         assert spec.apps == ("x",)

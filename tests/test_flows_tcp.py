@@ -99,6 +99,19 @@ class TestMessageWorkload:
         with pytest.raises(ValueError):
             MessageWorkload(sim, hosts[:1], link_rate_bps=mbps(10))
 
+    @pytest.mark.parametrize("knob,value", [
+        ("packet_payload_bytes", 0), ("packet_payload_bytes", -1),
+        ("message_bytes", 0), ("message_bytes", -5),
+        ("message_bytes", float("nan"))])
+    def test_absurd_sizes_rejected_before_scheduling(self, knob, value):
+        sim = Simulator()
+        topo = build_dumbbell(sim)
+        hosts = [topo.network.hosts[name] for name in topo.host_names]
+        pending = sim.heap_size
+        with pytest.raises(ValueError, match=f"{knob} must be an int >= 1"):
+            MessageWorkload(sim, hosts, link_rate_bps=mbps(10), **{knob: value})
+        assert sim.heap_size == pending and sim.events_executed == 0
+
     def test_deterministic_with_seed(self):
         def run(seed):
             sim = Simulator()

@@ -151,6 +151,25 @@ class TestScenarioBuilder:
         assert experiment.sim.events_executed == 0
         assert experiment.run(0.0).events_executed == 0      # zero is legal
 
+    # Shrunk examples: a zero payload never drained a message (a hang), a
+    # negative one grew it, a zero message divided by zero, a negative one
+    # scheduled into the past, and negative bursts injected nothing while
+    # counting every burst.  Each now fails the build, before the clock.
+    @pytest.mark.parametrize("workload,knob,value", [
+        ("messages", "packet_payload_bytes", 0),
+        ("messages", "packet_payload_bytes", -1),
+        ("messages", "message_bytes", 0),
+        ("messages", "message_bytes", -5),
+        ("messages", "message_bytes", 2.5),
+        ("cross-pod-bursts", "burst_packets", -2),
+        ("cross-pod-bursts", "burst_packets", True),
+        ("cross-pod-bursts", "payload_bytes", 0)])
+    def test_absurd_workload_sizes_fail_before_any_event(self, workload, knob,
+                                                          value):
+        scenario = Scenario("dumbbell").workload(workload, **{knob: value})
+        with pytest.raises(ValueError, match=f"{knob} must be an int >= 1"):
+            scenario.run(0.001)
+
     def test_copy_is_independent(self):
         base = Scenario("dumbbell").workload("messages")
         variant = base.copy().tpp("t", "PUSH [Switch:SwitchID]")

@@ -170,6 +170,9 @@ class TestDeclareTimeChecks:
         ("collector.shards", 0), ("collector.transport", "pigeon"),
         ("collector.epoch_s", -1.0), ("collector.batch", 0),
         ("collector.delta_resync_every", -3), ("collector.tree", "x"),
+        ("collector.shards", 2.5), ("collector.shards", True),
+        ("collector.capacity", float("nan")), ("collector.batch", 8.0),
+        ("collector.delta_resync_every", 0.5),
         ("collector.shed", 3), ("remediation.policy", "nope"),
         ("tpp.monitor.sample_frequency", 0), ("tpp.monitor.__class__", 1)])
     def test_bad_axis_values_fail_at_axis(self, path, value):
@@ -186,8 +189,11 @@ class TestDeclareTimeChecks:
                               (ValueError, TypeError, UnknownRegistration))
 
     def test_builder_rejects_the_same_values_at_the_fluent_call(self):
-        with pytest.raises(ValueError, match="at least one shard"):
+        with pytest.raises(ValueError, match="shards must be an int >= 1"):
             pinned_base().collector(shards=0)
+        # 2.5 shards used to pass declaration and raise TypeError at build.
+        with pytest.raises(ValueError, match="shards must be an int >= 1"):
+            pinned_base().collector(shards=2.5)
         with pytest.raises(UnknownRegistration, match="nope"):
             pinned_base().remediation("nope")
         with pytest.raises(ValueError, match="sample_frequency"):
@@ -359,6 +365,12 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="duration_s"):
             SweepRunner(duration_s=bad)
         SweepRunner(duration_s=None)                 # "run until idle" stays legal
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_timeouts_rejected_at_construction(self, bad):
+        # ``span.elapsed > nan`` is never true: a NaN budget timed nothing out.
+        with pytest.raises(ValueError, match="timeout_s must be finite"):
+            SweepRunner(workers=2, timeout_s=bad)
 
     def test_worker_exception_is_recorded(self):
         tasks = [SweepTask(index=0, label="boom", overrides={},

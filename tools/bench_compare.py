@@ -18,6 +18,11 @@ between its quartiles), the pairs the change won, and a verdict:
   regression by the benchmark's rule);
 * ``unresolved`` — anything else: the difference is inside the noise.
 
+Every run compiles the sources afresh (``PYTHONDONTWRITEBYTECODE=1``):
+otherwise the first run in each new tree pays for writing ``__pycache__``
+and later runs do not, a one-off import cost that lands on pair 1's
+``setup_s`` and widens the spread a claim is judged against.
+
 A speedup counts only if the simulation did the same work, so after every
 run it also reads that tree's ``benchmarks/suite/out/result.json`` and
 prints each side's event total and canonical-result digest per workload.
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -46,6 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 RESULT = Path("benchmarks", "suite", "out", "result.json")
+#: The children's environment: no bytecode cache, so every run imports alike.
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
 def run_once(tree: Path, workload: str, seed: int,
@@ -54,7 +62,8 @@ def run_once(tree: Path, workload: str, seed: int,
     printed and the ``(events, digest)`` of the record it wrote."""
     done = subprocess.run(
         [*SPEC["command"], "--workload", workload, "--seed", str(seed),
-         *length, "--trace", "0"], cwd=tree, capture_output=True, text=True)
+         *length, "--trace", "0"], cwd=tree, env=ENV, capture_output=True,
+        text=True)
     if not done.stdout.strip():
         raise SystemExit(f"{workload} in {tree} printed nothing "
                          f"(exit {done.returncode}):\n{done.stderr}")
@@ -121,7 +130,8 @@ def main() -> int:
                 shutil.copy2(ROOT / name, trees["change"] / name)
         print(f"{'workload':<16} {'metric':<18} {'parent median [q1..q3]':<38}"
               f"{'change median [q1..q3]':<38}{'change':>8} {'vs spread':>11} "
-              f"{'won':>7} verdict   (seed {args.seed}, {' '.join(length)})")
+              f"{'won':>7} verdict   (seed {args.seed}, {' '.join(length)}, "
+              f"PYTHONDONTWRITEBYTECODE=1)")
         for workload in args.workload or WORKLOADS:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             totals: dict[str, set] = {"parent": set(), "change": set()}
