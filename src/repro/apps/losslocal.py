@@ -65,15 +65,6 @@ class HopRecord:
     tx_packets: int
 
 
-@dataclass(frozen=True, slots=True)
-class DeficitSample:
-    """One adjacent-hop diff extracted from a completed TPP."""
-
-    time: float
-    pair: tuple[int, int]            # (upstream switch id, downstream switch id)
-    deficit: int
-
-
 @dataclass(frozen=True)
 class LinkSuspect:
     """A ranked verdict: ``link`` shows a ``deficit``-packet tx/rx gap."""
@@ -88,13 +79,13 @@ class LossLocalizationAggregator(Aggregator):
 
     def __init__(self, host_name: str, collector: Optional[Collector] = None) -> None:
         super().__init__(host_name, collector)
-        self.samples: list[DeficitSample] = []
+        #: Adjacent-hop diffs computed so far (the summary's ``samples``).
+        self.deficit_samples = 0
         #: Directed (upstream sid, downstream sid) -> max deficit observed.
         self.link_deficits: dict[tuple[int, int], int] = {}
 
     def on_tpp(self, tpp: TPP, packet: Packet) -> None:
         super().on_tpp(tpp, packet)
-        now = packet.delivered_at if packet.delivered_at is not None else 0.0
         hops = []
         for words in tpp.words_by_hop(VALUES_PER_HOP):
             if len(words) < VALUES_PER_HOP:
@@ -104,8 +95,7 @@ class LossLocalizationAggregator(Aggregator):
         for upstream, downstream in zip(hops, hops[1:]):
             pair = (upstream.switch_id, downstream.switch_id)
             deficit = upstream.tx_packets + 1 - downstream.rx_packets
-            self.samples.append(DeficitSample(time=now, pair=pair,
-                                              deficit=deficit))
+            self.deficit_samples += 1
             if deficit > self.link_deficits.get(pair, -(1 << 62)):
                 self.link_deficits[pair] = deficit
 
@@ -119,7 +109,7 @@ class LossLocalizationAggregator(Aggregator):
         """
         counters = CounterSummary({"tpps": self.tpps_received,
                                    "tpps_truncated": self.tpps_truncated,
-                                   "samples": len(self.samples)})
+                                   "samples": self.deficit_samples})
         deficits = SeriesSummary()
         for (sid_a, sid_b), deficit in self.link_deficits.items():
             deficits.add(0.0, f"{sid_a}->{sid_b}", deficit)
@@ -168,7 +158,6 @@ class LossLocalizationResult:
 
     suspects: list[LinkSuspect]
     deficits: dict[tuple[int, int], int]
-    samples: list[DeficitSample]
     tpps_received: int
     fault_events_applied: int
     packets_corrupted: int
@@ -185,7 +174,6 @@ def _to_losslocal_result(result: ExperimentResult) -> LossLocalizationResult:
     return LossLocalizationResult(
         suspects=localize(result),
         deficits=merged_deficits(result),
-        samples=result.merged_samples("loss-localization"),
         tpps_received=result.tpps_received,
         fault_events_applied=result.fault_events_applied,
         packets_corrupted=result.packets_corrupted,

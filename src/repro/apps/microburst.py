@@ -68,12 +68,10 @@ class QueueSample:
 
 
 class MicroburstAggregator(Aggregator):
-    """Per-host aggregator: turns completed TPPs into per-queue time series."""
+    """Per-host aggregator: folds completed TPPs into per-queue monoids."""
 
     def __init__(self, host_name: str, collector: Optional[Collector] = None) -> None:
         super().__init__(host_name, collector)
-        self.samples: list[QueueSample] = []
-        self.series: dict[tuple[int, int], TimeSeries] = {}
         # The mergeable monoids, folded per hop; summarize() snapshots them.
         self._occupancy = HistogramSummary(OCCUPANCY_EDGES)
         self._busiest = TopKSummary(k=8)
@@ -85,12 +83,7 @@ class MicroburstAggregator(Aggregator):
         for hop in tpp.words_by_hop(VALUES_PER_HOP):
             if len(hop) < VALUES_PER_HOP:
                 continue
-            switch_id, port, occupancy = hop[0], hop[1], hop[2]
-            sample = QueueSample(time=now, switch_id=switch_id, port=port,
-                                 occupancy_packets=occupancy)
-            self.samples.append(sample)
-            key = (switch_id, port)
-            self.series.setdefault(key, TimeSeries()).add(now, occupancy)
+            key, occupancy = (hop[0], hop[1]), hop[2]
             self._occupancy.observe(occupancy)
             self._busiest.observe(key)
             self._queue_series.add(now, key, occupancy)
@@ -101,7 +94,7 @@ class MicroburstAggregator(Aggregator):
         collector tier reconstructs the global view from any sharding)."""
         counters = CounterSummary({"tpps": self.tpps_received,
                                    "tpps_truncated": self.tpps_truncated,
-                                   "samples": len(self.samples)})
+                                   "samples": len(self._queue_series)})
         return SummaryBundle({"counters": counters,
                               "occupancy": self._occupancy.copy(),
                               "busiest_queues": self._busiest.copy(),
@@ -140,11 +133,20 @@ class MicroburstResult:
 
 
 def _to_microburst_result(result: ExperimentResult) -> MicroburstResult:
-    """Assemble the Figure 1 result object from a finished session run."""
+    """Assemble the Figure 1 result object from the app's merged summary:
+    samples in the merged series' canonical (time, queue, occupancy) order."""
     workload: MessageWorkload = result.workloads["messages"]
+    merged = result.merged_summary("microburst-monitor")
+    samples = [QueueSample(time, switch_id, port, occupancy)
+               for time, (switch_id, port), occupancy
+               in merged.get("queue_series", SeriesSummary()).samples]
+    series: dict[tuple[int, int], TimeSeries] = {}
+    for sample in samples:
+        series.setdefault(sample.queue_key, TimeSeries()).add(
+            sample.time, sample.occupancy_packets)
     return MicroburstResult(
-        samples=result.merged_samples("microburst-monitor"),
-        series=result.merged_series("microburst-monitor"),
+        samples=samples,
+        series=series,
         messages_sent=len(workload.messages_sent),
         packets_instrumented=result.tpps_attached,
         tpp_overhead_bytes_per_packet=microburst_tpp().tpp.wire_length())

@@ -4,23 +4,23 @@ The paper load-balances the collector tier behind a virtual IP and relies
 on commutative aggregation operators to make sharding semantics-free.
 This package is that deployment model, reproduced:
 
-* :mod:`repro.collect.summary` — the :class:`MergeableSummary` protocol and
+* :mod:`repro.collect.summary` — the :class:`MergeableSummary` protocol,
   the concrete monoids (counter, histogram, top-k, series) aggregators
   emit, each registered in :data:`SUMMARY_TYPES` so the generated
-  commutativity suite can enumerate them;
+  commutativity suite can enumerate them, and :func:`fold`, the one
+  combine step (copy the first, merge the rest) every tier uses;
 * :mod:`repro.collect.delta` — the delta-channel wire format: per-source
   epoch diffs with sequence numbers and cumulative-resync fallback;
 * :mod:`repro.collect.shard` — :class:`CollectorShard` end-host services
   with batching, per-epoch flushes, delta replay, and explicit
   backpressure/load-shedding policies (:class:`ShedSpec`) with per-policy
   drop accounting;
-* :mod:`repro.collect.tree` — the shard → rack → root aggregation tree
-  (:class:`AggregationNode` / :func:`build_tree`), semantics-free by the
-  monoid laws;
 * :mod:`repro.collect.virtual` — the :class:`VirtualCollector` front door
   and :class:`CollectPlane`, which consistently hash (app, host, key)
   across the tier and reconstruct the global view with an
-  order-independent :meth:`~repro.collect.virtual.CollectPlane.merge`.
+  order-independent :meth:`~repro.collect.virtual.CollectPlane.merge`:
+  shard views folded ``fanin`` at a time up a shard → rack → root tree
+  (:class:`TreeSpec`), semantics-free by the monoid laws.
 
 Experiments opt in with ``Scenario(...).collector(shards=N, ...)``; see
 :mod:`repro.session.scenario`.  This package depends only on the network
@@ -38,9 +38,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
               "ShedSpec", "Submission", "summary_wire_bytes"),
     "summary": ("CounterSummary", "HistogramSummary", "MergeableSummary",
                 "SUMMARY_TYPES", "SeriesSummary", "SummaryBundle",
-                "TopKSummary", "merge_summaries", "register_summary",
+                "TopKSummary", "fold", "merge_summaries", "register_summary",
                 "summary_copy", "summary_jsonable"),
-    "tree": ("AggregationNode", "TreeSpec", "build_tree"),
-    "virtual": ("CollectPlane", "PlaneStats", "TRANSPORTS",
+    "virtual": ("CollectPlane", "PlaneStats", "TRANSPORTS", "TreeSpec",
                 "VirtualCollector", "shard_index"),
 })

@@ -45,9 +45,6 @@ from typing import Any, Optional
 
 from .summary import summary_copy
 
-#: Fixed per-submission envelope estimate (addresses, app id, key, time).
-ENVELOPE_BYTES = 32
-
 #: Per-delta-unit header estimate (kind, seq, base_seq).
 DELTA_HEADER_BYTES = 8
 

@@ -36,8 +36,8 @@ or as UDP summary packets delivered by the simulated network, and:
 
 :meth:`merged_view` folds the retained snapshots across hosts into this
 shard's partial global view — the commutative merge completed across
-shards by :meth:`repro.collect.virtual.CollectPlane.merge` (flat or via
-the :mod:`~repro.collect.tree` aggregation tree).
+shards by :meth:`repro.collect.virtual.CollectPlane.merge` (in one level,
+or level by level up an aggregation tree).
 """
 
 from __future__ import annotations
@@ -49,17 +49,17 @@ from repro import check_count
 from repro.net.packet import Packet
 
 from .delta import DeltaDecoder, SummaryDelta, summary_wire_bytes
-from .summary import _canonical_key, summary_copy
+from .summary import SummaryBundle, _canonical_key, fold
 
-__all__ = ["COLLECT_UDP_PORT_BASE", "CollectorShard", "SHED_POLICIES",
-           "ShedSpec", "Submission", "summary_wire_bytes"]
+__all__ = ["COLLECT_UDP_PORT_BASE", "CollectorShard", "ENVELOPE_BYTES",
+           "SHED_POLICIES", "ShedSpec", "Submission", "summary_wire_bytes"]
 
 #: Base UDP destination port for summary packets; shard ``i`` listens on
 #: ``COLLECT_UDP_PORT_BASE + i`` so shards sharing a host stay distinct.
 COLLECT_UDP_PORT_BASE = 0x6668
 
 #: Fixed per-submission envelope estimate (addresses, app id, key, time).
-_ENVELOPE_BYTES = 32
+ENVELOPE_BYTES = 32
 
 #: Registered load-shedding policies, in menu order.
 SHED_POLICIES = ("drop-newest", "drop-oldest", "sample", "priority-keys")
@@ -93,8 +93,10 @@ class ShedSpec:
         if self.policy not in SHED_POLICIES:
             raise ValueError(f"unknown shed policy {self.policy!r}; "
                              f"choose from {SHED_POLICIES}")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        check_count("sample_stride", self.sample_stride)
+        if isinstance(self.priority, str):
+            raise ValueError("priority must be a sequence of part keys, "
+                             "not a bare string")
         object.__setattr__(self, "priority", tuple(self.priority))
 
 
@@ -177,7 +179,7 @@ class CollectorShard:
             self._count_drop(self.shed.policy)
             return False
         self.received += 1
-        self.bytes_received += _ENVELOPE_BYTES + summary_wire_bytes(submission.summary)
+        self.bytes_received += ENVELOPE_BYTES + summary_wire_bytes(submission.summary)
         self.pending.append(submission)
         if self.batch is not None and len(self.pending) >= self.batch:
             self.flush(kind="batch")
@@ -273,26 +275,23 @@ class CollectorShard:
         """Drain the delta channels awaiting a cumulative resync (NACKs)."""
         return self.decoder.take_resyncs()
 
-    def merged_view(self) -> dict[tuple, Any]:
-        """This shard's partial global view: (app, key) -> merged summary.
+    def merged_view(self) -> SummaryBundle:
+        """This shard's partial global view: a bundle keyed by (app, key).
 
-        Hosts fold in sorted order, but the fold is commutative by the
-        :class:`~repro.collect.summary.MergeableSummary` contract, so any
-        order would produce the same result (tested).  Pending submissions
-        are not included — call :meth:`flush` first for an up-to-date view.
+        Each target's retained snapshots :func:`fold` in sorted host order
+        (the fold copies, so retained state is never mutated); any order
+        would produce the same result by the monoid laws (tested).  Pending
+        submissions are not included — call :meth:`flush` first for an
+        up-to-date view.
         """
-        merged: dict[tuple, Any] = {}
+        by_target: dict[tuple, list] = {}
         for group in sorted(self.state,
                             key=lambda g: (g[0], _canonical_key(g[2]), g[1])):
             submission = self.state[group]
-            target = (submission.app, submission.key)
-            if target in merged:
-                merged[target].merge(submission.summary)
-            else:
-                # Copy on first sight: the fold must never mutate the
-                # retained snapshot (it may be merged again later).
-                merged[target] = summary_copy(submission.summary)
-        return merged
+            by_target.setdefault((submission.app, submission.key),
+                                 []).append(submission.summary)
+        return SummaryBundle({target: fold(summaries)
+                              for target, summaries in by_target.items()})
 
     def counters(self) -> dict[str, int]:
         """This shard's flush/drop accounting, by canonical metric name.

@@ -27,9 +27,10 @@ Concrete monoids:
   object with a commutative ``merge``, e.g.
   :class:`repro.apps.sketches.BitmapSketch`); merge is key-wise.
 
-Anything with a commutative ``merge(other)`` participates;
-:func:`merge_summaries` / :func:`summary_copy` adapt foreign objects by
-deep-copying when they lack ``copy()``.
+Anything with a commutative ``merge(other)`` participates; :func:`fold`
+(copy the first, merge the rest) is the one combine step every tier uses,
+and :func:`summary_copy` adapts foreign objects by deep-copying when they
+lack ``copy()``.
 
 A caveat on *bit*-identity: the monoid laws hold exactly over integers
 (which is what every shipped aggregator emits — packet, sample, and
@@ -107,11 +108,27 @@ def summary_copy(summary: Any) -> Any:
     return _copy.deepcopy(summary)
 
 
+def fold(summaries: Iterable[Any]) -> Any:
+    """``s0 ⊕ s1 ⊕ …`` as a fresh object: copy the first summary, merge the
+    rest into the copy in the caller's order.  No input is mutated.
+
+    The one combine step of the collect plane: a shard's per-target view,
+    every level of the aggregation tree, a result's per-app summary and a
+    sweep's merged bundle all fold through here.
+    """
+    items = iter(summaries)
+    try:
+        merged = summary_copy(next(items))
+    except StopIteration:
+        raise ValueError("cannot fold zero summaries") from None
+    for summary in items:
+        merged.merge(summary)
+    return merged
+
+
 def merge_summaries(left: Any, right: Any) -> Any:
     """``left ⊕ right`` as a fresh object; neither argument is mutated."""
-    merged = summary_copy(left)
-    merged.merge(right)
-    return merged
+    return fold((left, right))
 
 
 def summary_jsonable(summary: Any) -> Any:

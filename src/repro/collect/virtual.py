@@ -8,8 +8,8 @@ and load-balances it; this module reproduces that shape:
   ``"network"`` summary packets over the simulated fabric), the wire
   encoding (cumulative snapshots, or per-source delta channels when
   ``delta=True`` — see :mod:`repro.collect.delta`), the epoch schedule,
-  the optional shard → rack → root aggregation tree
-  (:mod:`repro.collect.tree`), and the global merge.
+  and the global merge: shard views folded level by level, ``fanin`` at a
+  time (:class:`TreeSpec`; a flat plane is the one-level case).
 * :class:`VirtualCollector` is the per-application front door.  It keeps
   the legacy :class:`repro.endhost.aggregator.Collector` surface —
   ``submit(host, summary, time)``, the ``summaries`` list, ``len()`` — so
@@ -47,13 +47,27 @@ from repro.net.packet import (ETHERNET_HEADER_BYTES, IPV4_HEADER_BYTES,
                               UDP_HEADER_BYTES, Packet)
 
 from .delta import DeltaChannel, summary_wire_bytes
-from .shard import (COLLECT_UDP_PORT_BASE, _ENVELOPE_BYTES, CollectorShard,
+from .shard import (COLLECT_UDP_PORT_BASE, ENVELOPE_BYTES, CollectorShard,
                     ShedSpec, Submission, as_shed_spec, check_buffer_knobs)
-from .summary import SummaryBundle, _canonical_key, summary_copy
-from .tree import AggregationNode, TreeSpec, build_tree
+from .summary import SummaryBundle, _canonical_key, fold
 
 #: Transports the plane understands.
 TRANSPORTS = ("inline", "network")
+
+
+@dataclass(frozen=True)
+class TreeSpec:
+    """Shape of the aggregation tree: fan-in per interior node.
+
+    The knob behind ``Scenario.collector(tree=...)``, sweepable as
+    ``collector.tree.fanin``.  Semantics-free: every per-key summary is a
+    commutative monoid, so any fan-in reconstructs the identical view.
+    """
+
+    fanin: int = 4
+
+    def __post_init__(self) -> None:
+        check_count("fanin", self.fanin, minimum=2)
 
 
 def check_plane_knobs(shard_count: int, transport: str,
@@ -201,10 +215,9 @@ class CollectPlane:
             ``submission_times``).  Disable for long epoch-push runs — the
             log holds every cumulative snapshot, while shard state stays
             bounded by last-writer-wins either way.
-        tree: aggregation-tree shape — a fan-in, a
-            :class:`~repro.collect.tree.TreeSpec`, or None for the flat
-            single-tier merge.  Semantics-free: any shape reconstructs the
-            identical global view.
+        tree: aggregation-tree shape — a fan-in, a :class:`TreeSpec`, or
+            None for the flat single-level merge.  Semantics-free: any
+            shape reconstructs the identical global view.
         shed: backpressure policy — a policy name, a
             :class:`~repro.collect.shard.ShedSpec`, or None for the
             default tail-drop.
@@ -235,11 +248,12 @@ class CollectPlane:
                                       shed=self.shed)
                        for index in range(shard_count)]
         self.tree_spec = as_tree_spec(tree)
-        self.tree_root: Optional[AggregationNode] = None
-        self.tree_nodes: list[AggregationNode] = []
-        if self.tree_spec is not None:
-            self.tree_root, self.tree_nodes = build_tree(
-                self.shards, self.tree_spec.fanin)
+        # A flat plane is the one-level tree whose root takes every shard.
+        self.fanin = self.tree_spec.fanin if self.tree_spec else shard_count
+        width, self.tree_levels = shard_count, 0
+        while width > 1 or not self.tree_levels:
+            width, self.tree_levels = -(-width // self.fanin), self.tree_levels + 1
+        self.tree_node_merges = 0
         self.delta = delta
         self.delta_resync_every = delta_resync_every
         self._channels: dict[tuple, DeltaChannel] = {}
@@ -336,7 +350,7 @@ class CollectPlane:
                 part = channel.encode(part)
             submission = Submission(time=time, seq=seq, app=app, host=host,
                                     key=key, summary=part)
-            self.bytes_routed += _ENVELOPE_BYTES + summary_wire_bytes(part)
+            self.bytes_routed += ENVELOPE_BYTES + summary_wire_bytes(part)
             index = shard_index(app, host, key, self.shard_count)
             per_shard.setdefault(index, []).append(submission)
         if self.transport == "inline":
@@ -363,7 +377,7 @@ class CollectPlane:
                 for submission in submissions:
                     shard.ingest(submission)
                 continue
-            payload_bytes = sum(_ENVELOPE_BYTES + summary_wire_bytes(s.summary)
+            payload_bytes = sum(ENVELOPE_BYTES + summary_wire_bytes(s.summary)
                                 for s in submissions)
             size = (ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES
                     + UDP_HEADER_BYTES + payload_bytes)
@@ -386,28 +400,25 @@ class CollectPlane:
     def merge(self, flush: bool = True) -> dict[tuple, Any]:
         """The reconstructed global view: (app, key) -> merged summary.
 
-        Flat mode folds shard-partial views in one pass; with an
-        aggregation tree the same fold runs through the shard → rack →
-        root reduction instead.  Either way the result is independent of
-        shard count, iteration order, submission order, wire encoding,
-        and tree shape — every per-key summary is a commutative monoid
-        and each (app, host, key) lives on exactly one shard (asserted in
-        tests and by the scaling benchmark).
+        The shards' partial views (bundles keyed by (app, key)) fold in
+        groups of ``fanin``, in shard order, level by level until one root
+        remains — shard → rack → root with a tree, one level when flat.
+        The result is independent of shard count, iteration order,
+        submission order, wire encoding, and tree shape: every per-key
+        summary is a commutative monoid and each (app, host, key) lives on
+        exactly one shard (asserted in tests and by the scaling benchmark).
         """
         if flush:
             self.flush_all()
-        if self.tree_root is not None:
-            merged = self.tree_root.merged_view()
-        else:
-            merged = {}
-            for shard in self.shards:
-                for target, summary in shard.merged_view().items():
-                    if target in merged:
-                        merged[target].merge(summary)
-                    else:
-                        merged[target] = summary_copy(summary)
-        return {target: merged[target] for target
-                in sorted(merged, key=lambda t: (t[0], _canonical_key(t[1])))}
+        views, fanin = [shard.merged_view() for shard in self.shards], self.fanin
+        for _ in range(self.tree_levels):
+            parts_in = sum(map(len, views))
+            views = [fold(views[i:i + fanin]) for i in range(0, len(views), fanin)]
+            # Every input part is either copied (a new key) or merged.
+            self.tree_node_merges += parts_in - sum(map(len, views))
+        (root,) = views
+        return {target: root[target] for target
+                in sorted(root.keys(), key=lambda t: (t[0], _canonical_key(t[1])))}
 
     # ------------------------------------------------------------- accounting
     def counters(self) -> dict[str, int]:
@@ -422,7 +433,7 @@ class CollectPlane:
             "packets_sent": self.packets_sent,
             "bytes_routed": self.bytes_routed,
             "resync_requests": self.resync_requests,
-            "tree_node_merges": sum(node.merges for node in self.tree_nodes),
+            "tree_node_merges": self.tree_node_merges,
         }
         for shard in self.shards:
             for name, value in shard.counters().items():
@@ -443,7 +454,7 @@ class CollectPlane:
             drops_by_policy={name[len(prefix):]: count
                              for name, count in totals.items()
                              if count and name.startswith(prefix)},
-            tree_levels=self.tree_root.level if self.tree_root else 0,
+            tree_levels=self.tree_levels,
             per_shard=[dict(shard.counters(), shard=shard.name,
                             host=shard.host_name) for shard in self.shards])
 

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.collect.summary import fold
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
 from repro.endhost import (Aggregator, Collector, DeployedApplication,
@@ -35,7 +36,6 @@ from repro.endhost import (Aggregator, Collector, DeployedApplication,
 from repro.net.sim import Simulator
 from repro.net.topology import BuiltTopology, Network
 from repro.obs import get_telemetry
-from repro.stats import TimeSeries
 
 from .registry import TOPOLOGIES, WORKLOADS
 from .spec import RESULT_COUNTERS, JourneyQueries, counters_under
@@ -518,8 +518,8 @@ class ExperimentResult(JourneyQueries):
     — are read-only attributes over it, one per row of
     :data:`repro.session.spec.RESULT_COUNTERS` (zero when the run had no
     such plane).  Application data lives in the per-app
-    aggregators/collectors and in ``extras``, with :meth:`merged_series` /
-    :meth:`merged_samples` doing the common gather-across-hosts step.
+    aggregators/collectors and in ``extras``; :meth:`merged_summary` is the
+    one gather-across-hosts step.
     """
 
     scenario: str
@@ -601,49 +601,20 @@ class ExperimentResult(JourneyQueries):
                 for host, aggregator in self.aggregators(app).items()}
 
     def merged_summary(self, app: Optional[str] = None):
-        """The collector tier's reconstructed global view for one app.
+        """One app's network-wide summary, merged across hosts.
 
-        Only available when the scenario was built with ``.collector(...)``
-        — the merge is performed by the app's virtual collector
-        (:meth:`repro.collect.virtual.VirtualCollector.merged_summary`).
+        With ``.collector(...)`` this is the collector tier's reconstructed
+        view (:meth:`repro.collect.virtual.VirtualCollector.merged_summary`);
+        without one, the :func:`~repro.collect.fold` of every host's
+        ``summarize()`` snapshot in sorted host order.  Equal either way
+        when the tier dropped nothing.  ``None`` when the app has no
+        aggregator or one of its snapshots is not mergeable.
         """
-        collector = self.collector(app)
-        merger = getattr(collector, "merged_summary", None)
-        if merger is None:
-            raise TypeError(
-                "merged_summary() needs the sharded collection plane; "
-                "build the scenario with .collector(shards=...)")
-        return merger()
-
-    def merged_samples(self, app: Optional[str] = None, attr: str = "samples",
-                       key: Optional[Callable] = None) -> list:
-        """Concatenate per-host aggregator sample lists, sorted by time.
-
-        ``attr`` names the list attribute on the aggregator; ``key`` defaults
-        to each sample's ``time`` attribute.  The sort is stable, so samples
-        with equal timestamps keep host order.
-        """
-        merged: list = []
-        for aggregator in self.aggregators(app).values():
-            merged.extend(getattr(aggregator, attr, ()))
-        merged.sort(key=key if key is not None else (lambda sample: sample.time))
-        return merged
-
-    def merged_series(self, app: Optional[str] = None,
-                      attr: str = "series") -> dict[Any, TimeSeries]:
-        """Merge per-host ``{key: TimeSeries}`` dicts into network-wide series.
-
-        Series from different hosts interleave in time; each merged series is
-        rebuilt in (stable) time order.
-        """
-        merged: dict[Any, TimeSeries] = {}
-        for aggregator in self.aggregators(app).values():
-            for series_key, series in getattr(aggregator, attr, {}).items():
-                target = merged.setdefault(series_key, TimeSeries())
-                target.times.extend(series.times)
-                target.values.extend(series.values)
-        for series in merged.values():
-            order = sorted(range(len(series.times)), key=lambda i: series.times[i])
-            series.times = [series.times[i] for i in order]
-            series.values = [series.values[i] for i in order]
-        return merged
+        merger = getattr(self.collector(app), "merged_summary", None)
+        if merger is not None:
+            return merger()
+        aggregators = self.aggregators(app)
+        snapshots = [aggregators[host].summarize() for host in sorted(aggregators)]
+        if not snapshots or not all(hasattr(s, "merge") for s in snapshots):
+            return None
+        return fold(snapshots)

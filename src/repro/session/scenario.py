@@ -23,7 +23,8 @@ spec::
               .collect(on_tpp=lambda tpp, packet: ...)
               .run(duration_s=1.0))
 
-    result.events_executed, result.tpps_attached, result.merged_series(...)
+    result.events_executed, result.tpps_attached
+    result.merged_summary("queue-monitor")   # the hosts' summaries, merged
 
 Every mutator returns ``self``, so scenarios chain; :meth:`build` hands back
 the live :class:`~repro.session.Experiment` for callers that want to drive

@@ -339,10 +339,11 @@ class JourneyQueries:
 class ResultSummary(JourneyQueries):
     """The picklable slice of an :class:`ExperimentResult`.
 
-    Carries the scalar accounting plus each app's *mergeable* summary (the
-    collector tier's merged view when the scenario ran with
-    ``.collector(...)``, else the fold of per-host ``summarize()``
-    snapshots in sorted host order).  Live simulator handles never cross;
+    Carries the scalar accounting plus each app's *mergeable* summary
+    (:meth:`ExperimentResult.merged_summary`: the collector tier's merged
+    view when the scenario ran with ``.collector(...)``, else the fold of
+    per-host ``summarize()`` snapshots in sorted host order).  Live
+    simulator handles never cross;
     workers ship monoid elements, the parent merges them.
     """
 
@@ -378,23 +379,8 @@ class ResultSummary(JourneyQueries):
         counters = {name: int(result.counters.get(key, 0))
                     for name, key in RESULT_COUNTERS.items()}
         app_summaries: dict[str, Any] = {}
-        plane = result.experiment.collect_plane \
-            if result.experiment is not None else None
         for app in sorted(result.apps):
-            if plane is not None:
-                app_summaries[app] = result.merged_summary(app)
-                continue
-            merged = None
-            aggregators = result.aggregators(app)
-            for host in sorted(aggregators):
-                snapshot = aggregators[host].summarize()
-                if not hasattr(snapshot, "merge"):
-                    merged = None
-                    break
-                if merged is None:
-                    merged = summary_copy(snapshot)
-                else:
-                    merged.merge(snapshot)
+            merged = result.merged_summary(app)
             if merged is not None:
                 app_summaries[app] = merged
         return cls(scenario=result.scenario, topology=result.topology,

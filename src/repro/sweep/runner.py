@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import multiprocessing
 
-from repro.collect import SummaryBundle, summary_jsonable
+from repro.collect import SummaryBundle, fold, summary_jsonable
 from repro.obs import Telemetry
 from repro.session import Experiment, ResultSummary, ScenarioSpec
 from repro.session.experiment import check_duration
@@ -190,16 +190,9 @@ class SweepResult:
         order — over commutative-monoid bundles, so the result is invariant
         in worker count, scheduling, and completion order.
         """
-        merged: Optional[SummaryBundle] = None
         ordered = sorted(self.completed,
                          key=lambda o: (o.label, o.fingerprint))
-        for outcome in ordered:
-            bundle = outcome.summary.bundle()
-            if merged is None:
-                merged = bundle
-            else:
-                merged.merge(bundle)
-        return merged
+        return fold(o.summary.bundle() for o in ordered) if ordered else None
 
     # ------------------------------------------------------------- artifacts
     def canonical_artifact(self) -> dict:

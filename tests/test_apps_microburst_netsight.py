@@ -33,9 +33,10 @@ class TestMicroburstTpp:
         packet = udp_packet("h0", "h5", 100)
         packet.delivered_at = 1.25
         aggregator.on_tpp(tpp, packet)
-        assert len(aggregator.samples) == 2
-        assert set(aggregator.series) == {(1, 2), (2, 0)}
-        assert aggregator.series[(1, 2)].values == [5]
+        summary = aggregator.summarize()
+        assert summary["counters"]["samples"] == 2
+        assert summary["queue_series"].keys() == [(1, 2), (2, 0)]
+        assert summary["queue_series"].series((1, 2)) == [(1.25, 5)]
 
 
 class TestMicroburstExperiment:
@@ -47,6 +48,15 @@ class TestMicroburstExperiment:
     def test_samples_collected_from_instrumented_packets(self, result):
         assert result.packets_instrumented > 100
         assert len(result.samples) > 100
+
+    def test_samples_read_the_merged_series_canonically(self, result):
+        # Equal-time samples order by queue (its repr), then occupancy.
+        assert all(isinstance(s, QueueSample) for s in result.samples)
+        order = [(s.time, repr(s.queue_key), s.occupancy_packets)
+                 for s in result.samples]
+        assert order == sorted(order)
+        assert sum(len(result.series[q]) for q in result.observed_queues) \
+            == len(result.samples)
 
     def test_queues_on_both_switches_observed(self, result):
         switch_ids = {switch for switch, _ in result.observed_queues}

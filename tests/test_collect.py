@@ -22,7 +22,7 @@ from repro.collect import (CollectPlane, CollectorShard, CounterSummary,
                            DeltaChannel, DeltaDecoder, HistogramSummary,
                            SHED_POLICIES, SeriesSummary, ShedSpec, Submission,
                            SummaryBundle, SummaryDelta, TopKSummary, TreeSpec,
-                           build_tree, merge_summaries, shard_index,
+                           fold, merge_summaries, shard_index,
                            summary_jsonable)
 from repro.endhost import Collector, PacketFilter
 from repro.net import mbps
@@ -405,22 +405,29 @@ class TestScenarioIntegration:
         assert result.summary_flushes >= 1
         assert result.experiment.collect_plane is not None
 
-    def test_merged_summary_requires_a_plane(self):
-        result = monitored_scenario().run(duration_s=0.05)
-        with pytest.raises(TypeError):
-            result.merged_summary("monitor")
+    def test_merged_summary_needs_no_plane(self):
+        # Without a plane the result folds the hosts' snapshots itself; a
+        # plane that dropped nothing reconstructs the very same view.
+        plain = monitored_scenario().run(duration_s=0.05)
+        sharded = monitored_scenario(shards=3, tree=2).run(duration_s=0.05)
+        assert plain.experiment.collect_plane is None
+        assert sharded.events_executed == plain.events_executed
+        merged = plain.merged_summary("monitor")
+        assert merged["counters"]["tpps"] == plain.tpps_received > 0
+        assert _view(merged) == _view(sharded.merged_summary("monitor"))
 
     def test_merged_view_matches_unsharded_totals(self):
         plain = monitored_scenario().run(duration_s=0.2)
+        per_host = plain.summaries("monitor").values()
         for shards in (1, 3):
             sharded = monitored_scenario(shards=shards).run(duration_s=0.2)
             assert sharded.events_executed == plain.events_executed
             merged = sharded.merged_summary("monitor")
             assert merged["counters"]["tpps"] == plain.tpps_received
             assert merged["counters"]["samples"] == \
-                sum(len(a.samples) for a in plain.aggregators("monitor").values())
+                sum(len(s["queue_series"]) for s in per_host) > 0
             # The merged series is the canonical interleave of every host's.
-            assert len(merged["queue_series"]) == len(plain.merged_samples("monitor"))
+            assert len(merged["queue_series"]) == merged["counters"]["samples"]
 
     def test_epoch_pushes_stamp_simulation_time(self):
         result = monitored_scenario(shards=2, epoch_s=0.05).run(duration_s=0.2)
@@ -505,7 +512,7 @@ class TestTruncationAccounting:
         for shard in plane.shards:
             view = shard.merged_view()
             per_shard_total += sum(summary["tpps_truncated"]
-                                   for summary in view.values())
+                                   for _, summary in view.items())
         assert per_shard_total == result.tpps_truncated
         merged = result.merged_summary("trunc")
         assert merged["tpps_truncated"] == result.tpps_truncated
@@ -596,6 +603,15 @@ class TestShedPolicies:
             ShedSpec(policy="coin-flip")
         with pytest.raises(ValueError):
             ShedSpec(policy="sample", sample_stride=0)
+
+    @pytest.mark.parametrize("knobs", [dict(priority="hot"),
+                                       dict(sample_stride=2.5),
+                                       dict(sample_stride=True)])
+    def test_malformed_knobs_rejected(self, knobs):
+        # A bare string used to become ('h', 'o', 't'); a fractional or
+        # boolean stride passed the bare ``< 1`` check.
+        with pytest.raises(ValueError):
+            ShedSpec(policy="priority-keys", **knobs)
 
     def test_drop_newest_is_the_default_tail_drop(self):
         shard = CollectorShard(0, batch=None, capacity=2)
@@ -799,23 +815,41 @@ class TestDeltaChannel:
 
 
 class TestAggregationTree:
-    def test_fanin_validation(self):
-        with pytest.raises(ValueError):
-            TreeSpec(fanin=1)
-        with pytest.raises(ValueError):
-            build_tree([], 2)
+    @given(per_host=st.dictionaries(st.sampled_from([f"h{i}" for i in range(12)]),
+                                    _bundles, min_size=1, max_size=12),
+           shards=st.integers(1, 9),
+           fanin=st.one_of(st.none(), st.integers(2, 5)))
+    def test_plane_merge_is_the_serial_fold(self, per_host, shards, fanin):
+        plane = CollectPlane(shards, tree=fanin)
+        door = plane.front_door("app")
+        for host in sorted(per_host):
+            door.submit(host, per_host[host])
+        merged = plane.merge()
+        assert list(merged) == sorted(merged)               # (app, key) order
+        serial = fold(per_host[host] for host in sorted(per_host))
+        assert _view(SummaryBundle({key: summary for (_, key), summary
+                                    in merged.items()})) == _view(serial)
+        # Depth: one level when flat, else the least L with fanin**L >= shards.
+        depth = 1
+        while fanin is not None and fanin ** depth < shards:
+            depth += 1
+        stats = plane.stats()
+        assert stats.tree_levels == depth
+        # Per level, every input part is copied (new key) or merged; the
+        # levels telescope to shard-view parts minus distinct targets.
+        shard_parts = sum(len(shard.merged_view()) for shard in plane.shards)
+        assert stats.tree_node_merges == shard_parts - len(merged)
 
-    def test_tree_shape_and_levels(self):
-        shards = [CollectorShard(i, batch=None) for i in range(7)]
-        root, nodes = build_tree(shards, fanin=3)
-        assert root.level == 2
-        assert [n.level for n in nodes] == [1, 1, 1, 2]
-        assert sum(len(n.children) for n in nodes if n.level == 1) == 7
+    @pytest.mark.parametrize("fanin", [1, 2.5, float("nan"), True])
+    def test_malformed_fanin_rejected_at_declaration(self, fanin):
+        # 2.5 and NaN passed the bare ``fanin < 2`` check, and 2.5 then
+        # raised TypeError while the plane was being built.
+        with pytest.raises(ValueError, match="fanin"):
+            Scenario("dumbbell").collector(shards=4, tree=TreeSpec(fanin=fanin))
 
-    def test_single_leaf_still_gets_a_root(self):
-        shard = CollectorShard(0, batch=None)
-        root, nodes = build_tree([shard], fanin=4)
-        assert nodes == [root] and root.children == [shard]
+    def test_fold_needs_a_summary(self):
+        with pytest.raises(ValueError, match="zero summaries"):
+            fold([])
 
     def test_tree_merge_matches_flat_merge(self):
         for fanin in (2, 3, 5):

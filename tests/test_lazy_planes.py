@@ -41,7 +41,7 @@ import repro.apps.microburst
 #: fault plan, sweep pool, trace export or message traffic never touches.
 UNUSED = (
     "repro.collect.shard", "repro.collect.virtual", "repro.collect.delta",
-    "repro.collect.tree", "repro.faults", "repro.sweep.runner",
+    "repro.faults", "repro.sweep.runner",
     "repro.apps.conga", "repro.apps.losslocal", "repro.apps.netsight",
     "repro.apps.netverify", "repro.apps.rcp", "repro.apps.sketches",
     "repro.net.flows", "repro.net.tcp", "repro.obs.perfetto",

@@ -3,11 +3,13 @@ fail here, not in the benchmark pipeline.
 
 ``benchmarks/suite/`` is frozen (``BENCHMARK.json`` lists it as the
 benchmark's own files), reads the components' public counters attribute by
-attribute (``child.py::experiment_counts``) and wraps public methods by
-``(class, name)`` (``spans.py::span_targets``).  Renaming any of those, or
+attribute (``child.py::experiment_counts``), wraps public methods by
+``(class, name)`` (``spans.py::span_targets``) and drives standalone layers
+in its ``--layers`` kernels (``kernels.py``: the TCPU, the codec, a bare
+``Simulator`` and a delta ``CollectPlane``).  Renaming any of those, or
 moving a pinned digest, breaks every later benchmark run; these tests spawn
-the suite's own child process the way ``run.py`` does, so the break is a red
-tier-1 test first.  Nothing under ``benchmarks/suite/`` is imported into the
+the suite's own code in a child process the way ``run.py`` does, so the
+break is a red tier-1 test first.  Nothing under ``benchmarks/suite/`` is imported into the
 test process or edited.
 """
 
@@ -50,6 +52,22 @@ def test_every_span_target_resolves():
     done = subprocess.run([sys.executable, "-c", probe], cwd=REPO, env=ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_every_layer_kernel_runs_once():
+    # ``run.py --layers`` runs kernels.main(): each kernel body repeated for
+    # SAMPLES samples of >= MIN_SAMPLE_S.  Shrunk to one sample of one body
+    # each, the same main() exercises every kernel it lists.
+    probe = ("import kernels\n"
+             "kernels.MIN_SAMPLE_S, kernels.SAMPLES = 1e-12, 1\n"
+             "kernels.main()\n")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=REPO, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert "collect.iso_parts_per_s" in report and len(report) >= 5
+    for name, entry in report.items():
+        assert len(entry["samples"]) == 1 and entry["samples"][0] > 0, name
 
 
 @pytest.mark.parametrize("workload", ["monitor_collect", "probe_write"])

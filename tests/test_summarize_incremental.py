@@ -8,7 +8,10 @@ invariant 3:
   (counted, not timed, so the guard is exact on any machine);
 * **incremental == rebuild** — every ``summarize()`` implementer folds on
   arrival; the from-scratch bodies they replaced live on here as the
-  reference oracles and must render identically after every TPP / tick;
+  reference oracles and must render identically after every TPP / tick.
+  The micro-burst oracle rebuilds from queue samples an ``on_tpp``
+  callback (``Scenario.collect``) recorded, never from the aggregator's
+  own state, so it stays independent of the code it checks;
 * **snapshot isolation** — ``summarize()`` hands out independent
   snapshots: collectors, shard state and delta channels retain what they
   are handed, so a later observation must never show through.
@@ -45,21 +48,31 @@ def _tpp_counters(aggregator, **extra):
                            **extra})
 
 
-def rebuild_microburst(aggregator):
+def record_queue_samples(observed):
+    """An ``on_tpp`` callback (``Scenario.collect``): every complete hop's
+    ``(time, (switch id, output port), occupancy)``, per receiving host."""
+    def on_tpp(tpp, packet):
+        time = packet.delivered_at if packet.delivered_at is not None else 0.0
+        for hop in tpp.words_by_hop(3):
+            if len(hop) == 3:
+                observed.setdefault(packet.dst, []).append(
+                    (time, (hop[0], hop[1]), hop[2]))
+    return on_tpp
+
+
+def rebuild_microburst(aggregator, samples):
     occupancy = HistogramSummary(OCCUPANCY_EDGES)
     busiest = TopKSummary(k=8)
-    series = SeriesSummary()
-    for sample in aggregator.samples:
-        occupancy.observe(sample.occupancy_packets)
-        busiest.observe(sample.queue_key)
-        series.add(sample.time, sample.queue_key, sample.occupancy_packets)
+    for _, queue, packets in samples:
+        occupancy.observe(packets)
+        busiest.observe(queue)
     return SummaryBundle({
-        "counters": _tpp_counters(aggregator, samples=len(aggregator.samples)),
+        "counters": _tpp_counters(aggregator, samples=len(samples)),
         "occupancy": occupancy, "busiest_queues": busiest,
-        "queue_series": series})
+        "queue_series": SeriesSummary(samples)})
 
 
-def rebuild_netsight(aggregator):
+def rebuild_netsight(aggregator, samples):
     paths = TopKSummary(k=16)
     for path, count in aggregator.store.path_counts().items():
         paths.observe(path, count)
@@ -68,16 +81,17 @@ def rebuild_netsight(aggregator):
         "paths": paths})
 
 
-def rebuild_losslocal(aggregator):
+def rebuild_losslocal(aggregator, samples):
     deficits = SeriesSummary()
     for (sid_a, sid_b), deficit in aggregator.link_deficits.items():
         deficits.add(0.0, f"{sid_a}->{sid_b}", deficit)
     return SummaryBundle({
-        "counters": _tpp_counters(aggregator, samples=len(aggregator.samples)),
+        "counters": _tpp_counters(aggregator,
+                                  samples=aggregator.deficit_samples),
         "max_deficits": deficits})
 
 
-def rebuild_sketches(aggregator):
+def rebuild_sketches(aggregator, samples):
     return SummaryBundle(dict(aggregator.bitmaps))
 
 
@@ -98,7 +112,9 @@ def rebuild_controller(controller, ticks):
         "timeseries": series})
 
 
-#: name -> (aggregator class, TPP source, values per hop, reference oracle)
+#: name -> (aggregator class, TPP source, values per hop, reference oracle);
+#: each oracle takes the aggregator and the host's recorded queue samples
+#: (only the micro-burst oracle reads them).
 AGGREGATORS = {
     "microburst": (MicroburstAggregator, MICROBURST_TPP_SOURCE, 3,
                    rebuild_microburst),
@@ -110,10 +126,12 @@ AGGREGATORS = {
 }
 
 
-def feed(aggregator, source, values_per_hop, rng, clock):
-    """Deliver one generated TPP; returns its delivery time — often equal to
-    the previous one, so same-instant hops out of key order and ties across
-    snapshots (the tail interleaving the canonical prefix) both occur."""
+def feed(aggregator, source, values_per_hop, rng, clock, observed):
+    """Deliver one generated TPP to the aggregator and, as a scenario's
+    ``collect`` callback would see it, to the ``observed`` recorder (host
+    ``h9``); returns its delivery time — often equal to the previous one,
+    so same-instant hops out of key order and ties across snapshots (the
+    tail interleaving the canonical prefix) both occur."""
     clock += rng.choice((0.0, 0.0, 0.25, 1.0))
     tpp = compile_tpp(source, num_hops=6).clone_tpp()
     for _ in range(rng.randrange(1, 6)):
@@ -123,6 +141,7 @@ def feed(aggregator, source, values_per_hop, rng, clock):
     packet = udp_packet(f"h{rng.randrange(4)}", "h9", 100)
     packet.delivered_at = clock
     aggregator.on_tpp(tpp, packet)
+    record_queue_samples(observed)(tpp, packet)
     return clock
 
 
@@ -140,10 +159,29 @@ class TestIncrementalEqualsRebuild:
     def test_aggregator_after_every_tpp(self, name, seed):
         cls, source, values_per_hop, rebuild = AGGREGATORS[name]
         rng, clock, aggregator = random.Random(seed), 0.0, cls("h0")
+        observed = {}
         for _ in range(40):
-            clock = feed(aggregator, source, values_per_hop, rng, clock)
+            clock = feed(aggregator, source, values_per_hop, rng, clock,
+                         observed)
             assert summary_jsonable(aggregator.summarize()) \
-                == summary_jsonable(rebuild(aggregator))
+                == summary_jsonable(rebuild(aggregator, observed.get("h9", [])))
+
+    def test_microburst_hosts_of_a_run(self):
+        observed = {}
+        result = (Scenario("dumbbell", seed=3, hosts_per_side=2,
+                           link_rate_bps=mbps(10))
+                  .tpp("monitor", MICROBURST_TPP_SOURCE, num_hops=6,
+                       filter=PacketFilter(protocol="udp"),
+                       aggregator=MicroburstAggregator)
+                  .collect(on_tpp=record_queue_samples(observed))
+                  .workload("messages", offered_load=0.3, message_bytes=2000)
+                  .run(duration_s=0.1))
+        aggregators = result.aggregators("monitor")
+        assert set(observed) <= set(aggregators)
+        assert sum(map(len, observed.values())) > 100
+        for host, aggregator in aggregators.items():
+            assert summary_jsonable(aggregator.summarize()) == summary_jsonable(
+                rebuild_microburst(aggregator, observed.get(host, [])))
 
     def test_controller_after_every_tick(self):
         experiment = controller_experiment()
@@ -169,12 +207,15 @@ class TestSnapshotIsolation:
     def test_later_tpps_never_show_through_a_snapshot(self, name):
         cls, source, values_per_hop, rebuild = AGGREGATORS[name]
         rng, clock, aggregator = random.Random(5), 0.0, cls("h0")
+        observed = {}
         for _ in range(10):
-            clock = feed(aggregator, source, values_per_hop, rng, clock)
+            clock = feed(aggregator, source, values_per_hop, rng, clock,
+                         observed)
         snapshot = aggregator.summarize()
         rendered = summary_jsonable(snapshot)
         for _ in range(10):
-            clock = feed(aggregator, source, values_per_hop, rng, clock)
+            clock = feed(aggregator, source, values_per_hop, rng, clock,
+                         observed)
         later = aggregator.summarize()
         assert summary_jsonable(snapshot) == rendered
         assert summary_jsonable(later) != rendered
@@ -182,7 +223,7 @@ class TestSnapshotIsolation:
         # (what a collector does) must not reach the aggregator's state.
         snapshot.merge(later)
         assert summary_jsonable(aggregator.summarize()) \
-            == summary_jsonable(rebuild(aggregator))
+            == summary_jsonable(rebuild(aggregator, observed.get("h9", [])))
 
     def test_later_ticks_never_show_through_a_controller_snapshot(self):
         experiment = controller_experiment()
@@ -247,8 +288,8 @@ class TestRunLengthIndependence:
             patch.setattr(summary_module, "_canonical_key", counting)
             result = scenario.run(duration_s=duration_s)
             summary_jsonable(result.merged_summary("monitor"))
-        samples = sum(len(aggregator.samples) for aggregator
-                      in result.aggregators("monitor").values())
+        samples = sum(summary["counters"]["samples"] for summary
+                      in result.summaries("monitor").values())
         assert result.summary_delta_applied > 0 and samples > 100
         return calls[0] / samples
 

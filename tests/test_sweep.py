@@ -316,6 +316,20 @@ class TestSweepSpec:
         with pytest.raises(SpecError, match="collector.<field>"):
             sweep.axis("collector.tree.fanin.extra", [1])
 
+    @pytest.mark.parametrize("path,value", [
+        ("collector.tree.fanin", 2.5), ("collector.tree.fanin", float("nan")),
+        ("collector.tree.fanin", True), ("collector.shed.priority", "hot"),
+        ("collector.shed.sample_stride", 2.5),
+        ("collector.shed.sample_stride", True)])
+    def test_malformed_nested_collector_values_fail_at_the_axis(self, path,
+                                                                 value):
+        # fanin=2.5 used to pass declaration and raise TypeError inside the
+        # sweep worker that built the plane.
+        base = monitor_scenario()
+        base.collector(shards=4)
+        with pytest.raises(SpecError, match=f"axis path '{path}'"):
+            SweepSpec(base).axis(path, [value])
+
     def test_top_level_tree_and_shed_values_normalise(self):
         from repro.collect import ShedSpec, TreeSpec
         base = monitor_scenario()
