@@ -31,8 +31,8 @@ def main() -> None:
     # --- 1. fabric + packet-history collection + a waypoint policy ----------
     watch = NetWatch()
 
-    def aggregator(host_name, collector):
-        return NetSightAggregator(host_name, collector, netwatch=watch)
+    def aggregator(host_name):
+        return NetSightAggregator(host_name, netwatch=watch)
 
     experiment = (Scenario("leaf-spine", seed=1, num_leaves=2, num_spines=2,
                            hosts_per_leaf=2, link_rate_bps=mbps(10))

@@ -10,7 +10,7 @@ Subpackages
 * :mod:`repro.net` — the discrete-event network substrate (simulator, links,
   hosts, topologies, traffic generators, a simple TCP).
 * :mod:`repro.endhost` — the end-host stack: TPP control plane, dataplane
-  shim, executor library, application deployment framework.
+  shim, executor library, per-host aggregators.
 * :mod:`repro.collect` — the §4.5 collection plane: mergeable summary
   monoids, collector shards, and the virtual-IP front door with an
   order-independent global merge.

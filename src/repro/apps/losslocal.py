@@ -26,11 +26,12 @@ negative).  Packets corrupted on the link advance ``tx`` but never
 directed switch pair with the largest positive deficit *names the lossy
 link*, from nothing but two counters per hop.
 
-The aggregator keeps a per-pair max deficit (``link_deficits``) — the
-face the :class:`repro.faults.policy.RemediationController` polls — and
-emits it as a mergeable summary, so localization also works on the merged
-collect-plane view.  :func:`localize` turns either into ranked
-:class:`LinkSuspect` verdicts.
+The aggregator keeps a per-pair max deficit (``link_deficits``) and emits
+it as a mergeable summary.  :func:`localize` ranks the hosts' folded
+maxima through the same two steps the
+:class:`repro.faults.policy.RemediationController` uses
+(:func:`~repro.faults.policy.max_deficits`,
+:func:`~repro.faults.policy.ranked_links`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from typing import Optional
 
 from repro.collect import CounterSummary, SeriesSummary, SummaryBundle
 from repro.core.packet_format import TPP
-from repro.endhost import Aggregator, Collector, PacketFilter
+from repro.endhost import Aggregator, PacketFilter
+from repro.faults.policy import LinkVerdict, max_deficits, ranked_links
 from repro.net import mbps
 from repro.net.packet import Packet
 from repro.session import ExperimentResult, Scenario
@@ -65,20 +67,16 @@ class HopRecord:
     tx_packets: int
 
 
-@dataclass(frozen=True)
-class LinkSuspect:
-    """A ranked verdict: ``link`` shows a ``deficit``-packet tx/rx gap."""
-
-    link: str
-    pair: tuple[int, int]
-    deficit: int
+#: A ranked verdict: ``link`` shows a ``deficit``-packet tx/rx gap.  The
+#: same type the remediation loop acts on.
+LinkSuspect = LinkVerdict
 
 
 class LossLocalizationAggregator(Aggregator):
     """Per-host aggregator: diffs adjacent hops, keeps per-pair max deficits."""
 
-    def __init__(self, host_name: str, collector: Optional[Collector] = None) -> None:
-        super().__init__(host_name, collector)
+    def __init__(self, host_name: str) -> None:
+        super().__init__(host_name)
         #: Adjacent-hop diffs computed so far (the summary's ``samples``).
         self.deficit_samples = 0
         #: Directed (upstream sid, downstream sid) -> max deficit observed.
@@ -119,37 +117,15 @@ class LossLocalizationAggregator(Aggregator):
 def merged_deficits(result: ExperimentResult,
                     app: str = "loss-localization") -> dict[tuple[int, int], int]:
     """Per-pair max deficits folded across every host's aggregator."""
-    folded: dict[tuple[int, int], int] = {}
-    for host in sorted(result.aggregators(app)):
-        for pair, deficit in result.aggregators(app)[host].link_deficits.items():
-            if deficit > folded.get(pair, -(1 << 62)):
-                folded[pair] = deficit
-    return folded
+    return max_deficits(result.aggregators(app))
 
 
 def localize(result: ExperimentResult, *, app: str = "loss-localization",
              threshold: int = 1) -> list[LinkSuspect]:
-    """Ranked suspects: pairs with deficit >= threshold, worst first.
-
-    Maps each directed switch-id pair back to the physical link through
-    the live network; ties rank by pair for determinism.
-    """
-    network = result.network
-    names = {switch.switch_id: name
-             for name, switch in network.switches.items()}
-    suspects = []
-    for pair, deficit in sorted(merged_deficits(result, app).items(),
-                                key=lambda kv: (-kv[1], kv[0])):
-        if deficit < threshold:
-            continue
-        name_a, name_b = names.get(pair[0]), names.get(pair[1])
-        if name_a is None or name_b is None:
-            continue
-        link = network.link_between(name_a, name_b)
-        if link is None:
-            continue
-        suspects.append(LinkSuspect(link=link.name, pair=pair, deficit=deficit))
-    return suspects
+    """Ranked suspects: pairs with deficit >= threshold, worst first."""
+    return [suspect for suspect
+            in ranked_links(merged_deficits(result, app), result.network)
+            if suspect.deficit >= threshold]
 
 
 @dataclass
@@ -204,7 +180,7 @@ def losslocal_scenario(name: str = "loss-localization", *, k: int = 4,
                      filter=PacketFilter(protocol="udp"),
                      sample_frequency=sample_frequency,
                      aggregator=LossLocalizationAggregator,
-                     collector=Collector("losslocal-collector"))
+                     collector="losslocal-collector")
                 .workload("messages", link_rate_bps=link_rate_bps,
                           offered_load=offered_load,
                           message_bytes=message_bytes, seed=seed)

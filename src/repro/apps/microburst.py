@@ -23,7 +23,7 @@ from repro.collect import (CounterSummary, HistogramSummary, SeriesSummary,
                            SummaryBundle, TopKSummary)
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
-from repro.endhost import Aggregator, Collector, PacketFilter
+from repro.endhost import Aggregator, PacketFilter
 from repro.net import mbps
 from repro.net.packet import Packet
 from repro.session import ExperimentResult, Scenario
@@ -70,8 +70,8 @@ class QueueSample:
 class MicroburstAggregator(Aggregator):
     """Per-host aggregator: folds completed TPPs into per-queue monoids."""
 
-    def __init__(self, host_name: str, collector: Optional[Collector] = None) -> None:
-        super().__init__(host_name, collector)
+    def __init__(self, host_name: str) -> None:
+        super().__init__(host_name)
         # The mergeable monoids, folded per hop; summarize() snapshots them.
         self._occupancy = HistogramSummary(OCCUPANCY_EDGES)
         self._busiest = TopKSummary(k=8)
@@ -159,7 +159,7 @@ def microburst_scenario(hosts_per_side: int = 3, link_rate_bps: float = mbps(100
     """The Figure 1 experiment as a :class:`Scenario`.
 
     Six hosts on a dumbbell send 10 kB messages to each other at 30 % offered
-    load; every packet carries the micro-burst TPP; one collector gathers the
+    load; every packet carries the micro-burst TPP, and the result merges the
     per-queue samples observed by all receivers.
 
     ``microburst_scenario(...).run(duration_s=1.0)`` returns a
@@ -172,7 +172,7 @@ def microburst_scenario(hosts_per_side: int = 3, link_rate_bps: float = mbps(100
                  filter=PacketFilter(protocol="udp"),
                  sample_frequency=sample_frequency,
                  aggregator=MicroburstAggregator,
-                 collector=Collector("microburst-collector"))
+                 collector="microburst-collector")
             .workload("messages", link_rate_bps=link_rate_bps,
                       offered_load=offered_load, message_bytes=message_bytes,
                       seed=seed)

@@ -30,8 +30,7 @@ from typing import Callable, Iterable, Optional
 from repro.collect import CounterSummary, SummaryBundle, TopKSummary
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
-from repro.endhost import (Aggregator, Collector, EndHostStack, PacketFilter,
-                           PiggybackApplication, deploy)
+from repro.endhost import Aggregator, PacketFilter
 from repro.net import mbps
 from repro.net.packet import Packet
 from repro.session import ExperimentResult, Scenario
@@ -193,9 +192,9 @@ class NetWatch:
 class NetSightAggregator(Aggregator):
     """Per-host aggregator: reconstructs histories, feeds netshark and netwatch."""
 
-    def __init__(self, host_name: str, collector: Optional[Collector] = None,
+    def __init__(self, host_name: str,
                  netwatch: Optional[NetWatch] = None) -> None:
-        super().__init__(host_name, collector)
+        super().__init__(host_name)
         self.store = HistoryStore()
         self.netwatch = netwatch
         self._paths = TopKSummary(k=16)     # folded per TPP, snapshot on push
@@ -220,27 +219,6 @@ class NetSightAggregator(Aggregator):
         })
 
 
-def deploy_netsight(stacks: dict[str, EndHostStack], collector: Collector,
-                    netwatch: Optional[NetWatch] = None, sample_frequency: int = 1,
-                    num_hops: int = 10, packet_filter: Optional[PacketFilter] = None):
-    """Deploy packet-history collection on every host's shim (§2.3)."""
-    any_stack = next(iter(stacks.values()))
-    shared_netwatch = netwatch
-
-    def factory(host_name: str, coll: Optional[Collector]) -> NetSightAggregator:
-        return NetSightAggregator(host_name, coll, netwatch=shared_netwatch)
-
-    descriptor = PiggybackApplication(
-        name="netsight",
-        packet_filter=packet_filter if packet_filter is not None else PacketFilter(),
-        compiled_tpp=packet_history_tpp(num_hops=num_hops),
-        aggregator_factory=factory,
-        collector=collector,
-        sample_frequency=sample_frequency,
-    )
-    return deploy(descriptor, stacks, any_stack.control_plane)
-
-
 @dataclass
 class NetSightExperimentResult:
     """A network-wide packet-history collection run (§2.3)."""
@@ -253,10 +231,10 @@ class NetSightExperimentResult:
     messages_sent: int
 
 
-def _netsight_aggregator_factory(host_name: str, collector: Optional[Collector],
+def _netsight_aggregator_factory(host_name: str,
                                  netwatch: Optional[NetWatch]) -> NetSightAggregator:
     """Per-host aggregator factory (module-level for pickling)."""
-    return NetSightAggregator(host_name, collector, netwatch=netwatch)
+    return NetSightAggregator(host_name, netwatch=netwatch)
 
 
 def _to_netsight_result(result: "ExperimentResult",

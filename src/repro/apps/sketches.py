@@ -10,8 +10,8 @@ packets with::
 
 The receiving host hashes the header field of interest (here: the destination
 IP, i.e. the destination host name) and sets one bit in a per-link bitmap for
-every (switch, output port) pair the packet traversed.  Bitmaps are pushed to
-a link-monitoring service which ORs them together — the bit-set operation is
+every (switch, output port) pair the packet traversed.  The app's merged
+summary ORs the hosts' bitmaps together — the bit-set operation is
 commutative, so distribution over hosts is free — and the per-link distinct
 count is estimated with the linear-probabilistic-counting formula
 ``b * ln(b / z)`` (Estan, Varghese, Fisk), where ``z`` is the number of zero
@@ -24,13 +24,11 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 from repro.collect import SummaryBundle
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
-from repro.endhost import (Aggregator, Collector, EndHostStack, PacketFilter,
-                           PiggybackApplication, deploy)
+from repro.endhost import Aggregator, PacketFilter
 from repro.net import mbps
 from repro.net.packet import Packet
 from repro.session import ExperimentResult, Scenario
@@ -116,9 +114,9 @@ class LinkKey:
 class SketchAggregator(Aggregator):
     """Per-host aggregator: one bitmap per traversed link, keyed by the TPP's context."""
 
-    def __init__(self, host_name: str, collector: Optional[Collector] = None,
-                 bits: int = 1024, key_field: str = "src") -> None:
-        super().__init__(host_name, collector)
+    def __init__(self, host_name: str, bits: int = 1024,
+                 key_field: str = "src") -> None:
+        super().__init__(host_name)
         self.bits = bits
         self.key_field = key_field
         self.bitmaps: dict[LinkKey, BitmapSketch] = {}
@@ -144,61 +142,12 @@ class SketchAggregator(Aggregator):
         return sum(sketch.memory_bytes() for sketch in self.bitmaps.values())
 
 
-class LinkMonitoringService(Collector):
-    """The central (logically load-balanced) service aggregating host bitmaps."""
-
-    def __init__(self, bits: int = 1024) -> None:
-        super().__init__("link-monitoring-service")
-        self.bits = bits
-        self.per_link: dict[LinkKey, BitmapSketch] = {}
-
-    def submit(self, host_name: str, summary: object, time: float = 0.0) -> None:
-        super().submit(host_name, summary, time)
-        if not isinstance(summary, (dict, SummaryBundle)):
-            return
-        for key, sketch in summary.items():
-            if not isinstance(key, LinkKey) or not isinstance(sketch, BitmapSketch):
-                continue
-            merged = self.per_link.setdefault(key, BitmapSketch(self.bits))
-            merged.merge(sketch)
-
-    def estimate(self, key: LinkKey) -> float:
-        sketch = self.per_link.get(key)
-        return sketch.estimate() if sketch is not None else 0.0
-
-    def estimates(self) -> dict[LinkKey, float]:
-        return {key: sketch.estimate() for key, sketch in self.per_link.items()}
-
-    def total_memory_bytes(self) -> int:
-        return sum(sketch.memory_bytes() for sketch in self.per_link.values())
-
-
-def deploy_sketch_application(stacks: dict[str, EndHostStack],
-                              service: LinkMonitoringService,
-                              bits: int = 1024, key_field: str = "src",
-                              sample_frequency: int = 1, num_hops: int = 10):
-    """Deploy the distinct-count sketch as a piggy-backed application."""
-    any_stack = next(iter(stacks.values()))
-
-    def factory(host_name: str, collector: Optional[Collector]) -> SketchAggregator:
-        return SketchAggregator(host_name, collector, bits=bits, key_field=key_field)
-
-    descriptor = PiggybackApplication(
-        name="opensketch-distinct-count",
-        packet_filter=PacketFilter(protocol="udp"),
-        compiled_tpp=sketch_tpp(num_hops=num_hops),
-        aggregator_factory=factory,
-        collector=service,
-        sample_frequency=sample_frequency,
-    )
-    return deploy(descriptor, stacks, any_stack.control_plane)
-
-
 @dataclass
 class SketchExperimentResult:
-    """A distributed distinct-count run: the merged service plus accounting."""
+    """A distributed distinct-count run: the merged per-link bitmaps plus
+    accounting."""
 
-    service: LinkMonitoringService
+    bitmaps: dict[LinkKey, BitmapSketch]
     estimates: dict[LinkKey, float]
     packets_instrumented: int
     host_memory_bytes: dict[str, int]
@@ -207,36 +156,21 @@ class SketchExperimentResult:
     def estimate(self, key: LinkKey) -> float:
         return self.estimates.get(key, 0.0)
 
-
-def _sketch_aggregator_factory(host_name: str, collector: Optional[Collector],
-                               bits: int, key_field: str) -> SketchAggregator:
-    """Per-host aggregator factory (module-level for pickling)."""
-    return SketchAggregator(host_name, collector, bits=bits, key_field=key_field)
-
-
-def _push_sketch_summaries(experiment) -> None:
-    """Finalize hook: flush every host's bitmaps to the monitoring service."""
-    experiment.apps["opensketch-distinct-count"].push_all_summaries(
-        experiment.sim.now)
+    def total_memory_bytes(self) -> int:
+        """Bytes of merged bitmap state, summed over links."""
+        return sum(sketch.memory_bytes() for sketch in self.bitmaps.values())
 
 
 def _to_sketch_result(result: "ExperimentResult",
                       num_hops: int) -> SketchExperimentResult:
-    """Result mapper for :func:`sketch_scenario` (module-level for pickling).
-
-    Reads the monitoring service back out of ``result.collectors`` rather
-    than closing over it: when the scenario crosses a process boundary as a
-    spec, the live service is the (deep-copied) one the experiment actually
-    ran with.  Under a collect plane the registered collector is a virtual
-    front door whose ``downstream`` is the user service — unwrap it.
-    """
-    service = result.collectors["opensketch-distinct-count"]
-    while getattr(service, "downstream", None) is not None:
-        service = service.downstream
+    """Result mapper for :func:`sketch_scenario` (module-level for pickling):
+    the per-link bitmaps are the app's merged summary (OR across hosts)."""
+    merged = result.merged_summary("opensketch-distinct-count")
+    bitmaps = dict(merged.items()) if merged is not None else {}
     aggregators = result.aggregators("opensketch-distinct-count")
     return SketchExperimentResult(
-        service=service,
-        estimates=service.estimates(),
+        bitmaps=bitmaps,
+        estimates={key: sketch.estimate() for key, sketch in bitmaps.items()},
         packets_instrumented=result.tpps_attached,
         host_memory_bytes={host: aggregator.memory_bytes()
                            for host, aggregator in aggregators.items()},
@@ -250,9 +184,9 @@ def sketch_scenario(num_leaves: int = 4, num_spines: int = 2, hosts_per_leaf: in
     """The §2.5 distributed sketch experiment as a :class:`Scenario`.
 
     All-to-all single packets over a leaf-spine fabric; every host sketches
-    the (switch, port) pairs its packets traversed, and the link-monitoring
-    service ORs the per-host bitmaps.  ``.run(run_until_idle=True)`` returns
-    a :class:`SketchExperimentResult`.  Every hook is a module-level
+    the (switch, port) pairs its packets traversed, and the result ORs the
+    per-host bitmaps.  ``.run(run_until_idle=True)`` returns a
+    :class:`SketchExperimentResult`.  Every hook is a module-level
     function (or a partial over one), so ``sketch_scenario(...).to_spec()``
     is sweepable.
     """
@@ -262,11 +196,9 @@ def sketch_scenario(num_leaves: int = 4, num_spines: int = 2, hosts_per_leaf: in
             .tpp("opensketch-distinct-count", SKETCH_TPP_SOURCE, num_hops=num_hops,
                  filter=PacketFilter(protocol="udp"),
                  sample_frequency=sample_frequency,
-                 aggregator=partial(_sketch_aggregator_factory, bits=bits,
-                                    key_field=key_field),
-                 collector=LinkMonitoringService(bits=bits))
+                 aggregator=partial(SketchAggregator, bits=bits,
+                                    key_field=key_field))
             .workload("all-to-all-once", payload_bytes=300, dport=9999)
-            .finalize(_push_sketch_summaries)
             .map_result(partial(_to_sketch_result, num_hops=num_hops)))
 
 

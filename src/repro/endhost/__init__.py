@@ -1,7 +1,7 @@
-"""End-host stack: TPP control plane, dataplane shim, executor, deployment framework."""
+"""End-host stack (§4): TPP control plane, dataplane shim, executor, and the
+per-host aggregators the session layer provisions for each piggy-backed app."""
 
-from .aggregator import (Aggregator, Collector, DeployedApplication, EndHostStackLike,
-                         PiggybackApplication, deploy)
+from .aggregator import Aggregator, Collector, DeployedApplication
 from .control_plane import Application, ControlPlaneAgent, TPPControlPlane
 from .dataplane import AppBinding, DataplaneShim, TPP_ECHO_PORT
 from .executor import ExecutorStats, TPPExecutor
@@ -10,9 +10,7 @@ from .stack import EndHostStack, install_stacks
 
 __all__ = [
     "Aggregator", "AppBinding", "Application", "Collector", "ControlPlaneAgent",
-    "DataplaneShim", "DeployedApplication", "EndHostStack", "EndHostStackLike",
-    "ExecutorStats",
-    "FilterEntry", "FilterTable", "PacketFilter", "PiggybackApplication",
-    "TPPControlPlane", "TPPExecutor", "TPP_ECHO_PORT", "deploy", "install_stacks",
-    "match_all",
+    "DataplaneShim", "DeployedApplication", "EndHostStack", "ExecutorStats",
+    "FilterEntry", "FilterTable", "PacketFilter", "TPPControlPlane",
+    "TPPExecutor", "TPP_ECHO_PORT", "install_stacks", "match_all",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core import addressing
-from repro.core.compiler import compile_tpp
+from repro.core.compiler import collector_tpp
 from repro.core.isa import Instruction, MAX_INSTRUCTIONS, Opcode
 from repro.core.packet_format import AddressingMode, TPP, make_tpp
 from repro.net.packet import Packet, tpp_probe_packet
@@ -253,9 +253,8 @@ class TPPExecutor:
 
         requests = []
         for index, chunk in enumerate(chunks):
-            source = "\n".join(f"PUSH [{stat.strip('[]')}]" for stat in chunk)
-            compiled = compile_tpp(source, num_hops=num_hops,
-                                   app_id=self.stack.executor_app_id)
+            compiled = collector_tpp(chunk, num_hops=num_hops,
+                                     app_id=self.stack.executor_app_id)
             requests.append(self._register(
                 compiled.tpp, dst, lambda tpp, idx=index: _collect(idx, tpp),
                 retries=retries, timeout_s=timeout_s))

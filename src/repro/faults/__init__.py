@@ -23,5 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "plan": ("FAULT_KINDS", "FaultEvent", "FaultPlan", "FaultSpec",
              "RemediationSpec"),
     "policy": ("POLICIES", "LinkVerdict", "RemediationController",
-               "RemediationPolicy", "register_policy"),
+               "RemediationPolicy", "max_deficits", "ranked_links",
+               "register_policy"),
 })

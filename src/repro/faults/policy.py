@@ -25,9 +25,8 @@ Shipped policies:
 
 The controller emits its measurements as mergeable summaries — counters
 plus a :class:`~repro.collect.summary.SeriesSummary` with the
-``loss-penalty`` and ``worst-tor-diversity`` timeseries — through the
-same collector surface every TPP app uses, so remediation metrics ride
-the sharded collect plane untouched.
+``loss-penalty`` and ``worst-tor-diversity`` timeseries — which the
+experiment pushes through the same collect plane every TPP app uses.
 
 Determinism: the controller draws no randomness.  Re-routing after a
 disable/repair reinstalls shortest-path state at a strictly higher flow
@@ -39,7 +38,7 @@ paths is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional
 
 from repro.collect import CounterSummary, SeriesSummary, SummaryBundle
 from repro.net.port import DROP_LINK_DOWN, DROP_PEER_DOWN
@@ -48,13 +47,14 @@ from repro.session.registry import Registry
 from .plan import RemediationSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.endhost import Collector, DeployedApplication
+    from repro.endhost import DeployedApplication
     from repro.net.link import Link
     from repro.net.sim import Simulator
     from repro.net.topology import Network
 
 __all__ = ["LinkVerdict", "POLICIES", "RemediationController",
-           "RemediationPolicy", "register_policy"]
+           "RemediationPolicy", "max_deficits", "ranked_links",
+           "register_policy"]
 
 #: The process-wide policy registry (``Scenario.remediation`` resolves here).
 POLICIES = Registry("remediation policy")
@@ -75,6 +75,33 @@ class LinkVerdict:
     link: str
     pair: tuple[int, int]
     deficit: int
+
+
+def max_deficits(aggregators: Mapping[str, Any]) -> dict[tuple[int, int], int]:
+    """Per-pair max ``link_deficits`` folded across a detector's aggregators
+    in sorted host order; an aggregator without that face contributes
+    nothing."""
+    folded: dict[tuple[int, int], int] = {}
+    for host in sorted(aggregators):
+        for pair, deficit in getattr(aggregators[host], "link_deficits", {}).items():
+            if deficit > folded.get(pair, -(1 << 62)):
+                folded[pair] = deficit
+    return folded
+
+
+def ranked_links(deficits: Mapping[tuple[int, int], int],
+                 network: "Network") -> Iterator[LinkVerdict]:
+    """A verdict for every pair that names a physical link, worst first.
+
+    Maps each directed switch-id pair back to the link through the live
+    network; ties rank by pair for determinism.
+    """
+    names = {switch.switch_id: name for name, switch in network.switches.items()}
+    for pair, deficit in sorted(deficits.items(), key=lambda kv: (-kv[1], kv[0])):
+        # An unknown switch id maps to None, which no link connects.
+        link = network.link_between(names.get(pair[0]), names.get(pair[1]))
+        if link is not None:
+            yield LinkVerdict(link=link.name, pair=pair, deficit=deficit)
 
 
 class RemediationPolicy:
@@ -134,18 +161,16 @@ class RemediationController:
     detector app's aggregators every ``spec.period_s``, feeds the worst
     actionable verdict to the policy, and appends one point per tick to
     the ``loss-penalty`` and ``worst-tor-diversity`` series.  Exposes the
-    same ``summarize()`` / ``push_summary(now)`` face as a per-host
-    aggregator, so its metrics flow through the collect plane unchanged.
+    same ``summarize()`` face as a per-host aggregator; the experiment
+    pushes it to the collect plane (as host ``"controller"``) beside them.
     """
 
     def __init__(self, network: "Network", spec: RemediationSpec,
-                 detector: "DeployedApplication", sim: "Simulator",
-                 collector: Optional["Collector"] = None) -> None:
+                 detector: "DeployedApplication", sim: "Simulator") -> None:
         self.network = network
         self.spec = spec
         self.detector = detector
         self.sim = sim
-        self.collector = collector
         self.policy: RemediationPolicy = POLICIES.get(spec.policy)()
         self.actions: list[tuple[float, str, str]] = []   # (time, link, action)
         self.ticks = 0
@@ -154,7 +179,6 @@ class RemediationController:
         self.links_repaired = 0
         self.reroutes = 0
         self.refusals = 0
-        self.push_rounds = 0
         self._timeseries = SeriesSummary()        # both metrics, per tick
         self._acted: set[str] = set()             # disabled or refused links
         self._process = None
@@ -166,8 +190,6 @@ class RemediationController:
         # ECMP placement the run started with on unaffected paths.
         self._next_priority = 100
         self._group_policy, self._salt = self._capture_group_style()
-        self._switch_names = {switch.switch_id: name
-                              for name, switch in network.switches.items()}
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -201,35 +223,15 @@ class RemediationController:
     def detect(self) -> Optional[LinkVerdict]:
         """The worst actionable verdict across the detector's aggregators.
 
-        Folds every aggregator's ``link_deficits`` (directed switch-id
-        pair -> max observed deficit) with a per-pair max, then walks
-        pairs in (deficit desc, pair) order and returns the first that
-        maps to a real, not-yet-acted-on link.  Deterministic: host
-        iteration is sorted and ties break on the pair itself.
+        Folds every aggregator's ``link_deficits`` with a per-pair max
+        (:func:`max_deficits`), then returns the first link in (deficit
+        desc, pair) order (:func:`ranked_links`) not yet acted on.
         """
-        folded: dict[tuple[int, int], int] = {}
-        for host in sorted(self.detector.aggregators):
-            aggregator = self.detector.aggregators[host]
-            deficits = getattr(aggregator, "link_deficits", None)
-            if not deficits:
-                continue
-            for pair, deficit in deficits.items():
-                if deficit > folded.get(pair, float("-inf")):
-                    folded[pair] = deficit
-        for pair, deficit in sorted(folded.items(),
-                                    key=lambda kv: (-kv[1], kv[0])):
-            link_name = self._link_for_pair(pair)
-            if link_name is not None and link_name not in self._acted:
-                return LinkVerdict(link=link_name, pair=pair, deficit=deficit)
+        deficits = max_deficits(self.detector.aggregators)
+        for verdict in ranked_links(deficits, self.network):
+            if verdict.link not in self._acted:
+                return verdict
         return None
-
-    def _link_for_pair(self, pair: tuple[int, int]) -> Optional[str]:
-        name_a = self._switch_names.get(pair[0])
-        name_b = self._switch_names.get(pair[1])
-        if name_a is None or name_b is None:
-            return None
-        link = self.network.link_between(name_a, name_b)
-        return link.name if link is not None else None
 
     # -------------------------------------------------------------- actions
     def disable(self, link_name: str) -> None:
@@ -351,11 +353,6 @@ class RemediationController:
         })
         return SummaryBundle({"counters": counters,
                               "timeseries": self._timeseries.copy()})
-
-    def push_summary(self, now: float = 0.0) -> None:
-        if self.collector is not None:
-            self.collector.submit("controller", self.summarize(), time=now)
-        self.push_rounds += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RemediationController policy={self.spec.policy!r} "

@@ -159,7 +159,7 @@ def sketch_cardinality() -> ExperimentSummary:
     run = sketch_scenario(num_leaves=4, num_spines=2, hosts_per_leaf=4,
                           link_rate_bps=mbps(50), bits=1024,
                           key_field="src").run(duration_s=1.0)
-    estimates = run.service.estimates()
+    estimates = run.estimates
     # Ground truth per link, all-to-all single packets: a leaf uplink carries
     # its own 4 hosts' sources, a spine downlink the 12 of the other leaves.
     errors = []
@@ -171,7 +171,7 @@ def sketch_cardinality() -> ExperimentSummary:
     summary.add("mean relative estimation error", 0.05, round(sum(errors) / len(errors), 3),
                 band=(0, 0.05), note="paper: a few percent at 1 kbit/link; an upper bound")
     summary.add("memory per link", 128,
-                run.service.total_memory_bytes() / len(estimates), unit="bytes", tolerance=0)
+                run.total_memory_bytes() / len(estimates), unit="bytes", tolerance=0)
     summary.add("projected memory per server (k=64 fat tree)", 8.4,
                 round(sketch_memory_projection()["total_megabytes_per_server"], 2),
                 unit="MB", tolerance=0.01)

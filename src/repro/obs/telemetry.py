@@ -40,6 +40,8 @@ import math
 import time
 from typing import Any, Callable, Iterator, Optional
 
+from repro import check_count
+
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_TELEMETRY",
     "Span", "Telemetry", "get_telemetry", "set_telemetry", "use",
@@ -291,8 +293,7 @@ class Telemetry:
 
     def __init__(self, enabled: bool = True, *, slices: int = 0,
                  clock: Callable[[], float] = time.perf_counter) -> None:
-        if slices < 0:
-            raise ValueError("slices must be >= 0")
+        check_count("slices", slices, minimum=0)
         self._enabled = bool(enabled)
         self.slices = slices
         self.clock = clock

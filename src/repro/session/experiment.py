@@ -31,8 +31,7 @@ from repro.collect.summary import fold
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
 from repro.endhost import (Aggregator, Collector, DeployedApplication,
-                           PiggybackApplication, TPPControlPlane, deploy,
-                           install_stacks)
+                           TPPControlPlane, install_stacks)
 from repro.net.sim import Simulator
 from repro.net.topology import BuiltTopology, Network
 from repro.obs import get_telemetry
@@ -41,7 +40,7 @@ from .registry import TOPOLOGIES, WORKLOADS
 from .spec import RESULT_COUNTERS, JourneyQueries, counters_under
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.collect import CollectPlane
+    from repro.collect import CollectPlane, VirtualCollector
     from repro.endhost import EndHostStack
     from repro.net.node import Host
     from repro.obs import Telemetry
@@ -50,48 +49,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from .spec import ScenarioSpec
 
 
-class _TemplateAdapter:
-    """Give a raw :class:`TPP` the ``clone_tpp`` face :func:`deploy` expects."""
-
-    def __init__(self, tpp: TPP) -> None:
-        self._tpp = tpp
-
-    def clone_tpp(self) -> TPP:
-        return self._tpp.clone()
-
-
-def _compile_program(program, num_hops: int):
-    """Accept TPP assembly source, a CompiledTPP, or a raw TPP template."""
-    if isinstance(program, CompiledTPP):
-        return program
-    if isinstance(program, TPP):
-        return _TemplateAdapter(program)
+def _template(program, num_hops: int) -> TPP:
+    """The TPP template a ``.tpp(...)`` program declares: assembly source
+    (compiled with ``num_hops``), a CompiledTPP, or a raw TPP."""
     if isinstance(program, str):
-        return compile_tpp(program, num_hops=num_hops)
+        program = compile_tpp(program, num_hops=num_hops)
+    if isinstance(program, CompiledTPP):
+        return program.tpp
+    if isinstance(program, TPP):
+        return program
     raise TypeError(f"tpp program must be source text, a CompiledTPP, or a TPP; "
                     f"got {type(program).__name__}")
 
 
-def _aggregator_factory(spec: "TppSpec") -> Callable[[str, Optional[Collector]], Aggregator]:
-    """Build the per-host aggregator factory, layering on_tpp callbacks on top."""
-    base = spec.aggregator if spec.aggregator is not None else Aggregator
-    callbacks = tuple(spec.callbacks)
-    if not callbacks:
-        return base
-
-    def factory(host_name: str, collector: Optional[Collector]) -> Aggregator:
-        aggregator = base(host_name, collector)
-        original = aggregator.on_tpp
-
-        def on_tpp(tpp, packet):
-            original(tpp, packet)
-            for callback in callbacks:
-                callback(tpp, packet)
-
-        aggregator.on_tpp = on_tpp          # instance attribute shadows the method
-        return aggregator
-
-    return factory
+def _chain(on_tpp: Callable, callbacks: tuple) -> Callable:
+    """One shim callback: the aggregator's ``on_tpp``, then each callback."""
+    def chained(tpp, packet):
+        on_tpp(tpp, packet)
+        for callback in callbacks:
+            callback(tpp, packet)
+    return chained
 
 
 def check_duration(duration_s: Optional[float]) -> None:
@@ -116,7 +93,8 @@ class Experiment:
     * ``rng`` — the scenario's master :class:`random.Random`
     * ``seed`` / ``duration_s`` (``None`` when built without a duration)
     * ``apps`` — name -> :class:`DeployedApplication`
-    * ``collectors`` — name -> :class:`Collector`
+    * ``collectors`` — name -> the collect plane's front door (empty
+      without ``.collector(...)``)
     * ``workloads`` — name -> whatever the workload factory returned
     * ``extras`` — scratch space for setup/finalize hooks to publish results
     * ``on_stop(fn)`` — register teardown callbacks (run LIFO at finish)
@@ -172,10 +150,9 @@ class Experiment:
         self._stop_callbacks: list[Callable[[], None]] = []
         self._result: Optional[ExperimentResult] = None
 
-        # Collection plane (§4.5): built before any app's collector exists,
-        # so every TPP deployment below gets a virtual-IP front door.
+        # Collection plane (§4.5): built before any app is deployed, so
+        # every TPP deployment below gets a virtual-IP front door.
         self.collect_plane: Optional[CollectPlane] = None
-        self._plane_push_rounds = 0
         cspec = spec.collector
         if cspec is not None:
             from repro.collect import CollectPlane
@@ -190,7 +167,7 @@ class Experiment:
                 self.collect_plane.on_epoch(self._push_summaries)
 
         self.apps: dict[str, DeployedApplication] = {}
-        self.collectors: dict[str, Collector] = {}
+        self.collectors: dict[str, VirtualCollector] = {}
         with span("build.tpps", apps=len(spec.tpps)):
             for tspec in spec.tpps:
                 self._deploy_tpp(tspec)
@@ -220,13 +197,11 @@ class Experiment:
                 raise ValueError(
                     f"remediation watches app {rspec.app!r}, which is not "
                     f"deployed; have {sorted(self.apps)}")
-            collector = self.collect_plane.front_door(
-                "remediation", name="remediation-collector") \
-                if self.collect_plane is not None else Collector("remediation-collector")
-            self.collectors["remediation"] = collector
+            if self.collect_plane is not None:
+                self.collectors["remediation"] = self.collect_plane.front_door(
+                    "remediation", name="remediation-collector")
             self.remediation = RemediationController(
-                self.network, rspec, self.apps[rspec.app], self.sim,
-                collector=collector)
+                self.network, rspec, self.apps[rspec.app], self.sim)
             self.remediation.start()
 
         # Flight recorder (repro.obs.flightrec): attached after the fault
@@ -273,49 +248,49 @@ class Experiment:
                     group.salt = salt
 
     def _push_summaries(self, now: float) -> None:
-        """One plane-initiated push round: every app, sorted hosts, stamped."""
-        self._plane_push_rounds += 1
-        for deployed in self.apps.values():
-            deployed.push_all_summaries(now)
+        """The one pusher: every app's ``summarize()`` per receiving host
+        (sorted), then the remediation loop's, into the plane's front
+        doors, stamped ``now``.  Runs at each epoch tick and once at finish."""
+        for name, deployed in self.apps.items():
+            door, aggregators = self.collectors[name], deployed.aggregators
+            for host in sorted(aggregators):
+                door.submit(host, aggregators[host].summarize(), time=now)
         if self.remediation is not None:
-            self.remediation.push_summary(now)
+            self.collectors["remediation"].submit(
+                "controller", self.remediation.summarize(), time=now)
 
     def _deploy_tpp(self, spec: "TppSpec") -> None:
-        collector = spec.collector
-        if self.collect_plane is not None:
-            # Route this app through the virtual-IP tier.  A user-supplied
-            # collector object keeps receiving every submission as the
-            # front door's downstream sink, so its behaviour (and contents)
-            # match the unsharded path exactly.
-            if isinstance(collector, Collector):
-                collector = self.collect_plane.front_door(
-                    spec.name, name=collector.name, downstream=collector)
-            else:
-                name = collector if isinstance(collector, str) \
-                    else f"{spec.name}-collector"
-                collector = self.collect_plane.front_door(spec.name, name=name)
-        elif isinstance(collector, str):
-            collector = Collector(collector)
-        elif collector is None:
-            collector = Collector(f"{spec.name}-collector")
-        self.collectors[spec.name] = collector
-        descriptor = PiggybackApplication(
-            name=spec.name,
-            packet_filter=spec.packet_filter,
-            compiled_tpp=_compile_program(spec.program, spec.num_hops),
-            aggregator_factory=_aggregator_factory(spec),
-            collector=collector,
-            sample_frequency=spec.sample_frequency,
-            priority=spec.priority,
-            echo_to_source=spec.echo_to_source,
-        )
+        """The §4.5 provisioning agent for one ``.tpp(...)`` app: register
+        it, start each receiver's aggregator and bind it (with any
+        ``.collect()`` callbacks) to the shim, install the template on
+        each sender."""
+        template = _template(spec.program, spec.num_hops)
         if not self.stacks:
             raise RuntimeError(
                 f"cannot deploy TPP application {spec.name!r}: the scenario was "
                 f"built with stacks=False, so no end-host stacks exist")
-        self.apps[spec.name] = deploy(descriptor, self.stacks, self.control_plane,
-                                      sender_hosts=spec.senders,
-                                      receiver_hosts=spec.receivers)
+        if self.collect_plane is not None:
+            # A user-supplied collector object becomes the front door's
+            # downstream sink and sees every submission the tier gets.
+            sink = spec.collector if isinstance(spec.collector, Collector) else None
+            name = sink.name if sink is not None else spec.collector
+            self.collectors[spec.name] = self.collect_plane.front_door(
+                spec.name, name=name, downstream=sink)
+        app = self.control_plane.register_application(spec.name)
+        deployed = self.apps[spec.name] = DeployedApplication(app)
+        factory = spec.aggregator if spec.aggregator is not None else Aggregator
+        callbacks = tuple(spec.callbacks)
+        stacks = self.stacks
+        for host in spec.receivers if spec.receivers is not None else stacks:
+            aggregator = deployed.aggregators[host] = factory(host)
+            on_tpp = _chain(aggregator.on_tpp, callbacks) if callbacks \
+                else aggregator.on_tpp
+            stacks[host].shim.bind_application(
+                app.app_id, on_tpp=on_tpp, echo_to_source=spec.echo_to_source)
+        for host in spec.senders if spec.senders is not None else stacks:
+            stacks[host].agent.add_tpp(
+                app.app_id, spec.packet_filter, template.clone(),
+                sample_frequency=spec.sample_frequency, priority=spec.priority)
 
     # ------------------------------------------------------------ conveniences
     def host(self, name: str) -> "Host":
@@ -468,21 +443,11 @@ class Experiment:
             callback()
         for hook in self.spec.finalize_hooks:
             hook(self)
-        if self.remediation is not None and self.collect_plane is None:
-            # Mirror the aggregator contract: one final snapshot at finish.
-            if self.remediation.push_rounds == 0:
-                self.remediation.push_summary(self.sim.now)
         if self.collect_plane is not None:
             self.collect_plane.stop()
-            # Apps that never pushed on their own (beyond the plane's epoch
-            # rounds) owe the tier one final snapshot; then fold every
-            # shard's remaining batch so merge() sees a complete view.
-            for deployed in self.apps.values():
-                if deployed.push_rounds <= self._plane_push_rounds:
-                    deployed.push_all_summaries(self.sim.now)
-            if self.remediation is not None \
-                    and self.remediation.push_rounds <= self._plane_push_rounds:
-                self.remediation.push_summary(self.sim.now)
+            # One final snapshot from every source, then fold every shard's
+            # remaining batch so merge() sees a complete view.
+            self._push_summaries(self.sim.now)
             self.collect_plane.flush_all()
         self._result = self._assemble_result()
 
@@ -529,7 +494,7 @@ class ExperimentResult(JourneyQueries):
     end_time_s: float
     counters: dict[str, int] = field(default_factory=dict)
     apps: dict[str, DeployedApplication] = field(default_factory=dict)
-    collectors: dict[str, Collector] = field(default_factory=dict)
+    collectors: dict[str, "VirtualCollector"] = field(default_factory=dict)
     workloads: dict[str, Any] = field(default_factory=dict)
     extras: dict[str, Any] = field(default_factory=dict)
     experiment: Optional[Experiment] = None
@@ -591,9 +556,9 @@ class ExperimentResult(JourneyQueries):
     def aggregators(self, app: Optional[str] = None) -> dict[str, Aggregator]:
         return self._app(app).aggregators
 
-    def collector(self, app: Optional[str] = None) -> Collector:
-        name = self._app(app).descriptor.name
-        return self.collectors[name]
+    def collector(self, app: Optional[str] = None) -> Optional["VirtualCollector"]:
+        """The app's front door under ``.collector(...)``, else ``None``."""
+        return self.collectors.get(self._app(app).application.name)
 
     def summaries(self, app: Optional[str] = None) -> dict[str, object]:
         """host -> that host's aggregator summary."""
@@ -610,9 +575,9 @@ class ExperimentResult(JourneyQueries):
         when the tier dropped nothing.  ``None`` when the app has no
         aggregator or one of its snapshots is not mergeable.
         """
-        merger = getattr(self.collector(app), "merged_summary", None)
-        if merger is not None:
-            return merger()
+        door = self.collector(app)
+        if door is not None:
+            return door.merged_summary()
         aggregators = self.aggregators(app)
         snapshots = [aggregators[host].summarize() for host in sorted(aggregators)]
         if not snapshots or not all(hasattr(s, "merge") for s in snapshots):

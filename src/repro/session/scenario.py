@@ -47,8 +47,10 @@ every random draw taken from one ``random.Random(seed)``:
 4. **stacks** — the §4 end-host stack is installed on (a subset of) hosts;
 5. **collection plane** — with ``.collector(...)``, the sharded
    :class:`~repro.collect.CollectPlane` is built and attached (shard
-   placement, epoch clock), before any app's collector is created;
-6. **TPP deployments** — each ``.tpp(...)`` spec, in declaration order;
+   placement, epoch clock), before any app gets its front door;
+6. **TPP deployments** — each ``.tpp(...)`` spec, in declaration order:
+   register the app, build and bind each receiver's aggregator, install
+   the template on each sender;
 7. **workloads** — each ``.workload(...)`` spec, in declaration order
    (registered workloads draw their child seed here, also in order);
 8. **fault plane** — with ``.faults(...)``, the resolved
@@ -103,7 +105,7 @@ class TppSpec:
     num_hops: int = 8
     priority: int = 0
     echo_to_source: bool = False
-    aggregator: Optional[Callable[[str, Optional[Collector]], Aggregator]] = None
+    aggregator: Optional[Callable[[str], Aggregator]] = None
     collector: Union[Collector, str, None] = None
     senders: Optional[list[str]] = None
     receivers: Optional[list[str]] = None
@@ -127,11 +129,11 @@ class CollectorSpec:
     """The sharded collection plane a scenario opts into (§4.5).
 
     Materialised at build time as a :class:`repro.collect.CollectPlane`;
-    every declared TPP application's collector becomes a
+    every declared TPP application gets a
     :class:`~repro.collect.virtual.VirtualCollector` front door onto the
-    shared shard tier (user-supplied collector objects become the front
-    door's downstream sink, so their behaviour is preserved exactly).
-    Knobs are documented on :meth:`Scenario.collector`.
+    shared shard tier (a user-supplied collector object becomes the front
+    door's downstream sink).  Knobs are documented on
+    :meth:`Scenario.collector`.
     """
 
     shards: int = 1
@@ -221,8 +223,13 @@ class Scenario:
         ``program`` is TPP assembly source (compiled with ``num_hops``), an
         already-compiled :class:`~repro.core.compiler.CompiledTPP`, or a raw
         :class:`~repro.core.packet_format.TPP` template.  ``aggregator`` is a
-        per-host factory ``(host_name, collector) -> Aggregator``; omit it
-        and attach plain callbacks with :meth:`collect` instead.
+        per-host factory ``(host_name) -> Aggregator`` (default: the base
+        :class:`~repro.endhost.Aggregator`); attach plain callbacks with
+        :meth:`collect`.  ``collector`` only matters under
+        :meth:`collector`: a name for the app's front door, or a
+        :class:`~repro.endhost.Collector` that becomes its downstream sink
+        and receives every push.  Without a plane nothing is pushed;
+        ``result.merged_summary(name)`` folds the hosts' snapshots instead.
         """
         if any(spec.name == name for spec in self.spec.tpps):
             raise ValueError(f"a TPP application named {name!r} is already declared")

@@ -34,7 +34,7 @@ Everything in a spec must survive ``pickle`` **by reference or by value**:
   naming the offending piece, *before* a worker ever chokes on them;
 * TPP programs travel as assembly source text (preferred), or as
   ``CompiledTPP``/``TPP`` objects when those pickle cleanly;
-* collector objects (e.g. a ``LinkMonitoringService``) travel by value —
+* collector objects (a :class:`repro.endhost.Collector` sink) travel by value —
   a fresh, unused collector pickles to an equivalent fresh collector.
 """
 

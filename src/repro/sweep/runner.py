@@ -42,6 +42,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import multiprocessing
 
+from repro import check_count
 from repro.collect import SummaryBundle, fold, summary_jsonable
 from repro.obs import Telemetry
 from repro.session import Experiment, ResultSummary, ScenarioSpec
@@ -295,14 +296,13 @@ class SweepRunner:
                  telemetry: Optional[Telemetry] = None,
                  worker_telemetry: bool = False,
                  worker_slices: int = 0) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        for knob, count in (("workers", workers), ("retries", retries),
+                            ("worker_slices", worker_slices)):
+            check_count(knob, count, minimum=0)
         check_duration(duration_s)
         if timeout_s is not None and not 0.0 < timeout_s < math.inf:
             raise ValueError(f"timeout_s must be finite and positive, "
                              f"got {timeout_s!r}")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.workers = workers
         self.duration_s = duration_s
         self.run_until_idle = run_until_idle
@@ -371,7 +371,7 @@ class SweepRunner:
 
         if pending_tasks:
             if self.workers <= 1:
-                self._run_serial(pending_tasks, settle)
+                self._run_serial(pending_tasks, settle, result)
             else:
                 self._run_pool(pending_tasks, settle, result)
 
@@ -404,7 +404,8 @@ class SweepRunner:
 
     # ----------------------------------------------------------------- serial
     def _run_serial(self, tasks: list[SweepTask],
-                    settle: Callable[[TaskOutcome], None]) -> None:
+                    settle: Callable[[TaskOutcome], None],
+                    result: SweepResult) -> None:
         for task in tasks:
             attempts = 0
             while True:
@@ -419,6 +420,7 @@ class SweepRunner:
                     span.set(status=FAILED)
                     span.finish()
                     if attempts <= self.retries:
+                        result.retries += 1
                         continue
                     settle(TaskOutcome(
                         index=task.index, label=task.label,

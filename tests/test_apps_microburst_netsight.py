@@ -1,15 +1,18 @@
 """Tests for the micro-burst monitor (§2.1) and NetSight troubleshooting (§2.3)."""
 
+from functools import partial
+
 import pytest
 
 from repro.apps.microburst import (MicroburstAggregator, QueueSample,
                                    microburst_scenario, microburst_tpp)
-from repro.apps.netsight import (HistoryStore, HopRecord, NetWatch, PacketHistory,
-                                 deploy_netsight, history_bandwidth_overhead,
+from repro.apps.netsight import (PACKET_HISTORY_TPP_SOURCE, HistoryStore,
+                                 HopRecord, NetSightAggregator, NetWatch,
+                                 PacketHistory, history_bandwidth_overhead,
                                  history_from_tpp, history_overhead_bytes,
                                  packet_history_tpp)
-from repro.endhost import Collector, install_stacks, match_all
-from repro.net import Simulator, build_dumbbell, mbps, udp_packet
+from repro.net import mbps, udp_packet
+from repro.session import Scenario
 
 
 class TestMicroburstTpp:
@@ -147,19 +150,23 @@ class TestNetWatch:
         assert len(watch.check(_history(hops=((1, 0, 0), (2, 0, 0), (1, 0, 0))))) == 1
 
 
+def _send_two_packets(experiment):
+    experiment.host("h0").send(udp_packet("h0", "h5", 500, dport=80))
+    experiment.host("h1").send(udp_packet("h1", "h2", 500, dport=80))
+
+
 class TestNetSightDeployment:
     def test_end_to_end_history_collection(self):
-        sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        stacks = install_stacks(topo.network)
         watch = NetWatch()
         watch.add_loop_freedom_policy()
-        deployed = deploy_netsight(stacks, Collector(), netwatch=watch)
-        topo.network.hosts["h0"].send(udp_packet("h0", "h5", 500, dport=80))
-        topo.network.hosts["h1"].send(udp_packet("h1", "h2", 500, dport=80))
-        sim.run(until=0.05)
-        histories = deployed.aggregators["h5"].store
+        result = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                  .tpp("netsight", PACKET_HISTORY_TPP_SOURCE, num_hops=10,
+                       aggregator=partial(NetSightAggregator, netwatch=watch))
+                  .setup(_send_two_packets)
+                  .run(duration_s=0.05))
+        aggregators = result.aggregators("netsight")
+        histories = aggregators["h5"].store
         assert len(histories) == 1
         assert histories.histories[0].switch_path == [1, 2]   # both switches crossed
-        assert deployed.aggregators["h2"].store.histories[0].switch_path == [1]
+        assert aggregators["h2"].store.histories[0].switch_path == [1]
         assert watch.violations == []

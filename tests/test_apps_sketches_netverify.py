@@ -1,16 +1,36 @@
 """Tests for the measurement sketches (§2.5) and network verification (§2.6)."""
 
+from functools import partial
+
 import pytest
 
 from repro.apps.netverify import (RouteVerifier, build_fast_update_tpp, fast_update_registers,
                                   observation_from_tpp)
-from repro.apps.sketches import (BitmapSketch, LinkKey, LinkMonitoringService,
-                                 SketchAggregator, deploy_sketch_application,
-                                 sketch_memory_projection, sketch_tpp)
+from repro.apps.sketches import (SKETCH_TPP_SOURCE, BitmapSketch, LinkKey,
+                                 SketchAggregator, sketch_memory_projection,
+                                 sketch_tpp)
 from repro.baselines.exact_counter import ExactDistinctCounter
 from repro.core import addressing
-from repro.endhost import install_stacks
+from repro.endhost import PacketFilter, install_stacks
 from repro.net import Simulator, build_dumbbell, mbps, udp_packet
+from repro.session import Scenario
+
+
+def _seed_bitmaps(experiment, key):
+    """Give h0 and h1 twenty distinct elements each on one link."""
+    for host in ("h0", "h1"):
+        sketch = BitmapSketch(512)
+        for i in range(20):
+            sketch.add(f"{host}-{i}")
+        experiment.apps["sketch"].aggregators[host].bitmaps[key] = sketch
+
+
+def _send_all_to_all(experiment):
+    names = experiment.topology.host_names
+    for src in names:
+        for dst in names:
+            if src != dst:
+                experiment.host(src).send(udp_packet(src, dst, 200, dport=1234))
 
 
 class TestBitmapSketch:
@@ -70,44 +90,42 @@ class TestSketchAggregation:
         aggregator.on_tpp(tpp, udp_packet("h0", "h9", 100))
         assert set(aggregator.bitmaps) == {LinkKey(1, 2), LinkKey(2, 0)}
 
-    def test_service_merges_host_summaries(self):
-        service = LinkMonitoringService(bits=512)
+    def test_merged_summary_ors_host_bitmaps(self):
         key = LinkKey(1, 1)
-        for host in ("h0", "h1"):
-            aggregator = SketchAggregator(host, collector=service, bits=512)
-            sketch = BitmapSketch(512)
-            for i in range(20):
-                sketch.add(f"{host}-{i}")
-            aggregator.bitmaps[key] = sketch
-            aggregator.push_summary()
-        assert service.estimate(key) == pytest.approx(40, rel=0.2)
-        assert service.total_memory_bytes() == 64
+        result = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                  .tpp("sketch", SKETCH_TPP_SOURCE,
+                       aggregator=partial(SketchAggregator, bits=512),
+                       receivers=["h0", "h1"])
+                  .setup(partial(_seed_bitmaps, key=key))
+                  .run(duration_s=0.0))
+        merged = result.merged_summary("sketch")
+        assert merged[key].estimate() == pytest.approx(40, rel=0.2)
+        assert merged[key].memory_bytes() == 64
+        # Merging copies: the hosts' own bitmaps are untouched.
+        assert result.aggregators("sketch")["h0"].bitmaps[key].estimate() \
+            == pytest.approx(20, rel=0.2)
 
     def test_end_to_end_distinct_count_matches_exact_baseline(self):
-        sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        network = topo.network
-        stacks = install_stacks(network)
-        service = LinkMonitoringService(bits=2048)
-        deployed = deploy_sketch_application(stacks, service, bits=2048, key_field="src")
-        exact = ExactDistinctCounter()
-        # Every host sends to every other host once.
-        for src in topo.host_names:
-            for dst in topo.host_names:
-                if src != dst:
-                    network.hosts[src].send(udp_packet(src, dst, 200, dport=1234))
-        sim.run(until=0.2)
-        deployed.push_all_summaries()
-        core_key = None
-        for aggregator in deployed.aggregators.values():
-            for key, sketch in aggregator.bitmaps.items():
-                exact_set = exact.per_link.setdefault(key, set())
-        # Rebuild the exact counts from first principles: the s0->s1 link sees
+        result = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                  .tpp("sketch", SKETCH_TPP_SOURCE, num_hops=10,
+                       filter=PacketFilter(protocol="udp"),
+                       aggregator=partial(SketchAggregator, bits=2048,
+                                          key_field="src"))
+                  .setup(_send_all_to_all)
+                  .run(duration_s=0.2))
+        network = result.network
+        merged = result.merged_summary("sketch")
+        # The exact counts from first principles: the s0->s1 link sees
         # sources h0..h2, the s1->s0 link sees h3..h5.
-        s0_port = network.ports_towards("s0", "s1")[0]
-        key_s0 = LinkKey(network.switches["s0"].switch_id, s0_port)
-        estimate = service.estimate(key_s0)
-        assert estimate == pytest.approx(3, abs=1)
+        exact = ExactDistinctCounter()
+        for near, far, sources in (("s0", "s1", ("h0", "h1", "h2")),
+                                   ("s1", "s0", ("h3", "h4", "h5"))):
+            key = LinkKey(network.switches[near].switch_id,
+                          network.ports_towards(near, far)[0])
+            for host in sources:
+                exact.add(key, host)
+        for key, count in exact.counts().items():
+            assert merged[key].estimate() == pytest.approx(count, abs=1)
 
     def test_sampling_reduces_overhead_below_one_percent(self):
         # §2.5: sampling 1-in-10 packets keeps the bandwidth overhead < 1 %.

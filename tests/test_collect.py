@@ -5,10 +5,11 @@ behaviour, load-shedding policies and their accounting identity, the
 delta-channel wire format (gap detection, resync, bytes-on-wire
 regression), the aggregation tree, virtual-IP routing and the
 order-independent merge, the Scenario integration, the end-to-end
-truncation accounting chain, and the differential guarantees: a
-single-shard inline plane is byte-identical to the legacy in-memory
-collector on every app scenario, and merged views are byte-identical
-across {cumulative, delta} x {flat, tree} configurations.
+truncation accounting chain, the push schedule (the experiment is the
+only pusher), and the differential guarantees: a single-shard inline plane
+gives every app scenario the same result as a run without a plane, and
+merged views are byte-identical across {cumulative, delta} x {flat, tree}
+configurations.
 """
 
 import json
@@ -479,6 +480,64 @@ class TestScenarioIntegration:
         assert merged["counters"]["tpps"] == result.tpps_received
 
 
+def _record_epoch_ticks(experiment):
+    """Setup hook: log every epoch tick's time, independent of the pusher."""
+    experiment.collect_plane.on_epoch(experiment.extras.setdefault("ticks", []).append)
+
+
+def push_schedule_scenario(sink, remediation=False, plane=True):
+    """Two apps (all six hosts / two receivers), optionally a remediation loop."""
+    from repro.apps.microburst import MICROBURST_TPP_SOURCE, MicroburstAggregator
+    scenario = (Scenario("dumbbell", seed=3, link_rate_bps=mbps(10))
+                .tpp("monitor", MICROBURST_TPP_SOURCE, num_hops=6,
+                     filter=PacketFilter(protocol="udp"),
+                     aggregator=MicroburstAggregator)
+                .tpp("probe", "PUSH [Switch:SwitchID]", receivers=["h4", "h5"],
+                     filter=PacketFilter(protocol="udp", dst="h5"), priority=1,
+                     collector=sink)
+                .workload("messages", offered_load=0.3, message_bytes=2000))
+    if plane:
+        scenario.collector(shards=2, epoch_s=0.03).setup(_record_epoch_ticks)
+    if remediation:
+        scenario.remediation("do-nothing", app="monitor", period_s=0.02)
+    return scenario
+
+
+class TestPushSchedule:
+    """The experiment is the only pusher: every receiving host's snapshot
+    (and the remediation loop's) at each epoch tick and once at finish —
+    an oracle built from epoch ticks and receivers, not push counters."""
+
+    @pytest.mark.parametrize("remediation", [False, True])
+    def test_one_round_per_tick_plus_one_at_finish(self, remediation):
+        sink = Collector("sink")
+        result = push_schedule_scenario(sink, remediation).run(duration_s=0.1)
+        ticks = result.extras["ticks"]
+        rounds = len(ticks) + 1
+        receivers = sum(len(result.aggregators(app)) for app in result.apps)
+        assert len(ticks) >= 2 and receivers == 6 + 2
+        assert result.summaries_submitted \
+            == rounds * receivers + (rounds if remediation else 0)
+        assert sorted(result.collectors) \
+            == sorted([*result.apps, *(["remediation"] if remediation else [])])
+        # The user's sink sees exactly the probe app's pushes: hosts in
+        # sorted order, each round stamped with its tick (then the finish).
+        assert sink.summaries and [host for host, _ in sink.summaries] \
+            == ["h4", "h5"] * rounds
+        assert sink.submission_times[::2] == [*ticks, result.end_time_s]
+
+    def test_no_plane_pushes_nothing(self):
+        sink = Collector("sink")
+        result = push_schedule_scenario(sink, remediation=True,
+                                        plane=False).run(duration_s=0.1)
+        assert result.summaries_submitted == 0
+        assert result.collectors == {} and len(sink) == 0
+        assert result.collector("probe") is None
+        # The result still folds the hosts' snapshots itself.
+        assert result.merged_summary("probe")["tpps"] \
+            == sum(a.tpps_received for a in result.aggregators("probe").values()) > 0
+
+
 class TestTruncationAccounting:
     """Satellite: packet-memory overrun is visible at every layer."""
 
@@ -559,11 +618,10 @@ class TestSingleShardDifferential:
         assert legacy.estimates == sharded.estimates
         assert legacy.host_memory_bytes == sharded.host_memory_bytes
         assert legacy.packets_instrumented == sharded.packets_instrumented
-        # The user-supplied service saw the identical submissions.
-        assert len(legacy.service.summaries) == len(sharded.service.summaries)
-        assert legacy.service.submission_times == sharded.service.submission_times
-        assert {key: bytes(sketch.bitmap) for key, sketch in legacy.service.per_link.items()} \
-            == {key: bytes(sketch.bitmap) for key, sketch in sharded.service.per_link.items()}
+        # The merged per-link bitmaps are bit-identical with or without a tier.
+        assert {key: bytes(sketch.bitmap) for key, sketch in legacy.bitmaps.items()} \
+            == {key: bytes(sketch.bitmap) for key, sketch in sharded.bitmaps.items()}
+        assert legacy.total_memory_bytes() == sharded.total_memory_bytes() > 0
 
     def test_rcp(self):
         from repro.apps.rcp import ALPHA_MAXMIN, rcp_scenario

@@ -121,8 +121,8 @@ class TestOneChannel:
 class HopCountingAggregator(MicroburstAggregator):
     """The ARCHITECTURE recipe: one int, one entry on the owner's face."""
 
-    def __init__(self, host_name, collector=None):
-        super().__init__(host_name, collector)
+    def __init__(self, host_name):
+        super().__init__(host_name)
         self.hop_words_seen = 0
 
     def on_tpp(self, tpp, packet):

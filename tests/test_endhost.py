@@ -5,13 +5,14 @@ import pytest
 from repro.core import addressing
 from repro.core.compiler import compile_tpp
 from repro.core.exceptions import AccessControlError
-from repro.endhost import (Aggregator, Collector, PacketFilter, PiggybackApplication,
-                           TPPControlPlane, deploy, install_stacks, match_all)
+from repro.endhost import (Aggregator, Collector, PacketFilter, TPPControlPlane,
+                           install_stacks, match_all)
 from repro.endhost.filters import FilterEntry, FilterTable
 from repro.net.link import mbps
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import build_dumbbell
+from repro.session import Scenario
 
 
 @pytest.fixture()
@@ -307,33 +308,56 @@ class TestExecutor:
         assert net.hosts["h5"].packets_received == 0
 
 
-class TestDeploymentFramework:
-    def test_deploy_installs_rules_and_aggregators(self, dumbbell):
-        sim, net, stacks = dumbbell
-        collector = Collector()
-        descriptor = PiggybackApplication(
-            name="test-app", packet_filter=PacketFilter(protocol="udp"),
-            compiled_tpp=compile_tpp("PUSH [Switch:SwitchID]"),
-            aggregator_factory=Aggregator, collector=collector)
-        deployed = deploy(descriptor, stacks, stacks["h0"].control_plane)
-        assert len(deployed.aggregators) == len(stacks)
-        net.hosts["h0"].send(udp_packet("h0", "h5", 100, dport=9))
-        sim.run(until=0.05)
-        assert deployed.aggregators["h5"].tpps_received == 1
-        deployed.push_all_summaries()
-        assert len(collector) == len(stacks)
+def _send_one_udp_packet(experiment):
+    experiment.host("h0").send(udp_packet("h0", "h5", 100, dport=9))
 
-    def test_deploy_subset_of_hosts(self, dumbbell):
-        sim, net, stacks = dumbbell
-        descriptor = PiggybackApplication(
-            name="subset", packet_filter=match_all(),
-            compiled_tpp=compile_tpp("PUSH [Switch:SwitchID]"),
-            aggregator_factory=Aggregator)
-        deployed = deploy(descriptor, stacks, stacks["h0"].control_plane,
-                          sender_hosts=["h0"], receiver_hosts=["h5"])
-        assert set(deployed.aggregators) == {"h5"}
-        assert len(stacks["h1"].shim.filters) == 0
-        assert len(stacks["h0"].shim.filters) == 1
+
+class TestDeploymentFramework:
+    """The experiment is the one provisioning agent: ``.tpp(...)`` registers
+    the app, binds an aggregator per receiver and installs the template on
+    each sender."""
+
+    def test_deploy_installs_rules_and_aggregators(self):
+        collector = Collector()
+        result = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                  .tpp("test-app", "PUSH [Switch:SwitchID]", num_hops=10,
+                       filter=PacketFilter(protocol="udp"), collector=collector)
+                  .collector()
+                  .setup(_send_one_udp_packet)
+                  .run(duration_s=0.05))
+        aggregators = result.aggregators("test-app")
+        assert len(aggregators) == len(result.stacks)
+        assert all(type(a) is Aggregator for a in aggregators.values())
+        assert aggregators["h5"].tpps_received == 1
+        # The finish push reaches the user's collector through the plane.
+        assert len(collector) == len(result.stacks)
+        assert [host for host, _ in collector.summaries] == sorted(result.stacks)
+
+    def test_deploy_subset_of_hosts(self):
+        experiment = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                      .tpp("subset", "PUSH [Switch:SwitchID]",
+                           senders=["h0"], receivers=["h5"])
+                      .build())
+        app = experiment.apps["subset"]
+        assert set(app.aggregators) == {"h5"}
+        assert set(experiment.stacks["h5"].shim.bindings) \
+            == {experiment.stacks["h5"].executor_app_id, app.application.app_id}
+        assert len(experiment.stacks["h1"].shim.filters) == 0
+        assert len(experiment.stacks["h0"].shim.filters) == 1
+        assert experiment.control_plane.applications[app.application.app_id] \
+            .tpps_installed == 1
+
+    def test_installed_template_is_a_copy_per_sender(self):
+        template = compile_tpp("PUSH [Switch:SwitchID]", num_hops=4).tpp
+        experiment = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                      .tpp("raw", template).build())
+        installed = [stack.shim.filters.entries[0].tpp_template
+                     for stack in experiment.stacks.values()]
+        app_id = experiment.apps["raw"].application.app_id
+        assert all(tpp is not template and tpp.app_id == app_id
+                   for tpp in installed)
+        assert len({id(tpp) for tpp in installed}) == len(installed)
+        assert template.app_id == 0
 
 
 class TestAggregatorTruncationDetection:

@@ -1,13 +1,17 @@
 """Cross-module integration tests: full scenarios exercising the whole stack."""
 
+from functools import partial
+
 import pytest
 
-from repro.apps.netsight import NetWatch, deploy_netsight
+from repro.apps.netsight import (PACKET_HISTORY_TPP_SOURCE, NetSightAggregator,
+                                 NetWatch)
 from repro.apps.netverify import RouteVerifier, observation_from_tpp, PATH_TPP_SOURCE
 from repro.core.compiler import compile_tpp
-from repro.endhost import Collector, PacketFilter, TPPControlPlane, install_stacks
+from repro.endhost import PacketFilter, TPPControlPlane, install_stacks
 from repro.net import (RateLimitedFlow, Simulator, build_dumbbell, build_leaf_spine, mbps,
                        udp_packet)
+from repro.session import Scenario
 
 
 class TestMultipleApplicationsCoexist:
@@ -93,25 +97,36 @@ class TestFailureDetectionScenario:
 
     def test_netwatch_catches_a_misrouted_packet(self):
         """Install a deliberately wrong route and let netwatch flag the packets."""
-        sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        network = topo.network
-        stacks = install_stacks(network)
         watch = NetWatch()
-        # Policy: traffic from h0 must go through switch s1 (id 2) to reach the
-        # far side - a waypoint policy.
-        watch.add_waypoint_policy("must-cross-core", "h0",
-                                  waypoint_switch=network.switches["s1"].switch_id)
-        deploy_netsight(stacks, Collector(), netwatch=watch)
 
-        # Misconfigure s0: packets for h5 are bounced back to h1 (never cross s1).
-        port_to_h1 = network.ports_towards("s0", "h1")[0]
-        network.switches["s0"].install_route("h5", port_to_h1, priority=50)
+        def add_policy(experiment):
+            # Policy: traffic from h0 must go through switch s1 (id 2) to
+            # reach the far side - a waypoint policy.
+            watch.add_waypoint_policy(
+                "must-cross-core", "h0",
+                waypoint_switch=experiment.network.switches["s1"].switch_id)
 
-        network.hosts["h0"].send(udp_packet("h0", "h5", 300, dport=80))
-        sim.run(until=0.1)
+        result = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                  .tpp("netsight", PACKET_HISTORY_TPP_SOURCE, num_hops=10,
+                       aggregator=partial(NetSightAggregator, netwatch=watch))
+                  .setup(add_policy)
+                  .setup(_misroute_h5_at_s0)
+                  .setup(_send_h0_to_h5)
+                  .run(duration_s=0.1))
+        assert result.aggregators("netsight")["h1"].tpps_received == 1
         assert len(watch.violations) == 1
         assert watch.violations[0].policy == "must-cross-core"
+
+
+def _misroute_h5_at_s0(experiment):
+    """Misconfigure s0: packets for h5 bounce back to h1 (never cross s1)."""
+    network = experiment.network
+    port_to_h1 = network.ports_towards("s0", "h1")[0]
+    network.switches["s0"].install_route("h5", port_to_h1, priority=50)
+
+
+def _send_h0_to_h5(experiment):
+    experiment.host("h0").send(udp_packet("h0", "h5", 300, dport=80))
 
 
 class TestRateControlledFlowsShareAFabric:

@@ -286,6 +286,12 @@ def _microburst():
 
 
 class TestExperimentTelemetry:
+    @pytest.mark.parametrize("slices", [2.5, float("nan"), -1, True])
+    def test_malformed_slices_rejected_at_construction(self, slices):
+        # 2.5 used to be accepted and raise TypeError inside Experiment.run.
+        with pytest.raises(ValueError, match="slices must be an int >= 0"):
+            Telemetry(slices=slices)
+
     def test_run_records_phases_and_metrics(self):
         telemetry = Telemetry(slices=4)
         result = _microburst().build(0.1, telemetry=telemetry).run(0.1)

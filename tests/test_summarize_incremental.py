@@ -243,7 +243,7 @@ class TestSnapshotIsolation:
         # every later on_tpp — without any push.
         plane = CollectPlane(2)
         door = plane.front_door("sketch")
-        aggregator = SketchAggregator("h0", collector=door, bits=64)
+        aggregator = SketchAggregator("h0", bits=64)
 
         def deliver(src):
             tpp = compile_tpp(SKETCH_TPP_SOURCE, num_hops=4).clone_tpp()
@@ -253,7 +253,7 @@ class TestSnapshotIsolation:
             aggregator.on_tpp(tpp, udp_packet(src, "h9", 100))
 
         deliver("h1")
-        aggregator.push_summary(0.0)
+        door.submit("h0", aggregator.summarize(), time=0.0)
         (sketch,) = door.merged_summary().parts.values()
         assert sketch.set_bits() == 1
         pushed = summary_jsonable(door.merged_summary())
@@ -262,7 +262,7 @@ class TestSnapshotIsolation:
         deliver("h3")
         assert summary_jsonable(door.merged_summary()) == pushed
         assert summary_jsonable(door.summaries[0][1]) == logged
-        aggregator.push_summary(1.0)
+        door.submit("h0", aggregator.summarize(), time=1.0)
         (sketch,) = door.merged_summary().parts.values()
         assert sketch.set_bits() == 3
 

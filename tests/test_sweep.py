@@ -396,14 +396,27 @@ class TestFailurePaths:
         assert "no luck" in outcome.error
         assert outcome.attempts == 1
 
-    def test_retry_budget_and_accounting(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_retry_budget_and_accounting(self, workers):
+        # The serial path used to retry without counting: retries == 0.
         tasks = [SweepTask(index=0, label="boom", overrides={},
                            spec=workload_scenario("sweep-test-explode").to_spec())]
-        result = SweepRunner(workers=2, duration_s=DT, retries=2).run(tasks)
+        result = SweepRunner(workers=workers, duration_s=DT, retries=2).run(tasks)
         (outcome,) = result.outcomes
         assert outcome.status == "failed"
         assert outcome.attempts == 3              # 1 try + 2 retries
         assert result.retries == 2
+        assert result.accounting()["retries"] == 2
+
+    @pytest.mark.parametrize("knob,value", [
+        ("workers", 2.5), ("workers", float("nan")), ("workers", -1),
+        ("workers", True), ("retries", float("nan")), ("retries", 1.5),
+        ("retries", -1), ("worker_slices", 2.5), ("worker_slices", -1)])
+    def test_malformed_counts_rejected_at_construction(self, knob, value):
+        # retries=nan never retried (``attempts <= nan`` is False); 2.5
+        # workers or worker slices raised TypeError only once running.
+        with pytest.raises(ValueError, match=f"{knob} must be an int >= 0"):
+            SweepRunner(**{knob: value})
 
     def test_serial_runner_records_failures_too(self):
         specs = [workload_scenario("sweep-test-explode").to_spec(),
