@@ -68,11 +68,20 @@ Three engines, one semantics:
 
 1. :meth:`TCPU.execute` — the reference interpreter: resolves each opcode
    through the handler table and runs the uncached step list.  One-off
-   programs and tests use it.
-2. :meth:`TCPU.execute_program` — the plan cache: the resolved
-   ``(handler, instruction)`` list and word mask are cached per unique
-   program, so switches that see the same TPP template on every packet of a
-   flow pay opcode resolution exactly once.
+   programs and tests use it, and it is the other side of every
+   differential.
+2. :meth:`TCPU.execute_program` — the **bound plan**: each instruction of a
+   program becomes one closure ``step(tpp, context) -> InstructionStatus``,
+   built once per ``(word_bytes, mode, hop_size, id(memory), *instruction
+   ids)``.  A step is bound to its memory row (the memory's
+   ``read_resolver`` / ``write_resolver`` closure for the address, or a
+   closure over ``read`` / ``write`` for a memory without resolvers), its
+   packet byte offset (``packet_offset * word_bytes``, plus ``hop_number *
+   hop_size`` in hop mode), the word mask and the write-enable knob.  A
+   hop runs the steps in order and stops at the first ``FAILED_CONDITION``
+   (CEXEC and CSTORE are ordinary steps), so every program is eligible.
+   The read count is a per-plan prefix sum and the result is filled in
+   once.
 3. The **compiled trace** (``compile_traces=True``): eligible programs are
    lowered once by :mod:`repro.core.trace` into a single synthesized
    function with no dispatch, no operand decoding, and one inlined bounds
@@ -80,32 +89,35 @@ Three engines, one semantics:
    packet layouts) silently fall back to engine 2.
 
 All three produce byte-identical results — the differential sweep in
-``tests/test_trace.py`` enforces it.
+``tests/test_trace.py`` enforces it, on a cache miss and on a hit.
 
 Both caches are keyed by *identity* of the (frozen, immutable)
-:class:`~repro.core.isa.Instruction` objects plus every value the cached
-artifact is specialized on (word size; for traces also addressing mode,
-hop size, and the write-enable knob).  Identity keys are sound only
-because each cache entry holds strong references to its instructions:
-while an entry lives, its instructions' ids cannot be reused, so a key
-match implies the probing program *is* those exact instruction objects.
-Mutating a TPP's instruction list therefore always changes the key — a
-mutated program can never hit a stale plan (regression-tested in
-``tests/test_trace.py``).
+:class:`~repro.core.isa.Instruction` objects and of the memory they are
+bound to, plus every value the cached artifact is specialized on (word
+size, addressing mode, hop size).  Identity keys are sound only because
+each cache entry holds strong references to its instructions and its
+memory: while an entry lives, their ids cannot be reused, so a key match
+implies the probing program *is* those exact instruction objects on that
+exact memory.  Mutating a TPP's instruction list therefore always changes
+the key — a mutated program can never hit a stale plan (regression-tested
+in ``tests/test_trace.py``).  Plans and traces bake in the write-enable
+knob, so setting :attr:`TCPU.write_enabled` to a new value drops both
+caches.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from . import addressing
 from .isa import Instruction, Opcode
-from .packet_format import TPP
+from .packet_format import AddressingMode, TPP
 
-#: Bounded size of the per-TCPU compiled-plan cache (templates are few; this
+#: Bounded size of the per-TCPU plan and trace caches (templates are few; this
 #: only guards against pathological workloads with unbounded unique programs).
 _PLAN_CACHE_LIMIT = 1024
 
@@ -230,6 +242,175 @@ class ExecutionResult:
         return not self.halted
 
 
+# ------------------------------------------------------------- bound plans
+def _resolvers(memory: MemoryInterface) -> tuple[Callable, Callable]:
+    """``(read_resolver, write_resolver)`` for ``memory``.
+
+    A :class:`~repro.switches.memory.SwitchMemory` hands out the very closures
+    its ``read`` / ``write`` call; any other interface gets closures over its
+    ``read`` / ``write``, which is correct for every :class:`MemoryInterface`.
+    """
+    read_resolver = getattr(memory, "read_resolver", None)
+    write_resolver = getattr(memory, "write_resolver", None)
+    if read_resolver is not None and write_resolver is not None:
+        return read_resolver, write_resolver
+    read, write = memory.read, memory.write
+    return ((lambda address: lambda context: read(address, context)),
+            (lambda address: lambda value, context: write(address, value, context)))
+
+
+def _get2(memory: bytearray, offset: int) -> int:
+    return (memory[offset] << 8) | memory[offset + 1]
+
+
+def _put2(memory: bytearray, offset: int, value: int) -> None:
+    memory[offset] = value >> 8
+    memory[offset + 1] = value & 0xFF
+
+
+def _get4(memory: bytearray, offset: int) -> int:
+    return int.from_bytes(memory[offset:offset + 4], "big")
+
+
+def _put4(memory: bytearray, offset: int, value: int) -> None:
+    memory[offset:offset + 4] = value.to_bytes(4, "big")
+
+
+#: word size -> (get, put) of one big-endian packet word; the caller has
+#: range-checked the offset and masked the value to the word size.
+_WORD_ACCESS = {2: (_get2, _put2), 4: (_get4, _put4)}
+
+
+def _nop(tpp: TPP, context: PacketContext) -> InstructionStatus:
+    return _EXECUTED
+
+
+def _write_disabled(tpp: TPP, context: PacketContext) -> InstructionStatus:
+    return _SKIPPED_WRITE_DISABLED
+
+
+def _bind_step(instruction: Instruction, read_resolver: Callable,
+               write_resolver: Callable, word_bytes: int, hop_size: int,
+               write_enabled: bool) -> Callable:
+    """``instruction`` as ``step(tpp, context) -> InstructionStatus``.
+
+    Each step makes the checks of its ``TCPU._op_*`` handler in the same
+    order; what the handler works out per hop — the address's row, the word
+    mask, the packet byte offset (plus ``hop_number * hop_size``; ``hop_size``
+    is 0 in stack mode) and the write-enable knob — is fixed here, once.
+    """
+    opcode = instruction.opcode
+    if opcode is Opcode.NOP:
+        return _nop
+    if opcode in (Opcode.POP, Opcode.STORE) and not write_enabled:
+        return _write_disabled
+    mask = (1 << (8 * word_bytes)) - 1
+    base = instruction.packet_offset * word_bytes
+    get, put = _WORD_ACCESS[word_bytes]
+    read = read_resolver(instruction.address) if instruction.reads_switch else None
+    write = write_resolver(instruction.address) if instruction.writes_switch else None
+
+    if opcode is Opcode.PUSH:
+        def push(tpp: TPP, context: PacketContext) -> InstructionStatus:
+            value = read(context)
+            if value is None:
+                return _SKIPPED_NO_MEMORY
+            memory, offset = tpp.memory, tpp.stack_pointer
+            if offset < 0 or offset + word_bytes > len(memory):
+                return _SKIPPED_PACKET_FULL
+            put(memory, offset, value & mask)
+            tpp.stack_pointer = offset + word_bytes
+            return _EXECUTED
+        return push
+
+    if opcode is Opcode.LOAD:
+        def load(tpp: TPP, context: PacketContext) -> InstructionStatus:
+            value = read(context)
+            if value is None:
+                return _SKIPPED_NO_MEMORY
+            memory, offset = tpp.memory, tpp.hop_number * hop_size + base
+            if offset < 0 or offset + word_bytes > len(memory):
+                return _SKIPPED_PACKET_FULL
+            put(memory, offset, value & mask)
+            return _EXECUTED
+        return load
+
+    if opcode is Opcode.POP:
+        def pop(tpp: TPP, context: PacketContext) -> InstructionStatus:
+            memory, offset = tpp.memory, tpp.stack_pointer
+            if offset < 0 or offset + word_bytes > len(memory):
+                return _SKIPPED_PACKET_FULL
+            tpp.stack_pointer = offset + word_bytes
+            return _EXECUTED if write(get(memory, offset), context) else _SKIPPED_NO_MEMORY
+        return pop
+
+    if opcode is Opcode.STORE:
+        def store(tpp: TPP, context: PacketContext) -> InstructionStatus:
+            memory, offset = tpp.memory, tpp.hop_number * hop_size + base
+            if offset < 0 or offset + word_bytes > len(memory):
+                return _SKIPPED_PACKET_FULL
+            return _EXECUTED if write(get(memory, offset), context) else _SKIPPED_NO_MEMORY
+        return store
+
+    if opcode is Opcode.CSTORE:
+        def cstore(tpp: TPP, context: PacketContext) -> InstructionStatus:
+            current = read(context)
+            memory, offset = tpp.memory, tpp.hop_number * hop_size + base
+            if current is None or offset < 0 or offset + 2 * word_bytes > len(memory):
+                return _FAILED_CONDITION
+            current &= mask
+            if current != get(memory, offset):
+                put(memory, offset, current)
+                return _FAILED_CONDITION
+            if not write_enabled:
+                return _SKIPPED_WRITE_DISABLED
+            new = get(memory, offset + word_bytes)
+            if not write(new, context):
+                return _FAILED_CONDITION
+            put(memory, offset, new)
+            return _EXECUTED
+        return cstore
+
+    def cexec(tpp: TPP, context: PacketContext) -> InstructionStatus:
+        switch_value = read(context)
+        memory, offset = tpp.memory, tpp.hop_number * hop_size + base
+        if switch_value is None or offset < 0 or offset + 2 * word_bytes > len(memory):
+            return _FAILED_CONDITION
+        # Packet words already fit the word mask, so only the switch
+        # value's high bits need it — and the packet mask clears them.
+        if switch_value & get(memory, offset) == get(memory, offset + word_bytes):
+            return _EXECUTED
+        return _FAILED_CONDITION
+    return cexec
+
+
+def _bind_plan(tpp: TPP, memory: MemoryInterface, write_enabled: bool) -> tuple:
+    """``tpp``'s program bound to ``memory``: ``(steps, reads, writers,
+    instructions, memory)``, the last two pinned for the cache key.
+
+    ``reads[k]`` is the switch reads made by the first ``k`` instructions
+    (every read instruction that runs reads once).  ``writers`` holds
+    ``(index, refused)`` per switch-writing instruction: a write was made
+    when it EXECUTED, and when a POP / STORE reports ``refused``
+    (``SKIPPED_NO_MEMORY``: the switch turned the write down); a CSTORE's
+    refused or suppressed write is not counted (``refused`` is None), just
+    as ``TCPU._op_cstore`` counts.
+    """
+    instructions = tuple(tpp.instructions)
+    read_resolver, write_resolver = _resolvers(memory)
+    hop_size = tpp.hop_size if tpp.mode is AddressingMode.HOP else 0
+    steps = tuple(_bind_step(instruction, read_resolver, write_resolver,
+                             tpp.word_bytes, hop_size, write_enabled)
+                  for instruction in instructions)
+    reads = list(accumulate((instruction.reads_switch for instruction in instructions),
+                            initial=0))
+    writers = tuple((index, None if instruction.opcode is Opcode.CSTORE
+                     else _SKIPPED_NO_MEMORY)
+                    for index, instruction in enumerate(instructions)
+                    if instruction.writes_switch)
+    return steps, reads, writers, instructions, memory
+
+
 class TCPU:
     """Executes TPPs against a :class:`MemoryInterface`.
 
@@ -242,7 +423,7 @@ class TCPU:
         compile_traces: when True, :meth:`execute_program` lowers eligible
             programs through :mod:`repro.core.trace` into per-program
             compiled traces and executes those; ineligible programs fall
-            back to the interpreted plan path.  Results are byte-identical
+            back to the bound plan.  Results are byte-identical
             either way.  The flag may be flipped at any time — both engines
             share no mutable state beyond the counters.
     """
@@ -277,11 +458,13 @@ class TCPU:
             Opcode.CEXEC: self._op_cexec,
         }
         # Identity-keyed caches (see the module docstring for the soundness
-        # argument): every entry pins its Instruction objects via a strong
-        # reference, so an id-tuple key can only match the exact objects it
-        # was built from.
-        # (word_bytes, *ids) -> ([(handler, instruction)], mask).
-        self._plan_cache: dict[tuple, tuple[list, int]] = {}
+        # argument): every entry pins the objects whose ids are in its key,
+        # so an id-tuple key can only match the exact objects it was built
+        # from.
+        # Bound plans: (word_bytes, mode, hop_size, id(memory), *ids) ->
+        # _bind_plan's (steps, reads, writers, instructions, memory).
+        # write_enabled is baked into each plan; the setter clears them.
+        self._plan_cache: dict[tuple, tuple] = {}
         # Program-level trace cache: (word_bytes, mode, hop_size, *ids) ->
         # (CompiledTrace | None, pinned instructions).  write_enabled is baked
         # into each trace; the write_enabled setter clears both trace caches.
@@ -313,14 +496,15 @@ class TCPU:
 
     @property
     def write_enabled(self) -> bool:
-        """The §4.3 write-disable knob.  Compiled traces bake it in, so the
-        setter drops every cached trace; flipping it mid-run is safe (and
-        rare — it is an administrative action)."""
+        """The §4.3 write-disable knob.  Bound plans and compiled traces bake
+        it in, so the setter drops every cached plan and trace; flipping it
+        mid-run is safe (and rare — it is an administrative action)."""
         return self._write_enabled
 
     @write_enabled.setter
     def write_enabled(self, enabled: bool) -> None:
         if enabled != self._write_enabled:
+            self._plan_cache.clear()
             self._trace_programs.clear()
             self._trace_cache.clear()
         self._write_enabled = enabled
@@ -337,19 +521,18 @@ class TCPU:
 
     def execute_program(self, tpp: TPP, memory: MemoryInterface,
                         context: PacketContext) -> ExecutionResult:
-        """Fast path: like :meth:`execute`, with per-program caching.
+        """Fast path: like :meth:`execute`, run as a cached bound plan.
 
         TPPs stamped from one template share their (frozen, immutable)
         :class:`~repro.core.isa.Instruction` objects across clones, so every
         packet of an instrumented flow after the first hits the cache.  With
         ``compile_traces`` set, eligible programs run their compiled trace
-        (see :mod:`repro.core.trace`); everything else runs the cached
-        interpreter plan.  All paths return identical results.
+        (see :mod:`repro.core.trace`); everything else runs its bound plan.
+        All paths return identical results.
         """
-        instructions = tpp.instructions
+        key = (tpp.word_bytes, tpp.mode, tpp.hop_size, id(memory),
+               *map(id, tpp.instructions))
         if self.compile_traces:
-            key = (tpp.word_bytes, tpp.mode, tpp.hop_size,
-                   id(memory), *map(id, instructions))
             entry = self._trace_cache.get(key)
             if entry is None:
                 self.trace_cache_misses += 1
@@ -361,20 +544,37 @@ class TCPU:
                 self.trace_executions += 1
                 return fn(self, tpp, context)
             self.trace_fallbacks += 1
-        key = (tpp.word_bytes, *map(id, instructions))
         plan = self._plan_cache.get(key)
         if plan is not None:
             self.plan_cache_hits += 1
         else:
             self.plan_cache_misses += 1
-            dispatch = self._dispatch
-            # The steps pin the instruction objects, keeping the id key sound.
-            plan = ([(dispatch[instruction.opcode], instruction)
-                     for instruction in instructions],
-                    (1 << (8 * tpp.word_bytes)) - 1)
+            plan = _bind_plan(tpp, memory, self._write_enabled)
             if len(self._plan_cache) < _PLAN_CACHE_LIMIT:
                 self._plan_cache[key] = plan
-        return self._run_steps(plan[0], plan[1], tpp, memory, context)
+        steps, reads, writers = plan[0], plan[1], plan[2]
+        statuses = []
+        for step in steps:
+            status = step(tpp, context)
+            statuses.append(status)
+            if status is _FAILED_CONDITION:          # halts the hop (§3.3.3)
+                ran = len(statuses)
+                statuses += [_SKIPPED_HALTED] * (len(steps) - ran)
+                halted, switch_reads = True, reads[ran]
+                break
+        else:
+            halted, switch_reads = False, reads[-1]
+        switch_writes, wrote = 0, False
+        for index, refused in writers:
+            status = statuses[index]
+            if status is _EXECUTED:
+                switch_writes += 1
+                wrote = True
+            elif status is refused:
+                switch_writes += 1
+        self.tpps_executed += 1
+        self.instructions_executed += statuses.count(_EXECUTED) + halted
+        return ExecutionResult(statuses, halted, wrote, switch_reads, switch_writes)
 
     def _bind_trace(self, tpp: TPP, memory: MemoryInterface, key: tuple) -> tuple:
         """Lower ``tpp``'s program (once) and bind it to ``memory`` (once).

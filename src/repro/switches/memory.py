@@ -196,10 +196,18 @@ class SwitchMemory:
     def read_resolver(self, address: int) -> Reader:
         """The closure ``read(address, ·)`` calls: ``resolver(context)``.
 
-        The compiled-trace engine (:mod:`repro.core.trace`) binds one per
-        read instruction and so skips even the cache lookup.
+        The TCPU's bound plans and compiled traces bind one per read
+        instruction and so skip even the cache lookup.
         """
         return self._resolved_reads.get(address) or self._resolve(address)[0]
+
+    def write_resolver(self, address: int) -> Writer:
+        """The closure ``write(address, ·, ·)`` calls: ``resolver(value, context)``.
+
+        Unmapped and read-only addresses give the writer that refuses
+        everything; the TCPU's bound plans bind one per write instruction.
+        """
+        return self._resolved_writes.get(address) or self._resolve(address)[1]
 
     # ------------------------------------------------------------ resolution
     def _resolve(self, address: int) -> tuple[Reader, Writer]:
@@ -252,15 +260,20 @@ class SwitchMemory:
             port_of = attrgetter(
                 "input_port" if region == "dynamic_link"
                 and addressing.is_dynamic_rx_field(offset) else "output_port")
-            queue_relative = region == "dynamic_queue"
 
-            def reader(context):
-                port = port_of(context)
-                if port is None or not 0 <= port < len(ports):
-                    return None
-                if queue_relative and context.output_queue not in (0, None):
-                    return None
-                return get(self, port)
+            if region == "dynamic_queue":
+                def reader(context):
+                    port = port_of(context)
+                    if (port is None or not 0 <= port < len(ports)
+                            or context.output_queue not in (0, None)):
+                        return None
+                    return get(self, port)
+            else:
+                def reader(context):
+                    port = port_of(context)
+                    if port is None or not 0 <= port < len(ports):
+                        return None
+                    return get(self, port)
 
             def writer(value, context):
                 port = port_of(context)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.tcpu import PacketContext, TCPU
+from repro.core.tcpu import InstructionStatus, PacketContext, TCPU
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.port import Port
@@ -31,6 +31,9 @@ from .tables import FlowEntry, Group, GroupTable
 
 #: How often switches refresh link utilisation counters (§2.2: every millisecond).
 DEFAULT_UTILIZATION_INTERVAL_S = 1e-3
+
+# Bound once: read on every TPP hop (see repro.core.tcpu).
+_SKIPPED_PACKET_FULL = InstructionStatus.SKIPPED_PACKET_FULL
 
 
 class TPPSwitch(Node):
@@ -151,7 +154,8 @@ class TPPSwitch(Node):
             self._drop(packet, reason=f"invalid output port at {self.name}")
             return
 
-        if packet.tpp is not None and self.tpp_enabled:
+        tpp = packet.tpp
+        if tpp is not None and self.tpp_enabled:
             if self.parser.classify(packet):
                 self.tpp_packets_seen += 1
                 # The per-packet context exists only on hops where a TPP
@@ -161,15 +165,14 @@ class TPPSwitch(Node):
                 context = PacketContext(
                     in_index, output_port, 0,
                     entry.entry_id if entry else 0, entry.version if entry else 0,
-                    result.matched_stage, packet.tpp.hop_number, packet.vlan,
+                    result.matched_stage, tpp.hop_number, packet.vlan,
                     packet.size, self.sim.now)
-                execution = self.tcpu.execute_program(packet.tpp, self.memory,
-                                                      context)
-                if execution.packet_full:
+                execution = self.tcpu.execute_program(tpp, self.memory, context)
+                if _SKIPPED_PACKET_FULL in execution.statuses:
                     self.tpps_packet_full += 1
                 if self.recorder is not None:
                     self.recorder.on_tpp_exec(self, packet, execution)
-                packet.tpp.advance_hop()
+                tpp.hop_number += 1              # TPP.advance_hop, inlined
                 # A TPP may have rewritten the packet's output port (Table 2
                 # marks it writable); honour the redirection.
                 output_port = context.output_port

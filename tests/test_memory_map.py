@@ -21,6 +21,7 @@ from repro.net.link import mbps
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import Network
+from repro.switches.memory import _read_only
 
 
 class ReferenceMemory:
@@ -306,6 +307,23 @@ class TestAgainstReferenceMemory:
             assert memory._resolved_reads[address] is resolver
             memory.read(address, PacketContext())
             assert memory._resolved_reads[address] is resolver
+
+    def test_write_resolver_is_the_closure_write_calls(self):
+        memory = busy_switch().memory
+        context = PacketContext(output_port=1)
+        for address in range(addressing.ADDRESS_MAX + 1):
+            resolver = memory.write_resolver(address)
+            assert memory.write_resolver(address) is resolver, f"{address:#06x}"
+            if _decodes(address):
+                assert memory._resolved_writes[address] is resolver
+                memory.write(address, 0, context)
+                assert memory._resolved_writes[address] is resolver
+                context.output_port = 1
+            else:
+                assert resolver is _read_only, f"{address:#06x}"
+                assert address not in memory._resolved_writes
+        for name in TestAbsentAndReadOnly.READ_ONLY:
+            assert memory.write_resolver(addressing.resolve(name)) is _read_only
 
 
 class TestLiveness:

@@ -324,11 +324,39 @@ class TestExecuteProgramFastPath:
         from repro.core import addressing
         a = addressing.resolve("[Switch:SwitchID]")
         tcpu = TCPU()
+        memory = DictMemory({a: 1})
         template = compile_tpp("PUSH [Switch:SwitchID]").tpp
         for _ in range(5):
-            tcpu.execute_program(template.clone(), DictMemory({a: 1}), PacketContext())
+            tcpu.execute_program(template.clone(), memory, PacketContext())
         assert len(tcpu._plan_cache) == 1
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (1, 4)
         assert tcpu.tpps_executed == 5
+
+    def test_each_memory_gets_its_own_pinned_plan(self):
+        """A plan is bound to one memory's rows, so a second memory object
+        misses; and the entry keeps its memory alive, so the ``id(memory)``
+        in its key can never be reused by another object."""
+        import gc
+        import weakref
+        from repro.core import addressing
+        a = addressing.resolve("[Switch:SwitchID]")
+        tcpu = TCPU()
+        template = compile_tpp("PUSH [Switch:SwitchID]").tpp
+        first, second = DictMemory({a: 1}), DictMemory({a: 2})
+        pushed = []
+        for memory in (first, second, first, second):
+            tpp = template.clone()
+            tcpu.execute_program(tpp, memory, PacketContext())
+            pushed.extend(tpp.pushed_words())
+        assert pushed == [1, 2, 1, 2]
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (2, 2)
+        assert {key[3] for key in tcpu._plan_cache} == {id(first), id(second)}
+
+        pinned = weakref.ref(second)
+        del second, memory
+        gc.collect()
+        assert pinned() is not None
+        assert any(entry[-1] is pinned() for entry in tcpu._plan_cache.values())
 
 
 class TestPacketContext:

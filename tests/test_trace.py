@@ -1,12 +1,19 @@
-"""Differential tests for the compiled TCPU trace engine (repro.core.trace).
+"""Differential tests for the TCPU's cached engines against its interpreter.
 
-The compiled trace must be *instruction-for-instruction* identical to the
-interpreter — same statuses, same packet memory, same switch-memory writes,
-same counters — on every program, eligible or not.  This file holds:
+The bound plan (``execute_program``) and the compiled trace
+(``compile_traces=True``, :mod:`repro.core.trace`) must be
+*instruction-for-instruction* identical to the reference interpreter
+(``execute``) — same statuses, same packet memory, same switch-memory
+writes, same counters — on every program, eligible or not, on a cache miss
+and on a cache hit.  This file holds:
 
-* a property-style sweep running randomized valid programs through the
-  interpreter, the plan-cached interpreter, and the compiled trace
-  (``REPRO_HYPOTHESIS_PROFILE=quick`` shrinks the sweep for CI's docs job);
+* a property-style sweep running randomized valid programs through all
+  three engines, each engine twice on one TCPU and one memory (a miss, then
+  a hit a hop further along), against a dict-backed memory (the closures
+  over ``read`` / ``write``) and a real switch's ``SwitchMemory`` (its
+  resolvers), including a flip of the write-enable knob between the two
+  runs (``REPRO_HYPOTHESIS_PROFILE=quick`` shrinks the sweep for CI's docs
+  job);
 * resolver equivalence checks against a real switch's ``SwitchMemory``;
 * regression tests for the cache-keying contract: a mutated (non-template)
   program, changed word size / addressing mode / hop size, or a flipped
@@ -23,13 +30,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core import addressing
 from repro.core.compiler import compile_tpp
 from repro.core.isa import Instruction, Opcode
-from repro.core.packet_format import AddressingMode, make_tpp
+from repro.core.packet_format import TPP, AddressingMode, checksum16, make_tpp
 from repro.core.static_analysis import trace_ineligibility
 from repro.core.tcpu import InstructionStatus, PacketContext, TCPU
 from repro.core.trace import compile_trace, trace_eligible
 from repro.endhost.filters import PacketFilter
 from repro.net.link import gbps
+from repro.net.sim import Simulator
 from repro.session import Scenario
+from repro.switches.switch import TPPSwitch
 
 settings.register_profile("quick", max_examples=15)
 settings.register_profile("default", max_examples=80)
@@ -53,30 +62,71 @@ class DictMemory:
         return True
 
 
+def fresh_switch():
+    """A 2-stage, 3-port switch with one route and one non-zero register;
+    every call gives a switch in the same state."""
+    switch = TPPSwitch(Simulator(), "s1", switch_id=42, num_stages=2)
+    for _ in range(3):
+        switch.add_port()
+    switch.install_route("h1", output_port=1)
+    switch.pipeline.stages[1].registers[3] = 0x1234
+    return switch
+
+
 #: Address pool: some populated, one read-only, one absent.
 ADDRESSES = [0x0000, 0x0001, 0x1010, 0x1011, 0xBEEF]
 PRESENT = {0x0000: 7, 0x0001: 0x1234, 0x1010: 0, 0x1011: 0xFFFF}
 READ_ONLY = {0x0001}
+#: A switch's pool: read-only and writable rows, fixed and packet-relative
+#: ports, a range-checked metadata store, and an unmapped address.
+SWITCH_ADDRESSES = [addressing.resolve(name) for name in (
+    "[Switch:SwitchID]", "[Link:AppSpecific_0]", "[Link$1:AppSpecific_2]",
+    "[Stage$1:Reg3]", "[PacketMetadata:OutputPort]", "[Queue:QueueOccupancy]",
+)] + [0xFFFF]
 
-addresses = st.sampled_from(ADDRESSES)
+#: memory kind -> (address pool, a fresh memory in a fixed state).
+MEMORIES = {
+    "dict": (ADDRESSES, lambda: DictMemory(PRESENT, READ_ONLY)),
+    "switch": (SWITCH_ADDRESSES, lambda: fresh_switch().memory),
+}
+
 trace_opcodes = st.sampled_from([Opcode.NOP, Opcode.PUSH, Opcode.POP,
                                  Opcode.LOAD, Opcode.STORE])
 all_opcodes = st.sampled_from(list(Opcode))
 
 
-def programs(opcodes):
+def programs(opcodes, kind="dict"):
     return st.lists(
-        st.builds(Instruction, opcode=opcodes, address=addresses,
+        st.builds(Instruction, opcode=opcodes,
+                  address=st.sampled_from(MEMORIES[kind][0]),
                   packet_offset=st.integers(min_value=0, max_value=4)),
         min_size=1, max_size=5)
 
 
-def run_all_engines(program, *, word_bytes, mode, num_hops, hop_number,
-                    stack_pointer, fill, write_enabled=True):
-    """Run one program through interpreter / plan cache / compiled trace.
+def memory_programs(opcodes):
+    """``(memory kind, program over that kind's address pool)``."""
+    return st.sampled_from(sorted(MEMORIES)).flatmap(
+        lambda kind: st.tuples(st.just(kind), programs(opcodes, kind)))
 
-    Returns the three (result, tpp, memory) triples; inputs are cloned so
-    each engine sees identical state.
+
+def memory_state(memory):
+    """Everything a TPP can have written in ``memory``."""
+    if isinstance(memory, DictMemory):
+        return memory.values
+    return (memory.app_registers,
+            [stage.registers for stage in memory.switch.pipeline.stages])
+
+
+def run_all_engines(program, *, word_bytes, mode, num_hops, hop_number,
+                    stack_pointer, fill, write_enabled=True, flip_write=False,
+                    memory="dict"):
+    """Run one program through interpreter / bound plan / compiled trace.
+
+    Each engine gets one TCPU and one fresh ``memory`` and runs the program
+    twice: a cache miss on a clone of the template, then — after flipping
+    ``write_enabled`` when ``flip_write`` is set — a cache hit (a miss after
+    a flip) on a second clone one hop further along.  Returns per engine
+    ``(runs, memory, tcpu)``, with ``(result, tpp, context)`` per run.
     """
     values_per_hop = 3                      # room for offsets 0..2, plus slack
     template = make_tpp(program, num_hops=num_hops, mode=mode,
@@ -88,86 +138,147 @@ def run_all_engines(program, *, word_bytes, mode, num_hops, hop_number,
 
     outcomes = []
     for engine in ("execute", "plan", "trace"):
-        tpp = template.clone()
-        memory = DictMemory(PRESENT, READ_ONLY)
-        context = PacketContext(input_port=1, output_port=2, packet_length=700,
-                                arrival_time=1.5)
         tcpu = TCPU(write_enabled=write_enabled,
                     compile_traces=(engine == "trace"))
-        if engine == "execute":
-            result = tcpu.execute(tpp, memory, context)
-        else:
-            result = tcpu.execute_program(tpp, memory, context)
-        outcomes.append((result, tpp, memory, tcpu))
+        state = MEMORIES[memory][1]()
+        execute = tcpu.execute if engine == "execute" else tcpu.execute_program
+        runs = []
+        for later in (0, 1):
+            if later and flip_write:
+                tcpu.write_enabled = not write_enabled
+            tpp = template.clone()
+            tpp.hop_number += later
+            context = PacketContext(input_port=1, output_port=2, packet_length=700,
+                                    arrival_time=1.5)
+            runs.append((execute(tpp, state, context), tpp, context))
+        outcomes.append((runs, state, tcpu))
+    plan_tcpu = outcomes[1][2]
+    assert plan_tcpu.plan_cache_hits == (0 if flip_write else 1)
     return outcomes
 
 
 def assert_engines_agree(outcomes):
-    reference = outcomes[0]
-    for other in outcomes[1:]:
-        ref_result, ref_tpp, ref_memory, ref_tcpu = reference
-        result, tpp, memory, tcpu = other
-        assert result.statuses == ref_result.statuses
-        assert result.halted == ref_result.halted
-        assert result.switch_reads == ref_result.switch_reads
-        assert result.switch_writes == ref_result.switch_writes
-        assert result.wrote_switch_memory == ref_result.wrote_switch_memory
-        assert tpp.memory == ref_tpp.memory
-        assert tpp.stack_pointer == ref_tpp.stack_pointer
-        assert tpp.hop_number == ref_tpp.hop_number
-        assert memory.values == ref_memory.values
-        assert tcpu.tpps_executed == ref_tcpu.tpps_executed
-        assert tcpu.instructions_executed == ref_tcpu.instructions_executed
+    (reference_runs, reference_memory, reference_tcpu), *others = outcomes
+    for runs, memory, tcpu in others:
+        for reference, run in zip(reference_runs, runs):
+            (ref_result, ref_tpp, ref_context), (result, tpp, context) = reference, run
+            assert result.statuses == ref_result.statuses
+            assert result.halted == ref_result.halted
+            assert result.switch_reads == ref_result.switch_reads
+            assert result.switch_writes == ref_result.switch_writes
+            assert result.wrote_switch_memory == ref_result.wrote_switch_memory
+            assert tpp.memory == ref_tpp.memory
+            assert tpp.stack_pointer == ref_tpp.stack_pointer
+            assert tpp.hop_number == ref_tpp.hop_number
+            assert context == ref_context
+        assert memory_state(memory) == memory_state(reference_memory)
+        assert tcpu.tpps_executed == reference_tcpu.tpps_executed
+        assert tcpu.instructions_executed == reference_tcpu.instructions_executed
+
+
+KNOBS = (st.sampled_from([2, 4]),
+         st.sampled_from([AddressingMode.STACK, AddressingMode.HOP]),
+         st.integers(min_value=1, max_value=6),
+         st.integers(min_value=0, max_value=8),
+         st.integers(min_value=0, max_value=60),
+         st.integers(min_value=0, max_value=2**16))
 
 
 class TestDifferentialSweep:
     """Random valid programs: the three engines must be indistinguishable."""
 
-    @given(programs(trace_opcodes),
-           st.sampled_from([2, 4]),
-           st.sampled_from([AddressingMode.STACK, AddressingMode.HOP]),
-           st.integers(min_value=1, max_value=6),
-           st.integers(min_value=0, max_value=8),
-           st.integers(min_value=0, max_value=60),
-           st.integers(min_value=0, max_value=2**16))
+    @given(programs(trace_opcodes), *KNOBS)
     def test_trace_eligible_programs(self, program, word_bytes, mode, num_hops,
                                      hop_number, stack_pointer, fill):
         assert_engines_agree(run_all_engines(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
             hop_number=hop_number, stack_pointer=stack_pointer, fill=fill))
 
-    @given(programs(all_opcodes),
-           st.sampled_from([2, 4]),
-           st.sampled_from([AddressingMode.STACK, AddressingMode.HOP]),
-           st.integers(min_value=1, max_value=6),
-           st.integers(min_value=0, max_value=8),
-           st.integers(min_value=0, max_value=60),
-           st.integers(min_value=0, max_value=2**16),
-           st.booleans())
-    def test_any_program_any_knobs(self, program, word_bytes, mode, num_hops,
+    @given(memory_programs(all_opcodes), *KNOBS, st.booleans())
+    def test_any_program_any_knobs(self, kind_program, word_bytes, mode, num_hops,
                                    hop_number, stack_pointer, fill, write_enabled):
-        """Conditionals (interpreter fallback) and write-disable included."""
+        """Conditionals (trace fallback) and write-disable included, against
+        a dict-backed memory and a real switch's memory map."""
+        kind, program = kind_program
         assert_engines_agree(run_all_engines(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
             hop_number=hop_number, stack_pointer=stack_pointer, fill=fill,
-            write_enabled=write_enabled))
+            write_enabled=write_enabled, memory=kind))
+
+    @given(memory_programs(all_opcodes), *KNOBS, st.booleans())
+    def test_write_enabled_flip_between_runs(self, kind_program, word_bytes, mode,
+                                             num_hops, hop_number, stack_pointer,
+                                             fill, write_enabled):
+        """Plans and traces bake the knob in: the second run, after the
+        flip, must behave as the interpreter does under the new setting."""
+        kind, program = kind_program
+        assert_engines_agree(run_all_engines(
+            program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
+            hop_number=hop_number, stack_pointer=stack_pointer, fill=fill,
+            write_enabled=write_enabled, flip_write=True, memory=kind))
+
+
+@st.composite
+def wire_tpps(draw):
+    """Encoded TPPs that decode — valid checksum, at most 5 instructions,
+    at most 200 bytes of packet memory — with every other header and body
+    byte free: any hop number and stack pointer up to 255 (far past the end
+    of memory), any hop size, any opcode, address and packet offset."""
+    mode, word_code = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    instructions = b"".join(
+        bytes((draw(st.integers(0, 6)) << 4 | draw(st.integers(0, 15)),
+               *draw(st.one_of(st.sampled_from(SWITCH_ADDRESSES),
+                               st.integers(0, 0xFFFF))).to_bytes(2, "big"),
+               draw(st.integers(0, 255))))
+        for _ in range(draw(st.integers(0, 5))))
+    memory = draw(st.binary(max_size=200))
+    body = instructions + memory
+    check = checksum16(body)
+    header = bytes((draw(st.integers(0, 15)) << 4 | mode << 2 | word_code,
+                    len(instructions) // 4, len(memory) >> 8, len(memory) & 0xFF,
+                    draw(st.integers(0, 255)),                      # hop number
+                    draw(st.integers(0, 255)),                      # stack pointer
+                    draw(st.integers(1 if mode else 0, 255)),       # hop size
+                    draw(st.integers(0, 2)),                        # encapsulation
+                    check >> 8, check & 0xFF,
+                    *draw(st.integers(0, 0xFFFF)).to_bytes(2, "big")))
+    return header + body
+
+
+class TestDecodedAbsurdTPPs:
+    """Whatever decodes, a switch executes: every outcome is a named
+    ``InstructionStatus``, the bound plan agrees with the interpreter, and
+    nothing raises (§3.3's graceful failure)."""
+
+    @given(wire_tpps())
+    def test_bound_plan_matches_interpreter_on_a_switch(self, data):
+        reference = TPP.decode(data)
+        subject = reference.clone()
+        reference_switch, switch = fresh_switch(), fresh_switch()
+        interpreter = TCPU()
+        for _ in range(2):                 # a plan miss, then a hit a hop on
+            reference_context = PacketContext(1, 2, 0, 3, 1, 0, reference.hop_number,
+                                              9, 700, 1.5)
+            context = PacketContext(1, 2, 0, 3, 1, 0, subject.hop_number, 9, 700, 1.5)
+            expected = interpreter.execute(reference, reference_switch.memory,
+                                           reference_context)
+            got = switch.tcpu.execute_program(subject, switch.memory, context)
+            assert len(got.statuses) == len(subject.instructions)
+            assert all(isinstance(status, InstructionStatus) for status in got.statuses)
+            assert got == expected
+            assert subject == reference
+            assert context == reference_context
+            reference.advance_hop()
+            subject.advance_hop()
+        assert memory_state(switch.memory) == memory_state(reference_switch.memory)
+        assert switch.tcpu.instructions_executed == interpreter.instructions_executed
 
 
 class TestResolverEquivalence:
     """SwitchMemory.read_resolver must agree with SwitchMemory.read."""
 
-    def _switch(self):
-        from repro.net.sim import Simulator
-        from repro.switches.switch import TPPSwitch
-        sim = Simulator()
-        switch = TPPSwitch(sim, "s1", switch_id=42)
-        for _ in range(3):
-            switch.add_port()
-        switch.install_route("h1", output_port=1)
-        return switch
-
     def test_every_known_statistic_matches(self, subtests=None):
-        switch = self._switch()
+        switch = fresh_switch()
         contexts = [
             PacketContext(),
             PacketContext(input_port=1, output_port=2, output_queue=0,
@@ -195,7 +306,7 @@ class TestResolverEquivalence:
         assert checked > 100
 
     def test_invalid_address_resolves_to_none(self):
-        switch = self._switch()
+        switch = fresh_switch()
         for address in (0xFFFF, 0xFDFF):
             resolver = switch.memory.read_resolver(address)
             assert resolver(PacketContext()) is None
@@ -393,10 +504,7 @@ class TestPlumbing:
         assert interp.trace_executions == 0
 
     def test_switch_constructor_and_property_toggle(self):
-        from repro.net.sim import Simulator
-        from repro.switches.switch import TPPSwitch
-        sim = Simulator()
-        switch = TPPSwitch(sim, "s1", switch_id=1, compile_traces=True)
+        switch = TPPSwitch(Simulator(), "s1", switch_id=1, compile_traces=True)
         assert switch.compile_traces and switch.tcpu.compile_traces
         switch.compile_traces = False
         assert not switch.tcpu.compile_traces
