@@ -97,20 +97,19 @@ class DataplaneShim:
         return binding
 
     # ---------------------------------------------------------------- transmit
-    def _on_transmit(self, packet: Packet) -> bool:
+    def _on_transmit(self, packet: Packet) -> None:
         """Attach a TPP to the packet when a filter rule matches (§4.2)."""
         if packet.is_tpp or packet.dport == TPP_ECHO_PORT:
-            return True       # never double-stamp; echoes travel as plain UDP
+            return            # never double-stamp; echoes travel as plain UDP
         entry = self.filters.match(packet)
         if entry is None or not entry.should_stamp(packet):
-            return True
+            return
         template = entry.tpp_template
         tpp = template.clone_tpp() if isinstance(template, CompiledTPP) else template.clone()
         tpp.app_id = entry.app_id
         packet.attach_tpp(tpp)
         self.tpps_attached += 1
         self.tpp_bytes_added += tpp.wire_length()
-        return True
 
     def send_burst(self, packets: list[Packet]) -> int:
         """Send a burst through the interposition path, one packet at a time.

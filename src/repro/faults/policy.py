@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional
 
 from repro.collect import CounterSummary, SeriesSummary, SummaryBundle
-from repro.net.port import DROP_LINK_DOWN, DROP_PEER_DOWN
+from repro.net.port import DROP_CORRUPTED, DROP_LINK_DOWN, DROP_PEER_DOWN
 from repro.session.registry import Registry
 
 from .plan import RemediationSpec
@@ -274,15 +274,9 @@ class RemediationController:
 
     # -------------------------------------------------------------- metrics
     def _raw_penalty(self) -> int:
-        penalty = 0
-        for link in self.network.links:
-            penalty += link.packets_corrupted
-        for name in sorted(self.network.nodes):
-            for port in self.network.nodes[name].ports:
-                drops = port.drops_by_reason
-                penalty += drops.get(DROP_LINK_DOWN, 0)
-                penalty += drops.get(DROP_PEER_DOWN, 0)
-        return penalty
+        return sum(port.drops_by_reason.get(category, 0)
+                   for node in self.network.nodes.values() for port in node.ports
+                   for category in (DROP_CORRUPTED, DROP_LINK_DOWN, DROP_PEER_DOWN))
 
     def loss_penalty(self) -> int:
         """Fault-attributable packet losses since the controller attached.

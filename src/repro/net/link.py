@@ -15,11 +15,13 @@ so a run with an empty fault plan is byte-identical to one without any.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING, Optional
 
+from .port import DROP_CORRUPTED
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .packet import Packet
     from .port import Port
 
 
@@ -38,16 +40,19 @@ class Link:
 
     def __init__(self, port_a: "Port", port_b: "Port", rate_bps: float,
                  delay_s: float = 10e-6, name: str = "") -> None:
-        if rate_bps <= 0:
-            raise ValueError("link rate must be positive")
-        if delay_s < 0:
-            raise ValueError("link delay cannot be negative")
+        self.name = name or f"{port_a.name}<->{port_b.name}"
+        # Infinite rate or delay would schedule zero- or infinite-gap events.
+        if not 0 < rate_bps < math.inf:           # also rejects NaN
+            raise ValueError(f"link {self.name}: rate_bps must be positive "
+                             f"and finite, got {rate_bps!r}")
+        if not 0 <= delay_s < math.inf:
+            raise ValueError(f"link {self.name}: delay_s must be non-negative "
+                             f"and finite, got {delay_s!r}")
         self.port_a = port_a
         self.port_b = port_b
         self.rate_bps = rate_bps
         self.delay_s = delay_s
         self.up = True
-        self.name = name or f"{port_a.name}<->{port_b.name}"
         # Packets serialised onto the link, both directions; each port's
         # transmit chain counts here as it finishes a serialisation.
         self.total_bytes = 0
@@ -56,8 +61,6 @@ class Link:
         # applied per delivered packet, drawn from a seeded per-link stream.
         self.loss_rate = 0.0
         self._loss_rng: Optional[random.Random] = None
-        self.packets_corrupted = 0
-        self.bytes_corrupted = 0
         # Up/down transition accounting: actual state changes only (repeated
         # set_down() calls while already down do not count).
         self.down_transitions = 0
@@ -94,23 +97,20 @@ class Link:
         if self.recorder is not None:
             self.recorder.on_fault(self, "clear-loss", 0.0)
 
-    def corrupt(self, packet: "Packet") -> bool:
-        """One Bernoulli draw for a packet reaching the far end of the wire.
+    def corrupt(self) -> bool:
+        """One Bernoulli draw: is the packet reaching the far end corrupted?
 
         Callers guard on ``self.loss_rate`` being non-zero, so healthy
-        links never consume a random draw.  A corrupted packet is marked
-        dropped and counted here; the *caller* owns the receive-side port
-        accounting (error_packets, drops_by_reason) and must not count the
-        packet into the peer's rx counters — that tx/rx deficit is the
-        signal the loss-localization TPP measures.
+        links never consume a random draw.  The receiving port is the drop
+        site (:func:`repro.net.port.drop`) and its ledger the count.
         """
-        if self._loss_rng.random() >= self.loss_rate:
-            return False
-        packet.dropped = True
-        packet.drop_reason = f"corrupted on {self.name}"
-        self.packets_corrupted += 1
-        self.bytes_corrupted += packet.size
-        return True
+        return self._loss_rng.random() < self.loss_rate
+
+    @property
+    def packets_corrupted(self) -> int:
+        """Packets corrupted on this link, read from its ports' ledgers."""
+        return sum(port.drops_by_reason.get(DROP_CORRUPTED, 0)
+                   for port in (self.port_a, self.port_b))
 
     def set_down(self) -> None:
         """Fail the link; packets sent over it are dropped."""
@@ -135,7 +135,8 @@ class Link:
             "total_packets": self.total_packets,
             "total_bytes": self.total_bytes,
             "packets_corrupted": self.packets_corrupted,
-            "bytes_corrupted": self.bytes_corrupted,
+            "bytes_corrupted": sum(port.drop_bytes_by_reason.get(DROP_CORRUPTED, 0)
+                                   for port in (self.port_a, self.port_b)),
             "down_transitions": self.down_transitions,
             "up_transitions": self.up_transitions,
         }

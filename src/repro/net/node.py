@@ -20,9 +20,8 @@ from .packet import Packet
 from .port import Port
 from .sim import Simulator
 
-# A transmit hook may mutate the packet (e.g. attach a TPP); returning False
-# drops the packet (used by access-control enforcement).
-TxHook = Callable[[Packet], bool]
+# A transmit hook may mutate the packet (e.g. attach a TPP).
+TxHook = Callable[[Packet], None]
 # A receive hook returns True when it fully consumed the packet.
 RxHook = Callable[[Packet, "Host"], bool]
 
@@ -46,9 +45,6 @@ class Node:
 
     def receive(self, packet: Packet, in_port: Port) -> None:
         raise NotImplementedError
-
-    def on_packet_dropped(self, packet: Packet, port: Port) -> None:
-        """Called when a packet is dropped at one of this node's egress queues."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} ports={len(self.ports)}>"
@@ -93,10 +89,7 @@ class Host(Node):
         """Send a packet out of the host's uplink, running transmit hooks."""
         packet.created_at = packet.created_at or self.sim.now
         for hook in self.tx_hooks:
-            if not hook(packet):
-                packet.dropped = True
-                packet.drop_reason = f"tx hook rejected at {self.name}"
-                return False
+            hook(packet)
         self.packets_sent += 1
         self.bytes_sent += packet.size
         packet.record_hop(self.name)

@@ -11,6 +11,15 @@ The port keeps the occupancy and drop accounting the paper's TPPs read
 to an idle, unrecorded port goes straight to serialisation: it is counted
 as enqueued and dequeued, but never touches the queue, whose occupancy it
 would have left at zero anyway.
+
+Every dataplane drop goes through :func:`drop`: it stamps the packet,
+charges the drop site's ledger — ``drops_by_reason`` (packets) and
+``drop_bytes_by_reason`` (bytes), keyed by the canonical categories below —
+and hands the drop to the site's flight recorder.  A port is the site of
+its link-down, queue-overflow and peer-down drops and of corruption on the
+link into it; a switch is the site of its pipeline drops.  Every other
+drop count (``Port.packets_dropped_total``, ``Link.packets_corrupted``,
+``TPPSwitch.packets_dropped``) is a read of these ledgers.
 """
 
 from __future__ import annotations
@@ -25,15 +34,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
     from .sim import Simulator
 
-#: Canonical drop-accounting categories.  Every drop site stamps the packet
-#: with a human-readable ``drop_reason`` *and* counts the drop under one of
-#: these categories in the owning port's ``drops_by_reason``, so experiment
-#: telemetry can aggregate losses by cause instead of re-parsing reason
-#: strings off individual packets.
+#: Canonical drop-accounting categories: :func:`drop` stamps the packet with
+#: a human-readable ``drop_reason`` and charges the site's ledger under one
+#: of these, so telemetry aggregates losses by cause instead of re-parsing
+#: reason strings.  The first four are port categories; ``DROP_PIPELINE``
+#: (drop action, invalid output port, no return route) is a switch's.
 DROP_LINK_DOWN = "link-down"
 DROP_QUEUE_OVERFLOW = "queue-overflow"
 DROP_PEER_DOWN = "peer-down"
 DROP_CORRUPTED = "corrupted"
+DROP_PIPELINE = "pipeline"
+
+
+def drop(site, node: str, packet: Packet, category: str, reason: str) -> None:
+    """Drop ``packet`` at ``site``: stamp it, charge the ledger, record it.
+
+    Every dataplane drop comes through here.  ``site`` is the port or
+    switch charged with the drop and ``node`` the name of the node it
+    belongs to.
+    """
+    packet.dropped = True
+    packet.drop_reason = reason
+    packets, dropped_bytes = site.drops_by_reason, site.drop_bytes_by_reason
+    packets[category] = packets.get(category, 0) + 1
+    dropped_bytes[category] = dropped_bytes.get(category, 0) + packet.size
+    if site.recorder is not None:
+        site.recorder.on_drop(site.name, node, packet, category, reason)
 
 
 class Port:
@@ -70,17 +96,14 @@ class Port:
         # dequeued totals are derived (see the properties below).
         self.bytes_enqueued_total = 0
         self.packets_enqueued_total = 0
-        # Link-down and overflow drops (the switch's ``Link:Drop-*`` stats).
-        self.bytes_dropped_total = 0
-        self.packets_dropped_total = 0
         # Raw counters (the switch statistics layer derives rates from these).
         self.tx_bytes = 0
         self.tx_packets = 0
         self.rx_bytes = 0
         self.rx_packets = 0
-        self.error_packets = 0
-        # Drops at this port, keyed by the categories above.
+        # This port's drop ledger (see drop()): packets and bytes by category.
         self.drops_by_reason: dict[str, int] = {}
+        self.drop_bytes_by_reason: dict[str, int] = {}
 
     # -------------------------------------------------------------- identity
     @property
@@ -111,13 +134,20 @@ class Port:
     def bytes_dequeued_total(self) -> int:
         return self.bytes_enqueued_total - self.occupancy_bytes
 
+    @property
+    def packets_dropped_total(self) -> int:
+        """Link-down and overflow drops (the switch's ``Link:Drop-*`` stats)."""
+        drops = self.drops_by_reason
+        return drops.get(DROP_LINK_DOWN, 0) + drops.get(DROP_QUEUE_OVERFLOW, 0)
+
+    @property
+    def bytes_dropped_total(self) -> int:
+        drops = self.drop_bytes_by_reason
+        return drops.get(DROP_LINK_DOWN, 0) + drops.get(DROP_QUEUE_OVERFLOW, 0)
+
     def attach(self, link: "Link", peer: "Port") -> None:
         self.link = link
         self.peer = peer
-
-    def count_drop(self, category: str) -> None:
-        """Count one drop at this port under a canonical category."""
-        self.drops_by_reason[category] = self.drops_by_reason.get(category, 0) + 1
 
     # ------------------------------------------------------------ transmit path
     def send(self, packet: Packet) -> bool:
@@ -131,28 +161,15 @@ class Port:
             raise RuntimeError(f"port {self.name} is not connected")
         size = packet.size
         if not self.up or not link.up:
-            packet.dropped = True
-            packet.drop_reason = f"link down at {self.name}"
-            self.packets_dropped_total += 1
-            self.bytes_dropped_total += size
-            self.count_drop(DROP_LINK_DOWN)
-            if self.recorder is not None:
-                self.recorder.on_drop(self._name, self.node.name, packet,
-                                      DROP_LINK_DOWN, packet.drop_reason)
+            drop(self, self.node.name, packet, DROP_LINK_DOWN,
+                 f"link down at {self.name}")
             return False
         waiting = self._waiting
         if (self.occupancy_bytes + size > self.capacity_bytes
                 or (self.capacity_packets is not None
                     and len(waiting) >= self.capacity_packets)):
-            self.bytes_dropped_total += size
-            self.packets_dropped_total += 1
-            packet.dropped = True
-            packet.drop_reason = f"queue overflow at {self.name}"
-            self.count_drop(DROP_QUEUE_OVERFLOW)
-            if self.recorder is not None:
-                self.recorder.on_drop(self._name, self.node.name, packet,
-                                      DROP_QUEUE_OVERFLOW, packet.drop_reason)
-            self.node.on_packet_dropped(packet, self)
+            drop(self, self.node.name, packet, DROP_QUEUE_OVERFLOW,
+                 f"queue overflow at {self.name}")
             return False
         self.bytes_enqueued_total += size
         self.packets_enqueued_total += 1
@@ -210,26 +227,18 @@ class Port:
     def _deliver_to_peer(self, packet: Packet) -> None:
         peer = self.peer
         if peer is None or not peer.up:
-            packet.dropped = True
-            packet.drop_reason = "peer port down"
-            self.count_drop(DROP_PEER_DOWN)
-            if self.recorder is not None:
-                # Counted at the *sending* port, like the drop itself: the
-                # downed receive side never saw the packet.
-                self.recorder.on_drop(self._name, self.node.name, packet,
-                                      DROP_PEER_DOWN, packet.drop_reason)
+            # Charged to the *sending* port: the downed receive side never
+            # saw the packet.
+            drop(self, self.node.name, packet, DROP_PEER_DOWN, "peer port down")
             return
         link = self.link
-        if link.loss_rate and link.corrupt(packet):
+        if link.loss_rate and link.corrupt():
             # Receive-side corruption (a failed CRC): the packet serialised
             # and propagated — tx and link counters stand — but is never
             # counted into the peer's rx counters.  That tx/rx deficit is
             # exactly what the loss-localization TPP diffs across hops.
-            peer.error_packets += 1
-            peer.count_drop(DROP_CORRUPTED)
-            if peer.recorder is not None:
-                peer.recorder.on_drop(peer._name, peer.node.name, packet,
-                                      DROP_CORRUPTED, packet.drop_reason)
+            drop(peer, peer.node.name, packet, DROP_CORRUPTED,
+                 f"corrupted on {link.name}")
             return
         peer.rx_bytes += packet.size
         peer.rx_packets += 1

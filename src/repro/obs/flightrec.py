@@ -12,7 +12,8 @@ Design:
 * **Hooks, not wrappers.**  Every dataplane object that can touch a packet
   (``Host``, ``Port``, ``Link``, ``TPPSwitch``) carries a ``recorder``
   attribute that is ``None`` by default.  Each lifecycle site — host send,
-  port enqueue/dequeue, link deliver, every ``drops_by_reason`` drop site,
+  port enqueue/dequeue, link deliver, the one drop site
+  (:func:`repro.net.port.drop`, for every port and switch ledger),
   switch receive, TPP execution — guards its record call with one
   ``is not None`` check.  With no recorder attached the dataplane executes
   exactly the pre-recorder code (the recorder-off byte-identity invariant,

@@ -69,7 +69,6 @@ class PortStats:
 
     transmit: StatsBlock = field(default_factory=StatsBlock)
     receive: StatsBlock = field(default_factory=StatsBlock)
-    drops: StatsBlock = field(default_factory=StatsBlock)
     tx_utilization_bp: int = 0
     rx_utilization_bp: int = 0
 
@@ -77,6 +76,5 @@ class PortStats:
         """Refresh rates and utilisation (called every utilisation interval)."""
         self.transmit.update_rates(interval_s, ewma_alpha)
         self.receive.update_rates(interval_s, ewma_alpha)
-        self.drops.update_rates(interval_s, ewma_alpha)
         self.tx_utilization_bp = utilization_basis_points(self.transmit.byte_rate, capacity_bps)
         self.rx_utilization_bp = utilization_basis_points(self.receive.byte_rate, capacity_bps)

@@ -15,12 +15,12 @@ moment this packet is enqueued behind it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.tcpu import InstructionStatus, PacketContext, TCPU
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.port import Port
+from repro.net.port import DROP_PIPELINE, DROP_QUEUE_OVERFLOW, Port, drop
 from repro.net.sim import Simulator
 
 from .counters import PortStats
@@ -70,12 +70,12 @@ class TPPSwitch(Node):
         # Same-flow forwarding memo (semantics-preserving; see pipeline docs).
         self._lookup_cache = self.pipeline.lookup_cache()
 
-        # Drop visibility hook (§2.6: dropped packets can be sent to a collector).
-        self.drop_callback: Optional[Callable[[Packet, "TPPSwitch"], None]] = None
-
         # Aggregate counters.
         self.packets_forwarded = 0
-        self.packets_dropped = 0
+        # This switch's drop ledger (see repro.net.port.drop): its pipeline
+        # drops, packets and bytes, under DROP_PIPELINE.
+        self.drops_by_reason: dict[str, int] = {}
+        self.drop_bytes_by_reason: dict[str, int] = {}
         self.tpp_packets_seen = 0
         # TPP hops where an instruction was skipped with SKIPPED_PACKET_FULL
         # (§3.3: the packet ran out of memory at *this* switch).  The end
@@ -148,10 +148,11 @@ class TPPSwitch(Node):
         elif action == "group":
             output_port = self.group_table.select(result.group_id, packet)
         else:
-            self._drop(packet, reason=f"{action} at {self.name}")
+            drop(self, self.name, packet, DROP_PIPELINE, f"{action} at {self.name}")
             return
         if output_port is None or not 0 <= output_port < len(self.ports):
-            self._drop(packet, reason=f"invalid output port at {self.name}")
+            drop(self, self.name, packet, DROP_PIPELINE,
+                 f"invalid output port at {self.name}")
             return
 
         tpp = packet.tpp
@@ -188,7 +189,8 @@ class TPPSwitch(Node):
                     elif reflected.action == "forward" and reflected.output_port is not None:
                         output_port = reflected.output_port
                     else:
-                        self._drop(packet, reason=f"no return route at {self.name}")
+                        drop(self, self.name, packet, DROP_PIPELINE,
+                             f"no return route at {self.name}")
                         return
 
         self.packets_forwarded += 1
@@ -200,25 +202,16 @@ class TPPSwitch(Node):
     def _enqueue(self, packet: Packet, output_port: int) -> None:
         self.ports[output_port].send(packet)
 
-    def _drop(self, packet: Packet, reason: str) -> None:
-        packet.dropped = True
-        packet.drop_reason = reason
-        self.packets_dropped += 1
-        if self.recorder is not None:
-            # Pipeline drops (drop action, invalid output port, no return
-            # route) have no Port.drops_by_reason category; the recorder
-            # files them under "pipeline" at the switch itself.
-            self.recorder.on_drop(self.name, self.name, packet,
-                                  "pipeline", reason)
-        if self.drop_callback is not None:
-            self.drop_callback(packet, self)
-
-    def on_packet_dropped(self, packet: Packet, port: Port) -> None:
-        self.packets_dropped += 1
-        if self.drop_callback is not None:
-            self.drop_callback(packet, self)
-
     # ------------------------------------------------------------- statistics
+    @property
+    def packets_dropped(self) -> int:
+        """Pipeline drops plus this switch's ports' queue overflows.
+
+        Link-down drops at its ports are not included.
+        """
+        return self.drops_by_reason.get(DROP_PIPELINE, 0) + sum(
+            port.drops_by_reason.get(DROP_QUEUE_OVERFLOW, 0) for port in self.ports)
+
     def counters(self) -> dict[str, int]:
         """This switch's aggregate packet accounting (``switch.<name>``)."""
         return {
@@ -235,8 +228,6 @@ class TPPSwitch(Node):
             stats.transmit.bytes = port.tx_bytes
             stats.receive.packets = port.rx_packets
             stats.receive.bytes = port.rx_bytes
-            stats.drops.packets = port.packets_dropped_total
-            stats.drops.bytes = port.bytes_dropped_total
             capacity = port.link.rate_bps if port.link is not None else 0.0
             if capacity > 0:
                 stats.update(self.utilization_interval_s, capacity,

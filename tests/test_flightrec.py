@@ -28,8 +28,9 @@ from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import udp_packet
 from repro.net.port import (DROP_CORRUPTED, DROP_LINK_DOWN, DROP_PEER_DOWN,
-                            DROP_QUEUE_OVERFLOW)
+                            DROP_PIPELINE, DROP_QUEUE_OVERFLOW)
 from repro.net.sim import Simulator
+from repro.net.topology import Network
 from repro.obs import (FlightRecorder, RecorderSpec, Telemetry,
                        network_trace_events, trace_events,
                        write_network_trace)
@@ -283,6 +284,28 @@ class TestDropForensics:
         assert "corrupted on" in explanation.reason
         assert explanation.fault_context is not None
         assert explanation.fault_context[REC_A] == "set-loss"
+
+    def test_pipeline_drop_names_the_switch(self):
+        sim = Simulator()
+        net = Network(sim)
+        net.add_host("h0")
+        switch = net.add_switch("s1")
+        net.connect("h0", "s1")
+        net.install_shortest_path_routes()
+        recorder = FlightRecorder().attach(net)
+        packet = udp_packet("h0", "nowhere", 100)
+        net.hosts["h0"].send(packet)
+        sim.run(until=0.01)
+        explanation = recorder.explain_drop(packet.packet_id)
+        assert explanation is not None
+        # A pipeline drop lands at the switch itself, not at a port.
+        assert explanation.site == "s1"
+        assert explanation.category == DROP_PIPELINE
+        assert explanation.reason == "no_match at s1"
+        assert packet.dropped and packet.drop_reason == explanation.reason
+        assert switch.drops_by_reason == {DROP_PIPELINE: 1}
+        assert switch.drop_bytes_by_reason == {DROP_PIPELINE: packet.size}
+        assert switch.packets_dropped == 1
 
     def test_drops_bypass_flow_sampling(self):
         spec = RecorderSpec(sample_every=1_000_000)   # samples ~no flows

@@ -46,14 +46,6 @@ class TestForwarding:
         assert net.switches["s1"].packets_dropped == 1
         assert net.switches["s1"].packets_forwarded == 0
 
-    def test_drop_callback_invoked(self):
-        sim, net = small_network()
-        dropped = []
-        net.switches["s1"].drop_callback = lambda packet, switch: dropped.append(packet)
-        net.hosts["h0"].send(udp_packet("h0", "nowhere", 100))
-        sim.run(until=0.01)
-        assert len(dropped) == 1
-
     def test_forwarding_latency_delays_packets(self):
         sim, net = small_network(forwarding_latency_s=1e-3)
         net.hosts["h0"].send(udp_packet("h0", "h1", 100))
