@@ -80,8 +80,6 @@ Three engines, one semantics:
    hop_size`` in hop mode), the word mask and the write-enable knob.  A
    hop runs the steps in order and stops at the first ``FAILED_CONDITION``
    (CEXEC and CSTORE are ordinary steps), so every program is eligible.
-   The read count is a per-plan prefix sum and the result is filled in
-   once.
 3. The **compiled trace** (``compile_traces=True``): eligible programs are
    lowered once by :mod:`repro.core.trace` into a single synthesized
    function with no dispatch, no operand decoding, and one inlined bounds
@@ -109,7 +107,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Optional, Protocol
 
@@ -202,13 +199,11 @@ _FAILED_CONDITION = InstructionStatus.FAILED_CONDITION
 
 @dataclass(slots=True)
 class ExecutionResult:
-    """Outcome of executing one TPP at one hop."""
+    """Outcome of executing one TPP at one hop: a status per instruction and
+    whether a failed condition halted the rest (§3.3)."""
 
     statuses: list[InstructionStatus] = field(default_factory=list)
     halted: bool = False
-    wrote_switch_memory: bool = False
-    switch_reads: int = 0
-    switch_writes: int = 0
 
     @property
     def executed_count(self) -> int:
@@ -385,30 +380,15 @@ def _bind_step(instruction: Instruction, read_resolver: Callable,
 
 
 def _bind_plan(tpp: TPP, memory: MemoryInterface, write_enabled: bool) -> tuple:
-    """``tpp``'s program bound to ``memory``: ``(steps, reads, writers,
-    instructions, memory)``, the last two pinned for the cache key.
-
-    ``reads[k]`` is the switch reads made by the first ``k`` instructions
-    (every read instruction that runs reads once).  ``writers`` holds
-    ``(index, refused)`` per switch-writing instruction: a write was made
-    when it EXECUTED, and when a POP / STORE reports ``refused``
-    (``SKIPPED_NO_MEMORY``: the switch turned the write down); a CSTORE's
-    refused or suppressed write is not counted (``refused`` is None), just
-    as ``TCPU._op_cstore`` counts.
-    """
+    """``tpp``'s program bound to ``memory``: ``(steps, instructions,
+    memory)``, the last two pinned for the cache key."""
     instructions = tuple(tpp.instructions)
     read_resolver, write_resolver = _resolvers(memory)
     hop_size = tpp.hop_size if tpp.mode is AddressingMode.HOP else 0
     steps = tuple(_bind_step(instruction, read_resolver, write_resolver,
                              tpp.word_bytes, hop_size, write_enabled)
                   for instruction in instructions)
-    reads = list(accumulate((instruction.reads_switch for instruction in instructions),
-                            initial=0))
-    writers = tuple((index, None if instruction.opcode is Opcode.CSTORE
-                     else _SKIPPED_NO_MEMORY)
-                    for index, instruction in enumerate(instructions)
-                    if instruction.writes_switch)
-    return steps, reads, writers, instructions, memory
+    return steps, instructions, memory
 
 
 class TCPU:
@@ -462,7 +442,7 @@ class TCPU:
         # so an id-tuple key can only match the exact objects it was built
         # from.
         # Bound plans: (word_bytes, mode, hop_size, id(memory), *ids) ->
-        # _bind_plan's (steps, reads, writers, instructions, memory).
+        # _bind_plan's (steps, instructions, memory).
         # write_enabled is baked into each plan; the setter clears them.
         self._plan_cache: dict[tuple, tuple] = {}
         # Program-level trace cache: (word_bytes, mode, hop_size, *ids) ->
@@ -552,29 +532,19 @@ class TCPU:
             plan = _bind_plan(tpp, memory, self._write_enabled)
             if len(self._plan_cache) < _PLAN_CACHE_LIMIT:
                 self._plan_cache[key] = plan
-        steps, reads, writers = plan[0], plan[1], plan[2]
+        steps = plan[0]
         statuses = []
+        halted = False
         for step in steps:
             status = step(tpp, context)
             statuses.append(status)
             if status is _FAILED_CONDITION:          # halts the hop (§3.3.3)
-                ran = len(statuses)
-                statuses += [_SKIPPED_HALTED] * (len(steps) - ran)
-                halted, switch_reads = True, reads[ran]
+                statuses += [_SKIPPED_HALTED] * (len(steps) - len(statuses))
+                halted = True
                 break
-        else:
-            halted, switch_reads = False, reads[-1]
-        switch_writes, wrote = 0, False
-        for index, refused in writers:
-            status = statuses[index]
-            if status is _EXECUTED:
-                switch_writes += 1
-                wrote = True
-            elif status is refused:
-                switch_writes += 1
         self.tpps_executed += 1
         self.instructions_executed += statuses.count(_EXECUTED) + halted
-        return ExecutionResult(statuses, halted, wrote, switch_reads, switch_writes)
+        return ExecutionResult(statuses, halted)
 
     def _bind_trace(self, tpp: TPP, memory: MemoryInterface, key: tuple) -> tuple:
         """Lower ``tpp``'s program (once) and bind it to ``memory`` (once).
@@ -606,38 +576,25 @@ class TCPU:
 
     def _run_steps(self, steps: list, word_mask: int, tpp: TPP,
                    memory: MemoryInterface, context: PacketContext) -> ExecutionResult:
-        result = ExecutionResult()
-        statuses = result.statuses
-        append = statuses.append
+        statuses = []
         halted = False
-        executed = 0
         for handler, instruction in steps:
-            if halted:
-                append(_SKIPPED_HALTED)
-                continue
-            status = handler(instruction, tpp, memory, context, result, word_mask)
-            append(status)
-            if status is _FAILED_CONDITION:
-                halted = True
-                executed += 1
-            elif status is _EXECUTED:
-                executed += 1
-        result.halted = halted
+            status = (_SKIPPED_HALTED if halted
+                      else handler(instruction, tpp, memory, context, word_mask))
+            statuses.append(status)
+            halted = halted or status is _FAILED_CONDITION
         self.tpps_executed += 1
-        self.instructions_executed += executed
-        return result
+        self.instructions_executed += statuses.count(_EXECUTED) + halted
+        return ExecutionResult(statuses, halted)
 
     # ----------------------------------------------------------- per opcode
     def _op_nop(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                context: PacketContext, result: ExecutionResult,
-                word_mask: int) -> InstructionStatus:
+                context: PacketContext, word_mask: int) -> InstructionStatus:
         return _EXECUTED
 
     def _op_push(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                 context: PacketContext, result: ExecutionResult,
-                 word_mask: int) -> InstructionStatus:
+                 context: PacketContext, word_mask: int) -> InstructionStatus:
         value = memory.read(instruction.address, context)
-        result.switch_reads += 1
         if value is None:
             return _SKIPPED_NO_MEMORY
         if not tpp.push(value & word_mask):
@@ -645,25 +602,19 @@ class TCPU:
         return _EXECUTED
 
     def _op_pop(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                context: PacketContext, result: ExecutionResult,
-                word_mask: int) -> InstructionStatus:
+                context: PacketContext, word_mask: int) -> InstructionStatus:
         if not self.write_enabled:
             return _SKIPPED_WRITE_DISABLED
         value = tpp.pop()
         if value is None:
             return _SKIPPED_PACKET_FULL
-        ok = memory.write(instruction.address, value, context)
-        result.switch_writes += 1
-        if not ok:
+        if not memory.write(instruction.address, value, context):
             return _SKIPPED_NO_MEMORY
-        result.wrote_switch_memory = True
         return _EXECUTED
 
     def _op_load(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                 context: PacketContext, result: ExecutionResult,
-                 word_mask: int) -> InstructionStatus:
+                 context: PacketContext, word_mask: int) -> InstructionStatus:
         value = memory.read(instruction.address, context)
-        result.switch_reads += 1
         if value is None:
             return _SKIPPED_NO_MEMORY
         if not tpp.write_hop_word(instruction.packet_offset, value & word_mask):
@@ -671,26 +622,20 @@ class TCPU:
         return _EXECUTED
 
     def _op_store(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                  context: PacketContext, result: ExecutionResult,
-                  word_mask: int) -> InstructionStatus:
+                  context: PacketContext, word_mask: int) -> InstructionStatus:
         if not self.write_enabled:
             return _SKIPPED_WRITE_DISABLED
         value = tpp.read_hop_word(instruction.packet_offset)
         if value is None:
             return _SKIPPED_PACKET_FULL
-        ok = memory.write(instruction.address, value, context)
-        result.switch_writes += 1
-        if not ok:
+        if not memory.write(instruction.address, value, context):
             return _SKIPPED_NO_MEMORY
-        result.wrote_switch_memory = True
         return _EXECUTED
 
     def _op_cstore(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                   context: PacketContext, result: ExecutionResult,
-                   word_mask: int) -> InstructionStatus:
+                   context: PacketContext, word_mask: int) -> InstructionStatus:
         """CSTORE dst, old, new — compare-and-swap gating later instructions (§3.3.3)."""
         current = memory.read(instruction.address, context)
-        result.switch_reads += 1
         old = tpp.read_hop_word(instruction.packet_offset)
         new = tpp.read_hop_word(instruction.packet_offset + 1)
         if current is None or old is None or new is None:
@@ -705,8 +650,6 @@ class TCPU:
                 return _SKIPPED_WRITE_DISABLED
             if not memory.write(instruction.address, new, context):
                 return _FAILED_CONDITION
-            result.switch_writes += 1
-            result.wrote_switch_memory = True
             observed = new & word_mask
         else:
             observed = current
@@ -716,11 +659,9 @@ class TCPU:
         return _EXECUTED if succeeded else _FAILED_CONDITION
 
     def _op_cexec(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                  context: PacketContext, result: ExecutionResult,
-                  word_mask: int) -> InstructionStatus:
+                  context: PacketContext, word_mask: int) -> InstructionStatus:
         """CEXEC addr, [mask, value] — gate the rest of the TPP on a predicate."""
         switch_value = memory.read(instruction.address, context)
-        result.switch_reads += 1
         mask = tpp.read_hop_word(instruction.packet_offset)
         value = tpp.read_hop_word(instruction.packet_offset + 1)
         if switch_value is None or mask is None or value is None:

@@ -244,9 +244,6 @@ def _generate_source(program: tuple[Instruction, ...], *, word_bytes: int,
                 # because only stack instructions move it (failed ones leave
                 # it alone, exactly like the interpreter).
                 out.emit("sp = tpp.stack_pointer")
-            if writes_switch:
-                out.emit("writes = 0")
-                out.emit("wrote = False")
             for index, instruction in enumerate(program):
                 out.emit(f"# {index}: {instruction}")
                 _emit_instruction(out, instruction, index=index,
@@ -259,17 +256,6 @@ def _generate_source(program: tuple[Instruction, ...], *, word_bytes: int,
             status_list = ", ".join(f"s{i}" for i in range(len(program)))
             out.emit(f"result.statuses = [{status_list}]")
             out.emit("result.halted = False")
-            # Every read instruction consults switch memory unconditionally,
-            # so the read count is a compile-time constant; writes are
-            # attempted only when packet memory yielded an operand.
-            reads = sum(1 for i in program if i.reads_switch)
-            out.emit(f"result.switch_reads = {reads}")
-            if writes_switch:
-                out.emit("result.switch_writes = writes")
-                out.emit("result.wrote_switch_memory = wrote")
-            else:
-                out.emit("result.switch_writes = 0")
-                out.emit("result.wrote_switch_memory = False")
             out.emit("tcpu.tpps_executed += 1")
             out.emit("tcpu.instructions_executed += executed")
             out.emit("return result")
@@ -359,11 +345,8 @@ def _emit_pop(out: _Emitter, instruction: Instruction, index: int,
     with _Block(out):
         _emit_word_read(out, "value", "sp", word_bytes)
         out.emit(f"sp += {word_bytes}")
-        out.emit(f"ok = write({instruction.address}, value, context)")
-        out.emit("writes += 1")
-        out.emit("if ok:")
+        out.emit(f"if write({instruction.address}, value, context):")
         with _Block(out):
-            out.emit("wrote = True")
             _emit_executed(out, index)
         out.emit("else:")
         with _Block(out):
@@ -415,11 +398,8 @@ def _emit_store(out: _Emitter, instruction: Instruction, index: int,
         off = str(constant)
     with _Block(out):
         _emit_word_read(out, "value", off, word_bytes)
-        out.emit(f"ok = write({instruction.address}, value, context)")
-        out.emit("writes += 1")
-        out.emit("if ok:")
+        out.emit(f"if write({instruction.address}, value, context):")
         with _Block(out):
-            out.emit("wrote = True")
             _emit_executed(out, index)
         out.emit("else:")
         with _Block(out):

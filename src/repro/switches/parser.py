@@ -9,9 +9,12 @@ A TPP can reach a switch in two ways:
   of the application data.
 
 The simulator's :class:`~repro.net.packet.Packet` carries the attached TPP as
-an object rather than raw bytes, so "parsing" here is the classification step
-of the parse graph plus (for completeness and for the wire-format tests) the
-byte-level decode of encoded TPPs.
+an object rather than raw bytes, so :func:`parse` is the classification step
+of the parse graph: which entry point a packet's TPP came in by.  The switch
+does not call it — a packet carries a TPP exactly when ``packet.tpp`` is set,
+which :meth:`~repro.switches.switch.TPPSwitch.receive` tests directly and
+counts as ``tpp_packets_seen``.  The byte-level decode of an encoded TPP is
+:meth:`repro.core.packet_format.TPP.decode`.
 """
 
 from __future__ import annotations
@@ -32,37 +35,14 @@ class ParseResult:
     tpp: Optional[TPP] = None
 
 
-class TPPParser:
-    """Classifies packets according to the TPP parse graph."""
-
-    def __init__(self) -> None:
-        self.packets_parsed = 0
-        self.tpps_identified = 0
-
-    def classify(self, packet: Packet) -> bool:
-        """Fast-path classification: is there a TPP to execute on this packet?
-
-        Maintains the same counters and reaches the same verdict as
-        :meth:`parse` (every packet carrying a TPP object parses as a TPP in
-        one of the graph's modes) without allocating a :class:`ParseResult`;
-        the switch hot path only needs the boolean.
-        """
-        self.packets_parsed += 1
-        if packet.tpp is None:
-            return False
-        self.tpps_identified += 1
-        return True
-
-    def parse(self, packet: Packet) -> ParseResult:
-        """Walk the parse graph for one packet."""
-        self.packets_parsed += 1
-        if packet.tpp is None:
-            return ParseResult(is_tpp=False, mode="none")
-        # ether.type == 0x6666 -> TPP (optionally encapsulating a payload);
-        # otherwise the TPP rides in front of a UDP payload (transparent mode).
-        self.tpps_identified += 1
-        mode = "standalone" if packet.tpp_standalone else "piggybacked"
-        return ParseResult(is_tpp=True, mode=mode, tpp=packet.tpp)
+def parse(packet: Packet) -> ParseResult:
+    """Walk the parse graph for one packet."""
+    if packet.tpp is None:
+        return ParseResult(is_tpp=False, mode="none")
+    # ether.type == 0x6666 -> TPP (optionally encapsulating a payload);
+    # otherwise the TPP rides in front of a UDP payload (transparent mode).
+    mode = "standalone" if packet.tpp_standalone else "piggybacked"
+    return ParseResult(is_tpp=True, mode=mode, tpp=packet.tpp)
 
 
 def parse_graph_edges() -> list[tuple[str, str, str]]:

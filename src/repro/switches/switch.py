@@ -15,6 +15,7 @@ moment this packet is enqueued behind it.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.core.tcpu import InstructionStatus, PacketContext, TCPU
@@ -25,12 +26,16 @@ from repro.net.sim import Simulator
 
 from .counters import PortStats
 from .memory import SwitchMemory
-from .parser import TPPParser
 from .pipeline import Pipeline
 from .tables import FlowEntry, Group, GroupTable
 
 #: How often switches refresh link utilisation counters (§2.2: every millisecond).
 DEFAULT_UTILIZATION_INTERVAL_S = 1e-3
+
+#: Most nodes a packet may visit, source host included (IPv4's default TTL).
+#: Shortest-path routes cannot loop a packet; a TPP's ``OutputPort`` write
+#: can, so only a hop whose TPP redirected the packet checks it.
+HOP_LIMIT = 64
 
 # Bound once: read on every TPP hop (see repro.core.tcpu).
 _SKIPPED_PACKET_FULL = InstructionStatus.SKIPPED_PACKET_FULL
@@ -50,6 +55,17 @@ class TPPSwitch(Node):
                  vendor_id: int = 0xACE1,
                  clock_hz: float = 1e9) -> None:
         super().__init__(sim, name)
+        # Each knob against its range (NaN fails every comparison).
+        for knob, value, ok in (
+                ("forwarding_latency_s", forwarding_latency_s,
+                 0 <= forwarding_latency_s < math.inf),
+                ("utilization_interval_s", utilization_interval_s,
+                 0 < utilization_interval_s < math.inf),
+                ("utilization_ewma_alpha", utilization_ewma_alpha,
+                 0 <= utilization_ewma_alpha <= 1),
+                ("clock_hz", clock_hz, 0 < clock_hz < math.inf)):
+            if not ok:
+                raise ValueError(f"switch {name}: {knob} out of range, got {value!r}")
         self.switch_id = switch_id
         self.vendor_id = vendor_id
         self.clock_hz = clock_hz
@@ -65,7 +81,6 @@ class TPPSwitch(Node):
         # repro.core.trace); it may also be toggled later through the
         # ``compile_traces`` property — the Scenario layer does exactly that.
         self.tcpu = TCPU(write_enabled=write_enabled, compile_traces=compile_traces)
-        self.parser = TPPParser()
         self.port_stats: list[PortStats] = []
         # Same-flow forwarding memo (semantics-preserving; see pipeline docs).
         self._lookup_cache = self.pipeline.lookup_cache()
@@ -157,41 +172,46 @@ class TPPSwitch(Node):
 
         tpp = packet.tpp
         if tpp is not None and self.tpp_enabled:
-            if self.parser.classify(packet):
-                self.tpp_packets_seen += 1
-                # The per-packet context exists only on hops where a TPP
-                # will read it; a bare packet pays nothing for the TCPU.
-                entry = result.matched_entry
-                # One call, positional in field order (Tables 7/8).
-                context = PacketContext(
-                    in_index, output_port, 0,
-                    entry.entry_id if entry else 0, entry.version if entry else 0,
-                    result.matched_stage, tpp.hop_number, packet.vlan,
-                    packet.size, self.sim.now)
-                execution = self.tcpu.execute_program(tpp, self.memory, context)
-                if _SKIPPED_PACKET_FULL in execution.statuses:
-                    self.tpps_packet_full += 1
-                if self.recorder is not None:
-                    self.recorder.on_tpp_exec(self, packet, execution)
-                tpp.hop_number += 1              # TPP.advance_hop, inlined
-                # A TPP may have rewritten the packet's output port (Table 2
-                # marks it writable); honour the redirection.
+            self.tpp_packets_seen += 1
+            # The per-packet context exists only on hops where a TPP will
+            # read it; a bare packet pays nothing for the TCPU.
+            entry = result.matched_entry
+            # One call, positional in field order (Tables 7/8).
+            context = PacketContext(
+                in_index, output_port, 0,
+                entry.entry_id if entry else 0, entry.version if entry else 0,
+                result.matched_stage, tpp.hop_number, packet.vlan,
+                packet.size, self.sim.now)
+            execution = self.tcpu.execute_program(tpp, self.memory, context)
+            if _SKIPPED_PACKET_FULL in execution.statuses:
+                self.tpps_packet_full += 1
+            if self.recorder is not None:
+                self.recorder.on_tpp_exec(self, packet, execution)
+            tpp.hop_number += 1                  # TPP.advance_hop, inlined
+            # A TPP may have rewritten the packet's output port (Table 2
+            # marks it writable); honour the redirection.
+            if context.output_port != output_port:
                 output_port = context.output_port
-                # Reflective TPPs (§4.4): the target switch turns the probe
-                # around so the sender gets its answer in half a round trip.
-                if (packet.metadata.get("tpp_reflect_switch") == self.switch_id
-                        and not packet.metadata.get("tpp_reflected")):
-                    packet.metadata["tpp_reflected"] = True
-                    packet.src, packet.dst = packet.dst, packet.src
-                    reflected = self.pipeline.process(packet)
-                    if reflected.action == "group":
-                        output_port = self.group_table.select(reflected.group_id, packet)
-                    elif reflected.action == "forward" and reflected.output_port is not None:
-                        output_port = reflected.output_port
-                    else:
-                        drop(self, self.name, packet, DROP_PIPELINE,
-                             f"no return route at {self.name}")
-                        return
+                if len(packet.path) > HOP_LIMIT:
+                    drop(self, self.name, packet, DROP_PIPELINE,
+                         f"hop limit at {self.name}")
+                    return
+            # Reflective TPPs (§4.4): the target switch turns the probe
+            # around so the sender gets its answer in half a round trip.
+            if (packet.metadata.get("tpp_reflect_switch") == self.switch_id
+                    and not packet.metadata.get("tpp_reflected")):
+                packet.metadata["tpp_reflected"] = True
+                packet.src, packet.dst = packet.dst, packet.src
+                reflected = self.pipeline.process(packet)
+                if reflected.action == "group":
+                    output_port = self.group_table.select(reflected.group_id, packet)
+                else:
+                    output_port = (reflected.output_port
+                                   if reflected.action == "forward" else None)
+                if output_port is None or not 0 <= output_port < len(self.ports):
+                    drop(self, self.name, packet, DROP_PIPELINE,
+                         f"no return route at {self.name}")
+                    return
 
         self.packets_forwarded += 1
         if self.forwarding_latency_s > 0:

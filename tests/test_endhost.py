@@ -10,6 +10,7 @@ from repro.endhost import (Aggregator, Collector, PacketFilter, TPPControlPlane,
 from repro.endhost.filters import FilterEntry, FilterTable
 from repro.net.link import mbps
 from repro.net.packet import udp_packet
+from repro.net.port import DROP_PIPELINE
 from repro.net.sim import Simulator
 from repro.net.topology import build_dumbbell
 from repro.session import Scenario
@@ -306,6 +307,20 @@ class TestExecutor:
         # Only the target switch executed before the probe was reflected home.
         assert results[0].hop_number >= 1
         assert net.hosts["h5"].packets_received == 0
+
+    def test_reflection_without_a_usable_return_port_is_a_pipeline_drop(self):
+        sim = Simulator()
+        net = build_dumbbell(sim, hosts_per_side=1, link_rate_bps=mbps(10)).network
+        s1 = net.switches["s1"]
+        s1.install_route("h0", 99, priority=100)        # s1 has no port 99
+        packet = udp_packet("h0", "h1", 100)
+        packet.attach_tpp(compile_tpp("PUSH [Switch:SwitchID]").clone_tpp())
+        packet.metadata["tpp_reflect_switch"] = s1.switch_id
+        net.hosts["h0"].send(packet)
+        sim.run(until=0.01)
+        assert packet.dropped and packet.drop_reason == "no return route at s1"
+        assert s1.drops_by_reason == {DROP_PIPELINE: 1}
+        assert net.hosts["h0"].packets_received == net.hosts["h1"].packets_received == 0
 
 
 def _send_one_udp_packet(experiment):

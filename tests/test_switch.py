@@ -1,5 +1,7 @@
 """Tests for the TPP-capable switch: forwarding, memory map, TPP execution."""
 
+import math
+
 import pytest
 
 from repro.core import addressing
@@ -11,10 +13,11 @@ from repro.net.link import Link, mbps
 from repro.net.node import Host
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
-from repro.net.topology import Network
+from repro.net.port import DROP_PIPELINE
+from repro.net.topology import Network, build_dumbbell
 from repro.switches.counters import StatsBlock, utilization_basis_points
-from repro.switches.parser import TPPParser, parse_graph_edges
-from repro.switches.switch import TPPSwitch
+from repro.switches.parser import parse, parse_graph_edges
+from repro.switches.switch import HOP_LIMIT, TPPSwitch
 
 
 def small_network(**switch_kwargs):
@@ -140,6 +143,27 @@ class TestTppExecutionAtSwitch:
         assert net.hosts["h2"].packets_received == 1
         assert net.hosts["h1"].packets_received == 0
 
+    def test_redirect_loop_is_dropped_at_the_hop_limit(self):
+        # Word 0 names the s0<->s1 port (1 on both switches), so s1 keeps
+        # sending the packet back to s0, which forwards it to s1 again.
+        sim = Simulator()
+        net = build_dumbbell(sim, hosts_per_side=1, link_rate_bps=mbps(10)).network
+        assert net.ports_towards("s0", "s1") == [1] == net.ports_towards("s1", "s0")
+        tpp = make_tpp([Instruction(Opcode.STORE,
+                                    addressing.resolve("[PacketMetadata:OutputPort]"),
+                                    packet_offset=0)],
+                       num_hops=1, mode=AddressingMode.STACK, initial_values=[1])
+        packet = udp_packet("h0", "h1", 100)
+        packet.attach_tpp(tpp)
+        net.hosts["h0"].send(packet)
+        sim.run(until=0.05)
+        assert packet.dropped and packet.drop_reason == "hop limit at s1"
+        assert len(packet.path) == HOP_LIMIT + 1
+        assert net.switches["s1"].drops_by_reason == {DROP_PIPELINE: 1}
+        assert net.hosts["h1"].packets_received == 0
+        net.stop_switch_processes()
+        sim.run_until_idle()
+
     def test_queue_occupancy_read_is_packet_consistent(self):
         # A fast ingress link feeding a slow egress link builds a queue; each
         # packet's TPP must observe the occupancy at the moment it is enqueued
@@ -163,6 +187,32 @@ class TestTppExecutionAtSwitch:
         assert occupancies[0] == 0
         assert max(occupancies) >= 3
         assert occupancies == sorted(occupancies)
+
+
+class TestKnobValidation:
+    @pytest.mark.parametrize("knob, value", [
+        ("forwarding_latency_s", math.nan),
+        ("forwarding_latency_s", -1e-6),
+        ("forwarding_latency_s", math.inf),
+        ("utilization_interval_s", math.nan),
+        ("utilization_interval_s", math.inf),
+        ("utilization_ewma_alpha", 5.0),
+        ("utilization_ewma_alpha", -1.0),
+        ("utilization_ewma_alpha", math.nan),
+        ("clock_hz", math.nan),
+        ("clock_hz", math.inf),
+        ("clock_hz", 0.0),
+    ])
+    def test_out_of_range_knob_rejected_at_construction(self, knob, value):
+        with pytest.raises(ValueError, match=f"switch s9: {knob}"):
+            TPPSwitch(Simulator(), "s9", switch_id=9, **{knob: value})
+
+    @pytest.mark.parametrize("knob, value", [
+        ("forwarding_latency_s", 0.0), ("utilization_ewma_alpha", 0.0),
+        ("utilization_ewma_alpha", 1.0), ("clock_hz", 160e6),
+    ])
+    def test_in_range_knob_accepted(self, knob, value):
+        assert getattr(TPPSwitch(Simulator(), "s9", switch_id=9, **{knob: value}), knob) == value
 
 
 class TestLazyPacketContext:
@@ -346,16 +396,14 @@ class TestCountersHelpers:
 
 class TestParser:
     def test_parse_modes(self):
-        parser = TPPParser()
         plain = udp_packet("a", "b", 10)
-        assert parser.parse(plain).mode == "none"
+        assert parse(plain).mode == "none"
         piggy = udp_packet("a", "b", 10)
         piggy.attach_tpp(compile_tpp("PUSH [Switch:SwitchID]").clone_tpp())
-        assert parser.parse(piggy).mode == "piggybacked"
+        assert parse(piggy).mode == "piggybacked"
         from repro.net.packet import tpp_probe_packet
         probe = tpp_probe_packet("a", "b", compile_tpp("PUSH [Switch:SwitchID]").clone_tpp())
-        assert parser.parse(probe).mode == "standalone"
-        assert parser.tpps_identified == 2
+        assert parse(probe).mode == "standalone"
 
     def test_parse_graph_has_both_tpp_entry_points(self):
         edges = parse_graph_edges()

@@ -244,7 +244,7 @@ class TestWriteDisabledConditionals:
         assert result.statuses[0] is InstructionStatus.SKIPPED_WRITE_DISABLED
         assert memory.values[0x1010] == 10       # swap suppressed
         assert tpp.read_hop_word(0) == 10        # observed value written back
-        assert not result.wrote_switch_memory
+        assert memory.values[0x1011] == 0        # nothing written to the switch
 
     def test_cstore_mismatch_with_writes_disabled_still_halts(self):
         memory = DictMemory({0x1010: 99, 0x1011: 0})
