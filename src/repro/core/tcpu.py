@@ -207,8 +207,9 @@ class ExecutionResult:
 
     @property
     def executed_count(self) -> int:
-        return sum(1 for status in self.statuses
-                   if status in (InstructionStatus.EXECUTED, InstructionStatus.FAILED_CONDITION))
+        """Instructions executed, the failed condition that halted included
+        (only a halting hop has one)."""
+        return self.statuses.count(_EXECUTED) + self.halted
 
     @property
     def packet_full(self) -> bool:
@@ -227,9 +228,10 @@ class ExecutionResult:
         """
         if self.halted:
             return "halted"
-        if self.packet_full:
+        statuses = self.statuses
+        if _SKIPPED_PACKET_FULL in statuses:
             return "out-of-room"
-        if InstructionStatus.SKIPPED_WRITE_DISABLED in self.statuses:
+        if _SKIPPED_WRITE_DISABLED in statuses:
             return "write-disabled"
         return "ok"
 

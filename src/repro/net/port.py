@@ -8,9 +8,9 @@ propagated to the peer port (link propagation delay).
 
 The port keeps the occupancy and drop accounting the paper's TPPs read
 ([Queue:QueueOccupancy], [Link:QueueSize], drop stats, …).  A packet sent
-to an idle, unrecorded port goes straight to serialisation: it is counted
-as enqueued and dequeued, but never touches the queue, whose occupancy it
-would have left at zero anyway.
+to an idle port goes straight to serialisation: it is counted as enqueued
+and dequeued, but never touches the queue, whose occupancy it would have
+left at zero anyway (a flight recorder still gets both records).
 
 Every dataplane drop goes through :func:`drop`: it stamps the packet,
 charges the drop site's ledger — ``drops_by_reason`` (packets) and
@@ -174,20 +174,16 @@ class Port:
         self.bytes_enqueued_total += size
         self.packets_enqueued_total += 1
         recorder = self.recorder
-        if self.transmitting or recorder is not None:
-            # A recorded port queues even when idle, so its ENQUEUE record
-            # sees the packet in the queue and its DEQUEUE record sees it
-            # leave, exactly as on a busy port.
+        if self.transmitting:
             waiting.append(packet)
             self.occupancy_bytes += size
-            if recorder is None:
-                return True
-            recorder.on_enqueue(self, packet)
-            if self.transmitting:
-                return True
-            waiting.popleft()
-            self.occupancy_bytes -= size
-            recorder.on_dequeue(self, packet)
+            if recorder is not None:
+                recorder.on_enqueue(self, packet)
+            return True
+        if recorder is not None:
+            # The packet passes through the empty queue: one hook writes
+            # the ENQUEUE and DEQUEUE records a busy port would.
+            recorder.on_pass_through(self, packet)
         # Idle port: straight to serialisation.
         self.transmitting = True
         self._post(size * 8.0 / link.rate_bps, self._finish_transmission, packet)

@@ -20,10 +20,15 @@ Design:
   differential-tested on all six apps).
 * **Bounded rings.**  Records land in per-node ring buffers
   (``deque(maxlen=capacity)``); overwrites are counted, never silent.
+  Nothing is counted per record: every record takes one ``seq``, so the
+  last seq is the number written, and every append to a full ring evicts
+  exactly one record, so the overwrites are written less retained.
 * **Compact tuple records.**  One record is a flat 9-tuple
   ``(seq, time, node, kind, packet_id, flow_id, site, a, b)`` — no objects
-  on the hot path.  ``seq`` is a recorder-wide monotone sequence so records
-  with equal timestamps keep their true order.
+  on the hot path: a record costs its hook call, one shared append call
+  and one tuple append, and the filters are skipped outright when none is
+  set.  ``seq`` is a recorder-wide monotone sequence so records with equal
+  timestamps keep their true order.
 * **Policies.**  :class:`RecorderSpec` declares sampling (1-in-N flows by
   stable flow-id hash: a sampled flow is recorded at *every* hop, an
   unsampled one at none, so journeys are never partial), an app filter
@@ -50,8 +55,8 @@ Record kinds and their ``site`` / ``a`` / ``b`` slots::
 Query API: :meth:`JourneyLog.journey` (one packet's ordered hop records),
 :meth:`JourneyLog.trace_flow` (every sampled packet of a flow),
 :meth:`JourneyLog.explain_drop` (ordered hop records + the terminal drop
-site/category/reason, with the nearest preceding fault record on the same
-site as context).  A :class:`JourneyLog` is a picklable snapshot — it
+site/category/reason, with the latest preceding fault record on the drop
+port's link as context).  A :class:`JourneyLog` is a picklable snapshot — it
 crosses process boundaries on :class:`~repro.session.ResultSummary`, so
 sweep workers ship journeys home.
 """
@@ -59,8 +64,10 @@ sweep workers ship journeys home.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro import check_count
@@ -217,7 +224,7 @@ class DropExplanation:
     category: str                  # canonical category (repro.net.port.DROP_*)
     reason: str                    # the human-readable drop_reason string
     records: list[tuple]           # the packet's ordered records, drop last
-    fault_context: Optional[tuple] = None   # nearest preceding FAULT record
+    fault_context: Optional[tuple] = None   # latest FAULT on the site's link
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DropExplanation #{self.packet_id} {self.category!r} at "
@@ -229,14 +236,17 @@ class JourneyLog:
     """A picklable, queryable snapshot of recorded flight records.
 
     Built by :meth:`FlightRecorder.log` (and shipped on
-    :class:`~repro.session.ResultSummary.flightrec`); holds plain tuples
-    plus the recorder's counters, so it pickles across process boundaries
-    and the query API works identically in a sweep parent.
+    :class:`~repro.session.ResultSummary.flightrec`); holds plain tuples,
+    the recorder's counters and the tapped ports' link names, so it
+    pickles across process boundaries and the query API works identically
+    in a sweep parent.
     """
 
-    def __init__(self, records: list[tuple], stats: dict) -> None:
+    def __init__(self, records: list[tuple], stats: dict,
+                 links: Optional[dict[str, str]] = None) -> None:
         self.records = records                     # sorted by seq
         self.stats = stats
+        self.links = links if links is not None else {}   # port -> link name
         self._by_packet: Optional[dict[int, list[tuple]]] = None
 
     # ------------------------------------------------------------- indexing
@@ -249,11 +259,13 @@ class JourneyLog:
         return self._by_packet
 
     def __getstate__(self) -> dict:
-        return {"records": self.records, "stats": self.stats}
+        return {"records": self.records, "stats": self.stats,
+                "links": self.links}
 
     def __setstate__(self, state: dict) -> None:
         self.records = state["records"]
         self.stats = state["stats"]
+        self.links = state["links"]
         self._by_packet = None
 
     def __len__(self) -> int:
@@ -313,13 +325,14 @@ class JourneyLog:
 
     def _explain(self, journey: PacketJourney) -> DropExplanation:
         terminal = journey.terminal
+        # A fault on a link is context for drops at either of its ports;
+        # a switch (pipeline) drop site has no link of its own.
+        link = self.links.get(terminal[REC_SITE])
         fault = None
         for record in self.records:            # seq order: keep the latest
-            if record[REC_KIND] != FAULT or record[REC_SEQ] > terminal[REC_SEQ]:
-                continue
-            # A fault on link "a<->b" is context for drops at either end.
-            if terminal[REC_SITE] in record[REC_SITE] \
-                    or record[REC_SITE] in terminal[REC_B]:
+            if record[REC_SEQ] > terminal[REC_SEQ]:
+                break
+            if record[REC_KIND] == FAULT and record[REC_SITE] == link:
                 fault = record
         return DropExplanation(
             packet_id=journey.packet_id, flow_id=journey.flow_id,
@@ -353,18 +366,24 @@ class FlightRecorder:
     def __init__(self, spec: Optional[RecorderSpec] = None) -> None:
         self.spec = spec if spec is not None else RecorderSpec()
         self._sim: Optional["Simulator"] = None
-        self._rings: dict[str, deque] = {}
-        self._capacity = self.spec.capacity
+        # Per-node rings; a node's first record creates its ring (fault
+        # records too, under a port_a node that was never attached).
+        self._rings: defaultdict[str, deque] = defaultdict(
+            partial(deque, maxlen=self.spec.capacity))
+        # The last seq handed out: every record takes one, so this is also
+        # the number of records written.
         self._seq = 0
         # Sampling state: app-name filter resolved to app ids at attach,
         # flow pass/fail memoised per flow id (one blake2b per flow, ever).
         self._app_ids: Optional[frozenset[int]] = None
         self._sample_every = self.spec.sample_every
         self._flow_pass_memo: dict[int, bool] = {}
+        # Whether any filter applies; set at attach, so an unfiltered
+        # recorder never calls _wants.
+        self._filtered = False
+        # Tapped port name -> its link's name: fault context by identity.
+        self._port_links: dict[str, str] = {}
         # Accounting.
-        self.records_written = 0
-        self.records_overwritten = 0
-        self.drops_recorded = 0
         self.drop_counts: dict[str, int] = {}
         self.nodes_attached = 0
         self.ports_tapped = 0
@@ -379,22 +398,27 @@ class FlightRecorder:
         deployment); with an ``apps`` filter and no ids the filter matches
         nothing, which is the right failure mode for a typo'd app name.
         """
-        self.attach_nodes(network.sim, network.nodes.values())
         if app_ids is not None:
             self._app_ids = frozenset(app_ids)
-        return self
+        return self.attach_nodes(network.sim, network.nodes.values())
 
     def attach_nodes(self, sim: "Simulator",
                      nodes: Iterable["Node"]) -> "FlightRecorder":
-        """Lower-level attach for hand-built topologies (tests, tools)."""
+        """Lower-level attach for hand-built topologies (tests, tools).
+
+        Raises ``ValueError`` when the spec's ``links`` filter names a link
+        that none of ``nodes``' ports is attached to.
+        """
         self._sim = sim
-        tap_links = set(self.spec.links) if self.spec.links is not None \
-            else None
+        tap_links = self.spec.links
+        seen_links: set[str] = set()
         for node in nodes:
             node.recorder = self
             self.nodes_attached += 1
             for port in node.ports:
                 link = port.link
+                if link is not None:
+                    seen_links.add(link.name)
                 if tap_links is not None:
                     if link is None or link.name not in tap_links:
                         continue
@@ -402,15 +426,23 @@ class FlightRecorder:
                 self.ports_tapped += 1
                 if link is not None:
                     link.recorder = self       # fault context on tapped links
+                    self._port_links[port.name] = link.name
+        if tap_links is not None:
+            unknown = [name for name in tap_links if name not in seen_links]
+            if unknown:
+                raise ValueError(f"flight recorder taps links {unknown}, "
+                                 f"which do not exist; have "
+                                 f"{sorted(seen_links)}")
         if self.spec.apps is not None and self._app_ids is None:
             self._app_ids = frozenset()
+        self._filtered = self._sample_every > 1 or self._app_ids is not None
         return self
 
     # --------------------------------------------------------------- filters
     def _wants(self, packet: "Packet") -> bool:
-        # One flat function, no helper calls: this runs for every packet at
-        # every hook site, and on the dominant unsampled-flow path its cost
-        # IS the recorder's overhead.
+        # One flat function, no helper calls: with a filter set this runs
+        # for every packet at every hook site, and on the dominant
+        # unsampled-flow path its cost IS the recorder's overhead.
         if self._sample_every > 1:
             flow_id = packet.flow_id
             memo = self._flow_pass_memo
@@ -425,65 +457,78 @@ class FlightRecorder:
             return tpp is not None and tpp.app_id in self._app_ids
         return True
 
-    def _app_pass(self, packet: "Packet") -> bool:
-        """The app filter alone — the drop hook's sampling bypass."""
-        if self._app_ids is None:
-            return True
-        tpp = packet.tpp
-        return tpp is not None and tpp.app_id in self._app_ids
-
     # --------------------------------------------------------------- writing
-    def _append(self, node: str, kind: str, packet_id: int, flow_id: int,
-                site: str, a, b) -> None:
-        ring = self._rings.get(node)
-        if ring is None:
-            ring = self._rings[node] = deque(maxlen=self._capacity)
-        elif len(ring) == self._capacity:
-            self.records_overwritten += 1
-        self._seq += 1
-        ring.append((self._seq, self._sim.now, node, kind, packet_id,
-                     flow_id, site, a, b))
-        self.records_written += 1
+    def _put(self, node: str, kind: str, packet: "Packet", site: str,
+             a, b) -> None:
+        """Append one record of ``packet`` to ``node``'s ring."""
+        self._seq = seq = self._seq + 1
+        self._rings[node].append((seq, self._sim.now, node, kind,
+                                  packet.packet_id, packet.flow_id, site,
+                                  a, b))
 
     # ------------------------------------------------------------ hook sites
     # Each is called from exactly one dataplane site, behind the caller's
-    # ``recorder is not None`` guard.  Keep them allocation-light.
+    # ``recorder is not None`` guard.  A record costs the hook call and one
+    # _put call; an unwanted packet costs the hook call and one _wants call.
     def on_host_send(self, host: "Host", packet: "Packet") -> None:
-        if self._wants(packet):
-            self._append(host.name, HOST_SEND, packet.packet_id,
-                         packet.flow_id, host.name, packet.size, packet.dst)
+        if self._filtered and not self._wants(packet):
+            return
+        name = host.name
+        self._put(name, HOST_SEND, packet, name, packet.size, packet.dst)
 
     def on_enqueue(self, port: "Port", packet: "Packet") -> None:
-        if self._wants(packet):
-            self._append(port.node.name, ENQUEUE, packet.packet_id,
-                         packet.flow_id, port.name,
-                         port.occupancy_packets, port.occupancy_bytes)
+        if self._filtered and not self._wants(packet):
+            return
+        self._put(port.node.name, ENQUEUE, packet, port.name,
+                  port.occupancy_packets, port.occupancy_bytes)
 
     def on_dequeue(self, port: "Port", packet: "Packet") -> None:
-        if self._wants(packet):
-            self._append(port.node.name, DEQUEUE, packet.packet_id,
-                         packet.flow_id, port.name,
-                         port.occupancy_packets, port.occupancy_bytes)
+        if self._filtered and not self._wants(packet):
+            return
+        self._put(port.node.name, DEQUEUE, packet, port.name,
+                  port.occupancy_packets, port.occupancy_bytes)
+
+    def on_pass_through(self, port: "Port", packet: "Packet") -> None:
+        """A packet sent to an idle port: it enters the empty queue and
+        leaves it for the transmitter at once.
+
+        Writes the ``enqueue`` (1 packet, ``size`` bytes) and ``dequeue``
+        (0, 0) records a busy port would, with consecutive seqs.
+        """
+        if self._filtered and not self._wants(packet):
+            return
+        seq = self._seq
+        self._seq = seq + 2
+        node, now, packet_id, flow_id, site = (
+            port.node.name, self._sim.now, packet.packet_id, packet.flow_id,
+            port.name)
+        ring = self._rings[node]
+        ring.append((seq + 1, now, node, ENQUEUE, packet_id, flow_id, site,
+                     1, packet.size))
+        ring.append((seq + 2, now, node, DEQUEUE, packet_id, flow_id, site,
+                     0, 0))
 
     def on_deliver(self, rx_port: "Port", packet: "Packet") -> None:
-        if self._wants(packet):
-            link = rx_port.link
-            self._append(rx_port.node.name, DELIVER, packet.packet_id,
-                         packet.flow_id, rx_port.name, packet.size,
-                         link.name if link is not None else "")
+        if self._filtered and not self._wants(packet):
+            return
+        link = rx_port.link
+        self._put(rx_port.node.name, DELIVER, packet, rx_port.name,
+                  packet.size, link.name if link is not None else "")
 
     def on_switch_recv(self, switch: "TPPSwitch", packet: "Packet",
                        in_index: int) -> None:
-        if self._wants(packet):
-            self._append(switch.name, SWITCH_RECV, packet.packet_id,
-                         packet.flow_id, switch.name, in_index, packet.size)
+        if self._filtered and not self._wants(packet):
+            return
+        name = switch.name
+        self._put(name, SWITCH_RECV, packet, name, in_index, packet.size)
 
     def on_tpp_exec(self, switch: "TPPSwitch", packet: "Packet",
                     execution: "ExecutionResult") -> None:
-        if self._wants(packet):
-            self._append(switch.name, TPP_EXEC, packet.packet_id,
-                         packet.flow_id, switch.name, execution.status_label,
-                         execution.executed_count)
+        if self._filtered and not self._wants(packet):
+            return
+        name = switch.name
+        self._put(name, TPP_EXEC, packet, name, execution.status_label,
+                  execution.executed_count)
 
     def on_drop(self, site: str, node: str, packet: "Packet",
                 category: str, reason: str) -> None:
@@ -492,38 +537,45 @@ class FlightRecorder:
         Drop records bypass flow sampling — the forensic log stays
         complete under aggressive sampling — but honour the app filter.
         """
-        if not self._app_pass(packet):
-            return
-        self._append(node, DROP, packet.packet_id, packet.flow_id,
-                     site, category, reason)
-        self.drops_recorded += 1
+        app_ids = self._app_ids
+        if app_ids is not None:
+            tpp = packet.tpp
+            if tpp is None or tpp.app_id not in app_ids:
+                return
+        self._put(node, DROP, packet, site, category, reason)
         self.drop_counts[category] = self.drop_counts.get(category, 0) + 1
 
     def on_fault(self, link: "Link", action: str, detail=None) -> None:
         """A link state change (set_down / set_up / set_loss / clear_loss).
 
         Recorded under the link's ``port_a`` node so fault context rides
-        the same rings; ``explain_drop`` surfaces the nearest preceding
-        fault on the drop's link as ``fault_context``.
+        the same rings; ``explain_drop`` surfaces the latest preceding
+        fault on the drop site's link as ``fault_context``.
         """
         if self._sim is None:       # links attach before sim in odd setups
             return
-        self._append(link.port_a.node.name, FAULT, 0, 0, link.name,
-                     action, detail)
+        node = link.port_a.node.name
+        self._seq = seq = self._seq + 1
+        self._rings[node].append((seq, self._sim.now, node, FAULT, 0, 0,
+                                  link.name, action, detail))
 
     # ------------------------------------------------------------- snapshots
     def stats(self) -> dict:
-        """Picklable accounting counters (the result's side channel)."""
+        """Picklable accounting counters (the result's side channel).
+
+        Each append to a full ring evicts exactly one record, so the
+        overwrites are the records written less those retained.
+        """
+        retained = sum(len(ring) for ring in self._rings.values())
         return {
-            "records_written": self.records_written,
-            "records_overwritten": self.records_overwritten,
-            "records_retained": sum(len(ring)
-                                    for ring in self._rings.values()),
-            "drops_recorded": self.drops_recorded,
+            "records_written": self._seq,
+            "records_overwritten": self._seq - retained,
+            "records_retained": retained,
+            "drops_recorded": sum(self.drop_counts.values()),
             "drop_counts": dict(sorted(self.drop_counts.items())),
             "nodes_attached": self.nodes_attached,
             "ports_tapped": self.ports_tapped,
-            "capacity": self._capacity,
+            "capacity": self.spec.capacity,
             "sample_every": self._sample_every,
             "flows_seen": len(self._flow_pass_memo) if self._sample_every > 1
             else None,
@@ -536,8 +588,8 @@ class FlightRecorder:
         merged: list[tuple] = []
         for ring in self._rings.values():
             merged.extend(ring)
-        merged.sort()                              # tuples sort by seq first
-        return JourneyLog(merged, self.stats())
+        merged.sort(key=itemgetter(REC_SEQ))       # seq is unique
+        return JourneyLog(merged, self.stats(), dict(self._port_links))
 
     # Convenience: query the live rings without an explicit snapshot.
     def journey(self, packet_id: int) -> Optional[PacketJourney]:
@@ -550,6 +602,7 @@ class FlightRecorder:
         return self.log().explain_drop(packet_id, **filters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlightRecorder {self.records_written} written "
-                f"({self.records_overwritten} overwritten) over "
+        stats = self.stats()
+        return (f"<FlightRecorder {stats['records_written']} written "
+                f"({stats['records_overwritten']} overwritten) over "
                 f"{len(self._rings)} nodes>")

@@ -15,7 +15,9 @@ per-track metadata rules), and the load-bearing invariant end to end:
   :class:`~repro.session.ResultSummary` JSON.
 """
 
+import hashlib
 import importlib.util
+import itertools
 import json
 import pickle
 import re
@@ -23,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.net import mbps
+import repro.net.flows
+import repro.net.packet
+from repro.net import gbps, mbps
 from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import udp_packet
@@ -307,6 +311,56 @@ class TestDropForensics:
         assert switch.drop_bytes_by_reason == {DROP_PIPELINE: packet.size}
         assert switch.packets_dropped == 1
 
+    @staticmethod
+    def _line(s0_s1_delay=10e-6):
+        """h0 - s0 - s1 - h1 built with Network.connect: the fabric link is
+        named ``s0<->s1``, not after its ports."""
+        sim = Simulator()
+        net = Network(sim)
+        for name in ("h0", "h1"):
+            net.add_host(name)
+        for name in ("s0", "s1"):
+            net.add_switch(name)
+        net.connect("h0", "s0")
+        fabric = net.connect("s0", "s1", delay_s=s0_s1_delay)
+        net.connect("s1", "h1")
+        net.install_shortest_path_routes()
+        net.hosts["h1"].default_listener = lambda p: None
+        return sim, net, fabric, FlightRecorder().attach(net)
+
+    def test_link_down_context_on_a_connect_built_link(self):
+        sim, net, fabric, recorder = self._line()
+        sim.schedule(0.0, fabric.set_down)
+        packet = udp_packet("h0", "h1", 100)
+        sim.schedule(1e-3, net.hosts["h0"].send, packet)
+        sim.run(until=0.01)
+        explanation = recorder.explain_drop(packet.packet_id)
+        assert explanation.category == DROP_LINK_DOWN
+        assert explanation.site == fabric.port_a.name
+        assert explanation.fault_context is not None
+        assert explanation.fault_context[REC_SITE] == "s0<->s1"
+        assert explanation.fault_context[REC_A] == "set-down"
+
+    def test_peer_down_context_on_a_connect_built_link(self):
+        # A 1 ms fabric delay: the far port fails while the packet is on
+        # the wire.
+        sim, net, fabric, recorder = self._line(s0_s1_delay=1e-3)
+
+        def fail_far_end():
+            fabric.set_down()
+            fabric.port_b.up = False
+
+        packet = udp_packet("h0", "h1", 100)
+        sim.schedule(0.0, net.hosts["h0"].send, packet)
+        sim.schedule(5e-4, fail_far_end)
+        sim.run(until=0.01)
+        explanation = recorder.explain_drop(packet.packet_id)
+        assert explanation.category == DROP_PEER_DOWN
+        assert explanation.site == fabric.port_a.name
+        assert explanation.fault_context is not None
+        assert explanation.fault_context[REC_SITE] == "s0<->s1"
+        assert explanation.fault_context[REC_A] == "set-down"
+
     def test_drops_bypass_flow_sampling(self):
         spec = RecorderSpec(sample_every=1_000_000)   # samples ~no flows
         sim, a, b, link, recorder = _pair(queue_packets=1, spec=spec)
@@ -415,6 +469,13 @@ class TestSessionIntegration:
         assert result.flightrec["records_written"] < \
             unfiltered.flightrec["records_written"]
 
+    def test_unknown_link_filter_fails_at_build(self):
+        scenario = (Scenario("dumbbell", hosts_per_side=1)
+                    .flight_recorder(RecorderSpec(links=("bogus-link",))))
+        with pytest.raises(ValueError,
+                           match=r"\['bogus-link'\].*s0<->s1"):
+            scenario.run(duration_s=0.001)
+
     def test_link_filter_taps_matching_ports_only(self):
         unfiltered = _scenario().flight_recorder().run(duration_s=0.05)
         some_link = sorted(link.name
@@ -454,6 +515,61 @@ class TestSessionIntegration:
             assert journey is not None and journey.records
             assert summary.trace_flow(journey.flow_id)
             assert isinstance(summary.explain_drop(), list)
+
+
+# ---------------------------------------------------------------------------
+# Journey-log pin: no canonical artifact covers the recorder's output
+# ---------------------------------------------------------------------------
+class TestJourneyLogPin:
+    """The suite digest and every canonical artifact exclude recorder
+    output, so these digests are what holds its records byte-identical."""
+
+    READ = "PUSH [Switch:SwitchID]\nPUSH [Queue:QueueOccupancy]"
+
+    @pytest.fixture(autouse=True)
+    def _fresh_ids(self, monkeypatch):
+        # Packet and flow ids are process-wide counters; the sampler hashes
+        # flow ids, so both restart for a run whose log is pinned.
+        monkeypatch.setattr(repro.net.packet, "_packet_ids",
+                            itertools.count(1))
+        monkeypatch.setattr(repro.net.flows, "_flow_ids", itertools.count(1))
+
+    @staticmethod
+    def _digest(log: JourneyLog) -> str:
+        digest = hashlib.blake2b(repr(log.records).encode(), digest_size=16)
+        digest.update(repr(log.stats).encode())
+        return digest.hexdigest()
+
+    def test_fat_tree_probe_read_with_overwrites(self):
+        result = (Scenario("fat-tree", seed=1, k=4, link_rate_bps=gbps(1),
+                           link_delay_s=5e-6)
+                  .workload("cross-pod-bursts", burst_packets=8,
+                            burst_interval_s=100e-6, payload_bytes=700)
+                  .tpp("probe", self.READ, num_hops=8)
+                  .flight_recorder(capacity=256)
+                  .run(duration_s=3e-4))
+        log = result.journeys
+        assert log.stats["records_overwritten"] == 920
+        assert self._digest(log) == "965da7b6d32b8ca02edb821fd8ee152b"
+
+    def test_dumbbell_drops_fault_and_sampling(self):
+        result = (Scenario("dumbbell", seed=3, hosts_per_side=3,
+                           queue_capacity_packets=4)
+                  .workload("messages", offered_load=0.9, message_bytes=6_000)
+                  .tpp("qmon", self.READ, num_hops=1)
+                  .faults(corrupt_links=0, fail_links=1, fail_at_s=0.004,
+                          repair_after_s=0.003)
+                  .flight_recorder(sample_every=8)
+                  .run(duration_s=0.012))
+        log = result.journeys
+        assert log.stats["drop_counts"] == {DROP_LINK_DOWN: 58,
+                                            DROP_QUEUE_OVERFLOW: 404}
+        assert log.stats["flows_sampled"] == 19
+        assert [r[REC_A] for r in log.records if r[REC_KIND] == FAULT] == \
+            ["set-down", "set-up", "clear-loss"]
+        assert {(r[REC_A], r[REC_B]) for r in log.records
+                if r[REC_KIND] == TPP_EXEC} == {("ok", 2), ("out-of-room", 0)}
+        assert self._digest(log) == "b7730cb70aeddccd663d7bee87755312"
 
 
 # ---------------------------------------------------------------------------
