@@ -388,12 +388,21 @@ class SeriesSummary:
 
     @property
     def samples(self) -> list[tuple]:
-        """The samples as a plain list in canonical order."""
+        """The samples as a plain list in canonical order.
+
+        A read keys each sample it sorts once: the unsorted tail, or the
+        whole list when that tail interleaves the canonical prefix.
+        """
         items, done, key = self._samples, self._canonical, self._sort_key
         if done < len(items):
-            items[done:] = sorted(items[done:], key=key)
-            if done and key(items[done - 1]) > key(items[done]):
-                items.sort(key=key)     # the tail interleaves the prefix
+            keys = list(map(key, items[done:]))
+            if done:
+                last = key(items[done - 1])
+                if last > min(keys):    # the tail interleaves the prefix
+                    keys[:0] = [*map(key, items[:done - 1]), last]
+                    done = 0
+            order = sorted(range(len(keys)), key=keys.__getitem__)  # stable
+            items[done:] = [items[done + i] for i in order]
             self._canonical = len(items)
         return items
 
@@ -454,7 +463,10 @@ class SeriesSummary:
 
     def as_dict(self) -> dict:
         return {"type": "series",
-                "samples": [[t, _canonical_key(k), v] for t, k, v in self.samples]}
+                # Each row is its sample's sort key, so sorting the rows is
+                # sorting the samples, and each sample is keyed once.
+                "samples": sorted([[t, _canonical_key(k), v]
+                                   for t, k, v in self._samples])}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SeriesSummary) and self.samples == other.samples

@@ -45,8 +45,9 @@ from concurrent.futures import (FIRST_COMPLETED, Executor, Future,
                                 ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import multiprocessing
 
@@ -92,6 +93,59 @@ def _execute_task(spec: ScenarioSpec, duration_s: Optional[float],
     experiment = Experiment(spec.copy(), duration_s, telemetry=telemetry)
     result = experiment.run(duration_s, run_until_idle=run_until_idle)
     return ResultSummary.from_result(result)
+
+
+#: Exact types the renderer hands to the C encoder as one flat list or row.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ROWS = frozenset((list, tuple))
+
+
+def render_canonical(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\n"``, byte for byte.
+
+    CPython's C encoder runs only when ``indent`` is ``None``, so this walks
+    dicts and lists itself and hands every scalar, flat list and list of
+    flat rows (a series' ``[time, key, value]`` samples) to a compact C
+    ``json.dumps`` whose item separator carries the indent.  A list of rows
+    renders with the row indent everywhere; one ``str.replace`` moves each
+    ``],<newline>[`` row boundary out a level.  That is sound because json
+    escapes newlines inside strings, and a scalar never ends in ``]``.
+    """
+    out: list[str] = []
+    _render(value, "\n", out.append)
+    out.append("\n")                   # not `+ "\n"`: that copies the text
+    return "".join(out)
+
+
+def _render(value: Any, newline: str, emit: Callable[[str], None]) -> None:
+    """Emit ``value`` at the level whose line break is ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            # json's own key spelling (or TypeError): '{"key": null}'[1:-7].
+            emit(sep + json.dumps({key: None})[1:-7] + ": ")
+            _render(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif not isinstance(value, (list, tuple)) or not value:
+        emit(json.dumps(value))         # a scalar, [] or {}, or json's TypeError
+    elif _SCALARS.issuperset(map(type, value)):
+        text = json.dumps(value, separators=("," + inner, ": "))
+        emit("[" + inner + text[1:-1] + newline + "]")
+    elif (_ROWS.issuperset(map(type, value)) and all(value)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(value)))):
+        row = inner + "  "
+        text = json.dumps(value, separators=("," + row, ": "))[2:-2]
+        text = text.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+        emit("[" + inner + "[" + row + text + inner + "]" + newline + "]")
+    else:
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _render(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
 
 
 class _InlineExecutor(Executor):
@@ -182,9 +236,8 @@ class SweepManifest:
     def write(self, accounting: dict) -> None:
         self.accounting = dict(accounting)
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({"version": 1, "accounting": self.accounting,
-                              "tasks": self.tasks},
-                             sort_keys=True, indent=2) + "\n"
+        payload = render_canonical({"version": 1, "accounting": self.accounting,
+                                    "tasks": self.tasks})
         tmp = self.path.with_suffix(".json.tmp")
         tmp.write_text(payload, encoding="utf-8")
         os.replace(tmp, self.path)
@@ -266,8 +319,7 @@ class SweepResult:
 
     def canonical_json(self) -> str:
         """The canonical artifact as canonical JSON text (the byte contract)."""
-        return json.dumps(self.canonical_artifact(), sort_keys=True,
-                          indent=2) + "\n"
+        return render_canonical(self.canonical_artifact())
 
     def accounting(self) -> dict:
         """Non-deterministic run accounting (wall clock, retries, crashes)."""

@@ -301,3 +301,41 @@ class TestRunLengthIndependence:
         short = self._key_computations_per_sample(0.15, monkeypatch)
         long = self._key_computations_per_sample(0.6, monkeypatch)
         assert long <= 1.25 * short, (short, long)
+
+
+class TestSeriesReadKeysOnce:
+    """A read keys each not-yet-canonical sample once, and a tail that
+    interleaves the canonical prefix keys the prefix once more, never the
+    tail twice; the order stays a stable sort of the insertion order.
+    ``as_dict`` keys each sample once and renders that order."""
+
+    def test_reads_key_each_sample_once_and_sort_stably(self, monkeypatch):
+        calls = [0]
+        real = summary_module._canonical_key
+
+        def counting(key):
+            calls[0] += 1
+            return real(key)
+
+        monkeypatch.setattr(summary_module, "_canonical_key", counting)
+        rng = random.Random(7)
+        # (1, 2) == (True, 2) but their reprs differ: equal keys, other rows.
+        keys = ["a", "b", 3, (1, 2), (True, 2), None]
+        series, added = SeriesSummary(), []
+        for _ in range(40):
+            prefix = len(added)
+            for _ in range(rng.randrange(1, 30)):
+                sample = (rng.randrange(6) * 0.5, rng.choice(keys),
+                          rng.randrange(3))
+                series.add(*sample)
+                added.append(sample)
+            calls[0] = 0
+            got = series.samples
+            assert calls[0] <= len(added) - prefix + 1 or calls[0] == len(added)
+            expected = sorted(added, key=lambda s: (s[0], real(s[1]), s[2]))
+            assert list(map(repr, got)) == list(map(repr, expected))
+            calls[0] = 0
+            assert series.samples is got and calls[0] == 0
+            rows = series.as_dict()["samples"]
+            assert calls[0] == len(added)
+            assert repr(rows) == repr([[t, real(k), v] for t, k, v in got])

@@ -24,6 +24,7 @@ from repro.session import (ResultSummary, Scenario, ScenarioSpec, SpecError,
                            UnknownRegistration, register_workload,
                            spec_jsonable)
 from repro.sweep import SweepRunner, SweepSpec, SweepTask
+from repro.sweep.runner import SweepManifest
 
 #: Simulated seconds per experiment in the differential tests — tiny, the
 #: point is orchestration, not the physics.
@@ -543,6 +544,40 @@ class TestResumableManifest:
         assert second.skipped_from_manifest == 1   # only the success skips
         retried = [o for o in second.outcomes if o.source == "run"]
         assert len(retried) == 1 and retried[0].status == "failed"
+
+    def test_manifest_bytes_are_indent_2_sorted_json(self, tmp_path,
+                                                      monkeypatch):
+        # Every write, telemetry side channel and a failure included, is
+        # the stdlib's sorted indent=2 rendering of the ledger, byte for byte.
+        specs = [monitor_scenario(seed=1).to_spec(),
+                 workload_scenario("sweep-test-explode").to_spec(),
+                 monitor_scenario(seed=2).to_spec()]
+        checked = []
+        write = SweepManifest.write
+
+        def checked_write(manifest, accounting):
+            write(manifest, accounting)
+            expected = json.dumps({"version": 1,
+                                   "accounting": manifest.accounting,
+                                   "tasks": manifest.tasks},
+                                  sort_keys=True, indent=2) + "\n"
+            checked.append(manifest.path.read_text(encoding="utf-8")
+                           == expected)
+
+        monkeypatch.setattr(SweepManifest, "write", checked_write)
+        first = SweepRunner(workers=1, duration_s=DT, worker_slices=2,
+                            manifest_dir=tmp_path).run(specs)
+        assert [o.status for o in first.outcomes] == ["done", "failed", "done"]
+        assert checked == [True] * 4          # three settles and the close
+        tasks = json.loads((tmp_path / "manifest.json").read_text())["tasks"]
+        assert sum("telemetry" in entry for entry in tasks.values()) == 2
+
+        second = SweepRunner(workers=1, duration_s=DT, worker_slices=2,
+                             manifest_dir=tmp_path).run(specs)
+        assert second.skipped_from_manifest == 2
+        assert second.canonical_json() == first.canonical_json()
+        assert (tmp_path / "artifact.json").read_text() == first.canonical_json()
+        assert checked == [True] * 6
 
     def test_manifest_grows_incrementally(self, tmp_path):
         sweep = SweepSpec(monitor_scenario()).replicate(2)
