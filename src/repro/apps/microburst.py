@@ -80,13 +80,15 @@ class MicroburstAggregator(Aggregator):
     def on_tpp(self, tpp: TPP, packet: Packet) -> None:
         super().on_tpp(tpp, packet)
         now = packet.delivered_at if packet.delivered_at is not None else 0.0
-        for hop in tpp.words_by_hop(VALUES_PER_HOP):
-            if len(hop) < VALUES_PER_HOP:
-                continue
-            key, occupancy = (hop[0], hop[1]), hop[2]
-            self._occupancy.observe(occupancy)
-            self._busiest.observe(key)
-            self._queue_series.add(now, key, occupancy)
+        observe, count, add = (self._occupancy.observe, self._busiest.observe,
+                               self._queue_series.add)
+        # One (switch, port, occupancy) triple per hop; zip drops a partial tail.
+        words = iter(tpp.pushed_words())
+        for switch_id, port, occupancy in zip(*[words] * VALUES_PER_HOP):
+            key = (switch_id, port)
+            observe(occupancy)
+            count(key)
+            add(now, key, occupancy)
 
     def summarize(self) -> SummaryBundle:
         """A mergeable snapshot: counters + occupancy histogram + busiest

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from struct import unpack_from
 from typing import Iterable, Optional
 
 from .exceptions import CapacityError, EncodingError
@@ -67,6 +68,9 @@ _HOP = AddressingMode.HOP
 
 _WORD_CODE = {2: 0, 4: 1}
 _CODE_WORD = {0: 2, 1: 4}
+#: word size -> its big-endian ``struct`` code (unsigned).
+WORD_FORMAT = {2: "H", 4: "I"}
+_new = object.__new__
 
 
 def _header_code(codes: type[enum.IntEnum], code: int, name: str) -> enum.IntEnum:
@@ -87,24 +91,23 @@ def checksum16(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-@dataclass
-class TPP:
-    """A tiny packet program: instructions plus scratch packet memory."""
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A TPP's frozen program: what every TPP stamped from one template shares.
 
-    instructions: list[Instruction]
-    memory: bytearray
-    mode: AddressingMode = AddressingMode.STACK
-    word_bytes: int = DEFAULT_WORD_BYTES
-    hop_number: int = 0
-    stack_pointer: int = 0
-    hop_size: int = 0
-    app_id: int = 0
-    encap_proto: EncapProtocol = EncapProtocol.NONE
-    version: int = 1
-    #: Execution bookkeeping (not on the wire): switches that refused to run
-    #: the TPP (write instructions disabled, ACL failure) set this.
-    execution_halted: bool = field(default=False, compare=False)
-    max_instructions: int = field(default=MAX_INSTRUCTIONS, compare=False)
+    Validated once, when the template is built; clones share the object, so
+    a TCPU can key its bound plans on the program's identity (``eq=False``
+    keeps the identity hash).  ``hop_bytes`` is the packet memory one hop's
+    results take: the hop size in hop mode, else one word per
+    packet-writing instruction.
+    """
+
+    instructions: tuple[Instruction, ...]
+    mode: AddressingMode
+    word_bytes: int
+    hop_size: int
+    max_instructions: int = MAX_INSTRUCTIONS
+    hop_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.word_bytes not in _WORD_CODE:
@@ -113,14 +116,63 @@ class TPP:
             raise CapacityError(
                 f"a TPP may carry at most {self.max_instructions} instructions "
                 f"(got {len(self.instructions)}); split the task into multiple TPPs (§3.3)")
-        if len(self.memory) > MAX_PACKET_MEMORY_BYTES:
+        if self.mode is _HOP and self.hop_size <= 0:
+            raise EncodingError("hop addressing requires a positive per-hop memory length")
+        object.__setattr__(self, "hop_bytes", self.hop_size if self.mode is _HOP else
+                           sum(i.writes_packet for i in self.instructions) * self.word_bytes)
+
+
+class TPP:
+    """A tiny packet program: instructions plus scratch packet memory.
+
+    The program — instructions, addressing mode, word size, hop size — is a
+    frozen :class:`Program`, read through the properties of the same names;
+    packet memory, hop number, stack pointer and the header fields are the
+    packet's own.  :meth:`clone` shares the program and copies the rest.
+    """
+
+    __slots__ = ("program", "memory", "hop_number", "stack_pointer", "app_id",
+                 "encap_proto", "version", "execution_halted")
+
+    def __init__(self, instructions: Iterable[Instruction], memory: bytearray,
+                 mode: AddressingMode = AddressingMode.STACK,
+                 word_bytes: int = DEFAULT_WORD_BYTES, hop_number: int = 0,
+                 stack_pointer: int = 0, hop_size: int = 0, app_id: int = 0,
+                 encap_proto: EncapProtocol = EncapProtocol.NONE, version: int = 1,
+                 execution_halted: bool = False,
+                 max_instructions: int = MAX_INSTRUCTIONS) -> None:
+        self.program = Program(tuple(instructions), mode, word_bytes, hop_size,
+                               max_instructions)
+        self.memory, self.hop_number, self.stack_pointer = memory, hop_number, stack_pointer
+        self.app_id, self.encap_proto, self.version = app_id, encap_proto, version
+        #: Execution bookkeeping (not on the wire): switches that refused to
+        #: run the TPP (write instructions disabled, ACL failure) set this.
+        self.execution_halted = execution_halted
+        if len(memory) > MAX_PACKET_MEMORY_BYTES:
             raise CapacityError(
                 f"packet memory is limited to {MAX_PACKET_MEMORY_BYTES} bytes, "
-                f"got {len(self.memory)}")
-        if self.mode is AddressingMode.HOP and self.hop_size <= 0:
-            raise EncodingError("hop addressing requires a positive per-hop memory length")
+                f"got {len(memory)}")
         if self.wire_length() > DEFAULT_MTU:
             raise CapacityError("TPP does not fit within one MTU (§3.3)")
+
+    instructions = property(lambda self: self.program.instructions)
+    mode = property(lambda self: self.program.mode)
+    word_bytes = property(lambda self: self.program.word_bytes)
+    hop_size = property(lambda self: self.program.hop_size)
+    max_instructions = property(lambda self: self.program.max_instructions)
+
+    def _fields(self) -> tuple:
+        program = self.program
+        return (program.instructions, self.memory, program.mode, program.word_bytes,
+                self.hop_number, self.stack_pointer, program.hop_size, self.app_id,
+                self.encap_proto, self.version)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TPP:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ sizes
     def wire_length(self) -> int:
@@ -154,10 +206,8 @@ class TPP:
     @property
     def num_hops_capacity(self) -> int:
         """How many hops' worth of results the packet memory can hold."""
-        if self.mode is AddressingMode.HOP:
-            return len(self.memory) // self.hop_size if self.hop_size else 0
-        per_hop = sum(1 for i in self.instructions if i.writes_packet) * self.word_bytes
-        return len(self.memory) // per_hop if per_hop else 0
+        hop_bytes = self.program.hop_bytes
+        return len(self.memory) // hop_bytes if hop_bytes else 0
 
     # ------------------------------------------------------------ word access
     # The TCPU touches packet memory several times per instruction, so the
@@ -252,16 +302,19 @@ class TPP:
 
     # ------------------------------------------------------------ extraction
     def pushed_words(self) -> list[int]:
-        """All words written via PUSH so far (stack mode), in push order."""
-        return [int.from_bytes(self.memory[i:i + self.word_bytes], "big")
-                for i in range(0, self.stack_pointer, self.word_bytes)]
+        """All words written via PUSH so far (stack mode), in push order:
+        the whole words below the stack pointer that lie in packet memory."""
+        memory, word_bytes = self.memory, self.word_bytes
+        count = max(min(self.stack_pointer, len(memory)), 0) // word_bytes
+        return list(unpack_from(f">{count}{WORD_FORMAT[word_bytes]}", memory))
 
     def words_by_hop(self, values_per_hop: int) -> list[list[int]]:
         """Group the pushed/loaded words into per-hop records.
 
         For stack-mode TPPs this slices the pushed words into groups of
         ``values_per_hop``; for hop-mode TPPs it slices packet memory by the
-        per-hop memory length.
+        per-hop memory length; only hops whose ``values_per_hop`` words lie
+        inside packet memory are returned.
         """
         if values_per_hop <= 0:
             raise ValueError("values_per_hop must be positive")
@@ -269,11 +322,10 @@ class TPP:
             words = self.pushed_words()
             return [words[i:i + values_per_hop]
                     for i in range(0, len(words), values_per_hop)]
-        hops = []
-        for hop in range(self.hop_number):
-            hops.append([self.read_hop_word(offset, hop) or 0
-                         for offset in range(values_per_hop)])
-        return hops
+        record = values_per_hop * self.word_bytes
+        hops = min(self.hop_number, (len(self.memory) - record) // self.hop_size + 1)
+        return [[self.read_hop_word(offset, hop) for offset in range(values_per_hop)]
+                for hop in range(max(hops, 0))]
 
     def all_words(self) -> list[int]:
         """Every word in packet memory, in order."""
@@ -333,14 +385,18 @@ class TPP:
                    encap_proto=encap, version=version)
 
     def clone(self) -> "TPP":
-        """Deep copy (used when the shim stamps the same template on many packets)."""
-        return TPP(instructions=list(self.instructions), memory=bytearray(self.memory),
-                   mode=self.mode, word_bytes=self.word_bytes, hop_number=self.hop_number,
-                   stack_pointer=self.stack_pointer, hop_size=self.hop_size,
-                   app_id=self.app_id, encap_proto=self.encap_proto, version=self.version,
-                   max_instructions=self.max_instructions)
+        """A copy that shares the frozen program (the shim stamps one per
+        packet): packet memory and the per-packet fields are copied, the
+        constructor's checks are not re-run, and ``execution_halted`` is
+        reset."""
+        tpp = _new(TPP)
+        tpp.program, tpp.memory = self.program, bytearray(self.memory)
+        tpp.hop_number, tpp.stack_pointer = self.hop_number, self.stack_pointer
+        tpp.app_id, tpp.encap_proto, tpp.version = self.app_id, self.encap_proto, self.version
+        tpp.execution_halted = False
+        return tpp
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         instrs = "; ".join(str(i) for i in self.instructions)
         return (f"TPP(app={self.app_id}, hop={self.hop_number}, sp={self.stack_pointer}, "
                 f"mem={len(self.memory)}B, [{instrs}])")

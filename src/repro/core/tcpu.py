@@ -72,14 +72,19 @@ Three engines, one semantics:
    differential.
 2. :meth:`TCPU.execute_program` — the **bound plan**: each instruction of a
    program becomes one closure ``step(tpp, context) -> InstructionStatus``,
-   built once per ``(word_bytes, mode, hop_size, id(memory), *instruction
-   ids)``.  A step is bound to its memory row (the memory's
-   ``read_resolver`` / ``write_resolver`` closure for the address, or a
-   closure over ``read`` / ``write`` for a memory without resolvers), its
-   packet byte offset (``packet_offset * word_bytes``, plus ``hop_number *
-   hop_size`` in hop mode), the word mask and the write-enable knob.  A
-   hop runs the steps in order and stops at the first ``FAILED_CONDITION``
-   (CEXEC and CSTORE are ordinary steps), so every program is eligible.
+   built once per ``(program, id(memory))`` — the TPP's frozen
+   :class:`~repro.core.packet_format.Program`, which every clone of a
+   template shares, and the memory it runs against.  A step is bound to
+   its memory row (the memory's ``read_resolver`` / ``write_resolver``
+   closure for the address, or a closure over ``read`` / ``write`` for a
+   memory without resolvers), its packet byte offset (``packet_offset *
+   word_bytes``, plus ``hop_number * hop_size`` in hop mode), the word mask
+   and the write-enable knob.  A hop runs the steps in order and stops at
+   the first ``FAILED_CONDITION`` (CEXEC and CSTORE are ordinary steps), so
+   every program is eligible.  The hop returns its statuses list: it halted iff
+   ``FAILED_CONDITION`` is in it, so an :class:`ExecutionResult` is built
+   only where a caller reads one (:meth:`TCPU.execute` and the flight
+   recorder).
 3. The **compiled trace** (``compile_traces=True``): eligible programs are
    lowered once by :mod:`repro.core.trace` into a single synthesized
    function with no dispatch, no operand decoding, and one inlined bounds
@@ -89,18 +94,17 @@ Three engines, one semantics:
 All three produce byte-identical results — the differential sweep in
 ``tests/test_trace.py`` enforces it, on a cache miss and on a hit.
 
-Both caches are keyed by *identity* of the (frozen, immutable)
-:class:`~repro.core.isa.Instruction` objects and of the memory they are
-bound to, plus every value the cached artifact is specialized on (word
-size, addressing mode, hop size).  Identity keys are sound only because
-each cache entry holds strong references to its instructions and its
-memory: while an entry lives, their ids cannot be reused, so a key match
-implies the probing program *is* those exact instruction objects on that
-exact memory.  Mutating a TPP's instruction list therefore always changes
-the key — a mutated program can never hit a stale plan (regression-tested
-in ``tests/test_trace.py``).  Plans and traces bake in the write-enable
-knob, so setting :attr:`TCPU.write_enabled` to a new value drops both
-caches.
+Both caches are keyed by *identity* of the frozen program and of the
+memory it is bound to; the program fixes every value the cached artifact
+is specialized on (instructions, word size, addressing mode, hop size).
+Identity keys are sound only because each cache entry holds strong
+references to its program and its memory: while an entry lives, their ids
+cannot be reused, so a key match implies the probing TPP carries *that*
+program and runs on *that* memory.  A program cannot be mutated, so a TPP
+with different instructions is a different program and can never hit a
+stale plan (regression-tested in ``tests/test_trace.py``).  Plans and
+traces bake in the write-enable knob, so setting :attr:`TCPU.write_enabled`
+to a new value drops both caches.
 """
 
 from __future__ import annotations
@@ -108,11 +112,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
+from struct import Struct
 from typing import Callable, Optional, Protocol
 
 from . import addressing
 from .isa import Instruction, Opcode
-from .packet_format import AddressingMode, TPP
+from .packet_format import WORD_FORMAT, AddressingMode, Program, TPP
 
 #: Bounded size of the per-TCPU plan and trace caches (templates are few; this
 #: only guards against pathological workloads with unbounded unique programs).
@@ -256,26 +261,11 @@ def _resolvers(memory: MemoryInterface) -> tuple[Callable, Callable]:
             (lambda address: lambda value, context: write(address, value, context)))
 
 
-def _get2(memory: bytearray, offset: int) -> int:
-    return (memory[offset] << 8) | memory[offset + 1]
-
-
-def _put2(memory: bytearray, offset: int, value: int) -> None:
-    memory[offset] = value >> 8
-    memory[offset + 1] = value & 0xFF
-
-
-def _get4(memory: bytearray, offset: int) -> int:
-    return int.from_bytes(memory[offset:offset + 4], "big")
-
-
-def _put4(memory: bytearray, offset: int, value: int) -> None:
-    memory[offset:offset + 4] = value.to_bytes(4, "big")
-
-
-#: word size -> (get, put) of one big-endian packet word; the caller has
-#: range-checked the offset and masked the value to the word size.
-_WORD_ACCESS = {2: (_get2, _put2), 4: (_get4, _put4)}
+#: word size -> ``struct.Struct`` of one big-endian packet word and of two
+#: adjacent ones; the caller has range-checked the offset and masked the
+#: value to the word size.
+_WORD_STRUCTS = {size: (Struct(">" + code), Struct(">" + 2 * code))
+                 for size, code in WORD_FORMAT.items()}
 
 
 def _nop(tpp: TPP, context: PacketContext) -> InstructionStatus:
@@ -303,7 +293,8 @@ def _bind_step(instruction: Instruction, read_resolver: Callable,
         return _write_disabled
     mask = (1 << (8 * word_bytes)) - 1
     base = instruction.packet_offset * word_bytes
-    get, put = _WORD_ACCESS[word_bytes]
+    word, pair = _WORD_STRUCTS[word_bytes]
+    get, put, get_pair = word.unpack_from, word.pack_into, pair.unpack_from
     read = read_resolver(instruction.address) if instruction.reads_switch else None
     write = write_resolver(instruction.address) if instruction.writes_switch else None
 
@@ -338,7 +329,7 @@ def _bind_step(instruction: Instruction, read_resolver: Callable,
             if offset < 0 or offset + word_bytes > len(memory):
                 return _SKIPPED_PACKET_FULL
             tpp.stack_pointer = offset + word_bytes
-            return _EXECUTED if write(get(memory, offset), context) else _SKIPPED_NO_MEMORY
+            return _EXECUTED if write(get(memory, offset)[0], context) else _SKIPPED_NO_MEMORY
         return pop
 
     if opcode is Opcode.STORE:
@@ -346,7 +337,7 @@ def _bind_step(instruction: Instruction, read_resolver: Callable,
             memory, offset = tpp.memory, tpp.hop_number * hop_size + base
             if offset < 0 or offset + word_bytes > len(memory):
                 return _SKIPPED_PACKET_FULL
-            return _EXECUTED if write(get(memory, offset), context) else _SKIPPED_NO_MEMORY
+            return _EXECUTED if write(get(memory, offset)[0], context) else _SKIPPED_NO_MEMORY
         return store
 
     if opcode is Opcode.CSTORE:
@@ -356,12 +347,12 @@ def _bind_step(instruction: Instruction, read_resolver: Callable,
             if current is None or offset < 0 or offset + 2 * word_bytes > len(memory):
                 return _FAILED_CONDITION
             current &= mask
-            if current != get(memory, offset):
+            old, new = get_pair(memory, offset)
+            if current != old:
                 put(memory, offset, current)
                 return _FAILED_CONDITION
             if not write_enabled:
                 return _SKIPPED_WRITE_DISABLED
-            new = get(memory, offset + word_bytes)
             if not write(new, context):
                 return _FAILED_CONDITION
             put(memory, offset, new)
@@ -375,22 +366,20 @@ def _bind_step(instruction: Instruction, read_resolver: Callable,
             return _FAILED_CONDITION
         # Packet words already fit the word mask, so only the switch
         # value's high bits need it — and the packet mask clears them.
-        if switch_value & get(memory, offset) == get(memory, offset + word_bytes):
-            return _EXECUTED
-        return _FAILED_CONDITION
+        packet_mask, value = get_pair(memory, offset)
+        return _EXECUTED if switch_value & packet_mask == value else _FAILED_CONDITION
     return cexec
 
 
-def _bind_plan(tpp: TPP, memory: MemoryInterface, write_enabled: bool) -> tuple:
-    """``tpp``'s program bound to ``memory``: ``(steps, instructions,
-    memory)``, the last two pinned for the cache key."""
-    instructions = tuple(tpp.instructions)
+def _bind_plan(program: Program, memory: MemoryInterface, write_enabled: bool) -> tuple:
+    """``program`` bound to ``memory``: ``(steps, program, memory)``, the
+    last two pinned for the cache key."""
     read_resolver, write_resolver = _resolvers(memory)
-    hop_size = tpp.hop_size if tpp.mode is AddressingMode.HOP else 0
+    hop_size = program.hop_size if program.mode is AddressingMode.HOP else 0
     steps = tuple(_bind_step(instruction, read_resolver, write_resolver,
-                             tpp.word_bytes, hop_size, write_enabled)
-                  for instruction in instructions)
-    return steps, instructions, memory
+                             program.word_bytes, hop_size, write_enabled)
+                  for instruction in program.instructions)
+    return steps, program, memory
 
 
 class TCPU:
@@ -440,21 +429,20 @@ class TCPU:
             Opcode.CEXEC: self._op_cexec,
         }
         # Identity-keyed caches (see the module docstring for the soundness
-        # argument): every entry pins the objects whose ids are in its key,
-        # so an id-tuple key can only match the exact objects it was built
-        # from.
-        # Bound plans: (word_bytes, mode, hop_size, id(memory), *ids) ->
-        # _bind_plan's (steps, instructions, memory).
+        # argument): every entry pins the objects its key names, so a key
+        # can only match the exact program and memory it was built from.
+        # Bound plans: (program, id(memory)) -> _bind_plan's (steps,
+        # program, memory).
         # write_enabled is baked into each plan; the setter clears them.
         self._plan_cache: dict[tuple, tuple] = {}
-        # Program-level trace cache: (word_bytes, mode, hop_size, *ids) ->
-        # (CompiledTrace | None, pinned instructions).  write_enabled is baked
-        # into each trace; the write_enabled setter clears both trace caches.
-        self._trace_programs: dict[tuple, tuple] = {}
-        # Memory-bound trace cache: program key + id(memory) -> (bound fn |
-        # None, pinned instructions, pinned memory).  Each TCPU executes
-        # against one switch's MemoryInterface in practice, so this holds
-        # one binding per program.
+        # Program-level trace cache: program -> CompiledTrace | None (the
+        # dict key pins the program).  write_enabled is baked into each
+        # trace; the write_enabled setter clears both trace caches.
+        self._trace_programs: dict[Program, object] = {}
+        # Memory-bound trace cache: (program, id(memory)) -> (bound fn |
+        # None, pinned program, pinned memory).  Each TCPU executes against
+        # one switch's MemoryInterface in practice, so this holds one
+        # binding per program.
         self._trace_cache: dict[tuple, tuple] = {}
 
     def counters(self) -> dict[str, int]:
@@ -494,7 +482,8 @@ class TCPU:
     # ------------------------------------------------------------------ main
     def execute(self, tpp: TPP, memory: MemoryInterface,
                 context: PacketContext) -> ExecutionResult:
-        """Execute every instruction of ``tpp`` once (one hop's worth)."""
+        """Execute every instruction of ``tpp`` once (one hop's worth): the
+        reference interpreter, uncached."""
         dispatch = self._dispatch
         steps = [(dispatch[instruction.opcode], instruction)
                  for instruction in tpp.instructions]
@@ -502,23 +491,24 @@ class TCPU:
                                tpp, memory, context)
 
     def execute_program(self, tpp: TPP, memory: MemoryInterface,
-                        context: PacketContext) -> ExecutionResult:
-        """Fast path: like :meth:`execute`, run as a cached bound plan.
+                        context: PacketContext) -> list[InstructionStatus]:
+        """Fast path: like :meth:`execute`, run as a cached bound plan, and
+        return the hop's statuses (a failed condition halted the rest iff
+        ``FAILED_CONDITION`` is among them).
 
-        TPPs stamped from one template share their (frozen, immutable)
-        :class:`~repro.core.isa.Instruction` objects across clones, so every
-        packet of an instrumented flow after the first hits the cache.  With
+        TPPs stamped from one template share its frozen
+        :class:`~repro.core.packet_format.Program`, so every packet of an
+        instrumented flow after the first hits the cache.  With
         ``compile_traces`` set, eligible programs run their compiled trace
         (see :mod:`repro.core.trace`); everything else runs its bound plan.
-        All paths return identical results.
+        All paths return identical statuses.
         """
-        key = (tpp.word_bytes, tpp.mode, tpp.hop_size, id(memory),
-               *map(id, tpp.instructions))
+        key = (tpp.program, id(memory))
         if self.compile_traces:
             entry = self._trace_cache.get(key)
             if entry is None:
                 self.trace_cache_misses += 1
-                entry = self._bind_trace(tpp, memory, key)
+                entry = self._bind_trace(tpp.program, memory, key)
             else:
                 self.trace_cache_hits += 1
             fn = entry[0]
@@ -531,47 +521,43 @@ class TCPU:
             self.plan_cache_hits += 1
         else:
             self.plan_cache_misses += 1
-            plan = _bind_plan(tpp, memory, self._write_enabled)
+            plan = _bind_plan(tpp.program, memory, self._write_enabled)
             if len(self._plan_cache) < _PLAN_CACHE_LIMIT:
                 self._plan_cache[key] = plan
         steps = plan[0]
+        self.tpps_executed += 1
         statuses = []
-        halted = False
         for step in steps:
             status = step(tpp, context)
             statuses.append(status)
             if status is _FAILED_CONDITION:          # halts the hop (§3.3.3)
                 statuses += [_SKIPPED_HALTED] * (len(steps) - len(statuses))
-                halted = True
+                self.instructions_executed += 1
                 break
-        self.tpps_executed += 1
-        self.instructions_executed += statuses.count(_EXECUTED) + halted
-        return ExecutionResult(statuses, halted)
+        self.instructions_executed += statuses.count(_EXECUTED)
+        return statuses
 
-    def _bind_trace(self, tpp: TPP, memory: MemoryInterface, key: tuple) -> tuple:
-        """Lower ``tpp``'s program (once) and bind it to ``memory`` (once).
+    def _bind_trace(self, program: Program, memory: MemoryInterface, key: tuple) -> tuple:
+        """Lower ``program`` (once) and bind it to ``memory`` (once).
 
-        Both cache layers pin every object whose id appears in their key
-        (instructions, and for bindings the memory interface), keeping the
-        identity keys sound; ineligible programs are cached as negative
-        entries so the fallback decision is also O(1).
+        Both cache layers pin every object their key names (the program,
+        and for bindings the memory interface), keeping the identity keys
+        sound; ineligible programs are cached as negative entries so the
+        fallback decision is also O(1).
         """
         from . import trace  # deferred: repro.core.trace imports this module
 
-        program_key = key[:3] + key[4:]          # drop id(memory)
-        program = self._trace_programs.get(program_key)
-        if program is None:
+        compiled = self._trace_programs.get(program)
+        if compiled is None and program not in self._trace_programs:
             compiled = trace.compile_trace(
-                tpp.instructions, word_bytes=tpp.word_bytes, mode=tpp.mode,
-                hop_size=tpp.hop_size, write_enabled=self.write_enabled)
+                program.instructions, word_bytes=program.word_bytes, mode=program.mode,
+                hop_size=program.hop_size, write_enabled=self.write_enabled)
             if compiled is not None:
                 self.traces_compiled += 1
-            program = (compiled, tuple(tpp.instructions))
             if len(self._trace_programs) < _PLAN_CACHE_LIMIT:
-                self._trace_programs[program_key] = program
-        compiled, instructions = program
+                self._trace_programs[program] = compiled
         fn = compiled.bind(memory) if compiled is not None else None
-        entry = (fn, instructions, memory)
+        entry = (fn, program, memory)
         if len(self._trace_cache) < _PLAN_CACHE_LIMIT:
             self._trace_cache[key] = entry
         return entry

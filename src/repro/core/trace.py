@@ -72,7 +72,7 @@ from typing import Callable, Optional, Sequence
 from .isa import Instruction, Opcode
 from .packet_format import AddressingMode
 from .static_analysis import trace_ineligibility
-from .tcpu import ExecutionResult, InstructionStatus
+from .tcpu import InstructionStatus
 
 __all__ = ["CompiledTrace", "codegen_stats", "compile_trace", "trace_eligible",
            "trace_ineligibility"]
@@ -109,7 +109,7 @@ class CompiledTrace:
     and closes the generated function over them, so the per-packet path pays
     neither address decoding nor region dispatch.  The bound function
     ``fn(tcpu, tpp, context)`` is a drop-in for the interpreter's execution
-    core: it returns the same :class:`ExecutionResult` and applies the same
+    core: it returns the same statuses list and applies the same
     ``tpps_executed`` / ``instructions_executed`` accounting to the owning
     TCPU.  ``source`` keeps the generated code for inspection and debugging.
     """
@@ -169,14 +169,12 @@ def compile_trace(instructions: Sequence[Instruction], *, word_bytes: int,
     source = _generate_source(program, word_bytes=word_bytes, mode=mode,
                               hop_size=hop_size, write_enabled=write_enabled)
     namespace: dict = {
-        "ExecutionResult": ExecutionResult,
         "EXECUTED": InstructionStatus.EXECUTED,
         "SKIPPED_NO_MEMORY": InstructionStatus.SKIPPED_NO_MEMORY,
         "SKIPPED_PACKET_FULL": InstructionStatus.SKIPPED_PACKET_FULL,
         "SKIPPED_WRITE_DISABLED": InstructionStatus.SKIPPED_WRITE_DISABLED,
         "_len": len,
         "_from_bytes": int.from_bytes,
-        "_new": object.__new__,
     }
     exec(compile(source, "<tpp-trace>", "exec"), namespace)
     compiled = CompiledTrace(factory=namespace["__tpp_trace_factory"], source=source,
@@ -219,11 +217,11 @@ def _generate_source(program: tuple[Instruction, ...], *, word_bytes: int,
         out.emit(f"#   {index}: {instruction}")
     writes_switch = any(i.writes_switch for i in program) and write_enabled
     out.emit("def __tpp_trace_factory(memory, resolve,")
-    out.emit("                        ExecutionResult=ExecutionResult, EXECUTED=EXECUTED,")
+    out.emit("                        EXECUTED=EXECUTED,")
     out.emit("                        SKIPPED_NO_MEMORY=SKIPPED_NO_MEMORY,")
     out.emit("                        SKIPPED_PACKET_FULL=SKIPPED_PACKET_FULL,")
     out.emit("                        SKIPPED_WRITE_DISABLED=SKIPPED_WRITE_DISABLED,")
-    out.emit("                        _len=_len, _from_bytes=_from_bytes, _new=_new):")
+    out.emit("                        _len=_len, _from_bytes=_from_bytes):")
     with _Block(out):
         # Per-address reader thunks, resolved once per (trace, memory) pair.
         for index, instruction in enumerate(program):
@@ -252,13 +250,10 @@ def _generate_source(program: tuple[Instruction, ...], *, word_bytes: int,
                                   write_enabled=write_enabled)
             if uses_sp:
                 out.emit("tpp.stack_pointer = sp")
-            out.emit("result = _new(ExecutionResult)")
-            status_list = ", ".join(f"s{i}" for i in range(len(program)))
-            out.emit(f"result.statuses = [{status_list}]")
-            out.emit("result.halted = False")
             out.emit("tcpu.tpps_executed += 1")
             out.emit("tcpu.instructions_executed += executed")
-            out.emit("return result")
+            status_list = ", ".join(f"s{i}" for i in range(len(program)))
+            out.emit(f"return [{status_list}]")
         out.emit("return __tpp_trace")
     return "\n".join(out.lines) + "\n"
 

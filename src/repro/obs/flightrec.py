@@ -71,9 +71,9 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro import check_count
+from repro.core.tcpu import ExecutionResult, InstructionStatus
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.tcpu import ExecutionResult
     from repro.net.link import Link
     from repro.net.node import Host, Node
     from repro.net.packet import Packet
@@ -107,6 +107,7 @@ FAULT = "fault"
 
 #: Kinds that end a packet's journey.
 _TERMINAL_KINDS = (DELIVER, DROP)
+_FAILED_CONDITION = InstructionStatus.FAILED_CONDITION
 
 
 def _flow_hash(flow_id: int) -> int:
@@ -523,9 +524,10 @@ class FlightRecorder:
         self._put(name, SWITCH_RECV, packet, name, in_index, packet.size)
 
     def on_tpp_exec(self, switch: "TPPSwitch", packet: "Packet",
-                    execution: "ExecutionResult") -> None:
+                    statuses: list[InstructionStatus]) -> None:
         if self._filtered and not self._wants(packet):
             return
+        execution = ExecutionResult(statuses, _FAILED_CONDITION in statuses)
         name = switch.name
         self._put(name, TPP_EXEC, packet, name, execution.status_label,
                   execution.executed_count)

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.collect import summary_copy, summary_jsonable
+from repro.core.packet_format import TPP
 
 from .registry import TOPOLOGIES
 
@@ -121,14 +122,21 @@ def ensure_picklable(value: Any, where: str) -> None:
 # --------------------------------------------------------------------------
 # Canonical rendering / fingerprint
 # --------------------------------------------------------------------------
+#: A TPP renders field-wise like a dataclass, under its constructor's
+#: parameter names: its program and its packet state.
+_TPP_FIELDS = ("instructions", "memory", "mode", "word_bytes", "hop_number",
+               "stack_pointer", "hop_size", "app_id", "encap_proto", "version",
+               "execution_halted", "max_instructions")
+
+
 def spec_jsonable(value: Any) -> Any:
     """Render any spec value as deterministic, JSON-able structure.
 
     Used for fingerprints and the sweep manifest, so the rendering must be
     stable across processes and runs: dict keys are sorted, callables render
-    as import references, dataclasses field-wise, and anything else falls
-    back to a hash of its pickled bytes (never ``repr`` — reprs can leak
-    memory addresses).
+    as import references, dataclasses and TPPs field-wise, and anything else
+    falls back to a hash of its pickled bytes (never ``repr`` — reprs can
+    leak memory addresses).
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -139,16 +147,18 @@ def spec_jsonable(value: Any) -> Any:
                 for key in sorted(value, key=str)}
     if isinstance(value, functools.partial) or callable(value):
         return callable_ref(value)
-    if is_dataclass(value) and not isinstance(value, type):
-        rendered = {f.name: spec_jsonable(getattr(value, f.name))
-                    for f in fields(value)}
+    names = (_TPP_FIELDS if isinstance(value, TPP)
+             else [f.name for f in fields(value)]
+             if is_dataclass(value) and not isinstance(value, type) else None)
+    if names is not None:
+        rendered = {name: spec_jsonable(getattr(value, name)) for name in names}
         rendered["__type__"] = type(value).__name__
         return rendered
     renderer = getattr(value, "as_dict", None)
     if callable(renderer):
         return renderer()
     encoder = getattr(value, "encode", None)
-    if callable(encoder):                        # TPP / CompiledTPP wire bytes
+    if callable(encoder):                        # an object's wire bytes
         try:
             encoded = encoder()
             if isinstance(encoded, (bytes, bytearray)):

@@ -13,14 +13,16 @@ and a packet's output port / queue / path tag are writable (the latter is how
 The memory map is **declared once, resolved once**.  Each region below is a
 table with one row per field, keyed by the field's offset in
 :mod:`repro.core.addressing`; a field without a row in a ``*_WRITERS`` table
-is read-only.  On the first access to an address, :class:`SwitchMemory`
-decodes it, picks the row and closes it over the state it names — the way the
-paper's execution units are wired to their statistics at tape-out (§3.5) —
-so every later ``read`` / ``write`` of that address is a dict lookup plus a
-call.  Rows read *live* state: a closure may capture the switch, its ``ports``
-and ``stages`` lists (which grow in place) and this memory, never a port or
-a count, so ports added, routes installed and registers written
-after an address was resolved are seen by the next access.
+(or, for ``Link:``, in :data:`LINK_REGISTERS`) is read-only.  On the first
+access to an address, :class:`SwitchMemory` decodes it, picks the row and
+closes it over the state it names — the way the paper's execution units are
+wired to their statistics at tape-out (§3.5) — so every later ``read`` /
+``write`` of that address is a dict lookup plus a call.  Rows read *live* state: a closure may capture the switch, its ``ports``
+and ``stages`` lists (which grow in place) and this memory's register dict,
+never a port or a count, so ports added, routes installed and registers
+written after an address was resolved are seen by the next access.  A
+``Link:`` / ``Queue:`` row is called with the port object, looked up once
+per access after the range check.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from repro.core import addressing
 from repro.core.tcpu import METADATA_READERS, PacketContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.port import Port
+
     from .switch import TPPSwitch
 
 Reader = Callable[[PacketContext], Optional[int]]
@@ -42,34 +46,19 @@ _S, _T, _L, _Q, _M = (addressing.SWITCH_FIELDS, addressing.STAGE_FIELDS,
                       addressing.PACKET_METADATA_FIELDS)
 
 
-def _port(name: str):
-    """A ``Link:`` / ``Queue:`` row reading one attribute of the port (the
-    port holds its egress queue's state too)."""
-    get = attrgetter(name)
-    return lambda memory, index: get(memory.switch.ports[index])
-
-
 def _stats(path: str):
     """A ``Link:`` row reading the port's periodically refreshed statistics."""
     get = attrgetter(path)
-    return lambda memory, index: get(memory.switch.port_stats[index])
+    return lambda port: get(port.node.port_stats[port.index])
 
 
-def _port_status(memory: "SwitchMemory", index: int) -> int:
-    port = memory.switch.ports[index]
+def _port_status(port: "Port") -> int:
     return 1 if (port.up and port.link is not None and port.link.up) else 0
 
 
-def _capacity_mbps(memory: "SwitchMemory", index: int) -> int:
-    link = memory.switch.ports[index].link
+def _capacity_mbps(port: "Port") -> int:
+    link = port.link
     return int(link.rate_bps // 1_000_000) if link else 0
-
-
-def _set_app_register(register: int):
-    def write(memory: "SwitchMemory", index: int, value: int) -> bool:
-        memory.app_registers[(index, register)] = value
-        return True
-    return write
 
 
 def _set_output_port(memory: "SwitchMemory", value: int, context: PacketContext) -> bool:
@@ -112,40 +101,40 @@ STAGE_WRITERS = {
     for r in range(8)
 }
 
-#: ``Link$i:`` and packet-relative ``Link:`` — field offset ->
-#: ``row(memory, port_index)`` / ``row(memory, port_index, value)``; the port
-#: index has been range-checked by the caller.
+#: ``Link$i:`` and packet-relative ``Link:`` — field offset -> ``row(port)``
+#: (the port holds its egress queue's state too; ``port.node`` is the
+#: switch); the caller range-checks the index and looks the port up.
 LINK_READERS = {
-    _L["ID"]: lambda memory, index: memory.switch.link_id(index),
-    _L["QueueSizeBytes"]: _port("occupancy_bytes"),
-    _L["QueueSizePackets"]: _port("occupancy_packets"),
-    _L["TX-Bytes"]: _port("tx_bytes"),
-    _L["TX-Packets"]: _port("tx_packets"),
+    _L["ID"]: lambda port: port.node.link_id(port.index),
+    _L["QueueSizeBytes"]: attrgetter("occupancy_bytes"),
+    _L["QueueSizePackets"]: attrgetter("occupancy_packets"),
+    _L["TX-Bytes"]: attrgetter("tx_bytes"),
+    _L["TX-Packets"]: attrgetter("tx_packets"),
     _L["TX-Utilization"]: _stats("tx_utilization_bp"),
-    _L["RX-Bytes"]: _port("rx_bytes"),
-    _L["RX-Packets"]: _port("rx_packets"),
+    _L["RX-Bytes"]: attrgetter("rx_bytes"),
+    _L["RX-Packets"]: attrgetter("rx_packets"),
     _L["RX-Utilization"]: _stats("rx_utilization_bp"),
-    _L["Drop-Bytes"]: _port("bytes_dropped_total"),
-    _L["Drop-Packets"]: _port("packets_dropped_total"),
+    _L["Drop-Bytes"]: attrgetter("bytes_dropped_total"),
+    _L["Drop-Packets"]: attrgetter("packets_dropped_total"),
     _L["PortStatus"]: _port_status,
-    _L["TX-Rate"]: lambda memory, index: int(memory.switch.port_stats[index].transmit.byte_rate),
-    _L["RX-Rate"]: lambda memory, index: int(memory.switch.port_stats[index].receive.byte_rate),
+    _L["TX-Rate"]: lambda port: int(port.node.port_stats[port.index].transmit.byte_rate),
+    _L["RX-Rate"]: lambda port: int(port.node.port_stats[port.index].receive.byte_rate),
     _L["Capacity"]: _capacity_mbps,
-    **{_L[f"AppSpecific_{r}"]:
-       (lambda memory, index, r=r: memory.app_registers.get((index, r), 0))
-       for r in range(8)},
 }
-LINK_WRITERS = {_L[f"AppSpecific_{r}"]: _set_app_register(r) for r in range(8)}
+#: The writable ``Link:`` fields, the per-port application registers: field
+#: offset -> register number.  Their rows take the port like the rest and
+#: read and write the memory's register dict under ``(port.index, register)``.
+LINK_REGISTERS = {_L[f"AppSpecific_{r}"]: r for r in range(8)}
 
 #: ``Queue$i$j:`` and packet-relative ``Queue:`` — rows as for ``Link:``.  The
 #: model keeps one queue per port, so only queue id 0 exists.
 QUEUE_READERS = {
-    _Q["QueueOccupancy"]: _port("occupancy_packets"),
-    _Q["QueueOccupancyBytes"]: _port("occupancy_bytes"),
-    _Q["Drop-Packets"]: _port("packets_dropped_total"),
-    _Q["Drop-Bytes"]: _port("bytes_dropped_total"),
-    _Q["TX-Packets"]: _port("packets_dequeued_total"),
-    _Q["TX-Bytes"]: _port("bytes_dequeued_total"),
+    _Q["QueueOccupancy"]: attrgetter("occupancy_packets"),
+    _Q["QueueOccupancyBytes"]: attrgetter("occupancy_bytes"),
+    _Q["Drop-Packets"]: attrgetter("packets_dropped_total"),
+    _Q["Drop-Bytes"]: attrgetter("bytes_dropped_total"),
+    _Q["TX-Packets"]: attrgetter("packets_dequeued_total"),
+    _Q["TX-Bytes"]: attrgetter("bytes_dequeued_total"),
 }
 
 #: ``PacketMetadata:`` — the readers are :data:`repro.core.tcpu.METADATA_READERS`;
@@ -242,21 +231,35 @@ class SwitchMemory:
                     if put else _read_only)
 
         # Per-port regions: the port is named by the address, or — for the
-        # index-less aliases — taken from the packet each time.
-        if region in ("link", "dynamic_link"):
-            get, put = LINK_READERS.get(offset), LINK_WRITERS.get(offset)
-        else:
-            get = None if decoded.queue_index else QUEUE_READERS.get(offset)
-            put = None
+        # index-less aliases — taken from the packet each time (RX
+        # statistics describe the link the packet arrived on).
         ports = switch.ports
+        links = region in ("link", "dynamic_link")
+        register = LINK_REGISTERS.get(offset) if links else None
+        if register is not None:
+            # The writable per-port fields: the register dict, under
+            # (port index, register).
+            registers = self.app_registers
+
+            def get(port):
+                return registers.get((port.index, register), 0)
+
+            def put(port, value):
+                registers[port.index, register] = value
+                return True
+        else:
+            get = (LINK_READERS.get(offset) if links
+                   else None if decoded.queue_index else QUEUE_READERS.get(offset))
+            put = None
+        if get is None:
+            return _absent, _read_only
         if index is not None:
             def reader(context):
-                return get(self, index) if index < len(ports) else None
+                return get(ports[index]) if index < len(ports) else None
 
             def writer(value, context):
-                return put(self, index, value) if index < len(ports) else False
+                return put(ports[index], value) if index < len(ports) else False
         else:
-            # RX statistics describe the link the packet arrived on.
             port_of = attrgetter(
                 "input_port" if region == "dynamic_link"
                 and addressing.is_dynamic_rx_field(offset) else "output_port")
@@ -267,17 +270,17 @@ class SwitchMemory:
                     if (port is None or not 0 <= port < len(ports)
                             or context.output_queue not in (0, None)):
                         return None
-                    return get(self, port)
+                    return get(ports[port])
             else:
                 def reader(context):
                     port = port_of(context)
                     if port is None or not 0 <= port < len(ports):
                         return None
-                    return get(self, port)
+                    return get(ports[port])
 
             def writer(value, context):
                 port = port_of(context)
                 if port is None or not 0 <= port < len(ports):
                     return False
-                return put(self, port, value)
-        return reader if get else _absent, writer if put else _read_only
+                return put(ports[port], value)
+        return reader, writer if put else _read_only

@@ -81,6 +81,10 @@ class TPPSwitch(Node):
         # repro.core.trace); it may also be toggled later through the
         # ``compile_traces`` property — the Scenario layer does exactly that.
         self.tcpu = TCPU(write_enabled=write_enabled, compile_traces=compile_traces)
+        # The one PacketContext every TPP hop refills: nothing between the
+        # refill and the hop's last read of it can re-enter receive, and no
+        # caller keeps it past the hop.
+        self._context = PacketContext()
         self.port_stats: list[PortStats] = []
         # Same-flow forwarding memo (semantics-preserving; see pipeline docs).
         self._lookup_cache = self.pipeline.lookup_cache()
@@ -173,20 +177,22 @@ class TPPSwitch(Node):
         tpp = packet.tpp
         if tpp is not None and self.tpp_enabled:
             self.tpp_packets_seen += 1
-            # The per-packet context exists only on hops where a TPP will
-            # read it; a bare packet pays nothing for the TCPU.
+            # The switch's one context is refilled, every field (Tables 7/8),
+            # only on hops where a TPP will read it; a bare packet pays
+            # nothing for the TCPU.
             entry = result.matched_entry
-            # One call, positional in field order (Tables 7/8).
-            context = PacketContext(
-                in_index, output_port, 0,
-                entry.entry_id if entry else 0, entry.version if entry else 0,
-                result.matched_stage, tpp.hop_number, packet.vlan,
-                packet.size, self.sim.now)
-            execution = self.tcpu.execute_program(tpp, self.memory, context)
-            if _SKIPPED_PACKET_FULL in execution.statuses:
+            context = self._context
+            context.input_port, context.output_port, context.output_queue = in_index, output_port, 0
+            context.matched_entry_id, context.matched_entry_version = \
+                (entry.entry_id, entry.version) if entry else (0, 0)
+            context.matched_stage, context.hop_number, context.path_id = \
+                result.matched_stage, tpp.hop_number, packet.vlan
+            context.packet_length, context.arrival_time = packet.size, self.sim.now
+            statuses = self.tcpu.execute_program(tpp, self.memory, context)
+            if _SKIPPED_PACKET_FULL in statuses:
                 self.tpps_packet_full += 1
             if self.recorder is not None:
-                self.recorder.on_tpp_exec(self, packet, execution)
+                self.recorder.on_tpp_exec(self, packet, statuses)
             tpp.hop_number += 1                  # TPP.advance_hop, inlined
             # A TPP may have rewritten the packet's output port (Table 2
             # marks it writable); honour the redirection.

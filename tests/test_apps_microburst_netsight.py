@@ -42,6 +42,18 @@ class TestMicroburstTpp:
         assert summary["queue_series"].series((1, 2)) == [(1.25, 5)]
 
 
+    def test_aggregator_skips_a_partial_hop(self):
+        # A hop that ran out of room mid-program leaves fewer than three words.
+        aggregator = MicroburstAggregator("h0")
+        tpp = microburst_tpp(num_hops=3).clone_tpp()
+        for word in (1, 2, 5, 3, 1):
+            tpp.push(word)
+        aggregator.on_tpp(tpp, udp_packet("h0", "h5", 100))
+        summary = aggregator.summarize()
+        assert summary["counters"]["samples"] == 1
+        assert summary["queue_series"].series((1, 2)) == [(0.0, 5)]
+        assert summary["busiest_queues"].counts == {(1, 2): 1}
+
 class TestMicroburstExperiment:
     @pytest.fixture(scope="class")
     def result(self):

@@ -1,10 +1,13 @@
 """Tests for the TPP wire format (header, packet memory, encode/decode)."""
 
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.exceptions import CapacityError, EncodingError
 from repro.core.isa import Instruction, Opcode
-from repro.core.packet_format import (AddressingMode, DEFAULT_WORD_BYTES,
+from repro.core.packet_format import (AddressingMode, DEFAULT_WORD_BYTES, EncapProtocol,
                                       MAX_PACKET_MEMORY_BYTES, TPP, TPP_HEADER_BYTES,
                                       checksum16, make_tpp)
 
@@ -118,6 +121,67 @@ class TestMemoryAccess:
         assert tpp.hop_number == 2
 
 
+def per_word_pushed_words(tpp):
+    """The per-word loop ``pushed_words`` once was: the oracle for TPPs
+    whose stack pointer is word-aligned and inside packet memory."""
+    return [int.from_bytes(tpp.memory[i:i + tpp.word_bytes], "big")
+            for i in range(0, tpp.stack_pointer, tpp.word_bytes)]
+
+
+def per_word_words_by_hop(tpp, values_per_hop):
+    """The per-word loop ``words_by_hop`` once was (same oracle domain, and
+    a hop number no larger than the hops packet memory holds)."""
+    if tpp.mode is AddressingMode.STACK:
+        words = per_word_pushed_words(tpp)
+        return [words[i:i + values_per_hop] for i in range(0, len(words), values_per_hop)]
+    return [[tpp.read_hop_word(offset, hop) or 0 for offset in range(values_per_hop)]
+            for hop in range(tpp.hop_number)]
+
+
+class TestWordExtraction:
+    """``pushed_words`` / ``words_by_hop`` return only words that lie in
+    packet memory: never a word past its end, never a partial word."""
+
+    @given(st.sampled_from([2, 4]), st.sampled_from(list(AddressingMode)),
+           st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**16), st.data())
+    def test_in_range_tpps_match_the_per_word_loop(self, word_bytes, mode, num_hops,
+                                                   values_per_hop, fill, data):
+        tpp = make_tpp(_push_program(1), num_hops=num_hops, mode=mode,
+                       word_bytes=word_bytes, values_per_hop=values_per_hop)
+        tpp.memory[:] = random.Random(fill).randbytes(len(tpp.memory))
+        tpp.stack_pointer = word_bytes * data.draw(
+            st.integers(0, len(tpp.memory) // word_bytes))
+        tpp.hop_number = data.draw(st.integers(0, num_hops))
+        assert tpp.pushed_words() == per_word_pushed_words(tpp)
+        for per_hop in {1, values_per_hop}:
+            assert tpp.words_by_hop(per_hop) == per_word_words_by_hop(tpp, per_hop)
+
+    def test_stack_pointer_past_memory_reads_only_memory(self):
+        # A wire TPP may claim any stack pointer up to 255.
+        tpp = TPP(_push_program(1), bytearray(range(1, 9)), stack_pointer=200)
+        decoded = TPP.decode(tpp.encode())
+        assert decoded.stack_pointer == 200
+        assert decoded.pushed_words() == [0x0102, 0x0304, 0x0506, 0x0708]
+        assert decoded.words_by_hop(3) == [[0x0102, 0x0304, 0x0506], [0x0708]]
+
+    def test_partial_word_below_the_stack_pointer_is_not_returned(self):
+        tpp = TPP(_push_program(1), bytearray(b"\x00\x07\x00\x09"), stack_pointer=3)
+        assert tpp.pushed_words() == [7]
+        tpp = TPP(_push_program(1), bytearray(7), word_bytes=4, stack_pointer=8)
+        assert tpp.pushed_words() == [0]
+
+    def test_hop_mode_returns_only_hops_inside_memory(self):
+        tpp = make_tpp([Instruction(Opcode.LOAD, 0, packet_offset=0)], num_hops=2,
+                       mode=AddressingMode.HOP, initial_values=[4, 5])
+        tpp.hop_number = 5                     # three hops found no room
+        assert tpp.out_of_room
+        assert tpp.words_by_hop(1) == [[4], [5]]
+        assert tpp.words_by_hop(2) == [[4, 5]]   # hop 1's record would run past the end
+        short = TPP(tpp.instructions, bytearray(1), mode=AddressingMode.HOP,
+                    hop_size=2, hop_number=1)
+        assert short.words_by_hop(1) == []
+
+
 class TestEncodeDecode:
     def test_roundtrip(self):
         tpp = make_tpp(_push_program(3), num_hops=4, app_id=42)
@@ -175,6 +239,33 @@ class TestEncodeDecode:
         assert checksum16(b"") == 0xFFFF
         assert checksum16(b"\x00\x00") == 0xFFFF
         assert 0 <= checksum16(b"hello world") <= 0xFFFF
+
+    def test_clone_shares_the_program_and_copies_the_packet(self):
+        tpp = make_tpp([Instruction(Opcode.LOAD, 0x1000, packet_offset=1)], num_hops=3,
+                       mode=AddressingMode.HOP, word_bytes=4, app_id=7,
+                       initial_values=[1, 2, 3], max_instructions=8)
+        tpp.hop_number, tpp.stack_pointer, tpp.version = 2, 4, 3
+        tpp.encap_proto, tpp.execution_halted = EncapProtocol.IPV4, True
+        clone = tpp.clone()
+        assert clone.program is tpp.program
+        # What the constructor-built clone used to be, field by field.
+        rebuilt = TPP(instructions=list(tpp.instructions), memory=bytearray(tpp.memory),
+                      mode=tpp.mode, word_bytes=tpp.word_bytes, hop_number=tpp.hop_number,
+                      stack_pointer=tpp.stack_pointer, hop_size=tpp.hop_size,
+                      app_id=tpp.app_id, encap_proto=tpp.encap_proto, version=tpp.version,
+                      max_instructions=tpp.max_instructions)
+        for name in ("instructions", "memory", "mode", "word_bytes", "hop_number",
+                     "stack_pointer", "hop_size", "app_id", "encap_proto", "version",
+                     "max_instructions", "execution_halted", "num_hops_capacity"):
+            assert getattr(clone, name) == getattr(rebuilt, name), name
+        assert clone == rebuilt and not clone.execution_halted
+        clone.memory[0] ^= 0xFF
+        clone.write_hop_word(0, 99, hop=1)
+        assert tpp.memory == rebuilt.memory != clone.memory
+        with pytest.raises(TypeError):
+            clone.instructions[0] = Instruction(Opcode.NOP, 0)
+        with pytest.raises(AttributeError):
+            clone.word_bytes = 2
 
     def test_clone_is_independent(self):
         tpp = make_tpp(_push_program(2), num_hops=2)

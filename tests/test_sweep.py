@@ -15,11 +15,16 @@ import pickle
 import re
 import time
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.apps.conga import conga_scenario
 from repro.apps.netsight import netsight_scenario
 from repro.apps.rcp import rcp_scenario
+from repro.core.compiler import compile_tpp
+from repro.core.isa import Instruction
+from repro.core.packet_format import TPP, AddressingMode, EncapProtocol
 from repro.session import (ResultSummary, Scenario, ScenarioSpec, SpecError,
                            UnknownRegistration, register_workload,
                            spec_jsonable)
@@ -170,6 +175,72 @@ class TestFingerprintPins:
         # A pickle-hashed leaf would tie the pin to one Python's pickle bytes.
         assert "pickle_blake2b" not in json.dumps(spec_jsonable(spec))
         assert spec.fingerprint() == pin
+
+
+@dataclass
+class TPPFields:
+    """The oracle for a TPP's canonical rendering: a dataclass with the
+    constructor's parameters as fields, rendered the way every dataclass is."""
+
+    instructions: list[Instruction]
+    memory: bytearray
+    mode: AddressingMode
+    word_bytes: int
+    hop_number: int
+    stack_pointer: int
+    hop_size: int
+    app_id: int
+    encap_proto: EncapProtocol
+    version: int
+    execution_halted: bool
+    max_instructions: int
+
+    @classmethod
+    def of(cls, tpp):
+        return cls(list(tpp.instructions), tpp.memory, tpp.mode, tpp.word_bytes,
+                   tpp.hop_number, tpp.stack_pointer, tpp.hop_size, tpp.app_id,
+                   tpp.encap_proto, tpp.version, tpp.execution_halted,
+                   tpp.max_instructions)
+
+
+class TestTPPRendering:
+    """A spec carrying a program renders its TPP field by field, like a
+    dataclass: every field of the program and of the packet moves the
+    fingerprint.  (No hex pin: the packet memory is a pickle-hashed leaf.)"""
+
+    def test_tpp_renders_field_by_field(self):
+        compiled = compile_tpp("PUSH [Switch:SwitchID]\nPUSH [Queue:QueueOccupancy]",
+                               num_hops=4)
+        hop = TPP(list(compiled.tpp.instructions), bytearray(12), mode=AddressingMode.HOP,
+                  hop_size=4, app_id=3, max_instructions=6)
+        for tpp in (compiled.tpp, hop, hop.clone()):
+            rendered = spec_jsonable(tpp)
+            assert rendered == {**spec_jsonable(TPPFields.of(tpp)), "__type__": "TPP"}
+            assert rendered["max_instructions"] == tpp.max_instructions
+        rendered = spec_jsonable(compiled)
+        assert rendered["__type__"] == "CompiledTPP"
+        assert rendered["tpp"] == spec_jsonable(compiled.tpp)
+
+    def test_every_field_moves_the_fingerprint(self):
+        compiled = compile_tpp("PUSH [Switch:SwitchID]", num_hops=4)
+
+        def fingerprint(**changes):
+            tpp = compiled.tpp
+            kwargs = dict(instructions=tpp.instructions, memory=bytearray(tpp.memory),
+                          mode=tpp.mode, word_bytes=tpp.word_bytes,
+                          hop_size=tpp.hop_size, max_instructions=tpp.max_instructions)
+            kwargs.update(changes)
+            return Scenario("dumbbell").tpp("t", TPP(**kwargs)).to_spec().fingerprint()
+
+        base = fingerprint()
+        assert fingerprint() == base
+        moved = [fingerprint(instructions=[*compiled.tpp.instructions] * 2),
+                 fingerprint(memory=bytearray(len(compiled.tpp.memory) + 2)),
+                 fingerprint(mode=AddressingMode.HOP, hop_size=2),
+                 fingerprint(word_bytes=4), fingerprint(hop_number=1),
+                 fingerprint(stack_pointer=2), fingerprint(app_id=7),
+                 fingerprint(version=2), fingerprint(max_instructions=9)]
+        assert len({base, *moved}) == len(moved) + 1
 
 
 class TestDeclareTimeChecks:

@@ -1,6 +1,7 @@
 """Tests for the TPP-capable switch: forwarding, memory map, TPP execution."""
 
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -215,8 +216,9 @@ class TestKnobValidation:
         assert getattr(TPPSwitch(Simulator(), "s9", switch_id=9, **{knob: value}), knob) == value
 
 
-class TestLazyPacketContext:
-    """A PacketContext is built only on a hop where a TPP will read it."""
+class TestReusedPacketContext:
+    """Each switch builds one PacketContext, at construction, and refills it
+    only on a hop where a TPP will read it."""
 
     N = 12
 
@@ -246,20 +248,54 @@ class TestLazyPacketContext:
         assert net.switches["s1"].packets_forwarded == self.N
         return net.switches["s1"]
 
-    def test_bare_packets_build_no_context(self, built):
+    def test_bare_packets_leave_the_context_untouched(self, built):
         switch = self.run_packets(with_tpp=False)
-        assert len(built) == 0
+        assert built == [switch._context]
+        assert astuple(switch._context) == astuple(PacketContext())
         assert switch.tpp_packets_seen == 0
 
-    def test_tpp_disabled_switch_builds_no_context(self, built):
+    def test_tpp_disabled_switch_leaves_the_context_untouched(self, built):
         switch = self.run_packets(with_tpp=True, tpp_enabled=False)
-        assert len(built) == 0
+        assert built == [switch._context]
+        assert astuple(switch._context) == astuple(PacketContext())
         assert switch.tpp_packets_seen == 0
 
-    def test_one_context_per_tpp_hop(self, built):
+    def test_one_context_per_switch_however_many_tpp_hops(self, built):
         switch = self.run_packets(with_tpp=True)
-        assert len(built) == self.N
+        assert built == [switch._context]
+        assert switch._context.arrival_time > 0
         assert switch.tpp_packets_seen == self.N
+
+    def test_second_tpp_sees_its_own_metadata_not_the_first_ones_writes(self):
+        # The first TPP stores PathID and OutputQueue and redirects h1's
+        # packet to h2; the second, through the same refilled context, reads
+        # its own VLAN tag, queue 0 and its own route to h1.
+        sim = Simulator()
+        net = Network(sim)
+        for name in ("h0", "h1", "h2"):
+            net.add_host(name)
+        net.add_switch("s1")
+        for name in ("h0", "h1", "h2"):
+            net.connect(name, "s1", rate_bps=mbps(10))
+        net.install_shortest_path_routes()
+        net.hosts["h1"].keep_received_log = True
+        (port_to_h1,), (port_to_h2,) = (net.ports_towards("s1", h) for h in ("h1", "h2"))
+        writer = compile_tpp("STORE [PacketMetadata:PathID], [Packet:Hop[0]]\n"
+                             "STORE [PacketMetadata:OutputQueue], [Packet:Hop[1]]\n"
+                             "STORE [PacketMetadata:OutputPort], [Packet:Hop[2]]",
+                             num_hops=1, initial_values=[77, 3, port_to_h2])
+        reader = compile_tpp("PUSH [PacketMetadata:PathID]\n"
+                             "PUSH [PacketMetadata:OutputQueue]\n"
+                             "PUSH [PacketMetadata:OutputPort]", num_hops=1)
+        for compiled, vlan in ((writer, 9), (reader, 5)):
+            packet = udp_packet("h0", "h1", 100, vlan=vlan)
+            packet.attach_tpp(compiled.clone_tpp())
+            net.hosts["h0"].send(packet)
+        sim.run(until=0.01)
+        assert net.hosts["h2"].packets_received == 1
+        assert net.hosts["h1"].packets_received == 1
+        assert net.hosts["h1"].received_log[-1].tpp.pushed_words() == [5, 0, port_to_h1]
+        assert net.switches["s1"].tpp_packets_seen == 2
 
     def test_every_packet_metadata_field_reads_the_forwarding_state(self):
         # All ten [PacketMetadata:*] fields (Table 2), five PUSHes a TPP —

@@ -317,7 +317,7 @@ class TestExecuteProgramFastPath:
         tcpu = TCPU()
         slow = tcpu.execute(slow_tpp, DictMemory({a: 5, b: 9}), PacketContext())
         fast = tcpu.execute_program(fast_tpp, DictMemory({a: 5, b: 9}), PacketContext())
-        assert slow.statuses == fast.statuses
+        assert slow.statuses == fast
         assert slow_tpp.pushed_words() == fast_tpp.pushed_words()
 
     def test_clones_share_one_cached_plan(self):
@@ -350,7 +350,7 @@ class TestExecuteProgramFastPath:
             pushed.extend(tpp.pushed_words())
         assert pushed == [1, 2, 1, 2]
         assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (2, 2)
-        assert {key[3] for key in tcpu._plan_cache} == {id(first), id(second)}
+        assert {key[1] for key in tcpu._plan_cache} == {id(first), id(second)}
 
         pinned = weakref.ref(second)
         del second, memory

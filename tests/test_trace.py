@@ -18,8 +18,8 @@ and on a cache hit.  This file holds:
   and through ``TPPSwitch.receive`` on a k=4 fat-tree, where the packet
   must be delivered or counted once in a drop ledger;
 * resolver equivalence checks against a real switch's ``SwitchMemory``;
-* regression tests for the cache-keying contract: a mutated (non-template)
-  program, changed word size / addressing mode / hop size, or a flipped
+* regression tests for the cache-keying contract: a different program,
+  changed word size / addressing mode / hop size, or a flipped
   write-enable knob can never hit a stale plan or trace;
 * plumbing tests for the ``compile_traces`` toggle through ``TPPSwitch``,
   ``DataplaneShim`` eligibility accounting, and ``Scenario``.
@@ -131,7 +131,8 @@ def run_all_engines(program, *, word_bytes, mode, num_hops, hop_number,
     twice: a cache miss on a clone of the template, then — after flipping
     ``write_enabled`` when ``flip_write`` is set — a cache hit (a miss after
     a flip) on a second clone one hop further along.  Returns per engine
-    ``(runs, memory, tcpu)``, with ``(result, tpp, context)`` per run.
+    ``(runs, memory, tcpu)``, with ``(result, tpp, context)`` per run: the
+    interpreter's ``ExecutionResult``, the other engines' statuses list.
     """
     values_per_hop = 3                      # room for offsets 0..2, plus slack
     template = make_tpp(program, num_hops=num_hops, mode=mode,
@@ -167,8 +168,8 @@ def assert_engines_agree(outcomes):
     for runs, memory, tcpu in others:
         for reference, run in zip(reference_runs, runs):
             (ref_result, ref_tpp, ref_context), (result, tpp, context) = reference, run
-            assert result.statuses == ref_result.statuses
-            assert result.halted == ref_result.halted
+            assert result == ref_result.statuses
+            assert ref_result.halted == (InstructionStatus.FAILED_CONDITION in result)
             assert tpp.memory == ref_tpp.memory
             assert tpp.stack_pointer == ref_tpp.stack_pointer
             assert tpp.hop_number == ref_tpp.hop_number
@@ -254,24 +255,30 @@ class TestDecodedAbsurdTPPs:
 
     @given(wire_tpps())
     def test_bound_plan_matches_interpreter_on_a_switch(self, data):
-        reference = TPP.decode(data)
-        subject = reference.clone()
+        template = TPP.decode(data)
         reference_switch, switch = fresh_switch(), fresh_switch()
         interpreter = TCPU()
-        for _ in range(2):                 # a plan miss, then a hit a hop on
-            reference_context = PacketContext(1, 2, 0, 3, 1, 0, reference.hop_number,
-                                              9, 700, 1.5)
-            context = PacketContext(1, 2, 0, 3, 1, 0, subject.hop_number, 9, 700, 1.5)
-            expected = interpreter.execute(reference, reference_switch.memory,
-                                           reference_context)
-            got = switch.tcpu.execute_program(subject, switch.memory, context)
-            assert len(got.statuses) == len(subject.instructions)
-            assert all(isinstance(status, InstructionStatus) for status in got.statuses)
-            assert got == expected
-            assert subject == reference
-            assert context == reference_context
-            reference.advance_hop()
-            subject.advance_hop()
+        for later in (0, 1):       # two clones of one program: a miss, then hits
+            reference, subject = TPP.decode(data), template.clone()
+            assert subject.program is template.program
+            reference.hop_number += later
+            subject.hop_number += later
+            for _ in range(2):     # each clone a hop on, over what its last hop wrote
+                reference_context = PacketContext(1, 2, 0, 3, 1, 0, reference.hop_number,
+                                                  9, 700, 1.5)
+                context = PacketContext(1, 2, 0, 3, 1, 0, subject.hop_number, 9, 700, 1.5)
+                expected = interpreter.execute(reference, reference_switch.memory,
+                                               reference_context)
+                got = switch.tcpu.execute_program(subject, switch.memory, context)
+                assert len(got) == len(subject.instructions)
+                assert all(isinstance(status, InstructionStatus) for status in got)
+                assert got == expected.statuses
+                assert expected.halted == (InstructionStatus.FAILED_CONDITION in got)
+                assert subject == reference
+                assert context == reference_context
+                reference.advance_hop()
+                subject.advance_hop()
+        assert (switch.tcpu.plan_cache_misses, switch.tcpu.plan_cache_hits) == (1, 3)
         assert memory_state(switch.memory) == memory_state(reference_switch.memory)
         assert switch.tcpu.instructions_executed == interpreter.instructions_executed
 
@@ -373,43 +380,46 @@ class TestEligibility:
         tpp = make_tpp(program, num_hops=1, mode=AddressingMode.HOP,
                        values_per_hop=3, initial_values=[0xFFFF, 7, 0])
         tcpu = TCPU(compile_traces=True)
-        result = tcpu.execute_program(tpp, DictMemory({0x0000: 7}), PacketContext())
-        assert result.statuses == [InstructionStatus.EXECUTED]
+        statuses = tcpu.execute_program(tpp, DictMemory({0x0000: 7}), PacketContext())
+        assert statuses == [InstructionStatus.EXECUTED]
         assert tcpu.trace_fallbacks == 1
         assert tcpu.trace_executions == 0
 
 
 class TestCacheKeying:
-    """A mutated (non-template) program must never hit a stale plan/trace."""
+    """A TPP with a different program must never hit a stale plan/trace."""
 
     def _memory(self):
         return DictMemory(PRESENT, READ_ONLY)
 
-    def test_instruction_replacement_misses_plan_cache(self):
+    def test_different_program_misses_plan_cache(self):
         a = addressing.resolve("[Switch:SwitchID]")
         tcpu = TCPU()
         tpp = compile_tpp("PUSH [Switch:SwitchID]\nPUSH [Switch:VersionNumber]").tpp
         memory = DictMemory({a: 5})
         tcpu.execute_program(tpp, memory, PacketContext())
         assert tpp.pushed_words() == [5]
-        # In-place mutation: same list object, new instruction object.
-        tpp.instructions[1] = Instruction(Opcode.PUSH, a)
-        mutated = tpp.clone()
-        mutated.stack_pointer = 0
-        tcpu.execute_program(mutated, DictMemory({a: 9}), PacketContext())
-        assert mutated.pushed_words() == [9, 9]     # stale plan would push once
+        # One instruction replaced, same memory: a new program object.
+        replaced = TPP([tpp.instructions[0], Instruction(Opcode.PUSH, a)],
+                       bytearray(len(tpp.memory)))
+        memory.values[a] = 9
+        tcpu.execute_program(replaced, memory, PacketContext())
+        assert replaced.pushed_words() == [9, 9]     # stale plan would push once
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (2, 0)
 
-    def test_instruction_append_misses_plan_cache(self):
+    def test_grown_program_misses_trace_cache(self):
         a = addressing.resolve("[Switch:SwitchID]")
         tcpu = TCPU(compile_traces=True)
         tpp = compile_tpp("PUSH [Switch:SwitchID]").tpp
-        tcpu.execute_program(tpp, DictMemory({a: 1}), PacketContext())
-        tpp.instructions.append(Instruction(Opcode.PUSH, a))
-        grown = tpp.clone()
-        grown.stack_pointer = 0
-        result = tcpu.execute_program(grown, DictMemory({a: 2}), PacketContext())
-        assert len(result.statuses) == 2
+        memory = DictMemory({a: 1})
+        tcpu.execute_program(tpp, memory, PacketContext())
+        grown = TPP([*tpp.instructions, Instruction(Opcode.PUSH, a)],
+                    bytearray(len(tpp.memory)))
+        memory.values[a] = 2
+        statuses = tcpu.execute_program(grown, memory, PacketContext())
+        assert len(statuses) == 2
         assert grown.pushed_words() == [2, 2]
+        assert (tcpu.trace_cache_misses, tcpu.traces_compiled) == (2, 2)
 
     def test_word_bytes_change_recompiles(self):
         address = addressing.resolve("[PacketMetadata:ArrivalTimestamp]")
@@ -461,18 +471,18 @@ class TestCacheKeying:
             memory = self._memory()
             return tcpu.execute_program(tpp, memory, PacketContext()), memory
 
-        result, memory = run()
-        assert result.statuses == [InstructionStatus.EXECUTED]
+        statuses, memory = run()
+        assert statuses == [InstructionStatus.EXECUTED]
         assert memory.values[0x1010] == 55
 
         tcpu.write_enabled = False
-        result, memory = run()
-        assert result.statuses == [InstructionStatus.SKIPPED_WRITE_DISABLED]
+        statuses, memory = run()
+        assert statuses == [InstructionStatus.SKIPPED_WRITE_DISABLED]
         assert memory.values[0x1010] == 0
 
         tcpu.write_enabled = True
-        result, memory = run()
-        assert result.statuses == [InstructionStatus.EXECUTED]
+        statuses, memory = run()
+        assert statuses == [InstructionStatus.EXECUTED]
         assert memory.values[0x1010] == 55
 
     def test_equal_content_different_objects_share_one_compiled_program(self):
