@@ -79,7 +79,7 @@ class LossLocalizationAggregator(Aggregator):
         super().__init__(host_name)
         #: Adjacent-hop diffs computed so far (the summary's ``samples``).
         self.deficit_samples = 0
-        #: Directed (upstream sid, downstream sid) -> max deficit observed.
+        #: Directed (sending sid, receiving sid) -> max deficit observed.
         self.link_deficits: dict[tuple[int, int], int] = {}
 
     def on_tpp(self, tpp: TPP, packet: Packet) -> None:
@@ -90,9 +90,9 @@ class LossLocalizationAggregator(Aggregator):
                 continue
             hops.append(HopRecord(switch_id=words[0], rx_packets=words[1],
                                   tx_packets=words[2]))
-        for upstream, downstream in zip(hops, hops[1:]):
-            pair = (upstream.switch_id, downstream.switch_id)
-            deficit = upstream.tx_packets + 1 - downstream.rx_packets
+        for sender, receiver in zip(hops, hops[1:]):
+            pair = (sender.switch_id, receiver.switch_id)
+            deficit = sender.tx_packets + 1 - receiver.rx_packets
             self.deficit_samples += 1
             if deficit > self.link_deficits.get(pair, -(1 << 62)):
                 self.link_deficits[pair] = deficit

@@ -12,9 +12,8 @@ This package is that deployment model, reproduced:
 * :mod:`repro.collect.delta` — the delta-channel wire format: per-source
   epoch diffs with sequence numbers and cumulative-resync fallback;
 * :mod:`repro.collect.shard` — :class:`CollectorShard` end-host services
-  with batching, per-epoch flushes, delta replay, and explicit
-  backpressure/load-shedding policies (:class:`ShedSpec`) with per-policy
-  drop accounting;
+  with batching, per-epoch flushes, delta replay, and a bounded buffer
+  whose tail drops are counted by reason;
 * :mod:`repro.collect.virtual` — the :class:`VirtualCollector` front door
   and :class:`CollectPlane`, which consistently hash (app, host, key)
   across the tier and reconstruct the global view with an
@@ -34,8 +33,8 @@ from repro import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "delta": ("DeltaChannel", "DeltaDecoder", "SummaryDelta",
               "delta_wire_bytes"),
-    "shard": ("COLLECT_UDP_PORT_BASE", "CollectorShard", "SHED_POLICIES",
-              "ShedSpec", "Submission", "summary_wire_bytes"),
+    "shard": ("COLLECT_UDP_PORT_BASE", "CollectorShard", "Submission",
+              "summary_wire_bytes"),
     "summary": ("CounterSummary", "HistogramSummary", "MergeableSummary",
                 "SUMMARY_TYPES", "SeriesSummary", "SummaryBundle",
                 "TopKSummary", "fold", "merge_summaries", "register_summary",

@@ -15,8 +15,9 @@ when the receiver detects a gap.
 * :class:`DeltaChannel` — the sender side, one per (app, host, key)
   source.  ``encode(current)`` snapshots the summary, emits a delta
   against the previous snapshot (or a full keyframe on first send, on
-  request, every ``resync_every`` sends, and whenever the type cannot
-  express the transition), and advances the channel sequence.
+  request — the plane sets ``needs_full`` on a shard's NACK — and whenever
+  the type cannot express the transition), and advances the channel
+  sequence.
 * :class:`DeltaDecoder` — the receiver side, shared by one
   :class:`~repro.collect.shard.CollectorShard`.  ``decode`` replays units
   in sequence order onto per-channel reconstructed state; a unit whose
@@ -133,14 +134,12 @@ class SummaryDelta:
 class DeltaChannel:
     """Per-source encoder state: previous snapshot + sequence counter."""
 
-    __slots__ = ("seq", "prev", "needs_full", "resync_every",
-                 "fulls_sent", "deltas_sent")
+    __slots__ = ("seq", "prev", "needs_full", "fulls_sent", "deltas_sent")
 
-    def __init__(self, resync_every: int = 0) -> None:
+    def __init__(self) -> None:
         self.seq = 0
         self.prev: Optional[Any] = None
         self.needs_full = True              # first send is always a keyframe
-        self.resync_every = resync_every
         self.fulls_sent = 0
         self.deltas_sent = 0
 
@@ -149,8 +148,7 @@ class DeltaChannel:
         snapshot = summary_copy(current)
         self.seq += 1
         unit = None
-        if not self.needs_full and not (
-                self.resync_every and self.seq % self.resync_every == 0):
+        if not self.needs_full:
             differ = getattr(snapshot, "diff", None)
             if callable(differ):
                 try:

@@ -12,16 +12,15 @@ or as UDP summary packets delivered by the simulated network, and:
   and at finish — the deferred mode),
 * **flushes on epochs** when attached to a simulator with an epoch period
   (the fold runs at every epoch boundary regardless of batch fill),
-* **sheds under backpressure** via an explicit :class:`ShedSpec` policy —
-  submissions arriving while the buffer is at ``capacity`` either evict a
-  queued entry or are rejected, and every shed is accounted in ``dropped``
-  *and* broken down in ``drops_by_policy`` (mirroring
+* **sheds under backpressure** — a submission arriving while the buffer
+  is at ``capacity`` is rejected (tail drop), accounted in ``dropped``
+  *and* broken down by reason in ``drops_by_policy`` (mirroring
   ``repro.net.port.Port.drops_by_reason``).  The accounting identity —
   ``submitted == delivered + dropped + len(pending)`` — holds at every
-  instant, under every policy (property-tested).  Note the interplay with
-  batching: a synchronous batch fold empties the buffer at ``batch``
-  entries, so the bound only bites when folding is deferred
-  (``batch=None``) or ``capacity < batch``,
+  instant (property-tested).  Note the interplay with batching: a
+  synchronous batch fold empties the buffer at ``batch`` entries, so the
+  bound only bites when folding is deferred (``batch=None``) or
+  ``capacity < batch``,
 * **replays delta channels**: submissions carrying a
   :class:`~repro.collect.delta.SummaryDelta` are decoded at fold time
   through the shard's :class:`~repro.collect.delta.DeltaDecoder`; a unit
@@ -43,7 +42,7 @@ or level by level up an aggregation tree).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _replace
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro import check_count
 from repro.net.packet import Packet
@@ -52,7 +51,7 @@ from .delta import DeltaDecoder, SummaryDelta, summary_wire_bytes
 from .summary import SummaryBundle, _canonical_key, fold
 
 __all__ = ["COLLECT_UDP_PORT_BASE", "CollectorShard", "ENVELOPE_BYTES",
-           "SHED_POLICIES", "ShedSpec", "Submission", "summary_wire_bytes"]
+           "Submission", "summary_wire_bytes"]
 
 #: Base UDP destination port for summary packets; shard ``i`` listens on
 #: ``COLLECT_UDP_PORT_BASE + i`` so shards sharing a host stay distinct.
@@ -61,43 +60,11 @@ COLLECT_UDP_PORT_BASE = 0x6668
 #: Fixed per-submission envelope estimate (addresses, app id, key, time).
 ENVELOPE_BYTES = 32
 
-#: Registered load-shedding policies, in menu order.
-SHED_POLICIES = ("drop-newest", "drop-oldest", "sample", "priority-keys")
+#: Drop reason for an arrival rejected by a full shard buffer (tail drop).
+TAIL_DROP_REASON = "drop-newest"
 
 #: Drop reason used for delta units discarded on sequence gaps.
 DELTA_GAP_REASON = "delta-gap"
-
-
-@dataclass(frozen=True)
-class ShedSpec:
-    """Backpressure policy for a full shard buffer (sweepable knobs).
-
-    * ``drop-newest`` — reject the arriving submission (tail drop; the
-      pre-existing behaviour and the default).
-    * ``drop-oldest`` — evict the oldest queued submission to admit the
-      new one (freshest-data-wins, the natural fit for cumulative
-      snapshots).
-    * ``sample`` — admit one arriving submission in ``sample_stride``
-      (by front-door sequence, so the choice is deterministic), evicting
-      the oldest to make room; reject the rest.
-    * ``priority-keys`` — evict the oldest queued submission whose part
-      key is *not* in ``priority``; when everything queued is priority
-      traffic, admit only priority arrivals (evicting the oldest).
-    """
-
-    policy: str = "drop-newest"
-    sample_stride: int = 2
-    priority: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.policy not in SHED_POLICIES:
-            raise ValueError(f"unknown shed policy {self.policy!r}; "
-                             f"choose from {SHED_POLICIES}")
-        check_count("sample_stride", self.sample_stride)
-        if isinstance(self.priority, str):
-            raise ValueError("priority must be a sequence of part keys, "
-                             "not a bare string")
-        object.__setattr__(self, "priority", tuple(self.priority))
 
 
 def check_buffer_knobs(batch: Optional[int], capacity: int) -> None:
@@ -106,18 +73,6 @@ def check_buffer_knobs(batch: Optional[int], capacity: int) -> None:
     if batch is not None:
         check_count("batch", batch)
     check_count("capacity", capacity)
-
-
-def as_shed_spec(shed: Union[str, ShedSpec, None]) -> ShedSpec:
-    """Normalise the scenario-facing knob: name, spec, or None (default)."""
-    if shed is None:
-        return ShedSpec()
-    if isinstance(shed, str):
-        return ShedSpec(policy=shed)
-    if isinstance(shed, ShedSpec):
-        return shed
-    raise TypeError(f"shed must be a policy name or a ShedSpec; "
-                    f"got {type(shed).__name__}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +96,12 @@ class CollectorShard:
     """One shard of the collection tier: batch, fold, flush, shed, account."""
 
     def __init__(self, index: int, *, batch: Optional[int] = 64,
-                 capacity: int = 4096, name: Optional[str] = None,
-                 shed: Union[str, ShedSpec, None] = None) -> None:
+                 capacity: int = 4096, name: Optional[str] = None) -> None:
         check_buffer_knobs(batch, capacity)
         self.index = index
         self.name = name if name is not None else f"shard{index}"
         self.batch = batch
         self.capacity = capacity
-        self.shed = as_shed_spec(shed)
         self.pending: list[Submission] = []
         # (app, host, key) -> newest Submission from that source.
         self.state: dict[tuple, Submission] = {}
@@ -163,7 +116,7 @@ class CollectorShard:
         self.submitted = 0          # every arrival at ingest()
         self.received = 0           # arrivals admitted into the buffer
         self.delivered = 0          # submissions folded into merged state
-        self.dropped = 0            # shed at admission, evicted, or gapped
+        self.dropped = 0            # rejected at admission, or gapped
         self.drops_by_policy: dict[str, int] = {}
         self.bytes_received = 0
         self.flushes = 0
@@ -175,8 +128,8 @@ class CollectorShard:
     def ingest(self, submission: Submission) -> bool:
         """Accept one submission into the batch buffer; False on drop."""
         self.submitted += 1
-        if len(self.pending) >= self.capacity and not self._make_room(submission):
-            self._count_drop(self.shed.policy)
+        if len(self.pending) >= self.capacity:
+            self._count_drop(TAIL_DROP_REASON)
             return False
         self.received += 1
         self.bytes_received += ENVELOPE_BYTES + summary_wire_bytes(submission.summary)
@@ -184,38 +137,6 @@ class CollectorShard:
         if self.batch is not None and len(self.pending) >= self.batch:
             self.flush(kind="batch")
         return True
-
-    def _make_room(self, incoming: Submission) -> bool:
-        """Apply the shed policy to a full buffer; True admits ``incoming``.
-
-        Evictions are charged to this shard's ``dropped`` (the evicted
-        submission was already counted ``received``, and will now never be
-        delivered), keeping the accounting identity exact.
-        """
-        policy = self.shed.policy
-        if policy == "drop-oldest":
-            self._evict(0)
-            return True
-        if policy == "sample":
-            if incoming.seq % self.shed.sample_stride:
-                return False
-            self._evict(0)
-            return True
-        if policy == "priority-keys":
-            priority = self.shed.priority
-            for position, queued in enumerate(self.pending):
-                if queued.key not in priority:
-                    self._evict(position)
-                    return True
-            if incoming.key in priority:
-                self._evict(0)
-                return True
-            return False
-        return False                        # drop-newest: reject the arrival
-
-    def _evict(self, position: int) -> None:
-        del self.pending[position]
-        self._count_drop(self.shed.policy)
 
     def _count_drop(self, reason: str) -> None:
         self.dropped += 1
@@ -303,7 +224,7 @@ class CollectorShard:
         happened to shed.
         """
         drops = {f"drops.{reason}": self.drops_by_policy.get(reason, 0)
-                 for reason in SHED_POLICIES + (DELTA_GAP_REASON,)}
+                 for reason in (TAIL_DROP_REASON, DELTA_GAP_REASON)}
         return {
             "submitted": self.submitted,
             "received": self.received,

@@ -10,13 +10,11 @@ and load-balances it; this module reproduces that shape:
   ``delta=True`` — see :mod:`repro.collect.delta`), the epoch schedule,
   and the global merge: shard views folded level by level, ``fanin`` at a
   time (:class:`TreeSpec`; a flat plane is the one-level case).
-* :class:`VirtualCollector` is the per-application front door.  It keeps
-  the legacy :class:`repro.endhost.aggregator.Collector` surface —
-  ``submit(host, summary, time)``, the ``summaries`` list, ``len()`` — so
-  a single-shard inline plane is byte-identical to the unsharded path
-  (asserted by the differential tests), while also splitting each summary
-  into keyed parts and consistently hashing ``(app, host, key)`` across
-  the shards.
+* :class:`VirtualCollector` is the per-application front door:
+  ``submit(host, summary, time)`` counts the submission, splits the
+  summary into keyed parts and consistently hashes ``(app, host, key)``
+  across the shards.  It keeps no log of what it was handed; the shards'
+  last-writer-wins state is the tier's only memory.
 
 Sharding is semantics-preserving because (a) a given (app, host, key)
 always lands on the same shard, so last-writer-wins replacement is local
@@ -48,7 +46,7 @@ from repro.net.packet import (ETHERNET_HEADER_BYTES, IPV4_HEADER_BYTES,
 
 from .delta import DeltaChannel, summary_wire_bytes
 from .shard import (COLLECT_UDP_PORT_BASE, ENVELOPE_BYTES, CollectorShard,
-                    ShedSpec, Submission, as_shed_spec, check_buffer_knobs)
+                    Submission, check_buffer_knobs)
 from .summary import SummaryBundle, _canonical_key, fold
 
 #: Transports the plane understands.
@@ -72,7 +70,8 @@ class TreeSpec:
 
 def check_plane_knobs(shard_count: int, transport: str,
                       epoch_s: Optional[float], batch: Optional[int],
-                      capacity: int, delta_resync_every: int) -> None:
+                      capacity: int, hosts: Optional[list[str]],
+                      delta: bool) -> None:
     """Reject a collector-tier shape: the one copy of these checks, run by
     :class:`CollectPlane` when built and by the session's ``CollectorSpec``
     when a scenario declares it."""
@@ -80,11 +79,17 @@ def check_plane_knobs(shard_count: int, transport: str,
     if transport not in TRANSPORTS:
         raise ValueError(f"unknown transport {transport!r}; "
                          f"choose from {TRANSPORTS}")
-    if epoch_s is not None and not 0.0 < epoch_s < math.inf:
+    if epoch_s is not None and (isinstance(epoch_s, bool)
+                                or not isinstance(epoch_s, (int, float))
+                                or not 0.0 < epoch_s < math.inf):
         raise ValueError(f"epoch_s must be finite and positive when set, "
                          f"got {epoch_s!r}")
     check_buffer_knobs(batch, capacity)
-    check_count("delta_resync_every", delta_resync_every, minimum=0)
+    if isinstance(hosts, str):
+        raise ValueError(f"hosts must be a list of host names, not the bare "
+                         f"string {hosts!r}")
+    if not isinstance(delta, bool):
+        raise ValueError(f"delta must be a bool, got {delta!r}")
 
 
 def as_tree_spec(tree: Union[int, TreeSpec, None]) -> Optional[TreeSpec]:
@@ -112,41 +117,19 @@ def shard_index(app: str, host: str, key: Any, shard_count: int) -> int:
 
 
 class VirtualCollector:
-    """The per-application face of the plane; drop-in for ``Collector``.
-
-    Submissions are recorded front-door (the legacy ``summaries`` list and
-    an optional ``downstream`` collector see exactly what the unsharded
-    path would), then split into parts and routed to the shard tier.
-    """
+    """The per-application face of the plane: count, split, route."""
 
     def __init__(self, plane: "CollectPlane", app: str,
-                 name: Optional[str] = None,
-                 downstream: Optional[Any] = None,
-                 retain: bool = True) -> None:
+                 name: Optional[str] = None) -> None:
         self.plane = plane
         self.app = app
         self.name = name if name is not None else f"{app}-collector"
-        self.downstream = downstream
-        # retain=False drops the front-door log (shard state is LWW-bounded
-        # either way): under epoch pushes the log would otherwise hold every
-        # cumulative snapshot of every host — O(epochs x summary size).
-        self.retain = retain
-        self.summaries: list[tuple[str, Any]] = []
-        self.submission_times: list[float] = []
         self.submitted = 0
 
     def submit(self, host_name: str, summary: Any, time: float = 0.0) -> None:
         """Receive one summary from a host's aggregator and shard it."""
-        if self.retain:
-            self.summaries.append((host_name, summary))
-            self.submission_times.append(time)
         self.submitted += 1
-        if self.downstream is not None:
-            self.downstream.submit(host_name, summary, time)
         self.plane.route(self.app, host_name, summary, time)
-
-    def __len__(self) -> int:
-        return len(self.summaries)
 
     # ------------------------------------------------------------------ views
     def merge(self, flush: bool = True) -> dict[Any, Any]:
@@ -188,7 +171,6 @@ class PlaneStats:
     resync_requests: int = 0
     drops_by_policy: dict = field(default_factory=dict)
     tree_levels: int = 0
-    tree_node_merges: int = 0
     per_shard: list[dict] = field(default_factory=list)
 
 
@@ -211,41 +193,26 @@ class CollectPlane:
             configuration where ``capacity`` backpressure actually bites).
         shard_hosts: explicit placement for the network transport; defaults
             to round-robin over the network's hosts in sorted name order.
-        retain_submissions: keep the per-app front-door log (``summaries``/
-            ``submission_times``).  Disable for long epoch-push runs — the
-            log holds every cumulative snapshot, while shard state stays
-            bounded by last-writer-wins either way.
         tree: aggregation-tree shape — a fan-in, a :class:`TreeSpec`, or
             None for the flat single-level merge.  Semantics-free: any
             shape reconstructs the identical global view.
-        shed: backpressure policy — a policy name, a
-            :class:`~repro.collect.shard.ShedSpec`, or None for the
-            default tail-drop.
         delta: encode submissions as per-source delta channels instead of
             cumulative snapshots (exact — see :mod:`repro.collect.delta`).
-        delta_resync_every: sender keyframe interval backstop (0 disables;
-            receiver-driven resyncs happen regardless).
     """
 
     def __init__(self, shard_count: int = 1, *, transport: str = "inline",
                  epoch_s: Optional[float] = None, batch: Optional[int] = 64,
                  capacity: int = 4096,
                  shard_hosts: Optional[list[str]] = None,
-                 retain_submissions: bool = True,
                  tree: Union[int, TreeSpec, None] = None,
-                 shed: Union[str, ShedSpec, None] = None,
-                 delta: bool = False,
-                 delta_resync_every: int = 0) -> None:
+                 delta: bool = False) -> None:
         check_plane_knobs(shard_count, transport, epoch_s, batch, capacity,
-                          delta_resync_every)
+                          shard_hosts, delta)
         self.shard_count = shard_count
         self.transport = transport
         self.epoch_s = epoch_s
-        self.retain_submissions = retain_submissions
         self.shard_hosts = list(shard_hosts) if shard_hosts is not None else None
-        self.shed = as_shed_spec(shed)
-        self.shards = [CollectorShard(index, batch=batch, capacity=capacity,
-                                      shed=self.shed)
+        self.shards = [CollectorShard(index, batch=batch, capacity=capacity)
                        for index in range(shard_count)]
         self.tree_spec = as_tree_spec(tree)
         # A flat plane is the one-level tree whose root takes every shard.
@@ -253,9 +220,7 @@ class CollectPlane:
         width, self.tree_levels = shard_count, 0
         while width > 1 or not self.tree_levels:
             width, self.tree_levels = -(-width // self.fanin), self.tree_levels + 1
-        self.tree_node_merges = 0
         self.delta = delta
-        self.delta_resync_every = delta_resync_every
         self._channels: dict[tuple, DeltaChannel] = {}
         self.resync_requests = 0
         self.bytes_routed = 0
@@ -268,13 +233,11 @@ class CollectPlane:
         self.packets_sent = 0
 
     # ------------------------------------------------------------- provisioning
-    def front_door(self, app: str, name: Optional[str] = None,
-                   downstream: Optional[Any] = None) -> VirtualCollector:
+    def front_door(self, app: str, name: Optional[str] = None) -> VirtualCollector:
         """Create (once) the virtual collector for one application."""
         if app in self.front_doors:
             raise ValueError(f"application {app!r} already has a front door")
-        door = VirtualCollector(self, app, name=name, downstream=downstream,
-                                retain=self.retain_submissions)
+        door = VirtualCollector(self, app, name=name)
         self.front_doors[app] = door
         return door
 
@@ -291,6 +254,10 @@ class CollectPlane:
             else sorted(network.hosts)
         if not host_names:
             raise ValueError("cannot attach a collector tier to a hostless network")
+        missing = [name for name in host_names if name not in network.hosts]
+        if missing:
+            raise ValueError(f"collector hosts {missing} are not hosts of the "
+                             f"network; have {sorted(network.hosts)}")
         for shard in self.shards:
             host = network.hosts[host_names[shard.index % len(host_names)]]
             shard.attach(sim, host, COLLECT_UDP_PORT_BASE + shard.index,
@@ -345,8 +312,7 @@ class CollectPlane:
                 group = (app, host, key)
                 channel = self._channels.get(group)
                 if channel is None:
-                    channel = self._channels[group] = DeltaChannel(
-                        self.delta_resync_every)
+                    channel = self._channels[group] = DeltaChannel()
                 part = channel.encode(part)
             submission = Submission(time=time, seq=seq, app=app, host=host,
                                     key=key, summary=part)
@@ -412,10 +378,7 @@ class CollectPlane:
             self.flush_all()
         views, fanin = [shard.merged_view() for shard in self.shards], self.fanin
         for _ in range(self.tree_levels):
-            parts_in = sum(map(len, views))
             views = [fold(views[i:i + fanin]) for i in range(0, len(views), fanin)]
-            # Every input part is either copied (a new key) or merged.
-            self.tree_node_merges += parts_in - sum(map(len, views))
         (root,) = views
         return {target: root[target] for target
                 in sorted(root.keys(), key=lambda t: (t[0], _canonical_key(t[1])))}
@@ -433,7 +396,6 @@ class CollectPlane:
             "packets_sent": self.packets_sent,
             "bytes_routed": self.bytes_routed,
             "resync_requests": self.resync_requests,
-            "tree_node_merges": self.tree_node_merges,
         }
         for shard in self.shards:
             for name, value in shard.counters().items():

@@ -1,7 +1,7 @@
 """End-host stack (§4): TPP control plane, dataplane shim, executor, and the
 per-host aggregators the session layer provisions for each piggy-backed app."""
 
-from .aggregator import Aggregator, Collector, DeployedApplication
+from .aggregator import Aggregator, DeployedApplication
 from .control_plane import Application, ControlPlaneAgent, TPPControlPlane
 from .dataplane import AppBinding, DataplaneShim, TPP_ECHO_PORT
 from .executor import ExecutorStats, TPPExecutor
@@ -9,7 +9,7 @@ from .filters import FilterEntry, FilterTable, PacketFilter, match_all
 from .stack import EndHostStack, install_stacks
 
 __all__ = [
-    "Aggregator", "AppBinding", "Application", "Collector", "ControlPlaneAgent",
+    "Aggregator", "AppBinding", "Application", "ControlPlaneAgent",
     "DataplaneShim", "DeployedApplication", "EndHostStack", "ExecutorStats",
     "FilterEntry", "FilterTable", "PacketFilter", "TPPControlPlane",
     "TPPExecutor", "TPP_ECHO_PORT", "install_stacks", "match_all",

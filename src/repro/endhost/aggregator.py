@@ -1,4 +1,4 @@
-"""Per-host aggregators and the collector sink of a piggy-backed app (§4.5).
+"""Per-host aggregators of a piggy-backed app (§4.5).
 
 A piggy-backed application is described by four things the programmer
 specifies — a packet filter, a compiled TPP, a per-host aggregator, and a
@@ -11,8 +11,7 @@ aggregators at the collector) is the session layer's
 Aggregators emit :mod:`repro.collect.summary` monoids (commutative,
 mergeable) rather than opaque dicts, so any collector shape reconstructs
 the same global view.  Only the experiment pushes them, and only into a
-``Scenario(...).collector(...)`` plane; :class:`Collector` is the in-memory
-sink a scenario may hand that plane as an app's downstream.
+``Scenario(...).collector(...)`` plane.
 """
 
 from __future__ import annotations
@@ -24,33 +23,6 @@ from repro.core.packet_format import TPP
 from repro.net.packet import Packet
 
 from .control_plane import Application
-
-
-class Collector:
-    """An in-memory sink for the summaries an app's aggregators push.
-
-    The paper load-balances collectors behind a virtual IP; this single
-    object is the unsharded reference implementation.  The sharded tier
-    (:mod:`repro.collect`) keeps this exact surface — and is byte-identical
-    to it in the single-shard inline configuration.
-
-    Every submission is stamped with the simulation time it was pushed
-    (``submission_times[i]`` matches ``summaries[i]``), making collector
-    contents time-attributable and deterministic.
-    """
-
-    def __init__(self, name: str = "collector") -> None:
-        self.name = name
-        self.summaries: list[tuple[str, object]] = []
-        self.submission_times: list[float] = []
-
-    def submit(self, host_name: str, summary: object, time: float = 0.0) -> None:
-        """Receive one summary from a host's aggregator."""
-        self.summaries.append((host_name, summary))
-        self.submission_times.append(time)
-
-    def __len__(self) -> int:
-        return len(self.summaries)
 
 
 class Aggregator:
@@ -86,7 +58,7 @@ class Aggregator:
         """An independent snapshot of what has been observed so far.
 
         Fold observations into mergeable state in :meth:`on_tpp` and copy
-        it here: collectors and delta channels retain what they are handed.
+        it here: shard state and delta channels retain what they are handed.
         """
         return CounterSummary({"tpps": self.tpps_received,
                                "tpps_truncated": self.tpps_truncated})

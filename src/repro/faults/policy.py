@@ -65,9 +65,9 @@ register_policy = POLICIES.register
 class LinkVerdict:
     """A detector's accusation: ``link`` is losing ``deficit`` packets.
 
-    ``pair`` is the directed (upstream switch id, downstream switch id)
+    ``pair`` is the directed (sending switch id, receiving switch id)
     hop the deficit was measured over; ``deficit`` is the largest
-    per-sample ``tx_upstream - rx_downstream`` gap observed (in packets,
+    per-sample ``tx_sender - rx_receiver`` gap observed (in packets,
     corrected for the sampling packet itself — healthy hops sit at or
     below zero).
     """

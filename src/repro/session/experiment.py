@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.collect.summary import fold
 from repro.core.compiler import CompiledTPP, compile_tpp
 from repro.core.packet_format import TPP
-from repro.endhost import (Aggregator, Collector, DeployedApplication,
-                           TPPControlPlane, install_stacks)
+from repro.endhost import (Aggregator, DeployedApplication, TPPControlPlane,
+                           install_stacks)
 from repro.net.sim import Simulator
 from repro.net.topology import BuiltTopology, Network
 from repro.obs import get_telemetry
@@ -160,9 +160,7 @@ class Experiment:
                 self.collect_plane = CollectPlane(
                     cspec.shards, transport=cspec.transport, epoch_s=cspec.epoch_s,
                     batch=cspec.batch, capacity=cspec.capacity,
-                    shard_hosts=cspec.hosts, retain_submissions=cspec.retain,
-                    tree=cspec.tree, shed=cspec.shed, delta=cspec.delta,
-                    delta_resync_every=cspec.delta_resync_every)
+                    shard_hosts=cspec.hosts, tree=cspec.tree, delta=cspec.delta)
                 self.collect_plane.attach(self.sim, self.network)
                 self.collect_plane.on_epoch(self._push_summaries)
 
@@ -270,12 +268,8 @@ class Experiment:
                 f"cannot deploy TPP application {spec.name!r}: the scenario was "
                 f"built with stacks=False, so no end-host stacks exist")
         if self.collect_plane is not None:
-            # A user-supplied collector object becomes the front door's
-            # downstream sink and sees every submission the tier gets.
-            sink = spec.collector if isinstance(spec.collector, Collector) else None
-            name = sink.name if sink is not None else spec.collector
             self.collectors[spec.name] = self.collect_plane.front_door(
-                spec.name, name=name, downstream=sink)
+                spec.name, name=spec.collector)
         app = self.control_plane.register_application(spec.name)
         deployed = self.apps[spec.name] = DeployedApplication(app)
         factory = spec.aggregator if spec.aggregator is not None else Aggregator
@@ -525,7 +519,8 @@ class ExperimentResult(JourneyQueries):
 
     @property
     def summary_drops_by_policy(self) -> dict[str, int]:
-        """Collector-shard drops per shed policy / ``delta-gap`` reason."""
+        """Collector-shard drops per reason (``drop-newest`` tail drops,
+        ``delta-gap`` discards), reasons that occurred."""
         return counters_under(self.counters, "collect.drops.")
 
     # ----------------------------------------------------------- live handles

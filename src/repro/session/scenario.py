@@ -83,7 +83,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
-from repro.endhost import Aggregator, Collector, PacketFilter
+from repro.endhost import Aggregator, PacketFilter
 from repro.endhost.filters import check_sample_frequency
 
 from .experiment import Experiment, ExperimentResult
@@ -106,13 +106,16 @@ class TppSpec:
     priority: int = 0
     echo_to_source: bool = False
     aggregator: Optional[Callable[[str], Aggregator]] = None
-    collector: Union[Collector, str, None] = None
+    collector: Optional[str] = None               # the front door's name
     senders: Optional[list[str]] = None
     receivers: Optional[list[str]] = None
     callbacks: list[Callable] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         check_sample_frequency(self.sample_frequency)
+        if self.collector is not None and not isinstance(self.collector, str):
+            raise ValueError(f"collector must be a front-door name or None, "
+                             f"got {self.collector!r}")
 
 
 @dataclass
@@ -131,9 +134,7 @@ class CollectorSpec:
     Materialised at build time as a :class:`repro.collect.CollectPlane`;
     every declared TPP application gets a
     :class:`~repro.collect.virtual.VirtualCollector` front door onto the
-    shared shard tier (a user-supplied collector object becomes the front
-    door's downstream sink).  Knobs are documented on
-    :meth:`Scenario.collector`.
+    shared shard tier.  Knobs are documented on :meth:`Scenario.collector`.
     """
 
     shards: int = 1
@@ -142,25 +143,18 @@ class CollectorSpec:
     batch: Optional[int] = 64
     capacity: int = 4096
     hosts: Optional[list[str]] = None
-    retain: bool = True
-    # Streaming-collection knobs (normalised specs, so sweeps can override
-    # nested fields with dataclasses.replace — see repro.sweep.plan).
+    # A normalised spec, so sweeps can override its fields with
+    # dataclasses.replace — see repro.sweep.plan.
     tree: Optional["TreeSpec"] = None        # repro.collect.TreeSpec
-    shed: Optional["ShedSpec"] = None        # repro.collect.ShedSpec
     delta: bool = False
-    delta_resync_every: int = 0
 
     def __post_init__(self) -> None:
-        from repro.collect.shard import as_shed_spec
         from repro.collect.virtual import as_tree_spec, check_plane_knobs
 
         check_plane_knobs(self.shards, self.transport, self.epoch_s,
-                          self.batch, self.capacity, self.delta_resync_every)
+                          self.batch, self.capacity, self.hosts, self.delta)
         self.hosts = list(self.hosts) if self.hosts else None
         self.tree = as_tree_spec(self.tree)      # a fan-in becomes a TreeSpec
-        if self.shed is not None:
-            self.shed = as_shed_spec(self.shed)  # a policy name becomes a ShedSpec
-        self.delta = bool(self.delta)
 
 
 class Scenario:
@@ -215,7 +209,7 @@ class Scenario:
             sample_frequency: int = 1, num_hops: int = 8, priority: int = 0,
             echo_to_source: bool = False,
             aggregator: Optional[Callable] = None,
-            collector: Union[Collector, str, None] = None,
+            collector: Optional[str] = None,
             senders: Optional[list[str]] = None,
             receivers: Optional[list[str]] = None) -> "Scenario":
         """Declare a piggy-backed TPP application (§4.5's descriptor, fluent).
@@ -226,10 +220,9 @@ class Scenario:
         per-host factory ``(host_name) -> Aggregator`` (default: the base
         :class:`~repro.endhost.Aggregator`); attach plain callbacks with
         :meth:`collect`.  ``collector`` only matters under
-        :meth:`collector`: a name for the app's front door, or a
-        :class:`~repro.endhost.Collector` that becomes its downstream sink
-        and receives every push.  Without a plane nothing is pushed;
-        ``result.merged_summary(name)`` folds the hosts' snapshots instead.
+        :meth:`collector`: it names the app's front door.  Without a plane
+        nothing is pushed; ``result.merged_summary(name)`` folds the hosts'
+        snapshots instead.
         """
         if any(spec.name == name for spec in self.spec.tpps):
             raise ValueError(f"a TPP application named {name!r} is already declared")
@@ -271,9 +264,7 @@ class Scenario:
                   transport: str = "inline", batch: Optional[int] = 64,
                   capacity: int = 4096,
                   hosts: Optional[list[str]] = None,
-                  retain: bool = True,
-                  tree=None, shed=None, delta: bool = False,
-                  delta_resync_every: int = 0) -> "Scenario":
+                  tree=None, delta: bool = False) -> "Scenario":
         """Route every application's summaries through a sharded collector
         tier behind one virtual address (§4.5's deployment model).
 
@@ -282,10 +273,11 @@ class Scenario:
                 services; (app, host, key) is consistently hashed across
                 them and ``merge()`` reconstructs the global view, so
                 merged results are invariant in this number.
-            epoch_s: push-and-flush period.  Each epoch the live experiment
-                pushes every aggregator's summary (stamped with the
-                simulation time) and the shards fold their batch buffers.
-                ``None`` (default) defers to one push/flush at finish.
+            epoch_s: push-and-flush period in seconds (a positive, finite
+                number).  Each epoch the live experiment pushes every
+                aggregator's summary (stamped with the simulation time) and
+                the shards fold their batch buffers.  ``None`` (default)
+                defers to one push/flush at finish.
             transport: ``"inline"`` delivers submissions as direct calls —
                 no simulated traffic, so runs stay byte-identical to the
                 unsharded path; ``"network"`` ships summaries as UDP
@@ -296,44 +288,34 @@ class Scenario:
                 when it fills (or at each epoch, whichever comes first).
                 ``None`` disables the fill trigger: folds happen only at
                 epochs and at finish.
-            capacity: shard backpressure bound; submissions beyond a full
-                buffer are dropped and accounted, never queued unboundedly.
-                Because a batch fold empties the buffer synchronously, the
-                bound only engages with deferred folding (``batch=None``)
-                or when ``capacity < batch``.
-            hosts: explicit shard placement for the network transport
-                (defaults to round-robin over sorted host names).
-            retain: keep each app's front-door submission log.  Disable
-                for long epoch-push runs — the log would hold every
-                cumulative snapshot, while shard state stays bounded by
-                last-writer-wins regardless.
+            capacity: shard backpressure bound; an arrival at a full
+                buffer is rejected (tail drop) and counted as
+                ``result.summary_drops_by_policy["drop-newest"]``, never
+                queued unboundedly.  Because a batch fold empties the
+                buffer synchronously, the bound only engages with deferred
+                folding (``batch=None``) or when ``capacity < batch``.
+            hosts: explicit shard placement for the network transport, a
+                list of host names (defaults to round-robin over sorted
+                host names).
             tree: aggregation-tree shape — a fan-in (int), a
                 :class:`~repro.collect.TreeSpec`, or None for the flat
                 single-tier merge.  Semantics-free: any shape reconstructs
                 the identical global view (differential-tested).
-            shed: backpressure policy for full shard buffers — a policy
-                name (one of :data:`~repro.collect.SHED_POLICIES`), a
-                :class:`~repro.collect.ShedSpec`, or None for the default
-                ``"drop-newest"`` tail drop.  Every shed is accounted in
-                ``result.summary_drops_by_policy``.
-            delta: encode submissions as per-source delta channels (epoch
-                diffs with sequence numbers and cumulative-resync
-                fallback) instead of cumulative re-sends.  Exact: merged
-                views are byte-identical to cumulative mode.
-            delta_resync_every: sender keyframe interval backstop for
-                delta channels (0 disables; receiver-driven resyncs
-                happen regardless).
+            delta: ``True`` encodes submissions as per-source delta
+                channels (epoch diffs with sequence numbers; a shard's
+                NACK on a gap brings a cumulative keyframe) instead of
+                cumulative re-sends.  Exact: merged views are
+                byte-identical to cumulative mode.
 
-        Single-shard inline planes are byte-identical to the legacy
-        in-memory :class:`~repro.endhost.Collector`, and merged views are
-        invariant across shard counts, encodings and tree shapes (both
-        differential-tested for all six apps in ``tests/test_collect.py``).
-        Bad knobs fail here, in :class:`CollectorSpec`'s own checks.
+        A single-shard inline plane gives every app the same result as a
+        run without a plane, and merged views are invariant across shard
+        counts, encodings and tree shapes (both differential-tested for all
+        six apps in ``tests/test_collect.py``).  Bad knobs fail here, in
+        :class:`CollectorSpec`'s own checks.
         """
         self.spec.collector = CollectorSpec(
             shards=shards, epoch_s=epoch_s, transport=transport, batch=batch,
-            capacity=capacity, hosts=hosts, retain=retain, tree=tree,
-            shed=shed, delta=delta, delta_resync_every=delta_resync_every)
+            capacity=capacity, hosts=hosts, tree=tree, delta=delta)
         return self
 
     def faults(self, plan=None, **generator_kwargs) -> "Scenario":

@@ -33,9 +33,7 @@ Everything in a spec must survive ``pickle`` **by reference or by value**:
   rejected eagerly by :meth:`Scenario.to_spec` with a :class:`SpecError`
   naming the offending piece, *before* a worker ever chokes on them;
 * TPP programs travel as assembly source text (preferred), or as
-  ``CompiledTPP``/``TPP`` objects when those pickle cleanly;
-* collector objects (a :class:`repro.endhost.Collector` sink) travel by value —
-  a fresh, unused collector pickles to an equivalent fresh collector.
+  ``CompiledTPP``/``TPP`` objects when those pickle cleanly.
 """
 
 from __future__ import annotations
@@ -238,7 +236,6 @@ class ScenarioSpec:
             ensure_picklable(tpp.packet_filter, f"{where} filter")
             if tpp.aggregator is not None:
                 ensure_picklable(tpp.aggregator, f"{where} aggregator factory")
-            ensure_picklable(tpp.collector, f"{where} collector")
             for index, callback in enumerate(tpp.callbacks):
                 ensure_picklable(callback, f"{where} collect callback #{index}")
         for workload in self.workloads:

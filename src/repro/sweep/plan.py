@@ -23,8 +23,6 @@ Axis paths address the spec declaratively::
     collector.<field>         a .collector(...) knob (shards, epoch_s, ...)
     collector.tree.<field>    an aggregation-tree knob (fanin); materialises
                               a default TreeSpec when the base has none
-    collector.shed.<field>    a load-shedding knob (policy, sample_stride,
-                              priority); likewise materialises a ShedSpec
     faults.<field>            a .faults(...) knob (loss_rate, corrupt_links,
                               onset_s, seed, ...)
     remediation.<field>       a .remediation(...) knob (policy, period_s,
@@ -71,8 +69,7 @@ _SUBSPEC_PATHS = {"collector": "repro.session.scenario:CollectorSpec",
                   "recorder": "repro.obs:RecorderSpec"}
 
 #: Sub-specs one level further down: ``<root>.<field>.<leaf>``.
-_NESTED_PATHS = {("collector", "tree"): "repro.collect:TreeSpec",
-                 ("collector", "shed"): "repro.collect:ShedSpec"}
+_NESTED_PATHS = {("collector", "tree"): "repro.collect:TreeSpec"}
 
 
 def _default(where: str) -> Any:

@@ -85,8 +85,8 @@ def _execute_task(spec: ScenarioSpec, duration_s: Optional[float],
     worker-local :class:`~repro.obs.Telemetry`, so the summary carries a
     telemetry snapshot home — observation only, never part of the
     canonical rendering.  The experiment builds from a copy, so an
-    in-process run leaves the task's spec — and any collector object in
-    it — fresh for a retry or a second run.
+    in-process run leaves the task's spec fresh for a retry or a second
+    run.
     """
     telemetry = Telemetry(slices=telemetry_slices) \
         if telemetry_slices is not None else None

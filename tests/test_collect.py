@@ -1,10 +1,11 @@
 """Tests for the sharded collection plane (repro.collect, §4.5).
 
 Covers the mergeable-summary monoids, shard batching/epoch/backpressure
-behaviour, load-shedding policies and their accounting identity, the
+behaviour, tail drop and its accounting identity, the
 delta-channel wire format (gap detection, resync, bytes-on-wire
 regression), the aggregation tree, virtual-IP routing and the
-order-independent merge, the Scenario integration, the end-to-end
+order-independent merge, the Scenario integration and its declare-time
+knob checks, the end-to-end
 truncation accounting chain, the push schedule (the experiment is the
 only pusher), and the differential guarantees: a single-shard inline plane
 gives every app scenario the same result as a run without a plane, and
@@ -12,6 +13,7 @@ merged views are byte-identical across {cumulative, delta} x {flat, tree}
 configurations.
 """
 
+import functools
 import json
 import os
 import random
@@ -21,11 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.collect import (CollectPlane, CollectorShard, CounterSummary,
                            DeltaChannel, DeltaDecoder, HistogramSummary,
-                           SHED_POLICIES, SeriesSummary, ShedSpec, Submission,
-                           SummaryBundle, SummaryDelta, TopKSummary, TreeSpec,
-                           fold, merge_summaries, shard_index,
-                           summary_jsonable)
-from repro.endhost import Collector, PacketFilter
+                           SeriesSummary, Submission, SummaryBundle,
+                           SummaryDelta, TopKSummary, TreeSpec, fold,
+                           merge_summaries, shard_index, summary_jsonable)
+from repro.endhost import PacketFilter
 from repro.net import mbps
 from repro.session import Scenario
 
@@ -277,16 +278,15 @@ class TestVirtualCollector:
                 assert 0 <= index < count
                 assert index == shard_index("app", host, "key", count)
 
-    def test_front_door_matches_legacy_collector_surface(self):
-        plane = CollectPlane(1)
+    def test_front_door_counts_submissions_and_keeps_no_log(self):
+        plane = CollectPlane(2)
         door = plane.front_door("app", name="c")
-        legacy = Collector("c")
-        for target in (door, legacy):
-            target.submit("h1", counter(n=1), time=0.25)
-            target.submit("h0", counter(n=2), time=0.50)
-        assert door.summaries == legacy.summaries
-        assert door.submission_times == legacy.submission_times
-        assert len(door) == len(legacy) == 2
+        door.submit("h1", counter(n=1), time=0.25)
+        door.submit("h0", counter(n=2), time=0.50)
+        assert door.name == "c" and door.submitted == 2
+        assert plane.counters()["summaries_submitted"] == 2
+        assert not hasattr(door, "summaries")
+        assert door.merged_summary() == counter(n=3)
 
     @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf"), 0.0])
     def test_plane_rejects_a_non_finite_or_zero_epoch(self, epoch_s):
@@ -299,14 +299,6 @@ class TestVirtualCollector:
         plane.front_door("app")
         with pytest.raises(ValueError):
             plane.front_door("app")
-
-    def test_downstream_sees_every_submission(self):
-        sink = Collector("sink")
-        plane = CollectPlane(2)
-        door = plane.front_door("app", downstream=sink)
-        door.submit("h0", counter(n=1), time=0.5)
-        assert sink.summaries == [("h0", counter(n=1))]
-        assert sink.submission_times == [0.5]
 
     @staticmethod
     def _workload(rng):
@@ -382,17 +374,37 @@ class TestScenarioIntegration:
             Scenario("dumbbell").collector(batch=0)
         with pytest.raises(ValueError):
             Scenario("dumbbell").collector(tree=1)       # fan-in must be >= 2
-        with pytest.raises(ValueError):
-            Scenario("dumbbell").collector(shed="coin-flip")
-        with pytest.raises(ValueError):
-            Scenario("dumbbell").collector(delta_resync_every=-1)
+
+    @pytest.mark.parametrize("knob,value", [
+        ("delta", "no"), ("delta", 1), ("epoch_s", True), ("epoch_s", "1"),
+        ("hosts", "h0")])
+    def test_silently_accepted_knobs_fail_at_declaration(self, knob, value):
+        # delta="no" used to turn deltas on (bool("no")), epoch_s=True ran
+        # 1 s epochs, epoch_s="1" raised a bare TypeError, and hosts="h0"
+        # became ['h', '0'] and failed at build with KeyError: 'h'.
+        with pytest.raises(ValueError, match=knob):
+            Scenario("dumbbell").collector(shards=2, **{knob: value})
+
+    def test_plane_and_spec_share_the_knob_checks(self):
+        with pytest.raises(ValueError, match="hosts"):
+            CollectPlane(2, shard_hosts="h0")
+        with pytest.raises(ValueError, match="delta"):
+            CollectPlane(2, delta="no")
+        # An int epoch is a number, not a flag: still accepted.
+        assert Scenario("dumbbell").collector(epoch_s=1).spec.collector.epoch_s == 1
+        assert CollectPlane(1, epoch_s=1).epoch_s == 1
+
+    def test_unknown_collector_host_is_named_at_build(self):
+        scenario = (Scenario("dumbbell", hosts_per_side=2)
+                    .collector(shards=2, hosts=["h0", "h9"]))
+        with pytest.raises(ValueError, match=r"hosts \['h9'\]"):
+            scenario.build()
 
     def test_collector_spec_normalises_streaming_knobs(self):
         spec = (Scenario("dumbbell")
-                .collector(shards=4, tree=2, shed="drop-oldest", delta=True)
+                .collector(shards=4, tree=2, delta=True)
                 .spec.collector)
         assert spec.tree == TreeSpec(fanin=2)
-        assert spec.shed == ShedSpec(policy="drop-oldest")
         assert spec.delta is True
 
     def test_plane_telemetry_lands_on_the_result(self):
@@ -433,9 +445,11 @@ class TestScenarioIntegration:
     def test_epoch_pushes_stamp_simulation_time(self):
         result = monitored_scenario(shards=2, epoch_s=0.05).run(duration_s=0.2)
         door = result.collectors["monitor"]
-        assert len(door) >= 3 * len(result.stacks)      # several epoch rounds
-        assert any(t > 0 for t in door.submission_times)
-        stats = result.experiment.collect_plane.stats()
+        plane = result.experiment.collect_plane
+        assert door.submitted >= 3 * len(result.stacks)  # several epoch rounds
+        assert any(submission.time > 0 for shard in plane.shards
+                   for submission in shard.state.values())
+        stats = plane.stats()
         assert stats.epoch_flushes >= 1
         # Per-source snapshots are cumulative: the merged view reflects the
         # final state, not the sum of every epoch's submission.
@@ -469,23 +483,26 @@ class TestScenarioIntegration:
         assert shard.flush(kind="epoch") == 1
         assert shard.flushes == 1 and shard.epoch_flushes == 1
 
-    def test_retain_false_bounds_the_front_door_log(self):
-        result = monitored_scenario(shards=2, epoch_s=0.05,
-                                    retain=False).run(duration_s=0.2)
-        door = result.collectors["monitor"]
-        assert len(door) == 0                   # no snapshot log retained
-        assert door.submitted >= 2 * len(result.stacks)
-        # The shard tier still has the complete, current view.
-        merged = result.merged_summary("monitor")
-        assert merged["counters"]["tpps"] == result.tpps_received
-
-
 def _record_epoch_ticks(experiment):
     """Setup hook: log every epoch tick's time, independent of the pusher."""
     experiment.collect_plane.on_epoch(experiment.extras.setdefault("ticks", []).append)
 
 
-def push_schedule_scenario(sink, remediation=False, plane=True):
+def _record_probe_pushes(experiment):
+    """Setup hook: log every (host, time) the probe app's front door is
+    handed, by wrapping its ``submit``."""
+    door = experiment.collectors["probe"]
+    log = experiment.extras.setdefault("probe_pushes", [])
+    submit = door.submit
+
+    def logged(host_name, summary, time=0.0):
+        log.append((host_name, time))
+        submit(host_name, summary, time)
+
+    door.submit = logged
+
+
+def push_schedule_scenario(remediation=False, plane=True):
     """Two apps (all six hosts / two receivers), optionally a remediation loop."""
     from repro.apps.microburst import MICROBURST_TPP_SOURCE, MicroburstAggregator
     scenario = (Scenario("dumbbell", seed=3, link_rate_bps=mbps(10))
@@ -494,10 +511,11 @@ def push_schedule_scenario(sink, remediation=False, plane=True):
                      aggregator=MicroburstAggregator)
                 .tpp("probe", "PUSH [Switch:SwitchID]", receivers=["h4", "h5"],
                      filter=PacketFilter(protocol="udp", dst="h5"), priority=1,
-                     collector=sink)
+                     collector="probe-door")
                 .workload("messages", offered_load=0.3, message_bytes=2000))
     if plane:
-        scenario.collector(shards=2, epoch_s=0.03).setup(_record_epoch_ticks)
+        (scenario.collector(shards=2, epoch_s=0.03)
+         .setup(_record_epoch_ticks).setup(_record_probe_pushes))
     if remediation:
         scenario.remediation("do-nothing", app="monitor", period_s=0.02)
     return scenario
@@ -510,8 +528,7 @@ class TestPushSchedule:
 
     @pytest.mark.parametrize("remediation", [False, True])
     def test_one_round_per_tick_plus_one_at_finish(self, remediation):
-        sink = Collector("sink")
-        result = push_schedule_scenario(sink, remediation).run(duration_s=0.1)
+        result = push_schedule_scenario(remediation).run(duration_s=0.1)
         ticks = result.extras["ticks"]
         rounds = len(ticks) + 1
         receivers = sum(len(result.aggregators(app)) for app in result.apps)
@@ -520,18 +537,19 @@ class TestPushSchedule:
             == rounds * receivers + (rounds if remediation else 0)
         assert sorted(result.collectors) \
             == sorted([*result.apps, *(["remediation"] if remediation else [])])
-        # The user's sink sees exactly the probe app's pushes: hosts in
+        # The probe app's front door is handed exactly its pushes: hosts in
         # sorted order, each round stamped with its tick (then the finish).
-        assert sink.summaries and [host for host, _ in sink.summaries] \
-            == ["h4", "h5"] * rounds
-        assert sink.submission_times[::2] == [*ticks, result.end_time_s]
+        door, pushes = result.collectors["probe"], result.extras["probe_pushes"]
+        assert door.name == "probe-door" and door.submitted == len(pushes)
+        assert [host for host, _ in pushes] == ["h4", "h5"] * rounds
+        stamps = [time for _, time in pushes]
+        assert stamps[::2] == stamps[1::2] == [*ticks, result.end_time_s]
 
     def test_no_plane_pushes_nothing(self):
-        sink = Collector("sink")
-        result = push_schedule_scenario(sink, remediation=True,
+        result = push_schedule_scenario(remediation=True,
                                         plane=False).run(duration_s=0.1)
         assert result.summaries_submitted == 0
-        assert result.collectors == {} and len(sink) == 0
+        assert result.collectors == {}
         assert result.collector("probe") is None
         # The result still folds the hosts' snapshots itself.
         assert result.merged_summary("probe")["tpps"] \
@@ -578,7 +596,8 @@ class TestTruncationAccounting:
 
 
 class TestSingleShardDifferential:
-    """A shards=1 inline plane is byte-identical to the legacy Collector."""
+    """A shards=1 inline plane gives every app the result of a run without
+    a plane."""
 
     @staticmethod
     def _with_plane(scenario):
@@ -653,23 +672,8 @@ class TestSingleShardDifferential:
             [o.time for o in sharded.observations]
 
 
-class TestShedPolicies:
-    """Backpressure policies: example behaviour plus per-policy accounting."""
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ShedSpec(policy="coin-flip")
-        with pytest.raises(ValueError):
-            ShedSpec(policy="sample", sample_stride=0)
-
-    @pytest.mark.parametrize("knobs", [dict(priority="hot"),
-                                       dict(sample_stride=2.5),
-                                       dict(sample_stride=True)])
-    def test_malformed_knobs_rejected(self, knobs):
-        # A bare string used to become ('h', 'o', 't'); a fractional or
-        # boolean stride passed the bare ``< 1`` check.
-        with pytest.raises(ValueError):
-            ShedSpec(policy="priority-keys", **knobs)
+class TestTailDrop:
+    """Backpressure: a full buffer rejects the arrival, counted by reason."""
 
     def test_drop_newest_is_the_default_tail_drop(self):
         shard = CollectorShard(0, batch=None, capacity=2)
@@ -677,59 +681,32 @@ class TestShedPolicies:
                     for seq in range(5)]
         assert accepted == [True, True, False, False, False]
         assert shard.drops_by_policy == {"drop-newest": 3}
+        assert [s.seq for s in shard.pending] == [0, 1]
 
-    def test_drop_oldest_keeps_the_freshest(self):
-        shard = CollectorShard(0, batch=None, capacity=2,
-                               shed="drop-oldest")
-        for seq in range(5):
-            assert shard.ingest(submission(seq, host=f"h{seq}"))
-        assert [s.seq for s in shard.pending] == [3, 4]
-        assert shard.dropped == 3
-        assert shard.drops_by_policy == {"drop-oldest": 3}
-
-    def test_sample_admits_by_stride_deterministically(self):
-        shard = CollectorShard(0, batch=None, capacity=1,
-                               shed=ShedSpec("sample", sample_stride=3))
-        admitted = [shard.ingest(submission(seq)) for seq in range(1, 10)]
-        # Buffer fills at seq 1; afterwards only seq % 3 == 0 gets in.
-        assert admitted == [True, False, True, False, False, True,
-                            False, False, True]
-        assert shard.pending[-1].seq == 9
-
-    def test_priority_keys_survive_eviction(self):
-        shard = CollectorShard(0, batch=None, capacity=2,
-                               shed=ShedSpec("priority-keys", priority=("hot",)))
-        shard.ingest(submission(0, key="hot"))
-        shard.ingest(submission(1, key="cold"))
-        shard.ingest(submission(2, key="cold"))     # evicts the first cold
-        assert [s.key for s in shard.pending] == ["hot", "cold"]
-        # All-priority buffer: cold arrivals bounce, hot arrivals rotate.
-        shard.ingest(submission(3, key="hot"))
-        assert not shard.ingest(submission(4, key="cold"))
-        assert shard.ingest(submission(5, key="hot"))
-        assert all(s.key == "hot" for s in shard.pending)
-        assert shard.drops_by_policy == {"priority-keys": 4}
+    def test_every_drop_reason_reports_zero_included(self):
+        # The snapshot's key set does not depend on what a run dropped.
+        drops = {name: count for name, count in CollectPlane(2).counters().items()
+                 if name.startswith("drops.")}
+        assert drops == {"drops.drop-newest": 0, "drops.delta-gap": 0}
 
     def test_drops_by_policy_mirrors_totals(self):
         # drops_by_policy plays the role Port.drops_by_reason plays on the
         # network layer: the breakdown always sums to the scalar total.
-        shard = CollectorShard(0, batch=None, capacity=1, shed="drop-oldest")
+        shard = CollectorShard(0, batch=None, capacity=1)
         for seq in range(7):
             shard.ingest(submission(seq, host=f"h{seq % 2}"))
         assert sum(shard.drops_by_policy.values()) == shard.dropped == 6
         assert shard.counters()["dropped"] == 6
+        assert shard.counters()["drops.drop-newest"] == 6
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           policy=st.sampled_from(SHED_POLICIES),
            capacity=st.integers(min_value=1, max_value=6))
-    def test_accounting_identity_per_shard(self, seed, policy, capacity):
+    def test_accounting_identity_per_shard(self, seed, capacity):
         # submitted == delivered + dropped + pending at every instant, and
         # == delivered + dropped after the final flush, under any arrival
-        # sequence and any policy.
+        # sequence.
         rng = random.Random(seed)
-        shard = CollectorShard(0, batch=None, capacity=capacity,
-                               shed=ShedSpec(policy, sample_stride=2,
-                                             priority=("hot",)))
+        shard = CollectorShard(0, batch=None, capacity=capacity)
         for seq in range(rng.randrange(1, 40)):
             shard.ingest(submission(
                 seq, host=f"h{rng.randrange(3)}",
@@ -737,6 +714,7 @@ class TestShedPolicies:
                 time=rng.random()))
             assert shard.submitted == (shard.delivered + shard.dropped
                                        + len(shard.pending))
+            assert len(shard.pending) <= capacity
             if rng.random() < 0.2:
                 shard.flush(kind="epoch")
         shard.flush()
@@ -745,43 +723,32 @@ class TestShedPolicies:
         assert shard.delivered <= shard.received <= shard.submitted
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           policy=st.sampled_from(SHED_POLICIES),
            fanin=st.integers(min_value=2, max_value=4))
-    def test_accounting_identity_across_plane_and_tree(self, seed, policy,
-                                                       fanin):
+    def test_accounting_identity_across_plane_and_tree(self, seed, fanin):
         # The identity also holds summed across shards, and the tree merge
         # neither loses nor duplicates anything the shards delivered.
-        rng = random.Random(seed)
-        plane = CollectPlane(4, batch=None, capacity=2, tree=fanin,
-                             shed=ShedSpec(policy, priority=("hot",)))
-        door = plane.front_door("app")
-        for push in range(rng.randrange(1, 15)):
-            host = f"h{rng.randrange(4)}"
-            door.submit(host, SummaryBundle({
-                "hot": counter(n=push + 1),
-                "cold": counter(n=1),
-            }), time=float(push))
-        merged = plane.merge()                      # flushes first
+        def drive(plane):
+            door = plane.front_door("app")
+            rng = random.Random(seed)
+            for push in range(rng.randrange(1, 15)):
+                host = f"h{rng.randrange(4)}"
+                door.submit(host, SummaryBundle({
+                    "hot": counter(n=push + 1),
+                    "cold": counter(n=1),
+                }), time=float(push))
+            return {k: summary_jsonable(v) for k, v in plane.merge().items()}
+
+        plane = CollectPlane(4, batch=None, capacity=2, tree=fanin)
+        merged = drive(plane)                       # merge() flushes first
         stats = plane.stats()
         assert stats.parts_routed == (stats.parts_delivered
                                       + stats.parts_dropped)
         assert sum(stats.drops_by_policy.values()) == stats.parts_dropped
         for entry in stats.per_shard:
             assert entry["submitted"] == entry["delivered"] + entry["dropped"]
-        # Same arrivals through a flat plane with the same policy: the tree
-        # must reconstruct the identical view from whatever survived.
-        flat = CollectPlane(4, batch=None, capacity=2,
-                            shed=ShedSpec(policy, priority=("hot",)))
-        flat_door = flat.front_door("app")
-        rng2 = random.Random(seed)
-        for push in range(rng2.randrange(1, 15)):
-            host = f"h{rng2.randrange(4)}"
-            flat_door.submit(host, SummaryBundle({
-                "hot": counter(n=push + 1),
-                "cold": counter(n=1),
-            }), time=float(push))
-        assert {k: summary_jsonable(v) for k, v in merged.items()} \
-            == {k: summary_jsonable(v) for k, v in flat.merge().items()}
+        # Same arrivals through a flat plane: the tree must reconstruct the
+        # identical view from whatever survived.
+        assert merged == drive(CollectPlane(4, batch=None, capacity=2))
 
 
 class TestDeltaChannel:
@@ -795,12 +762,6 @@ class TestDeltaChannel:
         assert (u1.seq, u1.base_seq) == (1, -1)
         assert (u2.seq, u2.base_seq) == (2, 1)
         assert channel.fulls_sent == 1 and channel.deltas_sent == 1
-
-    def test_keyframe_interval_backstop(self):
-        channel = DeltaChannel(resync_every=3)
-        kinds = [channel.encode(counter(n=i)).kind for i in range(1, 8)]
-        assert kinds == ["full", "delta", "full", "delta", "delta",
-                         "full", "delta"]
 
     def test_decoder_replays_stream_exactly(self):
         channel, decoder = DeltaChannel(), DeltaDecoder()
@@ -858,6 +819,23 @@ class TestDeltaChannel:
         assert decoder.decode(("new",), orphan) is None
         assert decoder.gaps == 1 and decoder.take_resyncs() == [("new",)]
 
+    def test_plane_nack_brings_a_keyframe(self):
+        # A delta unit lost between front door and shard: the next unit is
+        # a gap, the shard NACKs at the flush, and the sender's next push
+        # is a cumulative keyframe that restores the exact view.
+        plane = CollectPlane(1, batch=None, delta=True)
+        door = plane.front_door("app")
+        door.submit("h0", counter(n=1))
+        door.submit("h0", counter(n=2))
+        lost = plane.shards[0].pending.pop()
+        assert lost.summary.kind == "delta"
+        door.submit("h0", counter(n=3))
+        plane.flush_all()                   # the gap is found and NACKed
+        assert plane.stats().delta_gaps == 1 and plane.resync_requests == 1
+        door.submit("h0", counter(n=4))
+        assert plane.shards[0].pending[-1].summary.kind == "full"
+        assert door.merged_summary() == counter(n=4)
+
     def test_shard_counts_gap_drops_by_reason(self):
         channel = DeltaChannel()
         channel.encode(counter(n=1))
@@ -891,12 +869,7 @@ class TestAggregationTree:
         depth = 1
         while fanin is not None and fanin ** depth < shards:
             depth += 1
-        stats = plane.stats()
-        assert stats.tree_levels == depth
-        # Per level, every input part is copied (new key) or merged; the
-        # levels telescope to shard-view parts minus distinct targets.
-        shard_parts = sum(len(shard.merged_view()) for shard in plane.shards)
-        assert stats.tree_node_merges == shard_parts - len(merged)
+        assert plane.stats().tree_levels == depth
 
     @pytest.mark.parametrize("fanin", [1, 2.5, float("nan"), True])
     def test_malformed_fanin_rejected_at_declaration(self, fanin):
@@ -924,9 +897,21 @@ class TestAggregationTree:
                                 }), time=float(push))
             assert {k: summary_jsonable(v) for k, v in flat.merge().items()} \
                 == {k: summary_jsonable(v) for k, v in tree.merge().items()}
-            stats = tree.stats()
-            assert stats.tree_levels >= 1
-            assert stats.tree_node_merges > 0
+            assert tree.stats().tree_levels >= 1
+
+    def test_reading_the_merged_view_counts_nothing(self):
+        # A view read is not a merge the tier performed: reading it twice
+        # leaves the live counters where the result snapshot left them.
+        result = monitored_scenario(shards=4, tree=2, delta=True,
+                                    epoch_s=0.05).run(duration_s=0.1)
+        plane = result.experiment.collect_plane
+        before = plane.counters()
+        assert before == {name[len("collect."):]: count for name, count
+                          in result.counters.items()
+                          if name.startswith("collect.")}
+        result.merged_summary("monitor")
+        result.merged_summary("monitor")
+        assert plane.counters() == before
 
 
 class TestDeltaBytesRegression:
@@ -976,26 +961,44 @@ class TestDeltaBytesRegression:
         assert 0 < merged_tpps <= delta.tpps_received
 
 
+def _force_keyframes(experiment, every):
+    """Setup hook: after each epoch's push round, flag every delta channel
+    whose next send is a multiple of ``every`` for a keyframe — the
+    ``needs_full`` flag a shard's NACK sets."""
+    plane = experiment.collect_plane
+
+    def flag(now):
+        for channel in plane._channels.values():
+            if (channel.seq + 1) % every == 0:
+                channel.needs_full = True
+
+    plane.on_epoch(flag)
+
+
 class TestDeltaTreeDifferential:
     """Six-app acceptance: merged views byte-identical across
     {cumulative, delta} x {flat, 2-level tree} at 4 shards and across
-    shard counts 1/2/4/8, shedding off."""
+    shard counts 1/2/4/8, nothing dropped.  The delta tree also takes a
+    forced keyframe on every 4th send of each channel."""
 
     CONFIGS = (
         ("cumulative-flat", dict(shards=4)),
         ("delta-flat", dict(shards=4, delta=True)),
         ("cumulative-tree", dict(shards=4, tree=2)),
-        ("delta-tree", dict(shards=4, tree=2, delta=True,
-                            delta_resync_every=4)),
+        ("delta-tree", dict(shards=4, tree=2, delta=True, keyframe_every=4)),
         ("1-shard", dict(shards=1)),
         ("2-shards", dict(shards=2)),
         ("8-shards", dict(shards=8)),
     )
 
     @classmethod
-    def _canonical_run(cls, build, duration, **collector_kwargs):
+    def _canonical_run(cls, build, duration, keyframe_every=0,
+                       **collector_kwargs):
         scenario = build()
         scenario.collector(epoch_s=0.05, **collector_kwargs)
+        if keyframe_every:
+            scenario.setup(functools.partial(_force_keyframes,
+                                             every=keyframe_every))
         scenario.spec.result_mapper = None      # raw ExperimentResult
         result = scenario.run(duration_s=duration)
         plane = result.experiment.collect_plane

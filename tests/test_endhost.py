@@ -5,7 +5,7 @@ import pytest
 from repro.core import addressing
 from repro.core.compiler import compile_tpp
 from repro.core.exceptions import AccessControlError
-from repro.endhost import (Aggregator, Collector, PacketFilter, TPPControlPlane,
+from repro.endhost import (Aggregator, PacketFilter, TPPControlPlane,
                            install_stacks, match_all)
 from repro.endhost.filters import FilterEntry, FilterTable
 from repro.net.link import mbps
@@ -333,10 +333,10 @@ class TestDeploymentFramework:
     each sender."""
 
     def test_deploy_installs_rules_and_aggregators(self):
-        collector = Collector()
         result = (Scenario("dumbbell", link_rate_bps=mbps(10))
                   .tpp("test-app", "PUSH [Switch:SwitchID]", num_hops=10,
-                       filter=PacketFilter(protocol="udp"), collector=collector)
+                       filter=PacketFilter(protocol="udp"),
+                       collector="test-door")
                   .collector()
                   .setup(_send_one_udp_packet)
                   .run(duration_s=0.05))
@@ -344,9 +344,18 @@ class TestDeploymentFramework:
         assert len(aggregators) == len(result.stacks)
         assert all(type(a) is Aggregator for a in aggregators.values())
         assert aggregators["h5"].tpps_received == 1
-        # The finish push reaches the user's collector through the plane.
-        assert len(collector) == len(result.stacks)
-        assert [host for host, _ in collector.summaries] == sorted(result.stacks)
+        # The finish push reaches the app's named front door, one
+        # snapshot per receiving host.
+        door = result.collector("test-app")
+        assert door.name == "test-door" and door.submitted == len(result.stacks)
+        plane = result.experiment.collect_plane
+        assert sorted(host for shard in plane.shards
+                      for (_, host, _) in shard.state) == sorted(result.stacks)
+
+    def test_tpp_collector_is_a_front_door_name(self):
+        with pytest.raises(ValueError, match="collector"):
+            Scenario("dumbbell").tpp("t", "PUSH [Switch:SwitchID]",
+                                     collector=object())
 
     def test_deploy_subset_of_hosts(self):
         experiment = (Scenario("dumbbell", link_rate_bps=mbps(10))

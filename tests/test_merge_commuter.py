@@ -136,15 +136,19 @@ class TestGeneratedLaws:
                 == gen_merge_cases.canonical(state)
             prev = summary_copy(state)
 
-    @given(seed=_seeds, resync_every=st.sampled_from([0, 2, 3]))
+    @given(seed=_seeds, keyframe_every=st.sampled_from([0, 2, 3]))
     def test_channel_stream_tracks_sender_state(self, type_name, seed,
-                                                resync_every):
+                                                keyframe_every):
+        # Keyframes are forced the way a shard's NACK forces them
+        # (``needs_full``), interleaved with the delta stream.
         rng, params, _ = _case(type_name, seed)
         state = gen_merge_cases.make_summary(type_name, rng, params)
-        channel = DeltaChannel(resync_every=resync_every)
+        channel = DeltaChannel()
         decoder = DeltaDecoder()
         for _ in range(5):
             gen_merge_cases.grow(state, rng)
+            if keyframe_every and (channel.seq + 1) % keyframe_every == 0:
+                channel.needs_full = True
             decoded = decoder.decode(("chan",), channel.encode(state))
             assert decoded is not None
             assert gen_merge_cases.canonical(decoded) \
@@ -165,7 +169,8 @@ class TestInterleavedChannels:
             params = gen_merge_cases.case_params(type_name, rng)
             sources[type_name] = {
                 "state": gen_merge_cases.make_summary(type_name, rng, params),
-                "channel": DeltaChannel(resync_every=rng.choice((0, 2))),
+                "channel": DeltaChannel(),
+                "keyframe_every": rng.choice((0, 2)),
             }
         decoder = DeltaDecoder()
         pushes = [name for name in sources for _ in range(4)]
@@ -174,7 +179,10 @@ class TestInterleavedChannels:
         for name in pushes:
             source = sources[name]
             gen_merge_cases.grow(source["state"], rng)
-            unit = source["channel"].encode(source["state"])
+            channel, every = source["channel"], source["keyframe_every"]
+            if every and (channel.seq + 1) % every == 0:
+                channel.needs_full = True
+            unit = channel.encode(source["state"])
             decoded = decoder.decode((name,), unit)
             assert decoded is not None
             latest_decoded[name] = gen_merge_cases.canonical(decoded)

@@ -13,8 +13,8 @@ invariant 3:
   callback (``Scenario.collect``) recorded, never from the aggregator's
   own state, so it stays independent of the code it checks;
 * **snapshot isolation** — ``summarize()`` hands out independent
-  snapshots: collectors, shard state and delta channels retain what they
-  are handed, so a later observation must never show through.
+  snapshots: shard state and delta channels retain what they are handed,
+  so a later observation must never show through.
 """
 
 import random
@@ -239,7 +239,7 @@ class TestSnapshotIsolation:
 
     def test_unpushed_sketch_bits_stay_out_of_the_collector_view(self):
         # The aliasing bug: summarize() used to ship the live bitmaps, so in
-        # cumulative mode the front-door log and shard state changed with
+        # cumulative mode the pushed snapshot and shard state changed with
         # every later on_tpp — without any push.
         plane = CollectPlane(2)
         door = plane.front_door("sketch")
@@ -253,15 +253,16 @@ class TestSnapshotIsolation:
             aggregator.on_tpp(tpp, udp_packet(src, "h9", 100))
 
         deliver("h1")
-        door.submit("h0", aggregator.summarize(), time=0.0)
+        snapshot = aggregator.summarize()
+        door.submit("h0", snapshot, time=0.0)
         (sketch,) = door.merged_summary().parts.values()
         assert sketch.set_bits() == 1
         pushed = summary_jsonable(door.merged_summary())
-        logged = summary_jsonable(door.summaries[0][1])
+        handed = summary_jsonable(snapshot)
         deliver("h2")
         deliver("h3")
         assert summary_jsonable(door.merged_summary()) == pushed
-        assert summary_jsonable(door.summaries[0][1]) == logged
+        assert summary_jsonable(snapshot) == handed
         door.submit("h0", aggregator.summarize(), time=1.0)
         (sketch,) = door.merged_summary().parts.values()
         assert sketch.set_bits() == 3

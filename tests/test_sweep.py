@@ -153,8 +153,8 @@ def pinned_base() -> Scenario:
 FINGERPRINT_PINS = {
     "base": (pinned_base, "d3ed4816b3cbd992b9fcf3282df855f0"),
     "collector": (lambda: pinned_base().collector(
-        shards=3, epoch_s=0.01, tree=2, shed="drop-oldest", delta=True,
-        delta_resync_every=4), "3df0cc5889303dd2822d618cdb6a7a47"),
+        shards=3, epoch_s=0.01, tree=2, delta=True),
+        "e079cdb2f510c3de26a91a651c03f66e"),
     "recorder": (lambda: pinned_base().flight_recorder(
         capacity=128, sample_every=4), "6ba5d0c10362dbfa088a8d788b86fef2"),
     "faults": (lambda: pinned_base()
@@ -251,11 +251,12 @@ class TestDeclareTimeChecks:
     @pytest.mark.parametrize("path,value", [
         ("collector.shards", 0), ("collector.transport", "pigeon"),
         ("collector.epoch_s", -1.0), ("collector.batch", 0),
-        ("collector.delta_resync_every", -3), ("collector.tree", "x"),
+        ("collector.delta", "no"), ("collector.tree", "x"),
         ("collector.shards", 2.5), ("collector.shards", True),
         ("collector.capacity", float("nan")), ("collector.batch", 8.0),
-        ("collector.delta_resync_every", 0.5),
-        ("collector.shed", 3), ("remediation.policy", "nope"),
+        ("collector.epoch_s", True), ("collector.epoch_s", "1"),
+        ("collector.hosts", "h0"),
+        ("remediation.policy", "nope"),
         ("tpp.monitor.sample_frequency", 0), ("tpp.monitor.__class__", 1)])
     def test_bad_axis_values_fail_at_axis(self, path, value):
         sweep = SweepSpec(pinned_base())
@@ -377,17 +378,15 @@ class TestSweepSpec:
         assert tasks[-1].spec.collector.shards == 2
 
     def test_nested_collector_axes_apply(self):
-        from repro.collect import ShedSpec, TreeSpec
+        from repro.collect import TreeSpec
         base = monitor_scenario()
         base.collector(shards=4)
         tasks = (SweepSpec(base)
                  .axis("collector.tree.fanin", [2, 3])
-                 .axis("collector.shed.policy", ["drop-oldest", "sample"])
                  .axis("collector.delta", [False, True])).expand()
-        assert len(tasks) == 8
+        assert len(tasks) == 4
         last = tasks[-1].spec.collector
         assert last.tree == TreeSpec(fanin=3)
-        assert last.shed == ShedSpec(policy="sample")
         assert last.delta is True
         # Sibling tasks never alias sub-specs: the first task kept fanin 2.
         assert tasks[0].spec.collector.tree == TreeSpec(fanin=2)
@@ -399,16 +398,14 @@ class TestSweepSpec:
         sweep = SweepSpec(base)
         with pytest.raises(SpecError, match="TreeSpec has no"):
             sweep.axis("collector.tree.nope", [1])
-        with pytest.raises(SpecError, match="ShedSpec has no"):
-            sweep.axis("collector.shed.nope", [1])
+        with pytest.raises(SpecError, match="collector.<field>"):
+            sweep.axis("collector.shed.policy", ["drop-oldest"])
         with pytest.raises(SpecError, match="collector.<field>"):
             sweep.axis("collector.tree.fanin.extra", [1])
 
     @pytest.mark.parametrize("path,value", [
         ("collector.tree.fanin", 2.5), ("collector.tree.fanin", float("nan")),
-        ("collector.tree.fanin", True), ("collector.shed.priority", "hot"),
-        ("collector.shed.sample_stride", 2.5),
-        ("collector.shed.sample_stride", True)])
+        ("collector.tree.fanin", True)])
     def test_malformed_nested_collector_values_fail_at_the_axis(self, path,
                                                                  value):
         # fanin=2.5 used to pass declaration and raise TypeError inside the
@@ -418,17 +415,14 @@ class TestSweepSpec:
         with pytest.raises(SpecError, match=f"axis path '{path}'"):
             SweepSpec(base).axis(path, [value])
 
-    def test_top_level_tree_and_shed_values_normalise(self):
-        from repro.collect import ShedSpec, TreeSpec
+    def test_top_level_tree_values_normalise(self):
+        from repro.collect import TreeSpec
         base = monitor_scenario()
         base.collector(shards=4)
-        tasks = (SweepSpec(base)
-                 .axis("collector.tree", [None, 2])
-                 .axis("collector.shed", [None, "drop-oldest"])).expand()
+        tasks = (SweepSpec(base).axis("collector.tree", [None, 2])).expand()
         specs = [t.spec.collector for t in tasks]
-        assert specs[0].tree is None and specs[0].shed is None
+        assert specs[0].tree is None
         assert specs[-1].tree == TreeSpec(fanin=2)
-        assert specs[-1].shed == ShedSpec(policy="drop-oldest")
 
 
 class TestSweepDifferential:

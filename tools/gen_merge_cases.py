@@ -224,7 +224,8 @@ def check_laws(type_name: str, seed: int) -> list[str]:
 
     # Delta round-trip along a growth chain of cumulative snapshots.
     state = make_summary(type_name, rng, params)
-    channel = DeltaChannel(resync_every=rng.choice((0, 2)))
+    channel = DeltaChannel()
+    keyframe_every = rng.choice((0, 2))     # forced keyframes, as a NACK would
     decoder = DeltaDecoder()
     prev = summary_copy(state)
     for step in range(4):
@@ -243,6 +244,8 @@ def check_laws(type_name: str, seed: int) -> list[str]:
                     violations.append(
                         f"{type_name}: delta-roundtrip: apply(diff) != "
                         f"target at seed {seed} step {step}")
+        if keyframe_every and (channel.seq + 1) % keyframe_every == 0:
+            channel.needs_full = True
         unit = channel.encode(state)
         decoded = decoder.decode(("case", type_name), unit)
         if decoded is None or canonical(decoded) != canonical(state):
