@@ -88,6 +88,9 @@ def check_plane_knobs(shard_count: int, transport: str,
     if isinstance(hosts, str):
         raise ValueError(f"hosts must be a list of host names, not the bare "
                          f"string {hosts!r}")
+    if hosts is not None and not hosts:
+        raise ValueError("hosts must name at least one host; leave it unset "
+                         "to place shards on every host")
     if not isinstance(delta, bool):
         raise ValueError(f"delta must be a bool, got {delta!r}")
 

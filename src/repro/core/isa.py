@@ -32,8 +32,7 @@ engine in :mod:`repro.core.tcpu` (see its opcode-semantics table).  The
 opcode classification sets below (:data:`WRITE_OPCODES`,
 :data:`READ_OPCODES`, :data:`PACKET_WRITE_OPCODES`,
 :data:`CONDITIONAL_OPCODES`) are what the control plane's static analysis,
-the write-disable knob, and the compiled-trace eligibility check
-(:func:`repro.core.static_analysis.trace_ineligibility`) key off.
+the write-disable knob and a template's packet-memory sizing key off.
 """
 
 from __future__ import annotations

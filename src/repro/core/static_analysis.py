@@ -13,7 +13,7 @@ instructions to decide whether the program:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import addressing
 from .exceptions import AccessControlError
@@ -116,31 +116,6 @@ def _find_hazards(report: AnalysisReport) -> list[str]:
 def uses_write_instructions(instructions: Sequence[Instruction]) -> bool:
     """True when any instruction writes switch memory (STORE/POP/CSTORE)."""
     return any(instruction.writes_switch for instruction in instructions)
-
-
-def trace_ineligibility(instructions: Sequence[Instruction]) -> Optional[str]:
-    """Why this program cannot take the compiled-trace fast path, or None.
-
-    The trace compiler (:mod:`repro.core.trace`) lowers only straight-line,
-    hazard-free programs; everything else stays on the interpreter:
-
-    * ``CSTORE``/``CEXEC`` gate all later instructions (§3.3.3), so their
-      traces would need the interpreter's halt machinery anyway;
-    * programs with packet-memory hazards (the §3.5 conflicts this module
-      flags) are exactly where specialized in-place code could diverge from
-      sequential semantics, so they are left to the reference engine.
-
-    Returning a reason string (not just False) lets control-plane layers
-    surface *why* a template will run interpreted.
-    """
-    for index, instruction in enumerate(instructions):
-        if instruction.is_conditional:
-            return (f"instruction {index} ({instruction.opcode.mnemonic}) is "
-                    f"conditional: CSTORE/CEXEC programs run interpreted")
-    hazards = analyze(instructions).hazards
-    if hazards:
-        return f"packet-memory hazards: {'; '.join(hazards)}"
-    return None
 
 
 @dataclass(frozen=True)

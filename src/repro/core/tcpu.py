@@ -64,7 +64,7 @@ precedence matters and is part of the contract: reads report
 Execution hot path
 ------------------
 
-Three engines, one semantics:
+Two engines, one semantics:
 
 1. :meth:`TCPU.execute` — the reference interpreter: resolves each opcode
    through the handler table and runs the uncached step list.  One-off
@@ -85,26 +85,21 @@ Three engines, one semantics:
    ``FAILED_CONDITION`` is in it, so an :class:`ExecutionResult` is built
    only where a caller reads one (:meth:`TCPU.execute` and the flight
    recorder).
-3. The **compiled trace** (``compile_traces=True``): eligible programs are
-   lowered once by :mod:`repro.core.trace` into a single synthesized
-   function with no dispatch, no operand decoding, and one inlined bounds
-   check per instruction; ineligible programs (conditionals, hazard-laden
-   packet layouts) silently fall back to engine 2.
 
-All three produce byte-identical results — the differential sweep in
-``tests/test_trace.py`` enforces it, on a cache miss and on a hit.
+Both produce byte-identical results — the differential sweep in
+``tests/test_plan.py`` enforces it, on a cache miss and on a hit.
 
-Both caches are keyed by *identity* of the frozen program and of the
-memory it is bound to; the program fixes every value the cached artifact
-is specialized on (instructions, word size, addressing mode, hop size).
+The plan cache is keyed by *identity* of the frozen program and of the
+memory it is bound to; the program fixes every value a plan is
+specialized on (instructions, word size, addressing mode, hop size).
 Identity keys are sound only because each cache entry holds strong
 references to its program and its memory: while an entry lives, their ids
 cannot be reused, so a key match implies the probing TPP carries *that*
 program and runs on *that* memory.  A program cannot be mutated, so a TPP
 with different instructions is a different program and can never hit a
-stale plan (regression-tested in ``tests/test_trace.py``).  Plans and
-traces bake in the write-enable knob, so setting :attr:`TCPU.write_enabled`
-to a new value drops both caches.
+stale plan (regression-tested in ``tests/test_plan.py``).  Plans bake in
+the write-enable knob, so setting :attr:`TCPU.write_enabled` to a new
+value drops every plan.
 """
 
 from __future__ import annotations
@@ -119,8 +114,8 @@ from . import addressing
 from .isa import Instruction, Opcode
 from .packet_format import WORD_FORMAT, AddressingMode, Program, TPP
 
-#: Bounded size of the per-TCPU plan and trace caches (templates are few; this
-#: only guards against pathological workloads with unbounded unique programs).
+#: Bounded size of the per-TCPU plan cache (templates are few; this only
+#: guards against pathological workloads with unbounded unique programs).
 _PLAN_CACHE_LIMIT = 1024
 
 
@@ -391,32 +386,21 @@ class TCPU:
             §4.3.  Reads still execute, and CSTORE still writes the observed
             switch value back into packet memory so end-hosts see a coherent
             failure (§3.3.3).
-        compile_traces: when True, :meth:`execute_program` lowers eligible
-            programs through :mod:`repro.core.trace` into per-program
-            compiled traces and executes those; ineligible programs fall
-            back to the bound plan.  Results are byte-identical
-            either way.  The flag may be flipped at any time — both engines
-            share no mutable state beyond the counters.
     """
 
-    def __init__(self, write_enabled: bool = True,
-                 compile_traces: bool = False) -> None:
+    # Always 0; the suite's child.py reads them (ROADMAP 1a's suite half removes them).
+    trace_executions = trace_fallbacks = 0
+
+    def __init__(self, write_enabled: bool = True) -> None:
         self._write_enabled = write_enabled
-        self.compile_traces = compile_traces
         self.tpps_executed = 0
         self.instructions_executed = 0
-        # Trace-engine telemetry (benchmarks and tests read these).
-        self.traces_compiled = 0
-        self.trace_executions = 0
-        self.trace_fallbacks = 0
-        # Cache-health telemetry: how often execute_program found its plan /
-        # bound trace already cached.  Plain int increments (one per hop) so
-        # the hot path never tests a telemetry flag; observers read them
-        # through counters().
+        # Cache-health telemetry: how often execute_program found its plan
+        # already cached.  Plain int increments (one per hop) so the hot
+        # path never tests a telemetry flag; observers read them through
+        # counters().
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        self.trace_cache_hits = 0
-        self.trace_cache_misses = 0
         # Opcode dispatch table, built once; the per-instruction hot path is
         # a single dict lookup instead of an if-ladder.
         self._dispatch = {
@@ -428,22 +412,11 @@ class TCPU:
             Opcode.CSTORE: self._op_cstore,
             Opcode.CEXEC: self._op_cexec,
         }
-        # Identity-keyed caches (see the module docstring for the soundness
-        # argument): every entry pins the objects its key names, so a key
-        # can only match the exact program and memory it was built from.
-        # Bound plans: (program, id(memory)) -> _bind_plan's (steps,
-        # program, memory).
+        # Identity-keyed plan cache (see the module docstring for the
+        # soundness argument): (program, id(memory)) -> _bind_plan's (steps,
+        # program, memory), so every entry pins the objects its key names.
         # write_enabled is baked into each plan; the setter clears them.
         self._plan_cache: dict[tuple, tuple] = {}
-        # Program-level trace cache: program -> CompiledTrace | None (the
-        # dict key pins the program).  write_enabled is baked into each
-        # trace; the write_enabled setter clears both trace caches.
-        self._trace_programs: dict[Program, object] = {}
-        # Memory-bound trace cache: (program, id(memory)) -> (bound fn |
-        # None, pinned program, pinned memory).  Each TCPU executes against
-        # one switch's MemoryInterface in practice, so this holds one
-        # binding per program.
-        self._trace_cache: dict[tuple, tuple] = {}
 
     def counters(self) -> dict[str, int]:
         """This TCPU's execution/cache accounting, by canonical metric name.
@@ -457,26 +430,19 @@ class TCPU:
             "instructions_executed": self.instructions_executed,
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
-            "trace_cache_hits": self.trace_cache_hits,
-            "trace_cache_misses": self.trace_cache_misses,
-            "traces_compiled": self.traces_compiled,
-            "trace_executions": self.trace_executions,
-            "trace_fallbacks": self.trace_fallbacks,
         }
 
     @property
     def write_enabled(self) -> bool:
-        """The §4.3 write-disable knob.  Bound plans and compiled traces bake
-        it in, so the setter drops every cached plan and trace; flipping it
-        mid-run is safe (and rare — it is an administrative action)."""
+        """The §4.3 write-disable knob.  Bound plans bake it in, so the
+        setter drops every cached plan; flipping it mid-run is safe (and
+        rare — it is an administrative action)."""
         return self._write_enabled
 
     @write_enabled.setter
     def write_enabled(self, enabled: bool) -> None:
         if enabled != self._write_enabled:
             self._plan_cache.clear()
-            self._trace_programs.clear()
-            self._trace_cache.clear()
         self._write_enabled = enabled
 
     # ------------------------------------------------------------------ main
@@ -498,24 +464,9 @@ class TCPU:
 
         TPPs stamped from one template share its frozen
         :class:`~repro.core.packet_format.Program`, so every packet of an
-        instrumented flow after the first hits the cache.  With
-        ``compile_traces`` set, eligible programs run their compiled trace
-        (see :mod:`repro.core.trace`); everything else runs its bound plan.
-        All paths return identical statuses.
+        instrumented flow after the first hits the cache.
         """
         key = (tpp.program, id(memory))
-        if self.compile_traces:
-            entry = self._trace_cache.get(key)
-            if entry is None:
-                self.trace_cache_misses += 1
-                entry = self._bind_trace(tpp.program, memory, key)
-            else:
-                self.trace_cache_hits += 1
-            fn = entry[0]
-            if fn is not None:
-                self.trace_executions += 1
-                return fn(self, tpp, context)
-            self.trace_fallbacks += 1
         plan = self._plan_cache.get(key)
         if plan is not None:
             self.plan_cache_hits += 1
@@ -536,31 +487,6 @@ class TCPU:
                 break
         self.instructions_executed += statuses.count(_EXECUTED)
         return statuses
-
-    def _bind_trace(self, program: Program, memory: MemoryInterface, key: tuple) -> tuple:
-        """Lower ``program`` (once) and bind it to ``memory`` (once).
-
-        Both cache layers pin every object their key names (the program,
-        and for bindings the memory interface), keeping the identity keys
-        sound; ineligible programs are cached as negative entries so the
-        fallback decision is also O(1).
-        """
-        from . import trace  # deferred: repro.core.trace imports this module
-
-        compiled = self._trace_programs.get(program)
-        if compiled is None and program not in self._trace_programs:
-            compiled = trace.compile_trace(
-                program.instructions, word_bytes=program.word_bytes, mode=program.mode,
-                hop_size=program.hop_size, write_enabled=self.write_enabled)
-            if compiled is not None:
-                self.traces_compiled += 1
-            if len(self._trace_programs) < _PLAN_CACHE_LIMIT:
-                self._trace_programs[program] = compiled
-        fn = compiled.bind(memory) if compiled is not None else None
-        entry = (fn, program, memory)
-        if len(self._trace_cache) < _PLAN_CACHE_LIMIT:
-            self._trace_cache[key] = entry
-        return entry
 
     def _run_steps(self, steps: list, word_mask: int, tpp: TPP,
                    memory: MemoryInterface, context: PacketContext) -> ExecutionResult:

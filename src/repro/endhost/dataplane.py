@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 from repro.core.compiler import CompiledTPP
 from repro.core.packet_format import TPP
-from repro.core.static_analysis import trace_ineligibility
 from repro.net.node import Host
 from repro.net.packet import Packet, TPP_UDP_PORT, udp_packet
 
@@ -59,35 +58,12 @@ class DataplaneShim:
         self.tpps_echoed = 0
         self.echo_bytes_sent = 0
         self.bursts_sent = 0
-        # Trace-eligibility bookkeeping: when the network runs compiled TCPU
-        # traces (Scenario(compile_traces=True)), these tell an experimenter
-        # whether the templates *this host* stamps will take the fast path.
-        self.traceable_filters = 0
-        self.untraceable_filters = 0
         host.add_tx_hook(self._on_transmit)
         host.add_rx_hook(self._on_receive)
 
     # ------------------------------------------------------------- provisioning
     def install_filter(self, entry: FilterEntry) -> None:
-        template = entry.tpp_template
-        tpp = template.tpp if isinstance(template, CompiledTPP) else template
-        if trace_ineligibility(tpp.instructions) is None:
-            self.traceable_filters += 1
-        else:
-            self.untraceable_filters += 1
         self.filters.install(entry)
-
-    def trace_ineligible_programs(self) -> list[tuple[int, str]]:
-        """(app_id, reason) for each installed template the compiled-trace
-        engine would refuse — such TPPs run interpreted at every switch."""
-        ineligible = []
-        for entry in self.filters.entries:
-            template = entry.tpp_template
-            tpp = template.tpp if isinstance(template, CompiledTPP) else template
-            reason = trace_ineligibility(tpp.instructions)
-            if reason is not None:
-                ineligible.append((entry.app_id, reason))
-        return ineligible
 
     def bind_application(self, app_id: int, on_tpp: Optional[TPPCallback] = None,
                          echo_to_source: bool = False) -> AppBinding:

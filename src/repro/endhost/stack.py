@@ -51,4 +51,8 @@ def install_stacks(network: Network, control_plane: Optional[TPPControlPlane] = 
     if control_plane is None:
         control_plane = TPPControlPlane()
     selected = hosts if hosts is not None else list(network.hosts)
+    missing = [name for name in selected if name not in network.hosts]
+    if missing:
+        raise ValueError(f"hosts {missing} are not hosts of the network; "
+                         f"have {sorted(network.hosts)}")
     return {name: EndHostStack(network.hosts[name], control_plane) for name in selected}

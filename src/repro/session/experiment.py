@@ -129,11 +129,6 @@ class Experiment:
             self.network: Network = self.topology.network
         if spec.seed_ecmp:
             self._salt_ecmp_groups()
-        if spec.compile_traces:
-            # Flip every switch's TCPU onto the compiled-trace engine before
-            # any packet moves; byte-identical results, faster hot path.
-            for switch in self.network.switches.values():
-                switch.compile_traces = True
 
         self.stacks: dict[str, "EndHostStack"] = {}
         with span("build.stacks"):
@@ -340,18 +335,13 @@ class Experiment:
 
         Read at snapshot time only — the simulator run loop, TCPU hot path
         and shard intake never see the registry, which is how the
-        no-perturbation invariant holds.  The clock and the process-wide
-        codegen memo are readings, not per-experiment counts, so they are
-        gauges beside the snapshot rather than keys of it.
+        no-perturbation invariant holds.  The clock is a reading, not a
+        per-experiment count, so it is a gauge beside the snapshot rather
+        than a key of it.
         """
-        from repro.core import trace as trace_engine
-
         metrics = self.telemetry.metrics
         metrics.source("experiment", self.counters)
         metrics.gauge("sim.now_s", lambda: self.sim.now)
-        metrics.source("trace.codegen", lambda: {
-            f"trace.codegen_{name}": count
-            for name, count in trace_engine.codegen_stats().items()})
 
     # ---------------------------------------------------------------- running
     def run(self, duration_s: Optional[float] = None, *,
@@ -469,9 +459,8 @@ class ExperimentResult(JourneyQueries):
     finish.  The cross-cutting accounting every scenario gets for free —
     ``events_executed``, the shims' ``tpps_attached`` / ``tpp_bytes_added``
     / ``tpps_completed`` / ``tpps_echoed`` / ``instrumentation_overhead_bytes``,
-    the aggregators' ``tpps_received`` / ``tpps_truncated``, the trace
-    engine's ``traces_compiled`` / ``trace_executions`` / ``trace_fallbacks``,
-    the collection plane's ``collect_shards`` / ``summaries_submitted`` /
+    the aggregators' ``tpps_received`` / ``tpps_truncated``, the
+    collection plane's ``collect_shards`` / ``summaries_submitted`` /
     ``summary_*``, the fault plane's ``fault_events_applied`` /
     ``packets_corrupted`` / ``link_*_transitions`` / ``remediation_actions``
     — are read-only attributes over it, one per row of

@@ -41,30 +41,27 @@ every random draw taken from one ``random.Random(seed)``:
 1. **topology** — the registered builder runs with the scenario's kwargs;
 2. **ECMP salting** — with ``seed_ecmp=True``, hash-policy groups are
    re-salted from the master rng;
-3. **trace engine** — with ``compile_traces=True``, every switch TCPU is
-   flipped to the compiled-trace engine (byte-identical results, see
-   :mod:`repro.core.trace`);
-4. **stacks** — the §4 end-host stack is installed on (a subset of) hosts;
-5. **collection plane** — with ``.collector(...)``, the sharded
+3. **stacks** — the §4 end-host stack is installed on (a subset of) hosts;
+4. **collection plane** — with ``.collector(...)``, the sharded
    :class:`~repro.collect.CollectPlane` is built and attached (shard
    placement, epoch clock), before any app gets its front door;
-6. **TPP deployments** — each ``.tpp(...)`` spec, in declaration order:
+5. **TPP deployments** — each ``.tpp(...)`` spec, in declaration order:
    register the app, build and bind each receiver's aggregator, install
    the template on each sender;
-7. **workloads** — each ``.workload(...)`` spec, in declaration order
+6. **workloads** — each ``.workload(...)`` spec, in declaration order
    (registered workloads draw their child seed here, also in order);
-8. **fault plane** — with ``.faults(...)``, the resolved
+7. **fault plane** — with ``.faults(...)``, the resolved
    :class:`~repro.faults.FaultPlan` is scheduled by a
    :class:`~repro.faults.FaultInjector`; with ``.remediation(...)``, the
    :class:`~repro.faults.RemediationController` loop is started.  Both
    draw from their *own* seeds (never the master rng), so an empty plan
    leaves the run byte-identical to one with no fault plane at all;
-9. **flight recorder** — with ``.flight_recorder(...)``, the
+8. **flight recorder** — with ``.flight_recorder(...)``, the
    :class:`~repro.obs.FlightRecorder` is attached to every node, port and
    link.  Recording is pure observation (no random draws, no scheduled
    events, no packet mutation), so a run with the recorder on is
    byte-identical to the same run with it off;
-10. **setup hooks** — each ``.setup(...)`` hook, in declaration order.
+9. **setup hooks** — each ``.setup(...)`` hook, in declaration order.
 
 Because the order is fixed and the seed flows from one rng, equal
 scenarios with equal seeds produce byte-identical event sequences — the
@@ -153,7 +150,7 @@ class CollectorSpec:
 
         check_plane_knobs(self.shards, self.transport, self.epoch_s,
                           self.batch, self.capacity, self.hosts, self.delta)
-        self.hosts = list(self.hosts) if self.hosts else None
+        self.hosts = list(self.hosts) if self.hosts is not None else None
         self.tree = as_tree_spec(self.tree)      # a fan-in becomes a TreeSpec
 
 
@@ -170,10 +167,6 @@ class Scenario:
         hosts: restrict stack installation to this subset of hosts.
         seed_ecmp: re-salt hash-policy ECMP groups from the master rng
             (default False: keep the builders' salt-0 placement).
-        compile_traces: run every switch TCPU with the compiled-trace
-            engine (:mod:`repro.core.trace`).  Results are byte-identical
-            to the interpreted default; only wall-clock speed changes, so
-            experiments can flip this freely for A/B throughput runs.
         **topology_kwargs: forwarded to the topology builder verbatim.
 
     The declaration lives in ``spec`` (a
@@ -184,14 +177,12 @@ class Scenario:
     def __init__(self, topology: str = "dumbbell", seed: int = 1, *,
                  name: Optional[str] = None, stacks: bool = True,
                  hosts: Optional[list[str]] = None, seed_ecmp: bool = False,
-                 compile_traces: bool = False,
                  **topology_kwargs) -> None:
         self.spec = ScenarioSpec(
             topology=topology, seed=seed,
             name=name if name is not None else topology,
             topology_kwargs=topology_kwargs, stacks=stacks,
-            hosts=list(hosts) if hosts is not None else None,
-            seed_ecmp=seed_ecmp, compile_traces=compile_traces)
+            hosts=hosts, seed_ecmp=seed_ecmp)
 
     # ------------------------------------------------------------- registries
     @staticmethod

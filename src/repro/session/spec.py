@@ -2,16 +2,17 @@
 and the faces of the session layer that cross a process boundary.
 
 * :class:`ScenarioSpec` — the one object a scenario's declaration lives in
-  (topology name + kwargs, engine toggles, collector / fault / recorder
+  (topology name + kwargs, stack placement, collector / fault / recorder
   sub-specs, TPP and workload descriptors, hooks, seed).  The fluent
   :class:`~repro.session.Scenario` writes into one (``scenario.spec``),
   :class:`~repro.session.Experiment` builds from one, and the sweep layer
-  copies and edits them.  Each sub-spec dataclass checks its own knobs in
-  ``__post_init__``, so a value is rejected when it is declared — by a
-  builder method or a sweep axis alike.  :meth:`Scenario.to_spec` is a
-  copy plus :meth:`ScenarioSpec.validate`, which checks that every piece
-  survives the pickle boundary a process pool (:mod:`repro.sweep`) puts
-  between declaration and run; the rebuilt run is byte-identical.
+  copies and edits them.  The spec and each sub-spec dataclass check their
+  own knobs in ``__post_init__``, so a value is rejected when it is
+  declared — by a builder method or a sweep axis alike.
+  :meth:`Scenario.to_spec` is a copy plus :meth:`ScenarioSpec.validate`,
+  which checks that every piece survives the pickle boundary a process
+  pool (:mod:`repro.sweep`) puts between declaration and run; the rebuilt
+  run is byte-identical.
 * :class:`ResultSummary` — a slim, picklable view of an
   :class:`~repro.session.ExperimentResult`: the scalar accounting plus each
   app's *mergeable* summary, so worker processes ship monoid elements home
@@ -57,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
 __all__ = [
-    "RESULT_COUNTERS", "ResultSummary", "ScenarioSpec", "SpecError",
+    "RESULT_COUNTERS", "ResultSummary", "SCALAR_FIELDS", "ScenarioSpec", "SpecError",
     "callable_ref", "ensure_picklable", "spec_fingerprint", "spec_jsonable",
 ]
 
@@ -179,6 +180,12 @@ def spec_fingerprint(spec: "ScenarioSpec") -> str:
 # --------------------------------------------------------------------------
 # The spec itself
 # --------------------------------------------------------------------------
+#: The spec's top-level scalars and the type each value must have (``bool``
+#: is an ``int`` in Python; a seed may not be one).  ``name`` may also be
+#: None.  These are the sweep's scalar axes.
+SCALAR_FIELDS = {"seed": int, "name": str, "stacks": bool, "seed_ecmp": bool}
+
+
 @dataclass
 class ScenarioSpec:
     """Everything a :class:`Scenario` declares; the scenario's only state.
@@ -197,6 +204,7 @@ class ScenarioSpec:
     stacks: bool = True
     hosts: Optional[list[str]] = None
     seed_ecmp: bool = False
+    # Always False; every fingerprint renders it (ROADMAP 1a's suite half removes it).
     compile_traces: bool = False
     collector: Optional[Any] = None               # CollectorSpec
     faults: Optional[Any] = None                  # FaultSpec
@@ -211,6 +219,21 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
             TOPOLOGIES.get(self.topology)        # raises with the registered menu
+        for knob, kind in SCALAR_FIELDS.items():
+            value = getattr(self, knob)
+            if knob == "name" and value is None:
+                continue
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ValueError(f"{knob} takes {kind.__name__} values, "
+                                 f"got {value!r}")
+        if isinstance(self.hosts, str):
+            raise ValueError(f"hosts must be a list of host names, not the "
+                             f"bare string {self.hosts!r}")
+        if self.hosts is not None:
+            self.hosts = list(self.hosts)
+        if self.compile_traces is not False:
+            raise ValueError("compile_traces is gone: every TPP hop runs the "
+                             "bound plan")
 
     def copy(self) -> "ScenarioSpec":
         """An independent copy: declarations are deep-copied, while hooks and
@@ -287,6 +310,7 @@ RESULT_COUNTERS = {
     "instrumentation_overhead_bytes": "shim.overhead_bytes",
     "tpps_received": "apps.tpps_received",
     "tpps_truncated": "apps.tpps_truncated",
+    # Read 0; every canonical result renders them (ROADMAP 1a's suite half removes them).
     "traces_compiled": "tcpu.traces_compiled",
     "trace_executions": "tcpu.trace_executions",
     "trace_fallbacks": "tcpu.trace_fallbacks",

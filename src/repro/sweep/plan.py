@@ -18,7 +18,7 @@ Axis paths address the spec declaratively::
 
     seed                      the master seed
     name                      the scenario label
-    compile_traces            engine toggle (likewise seed_ecmp / stacks)
+    stacks / seed_ecmp        the stack and ECMP-salting toggles
     topology.<kwarg>          a topology-builder keyword
     collector.<field>         a .collector(...) knob (shards, epoch_s, ...)
     collector.tree.<field>    an aggregation-tree knob (fanin); materialises
@@ -48,14 +48,9 @@ from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro import check_count
 from repro.session import Scenario, ScenarioSpec
-from repro.session.spec import SpecError, ensure_picklable
+from repro.session.spec import SCALAR_FIELDS, SpecError, ensure_picklable
 
 __all__ = ["Axis", "SweepSpec", "SweepTask"]
-
-#: Top-level spec fields an axis may address directly, and the type each
-#: value must have (``bool`` is an ``int`` in Python; a seed may not be one).
-_SCALAR_PATHS = {"seed": int, "name": str, "stacks": bool, "seed_ecmp": bool,
-                 "compile_traces": bool}
 
 #: Sub-spec roots: the axis head is also the ScenarioSpec attribute, and a
 #: missing sub-spec is materialised with its defaults.  ``replace()`` re-runs
@@ -126,15 +121,11 @@ def _rebuilt(path: str, declared: Any, name: str, value: Any) -> Any:
 def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
     """Set one axis value on a (copied) spec, validating path and value."""
     head, _, rest = path.partition(".")
-    if head in _SCALAR_PATHS:
+    if head in SCALAR_FIELDS:
         if rest:
             raise SpecError(f"axis path {path!r}: {head!r} takes no sub-path")
-        expected = _SCALAR_PATHS[head]
-        if not isinstance(value, expected) \
-                or (expected is int and isinstance(value, bool)):
-            raise SpecError(f"axis path {path!r}: {head!r} takes "
-                            f"{expected.__name__} values, got {value!r}")
-        setattr(spec, head, value)
+        # The spec checks its own scalars: rebuild a shallow copy to run them.
+        setattr(spec, head, getattr(_rebuilt(path, spec, head, value), head))
         return
     if head == "topology":
         if not rest:
@@ -180,7 +171,7 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
                         f"(have {[t.name for t in spec.tpps]})")
     raise SpecError(
         f"axis path {path!r}: unknown root {head!r}; expected one of "
-        f"{(*_SCALAR_PATHS, 'topology', *_SUBSPEC_PATHS, 'workload', 'tpp')}")
+        f"{(*SCALAR_FIELDS, 'topology', *_SUBSPEC_PATHS, 'workload', 'tpp')}")
 
 
 class SweepSpec:

@@ -185,8 +185,8 @@ class SwitchMemory:
     def read_resolver(self, address: int) -> Reader:
         """The closure ``read(address, ·)`` calls: ``resolver(context)``.
 
-        The TCPU's bound plans and compiled traces bind one per read
-        instruction and so skip even the cache lookup.
+        The TCPU's bound plans bind one per read instruction and so skip
+        even the cache lookup.
         """
         return self._resolved_reads.get(address) or self._resolve(address)[0]
 

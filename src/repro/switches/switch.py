@@ -48,7 +48,6 @@ class TPPSwitch(Node):
                  num_stages: int = 4,
                  tpp_enabled: bool = True,
                  write_enabled: bool = True,
-                 compile_traces: bool = False,
                  forwarding_latency_s: float = 0.0,
                  utilization_interval_s: float = DEFAULT_UTILIZATION_INTERVAL_S,
                  utilization_ewma_alpha: float = 0.0,
@@ -77,10 +76,7 @@ class TPPSwitch(Node):
         self.pipeline = Pipeline(num_stages=num_stages)
         self.group_table = GroupTable()
         self.memory = SwitchMemory(self)
-        # compile_traces selects the compiled-trace TCPU engine (see
-        # repro.core.trace); it may also be toggled later through the
-        # ``compile_traces`` property — the Scenario layer does exactly that.
-        self.tcpu = TCPU(write_enabled=write_enabled, compile_traces=compile_traces)
+        self.tcpu = TCPU(write_enabled=write_enabled)
         # The one PacketContext every TPP hop refills: nothing between the
         # refill and the hop's last read of it can re-enter receive, and no
         # caller keeps it past the hop.
@@ -114,15 +110,6 @@ class TPPSwitch(Node):
     def link_id(self, port_index: int) -> int:
         """Globally-unique-ish link identifier exposed as ``[Link:ID]``."""
         return (self.switch_id * 64 + port_index) & 0xFFFF
-
-    @property
-    def compile_traces(self) -> bool:
-        """Whether this switch's TCPU runs compiled per-program traces."""
-        return self.tcpu.compile_traces
-
-    @compile_traces.setter
-    def compile_traces(self, enabled: bool) -> None:
-        self.tcpu.compile_traces = enabled
 
     @property
     def forwarding_version(self) -> int:

@@ -377,17 +377,20 @@ class TestScenarioIntegration:
 
     @pytest.mark.parametrize("knob,value", [
         ("delta", "no"), ("delta", 1), ("epoch_s", True), ("epoch_s", "1"),
-        ("hosts", "h0")])
+        ("hosts", "h0"), ("hosts", [])])
     def test_silently_accepted_knobs_fail_at_declaration(self, knob, value):
         # delta="no" used to turn deltas on (bool("no")), epoch_s=True ran
-        # 1 s epochs, epoch_s="1" raised a bare TypeError, and hosts="h0"
-        # became ['h', '0'] and failed at build with KeyError: 'h'.
+        # 1 s epochs, epoch_s="1" raised a bare TypeError, hosts="h0"
+        # became ['h', '0'] and failed at build with KeyError: 'h', and
+        # hosts=[] read as unset and placed the shards on every host.
         with pytest.raises(ValueError, match=knob):
             Scenario("dumbbell").collector(shards=2, **{knob: value})
 
     def test_plane_and_spec_share_the_knob_checks(self):
         with pytest.raises(ValueError, match="hosts"):
             CollectPlane(2, shard_hosts="h0")
+        with pytest.raises(ValueError, match="hosts"):
+            CollectPlane(2, shard_hosts=[])
         with pytest.raises(ValueError, match="delta"):
             CollectPlane(2, delta="no")
         # An int epoch is a number, not a flag: still accepted.
@@ -559,12 +562,11 @@ class TestPushSchedule:
 class TestTruncationAccounting:
     """Satellite: packet-memory overrun is visible at every layer."""
 
-    @pytest.mark.parametrize("compile_traces", [False, True])
-    def test_switch_shim_and_collector_agree(self, compile_traces):
+    def test_switch_shim_and_collector_agree(self):
         # One hop of room, two-switch cross-side paths: the second switch
         # must skip with SKIPPED_PACKET_FULL.
         result = (Scenario("dumbbell", seed=5, hosts_per_side=2,
-                           link_rate_bps=mbps(10), compile_traces=compile_traces)
+                           link_rate_bps=mbps(10))
                   .tpp("trunc", "PUSH [Switch:SwitchID]", num_hops=1,
                        filter=PacketFilter(protocol="udp"))
                   .collector(shards=2)

@@ -29,6 +29,11 @@ from repro.session.spec import RESULT_COUNTERS
 from repro.sweep import SweepRunner
 
 
+#: The canonical rows of the deleted compiled-trace engine: kept (reading
+#: 0) until the benchmark suite's pinned digests are re-pinned without them.
+TRACE_ROWS = ("traces_compiled", "trace_executions", "trace_fallbacks")
+
+
 def monitored(seed=3, aggregator=MicroburstAggregator) -> Scenario:
     return (Scenario("dumbbell", seed=seed, hosts_per_side=2,
                      link_rate_bps=mbps(10))
@@ -66,7 +71,8 @@ class TestOneChannel:
         assert gauges.pop("sim.now_s") == result.end_time_s
         engine = {name: value for name, value in gauges.items()
                   if name.startswith(("sim.", "tcpu.", "collect."))}
-        assert len(engine) > 30
+        assert engine
+        assert not any(name.startswith("tcpu.trace") for name in gauges)
         for name, value in engine.items():
             assert result.counters[name] == value, name
         # ... and nothing the snapshot holds is missing from the gauges.
@@ -76,6 +82,11 @@ class TestOneChannel:
     def test_scalars_read_their_table_row(self, result):
         assert len(RESULT_COUNTERS) == 25
         for name, key in RESULT_COUNTERS.items():
+            if name in TRACE_ROWS:
+                # No component produces these; they read as zero.
+                assert key not in result.counters, (name, key)
+                assert getattr(result, name) == 0, name
+                continue
             # With every plane declared, a row naming a key no component
             # produces is a typo, not an absent plane.
             assert key in result.counters, (name, key)

@@ -1,14 +1,12 @@
-"""Differential tests for the TCPU's cached engines against its interpreter.
+"""Differential tests for the TCPU's bound plan against its interpreter.
 
-The bound plan (``execute_program``) and the compiled trace
-(``compile_traces=True``, :mod:`repro.core.trace`) must be
-*instruction-for-instruction* identical to the reference interpreter
-(``execute``) — same statuses, same packet memory, same switch-memory
-writes, same counters — on every program, eligible or not, on a cache miss
-and on a cache hit.  This file holds:
+The bound plan (``execute_program``) must be *instruction-for-instruction*
+identical to the reference interpreter (``execute``) — same statuses, same
+packet memory, same switch-memory writes, same counters — on every
+program, on a cache miss and on a cache hit.  This file holds:
 
-* a property-style sweep running randomized valid programs through all
-  three engines, each engine twice on one TCPU and one memory (a miss, then
+* a property-style sweep running randomized valid programs through both
+  engines, each engine twice on one TCPU and one memory (a miss, then
   a hit a hop further along), against a dict-backed memory (the closures
   over ``read`` / ``write``) and a real switch's ``SwitchMemory`` (its
   resolvers), including a flip of the write-enable knob between the two
@@ -18,11 +16,10 @@ and on a cache hit.  This file holds:
   and through ``TPPSwitch.receive`` on a k=4 fat-tree, where the packet
   must be delivered or counted once in a drop ledger;
 * resolver equivalence checks against a real switch's ``SwitchMemory``;
-* regression tests for the cache-keying contract: a different program,
-  changed word size / addressing mode / hop size, or a flipped
-  write-enable knob can never hit a stale plan or trace;
-* plumbing tests for the ``compile_traces`` toggle through ``TPPSwitch``,
-  ``DataplaneShim`` eligibility accounting, and ``Scenario``.
+* regression tests for the cache-keying contract: a different or grown
+  program, another memory, changed word size / addressing mode / hop
+  size, or a flipped write-enable knob can never hit a stale plan, while
+  clones of one template share one plan.
 """
 
 import os
@@ -34,15 +31,10 @@ from repro.core import addressing
 from repro.core.compiler import compile_tpp
 from repro.core.isa import Instruction, Opcode
 from repro.core.packet_format import TPP, AddressingMode, checksum16, make_tpp
-from repro.core.static_analysis import trace_ineligibility
-from repro.core.tcpu import InstructionStatus, PacketContext, TCPU
-from repro.core.trace import compile_trace, trace_eligible
-from repro.endhost.filters import PacketFilter
-from repro.net.link import gbps
+from repro.core.tcpu import _PLAN_CACHE_LIMIT, InstructionStatus, PacketContext, TCPU
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import build_fat_tree
-from repro.session import Scenario
 from repro.switches.switch import TPPSwitch
 
 settings.register_profile("quick", max_examples=15)
@@ -95,7 +87,7 @@ MEMORIES = {
     "switch": (SWITCH_ADDRESSES, lambda: fresh_switch().memory),
 }
 
-trace_opcodes = st.sampled_from([Opcode.NOP, Opcode.PUSH, Opcode.POP,
+straight_line_opcodes = st.sampled_from([Opcode.NOP, Opcode.PUSH, Opcode.POP,
                                  Opcode.LOAD, Opcode.STORE])
 all_opcodes = st.sampled_from(list(Opcode))
 
@@ -122,17 +114,17 @@ def memory_state(memory):
             [stage.registers for stage in memory.switch.pipeline.stages])
 
 
-def run_all_engines(program, *, word_bytes, mode, num_hops, hop_number,
-                    stack_pointer, fill, write_enabled=True, flip_write=False,
-                    memory="dict"):
-    """Run one program through interpreter / bound plan / compiled trace.
+def run_both_engines(program, *, word_bytes, mode, num_hops, hop_number,
+                     stack_pointer, fill, write_enabled=True, flip_write=False,
+                     memory="dict"):
+    """Run one program through the interpreter and the bound plan.
 
     Each engine gets one TCPU and one fresh ``memory`` and runs the program
     twice: a cache miss on a clone of the template, then — after flipping
     ``write_enabled`` when ``flip_write`` is set — a cache hit (a miss after
     a flip) on a second clone one hop further along.  Returns per engine
     ``(runs, memory, tcpu)``, with ``(result, tpp, context)`` per run: the
-    interpreter's ``ExecutionResult``, the other engines' statuses list.
+    interpreter's ``ExecutionResult``, the plan's statuses list.
     """
     values_per_hop = 3                      # room for offsets 0..2, plus slack
     template = make_tpp(program, num_hops=num_hops, mode=mode,
@@ -143,9 +135,8 @@ def run_all_engines(program, *, word_bytes, mode, num_hops, hop_number,
     template.stack_pointer = stack_pointer
 
     outcomes = []
-    for engine in ("execute", "plan", "trace"):
-        tcpu = TCPU(write_enabled=write_enabled,
-                    compile_traces=(engine == "trace"))
+    for engine in ("execute", "plan"):
+        tcpu = TCPU(write_enabled=write_enabled)
         state = MEMORIES[memory][1]()
         execute = tcpu.execute if engine == "execute" else tcpu.execute_program
         runs = []
@@ -164,19 +155,18 @@ def run_all_engines(program, *, word_bytes, mode, num_hops, hop_number,
 
 
 def assert_engines_agree(outcomes):
-    (reference_runs, reference_memory, reference_tcpu), *others = outcomes
-    for runs, memory, tcpu in others:
-        for reference, run in zip(reference_runs, runs):
-            (ref_result, ref_tpp, ref_context), (result, tpp, context) = reference, run
-            assert result == ref_result.statuses
-            assert ref_result.halted == (InstructionStatus.FAILED_CONDITION in result)
-            assert tpp.memory == ref_tpp.memory
-            assert tpp.stack_pointer == ref_tpp.stack_pointer
-            assert tpp.hop_number == ref_tpp.hop_number
-            assert context == ref_context
-        assert memory_state(memory) == memory_state(reference_memory)
-        assert tcpu.tpps_executed == reference_tcpu.tpps_executed
-        assert tcpu.instructions_executed == reference_tcpu.instructions_executed
+    (reference_runs, reference_memory, reference_tcpu), (runs, memory, tcpu) = outcomes
+    for reference, run in zip(reference_runs, runs):
+        (ref_result, ref_tpp, ref_context), (result, tpp, context) = reference, run
+        assert result == ref_result.statuses
+        assert ref_result.halted == (InstructionStatus.FAILED_CONDITION in result)
+        assert tpp.memory == ref_tpp.memory
+        assert tpp.stack_pointer == ref_tpp.stack_pointer
+        assert tpp.hop_number == ref_tpp.hop_number
+        assert context == ref_context
+    assert memory_state(memory) == memory_state(reference_memory)
+    assert tcpu.tpps_executed == reference_tcpu.tpps_executed
+    assert tcpu.instructions_executed == reference_tcpu.instructions_executed
 
 
 KNOBS = (st.sampled_from([2, 4]),
@@ -188,22 +178,22 @@ KNOBS = (st.sampled_from([2, 4]),
 
 
 class TestDifferentialSweep:
-    """Random valid programs: the three engines must be indistinguishable."""
+    """Random valid programs: the two engines must be indistinguishable."""
 
-    @given(programs(trace_opcodes), *KNOBS)
-    def test_trace_eligible_programs(self, program, word_bytes, mode, num_hops,
-                                     hop_number, stack_pointer, fill):
-        assert_engines_agree(run_all_engines(
+    @given(programs(straight_line_opcodes), *KNOBS)
+    def test_straight_line_programs(self, program, word_bytes, mode, num_hops,
+                                    hop_number, stack_pointer, fill):
+        assert_engines_agree(run_both_engines(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
             hop_number=hop_number, stack_pointer=stack_pointer, fill=fill))
 
     @given(memory_programs(all_opcodes), *KNOBS, st.booleans())
     def test_any_program_any_knobs(self, kind_program, word_bytes, mode, num_hops,
                                    hop_number, stack_pointer, fill, write_enabled):
-        """Conditionals (trace fallback) and write-disable included, against
-        a dict-backed memory and a real switch's memory map."""
+        """Conditionals and write-disable included, against a dict-backed
+        memory and a real switch's memory map."""
         kind, program = kind_program
-        assert_engines_agree(run_all_engines(
+        assert_engines_agree(run_both_engines(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
             hop_number=hop_number, stack_pointer=stack_pointer, fill=fill,
             write_enabled=write_enabled, memory=kind))
@@ -212,10 +202,10 @@ class TestDifferentialSweep:
     def test_write_enabled_flip_between_runs(self, kind_program, word_bytes, mode,
                                              num_hops, hop_number, stack_pointer,
                                              fill, write_enabled):
-        """Plans and traces bake the knob in: the second run, after the
-        flip, must behave as the interpreter does under the new setting."""
+        """Plans bake the knob in: the second run, after the flip, must
+        behave as the interpreter does under the new setting."""
         kind, program = kind_program
-        assert_engines_agree(run_all_engines(
+        assert_engines_agree(run_both_engines(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
             hop_number=hop_number, stack_pointer=stack_pointer, fill=fill,
             write_enabled=write_enabled, flip_write=True, memory=kind))
@@ -353,44 +343,8 @@ class TestResolverEquivalence:
             assert switch.memory.read(address, PacketContext()) is None
 
 
-class TestEligibility:
-    def test_conditionals_are_ineligible(self):
-        for opcode in (Opcode.CSTORE, Opcode.CEXEC):
-            program = [Instruction(opcode, 0x0000, packet_offset=0)]
-            assert not trace_eligible(program)
-            assert "conditional" in trace_ineligibility(program)
-
-    def test_hazardous_packet_layout_is_ineligible(self):
-        program = [Instruction(Opcode.LOAD, 0x0000, packet_offset=0),
-                   Instruction(Opcode.LOAD, 0x0001, packet_offset=0)]
-        assert not trace_eligible(program)
-        assert "hazard" in trace_ineligibility(program)
-
-    def test_straight_line_program_is_eligible(self):
-        program = [Instruction(Opcode.PUSH, 0x0000),
-                   Instruction(Opcode.LOAD, 0x0001, packet_offset=1)]
-        assert trace_eligible(program)
-        compiled = compile_trace(program, word_bytes=2,
-                                 mode=AddressingMode.STACK, hop_size=0)
-        assert compiled is not None
-        assert "__tpp_trace" in compiled.source
-
-    def test_ineligible_program_falls_back_and_counts(self):
-        program = [Instruction(Opcode.CEXEC, 0x0000, packet_offset=0)]
-        tpp = make_tpp(program, num_hops=1, mode=AddressingMode.HOP,
-                       values_per_hop=3, initial_values=[0xFFFF, 7, 0])
-        tcpu = TCPU(compile_traces=True)
-        statuses = tcpu.execute_program(tpp, DictMemory({0x0000: 7}), PacketContext())
-        assert statuses == [InstructionStatus.EXECUTED]
-        assert tcpu.trace_fallbacks == 1
-        assert tcpu.trace_executions == 0
-
-
 class TestCacheKeying:
-    """A TPP with a different program must never hit a stale plan/trace."""
-
-    def _memory(self):
-        return DictMemory(PRESENT, READ_ONLY)
+    """A TPP with a different program must never hit a stale plan."""
 
     def test_different_program_misses_plan_cache(self):
         a = addressing.resolve("[Switch:SwitchID]")
@@ -407,9 +361,9 @@ class TestCacheKeying:
         assert replaced.pushed_words() == [9, 9]     # stale plan would push once
         assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (2, 0)
 
-    def test_grown_program_misses_trace_cache(self):
+    def test_grown_program_misses_plan_cache(self):
         a = addressing.resolve("[Switch:SwitchID]")
-        tcpu = TCPU(compile_traces=True)
+        tcpu = TCPU()
         tpp = compile_tpp("PUSH [Switch:SwitchID]").tpp
         memory = DictMemory({a: 1})
         tcpu.execute_program(tpp, memory, PacketContext())
@@ -419,9 +373,31 @@ class TestCacheKeying:
         statuses = tcpu.execute_program(grown, memory, PacketContext())
         assert len(statuses) == 2
         assert grown.pushed_words() == [2, 2]
-        assert (tcpu.trace_cache_misses, tcpu.traces_compiled) == (2, 2)
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (2, 0)
 
-    def test_word_bytes_change_recompiles(self):
+    def test_clones_of_one_template_share_one_plan(self):
+        a = addressing.resolve("[Switch:SwitchID]")
+        tcpu = TCPU()
+        memory = DictMemory({a: 1})
+        template = compile_tpp("PUSH [Switch:SwitchID]").tpp
+        for _ in range(5):
+            clone = template.clone()
+            tcpu.execute_program(clone, memory, PacketContext())
+            assert clone.pushed_words() == [1]
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (1, 4)
+        assert len(tcpu._plan_cache) == 1
+
+    def test_another_memory_misses_plan_cache(self):
+        a = addressing.resolve("[Switch:SwitchID]")
+        tcpu = TCPU()
+        template = compile_tpp("PUSH [Switch:SwitchID]").tpp
+        for value in (3, 4):
+            clone = template.clone()
+            tcpu.execute_program(clone, DictMemory({a: value}), PacketContext())
+            assert clone.pushed_words() == [value]    # a stale plan reads 3
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (2, 0)
+
+    def test_word_bytes_change_rebinds(self):
         address = addressing.resolve("[PacketMetadata:ArrivalTimestamp]")
         program = [Instruction(Opcode.PUSH, address)]
 
@@ -434,135 +410,74 @@ class TestCacheKeying:
                 return False
 
         context = PacketContext(arrival_time=1.0)       # 1e6 us = 0xF4240
-        tcpu = TCPU(compile_traces=True)
+        tcpu = TCPU()
+        memory = MetadataMemory()
         for word_bytes, expected in ((2, 0xF4240 & 0xFFFF), (4, 0xF4240)):
             tpp = make_tpp(program, num_hops=1, word_bytes=word_bytes)
-            tcpu.execute_program(tpp, MetadataMemory(), context)
+            tcpu.execute_program(tpp, memory, context)
             assert tpp.pushed_words() == [expected]
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (2, 0)
 
-    def test_mode_and_hop_size_are_part_of_the_trace_key(self):
-        memory_values = {0x0000: 0xAA, 0x0001: 0xBB}
+    def test_mode_and_hop_size_are_part_of_the_plan_key(self):
+        memory = DictMemory({0x0000: 0xAA, 0x0001: 0xBB})
         program = [Instruction(Opcode.LOAD, 0x0000, packet_offset=0),
                    Instruction(Opcode.LOAD, 0x0001, packet_offset=1)]
-        tcpu = TCPU(compile_traces=True)
+        tcpu = TCPU()
 
         hop = make_tpp(program, num_hops=3, mode=AddressingMode.HOP,
                        values_per_hop=2)
         hop.hop_number = 2
-        tcpu.execute_program(hop, DictMemory(memory_values), PacketContext())
+        tcpu.execute_program(hop, memory, PacketContext())
         assert hop.read_hop_word(0, hop=2) == 0xAA      # wrote hop 2's slice
         assert hop.read_hop_word(0, hop=0) == 0
+
+        # Same instruction objects, a wider hop: hop 2 starts further on.
+        wide = make_tpp(program, num_hops=3, mode=AddressingMode.HOP,
+                        values_per_hop=3)
+        wide.hop_number = 2
+        tcpu.execute_program(wide, memory, PacketContext())
+        assert wide.read_word_bytes(2 * wide.hop_size) == 0xAA
+        assert wide.read_hop_word(1, hop=2) == 0xBB
 
         # Same instruction objects, stack mode: absolute offsets 0 and 1.
         stack = make_tpp(program, num_hops=3, mode=AddressingMode.STACK,
                          values_per_hop=2)
         stack.hop_number = 2
-        tcpu.execute_program(stack, DictMemory(memory_values), PacketContext())
+        tcpu.execute_program(stack, memory, PacketContext())
         assert stack.read_word_bytes(0) == 0xAA         # absolute word 0
         assert stack.read_word_bytes(2) == 0xBB
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (3, 0)
 
-    def test_write_enabled_flip_recompiles_traces(self):
+    def test_write_enabled_flip_rebinds_plans(self):
         store = [Instruction(Opcode.STORE, 0x1010, packet_offset=0)]
-        tcpu = TCPU(compile_traces=True)
+        tcpu = TCPU()
+        memory = DictMemory(PRESENT, READ_ONLY)
+        template = make_tpp(store, num_hops=1, mode=AddressingMode.HOP,
+                            initial_values=[55])
 
         def run():
-            tpp = make_tpp(store, num_hops=1, mode=AddressingMode.HOP,
-                           initial_values=[55])
-            memory = self._memory()
-            return tcpu.execute_program(tpp, memory, PacketContext()), memory
+            memory.values[0x1010] = 0
+            return tcpu.execute_program(template.clone(), memory, PacketContext())
 
-        statuses, memory = run()
-        assert statuses == [InstructionStatus.EXECUTED]
+        assert run() == [InstructionStatus.EXECUTED]
         assert memory.values[0x1010] == 55
 
         tcpu.write_enabled = False
-        statuses, memory = run()
-        assert statuses == [InstructionStatus.SKIPPED_WRITE_DISABLED]
+        assert run() == [InstructionStatus.SKIPPED_WRITE_DISABLED]
         assert memory.values[0x1010] == 0
 
         tcpu.write_enabled = True
-        statuses, memory = run()
-        assert statuses == [InstructionStatus.EXECUTED]
+        assert run() == [InstructionStatus.EXECUTED]
         assert memory.values[0x1010] == 55
+        # Each flip dropped the plan; an unflipped rerun hits.
+        run()
+        assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (3, 1)
 
-    def test_equal_content_different_objects_share_one_compiled_program(self):
-        a = addressing.resolve("[Switch:SwitchID]")
-        tcpu = TCPU(compile_traces=True)
-        memory = DictMemory({a: 1})
-        template = compile_tpp("PUSH [Switch:SwitchID]").tpp
-        for _ in range(5):
-            tcpu.execute_program(template.clone(), memory, PacketContext())
-        assert tcpu.traces_compiled == 1
-        assert tcpu.trace_executions == 5
-
-    def test_trace_cache_is_bounded(self):
-        from repro.core.tcpu import _PLAN_CACHE_LIMIT
-        tcpu = TCPU(compile_traces=True)
+    def test_plan_cache_is_bounded(self):
+        tcpu = TCPU()
         memory = DictMemory(PRESENT)
         for address in range(_PLAN_CACHE_LIMIT + 10):
             tpp = make_tpp([Instruction(Opcode.PUSH, address)], num_hops=1)
             tcpu.execute_program(tpp, memory, PacketContext())
-        assert len(tcpu._trace_cache) <= _PLAN_CACHE_LIMIT
-        assert len(tcpu._trace_programs) <= _PLAN_CACHE_LIMIT
-        assert len(tcpu._plan_cache) <= _PLAN_CACHE_LIMIT
-
-
-class TestPlumbing:
-    def _scenario(self, compile_traces):
-        return (Scenario("dumbbell", seed=3, hosts_per_side=2,
-                         link_rate_bps=gbps(1), compile_traces=compile_traces)
-                .tpp("monitor",
-                     "PUSH [PacketMetadata:OutputPort]\n"
-                     "PUSH [Switch:Clock]\n"
-                     "PUSH [Queue:QueueOccupancyBytes]\n"
-                     "PUSH [Link:TX-Bytes]\n"
-                     "PUSH [Switch:SwitchID]",
-                     filter=PacketFilter(protocol="udp"), num_hops=6)
-                .workload("messages", offered_load=0.2, message_bytes=4_000))
-
-    def test_scenario_runs_are_byte_identical_across_engines(self):
-        """End-to-end differential on a real network, exercising the
-        specialized SwitchMemory resolvers (metadata, clock, queue, link)."""
-        payloads = {}
-
-        def run(compile_traces):
-            collected = []
-            result = (self._scenario(compile_traces)
-                      .collect(lambda tpp, packet:
-                               collected.append((packet.src, packet.dst,
-                                                 tpp.hop_number,
-                                                 bytes(tpp.memory))))
-                      .run(duration_s=0.05))
-            payloads[compile_traces] = collected
-            return result
-
-        interp, traced = run(False), run(True)
-        assert interp.events_executed == traced.events_executed
-        assert interp.tpps_attached == traced.tpps_attached
-        assert interp.tpps_completed == traced.tpps_completed
-        assert payloads[False] == payloads[True]
-        assert payloads[True], "the sweep must actually collect TPPs"
-        assert traced.trace_executions > 0
-        assert traced.trace_fallbacks == 0
-        assert interp.trace_executions == 0
-
-    def test_switch_constructor_and_property_toggle(self):
-        switch = TPPSwitch(Simulator(), "s1", switch_id=1, compile_traces=True)
-        assert switch.compile_traces and switch.tcpu.compile_traces
-        switch.compile_traces = False
-        assert not switch.tcpu.compile_traces
-
-    def test_shim_reports_trace_eligibility(self):
-        experiment = (self._scenario(True)
-                      .tpp("verify",
-                           "CEXEC [Switch:SwitchID], [Packet:Hop[0]]\n"
-                           "LOAD [Link:TX-Bytes], [Packet:Hop[2]]",
-                           filter=PacketFilter(protocol="tcp"), num_hops=4)
-                      .build())
-        shim = next(iter(experiment.stacks.values())).shim
-        assert shim.traceable_filters == 1
-        assert shim.untraceable_filters == 1
-        ineligible = shim.trace_ineligible_programs()
-        assert len(ineligible) == 1
-        assert "conditional" in ineligible[0][1]
-        experiment.finish()
+        assert len(tcpu._plan_cache) == _PLAN_CACHE_LIMIT
+        assert tcpu.plan_cache_misses == _PLAN_CACHE_LIMIT + 10

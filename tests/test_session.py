@@ -5,9 +5,9 @@ import pytest
 from repro.apps.microburst import microburst_scenario
 from repro.endhost import Aggregator, PacketFilter
 from repro.net import mbps
-from repro.session import (DuplicateRegistration, Registry, Scenario, TOPOLOGIES,
-                           UnknownRegistration, WORKLOADS, register_topology,
-                           register_workload)
+from repro.session import (DuplicateRegistration, Registry, Scenario, ScenarioSpec,
+                           TOPOLOGIES, UnknownRegistration, WORKLOADS,
+                           register_topology, register_workload)
 
 
 class TestRegistry:
@@ -169,6 +169,29 @@ class TestScenarioBuilder:
         scenario = Scenario("dumbbell").workload(workload, **{knob: value})
         with pytest.raises(ValueError, match=f"{knob} must be an int >= 1"):
             scenario.run(0.001)
+
+    # Each was accepted (stacks="no" installed stacks, seed_ecmp="yes"
+    # re-salted ECMP) or failed late (hosts="h0" with KeyError: 'h' at
+    # build); a sweep axis was the only place they were checked.
+    @pytest.mark.parametrize("knob,value", [
+        ("stacks", "no"), ("seed_ecmp", "yes"), ("seed", True), ("name", 5),
+        ("hosts", "h0")])
+    def test_top_level_scalars_fail_at_declaration(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            Scenario("dumbbell", **{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            ScenarioSpec("dumbbell", **{knob: value})
+
+    def test_unknown_stack_host_is_named_at_build(self):
+        # hosts=["nope"] used to fail with a bare KeyError.
+        scenario = Scenario("dumbbell", hosts=["h0", "nope"])
+        with pytest.raises(ValueError, match=r"hosts \['nope'\]"):
+            scenario.build()
+
+    def test_compile_traces_field_only_takes_false(self):
+        assert ScenarioSpec("dumbbell").compile_traces is False
+        with pytest.raises(ValueError, match="compile_traces"):
+            ScenarioSpec("dumbbell", compile_traces=True)
 
     def test_copy_is_independent(self):
         base = Scenario("dumbbell").workload("messages")

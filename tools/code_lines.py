@@ -11,6 +11,7 @@ Usage::
 """
 
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -58,4 +59,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (``| head``) closed the pipe: stop quietly, and point
+        # stdout at devnull so the interpreter's final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
