@@ -105,12 +105,10 @@ class Packet:
         """The packet's flow identity.
 
         This is the *single* definition shared by every same-flow memo layer
-        (pipeline forwarding decisions, group-table path selection, end-host
-        filter matching): two packets with equal flow keys are
-        indistinguishable to any rule or policy that operates on
-        flow-identity fields.  Extending flow identity means changing this
-        method (and ``repro.switches.pipeline.FLOW_KEY_FIELDS``), not the
-        individual memos.
+        (group-table path selection, end-host filter matching): two packets
+        with equal flow keys are indistinguishable to any rule or policy
+        that operates on flow-identity fields.  Extending flow identity
+        means changing this method, not the individual memos.
         """
         return (self.src, self.dst, self.protocol, self.sport, self.dport,
                 self.vlan, self.flow_id)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .link import Link, mbps
 from .node import Host, Node
@@ -128,15 +128,7 @@ class Network:
         """
         if destination not in self.hosts and destination not in self.switches:
             raise ValueError(f"unknown destination {destination!r}")
-        distances = {destination: 0}
-        frontier = deque([destination])
-        while frontier:
-            current = frontier.popleft()
-            for neighbor, _ in self.up_neighbors(current):
-                if neighbor not in distances:
-                    distances[neighbor] = distances[current] + 1
-                    frontier.append(neighbor)
-        return distances
+        return _hop_distances(destination, self.up_neighbors)
 
     def install_shortest_path_routes(self, ecmp: bool = True,
                                      group_policy: str = "hash",
@@ -154,17 +146,18 @@ class Network:
         *replace* existing routes must be installed at a strictly higher
         priority than the incumbent entries.
         """
+        # Routing changes no link state: one adjacency serves every BFS.
+        adjacency = {name: self.up_neighbors(name) for name in self.nodes}
         next_group_id = {name: 1000 for name in self.switches}
         for dst_name in self.hosts:
-            distances = self.hop_distances_to(dst_name)
+            distances = _hop_distances(dst_name, adjacency.__getitem__)
             for switch_name, switch in self.switches.items():
                 if switch_name not in distances:
                     continue
                 my_distance = distances[switch_name]
-                candidate_ports: list[int] = []
-                for neighbor, port_index in self.up_neighbors(switch_name):
-                    if distances.get(neighbor, float("inf")) == my_distance - 1:
-                        candidate_ports.append(port_index)
+                candidate_ports = [
+                    port_index for neighbor, port_index in adjacency[switch_name]
+                    if distances.get(neighbor, float("inf")) == my_distance - 1]
                 if not candidate_ports:
                     continue
                 if len(candidate_ports) == 1 or not ecmp:
@@ -199,6 +192,20 @@ class Network:
         """Stop periodic per-switch statistics updaters (keeps run_until_idle finite)."""
         for switch in self.switches.values():
             switch.stop()
+
+
+def _hop_distances(destination: str,
+                   neighbors: Callable[[str], list[tuple[str, int]]]) -> dict[str, int]:
+    """BFS hop counts to ``destination`` over ``neighbors(name)`` pairs."""
+    distances = {destination: 0}
+    frontier = deque([destination])
+    while frontier:
+        current = frontier.popleft()
+        for neighbor, _ in neighbors(current):
+            if neighbor not in distances:
+                distances[neighbor] = distances[current] + 1
+                frontier.append(neighbor)
+    return distances
 
 
 # ---------------------------------------------------------------------------

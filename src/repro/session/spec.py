@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import json
 import pickle
 from copy import deepcopy
@@ -186,6 +187,31 @@ def spec_fingerprint(spec: "ScenarioSpec") -> str:
 SCALAR_FIELDS = {"seed": int, "name": str, "stacks": bool, "seed_ecmp": bool}
 
 
+def _check_topology_kwargs(topology: str, kwargs: dict[str, Any]) -> None:
+    """Reject a keyword ``topology``'s builder would not take.
+
+    The builder's own keywords count, and so do :class:`TPPSwitch`'s when
+    the builder forwards ``**switch_kwargs`` to every switch; a builder
+    with any other ``**`` catch-all takes every keyword.
+    """
+    params = inspect.signature(TOPOLOGIES.get(topology)).parameters
+    catch_all = next((p.name for p in params.values() if p.kind is p.VAR_KEYWORD), None)
+    accepted = set(list(params)[1:]) - {catch_all}          # after sim
+    unknown = [key for key in kwargs if key not in accepted]
+    if unknown and catch_all == "switch_kwargs":
+        # Imported only for a switch knob: a sweep's parent process builds
+        # nothing, and declaring its scenario should load no switch code.
+        from repro.switches.switch import TPPSwitch
+        # The network passes sim, name and switch_id itself.
+        accepted |= set(list(inspect.signature(TPPSwitch).parameters)[3:])
+    elif catch_all is not None:
+        return
+    for key in unknown:
+        if key not in accepted:
+            raise ValueError(f"topology_kwargs: topology {topology!r} takes no "
+                             f"keyword {key!r}; it takes {', '.join(sorted(accepted))}")
+
+
 @dataclass
 class ScenarioSpec:
     """Everything a :class:`Scenario` declares; the scenario's only state.
@@ -219,6 +245,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
             TOPOLOGIES.get(self.topology)        # raises with the registered menu
+        _check_topology_kwargs(self.topology, self.topology_kwargs)
         for knob, kind in SCALAR_FIELDS.items():
             value = getattr(self, knob)
             if knob == "name" and value is None:

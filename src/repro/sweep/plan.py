@@ -130,7 +130,9 @@ def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
     if head == "topology":
         if not rest:
             raise SpecError(f"axis path {path!r} needs a topology kwarg name")
-        spec.topology_kwargs[rest] = value
+        # The spec checks its own kwargs: rebuild a shallow copy to run it.
+        spec.topology_kwargs = _rebuilt(path, spec, "topology_kwargs",
+                                        {**spec.topology_kwargs, rest: value}).topology_kwargs
         return
     if head in _SUBSPEC_PATHS:
         name, _, leaf = rest.partition(".")

@@ -12,19 +12,15 @@ separately), but the stage structure is real: forwarding happens in the first
 stage that produces a match, and the matched stage index is recorded in the
 packet's metadata so TPPs can read it.
 
-Same-flow lookup memo
----------------------
+One lookup per table
+--------------------
 
-Traffic is bursty, and consecutive packets at a switch usually belong to the
-same flow.  :class:`FlowLookupCache` memoizes the last forwarding decision
-keyed by the packet's flow identity and replays the per-table statistics
-updates a real lookup would have made, so same-flow runs skip the
-match-action scan entirely.  The cache only engages while *every* installed
-entry matches on flow-identity fields (the common case — routes match on
-``dst``); any entry matching on another attribute, or any table mutation,
-disables or invalidates it, so results are always identical to
-:meth:`Pipeline.process`.  :meth:`TPPSwitch.receive
-<repro.switches.switch.TPPSwitch.receive>` looks every packet up through it.
+Each stage's :class:`~repro.switches.tables.FlowTable` looks a packet up
+through its exact-match index (one dict probe per group of match fields),
+so a lookup costs the same whether the table holds one route or a fat
+tree's thousand, and there is no same-flow memo to keep in step: every
+packet counts ``[Stage$i:LookupPackets]`` and its entry's statistics the
+way a scan of the table would.
 """
 
 from __future__ import annotations
@@ -57,17 +53,6 @@ class Stage:
         return False
 
 
-@dataclass
-class PipelineResult:
-    """Outcome of running a packet through the ingress pipeline."""
-
-    action: str                      # "forward" | "group" | "drop" | "no_match"
-    output_port: Optional[int] = None
-    group_id: Optional[int] = None
-    matched_entry: Optional[FlowEntry] = None
-    matched_stage: int = 0
-
-
 class Pipeline:
     """A sequence of match-action stages."""
 
@@ -77,11 +62,6 @@ class Pipeline:
         self.name = name
         self.stages = [Stage(index=i, table=FlowTable(name=f"{name}-stage{i}"))
                        for i in range(num_stages)]
-        # One shared mutation cell across every stage table: flow-lookup
-        # memos detect any install/remove by reading a single integer.
-        self.generation: list[int] = [0]
-        for stage in self.stages:
-            stage.table.generation = self.generation
 
     def __len__(self) -> int:
         return len(self.stages)
@@ -96,95 +76,13 @@ class Pipeline:
         """The table routing entries are installed into (stage 0 by convention)."""
         return self.stages[0].table
 
-    def process(self, packet: Packet) -> PipelineResult:
-        """Run the packet through the stages; first match decides forwarding."""
+    def process(self, packet: Packet) -> tuple[Optional[FlowEntry], Optional[int]]:
+        """Run the packet through the stages: the first match decides
+        forwarding.  Returns ``(entry, stage index)``, or ``(None, None)``."""
         for stage in self.stages:
-            if not stage.table.entries:
-                continue
-            entry = stage.table.lookup(packet)
-            if entry is None:
-                continue
-            if entry.action == "drop":
-                return PipelineResult(action="drop", matched_entry=entry,
-                                      matched_stage=stage.index)
-            if entry.action == "group":
-                return PipelineResult(action="group", group_id=entry.group_id,
-                                      matched_entry=entry, matched_stage=stage.index)
-            return PipelineResult(action="forward", output_port=entry.output_port,
-                                  matched_entry=entry, matched_stage=stage.index)
-        return PipelineResult(action="no_match")
-
-    def lookup_cache(self) -> "FlowLookupCache":
-        """A fresh same-flow memoizing view of this pipeline (see module docs)."""
-        return FlowLookupCache(self)
-
-
-#: Packet attributes that together identify a flow for memoization purposes —
-#: the field-name view of :meth:`repro.net.packet.Packet.flow_key`.  An
-#: installed entry is "flow-keyed" when every field it matches on is in this
-#: set; only then can a decision be replayed for an identical key.
-FLOW_KEY_FIELDS = frozenset(
-    {"src", "dst", "protocol", "sport", "dport", "vlan", "flow_id"})
-
-
-class FlowLookupCache:
-    """Memoizes forwarding decisions keyed by the packet's flow identity.
-
-    Semantics-preserving by construction: the memo only engages while every
-    entry in the pipeline matches exclusively on :data:`FLOW_KEY_FIELDS`
-    (re-checked, and the memo dropped, whenever any table's shared
-    generation cell moves), and a replayed decision re-applies the same
-    lookup/match statistics the skipped scan would have counted, so TPPs
-    reading ``[Stage$i:LookupPackets]`` observe identical values either way.
-    """
-
-    #: Bound on distinct memoized flows; the memo is cleared wholesale when
-    #: exceeded (flow populations in the reproduced experiments are small).
-    MEMO_LIMIT = 4096
-
-    __slots__ = ("pipeline", "_generation_cell", "_generation", "_memo")
-
-    def __init__(self, pipeline: Pipeline) -> None:
-        self.pipeline = pipeline
-        self._generation_cell = pipeline.generation
-        self._generation: Optional[int] = None
-        # flow key -> (PipelineResult, the StatsBlocks a lookup counts into);
-        # None while some entry matches on a field outside the flow key.
-        self._memo: Optional[dict[tuple, tuple]] = None
-
-    def process(self, packet: Packet) -> PipelineResult:
-        if self._generation_cell[0] != self._generation:
-            self._revalidate()
-        memo = self._memo
-        if memo is None:
-            return self.pipeline.process(packet)
-        key = packet.flow_key()
-        hit = memo.get(key)
-        if hit is not None:
-            result, blocks = hit
-            size = packet.size
-            for block in blocks:
-                block.packets += 1
-                block.bytes += size
-            return result
-        result = self.pipeline.process(packet)
-        stages = self.pipeline.stages
-        entry = result.matched_entry
-        # Every table the scan consulted counts a lookup; the matched entry
-        # and its table count a match.
-        searched = stages if entry is None else stages[:result.matched_stage + 1]
-        blocks = [stage.table.lookup_stats for stage in searched if stage.table.entries]
-        if entry is not None:
-            blocks += (entry.stats, stages[result.matched_stage].table.match_stats)
-        if len(memo) >= self.MEMO_LIMIT:
-            memo.clear()
-        memo[key] = (result, tuple(blocks))
-        return result
-
-    def _revalidate(self) -> None:
-        """A table changed: drop the memo and re-check that it may engage."""
-        self._generation = self._generation_cell[0]
-        safe = all(FLOW_KEY_FIELDS.issuperset(entry.match)
-                   for stage in self.pipeline.stages
-                   for entry in stage.table.entries)
-        self._memo = {} if safe else None
+            table = stage.table
+            if table.entries:
+                entry = table.lookup(packet)
+                if entry is not None:
+                    return entry, stage.index
+        return None, None

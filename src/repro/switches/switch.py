@@ -82,8 +82,6 @@ class TPPSwitch(Node):
         # caller keeps it past the hop.
         self._context = PacketContext()
         self.port_stats: list[PortStats] = []
-        # Same-flow forwarding memo (semantics-preserving; see pipeline docs).
-        self._lookup_cache = self.pipeline.lookup_cache()
 
         # Aggregate counters.
         self.packets_forwarded = 0
@@ -146,16 +144,16 @@ class TPPSwitch(Node):
         packet.path.append(self.name)          # Packet.record_hop, inlined
         if self.recorder is not None:
             self.recorder.on_switch_recv(self, packet, in_index)
-        result = self._lookup_cache.process(packet)
+        entry, matched_stage = self.pipeline.process(packet)
 
-        action = result.action
-        if action == "forward":
-            output_port = result.output_port
-        elif action == "group":
-            output_port = self.group_table.select(result.group_id, packet)
-        else:
+        action = "no_match" if entry is None else entry.action
+        if action == "group":
+            output_port = self.group_table.select(entry.group_id, packet)
+        elif action == "drop" or action == "no_match":
             drop(self, self.name, packet, DROP_PIPELINE, f"{action} at {self.name}")
             return
+        else:
+            output_port = entry.output_port
         if output_port is None or not 0 <= output_port < len(self.ports):
             drop(self, self.name, packet, DROP_PIPELINE,
                  f"invalid output port at {self.name}")
@@ -167,13 +165,12 @@ class TPPSwitch(Node):
             # The switch's one context is refilled, every field (Tables 7/8),
             # only on hops where a TPP will read it; a bare packet pays
             # nothing for the TCPU.
-            entry = result.matched_entry
             context = self._context
             context.input_port, context.output_port, context.output_queue = in_index, output_port, 0
             context.matched_entry_id, context.matched_entry_version = \
-                (entry.entry_id, entry.version) if entry else (0, 0)
+                entry.entry_id, entry.version
             context.matched_stage, context.hop_number, context.path_id = \
-                result.matched_stage, tpp.hop_number, packet.vlan
+                matched_stage, tpp.hop_number, packet.vlan
             context.packet_length, context.arrival_time = packet.size, self.sim.now
             statuses = self.tcpu.execute_program(tpp, self.memory, context)
             if _SKIPPED_PACKET_FULL in statuses:
@@ -195,12 +192,13 @@ class TPPSwitch(Node):
                     and not packet.metadata.get("tpp_reflected")):
                 packet.metadata["tpp_reflected"] = True
                 packet.src, packet.dst = packet.dst, packet.src
-                reflected = self.pipeline.process(packet)
-                if reflected.action == "group":
+                reflected, _ = self.pipeline.process(packet)
+                if reflected is None or reflected.action == "drop":
+                    output_port = None
+                elif reflected.action == "group":
                     output_port = self.group_table.select(reflected.group_id, packet)
                 else:
-                    output_port = (reflected.output_port
-                                   if reflected.action == "forward" else None)
+                    output_port = reflected.output_port
                 if output_port is None or not 0 <= output_port < len(self.ports):
                     drop(self, self.name, packet, DROP_PIPELINE,
                          f"no return route at {self.name}")

@@ -7,8 +7,9 @@ and emit an action (forward out of a port, send to a group, drop).
 
 Only the pieces the reproduced experiments exercise are modelled:
 
-* exact-match tables keyed on arbitrary header fields (we use the destination
-  host, which stands in for an L3 LPM/L2 MAC lookup),
+* exact-match tables keyed on any of the packet's fields (we use the
+  destination host, which stands in for an L3 LPM/L2 MAC lookup), looked up
+  through a hash index rather than a scan,
 * per-table and per-entry statistics and version numbers (NetSight's packet
   histories read ``[PacketMetadata:MatchedEntryID]`` and the table version),
 * group tables for multipath: a group maps to several egress ports, and the
@@ -18,9 +19,11 @@ Only the pieces the reproduced experiments exercise are modelled:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import zlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
@@ -44,15 +47,28 @@ class FlowEntry:
     installed_at: float = 0.0
     stats: StatsBlock = field(default_factory=StatsBlock)
 
-    def matches(self, packet: Packet) -> bool:
-        for field_name, expected in self.match.items():
-            if getattr(packet, field_name, None) != expected:
-                return False
-        return True
+
+#: The names a flow entry may match on: the packet's own fields.
+_PACKET_FIELDS = frozenset(Packet.__dataclass_fields__)
+
+
+def _no_fields(packet: Packet) -> tuple:
+    """The index key of a ``match={}`` wildcard: every packet has it."""
+    return ()
 
 
 class FlowTable:
-    """A priority-ordered exact-match table with lookup/match statistics."""
+    """A priority-ordered exact-match table with lookup/match statistics.
+
+    ``entries`` is in table order: priority descending, oldest install first
+    among equals.  Lookups go through an exact-match index instead of a
+    scan: the entries are grouped by the names of the fields they match on
+    (``match={}`` wildcards form the group ``()``), and each group is a dict
+    from those fields' values to its entries in table order.  A lookup
+    probes one dict per group and takes the best head by (priority, install
+    order) — the entry a scan of ``entries`` would meet first.  An entry's
+    match and priority are read when it is installed.
+    """
 
     def __init__(self, name: str = "l3") -> None:
         self.name = name
@@ -60,38 +76,75 @@ class FlowTable:
         self.version = 1
         self.lookup_stats = StatsBlock()
         self.match_stats = StatsBlock()
-        # Mutation-detection cell: a pipeline points every stage table at one
-        # shared list, so flow-lookup memos can detect any table change by
-        # reading a single integer instead of re-hashing per-table versions.
-        self.generation: list[int] = [0]
+        # One group per set of matched field names: (names, getter of those
+        # fields off a packet, {values: [(-priority, install seq, entry)]}).
+        self._groups: list[tuple[tuple, Callable, dict]] = []
+        self._installs = 0
 
     def install(self, entry: FlowEntry) -> FlowEntry:
         """Add an entry and bump the table version (monotonically increasing)."""
-        entry.version = self.version + 1
-        self.entries.append(entry)
-        self.entries.sort(key=lambda e: -e.priority)
+        self._insert(entry)
         self.version += 1
-        self.generation[0] += 1
+        entry.version = self.version
         return entry
 
+    def _insert(self, entry: FlowEntry) -> None:
+        names = tuple(sorted(entry.match))
+        for name in names:
+            if name not in _PACKET_FIELDS:
+                raise ValueError(f"flow entry matches on {name!r}, not a packet field")
+            try:
+                hash(entry.match[name])
+            except TypeError:
+                raise ValueError(f"flow entry's {name!r} match value "
+                                 f"{entry.match[name]!r} is unhashable") from None
+        buckets = next((b for n, _, b in self._groups if n == names), None)
+        if buckets is None:
+            buckets = {}
+            self._groups.append((names, attrgetter(*names) if names else _no_fields,
+                                 buckets))
+        values = tuple(entry.match[name] for name in names)
+        key = values[0] if len(names) == 1 else values       # as the getter reads it
+        bisect.insort(buckets.setdefault(key, []), (-entry.priority, self._installs, entry))
+        self._installs += 1
+        bisect.insort(self.entries, entry, key=lambda e: -e.priority)
+
     def remove(self, entry_id: int) -> bool:
-        before = len(self.entries)
-        self.entries = [e for e in self.entries if e.entry_id != entry_id]
-        if len(self.entries) != before:
-            self.version += 1
-            self.generation[0] += 1
-            return True
-        return False
+        kept = [e for e in self.entries if e.entry_id != entry_id]
+        if len(kept) == len(self.entries):
+            return False
+        self.entries, self._groups = [], []
+        for entry in kept:               # re-indexed in table order
+            self._insert(entry)
+        self.version += 1
+        return True
 
     def lookup(self, packet: Packet) -> Optional[FlowEntry]:
         """Find the highest-priority matching entry, updating statistics."""
-        self.lookup_stats.count(packet.size)
-        for entry in self.entries:
-            if entry.matches(packet):
-                entry.stats.count(packet.size)
-                self.match_stats.count(packet.size)
-                return entry
-        return None
+        # Every packet on the forwarding path comes through here, so the
+        # three StatsBlock.count calls are inlined.
+        size = packet.size
+        stats = self.lookup_stats
+        stats.packets += 1
+        stats.bytes += size
+        best = None
+        for _, getter, buckets in self._groups:
+            try:
+                bucket = buckets.get(getter(packet))
+            except TypeError:            # an unhashable packet value equals no key
+                continue
+            if bucket is not None and (best is None or bucket[0] < best):
+                best = bucket[0]
+        if best is None:
+            return None
+        entry = best[2]
+        stats = entry.stats
+        stats.packets += 1
+        stats.bytes += size
+        stats = self.match_stats
+        stats.packets += 1
+        stats.bytes += size
+        return entry
 
     @property
     def reference_count(self) -> int:
@@ -169,6 +222,11 @@ class GroupTable:
         self._memo: dict[tuple, int] = {}
 
     def install(self, group: Group) -> None:
+        if not group.ports:
+            raise ValueError(f"group {group.group_id} has no ports")
+        if group.policy not in SELECTION_POLICIES:
+            raise ValueError(f"group {group.group_id}: unknown selection policy "
+                             f"{group.policy!r}")
         self.groups[group.group_id] = group
         self._memo.clear()
 

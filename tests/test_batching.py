@@ -1,4 +1,4 @@
-"""Tests for burst injection, the same-flow lookup memos and the busy-port
+"""Tests for burst injection, the group-selection memo and the busy-port
 propagation leg.
 
 The contract under test everywhere: a burst call or a memo hit is
@@ -15,8 +15,7 @@ from repro.net.link import mbps
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import Network, build_dumbbell
-from repro.switches.pipeline import Pipeline
-from repro.switches.tables import FlowEntry, Group, GroupTable
+from repro.switches.tables import Group, GroupTable
 
 
 def small_net():
@@ -84,57 +83,6 @@ class TestHostSendMany:
         assert h0.send_many(packets) == 0
         assert all(p.dropped for p in packets)
         assert h0.uplink_port.packets_dropped_total == 4
-
-
-class TestFlowLookupCache:
-    def _pipeline_with_routes(self):
-        pipeline = Pipeline(num_stages=2)
-        pipeline.forwarding_table.install(
-            FlowEntry(match={"dst": "h1"}, action="forward", output_port=1))
-        pipeline.forwarding_table.install(
-            FlowEntry(match={"dst": "h2"}, action="forward", output_port=2))
-        return pipeline
-
-    def test_memo_hits_match_full_scans(self):
-        reference = self._pipeline_with_routes()
-        cached = self._pipeline_with_routes()
-        cache = cached.lookup_cache()
-        packets = (burst("h0", "h1", 4) + burst("h0", "h2", 3)
-                   + burst("h0", "h1", 2))
-        for packet in packets:
-            expect = reference.process(packet)
-            got = cache.process(packet)
-            assert (got.action, got.output_port) == (expect.action, expect.output_port)
-            assert got.matched_entry.entry_id is not None
-        ref_table = reference.forwarding_table
-        got_table = cached.forwarding_table
-        assert got_table.lookup_stats.packets == ref_table.lookup_stats.packets
-        assert got_table.lookup_stats.bytes == ref_table.lookup_stats.bytes
-        assert got_table.match_stats.packets == ref_table.match_stats.packets
-        per_entry = lambda table: [e.stats.packets for e in table.entries]
-        assert per_entry(got_table) == per_entry(ref_table)
-
-    def test_table_change_invalidates_memo(self):
-        pipeline = self._pipeline_with_routes()
-        cache = pipeline.lookup_cache()
-        packet = udp_packet("h0", "h1", 100)
-        assert cache.process(packet).output_port == 1
-        pipeline.forwarding_table.install(
-            FlowEntry(match={"dst": "h1"}, action="forward", output_port=7,
-                      priority=10))
-        assert cache.process(udp_packet("h0", "h1", 100)).output_port == 7
-
-    def test_non_flow_field_entry_disables_memo(self):
-        pipeline = self._pipeline_with_routes()
-        # An entry matching on a non-flow attribute (packet size) makes
-        # memoization unsafe; the cache must fall back to full scans.
-        pipeline.forwarding_table.install(
-            FlowEntry(match={"size": 842}, action="drop", priority=99))
-        cache = pipeline.lookup_cache()
-        small = udp_packet("h0", "h1", 100)
-        big = udp_packet("h0", "h1", 800)   # same flow key, 842B on the wire
-        assert cache.process(small).action == "forward"
-        assert cache.process(big).action == "drop"
 
 
 class TestGroupSelectionMemo:

@@ -86,6 +86,16 @@ class TestImportBudget:
             f"print(json.dumps([before, {plane!r} in sys.modules]))\n")
         assert fresh(code) == [False, True]
 
+    @pytest.mark.parametrize("kwargs,loaded", [("hosts_per_side=2", False),
+                                               ("num_stages=2", True)])
+    def test_only_a_switch_knob_loads_the_switch_at_declaration(self, kwargs, loaded):
+        # A sweep's parent process declares and never builds, so checking
+        # the builder's own keywords must not import the switch model.
+        code = SUITE_IMPORTS + (
+            f"repro.session.Scenario('dumbbell', {kwargs})\n"
+            "print(json.dumps('repro.switches.switch' in sys.modules))\n")
+        assert fresh(code) is loaded
+
     @pytest.mark.parametrize("workload", ["probe_read", "probe_write",
                                           "probe_recorded", "monitor_collect",
                                           "forward_bare"])

@@ -188,6 +188,22 @@ class TestScenarioBuilder:
         with pytest.raises(ValueError, match=r"hosts \['nope'\]"):
             scenario.build()
 
+    # Each was accepted here and failed only at build, with TypeError:
+    # TPPSwitch.__init__() got an unexpected keyword argument.
+    @pytest.mark.parametrize("topology,key", [
+        ("dumbbell", "bogus"), ("dumbbell", "compile_traces"), ("fat-tree", "sim"),
+        ("leaf-spine", "k")])
+    def test_unknown_topology_keyword_fails_at_declaration(self, topology, key):
+        with pytest.raises(ValueError, match=f"topology_kwargs.*{key!r}"):
+            Scenario(topology, **{key: 1})
+        with pytest.raises(ValueError, match=f"topology_kwargs.*{key!r}"):
+            ScenarioSpec(topology, topology_kwargs={key: 1})
+
+    def test_builder_and_switch_keywords_are_accepted(self):
+        # fat-tree's own k, and num_stages forwarded to every TPPSwitch.
+        spec = Scenario("fat-tree", k=4, num_stages=2).spec
+        assert spec.topology_kwargs == {"k": 4, "num_stages": 2}
+
     def test_compile_traces_field_only_takes_false(self):
         assert ScenarioSpec("dumbbell").compile_traces is False
         with pytest.raises(ValueError, match="compile_traces"):

@@ -350,6 +350,14 @@ class TestSweepSpec:
         with pytest.raises(SpecError, match="CollectorSpec has no"):
             sweep.axis("collector.nope", [1])
 
+    def test_topology_axis_keyword_is_checked(self):
+        # Expanded without complaint; each task then failed at build.
+        sweep = SweepSpec(monitor_scenario())
+        with pytest.raises(SpecError, match="axis path 'topology.bogus'.*"
+                                            "topology_kwargs.*'bogus'"):
+            sweep.axis("topology.bogus", [1, 2])
+        assert sweep.axis("topology.num_stages", [2, 3]).expand()
+
     @pytest.mark.parametrize("path,values", [
         ("seed", ("a", "b")), ("seed", (True,)), ("seed", (1.5,)),
         ("stacks", (3,)), ("seed_ecmp", ("yes",)), ("compile_traces", (None,)),
