@@ -20,13 +20,13 @@ from .exceptions import (AccessControlError, AddressError, AssemblyError,
 from .isa import Instruction, Opcode, MAX_INSTRUCTIONS
 from .packet_format import AddressingMode, TPP, make_tpp
 from .static_analysis import MemoryGrant, analyze, check_access, uses_write_instructions
-from .tcpu import ExecutionResult, InstructionStatus, PacketContext, TCPU
+from .tcpu import InstructionStatus, PacketContext, TCPU
 
 __all__ = [
     "AccessControlError", "AddressError", "AddressingMode", "AssemblyError",
     "CapacityError", "CompiledTPP", "EncodingError", "ExecutionError",
-    "ExecutionResult", "Instruction", "InstructionStatus", "MAX_INSTRUCTIONS",
-    "MemoryGrant", "Opcode", "PacketContext", "TCPU", "TPP", "TPPError",
+    "Instruction", "InstructionStatus", "MAX_INSTRUCTIONS", "MemoryGrant",
+    "Opcode", "PacketContext", "TCPU", "TPP", "TPPError",
     "analyze", "check_access", "collector_tpp", "compile_tpp", "decode",
     "describe", "disassemble", "expand_stack_program", "make_tpp",
     "parse_program", "resolve", "uses_write_instructions",

@@ -145,8 +145,9 @@ class TPP:
                                max_instructions)
         self.memory, self.hop_number, self.stack_pointer = memory, hop_number, stack_pointer
         self.app_id, self.encap_proto, self.version = app_id, encap_proto, version
-        #: Execution bookkeeping (not on the wire): switches that refused to
-        #: run the TPP (write instructions disabled, ACL failure) set this.
+        # Nothing in the package sets it, so it stays False; every fingerprint
+        # renders it (session/spec.py::_TPP_FIELDS; ROADMAP 1a's suite half
+        # removes it).
         self.execution_halted = execution_halted
         if len(memory) > MAX_PACKET_MEMORY_BYTES:
             raise CapacityError(
@@ -210,42 +211,11 @@ class TPP:
         return len(self.memory) // hop_bytes if hop_bytes else 0
 
     # ------------------------------------------------------------ word access
-    # The TCPU touches packet memory several times per instruction, so the
-    # four accessors it calls (hop words, push, pop) each compute their byte
-    # offset and make their one range check in place instead of stacking
-    # calls on read_word_bytes / write_word_bytes / hop_byte_offset; 2-byte
-    # words, the common wire format, stay allocation-free.
-    def read_word_bytes(self, byte_offset: int) -> Optional[int]:
-        """Read the word at ``byte_offset``; None when out of range."""
-        memory, word_bytes = self.memory, self.word_bytes
-        if byte_offset < 0 or byte_offset + word_bytes > len(memory):
-            return None
-        if word_bytes == 2:
-            return (memory[byte_offset] << 8) | memory[byte_offset + 1]
-        return int.from_bytes(memory[byte_offset:byte_offset + word_bytes], "big")
-
-    def write_word_bytes(self, byte_offset: int, value: int) -> bool:
-        """Write ``value`` (truncated to the word size) at ``byte_offset``."""
-        memory, word_bytes = self.memory, self.word_bytes
-        if byte_offset < 0 or byte_offset + word_bytes > len(memory):
-            return False
-        if word_bytes == 2:
-            memory[byte_offset] = (value >> 8) & 0xFF
-            memory[byte_offset + 1] = value & 0xFF
-        else:
-            memory[byte_offset:byte_offset + word_bytes] = \
-                (value & ((1 << (8 * word_bytes)) - 1)).to_bytes(word_bytes, "big")
-        return True
-
-    def hop_byte_offset(self, word_offset: int, hop: Optional[int] = None) -> int:
-        """Byte offset of ``Packet:Hop[word_offset]`` for the given (or current) hop."""
-        base = self.hop_number if hop is None else hop
-        if self.mode is AddressingMode.HOP:
-            return base * self.hop_size + word_offset * self.word_bytes
-        return word_offset * self.word_bytes
-
+    # Each accessor computes its byte offset and makes its one range check
+    # in place; 2-byte words, the common wire format, stay allocation-free.
     def read_hop_word(self, word_offset: int, hop: Optional[int] = None) -> Optional[int]:
-        """``read_word_bytes(hop_byte_offset(word_offset, hop))``, flattened."""
+        """The word at ``Packet:Hop[word_offset]`` for the given (or current)
+        hop; None unless it lies wholly inside packet memory."""
         memory, word_bytes = self.memory, self.word_bytes
         byte_offset = word_offset * word_bytes
         if self.mode is _HOP:
@@ -257,7 +227,9 @@ class TPP:
         return int.from_bytes(memory[byte_offset:byte_offset + word_bytes], "big")
 
     def write_hop_word(self, word_offset: int, value: int, hop: Optional[int] = None) -> bool:
-        """``write_word_bytes(hop_byte_offset(word_offset, hop), value)``, flattened."""
+        """Write ``value`` (truncated to the word size) at
+        ``Packet:Hop[word_offset]`` for the given (or current) hop; False
+        (and nothing written) unless the word lies wholly inside."""
         memory, word_bytes = self.memory, self.word_bytes
         byte_offset = word_offset * word_bytes
         if self.mode is _HOP:
@@ -271,30 +243,6 @@ class TPP:
             memory[byte_offset:byte_offset + word_bytes] = \
                 (value & ((1 << (8 * word_bytes)) - 1)).to_bytes(word_bytes, "big")
         return True
-
-    def push(self, value: int) -> bool:
-        """Append a word at the stack pointer; False if memory is exhausted."""
-        memory, word_bytes, pointer = self.memory, self.word_bytes, self.stack_pointer
-        if pointer < 0 or pointer + word_bytes > len(memory):
-            return False
-        if word_bytes == 2:
-            memory[pointer] = (value >> 8) & 0xFF
-            memory[pointer + 1] = value & 0xFF
-        else:
-            memory[pointer:pointer + word_bytes] = \
-                (value & ((1 << (8 * word_bytes)) - 1)).to_bytes(word_bytes, "big")
-        self.stack_pointer = pointer + word_bytes
-        return True
-
-    def pop(self) -> Optional[int]:
-        """Consume and return the word at the stack pointer."""
-        memory, word_bytes, pointer = self.memory, self.word_bytes, self.stack_pointer
-        if pointer < 0 or pointer + word_bytes > len(memory):
-            return None
-        self.stack_pointer = pointer + word_bytes
-        if word_bytes == 2:
-            return (memory[pointer] << 8) | memory[pointer + 1]
-        return int.from_bytes(memory[pointer:pointer + word_bytes], "big")
 
     def advance_hop(self) -> None:
         """Increment the hop number (each TPP-capable switch does this once)."""

@@ -64,30 +64,23 @@ precedence matters and is part of the contract: reads report
 Execution hot path
 ------------------
 
-Two engines, one semantics:
+One engine: :meth:`TCPU.execute_program` runs the **bound plan**.  Each
+instruction of a program becomes one closure ``step(tpp, context) ->
+InstructionStatus``, built once per ``(program, id(memory))`` — the TPP's
+frozen :class:`~repro.core.packet_format.Program`, which every clone of a
+template shares, and the memory it runs against.  A step is bound to its
+memory row (the memory's ``read_resolver`` / ``write_resolver`` closure for
+the address, or a closure over ``read`` / ``write`` for a memory without
+resolvers), its packet byte offset (``packet_offset * word_bytes``, plus
+``hop_number * hop_size`` in hop mode), the word mask and the write-enable
+knob.  A hop runs the steps in order and stops at the first
+``FAILED_CONDITION`` (CEXEC and CSTORE are ordinary steps), so every
+program is eligible.  The hop returns its statuses list: it halted iff
+``FAILED_CONDITION`` is in it.
 
-1. :meth:`TCPU.execute` — the reference interpreter: resolves each opcode
-   through the handler table and runs the uncached step list.  One-off
-   programs and tests use it, and it is the other side of every
-   differential.
-2. :meth:`TCPU.execute_program` — the **bound plan**: each instruction of a
-   program becomes one closure ``step(tpp, context) -> InstructionStatus``,
-   built once per ``(program, id(memory))`` — the TPP's frozen
-   :class:`~repro.core.packet_format.Program`, which every clone of a
-   template shares, and the memory it runs against.  A step is bound to
-   its memory row (the memory's ``read_resolver`` / ``write_resolver``
-   closure for the address, or a closure over ``read`` / ``write`` for a
-   memory without resolvers), its packet byte offset (``packet_offset *
-   word_bytes``, plus ``hop_number * hop_size`` in hop mode), the word mask
-   and the write-enable knob.  A hop runs the steps in order and stops at
-   the first ``FAILED_CONDITION`` (CEXEC and CSTORE are ordinary steps), so
-   every program is eligible.  The hop returns its statuses list: it halted iff
-   ``FAILED_CONDITION`` is in it, so an :class:`ExecutionResult` is built
-   only where a caller reads one (:meth:`TCPU.execute` and the flight
-   recorder).
-
-Both produce byte-identical results — the differential sweep in
-``tests/test_plan.py`` enforces it, on a cache miss and on a hit.
+The table above is the contract.  ``tests/tcpu_oracle.py`` restates it from
+the paper, sharing no state with this module, and ``tests/test_plan.py``
+holds the plan to it on a cache miss and on a hit.
 
 The plan cache is keyed by *identity* of the frozen program and of the
 memory it is bound to; the program fixes every value a plan is
@@ -105,7 +98,7 @@ value drops every plan.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from struct import Struct
 from typing import Callable, Optional, Protocol
@@ -134,21 +127,10 @@ class PacketContext:
     packet_length: int = 0
     arrival_time: float = 0.0
 
-    def metadata_word(self, field_offset: int) -> Optional[int]:
-        """Resolve a ``PacketMetadata:`` field offset to its value.
-
-        The arrival timestamp is kept to 32 bits here (the widest word a TPP
-        can carry); the TCPU masks every metadata read down to the executing
-        TPP's word size, so narrower TPPs see a well-defined truncation.
-        """
-        reader = METADATA_READERS.get(field_offset)
-        return None if reader is None else reader(self)
-
 
 _M = addressing.PACKET_METADATA_FIELDS
 #: ``PacketMetadata:`` — field offset -> ``row(context)``: the one declaration
-#: of each field, shared by :meth:`PacketContext.metadata_word` and the
-#: switch memory map (:mod:`repro.switches.memory`).
+#: of each field, read by the switch memory map (:mod:`repro.switches.memory`).
 METADATA_READERS = {
     _M["InputPort"]: attrgetter("input_port"),
     _M["OutputPort"]: attrgetter("output_port"),
@@ -188,55 +170,13 @@ class InstructionStatus(enum.Enum):
 
 
 # Bound once: an enum member read through its class costs a descriptor call in
-# CPython 3.11+, and the interpreter names a status on every instruction.
+# CPython 3.11+, and every step returns one.
 _EXECUTED = InstructionStatus.EXECUTED
 _SKIPPED_NO_MEMORY = InstructionStatus.SKIPPED_NO_MEMORY
 _SKIPPED_PACKET_FULL = InstructionStatus.SKIPPED_PACKET_FULL
 _SKIPPED_HALTED = InstructionStatus.SKIPPED_HALTED
 _SKIPPED_WRITE_DISABLED = InstructionStatus.SKIPPED_WRITE_DISABLED
 _FAILED_CONDITION = InstructionStatus.FAILED_CONDITION
-
-
-@dataclass(slots=True)
-class ExecutionResult:
-    """Outcome of executing one TPP at one hop: a status per instruction and
-    whether a failed condition halted the rest (§3.3)."""
-
-    statuses: list[InstructionStatus] = field(default_factory=list)
-    halted: bool = False
-
-    @property
-    def executed_count(self) -> int:
-        """Instructions executed, the failed condition that halted included
-        (only a halting hop has one)."""
-        return self.statuses.count(_EXECUTED) + self.halted
-
-    @property
-    def packet_full(self) -> bool:
-        """True when any instruction was skipped because packet memory ran out."""
-        return _SKIPPED_PACKET_FULL in self.statuses
-
-    @property
-    def status_label(self) -> str:
-        """A one-word outcome summary, worst condition first.
-
-        Observers (the flight recorder's tpp-exec records) want a compact
-        label, not the per-instruction status list: ``halted`` (CEXEC guard
-        failed, §3.3), ``out-of-room`` (packet memory exhausted at this
-        hop), ``write-disabled`` (a store suppressed by the administrator
-        knob of §4.3), or ``ok``.
-        """
-        if self.halted:
-            return "halted"
-        statuses = self.statuses
-        if _SKIPPED_PACKET_FULL in statuses:
-            return "out-of-room"
-        if _SKIPPED_WRITE_DISABLED in statuses:
-            return "write-disabled"
-        return "ok"
-
-    def __bool__(self) -> bool:
-        return not self.halted
 
 
 # ------------------------------------------------------------- bound plans
@@ -276,10 +216,10 @@ def _bind_step(instruction: Instruction, read_resolver: Callable,
                write_enabled: bool) -> Callable:
     """``instruction`` as ``step(tpp, context) -> InstructionStatus``.
 
-    Each step makes the checks of its ``TCPU._op_*`` handler in the same
-    order; what the handler works out per hop — the address's row, the word
-    mask, the packet byte offset (plus ``hop_number * hop_size``; ``hop_size``
-    is 0 in stack mode) and the write-enable knob — is fixed here, once.
+    Each step makes its opcode's checks in the order of the module
+    docstring's table; the address's row, the word mask, the packet byte
+    offset (plus ``hop_number * hop_size``; ``hop_size`` is 0 in stack mode)
+    and the write-enable knob are fixed here, once.
     """
     opcode = instruction.opcode
     if opcode is Opcode.NOP:
@@ -401,17 +341,6 @@ class TCPU:
         # counters().
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Opcode dispatch table, built once; the per-instruction hot path is
-        # a single dict lookup instead of an if-ladder.
-        self._dispatch = {
-            Opcode.NOP: self._op_nop,
-            Opcode.PUSH: self._op_push,
-            Opcode.POP: self._op_pop,
-            Opcode.LOAD: self._op_load,
-            Opcode.STORE: self._op_store,
-            Opcode.CSTORE: self._op_cstore,
-            Opcode.CEXEC: self._op_cexec,
-        }
         # Identity-keyed plan cache (see the module docstring for the
         # soundness argument): (program, id(memory)) -> _bind_plan's (steps,
         # program, memory), so every entry pins the objects its key names.
@@ -446,21 +375,11 @@ class TCPU:
         self._write_enabled = enabled
 
     # ------------------------------------------------------------------ main
-    def execute(self, tpp: TPP, memory: MemoryInterface,
-                context: PacketContext) -> ExecutionResult:
-        """Execute every instruction of ``tpp`` once (one hop's worth): the
-        reference interpreter, uncached."""
-        dispatch = self._dispatch
-        steps = [(dispatch[instruction.opcode], instruction)
-                 for instruction in tpp.instructions]
-        return self._run_steps(steps, (1 << (8 * tpp.word_bytes)) - 1,
-                               tpp, memory, context)
-
     def execute_program(self, tpp: TPP, memory: MemoryInterface,
                         context: PacketContext) -> list[InstructionStatus]:
-        """Fast path: like :meth:`execute`, run as a cached bound plan, and
-        return the hop's statuses (a failed condition halted the rest iff
-        ``FAILED_CONDITION`` is among them).
+        """Execute every instruction of ``tpp`` once (one hop's worth) as a
+        cached bound plan, and return the hop's statuses (a failed
+        condition halted the rest iff ``FAILED_CONDITION`` is among them).
 
         TPPs stamped from one template share its frozen
         :class:`~repro.core.packet_format.Program`, so every packet of an
@@ -487,99 +406,3 @@ class TCPU:
                 break
         self.instructions_executed += statuses.count(_EXECUTED)
         return statuses
-
-    def _run_steps(self, steps: list, word_mask: int, tpp: TPP,
-                   memory: MemoryInterface, context: PacketContext) -> ExecutionResult:
-        statuses = []
-        halted = False
-        for handler, instruction in steps:
-            status = (_SKIPPED_HALTED if halted
-                      else handler(instruction, tpp, memory, context, word_mask))
-            statuses.append(status)
-            halted = halted or status is _FAILED_CONDITION
-        self.tpps_executed += 1
-        self.instructions_executed += statuses.count(_EXECUTED) + halted
-        return ExecutionResult(statuses, halted)
-
-    # ----------------------------------------------------------- per opcode
-    def _op_nop(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                context: PacketContext, word_mask: int) -> InstructionStatus:
-        return _EXECUTED
-
-    def _op_push(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                 context: PacketContext, word_mask: int) -> InstructionStatus:
-        value = memory.read(instruction.address, context)
-        if value is None:
-            return _SKIPPED_NO_MEMORY
-        if not tpp.push(value & word_mask):
-            return _SKIPPED_PACKET_FULL
-        return _EXECUTED
-
-    def _op_pop(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                context: PacketContext, word_mask: int) -> InstructionStatus:
-        if not self.write_enabled:
-            return _SKIPPED_WRITE_DISABLED
-        value = tpp.pop()
-        if value is None:
-            return _SKIPPED_PACKET_FULL
-        if not memory.write(instruction.address, value, context):
-            return _SKIPPED_NO_MEMORY
-        return _EXECUTED
-
-    def _op_load(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                 context: PacketContext, word_mask: int) -> InstructionStatus:
-        value = memory.read(instruction.address, context)
-        if value is None:
-            return _SKIPPED_NO_MEMORY
-        if not tpp.write_hop_word(instruction.packet_offset, value & word_mask):
-            return _SKIPPED_PACKET_FULL
-        return _EXECUTED
-
-    def _op_store(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                  context: PacketContext, word_mask: int) -> InstructionStatus:
-        if not self.write_enabled:
-            return _SKIPPED_WRITE_DISABLED
-        value = tpp.read_hop_word(instruction.packet_offset)
-        if value is None:
-            return _SKIPPED_PACKET_FULL
-        if not memory.write(instruction.address, value, context):
-            return _SKIPPED_NO_MEMORY
-        return _EXECUTED
-
-    def _op_cstore(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                   context: PacketContext, word_mask: int) -> InstructionStatus:
-        """CSTORE dst, old, new — compare-and-swap gating later instructions (§3.3.3)."""
-        current = memory.read(instruction.address, context)
-        old = tpp.read_hop_word(instruction.packet_offset)
-        new = tpp.read_hop_word(instruction.packet_offset + 1)
-        if current is None or old is None or new is None:
-            return _FAILED_CONDITION
-        current &= word_mask
-        succeeded = current == (old & word_mask)
-        if succeeded:
-            if not self.write_enabled:
-                # The store half is suppressed.  The "old" slot already holds
-                # the observed value (the compare just succeeded on it), so
-                # the end-host sees a coherent §3.3.3 record as-is.
-                return _SKIPPED_WRITE_DISABLED
-            if not memory.write(instruction.address, new, context):
-                return _FAILED_CONDITION
-            observed = new & word_mask
-        else:
-            observed = current
-        # Always write the observed value of X back into the "old" slot so the
-        # end-host can tell whether the compare-and-swap succeeded.
-        tpp.write_hop_word(instruction.packet_offset, observed)
-        return _EXECUTED if succeeded else _FAILED_CONDITION
-
-    def _op_cexec(self, instruction: Instruction, tpp: TPP, memory: MemoryInterface,
-                  context: PacketContext, word_mask: int) -> InstructionStatus:
-        """CEXEC addr, [mask, value] — gate the rest of the TPP on a predicate."""
-        switch_value = memory.read(instruction.address, context)
-        mask = tpp.read_hop_word(instruction.packet_offset)
-        value = tpp.read_hop_word(instruction.packet_offset + 1)
-        if switch_value is None or mask is None or value is None:
-            return _FAILED_CONDITION
-        if (switch_value & mask & word_mask) == (value & word_mask):
-            return _EXECUTED
-        return _FAILED_CONDITION

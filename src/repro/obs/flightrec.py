@@ -71,7 +71,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro import check_count
-from repro.core.tcpu import ExecutionResult, InstructionStatus
+from repro.core.tcpu import InstructionStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
@@ -107,7 +107,28 @@ FAULT = "fault"
 
 #: Kinds that end a packet's journey.
 _TERMINAL_KINDS = (DELIVER, DROP)
+_EXECUTED = InstructionStatus.EXECUTED
 _FAILED_CONDITION = InstructionStatus.FAILED_CONDITION
+_SKIPPED_PACKET_FULL = InstructionStatus.SKIPPED_PACKET_FULL
+_SKIPPED_WRITE_DISABLED = InstructionStatus.SKIPPED_WRITE_DISABLED
+
+
+def _exec_outcome(statuses: list[InstructionStatus]) -> tuple[str, int]:
+    """A ``tpp-exec`` record's ``(label, executed count)`` for one hop.
+
+    The label names the worst outcome: ``halted`` (a CSTORE or CEXEC
+    failed, §3.3.3), ``out-of-room`` (packet memory ran out), then
+    ``write-disabled`` (a store suppressed by the §4.3 knob), else ``ok``.
+    The count includes the failed condition that halted the hop.
+    """
+    executed = statuses.count(_EXECUTED)
+    if _FAILED_CONDITION in statuses:
+        return "halted", executed + 1
+    if _SKIPPED_PACKET_FULL in statuses:
+        return "out-of-room", executed
+    if _SKIPPED_WRITE_DISABLED in statuses:
+        return "write-disabled", executed
+    return "ok", executed
 
 
 def _flow_hash(flow_id: int) -> int:
@@ -527,10 +548,9 @@ class FlightRecorder:
                     statuses: list[InstructionStatus]) -> None:
         if self._filtered and not self._wants(packet):
             return
-        execution = ExecutionResult(statuses, _FAILED_CONDITION in statuses)
+        label, executed = _exec_outcome(statuses)
         name = switch.name
-        self._put(name, TPP_EXEC, packet, name, execution.status_label,
-                  execution.executed_count)
+        self._put(name, TPP_EXEC, packet, name, label, executed)
 
     def on_drop(self, site: str, node: str, packet: "Packet",
                 category: str, reason: str) -> None:

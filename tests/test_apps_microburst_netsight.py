@@ -13,6 +13,7 @@ from repro.apps.netsight import (PACKET_HISTORY_TPP_SOURCE, HistoryStore,
                                  packet_history_tpp)
 from repro.net import mbps, udp_packet
 from repro.session import Scenario
+from tcpu_oracle import push
 
 
 class TestMicroburstTpp:
@@ -29,9 +30,9 @@ class TestMicroburstTpp:
         aggregator = MicroburstAggregator("h0")
         tpp = microburst_tpp(num_hops=4).clone_tpp()
         for switch_id, port, occupancy in ((1, 2, 5), (2, 0, 0)):
-            tpp.push(switch_id)
-            tpp.push(port)
-            tpp.push(occupancy)
+            push(tpp, switch_id)
+            push(tpp, port)
+            push(tpp, occupancy)
             tpp.advance_hop()
         packet = udp_packet("h0", "h5", 100)
         packet.delivered_at = 1.25
@@ -47,7 +48,7 @@ class TestMicroburstTpp:
         aggregator = MicroburstAggregator("h0")
         tpp = microburst_tpp(num_hops=3).clone_tpp()
         for word in (1, 2, 5, 3, 1):
-            tpp.push(word)
+            push(tpp, word)
         aggregator.on_tpp(tpp, udp_packet("h0", "h5", 100))
         summary = aggregator.summarize()
         assert summary["counters"]["samples"] == 1
@@ -105,7 +106,7 @@ class TestPacketHistories:
         tpp = compiled.clone_tpp()
         for values in ((1, 17, 0), (2, 33, 3)):
             for value in values:
-                tpp.push(value)
+                push(tpp, value)
             tpp.advance_hop()
         packet = udp_packet("h0", "h5", 100, dport=80)
         packet.delivered_at = 0.5

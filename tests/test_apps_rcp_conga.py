@@ -12,6 +12,7 @@ from repro.apps.rcp import (ALPHA_MAXMIN, ALPHA_PROPORTIONAL, LinkSample, RcpPar
                             rcp_update)
 from repro.baselines.ecmp import expected_figure4_conga, expected_figure4_ecmp
 from repro.net import mbps
+from tcpu_oracle import push
 
 
 class TestRcpControlEquation:
@@ -92,7 +93,7 @@ class TestRcpTpps:
         tpp = compiled.clone_tpp()
         for values in ((100, 5000, 2500, 3, 500), (10, 0, 9000, 7, 0)):
             for value in values:
-                tpp.push(value)
+                push(tpp, value)
             tpp.advance_hop()
         samples = parse_collect_tpp(tpp)
         assert len(samples) == 2

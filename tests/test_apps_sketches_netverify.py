@@ -14,6 +14,7 @@ from repro.core import addressing
 from repro.endhost import PacketFilter, install_stacks
 from repro.net import Simulator, build_dumbbell, mbps, udp_packet
 from repro.session import Scenario
+from tcpu_oracle import push
 
 
 def _seed_bitmaps(experiment, key):
@@ -84,8 +85,8 @@ class TestSketchAggregation:
         aggregator = SketchAggregator("h0", bits=512, key_field="dst")
         tpp = sketch_tpp(num_hops=4).clone_tpp()
         for switch_id, port in ((1, 2), (2, 0)):
-            tpp.push(switch_id)
-            tpp.push(port)
+            push(tpp, switch_id)
+            push(tpp, port)
             tpp.advance_hop()
         aggregator.on_tpp(tpp, udp_packet("h0", "h9", 100))
         assert set(aggregator.bitmaps) == {LinkKey(1, 2), LinkKey(2, 0)}
@@ -158,7 +159,7 @@ class TestRouteVerification:
         tpp = compile_tpp(PATH_TPP_SOURCE, num_hops=4).clone_tpp()
         for values in ((1, 0, 3), (2, 1, 5)):
             for value in values:
-                tpp.push(value)
+                push(tpp, value)
             tpp.advance_hop()
         observation = observation_from_tpp(tpp, time=0.5)
         assert observation.switch_ids == [1, 2]

@@ -15,11 +15,10 @@ configurations.
 
 import functools
 import json
-import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.collect import (CollectPlane, CollectorShard, CounterSummary,
                            DeltaChannel, DeltaDecoder, HistogramSummary,
@@ -29,10 +28,6 @@ from repro.collect import (CollectPlane, CollectorShard, CounterSummary,
 from repro.endhost import PacketFilter
 from repro.net import mbps
 from repro.session import Scenario
-
-settings.register_profile("quick", max_examples=15)
-settings.register_profile("default", max_examples=60)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"))
 
 
 def counter(**counts):

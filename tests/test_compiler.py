@@ -7,6 +7,7 @@ from repro.core.compiler import collector_tpp, compile_tpp, expand_stack_program
 from repro.core.exceptions import AssemblyError, CapacityError
 from repro.core.isa import Instruction, Opcode
 from repro.core.packet_format import AddressingMode
+from tcpu_oracle import push
 
 
 class TestCompile:
@@ -46,7 +47,7 @@ class TestCompile:
     def test_clone_tpp_returns_fresh_copy(self):
         compiled = compile_tpp("PUSH [Switch:SwitchID]")
         first, second = compiled.clone_tpp(), compiled.clone_tpp()
-        first.push(5)
+        push(first, 5)
         assert second.stack_pointer == 0
 
 

@@ -27,6 +27,9 @@ import pytest
 
 import repro.net.flows
 import repro.net.packet
+from repro.core import addressing
+from repro.core.isa import Instruction, Opcode
+from repro.core.packet_format import AddressingMode, make_tpp
 from repro.net import gbps, mbps
 from repro.net.link import Link
 from repro.net.node import Host
@@ -39,8 +42,8 @@ from repro.obs import (FlightRecorder, RecorderSpec, Telemetry,
                        network_trace_events, trace_events,
                        write_network_trace)
 from repro.obs.flightrec import (DELIVER, DROP, ENQUEUE, FAULT, HOST_SEND,
-                                 REC_A, REC_B, REC_KIND, REC_SEQ, REC_SITE,
-                                 SWITCH_RECV, TPP_EXEC, JourneyLog)
+                                 REC_A, REC_B, REC_KIND, REC_PACKET, REC_SEQ,
+                                 REC_SITE, SWITCH_RECV, TPP_EXEC, JourneyLog)
 from repro.session import ResultSummary, Scenario
 from repro.session.spec import SpecError
 from repro.sweep import SweepRunner, SweepSpec
@@ -570,6 +573,48 @@ class TestJourneyLogPin:
         assert {(r[REC_A], r[REC_B]) for r in log.records
                 if r[REC_KIND] == TPP_EXEC} == {("ok", 2), ("out-of-room", 0)}
         assert self._digest(log) == "b7730cb70aeddccd663d7bee87755312"
+
+
+class TestTppExecLabels:
+    """The ``tpp-exec`` record's label and count for the outcomes no
+    scenario pin reaches: a CEXEC that fails (§3.3.3) and a STORE under the
+    §4.3 write-disable knob."""
+
+    def test_halted_and_write_disabled(self):
+        sim = Simulator()
+        net = Network(sim)
+        for name in ("h0", "h1"):
+            net.add_host(name)
+        switch = net.add_switch("s1")
+        net.connect("h0", "s1")
+        net.connect("s1", "h1")
+        net.install_shortest_path_routes()
+        net.hosts["h1"].default_listener = lambda p: None
+        recorder = FlightRecorder().attach(net)
+        switch_id = addressing.resolve("[Switch:SwitchID]")
+        register = addressing.resolve("[Link:AppSpecific_0]")
+
+        def send(instructions, initial_values):
+            packet = udp_packet("h0", "h1", 100)
+            packet.attach_tpp(make_tpp(instructions, num_hops=1,
+                                       mode=AddressingMode.HOP, values_per_hop=3,
+                                       initial_values=initial_values))
+            net.hosts["h0"].send(packet)
+            sim.run_until_idle()
+            return [(r[REC_A], r[REC_B]) for r in recorder.log().records
+                    if r[REC_KIND] == TPP_EXEC and r[REC_PACKET] == packet.packet_id]
+
+        net.stop_switch_processes()
+        # LOAD runs, CEXEC's predicate (SwitchID == its id + 1) fails, the
+        # last LOAD is halted: the count includes the failed condition.
+        assert send([Instruction(Opcode.LOAD, switch_id, packet_offset=2),
+                     Instruction(Opcode.CEXEC, switch_id, packet_offset=0),
+                     Instruction(Opcode.LOAD, switch_id, packet_offset=2)],
+                    [0xFFFF, switch.switch_id + 1, 0]) == [("halted", 2)]
+        switch.tcpu.write_enabled = False
+        assert send([Instruction(Opcode.LOAD, switch_id, packet_offset=1),
+                     Instruction(Opcode.STORE, register, packet_offset=0)],
+                    [5, 0, 0]) == [("write-disabled", 1)]
 
 
 # ---------------------------------------------------------------------------

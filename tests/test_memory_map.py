@@ -22,6 +22,7 @@ from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import Network
 from repro.switches.memory import _read_only
+from tcpu_oracle import hop_offset, read_word, write_word
 
 
 class ReferenceMemory:
@@ -418,16 +419,16 @@ def _decodes(address):
 
 
 class TestFlattenedWordAccess:
-    """``read_hop_word`` / ``write_hop_word`` / ``push`` / ``pop`` make their
-    own offset arithmetic and range check; the two-step forms are the spec."""
+    """``read_hop_word`` / ``write_hop_word`` make their own offset
+    arithmetic and range check; the oracle's ``struct`` arithmetic
+    (``tests/tcpu_oracle.py``) is the spec."""
 
     @staticmethod
-    def _tpp(mode, word_bytes, hop_number, hop_size, memory_bytes, stack_pointer):
-        tpp = TPP(instructions=[Instruction(Opcode.NOP)],
-                  memory=bytearray((7 * i + 3) & 0xFF for i in range(memory_bytes)),
-                  mode=mode, word_bytes=word_bytes, hop_size=hop_size)
-        tpp.hop_number, tpp.stack_pointer = hop_number, stack_pointer
-        return tpp
+    def _tpp(mode, word_bytes, hop_number, hop_size, memory_bytes):
+        return TPP(instructions=[Instruction(Opcode.NOP)],
+                   memory=bytearray((7 * i + 3) & 0xFF for i in range(memory_bytes)),
+                   mode=mode, word_bytes=word_bytes, hop_size=hop_size,
+                   hop_number=hop_number)
 
     @settings(max_examples=300, deadline=None)
     @given(mode=st.sampled_from(list(AddressingMode)),
@@ -437,39 +438,23 @@ class TestFlattenedWordAccess:
            memory_bytes=st.integers(0, 64),
            word_offset=st.integers(-6, 40),
            hop=st.one_of(st.none(), st.integers(0, 12)),
-           stack_pointer=st.integers(0, 70),
            value=st.integers(-(1 << 33), 1 << 33))
-    def test_equal_to_the_two_step_references(self, mode, word_bytes, hop_number,
-                                              hop_size, memory_bytes, word_offset,
-                                              hop, stack_pointer, value):
+    def test_equal_to_the_oracle_arithmetic(self, mode, word_bytes, hop_number,
+                                            hop_size, memory_bytes, word_offset,
+                                            hop, value):
         def fresh():
-            return self._tpp(mode, word_bytes, hop_number, hop_size,
-                             memory_bytes, stack_pointer)
+            return self._tpp(mode, word_bytes, hop_number, hop_size, memory_bytes)
 
         flat, spec = fresh(), fresh()
         assert (flat.read_hop_word(word_offset, hop)
-                == spec.read_word_bytes(spec.hop_byte_offset(word_offset, hop)))
+                == read_word(spec, hop_offset(spec, word_offset, hop)))
         assert (flat.write_hop_word(word_offset, value, hop)
-                is spec.write_word_bytes(spec.hop_byte_offset(word_offset, hop), value))
+                is write_word(spec, hop_offset(spec, word_offset, hop), value))
         assert flat.memory == spec.memory
 
-        flat, spec = fresh(), fresh()
-        pushed = spec.write_word_bytes(spec.stack_pointer, value)
-        if pushed:
-            spec.stack_pointer += word_bytes
-        assert flat.push(value) is pushed
-        assert (flat.memory, flat.stack_pointer) == (spec.memory, spec.stack_pointer)
-
-        flat, spec = fresh(), fresh()
-        popped = spec.read_word_bytes(spec.stack_pointer)
-        if popped is not None:
-            spec.stack_pointer += word_bytes
-        assert flat.pop() == popped
-        assert (flat.memory, flat.stack_pointer) == (spec.memory, spec.stack_pointer)
-
-    def test_word_bytes_references_keep_their_contract(self):
-        tpp = self._tpp(AddressingMode.STACK, 4, 0, 1, 8, 0)
-        assert tpp.read_word_bytes(-1) is None and tpp.read_word_bytes(5) is None
-        assert not tpp.write_word_bytes(-4, 1) and not tpp.write_word_bytes(6, 1)
-        assert tpp.write_word_bytes(4, -1) and tpp.read_word_bytes(4) == 0xFFFFFFFF
+    def test_hop_words_keep_their_range_contract(self):
+        tpp = self._tpp(AddressingMode.STACK, 4, 0, 1, 8)
+        assert tpp.read_hop_word(-1) is None and tpp.read_hop_word(2) is None
+        assert not tpp.write_hop_word(-1, 1) and not tpp.write_hop_word(2, 1)
+        assert tpp.write_hop_word(1, -1) and tpp.read_hop_word(1) == 0xFFFFFFFF
         assert not hasattr(tpp, "_check_range")

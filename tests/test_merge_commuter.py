@@ -26,21 +26,16 @@ enumeration fails loudly if a registered type has no generator at all.
 """
 
 import importlib.util
-import os
 import pickle
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.collect import (DeltaChannel, DeltaDecoder, SUMMARY_TYPES,
                            SeriesSummary, summary_copy)
-
-settings.register_profile("quick", max_examples=15)
-settings.register_profile("default", max_examples=60)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"))
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "gen_merge_cases.py"
 _spec = importlib.util.spec_from_file_location("gen_merge_cases", _TOOL)

@@ -10,6 +10,8 @@ from repro.core.isa import Instruction, Opcode
 from repro.core.packet_format import (AddressingMode, DEFAULT_WORD_BYTES, EncapProtocol,
                                       MAX_PACKET_MEMORY_BYTES, TPP, TPP_HEADER_BYTES,
                                       checksum16, make_tpp)
+from repro.core.tcpu import InstructionStatus, PacketContext, TCPU
+from tcpu_oracle import DictMemory, push
 
 
 def _push_program(n=3):
@@ -65,23 +67,28 @@ class TestConstruction:
 class TestMemoryAccess:
     def test_push_and_pushed_words(self):
         tpp = make_tpp(_push_program(2), num_hops=3)
-        assert tpp.push(10) and tpp.push(20)
+        assert push(tpp, 10) and push(tpp, 20)
         assert tpp.pushed_words() == [10, 20]
         assert tpp.stack_pointer == 2 * DEFAULT_WORD_BYTES
 
     def test_push_beyond_memory_fails_gracefully(self):
-        tpp = make_tpp(_push_program(1), num_hops=1)
-        assert tpp.push(1)
-        assert not tpp.push(2)
+        tpp = make_tpp(_push_program(2), num_hops=1, values_per_hop=1)
+        statuses = TCPU().execute_program(tpp, DictMemory({0: 1, 1: 2}), PacketContext())
+        assert statuses == [InstructionStatus.EXECUTED,
+                            InstructionStatus.SKIPPED_PACKET_FULL]
+        assert tpp.pushed_words() == [1]
 
     def test_pop_consumes_in_order(self):
-        tpp = make_tpp(_push_program(2), num_hops=2, initial_values=[5, 6])
-        assert tpp.pop() == 5
-        assert tpp.pop() == 6
+        tpp = make_tpp([Instruction(Opcode.POP, 0), Instruction(Opcode.POP, 1)],
+                       num_hops=2, initial_values=[5, 6])
+        memory = DictMemory({0: 0, 1: 0})
+        TCPU().execute_program(tpp, memory, PacketContext())
+        assert memory.values == {0: 5, 1: 6}
+        assert tpp.stack_pointer == 2 * DEFAULT_WORD_BYTES
 
     def test_values_truncated_to_word_size(self):
         tpp = make_tpp(_push_program(1), num_hops=1, word_bytes=2)
-        tpp.push(0x12345)
+        TCPU().execute_program(tpp, DictMemory({0: 0x12345}), PacketContext())
         assert tpp.pushed_words() == [0x2345]
 
     def test_hop_addressing(self):
@@ -103,7 +110,7 @@ class TestMemoryAccess:
     def test_words_by_hop_stack_mode(self):
         tpp = make_tpp(_push_program(2), num_hops=3)
         for value in (1, 2, 3, 4):
-            tpp.push(value)
+            push(tpp, value)
         assert tpp.words_by_hop(2) == [[1, 2], [3, 4]]
 
     def test_words_by_hop_hop_mode(self):
@@ -185,7 +192,7 @@ class TestWordExtraction:
 class TestEncodeDecode:
     def test_roundtrip(self):
         tpp = make_tpp(_push_program(3), num_hops=4, app_id=42)
-        tpp.push(1234)
+        push(tpp, 1234)
         tpp.advance_hop()
         decoded = TPP.decode(tpp.encode())
         assert decoded.instructions == tpp.instructions
@@ -270,7 +277,7 @@ class TestEncodeDecode:
     def test_clone_is_independent(self):
         tpp = make_tpp(_push_program(2), num_hops=2)
         clone = tpp.clone()
-        clone.push(99)
+        push(clone, 99)
         clone.advance_hop()
         assert tpp.stack_pointer == 0
         assert tpp.hop_number == 0

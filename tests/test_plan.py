@@ -1,20 +1,21 @@
-"""Differential tests for the TCPU's bound plan against its interpreter.
+"""Differential tests for the TCPU's bound plan against the §3 oracle.
 
 The bound plan (``execute_program``) must be *instruction-for-instruction*
-identical to the reference interpreter (``execute``) — same statuses, same
-packet memory, same switch-memory writes, same counters — on every
-program, on a cache miss and on a cache hit.  This file holds:
+identical to the oracle in ``tcpu_oracle.py`` — same statuses, same packet
+memory, same switch-memory writes, and counters that add up to the
+oracle's statuses — on every program, on a cache miss and on a cache hit.
+This file holds:
 
-* a property-style sweep running randomized valid programs through both
-  engines, each engine twice on one TCPU and one memory (a miss, then
-  a hit a hop further along), against a dict-backed memory (the closures
-  over ``read`` / ``write``) and a real switch's ``SwitchMemory`` (its
+* a property-style sweep running randomized valid programs through the
+  plan and the oracle, each twice (on one TCPU, a miss then a hit a hop
+  further along), against a dict-backed memory (the closures over
+  ``read`` / ``write``) and a real switch's ``SwitchMemory`` (its
   resolvers), including a flip of the write-enable knob between the two
   runs (``REPRO_HYPOTHESIS_PROFILE=quick`` shrinks the sweep for CI's docs
   job);
-* decoded wire TPPs (``wire_tpps``) through both engines on one switch,
-  and through ``TPPSwitch.receive`` on a k=4 fat-tree, where the packet
-  must be delivered or counted once in a drop ledger;
+* decoded wire TPPs (``wire_tpps``) through the plan and the oracle on one
+  switch each, and through ``TPPSwitch.receive`` on a k=4 fat-tree, where
+  the packet must be delivered or counted once in a drop ledger;
 * resolver equivalence checks against a real switch's ``SwitchMemory``;
 * regression tests for the cache-keying contract: a different or grown
   program, another memory, changed word size / addressing mode / hop
@@ -22,11 +23,11 @@ program, on a cache miss and on a cache hit.  This file holds:
   clones of one template share one plan.
 """
 
-import os
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
+import tcpu_oracle as oracle
 from repro.core import addressing
 from repro.core.compiler import compile_tpp
 from repro.core.isa import Instruction, Opcode
@@ -36,27 +37,7 @@ from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import build_fat_tree
 from repro.switches.switch import TPPSwitch
-
-settings.register_profile("quick", max_examples=15)
-settings.register_profile("default", max_examples=80)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"))
-
-
-class DictMemory:
-    """MemoryInterface backed by a dict, with optional read-only addresses."""
-
-    def __init__(self, values=None, read_only=()):
-        self.values = dict(values or {})
-        self.read_only = set(read_only)
-
-    def read(self, address, context):
-        return self.values.get(address)
-
-    def write(self, address, value, context):
-        if address in self.read_only or address not in self.values:
-            return False
-        self.values[address] = value
-        return True
+from tcpu_oracle import DictMemory, MetadataMemory
 
 
 def fresh_switch():
@@ -114,17 +95,25 @@ def memory_state(memory):
             [stage.registers for stage in memory.switch.pipeline.stages])
 
 
-def run_both_engines(program, *, word_bytes, mode, num_hops, hop_number,
-                     stack_pointer, fill, write_enabled=True, flip_write=False,
-                     memory="dict"):
-    """Run one program through the interpreter and the bound plan.
+def sweep_context():
+    return PacketContext(input_port=1, output_port=2, packet_length=700,
+                         arrival_time=1.5)
 
-    Each engine gets one TCPU and one fresh ``memory`` and runs the program
-    twice: a cache miss on a clone of the template, then — after flipping
+
+def run_plan_and_oracle(program, *, word_bytes, mode, num_hops, hop_number,
+                        stack_pointer, fill, align, write_enabled=True,
+                        flip_write=False, memory="dict"):
+    """Run one program through the bound plan and the oracle.
+
+    Each side gets one fresh ``memory`` and runs the program twice: a cache
+    miss on a clone of the template, then — after flipping
     ``write_enabled`` when ``flip_write`` is set — a cache hit (a miss after
-    a flip) on a second clone one hop further along.  Returns per engine
-    ``(runs, memory, tcpu)``, with ``(result, tpp, context)`` per run: the
-    interpreter's ``ExecutionResult``, the plan's statuses list.
+    a flip) on a second clone one hop further along.  ``fill`` seeds the
+    template's packet memory; with ``align``, each CSTORE's old word and
+    each CEXEC's mask and value are then set so that the first run's
+    compare succeeds on the fresh memory (random words almost never match).
+    Returns per side ``(runs, memory)``, with ``(statuses, tpp, context)``
+    per run, and the plan's TCPU.
     """
     values_per_hop = 3                      # room for offsets 0..2, plus slack
     template = make_tpp(program, num_hops=num_hops, mode=mode,
@@ -133,40 +122,50 @@ def run_both_engines(program, *, word_bytes, mode, num_hops, hop_number,
     template.memory[:] = bytes(rng.randrange(256) for _ in range(len(template.memory)))
     template.hop_number = hop_number
     template.stack_pointer = stack_pointer
+    fresh = MEMORIES[memory][1]() if align else None
+    for instruction in program if align else ():
+        observed = fresh.read(instruction.address, sweep_context())
+        operand = oracle.hop_offset(template, instruction.packet_offset)
+        if observed is None:
+            continue
+        if instruction.opcode is Opcode.CSTORE:
+            oracle.write_word(template, operand, observed)            # old
+        elif instruction.opcode is Opcode.CEXEC:
+            oracle.write_word(template, operand, -1)                  # mask
+            oracle.write_word(template, operand + word_bytes, observed)
 
-    outcomes = []
-    for engine in ("execute", "plan"):
-        tcpu = TCPU(write_enabled=write_enabled)
-        state = MEMORIES[memory][1]()
-        execute = tcpu.execute if engine == "execute" else tcpu.execute_program
-        runs = []
-        for later in (0, 1):
-            if later and flip_write:
-                tcpu.write_enabled = not write_enabled
-            tpp = template.clone()
-            tpp.hop_number += later
-            context = PacketContext(input_port=1, output_port=2, packet_length=700,
-                                    arrival_time=1.5)
-            runs.append((execute(tpp, state, context), tpp, context))
-        outcomes.append((runs, state, tcpu))
-    plan_tcpu = outcomes[1][2]
-    assert plan_tcpu.plan_cache_hits == (0 if flip_write else 1)
-    return outcomes
+    tcpu = TCPU(write_enabled=write_enabled)
+    expected_state, state = MEMORIES[memory][1](), MEMORIES[memory][1]()
+    expected_runs, runs = [], []
+    for later in (0, 1):
+        enabled = write_enabled != bool(later and flip_write)
+        tcpu.write_enabled = enabled
+        expected_tpp, tpp = template.clone(), template.clone()
+        expected_tpp.hop_number += later
+        tpp.hop_number += later
+        expected_context, context = sweep_context(), sweep_context()
+        expected_runs.append((oracle.execute(expected_tpp, expected_state,
+                                             expected_context, enabled),
+                              expected_tpp, expected_context))
+        runs.append((tcpu.execute_program(tpp, state, context), tpp, context))
+    assert tcpu.plan_cache_hits == (0 if flip_write else 1)
+    return (expected_runs, expected_state), (runs, state), tcpu
 
 
-def assert_engines_agree(outcomes):
-    (reference_runs, reference_memory, reference_tcpu), (runs, memory, tcpu) = outcomes
-    for reference, run in zip(reference_runs, runs):
-        (ref_result, ref_tpp, ref_context), (result, tpp, context) = reference, run
-        assert result == ref_result.statuses
-        assert ref_result.halted == (InstructionStatus.FAILED_CONDITION in result)
-        assert tpp.memory == ref_tpp.memory
-        assert tpp.stack_pointer == ref_tpp.stack_pointer
-        assert tpp.hop_number == ref_tpp.hop_number
-        assert context == ref_context
-    assert memory_state(memory) == memory_state(reference_memory)
-    assert tcpu.tpps_executed == reference_tcpu.tpps_executed
-    assert tcpu.instructions_executed == reference_tcpu.instructions_executed
+def assert_plan_agrees(outcomes):
+    (expected_runs, expected_memory), (runs, memory), tcpu = outcomes
+    for expected, run in zip(expected_runs, runs):
+        (expected_statuses, expected_tpp, expected_context), (statuses, tpp, context) = \
+            expected, run
+        assert statuses == expected_statuses
+        assert tpp.memory == expected_tpp.memory
+        assert tpp.stack_pointer == expected_tpp.stack_pointer
+        assert tpp.hop_number == expected_tpp.hop_number
+        assert context == expected_context
+    assert memory_state(memory) == memory_state(expected_memory)
+    assert tcpu.tpps_executed == len(expected_runs)
+    assert tcpu.instructions_executed == sum(
+        oracle.executed_count(statuses) for statuses, _, _ in expected_runs)
 
 
 KNOBS = (st.sampled_from([2, 4]),
@@ -174,41 +173,52 @@ KNOBS = (st.sampled_from([2, 4]),
          st.integers(min_value=1, max_value=6),
          st.integers(min_value=0, max_value=8),
          st.integers(min_value=0, max_value=60),
-         st.integers(min_value=0, max_value=2**16))
+         st.integers(min_value=0, max_value=2**16),
+         st.booleans())
 
 
 class TestDifferentialSweep:
-    """Random valid programs: the two engines must be indistinguishable."""
+    """Random valid programs: the plan and the oracle must be
+    indistinguishable."""
 
     @given(programs(straight_line_opcodes), *KNOBS)
     def test_straight_line_programs(self, program, word_bytes, mode, num_hops,
-                                    hop_number, stack_pointer, fill):
-        assert_engines_agree(run_both_engines(
+                                    hop_number, stack_pointer, fill, align):
+        assert_plan_agrees(run_plan_and_oracle(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
-            hop_number=hop_number, stack_pointer=stack_pointer, fill=fill))
+            hop_number=hop_number, stack_pointer=stack_pointer, fill=fill,
+            align=align))
 
+    # Two §3.3 outcomes random draws reach rarely: a matching CSTORE under
+    # write-disable, and a CEXEC that fails with an instruction behind it.
+    @example(("dict", [Instruction(Opcode.CSTORE, 0x1010, packet_offset=0)]),
+             2, AddressingMode.HOP, 1, 0, 0, 0, True, False)
+    @example(("dict", [Instruction(Opcode.CEXEC, 0x0000, packet_offset=0),
+                       Instruction(Opcode.LOAD, 0x0001, packet_offset=2)]),
+             2, AddressingMode.HOP, 1, 0, 0, 0, False, True)
     @given(memory_programs(all_opcodes), *KNOBS, st.booleans())
     def test_any_program_any_knobs(self, kind_program, word_bytes, mode, num_hops,
-                                   hop_number, stack_pointer, fill, write_enabled):
+                                   hop_number, stack_pointer, fill, align,
+                                   write_enabled):
         """Conditionals and write-disable included, against a dict-backed
         memory and a real switch's memory map."""
         kind, program = kind_program
-        assert_engines_agree(run_both_engines(
+        assert_plan_agrees(run_plan_and_oracle(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
             hop_number=hop_number, stack_pointer=stack_pointer, fill=fill,
-            write_enabled=write_enabled, memory=kind))
+            align=align, write_enabled=write_enabled, memory=kind))
 
     @given(memory_programs(all_opcodes), *KNOBS, st.booleans())
     def test_write_enabled_flip_between_runs(self, kind_program, word_bytes, mode,
                                              num_hops, hop_number, stack_pointer,
-                                             fill, write_enabled):
+                                             fill, align, write_enabled):
         """Plans bake the knob in: the second run, after the flip, must
-        behave as the interpreter does under the new setting."""
+        behave as the oracle does under the new setting."""
         kind, program = kind_program
-        assert_engines_agree(run_both_engines(
+        assert_plan_agrees(run_plan_and_oracle(
             program, word_bytes=word_bytes, mode=mode, num_hops=num_hops,
             hop_number=hop_number, stack_pointer=stack_pointer, fill=fill,
-            write_enabled=write_enabled, flip_write=True, memory=kind))
+            align=align, write_enabled=write_enabled, flip_write=True, memory=kind))
 
 
 @st.composite
@@ -240,14 +250,14 @@ def wire_tpps(draw):
 
 class TestDecodedAbsurdTPPs:
     """Whatever decodes, a switch executes: every outcome is a named
-    ``InstructionStatus``, the bound plan agrees with the interpreter, and
+    ``InstructionStatus``, the bound plan agrees with the oracle, and
     nothing raises (§3.3's graceful failure)."""
 
     @given(wire_tpps())
-    def test_bound_plan_matches_interpreter_on_a_switch(self, data):
+    def test_bound_plan_matches_the_oracle_on_a_switch(self, data):
         template = TPP.decode(data)
         reference_switch, switch = fresh_switch(), fresh_switch()
-        interpreter = TCPU()
+        executed = 0
         for later in (0, 1):       # two clones of one program: a miss, then hits
             reference, subject = TPP.decode(data), template.clone()
             assert subject.program is template.program
@@ -257,20 +267,20 @@ class TestDecodedAbsurdTPPs:
                 reference_context = PacketContext(1, 2, 0, 3, 1, 0, reference.hop_number,
                                                   9, 700, 1.5)
                 context = PacketContext(1, 2, 0, 3, 1, 0, subject.hop_number, 9, 700, 1.5)
-                expected = interpreter.execute(reference, reference_switch.memory,
-                                               reference_context)
+                expected = oracle.execute(reference, reference_switch.memory,
+                                          reference_context)
                 got = switch.tcpu.execute_program(subject, switch.memory, context)
                 assert len(got) == len(subject.instructions)
                 assert all(isinstance(status, InstructionStatus) for status in got)
-                assert got == expected.statuses
-                assert expected.halted == (InstructionStatus.FAILED_CONDITION in got)
+                assert got == expected
                 assert subject == reference
                 assert context == reference_context
+                executed += oracle.executed_count(expected)
                 reference.advance_hop()
                 subject.advance_hop()
         assert (switch.tcpu.plan_cache_misses, switch.tcpu.plan_cache_hits) == (1, 3)
         assert memory_state(switch.memory) == memory_state(reference_switch.memory)
-        assert switch.tcpu.instructions_executed == interpreter.instructions_executed
+        assert switch.tcpu.instructions_executed == executed
 
 
 class TestDecodedTPPsOnAFatTree:
@@ -400,15 +410,6 @@ class TestCacheKeying:
     def test_word_bytes_change_rebinds(self):
         address = addressing.resolve("[PacketMetadata:ArrivalTimestamp]")
         program = [Instruction(Opcode.PUSH, address)]
-
-        class MetadataMemory:
-            def read(self, addr, context):
-                decoded = addressing.decode(addr)
-                return context.metadata_word(decoded.field_offset)
-
-            def write(self, addr, value, context):
-                return False
-
         context = PacketContext(arrival_time=1.0)       # 1e6 us = 0xF4240
         tcpu = TCPU()
         memory = MetadataMemory()
@@ -436,7 +437,7 @@ class TestCacheKeying:
                         values_per_hop=3)
         wide.hop_number = 2
         tcpu.execute_program(wide, memory, PacketContext())
-        assert wide.read_word_bytes(2 * wide.hop_size) == 0xAA
+        assert oracle.read_word(wide, 2 * wide.hop_size) == 0xAA
         assert wide.read_hop_word(1, hop=2) == 0xBB
 
         # Same instruction objects, stack mode: absolute offsets 0 and 1.
@@ -444,8 +445,8 @@ class TestCacheKeying:
                          values_per_hop=2)
         stack.hop_number = 2
         tcpu.execute_program(stack, memory, PacketContext())
-        assert stack.read_word_bytes(0) == 0xAA         # absolute word 0
-        assert stack.read_word_bytes(2) == 0xBB
+        assert oracle.read_word(stack, 0) == 0xAA       # absolute word 0
+        assert oracle.read_word(stack, 2) == 0xBB
         assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (3, 0)
 
     def test_write_enabled_flip_rebinds_plans(self):

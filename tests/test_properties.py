@@ -14,6 +14,7 @@ from repro.net.node import Host
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.stats.series import TimeSeries, cdf, fractiles, fraction_at_or_below
+from tcpu_oracle import push
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -68,7 +69,7 @@ class TestTppFormatProperties:
         tpp = make_tpp([Instruction(Opcode.PUSH, 0)], num_hops=len(values),
                        values_per_hop=1)
         for value in values:
-            assert tpp.push(value)
+            assert push(tpp, value)
         assert tpp.pushed_words() == values
 
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=5),

@@ -37,6 +37,7 @@ from repro.endhost import PacketFilter
 from repro.faults import FaultEvent, FaultPlan
 from repro.net import mbps, udp_packet
 from repro.session import Scenario
+from tcpu_oracle import push
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +137,7 @@ def feed(aggregator, source, values_per_hop, rng, clock, observed):
     tpp = compile_tpp(source, num_hops=6).clone_tpp()
     for _ in range(rng.randrange(1, 6)):
         for _ in range(values_per_hop):
-            tpp.push(rng.randrange(0, 12))
+            push(tpp, rng.randrange(0, 12))
         tpp.advance_hop()
     packet = udp_packet(f"h{rng.randrange(4)}", "h9", 100)
     packet.delivered_at = clock
@@ -247,8 +248,8 @@ class TestSnapshotIsolation:
 
         def deliver(src):
             tpp = compile_tpp(SKETCH_TPP_SOURCE, num_hops=4).clone_tpp()
-            tpp.push(1)
-            tpp.push(2)
+            push(tpp, 1)
+            push(tpp, 2)
             tpp.advance_hop()
             aggregator.on_tpp(tpp, udp_packet(src, "h9", 100))
 

@@ -7,10 +7,9 @@ shrinks the sweep for CI's docs job.
 """
 
 import itertools
-import os
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.net.packet import Packet, udp_packet
@@ -21,10 +20,6 @@ from repro.switches.pipeline import Pipeline
 from repro.switches.switch import TPPSwitch
 from repro.switches.tables import (FlowEntry, FlowTable, Group, GroupTable,
                                    select_by_dport, select_by_hash, select_by_vlan)
-
-settings.register_profile("quick", max_examples=15)
-settings.register_profile("default", max_examples=80)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"))
 
 
 def matches(entry: FlowEntry, packet: Packet) -> bool:
