@@ -37,8 +37,7 @@ def run_tcp_overhead_experiment(num_flows: int = 3, duration_s: float = 5.0,
     if num_flows < 1:
         raise ValueError("need at least one flow")
     sim = Simulator()
-    topo = build_rcp_chain(sim, link_rate_bps=link_rate_bps)
-    network = topo.network
+    network = build_rcp_chain(sim, link_rate_bps=link_rate_bps)
     pairs = [("ha", "ha_dst"), ("hb", "hb_dst"), ("hc", "hc_dst")]
 
     connections = []

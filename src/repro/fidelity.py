@@ -261,7 +261,7 @@ def table5_filters() -> ExperimentSummary:
 def _events_per_packet(instrumented: bool, packets: int = 300) -> float:
     """Forward ``packets`` across the dumbbell; return simulator events per packet."""
     sim = Simulator()
-    network = build_dumbbell(sim, link_rate_bps=mbps(100)).network
+    network = build_dumbbell(sim, link_rate_bps=mbps(100))
     compiled = microburst_tpp(num_hops=6)
     for i in range(packets):
         packet = udp_packet("h0", "h5", 1000, dport=5000 + (i % 16))

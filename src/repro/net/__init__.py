@@ -16,7 +16,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "port": ("Port",),
     "sim": ("Event", "PeriodicProcess", "SimulationError", "Simulator"),
     "tcp": ("TcpConnection", "TcpStats"),
-    "topology": ("BuiltTopology", "Network", "build_conga_topology",
-                 "build_dumbbell", "build_fat_tree", "build_leaf_spine",
+    "topology": ("Network", "build_conga_topology", "build_dumbbell",
+                 "build_fat_tree", "build_from_rows", "build_leaf_spine",
                  "build_rcp_chain"),
 })

@@ -2,8 +2,11 @@
 
 A :class:`Network` owns the simulator, hosts, switches and links, and knows
 how to compute and install shortest-path (optionally ECMP) routes into every
-switch's forwarding table.  Builders for the specific topologies used by the
-paper's experiments live at the bottom of the module:
+switch's forwarding table.  A topology is data: :func:`build_from_rows`
+wires a network from a switch list, a host list and link rows
+``(a, b, rate_bps, delay_s, queue_capacity_packets)``, in that order, and
+installs ECMP routes.  The paper's topologies are builders that list their
+rows and return ``build_from_rows(...)``:
 
 * :func:`build_dumbbell` — Figure 1's six-host dumbbell,
 * :func:`build_rcp_chain` — Figure 2's two-bottleneck chain,
@@ -211,46 +214,54 @@ def _hop_distances(destination: str,
 # ---------------------------------------------------------------------------
 # Topology builders used by the paper's experiments
 # ---------------------------------------------------------------------------
-@dataclass
-class BuiltTopology:
-    """A constructed network plus the node-name groups builders hand back."""
+#: One full-duplex link: ``(a, b, rate_bps, delay_s, queue_capacity_packets)``.
+LinkRow = tuple[str, str, float, float, Optional[int]]
 
-    network: Network
-    host_names: list[str]
-    switch_names: list[str]
-    extra: dict = field(default_factory=dict)
+
+def build_from_rows(sim: Simulator, switches: list[str], hosts: list[str],
+                    links: list[LinkRow], *, group_policy: str = "hash",
+                    **switch_kwargs) -> Network:
+    """Wire a network from rows and install ECMP shortest-path routes.
+
+    Switches are added in list order (so switch ids follow it), then the
+    hosts, then one link per row in row order (so each node's port indices
+    follow the order of its rows).  Every switch gets ``switch_kwargs``;
+    multipath groups select with ``group_policy``.  Raises ``ValueError``
+    when there is no host, or when the links leave a node unreachable.
+    """
+    if not hosts:
+        raise ValueError("a topology needs at least one host")
+    net = Network(sim)
+    for name in switches:
+        net.add_switch(name, **switch_kwargs)
+    for name in hosts:
+        net.add_host(name)
+    for a, b, rate_bps, delay_s, queue_capacity_packets in links:
+        net.connect(a, b, rate_bps=rate_bps, delay_s=delay_s,
+                    queue_capacity_packets=queue_capacity_packets)
+    unreachable = net.nodes.keys() - net.hop_distances_to(hosts[0]).keys()
+    if unreachable:
+        raise ValueError(f"links leave {sorted(unreachable)} unreachable "
+                         f"from host {hosts[0]!r}")
+    net.install_shortest_path_routes(group_policy=group_policy)
+    return net
 
 
 def build_dumbbell(sim: Simulator, hosts_per_side: int = 3,
                    link_rate_bps: float = mbps(100), link_delay_s: float = 50e-6,
                    queue_capacity_packets: Optional[int] = None,
-                   **switch_kwargs) -> BuiltTopology:
+                   **switch_kwargs) -> Network:
     """Figure 1's topology: two switches, ``hosts_per_side`` hosts on each."""
-    net = Network(sim)
-    left_switch = net.add_switch("s0", **switch_kwargs)
-    right_switch = net.add_switch("s1", **switch_kwargs)
-    host_names = []
-    for i in range(hosts_per_side):
-        name = f"h{i}"
-        net.add_host(name)
-        net.connect(name, "s0", rate_bps=link_rate_bps, delay_s=link_delay_s,
-                    queue_capacity_packets=queue_capacity_packets)
-        host_names.append(name)
-    for i in range(hosts_per_side):
-        name = f"h{hosts_per_side + i}"
-        net.add_host(name)
-        net.connect(name, "s1", rate_bps=link_rate_bps, delay_s=link_delay_s,
-                    queue_capacity_packets=queue_capacity_packets)
-        host_names.append(name)
-    net.connect("s0", "s1", rate_bps=link_rate_bps, delay_s=link_delay_s,
-                queue_capacity_packets=queue_capacity_packets)
-    net.install_shortest_path_routes()
-    return BuiltTopology(net, host_names, ["s0", "s1"],
-                         extra={"left_switch": left_switch, "right_switch": right_switch})
+    link = (link_rate_bps, link_delay_s, queue_capacity_packets)
+    hosts = [f"h{i}" for i in range(2 * hosts_per_side)]
+    links = [(host, "s0" if i < hosts_per_side else "s1", *link)
+             for i, host in enumerate(hosts)]
+    links.append(("s0", "s1", *link))
+    return build_from_rows(sim, ["s0", "s1"], hosts, links, **switch_kwargs)
 
 
 def build_rcp_chain(sim: Simulator, link_rate_bps: float = mbps(100),
-                    link_delay_s: float = 100e-6, **switch_kwargs) -> BuiltTopology:
+                    link_delay_s: float = 100e-6, **switch_kwargs) -> Network:
     """Figure 2's traffic pattern: flow *a* crosses two bottlenecks, *b* and *c* one each.
 
     Topology::
@@ -261,31 +272,21 @@ def build_rcp_chain(sim: Simulator, link_rate_bps: float = mbps(100),
 
     The two switch-switch links (s0-s1 and s1-s2) are the shared bottlenecks.
     """
-    net = Network(sim)
-    for name in ("s0", "s1", "s2"):
-        net.add_switch(name, **switch_kwargs)
-    hosts = ["ha", "hb", "hc", "ha_dst", "hb_dst", "hc_dst"]
-    for name in hosts:
-        net.add_host(name)
-    edge = dict(rate_bps=link_rate_bps * 10, delay_s=link_delay_s)   # non-bottleneck edges
-    core = dict(rate_bps=link_rate_bps, delay_s=link_delay_s)
-    net.connect("ha", "s0", **edge)
-    net.connect("hb", "s0", **edge)
-    net.connect("hc", "s1", **edge)
-    net.connect("hb_dst", "s1", **edge)
-    net.connect("ha_dst", "s2", **edge)
-    net.connect("hc_dst", "s2", **edge)
-    net.connect("s0", "s1", **core)
-    net.connect("s1", "s2", **core)
-    net.install_shortest_path_routes()
-    return BuiltTopology(net, hosts, ["s0", "s1", "s2"],
-                         extra={"bottlenecks": [("s0", "s1"), ("s1", "s2")]})
+    edge = (link_rate_bps * 10, link_delay_s, None)     # non-bottleneck edges
+    core = (link_rate_bps, link_delay_s, None)
+    links = [(host, switch, *edge) for host, switch in (
+        ("ha", "s0"), ("hb", "s0"), ("hc", "s1"), ("hb_dst", "s1"),
+        ("ha_dst", "s2"), ("hc_dst", "s2"))]
+    links += [("s0", "s1", *core), ("s1", "s2", *core)]
+    return build_from_rows(sim, ["s0", "s1", "s2"],
+                           ["ha", "hb", "hc", "ha_dst", "hb_dst", "hc_dst"],
+                           links, **switch_kwargs)
 
 
 def build_conga_topology(sim: Simulator, link_rate_bps: float = mbps(100),
                          link_delay_s: float = 20e-6,
                          group_policy: str = "dport",
-                         **switch_kwargs) -> BuiltTopology:
+                         **switch_kwargs) -> Network:
     """Figure 4's example: leaves L0, L1, L2 and spines S0, S1.
 
     L0 has a single path to L2 (via S0); L1 has two paths to L2 (via S0 or
@@ -293,52 +294,38 @@ def build_conga_topology(sim: Simulator, link_rate_bps: float = mbps(100),
     Multipath selection at the leaves uses ``group_policy`` so end-hosts can
     steer flowlets by changing the corresponding header field.
     """
-    net = Network(sim)
-    for name in ("L0", "L1", "L2", "S0", "S1"):
-        net.add_switch(name, **switch_kwargs)
-    for name in ("hl0", "hl1", "hl2"):
-        net.add_host(name)
-    edge = dict(rate_bps=link_rate_bps * 10, delay_s=link_delay_s)
-    core = dict(rate_bps=link_rate_bps, delay_s=link_delay_s)
-    net.connect("hl0", "L0", **edge)
-    net.connect("hl1", "L1", **edge)
-    net.connect("hl2", "L2", **edge)
+    edge = (link_rate_bps * 10, link_delay_s, None)
+    core = (link_rate_bps, link_delay_s, None)
+    links = [(f"hl{i}", f"L{i}", *edge) for i in range(3)]
     # L0 only attaches to S0 (single path), L1 attaches to both spines.
-    net.connect("L0", "S0", **core)
-    net.connect("L1", "S0", **core)
-    net.connect("L1", "S1", **core)
-    net.connect("L2", "S0", **core)
-    net.connect("L2", "S1", **core)
-    net.install_shortest_path_routes(ecmp=True, group_policy=group_policy)
-    return BuiltTopology(net, ["hl0", "hl1", "hl2"], ["L0", "L1", "L2", "S0", "S1"])
+    links += [(leaf, spine, *core) for leaf, spine in (
+        ("L0", "S0"), ("L1", "S0"), ("L1", "S1"), ("L2", "S0"), ("L2", "S1"))]
+    return build_from_rows(sim, ["L0", "L1", "L2", "S0", "S1"],
+                           ["hl0", "hl1", "hl2"], links,
+                           group_policy=group_policy, **switch_kwargs)
 
 
 def build_leaf_spine(sim: Simulator, num_leaves: int = 4, num_spines: int = 2,
                      hosts_per_leaf: int = 4, link_rate_bps: float = mbps(100),
                      link_delay_s: float = 20e-6, group_policy: str = "hash",
-                     **switch_kwargs) -> BuiltTopology:
+                     **switch_kwargs) -> Network:
     """A generic leaf-spine fabric (used by the sketch/measurement experiments)."""
-    net = Network(sim)
-    spine_names = [f"spine{i}" for i in range(num_spines)]
-    leaf_names = [f"leaf{i}" for i in range(num_leaves)]
-    for name in spine_names + leaf_names:
-        net.add_switch(name, **switch_kwargs)
-    host_names = []
-    for leaf_index, leaf in enumerate(leaf_names):
+    link = (link_rate_bps, link_delay_s, None)
+    spines = [f"spine{i}" for i in range(num_spines)]
+    leaves = [f"leaf{i}" for i in range(num_leaves)]
+    hosts: list[str] = []
+    links: list[LinkRow] = []
+    for leaf_index, leaf in enumerate(leaves):
         for h in range(hosts_per_leaf):
-            host = f"h{leaf_index}_{h}"
-            net.add_host(host)
-            net.connect(host, leaf, rate_bps=link_rate_bps, delay_s=link_delay_s)
-            host_names.append(host)
-        for spine in spine_names:
-            net.connect(leaf, spine, rate_bps=link_rate_bps, delay_s=link_delay_s)
-    net.install_shortest_path_routes(ecmp=True, group_policy=group_policy)
-    return BuiltTopology(net, host_names, leaf_names + spine_names,
-                         extra={"leaves": leaf_names, "spines": spine_names})
+            hosts.append(f"h{leaf_index}_{h}")
+            links.append((hosts[-1], leaf, *link))
+        links += [(leaf, spine, *link) for spine in spines]
+    return build_from_rows(sim, spines + leaves, hosts, links,
+                           group_policy=group_policy, **switch_kwargs)
 
 
 def build_fat_tree(sim: Simulator, k: int = 4, link_rate_bps: float = mbps(100),
-                   link_delay_s: float = 20e-6, **switch_kwargs) -> BuiltTopology:
+                   link_delay_s: float = 20e-6, **switch_kwargs) -> Network:
     """A k-ary fat tree (k even): (k/2)^2 core switches, k pods of k switches.
 
     Hosts: k^3/4.  Used by scale-oriented tests and the sketch experiment's
@@ -346,33 +333,21 @@ def build_fat_tree(sim: Simulator, k: int = 4, link_rate_bps: float = mbps(100),
     """
     if k % 2:
         raise ValueError("fat-tree k must be even")
-    net = Network(sim)
+    link = (link_rate_bps, link_delay_s, None)
     half = k // 2
-    core_names = [f"core{i}" for i in range(half * half)]
-    for name in core_names:
-        net.add_switch(name, **switch_kwargs)
-    host_names: list[str] = []
-    agg_names: list[str] = []
-    edge_names: list[str] = []
+    cores = [f"core{i}" for i in range(half * half)]
+    switches = list(cores)
+    hosts: list[str] = []
+    links: list[LinkRow] = []
     for pod in range(k):
-        pod_aggs = [f"agg{pod}_{i}" for i in range(half)]
-        pod_edges = [f"edge{pod}_{i}" for i in range(half)]
-        agg_names.extend(pod_aggs)
-        edge_names.extend(pod_edges)
-        for name in pod_aggs + pod_edges:
-            net.add_switch(name, **switch_kwargs)
-        for edge_index, edge in enumerate(pod_edges):
+        aggs = [f"agg{pod}_{i}" for i in range(half)]
+        edges = [f"edge{pod}_{i}" for i in range(half)]
+        switches += aggs + edges
+        for edge_index, edge in enumerate(edges):
             for h in range(half):
-                host = f"h{pod}_{edge_index}_{h}"
-                net.add_host(host)
-                net.connect(host, edge, rate_bps=link_rate_bps, delay_s=link_delay_s)
-                host_names.append(host)
-            for agg in pod_aggs:
-                net.connect(edge, agg, rate_bps=link_rate_bps, delay_s=link_delay_s)
-        for agg_index, agg in enumerate(pod_aggs):
-            for c in range(half):
-                core = core_names[agg_index * half + c]
-                net.connect(agg, core, rate_bps=link_rate_bps, delay_s=link_delay_s)
-    net.install_shortest_path_routes(ecmp=True)
-    return BuiltTopology(net, host_names, core_names + agg_names + edge_names,
-                         extra={"cores": core_names, "aggs": agg_names, "edges": edge_names})
+                hosts.append(f"h{pod}_{edge_index}_{h}")
+                links.append((hosts[-1], edge, *link))
+            links += [(edge, agg, *link) for agg in aggs]
+        links += [(agg, cores[agg_index * half + c], *link)
+                  for agg_index, agg in enumerate(aggs) for c in range(half)]
+    return build_from_rows(sim, switches, hosts, links, **switch_kwargs)

@@ -33,7 +33,7 @@ from repro.core.packet_format import TPP
 from repro.endhost import (Aggregator, DeployedApplication, TPPControlPlane,
                            install_stacks)
 from repro.net.sim import Simulator
-from repro.net.topology import BuiltTopology, Network
+from repro.net.topology import Network
 from repro.obs import get_telemetry
 
 from .registry import TOPOLOGIES, WORKLOADS
@@ -89,7 +89,7 @@ class Experiment:
     Attributes hooks and workload factories can rely on:
 
     * ``spec`` — the :class:`~repro.session.spec.ScenarioSpec` it was built from
-    * ``sim`` / ``network`` / ``topology`` / ``stacks`` / ``control_plane``
+    * ``sim`` / ``network`` / ``stacks`` / ``control_plane``
     * ``rng`` — the scenario's master :class:`random.Random`
     * ``seed`` / ``duration_s`` (``None`` when built without a duration)
     * ``apps`` — name -> :class:`DeployedApplication`
@@ -124,9 +124,7 @@ class Experiment:
         self.sim = Simulator()
         with span("build.topology", topology=spec.topology):
             builder = TOPOLOGIES.get(spec.topology)
-            self.topology: BuiltTopology = builder(self.sim,
-                                                   **spec.topology_kwargs)
-            self.network: Network = self.topology.network
+            self.network: Network = builder(self.sim, **spec.topology_kwargs)
         if spec.seed_ecmp:
             self._salt_ecmp_groups()
 

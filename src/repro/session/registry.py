@@ -4,7 +4,7 @@ Two registries back the :class:`~repro.session.Scenario` API:
 
 * the **topology registry** maps names like ``"dumbbell"`` to the builder
   functions in :mod:`repro.net.topology` (signature
-  ``builder(sim, **kwargs) -> BuiltTopology``),
+  ``builder(sim, **kwargs) -> Network``),
 * the **workload registry** maps names like ``"messages"`` to traffic
   factories (signature ``factory(experiment, **kwargs) -> handle``, where
   ``experiment`` is the live :class:`~repro.session.Experiment`).
@@ -12,8 +12,13 @@ Two registries back the :class:`~repro.session.Scenario` API:
 New scenarios are one decorator away::
 
     @register_topology("ring")
-    def build_ring(sim, num_switches=4, **kwargs) -> BuiltTopology:
-        ...
+    def build_ring(sim, num_switches=4, **switch_kwargs) -> Network:
+        switches = [f"s{i}" for i in range(num_switches)]
+        hosts = [f"h{i}" for i in range(num_switches)]
+        links = [(h, s, mbps(100), 20e-6, None) for h, s in zip(hosts, switches)]
+        links += [(s, switches[i - 1], mbps(100), 20e-6, None)
+                  for i, s in enumerate(switches)]
+        return build_from_rows(sim, switches, hosts, links, **switch_kwargs)
 
     @register_workload("replay")
     def replay_trace(experiment, *, trace, **kwargs):

@@ -2,7 +2,7 @@
 
 Each factory has the registry signature ``factory(experiment, **kwargs)``:
 it receives the live :class:`~repro.session.Experiment` (simulator, network,
-topology, stacks, master rng) and returns a handle that lands in
+stacks, master rng) and returns a handle that lands in
 ``result.workloads[name]``.  Factories that consume randomness draw their
 seed from the experiment's master rng unless one is passed explicitly, so a
 scenario's single seed makes the whole run reproducible.
@@ -26,7 +26,7 @@ __all__ = ["BurstTraffic", "all_to_all_once", "cross_pod_bursts", "messages",
 
 
 def _host_objects(experiment, hosts: Optional[list[str]]):
-    names = hosts if hosts is not None else experiment.topology.host_names
+    names = hosts if hosts is not None else experiment.network.hosts
     return [experiment.network.hosts[name] for name in names]
 
 

@@ -150,8 +150,7 @@ class TestCongaController:
         from repro.endhost import install_stacks
         from repro.net import Simulator, build_conga_topology
         sim = Simulator()
-        topo = build_conga_topology(sim, group_policy="vlan")
-        stacks = install_stacks(topo.network)
+        stacks = install_stacks(build_conga_topology(sim, group_policy="vlan"))
         controller = CongaController(stacks["hl1"], "hl2", path_tags=[0, 1])
         controller.paths[0].metric = 0.9
         controller.paths[1].metric = 0.2
@@ -162,8 +161,7 @@ class TestCongaController:
         from repro.endhost import install_stacks
         from repro.net import Simulator, build_conga_topology
         sim = Simulator()
-        topo = build_conga_topology(sim, group_policy="vlan")
-        stacks = install_stacks(topo.network)
+        stacks = install_stacks(build_conga_topology(sim, group_policy="vlan"))
         with pytest.raises(ValueError):
             CongaController(stacks["hl1"], "hl2", path_tags=[0, 1], metric="median")
 

@@ -27,7 +27,7 @@ def _seed_bitmaps(experiment, key):
 
 
 def _send_all_to_all(experiment):
-    names = experiment.topology.host_names
+    names = list(experiment.network.hosts)
     for src in names:
         for dst in names:
             if src != dst:
@@ -138,8 +138,8 @@ class TestSketchAggregation:
 class TestRouteVerification:
     def _network(self):
         sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        return sim, topo.network, install_stacks(topo.network)
+        network = build_dumbbell(sim, link_rate_bps=mbps(10))
+        return sim, network, install_stacks(network)
 
     def test_expected_path_and_verify(self):
         _, network, _ = self._network()

@@ -20,8 +20,7 @@ from repro.switches.tables import Group, GroupTable
 
 def small_net():
     sim = Simulator()
-    topo = build_dumbbell(sim, hosts_per_side=2, link_rate_bps=mbps(100))
-    return sim, topo.network
+    return sim, build_dumbbell(sim, hosts_per_side=2, link_rate_bps=mbps(100))
 
 
 def burst(src: str, dst: str, count: int, size: int = 700):

@@ -56,7 +56,7 @@ class DumbbellLedger(RuleBasedStateMachine):
         self.sim = Simulator()
         self.network = build_dumbbell(self.sim, hosts_per_side=2,
                                       link_rate_bps=mbps(10), link_delay_s=1e-4,
-                                      queue_capacity_packets=2).network
+                                      queue_capacity_packets=2)
         self.network.stop_switch_processes()
         self.recorder = FlightRecorder().attach(self.network)
         self.ports = [port for node in self.network.nodes.values()

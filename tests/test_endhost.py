@@ -19,9 +19,8 @@ from repro.session import Scenario
 @pytest.fixture()
 def dumbbell():
     sim = Simulator()
-    topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-    stacks = install_stacks(topo.network)
-    return sim, topo.network, stacks
+    network = build_dumbbell(sim, link_rate_bps=mbps(10))
+    return sim, network, install_stacks(network)
 
 
 class TestPacketFilter:
@@ -310,7 +309,7 @@ class TestExecutor:
 
     def test_reflection_without_a_usable_return_port_is_a_pipeline_drop(self):
         sim = Simulator()
-        net = build_dumbbell(sim, hosts_per_side=1, link_rate_bps=mbps(10)).network
+        net = build_dumbbell(sim, hosts_per_side=1, link_rate_bps=mbps(10))
         s1 = net.switches["s1"]
         s1.install_route("h0", 99, priority=100)        # s1 has no port 99
         packet = udp_packet("h0", "h1", 100)

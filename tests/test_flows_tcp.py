@@ -71,8 +71,7 @@ class TestRateLimitedFlow:
 class TestMessageWorkload:
     def test_offered_load_approximately_respected(self):
         sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        hosts = [topo.network.hosts[name] for name in topo.host_names]
+        hosts = list(build_dumbbell(sim, link_rate_bps=mbps(10)).hosts.values())
         workload = MessageWorkload(sim, hosts, link_rate_bps=mbps(10), offered_load=0.3,
                                    message_bytes=10_000, seed=3)
         sim.run(until=2.0)
@@ -82,8 +81,7 @@ class TestMessageWorkload:
 
     def test_messages_split_into_mtu_packets(self):
         sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        hosts = [topo.network.hosts[name] for name in topo.host_names]
+        hosts = list(build_dumbbell(sim, link_rate_bps=mbps(10)).hosts.values())
         workload = MessageWorkload(sim, hosts, link_rate_bps=mbps(10),
                                    message_bytes=10_000, packet_payload_bytes=1000, seed=1)
         sim.run(until=0.5)
@@ -92,8 +90,7 @@ class TestMessageWorkload:
 
     def test_parameter_validation(self):
         sim = Simulator()
-        topo = build_dumbbell(sim)
-        hosts = [topo.network.hosts[name] for name in topo.host_names]
+        hosts = list(build_dumbbell(sim).hosts.values())
         with pytest.raises(ValueError):
             MessageWorkload(sim, hosts, link_rate_bps=mbps(10), offered_load=0.0)
         with pytest.raises(ValueError):
@@ -105,8 +102,7 @@ class TestMessageWorkload:
         ("message_bytes", float("nan"))])
     def test_absurd_sizes_rejected_before_scheduling(self, knob, value):
         sim = Simulator()
-        topo = build_dumbbell(sim)
-        hosts = [topo.network.hosts[name] for name in topo.host_names]
+        hosts = list(build_dumbbell(sim).hosts.values())
         pending = sim.heap_size
         with pytest.raises(ValueError, match=f"{knob} must be an int >= 1"):
             MessageWorkload(sim, hosts, link_rate_bps=mbps(10), **{knob: value})
@@ -115,8 +111,7 @@ class TestMessageWorkload:
     def test_deterministic_with_seed(self):
         def run(seed):
             sim = Simulator()
-            topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-            hosts = [topo.network.hosts[name] for name in topo.host_names]
+            hosts = list(build_dumbbell(sim, link_rate_bps=mbps(10)).hosts.values())
             workload = MessageWorkload(sim, hosts, link_rate_bps=mbps(10), seed=seed)
             sim.run(until=0.5)
             return [(m.src, m.dst, round(m.created_at, 9)) for m in workload.messages_sent]

@@ -124,9 +124,8 @@ class TestEcmpBaseline:
 class TestPollingMonitorBaseline:
     def test_polling_misses_bursts_that_tpps_catch(self):
         sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        network = topo.network
-        hosts = [network.hosts[name] for name in topo.host_names]
+        network = build_dumbbell(sim, link_rate_bps=mbps(10))
+        hosts = list(network.hosts.values())
         monitor = PollingMonitor(sim, network, poll_interval_s=0.5)
         MessageWorkload(sim, hosts, link_rate_bps=mbps(10), offered_load=0.4,
                         message_bytes=10_000, seed=2)

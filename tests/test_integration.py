@@ -17,8 +17,7 @@ from repro.session import Scenario
 class TestMultipleApplicationsCoexist:
     def test_two_apps_with_different_filters_share_the_shim(self):
         sim = Simulator()
-        topo = build_dumbbell(sim, link_rate_bps=mbps(10))
-        network = topo.network
+        network = build_dumbbell(sim, link_rate_bps=mbps(10))
         stacks = install_stacks(network)
         cp = stacks["h0"].control_plane
 
@@ -53,11 +52,10 @@ class TestFailureDetectionScenario:
         """The §2.6 story: a link fails, routing is updated, and path probes
         observe the change — something end-to-end reachability alone cannot."""
         sim = Simulator()
-        topo = build_leaf_spine(sim, num_leaves=2, num_spines=2, hosts_per_leaf=1,
-                                link_rate_bps=mbps(10))
-        network = topo.network
+        network = build_leaf_spine(sim, num_leaves=2, num_spines=2, hosts_per_leaf=1,
+                                   link_rate_bps=mbps(10))
         stacks = install_stacks(network)
-        src, dst = topo.host_names[0], topo.host_names[-1]
+        src, dst = "h0_0", "h1_0"
         verifier = RouteVerifier(network)
 
         observations = []
@@ -132,9 +130,8 @@ def _send_h0_to_h5(experiment):
 class TestRateControlledFlowsShareAFabric:
     def test_flows_and_probes_coexist_on_a_leaf_spine(self):
         sim = Simulator()
-        topo = build_leaf_spine(sim, num_leaves=2, num_spines=2, hosts_per_leaf=2,
-                                link_rate_bps=mbps(10))
-        network = topo.network
+        network = build_leaf_spine(sim, num_leaves=2, num_spines=2, hosts_per_leaf=2,
+                                   link_rate_bps=mbps(10))
         stacks = install_stacks(network)
         src, dst = "h0_0", "h1_1"
         flow = RateLimitedFlow(sim, network.hosts[src], dst, rate_bps=2e6, dport=4242)

@@ -100,6 +100,23 @@ def sweep_context():
                          arrival_time=1.5)
 
 
+def align_compares(tpp, memory, context):
+    """Set each CSTORE's old word and each CEXEC's mask and value in
+    ``tpp``'s packet memory so that, at ``tpp``'s current hop, the compare
+    succeeds on ``memory`` (random words almost never match)."""
+    word_bytes = tpp.program.word_bytes
+    for instruction in tpp.instructions:
+        observed = memory.read(instruction.address, context)
+        operand = oracle.hop_offset(tpp, instruction.packet_offset)
+        if observed is None:
+            continue
+        if instruction.opcode is Opcode.CSTORE:
+            oracle.write_word(tpp, operand, observed)                 # old
+        elif instruction.opcode is Opcode.CEXEC:
+            oracle.write_word(tpp, operand, -1)                       # mask
+            oracle.write_word(tpp, operand + word_bytes, observed)
+
+
 def run_plan_and_oracle(program, *, word_bytes, mode, num_hops, hop_number,
                         stack_pointer, fill, align, write_enabled=True,
                         flip_write=False, memory="dict"):
@@ -122,17 +139,8 @@ def run_plan_and_oracle(program, *, word_bytes, mode, num_hops, hop_number,
     template.memory[:] = bytes(rng.randrange(256) for _ in range(len(template.memory)))
     template.hop_number = hop_number
     template.stack_pointer = stack_pointer
-    fresh = MEMORIES[memory][1]() if align else None
-    for instruction in program if align else ():
-        observed = fresh.read(instruction.address, sweep_context())
-        operand = oracle.hop_offset(template, instruction.packet_offset)
-        if observed is None:
-            continue
-        if instruction.opcode is Opcode.CSTORE:
-            oracle.write_word(template, operand, observed)            # old
-        elif instruction.opcode is Opcode.CEXEC:
-            oracle.write_word(template, operand, -1)                  # mask
-            oracle.write_word(template, operand + word_bytes, observed)
+    if align:
+        align_compares(template, MEMORIES[memory][1](), sweep_context())
 
     tcpu = TCPU(write_enabled=write_enabled)
     expected_state, state = MEMORIES[memory][1](), MEMORIES[memory][1]()
@@ -248,27 +256,41 @@ def wire_tpps(draw):
     return header + body
 
 
+def decoded_context(tpp):
+    return PacketContext(1, 2, 0, 3, 1, 0, tpp.hop_number, 9, 700, 1.5)
+
+
 class TestDecodedAbsurdTPPs:
     """Whatever decodes, a switch executes: every outcome is a named
     ``InstructionStatus``, the bound plan agrees with the oracle, and
-    nothing raises (§3.3's graceful failure)."""
+    nothing raises (§3.3's graceful failure).  Write-enable is drawn, and
+    with ``align`` the first hop's compares match the fresh switch."""
 
-    @given(wire_tpps())
-    def test_bound_plan_matches_the_oracle_on_a_switch(self, data):
+    # A matching CSTORE on a writable register under write-disable, which
+    # random draws almost never reach.
+    @example(make_tpp([Instruction(Opcode.CSTORE, addressing.resolve("[Stage$1:Reg3]"),
+                                   packet_offset=0)],
+                      num_hops=1, mode=AddressingMode.HOP, values_per_hop=2).encode(),
+             False, True)
+    @given(wire_tpps(), st.booleans(), st.booleans())
+    def test_bound_plan_matches_the_oracle_on_a_switch(self, data, write_enabled, align):
         template = TPP.decode(data)
+        if align:
+            align_compares(template, fresh_switch().memory, decoded_context(template))
         reference_switch, switch = fresh_switch(), fresh_switch()
+        switch.tcpu.write_enabled = write_enabled
         executed = 0
         for later in (0, 1):       # two clones of one program: a miss, then hits
             reference, subject = TPP.decode(data), template.clone()
+            reference.memory[:] = template.memory
             assert subject.program is template.program
             reference.hop_number += later
             subject.hop_number += later
             for _ in range(2):     # each clone a hop on, over what its last hop wrote
-                reference_context = PacketContext(1, 2, 0, 3, 1, 0, reference.hop_number,
-                                                  9, 700, 1.5)
-                context = PacketContext(1, 2, 0, 3, 1, 0, subject.hop_number, 9, 700, 1.5)
+                reference_context, context = decoded_context(reference), \
+                    decoded_context(subject)
                 expected = oracle.execute(reference, reference_switch.memory,
-                                          reference_context)
+                                          reference_context, write_enabled)
                 got = switch.tcpu.execute_program(subject, switch.memory, context)
                 assert len(got) == len(subject.instructions)
                 assert all(isinstance(status, InstructionStatus) for status in got)
@@ -293,7 +315,7 @@ class TestDecodedTPPsOnAFatTree:
     @given(wire_tpps(), st.one_of(st.none(), st.integers(1, 20)))
     def test_packet_is_delivered_or_counted_once(self, data, reflect_switch):
         sim = Simulator()
-        net = build_fat_tree(sim, k=4).network
+        net = build_fat_tree(sim, k=4)
         tpp = TPP.decode(data)
         first_hop = tpp.hop_number
         packet = udp_packet("h0_0_0", "h3_1_1", 200)

@@ -311,10 +311,10 @@ class TestRegisteredSmoke:
         for name in TOPOLOGIES.names():
             kwargs = self.TOPOLOGY_KWARGS.get(name, {})
             experiment = Scenario(name, stacks=False, **kwargs).build()
-            assert experiment.topology.host_names, name
+            hosts = list(experiment.network.hosts)
+            assert hosts, name
             assert experiment.network.switches, name
             # Routes are installed: every host can reach every other host.
-            hosts = experiment.topology.host_names
             path = experiment.network.compute_path(hosts[0], hosts[-1])
             assert path[0] == hosts[0] and path[-1] == hosts[-1]
 

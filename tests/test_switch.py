@@ -148,7 +148,7 @@ class TestTppExecutionAtSwitch:
         # Word 0 names the s0<->s1 port (1 on both switches), so s1 keeps
         # sending the packet back to s0, which forwards it to s1 again.
         sim = Simulator()
-        net = build_dumbbell(sim, hosts_per_side=1, link_rate_bps=mbps(10)).network
+        net = build_dumbbell(sim, hosts_per_side=1, link_rate_bps=mbps(10))
         assert net.ports_towards("s0", "s1") == [1] == net.ports_towards("s1", "s0")
         tpp = make_tpp([Instruction(Opcode.STORE,
                                     addressing.resolve("[PacketMetadata:OutputPort]"),

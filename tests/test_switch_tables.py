@@ -298,14 +298,14 @@ class TestFlowIndex:
 
     def test_a_fat_tree_table_probes_one_dict(self):
         sim = Simulator()
-        topo = build_fat_tree(sim, k=8)
-        populated = [stage.table for switch in topo.network.switches.values()
+        network = build_fat_tree(sim, k=8)
+        populated = [stage.table for switch in network.switches.values()
                      for stage in switch.pipeline.stages if stage.table.entries]
-        assert len(populated) == len(topo.network.switches) == 80
+        assert len(populated) == len(network.switches) == 80
         for table in populated:
             assert len(table) == 128                      # one route per host
             assert [names for names, _, _ in table._groups] == [("dst",)]
-        topo.network.stop_switch_processes()
+        network.stop_switch_processes()
 
     def test_an_unhashable_match_value_is_rejected_at_install(self):
         table = FlowTable()
