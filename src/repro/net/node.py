@@ -99,6 +99,7 @@ class Host(Node):
             self.recorder.on_host_send(self, packet)
         return self.uplink_port.send(packet)
 
+    # Kept for the frozen benchmark suite, which wraps it by name (ROADMAP 1a).
     def send_many(self, packets: list[Packet]) -> int:
         """Send a burst: one :meth:`send` per packet, in order.
 

@@ -24,6 +24,9 @@ IPV4_HEADER_BYTES = 20
 UDP_HEADER_BYTES = 8
 TCP_HEADER_BYTES = 20
 
+#: The values ``Packet.protocol`` takes.
+PROTOCOLS = ("udp", "tcp", "raw")
+
 # Identifiers the paper reserves for TPPs (§3.4).
 TPP_ETHERTYPE = 0x6666
 TPP_UDP_PORT = 0x6666
@@ -101,18 +104,6 @@ class Packet:
         return tpp
 
     # ------------------------------------------------------------ convenience
-    def flow_key(self) -> tuple:
-        """The packet's flow identity.
-
-        This is the *single* definition shared by every same-flow memo layer
-        (group-table path selection, end-host filter matching): two packets
-        with equal flow keys are indistinguishable to any rule or policy
-        that operates on flow-identity fields.  Extending flow identity
-        means changing this method, not the individual memos.
-        """
-        return (self.src, self.dst, self.protocol, self.sport, self.dport,
-                self.vlan, self.flow_id)
-
     def record_hop(self, node_name: str) -> None:
         """Append a node to the packet's observed path (simulation bookkeeping)."""
         self.path.append(node_name)

@@ -189,6 +189,7 @@ class Port:
         self._post(size * 8.0 / link.rate_bps, self._finish_transmission, packet)
         return True
 
+    # Kept for the frozen benchmark suite, which wraps it by name (ROADMAP 1a).
     def send_many(self, packets: list[Packet]) -> int:
         """Queue a burst: one :meth:`send` per packet, in order.
 

@@ -17,6 +17,7 @@ rows and return ``build_from_rows(...)``:
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
@@ -140,9 +141,13 @@ class Network:
         """Compute shortest paths to every host and install forwarding state.
 
         When a switch has several equal-cost next hops towards a destination
-        and ``ecmp`` is True, a multipath group is installed (selection policy
-        ``group_policy``, hash salt ``salt``); otherwise the first next hop
-        wins.  Routes go around down links.
+        and ``ecmp`` is True, the route resolves through a multipath group
+        (selection policy ``group_policy``, hash salt ``salt``); otherwise the
+        first next hop wins.  Routes go around down links.  A switch holds
+        one group per distinct (ports, policy, salt): a route reuses the
+        switch's group for its port set, or installs one under the switch's
+        next free id from 1000, so a recomputation never rewrites a group
+        that an older entry still names.
 
         ``priority`` matters when re-routing mid-run: flow tables resolve
         equal-priority matches oldest-first, so a recomputation that should
@@ -151,7 +156,9 @@ class Network:
         """
         # Routing changes no link state: one adjacency serves every BFS.
         adjacency = {name: self.up_neighbors(name) for name in self.nodes}
-        next_group_id = {name: 1000 for name in self.switches}
+        group_ids = {name: {(tuple(group.ports), group.policy, group.salt): group_id
+                            for group_id, group in switch.group_table.groups.items()}
+                     for name, switch in self.switches.items()}
         for dst_name in self.hosts:
             distances = _hop_distances(dst_name, adjacency.__getitem__)
             for switch_name, switch in self.switches.items():
@@ -166,13 +173,16 @@ class Network:
                 if len(candidate_ports) == 1 or not ecmp:
                     switch.install_route(dst_name, candidate_ports[0],
                                          priority=priority)
-                else:
-                    group_id = next_group_id[switch_name]
-                    next_group_id[switch_name] += 1
+                    continue
+                key = (tuple(candidate_ports), group_policy, salt)
+                group_id = group_ids[switch_name].get(key)
+                if group_id is None:
+                    group_id = next(i for i in itertools.count(1000)
+                                    if i not in switch.group_table)
                     switch.install_group(group_id, candidate_ports,
                                          policy=group_policy, salt=salt)
-                    switch.install_group_route(dst_name, group_id,
-                                               priority=priority)
+                    group_ids[switch_name][key] = group_id
+                switch.install_group_route(dst_name, group_id, priority=priority)
 
     def compute_path(self, src: str, dst: str) -> list[str]:
         """One shortest path (node names, inclusive) from ``src`` to ``dst``."""

@@ -230,8 +230,8 @@ class Experiment:
         master rng keeps ECMP placement deterministic per seed while letting
         different seeds explore different flow placements.
         """
-        # The selection memo keys on group.salt, so mutated groups miss the
-        # memo instead of being served stale — no explicit flush needed.
+        # A selection reads group.salt live, and the hash cache keys on the
+        # salt, so an in-place re-salt is never served stale.
         salt = self.rng.getrandbits(32)
         for switch in self.network.switches.values():
             for group in switch.group_table.groups.values():

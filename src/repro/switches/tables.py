@@ -20,6 +20,7 @@ Only the pieces the reproduced experiments exercise are modelled:
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import zlib
 from dataclasses import dataclass, field
@@ -154,9 +155,15 @@ class FlowTable:
         return len(self.entries)
 
 
-def _flow_hash(packet: Packet, salt: int = 0) -> int:
-    """Deterministic 5-tuple-ish hash used for ECMP selection."""
-    key = f"{packet.src}|{packet.dst}|{packet.protocol}|{packet.sport}|{packet.dport}|{salt}"
+@functools.lru_cache(maxsize=4096)
+def _flow_hash(src: str, dst: str, protocol: str, sport: int, dport: int,
+               salt: int) -> int:
+    """Deterministic 5-tuple hash used for ECMP selection.
+
+    Cached on its own inputs: every packet of a flow (and every group that
+    hashes it with one salt) pays the crc32 once while the flow is hot.
+    """
+    key = f"{src}|{dst}|{protocol}|{sport}|{dport}|{salt}"
     return zlib.crc32(key.encode())
 
 
@@ -166,7 +173,8 @@ SelectionPolicy = Callable[[Packet, list[int], int], int]
 
 def select_by_hash(packet: Packet, ports: list[int], salt: int) -> int:
     """ECMP: hash the flow identity; all packets of a flow take one path."""
-    return ports[_flow_hash(packet, salt) % len(ports)]
+    return ports[_flow_hash(packet.src, packet.dst, packet.protocol, packet.sport,
+                            packet.dport, salt) % len(ports)]
 
 
 def select_by_vlan(packet: Packet, ports: list[int], salt: int) -> int:
@@ -206,20 +214,15 @@ class Group:
 
 
 class GroupTable:
-    """The switch's group table (§2.4 / OpenFlow §5.6.1)."""
+    """The switch's group table (§2.4 / OpenFlow §5.6.1).
 
-    #: Bound on the selection memo; cleared wholesale when exceeded.
-    MEMO_LIMIT = 4096
+    A selection reads the group's live state, so a caller may mutate a
+    group it was handed (ports, policy, salt) in place; the only cache is
+    :func:`_flow_hash`'s, on the hash's own inputs.
+    """
 
     def __init__(self) -> None:
         self.groups: dict[int, Group] = {}
-        # Every selection policy is a pure function of the packet's flow
-        # identity and the group's state, so per-flow decisions can be
-        # memoized.  Group is a plain mutable dataclass that install_group
-        # hands back to callers, so the group's state is part of the memo
-        # key — in-place mutations (ports/policy/salt) simply miss the memo
-        # instead of being served stale.  Invalidated on install.
-        self._memo: dict[tuple, int] = {}
 
     def install(self, group: Group) -> None:
         if not group.ports:
@@ -228,23 +231,12 @@ class GroupTable:
             raise ValueError(f"group {group.group_id}: unknown selection policy "
                              f"{group.policy!r}")
         self.groups[group.group_id] = group
-        self._memo.clear()
 
     def select(self, group_id: int, packet: Packet) -> int:
         group = self.groups.get(group_id)
         if group is None:
             raise KeyError(f"group {group_id} is not installed")
-        if group.policy != "hash":
-            # vlan/dport selection is one modulo — cheaper than a memo probe.
-            return group.select(packet)
-        key = (group_id, group.salt, tuple(group.ports)) + packet.flow_key()
-        port = self._memo.get(key)
-        if port is None:
-            port = group.select(packet)
-            if len(self._memo) >= self.MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = port
-        return port
+        return group.select(packet)
 
     def __contains__(self, group_id: int) -> bool:
         return group_id in self.groups

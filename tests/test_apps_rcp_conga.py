@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import rcp
 from repro.apps.conga import CongaController, PathState, conga_scenario
-from repro.apps.rcp import (ALPHA_MAXMIN, ALPHA_PROPORTIONAL, LinkSample, RcpParameters,
+from repro.apps.rcp import (ALPHA_MAXMIN, ALPHA_PROPORTIONAL, RcpParameters,
                             alpha_fair_rate, build_update_tpp, collect_tpp,
                             expected_fair_shares, parse_collect_tpp, rcp_scenario,
                             rcp_update)

@@ -84,7 +84,7 @@ class TestHostSendMany:
         assert h0.uplink_port.packets_dropped_total == 4
 
 
-class TestGroupSelectionMemo:
+class TestGroupSelection:
     def test_memoized_selection_is_stable_and_invalidated(self):
         table = GroupTable()
         table.install(Group(group_id=1, ports=[0, 1, 2], policy="hash"))
@@ -101,9 +101,9 @@ class TestGroupSelectionMemo:
             1, Group(group_id=1, ports=[0, 1], policy="vlan"))
         packet = udp_packet("a", "b", 100)
         packet.vlan = 1
-        assert table.select(1, packet) == 1      # memo populated
+        assert table.select(1, packet) == 1
         group.ports = [7]                        # caller mutates in place
-        assert table.select(1, packet) == 7      # state is part of the key
+        assert table.select(1, packet) == 7      # selection reads live state
 
 
 class TestShimBurst:

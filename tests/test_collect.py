@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 from repro.collect import (CollectPlane, CollectorShard, CounterSummary,
                            DeltaChannel, DeltaDecoder, HistogramSummary,
                            SeriesSummary, Submission, SummaryBundle,
-                           SummaryDelta, TopKSummary, TreeSpec, fold,
+                           TopKSummary, TreeSpec, fold,
                            merge_summaries, shard_index, summary_jsonable)
 from repro.endhost import PacketFilter
 from repro.net import mbps

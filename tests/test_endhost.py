@@ -36,6 +36,23 @@ class TestPacketFilter:
         assert not PacketFilter(dport_range=(90, 100)).matches(packet)
         assert PacketFilter(flow_id=3).matches(packet)
 
+    # Each used to be accepted: the short range raised a bare unpacking
+    # error out of Simulator.run, the other two stamped nothing.
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"dport_range": (5,)}, "dport_range"),
+        ({"dport_range": (30000, 10)}, "dport_range"),
+        ({"protocol": "UDP"}, "protocol"),
+    ], ids=["short-range", "reversed-range", "unknown-protocol"])
+    def test_a_criterion_no_packet_meets_is_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            PacketFilter(**kwargs)
+
+    def test_a_one_port_range_and_every_protocol_are_accepted(self):
+        packet = udp_packet("a", "b", 10, dport=80)
+        assert PacketFilter(dport_range=(80, 80)).matches(packet)
+        for protocol in ("udp", "tcp", "raw"):
+            assert PacketFilter(protocol=protocol).matches(packet) == (protocol == "udp")
+
     def test_sampling_frequency_one_stamps_everything(self):
         entry = FilterEntry(filter=match_all(), app_id=1,
                             tpp_template=compile_tpp("PUSH [Switch:SwitchID]"))

@@ -13,8 +13,7 @@ import pickle
 
 import pytest
 
-from repro.apps.losslocal import (LossLocalizationResult, localize,
-                                  losslocal_scenario, merged_deficits)
+from repro.apps.losslocal import LossLocalizationResult, losslocal_scenario
 from repro.faults import (FAULT_KINDS, FaultEvent, FaultInjector, FaultPlan,
                           FaultSpec, POLICIES, RemediationSpec, link_rng)
 from repro.net import mbps

@@ -2,13 +2,11 @@
 
 from functools import partial
 
-import pytest
-
 from repro.apps.netsight import (PACKET_HISTORY_TPP_SOURCE, NetSightAggregator,
                                  NetWatch)
 from repro.apps.netverify import RouteVerifier, observation_from_tpp, PATH_TPP_SOURCE
 from repro.core.compiler import compile_tpp
-from repro.endhost import PacketFilter, TPPControlPlane, install_stacks
+from repro.endhost import PacketFilter, install_stacks
 from repro.net import (RateLimitedFlow, Simulator, build_dumbbell, build_leaf_spine, mbps,
                        udp_packet)
 from repro.session import Scenario

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.microburst import microburst_scenario
-from repro.endhost import Aggregator, PacketFilter
+from repro.endhost import PacketFilter
 from repro.net import mbps
 from repro.session import (DuplicateRegistration, Registry, Scenario, ScenarioSpec,
                            TOPOLOGIES, UnknownRegistration, WORKLOADS,

@@ -25,7 +25,7 @@ from repro.apps.rcp import rcp_scenario
 from repro.core.compiler import compile_tpp
 from repro.core.isa import Instruction
 from repro.core.packet_format import TPP, AddressingMode, EncapProtocol
-from repro.session import (ResultSummary, Scenario, ScenarioSpec, SpecError,
+from repro.session import (ResultSummary, Scenario, SpecError,
                            UnknownRegistration, register_workload,
                            spec_jsonable)
 from repro.sweep import SweepRunner, SweepSpec, SweepTask

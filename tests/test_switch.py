@@ -11,7 +11,6 @@ from repro.core.isa import Instruction, Opcode
 from repro.core.packet_format import AddressingMode, make_tpp
 from repro.core.tcpu import PacketContext
 from repro.net.link import Link, mbps
-from repro.net.node import Host
 from repro.net.packet import udp_packet
 from repro.net.sim import Simulator
 from repro.net.port import DROP_PIPELINE

@@ -2,24 +2,28 @@
 
 ``TestFlowIndex`` holds :class:`FlowTable`'s exact-match index to a linear
 scan (``ScanTable``, the table as a sorted list searched front to back)
-over random install/remove sequences.  ``REPRO_HYPOTHESIS_PROFILE=quick``
-shrinks the sweep for CI's docs job.
+over random install/remove sequences, and ``TestGroupSelectionOracle``
+holds :class:`GroupTable` selection to the §2.4 policies written out as
+formulas.  ``REPRO_HYPOTHESIS_PROFILE=quick`` shrinks the sweep for CI's
+docs job.
 """
 
 import itertools
+import zlib
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.net.packet import Packet, udp_packet
+from repro.net.packet import PROTOCOLS, Packet, udp_packet
 from repro.net.sim import Simulator
 from repro.net.topology import build_fat_tree
 from repro.switches.counters import StatsBlock
 from repro.switches.pipeline import Pipeline
 from repro.switches.switch import TPPSwitch
-from repro.switches.tables import (FlowEntry, FlowTable, Group, GroupTable,
-                                   select_by_dport, select_by_hash, select_by_vlan)
+from repro.switches.tables import (SELECTION_POLICIES, FlowEntry, FlowTable, Group,
+                                   GroupTable, _flow_hash, select_by_dport,
+                                   select_by_hash, select_by_vlan)
 
 
 def matches(entry: FlowEntry, packet: Packet) -> bool:
@@ -245,7 +249,10 @@ class TestPipeline:
             FlowEntry(match={"size": 842}, action="drop", priority=99))
         small = udp_packet("h0", "h1", 100)
         big = udp_packet("h0", "h1", 800)          # 842 B on the wire
-        assert small.flow_key() == big.flow_key()
+        assert (small.src, small.dst, small.protocol, small.sport, small.dport,
+                small.vlan, small.flow_id) == (big.src, big.dst, big.protocol,
+                                               big.sport, big.dport, big.vlan,
+                                               big.flow_id)
         assert pipeline.process(small)[0].action == "forward"
         assert pipeline.process(big)[0].action == "drop"
 
@@ -327,3 +334,62 @@ class TestFlowIndex:
         assert table.lookup(packet) is bare_only
         packet.tpp = object.__new__(type("Unhashable", (), {"__hash__": None}))
         assert table.lookup(packet) is None
+
+
+def oracle_select(group: Group, packet: Packet) -> int:
+    """The port a group picks, from its policy's formula: the ECMP hash is
+    crc32 of the flow's 5-tuple and the salt as text."""
+    if group.policy == "hash":
+        text = (f"{packet.src}|{packet.dst}|{packet.protocol}|{packet.sport}|"
+                f"{packet.dport}|{group.salt}")
+        pick = zlib.crc32(text.encode())
+    else:
+        pick = packet.vlan if group.policy == "vlan" else packet.dport
+    return group.ports[pick % len(group.ports)]
+
+
+GROUP_PACKETS = st.builds(
+    Packet, src=st.sampled_from(["h0", "h1", "h2"]), dst=st.sampled_from(["h1", "h3"]),
+    size=st.just(100), protocol=st.sampled_from(PROTOCOLS),
+    sport=st.integers(0, 0xFFFF), dport=st.integers(0, 0xFFFF),
+    vlan=st.integers(0, 0xFFF), flow_id=st.integers(0, 3))
+PORT_LISTS = st.lists(st.integers(0, 63), min_size=1, max_size=6)
+SALTS = st.integers(0, 2**32 - 1)
+GROUP_OPS = st.lists(st.one_of(
+    st.tuples(st.just("select"), st.integers(0, 3), GROUP_PACKETS),
+    st.tuples(st.just("ports"), st.integers(0, 3), PORT_LISTS),
+    st.tuples(st.just("salt"), st.integers(0, 3), SALTS)), max_size=30)
+
+
+class TestGroupSelectionOracle:
+    """``GroupTable.select`` against :func:`oracle_select`, through in-place
+    mutations of a group's ports and salt and past the hash cache's bound."""
+
+    @given(st.lists(st.tuples(st.sampled_from(sorted(SELECTION_POLICIES)),
+                              PORT_LISTS, SALTS), min_size=1, max_size=4),
+           GROUP_OPS, SALTS)
+    def test_selection_equals_the_policy_formula(self, specs, ops, sweep_salt):
+        table = GroupTable()
+        for group_id, (policy, ports, salt) in enumerate(specs):
+            table.install(Group(group_id, list(ports), policy, salt))
+        selected = []
+        for op, index, value in ops:
+            group = table.groups[index % len(specs)]
+            if op == "select":
+                assert table.select(group.group_id, value) == oracle_select(group, value)
+                selected.append(value)
+            elif op == "ports":
+                group.ports = list(value)
+            else:
+                group.salt = value
+        # More distinct flows than the hash cache holds: it evicts, and the
+        # packets selected above are then selected afresh.
+        sweep = Group(len(specs), list(range(7)), "hash", sweep_salt)
+        table.install(sweep)
+        for sport in range(_flow_hash.cache_info().maxsize + 16):
+            packet = udp_packet("h0", "h9", 10, sport=sport)
+            assert table.select(sweep.group_id, packet) == oracle_select(sweep, packet)
+        assert _flow_hash.cache_info().currsize == _flow_hash.cache_info().maxsize == 4096
+        for packet in selected:
+            for group in table.groups.values():
+                assert table.select(group.group_id, packet) == oracle_select(group, packet)

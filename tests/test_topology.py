@@ -11,7 +11,7 @@ from repro.net.sim import Simulator
 from repro.net.topology import (Network, build_conga_topology, build_dumbbell,
                                 build_fat_tree, build_from_rows, build_leaf_spine,
                                 build_rcp_chain)
-from repro.session import Scenario
+from repro.session import TOPOLOGIES, Scenario
 
 
 class TestNetworkBasics:
@@ -219,6 +219,24 @@ class TestWiringPin:
         assert hashlib.blake2b(tables, digest_size=16).hexdigest() == digest
 
 
+class TestGroupCounts:
+    """A switch holds one multipath group per distinct port set (and policy
+    and salt), not one per destination: each registered builder's total
+    at its defaults."""
+
+    COUNTS = {"fat-tree": 16, "leaf-spine": 4, "conga": 3, "dumbbell": 0,
+              "rcp-chain": 0}
+
+    def test_every_builder_is_pinned(self):
+        assert set(self.COUNTS) == set(TOPOLOGIES.names())
+
+    @pytest.mark.parametrize("topology", sorted(COUNTS))
+    def test_group_count_is_pinned(self, topology):
+        network = Scenario(topology, stacks=False).build().network
+        assert sum(len(switch.group_table.groups)
+                   for switch in network.switches.values()) == self.COUNTS[topology]
+
+
 @st.composite
 def row_sets(draw):
     """``(switches, hosts, links)``: a connected switch graph (a random
@@ -283,6 +301,27 @@ class TestBuildFromRows:
                 for path in forwarding_walks(network, src, dst):
                     assert len(set(path)) == len(path), path      # no loop
                     assert path[-1] == dst, path
+
+    @given(row_sets(), st.data())
+    def test_a_reroute_never_rewrites_a_group(self, rows, data):
+        # An entry that a re-route shadows still names its group, so a
+        # group id must keep its ports (and policy and salt) for good.
+        switches, hosts, links = rows
+        network = build_from_rows(Simulator(), switches, hosts, links)
+        fabric = [link for link in network.links
+                  if {link.port_a.node.name, link.port_b.node.name} <= set(switches)]
+        if fabric:
+            data.draw(st.sampled_from(fabric)).set_down()
+
+        def groups():
+            return {(name, gid): (tuple(group.ports), group.policy, group.salt)
+                    for name, switch in network.switches.items()
+                    for gid, group in switch.group_table.groups.items()}
+
+        before = groups()
+        network.install_shortest_path_routes(priority=1)
+        after = groups()
+        assert {key: after[key] for key in before} == before
 
     # The three scenarios used to die in the messages workload with a bare
     # StopIteration (no host) or run on islands of leaves (no spine).
