@@ -27,11 +27,8 @@ directed switch pair with the largest positive deficit *names the lossy
 link*, from nothing but two counters per hop.
 
 The aggregator keeps a per-pair max deficit (``link_deficits``) and emits
-it as a mergeable summary.  :func:`localize` ranks the hosts' folded
-maxima through the same two steps the
-:class:`repro.faults.policy.RemediationController` uses
-(:func:`~repro.faults.policy.max_deficits`,
-:func:`~repro.faults.policy.ranked_links`).
+it as a mergeable summary.  :func:`merged_deficits` folds the hosts'
+maxima and :func:`localize` ranks them into link suspects, worst first.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from typing import Optional
 from repro.collect import CounterSummary, SeriesSummary, SummaryBundle
 from repro.core.packet_format import TPP
 from repro.endhost import Aggregator, PacketFilter
-from repro.faults.policy import LinkVerdict, max_deficits, ranked_links
 from repro.net import mbps
 from repro.net.packet import Packet
 from repro.session import ExperimentResult, Scenario
@@ -67,9 +63,19 @@ class HopRecord:
     tx_packets: int
 
 
-#: A ranked verdict: ``link`` shows a ``deficit``-packet tx/rx gap.  The
-#: same type the remediation loop acts on.
-LinkSuspect = LinkVerdict
+@dataclass(frozen=True)
+class LinkSuspect:
+    """A ranked verdict: ``link`` shows a ``deficit``-packet tx/rx gap.
+
+    ``pair`` is the directed (sending switch id, receiving switch id) hop
+    the deficit was measured over; ``deficit`` is the largest per-sample
+    ``tx_sender + 1 - rx_receiver`` gap observed (healthy hops sit at or
+    below zero).
+    """
+
+    link: str
+    pair: tuple[int, int]
+    deficit: int
 
 
 class LossLocalizationAggregator(Aggregator):
@@ -116,28 +122,44 @@ class LossLocalizationAggregator(Aggregator):
 
 def merged_deficits(result: ExperimentResult,
                     app: str = "loss-localization") -> dict[tuple[int, int], int]:
-    """Per-pair max deficits folded across every host's aggregator."""
-    return max_deficits(result.aggregators(app))
+    """Per-pair max deficits folded across every host's aggregator, in
+    sorted host order; an aggregator without ``link_deficits`` adds nothing."""
+    aggregators = result.aggregators(app)
+    folded: dict[tuple[int, int], int] = {}
+    for host in sorted(aggregators):
+        for pair, deficit in getattr(aggregators[host], "link_deficits", {}).items():
+            if deficit > folded.get(pair, -(1 << 62)):
+                folded[pair] = deficit
+    return folded
 
 
 def localize(result: ExperimentResult, *, app: str = "loss-localization",
              threshold: int = 1) -> list[LinkSuspect]:
-    """Ranked suspects: pairs with deficit >= threshold, worst first."""
-    return [suspect for suspect
-            in ranked_links(merged_deficits(result, app), result.network)
-            if suspect.deficit >= threshold]
+    """Ranked suspects: pairs with deficit >= threshold that name a
+    physical link, worst first (ties rank by pair, for determinism)."""
+    network = result.network
+    names = {switch.switch_id: name for name, switch in network.switches.items()}
+    suspects = []
+    for pair, deficit in sorted(merged_deficits(result, app).items(),
+                                key=lambda kv: (-kv[1], kv[0])):
+        if deficit < threshold:
+            break
+        # An unknown switch id maps to None, which no link connects.
+        link = network.link_between(names.get(pair[0]), names.get(pair[1]))
+        if link is not None:
+            suspects.append(LinkSuspect(link=link.name, pair=pair, deficit=deficit))
+    return suspects
 
 
 @dataclass
 class LossLocalizationResult:
-    """What the detector (and any remediation loop) concluded."""
+    """What the detector concluded."""
 
     suspects: list[LinkSuspect]
     deficits: dict[tuple[int, int], int]
     tpps_received: int
     fault_events_applied: int
     packets_corrupted: int
-    remediation_actions: int
     drop_reasons: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -153,7 +175,6 @@ def _to_losslocal_result(result: ExperimentResult) -> LossLocalizationResult:
         tpps_received=result.tpps_received,
         fault_events_applied=result.fault_events_applied,
         packets_corrupted=result.packets_corrupted,
-        remediation_actions=result.remediation_actions,
         drop_reasons=dict(result.drop_reasons))
 
 
@@ -161,15 +182,12 @@ def losslocal_scenario(name: str = "loss-localization", *, k: int = 4,
                        link_rate_bps: float = mbps(100),
                        offered_load: float = 0.2, message_bytes: int = 4_000,
                        sample_frequency: int = 1, seed: int = 1,
-                       num_hops: int = 6, faults=None,
-                       remediation=None) -> Scenario:
+                       num_hops: int = 6, faults=None) -> Scenario:
     """The loss-localization experiment on a k-ary fat tree.
 
     All-hosts message traffic carries the detector TPP; pass ``faults``
     (a :class:`~repro.faults.FaultPlan` / :class:`~repro.faults.FaultSpec`
-    or generator kwargs via ``Scenario.faults``) to degrade links and
-    ``remediation`` (a policy name or
-    :class:`~repro.faults.RemediationSpec`) to act on the verdicts.
+    or generator kwargs via ``Scenario.faults``) to degrade links.
     ``losslocal_scenario(...).run(duration_s=...)`` returns a
     :class:`LossLocalizationResult`.
     """
@@ -187,6 +205,4 @@ def losslocal_scenario(name: str = "loss-localization", *, k: int = 4,
                 .map_result(_to_losslocal_result))
     if faults is not None:
         scenario.faults(faults)
-    if remediation is not None:
-        scenario.remediation(remediation)
     return scenario

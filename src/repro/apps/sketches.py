@@ -153,9 +153,6 @@ class SketchExperimentResult:
     host_memory_bytes: dict[str, int]
     tpp_overhead_bytes_per_packet: int
 
-    def estimate(self, key: LinkKey) -> float:
-        return self.estimates.get(key, 0.0)
-
     def total_memory_bytes(self) -> int:
         """Bytes of merged bitmap state, summed over links."""
         return sum(sketch.memory_bytes() for sketch in self.bitmaps.values())

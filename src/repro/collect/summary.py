@@ -183,9 +183,6 @@ class CounterSummary:
         for name in payload["drop"]:
             self.counts.pop(name, None)
 
-    def total(self) -> float:
-        return sum(self.counts.values())
-
     def as_dict(self) -> dict:
         return {"type": "counter",
                 "counts": {name: self.counts[name] for name in sorted(self.counts)}}
@@ -196,9 +193,6 @@ class CounterSummary:
 
     def get(self, name: str, default: float = 0) -> float:
         return self.counts.get(name, default)
-
-    def keys(self):
-        return self.counts.keys()
 
     def __contains__(self, name: str) -> bool:
         return name in self.counts
@@ -552,16 +546,10 @@ class SummaryBundle:
     def __contains__(self, key: Any) -> bool:
         return key in self.parts
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def as_dict(self) -> dict:
         return {"type": "bundle",
                 "parts": {_canonical_key(key): summary_jsonable(self.parts[key])
                           for key in sorted(self.parts, key=_canonical_key)}}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SummaryBundle) and self.parts == other.parts
 
     def __repr__(self) -> str:
         return f"SummaryBundle({sorted(map(_canonical_key, self.parts))})"

@@ -405,6 +405,7 @@ class CollectPlane:
                 totals[name] = totals.get(name, 0) + value
         return totals
 
+    # Kept for the frozen suite's collect kernel, which reads it (ROADMAP 1a).
     def stats(self) -> PlaneStats:
         """:meth:`counters` as a :class:`PlaneStats`, plus per-shard faces."""
         totals = self.counters()

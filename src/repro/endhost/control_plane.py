@@ -152,7 +152,3 @@ class ControlPlaneAgent:
                             sample_frequency=sample_frequency, priority=priority)
         self.shim.install_filter(entry)
         return entry
-
-    def remove_app(self, app_id: int) -> int:
-        """Remove all of an application's rules from this host's shim."""
-        return self.shim.filters.remove_app(app_id)

@@ -22,9 +22,7 @@ using its own ``random.Random(seed)`` — never the scenario's master rng,
 so *declaring* faults does not shift any workload's random stream.
 
 :class:`FaultSpec` is the scenario-level declaration (``Scenario.faults``)
-that resolves to a concrete plan once the topology exists;
-:class:`RemediationSpec` declares the policy loop (``Scenario.remediation``)
-— see :mod:`repro.faults.policy`.
+that resolves to a concrete plan once the topology exists.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.topology import Network
 
-__all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "FaultSpec",
-           "RemediationSpec"]
+__all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "FaultSpec"]
 
 #: The event kinds a plan may contain.
 FAULT_KINDS = ("loss", "down", "repair")
@@ -198,42 +195,3 @@ class FaultSpec:
             loss_rate=self.loss_rate, onset_s=self.onset_s,
             fail_links=self.fail_links, fail_at_s=self.fail_at_s,
             repair_after_s=self.repair_after_s)
-
-
-@dataclass
-class RemediationSpec:
-    """The scenario-level remediation declaration (``Scenario.remediation``).
-
-    ``policy`` names a registered remediation policy (see
-    :data:`repro.faults.policy.POLICIES`); ``app`` names the deployed TPP
-    application whose aggregators produce link verdicts (the
-    loss-localization app by default).  Every ``period_s`` the controller
-    polls the detector, reacts to any verdict whose tx/rx deficit is at
-    least ``threshold`` packets, and records the penalty / path-diversity
-    timeseries.  ``repair_time_s`` is how long a policy-disabled link
-    stays down before it is repaired (cleanly — corruption cleared);
-    ``min_path_diversity`` is the ToR fabric-link floor the
-    capacity-constrained policy refuses to cross.
-    """
-
-    policy: str = "do-nothing"
-    app: str = "loss-localization"
-    period_s: float = 0.05
-    threshold: int = 5
-    min_path_diversity: int = 1
-    repair_time_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        from .policy import POLICIES    # deferred: policy.py imports this module
-        POLICIES.get(self.policy)       # raises with the registered menu
-        if not 0.0 < self.period_s < math.inf:
-            raise ValueError(f"period_s must be finite and positive, "
-                             f"got {self.period_s!r}")
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1 packet")
-        if self.min_path_diversity < 0:
-            raise ValueError("min_path_diversity cannot be negative")
-        if self.repair_time_s is not None \
-                and not 0.0 < self.repair_time_s < math.inf:
-            raise ValueError(f"repair_time_s must be finite and positive "
-                             f"when set, got {self.repair_time_s!r}")

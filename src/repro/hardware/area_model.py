@@ -29,10 +29,6 @@ class ResourceCost:
     tcpu_extra: float
 
     @property
-    def total(self) -> float:
-        return self.router + self.tcpu_extra
-
-    @property
     def percent_extra(self) -> float:
         return 100.0 * self.tcpu_extra / self.router
 

@@ -78,6 +78,9 @@ class Packet:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"packet size must be positive, got {self.size}")
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"packet protocol must be one of {', '.join(PROTOCOLS)}, "
+                             f"got {self.protocol!r}")
 
     # ------------------------------------------------------------------ TPP
     @property

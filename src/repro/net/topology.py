@@ -17,7 +17,6 @@ rows and return ``build_from_rows(...)``:
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
@@ -101,7 +100,7 @@ class Network:
 
         A link is usable when the link itself and both endpoint ports are
         up.  Routing uses this view, so recomputing routes after a failure
-        (or a remediation policy disabling a link) steers around it.
+        steers around it.
         """
         node = self.node(name)
         result = []
@@ -134,55 +133,46 @@ class Network:
             raise ValueError(f"unknown destination {destination!r}")
         return _hop_distances(destination, self.up_neighbors)
 
-    def install_shortest_path_routes(self, ecmp: bool = True,
-                                     group_policy: str = "hash",
-                                     priority: int = 0,
-                                     salt: int = 0) -> None:
+    def install_shortest_path_routes(self, group_policy: str = "hash") -> None:
         """Compute shortest paths to every host and install forwarding state.
 
-        When a switch has several equal-cost next hops towards a destination
-        and ``ecmp`` is True, the route resolves through a multipath group
-        (selection policy ``group_policy``, hash salt ``salt``); otherwise the
-        first next hop wins.  Routes go around down links.  A switch holds
-        one group per distinct (ports, policy, salt): a route reuses the
-        switch's group for its port set, or installs one under the switch's
-        next free id from 1000, so a recomputation never rewrites a group
-        that an older entry still names.
-
-        ``priority`` matters when re-routing mid-run: flow tables resolve
-        equal-priority matches oldest-first, so a recomputation that should
-        *replace* existing routes must be installed at a strictly higher
-        priority than the incumbent entries.
+        Routing runs once, when the network is built.  When a switch has
+        several equal-cost next hops towards a destination, the route
+        resolves through a multipath group (selection policy
+        ``group_policy``); a switch holds one group per distinct port set,
+        numbered from 1000 in the order the routes first need them.  Routes
+        go around down links.  Raises ``ValueError`` when a switch already
+        holds forwarding entries.
         """
+        if any(switch.pipeline.forwarding_table.entries
+               for switch in self.switches.values()):
+            raise ValueError("routes are already installed; routing runs once")
         # Routing changes no link state: one adjacency serves every BFS.
         adjacency = {name: self.up_neighbors(name) for name in self.nodes}
-        group_ids = {name: {(tuple(group.ports), group.policy, group.salt): group_id
-                            for group_id, group in switch.group_table.groups.items()}
-                     for name, switch in self.switches.items()}
+        group_ids: dict[tuple[str, tuple[int, ...]], int] = {}
+        next_group_id = dict.fromkeys(self.switches, 1000)
         for dst_name in self.hosts:
             distances = _hop_distances(dst_name, adjacency.__getitem__)
             for switch_name, switch in self.switches.items():
                 if switch_name not in distances:
                     continue
                 my_distance = distances[switch_name]
-                candidate_ports = [
+                candidate_ports = tuple(
                     port_index for neighbor, port_index in adjacency[switch_name]
-                    if distances.get(neighbor, float("inf")) == my_distance - 1]
+                    if distances.get(neighbor, float("inf")) == my_distance - 1)
                 if not candidate_ports:
                     continue
-                if len(candidate_ports) == 1 or not ecmp:
-                    switch.install_route(dst_name, candidate_ports[0],
-                                         priority=priority)
+                if len(candidate_ports) == 1:
+                    switch.install_route(dst_name, candidate_ports[0])
                     continue
-                key = (tuple(candidate_ports), group_policy, salt)
-                group_id = group_ids[switch_name].get(key)
+                group_id = group_ids.get((switch_name, candidate_ports))
                 if group_id is None:
-                    group_id = next(i for i in itertools.count(1000)
-                                    if i not in switch.group_table)
-                    switch.install_group(group_id, candidate_ports,
-                                         policy=group_policy, salt=salt)
-                    group_ids[switch_name][key] = group_id
-                switch.install_group_route(dst_name, group_id, priority=priority)
+                    group_id = next_group_id[switch_name]
+                    next_group_id[switch_name] += 1
+                    switch.install_group(group_id, list(candidate_ports),
+                                         policy=group_policy)
+                    group_ids[switch_name, candidate_ports] = group_id
+                switch.install_group_route(dst_name, group_id)
 
     def compute_path(self, src: str, dst: str) -> list[str]:
         """One shortest path (node names, inclusive) from ``src`` to ``dst``."""

@@ -29,7 +29,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                   "PacketJourney", "RecorderSpec"),
     "perfetto": ("network_trace_events", "trace_events",
                  "write_network_trace", "write_trace"),
-    "telemetry": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "telemetry": ("Gauge", "Histogram", "MetricsRegistry",
                   "NULL_TELEMETRY", "Span", "Telemetry", "get_telemetry",
                   "set_telemetry", "use"),
 })

@@ -290,9 +290,6 @@ class JourneyLog:
         self.links = state["links"]
         self._by_packet = None
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     # -------------------------------------------------------------- queries
     def journey(self, packet_id: int) -> Optional[PacketJourney]:
         """The ordered lifecycle of one packet, or None if never recorded."""

@@ -10,13 +10,12 @@ primitive, and it must never perturb what it observes.  Two faces:
   ``interval(name)`` is the begin/finish form for work that overlaps (the
   sweep pool's in-flight tasks).  Finished spans record parent links, so
   exporters can compute self-times and Perfetto nesting.
-* **Metrics** — a typed registry (:class:`Counter` push-incremented,
-  :class:`Gauge` pull-read at snapshot time, :class:`Histogram` of
-  observations).  Engine components do **not** call the registry on their
-  hot paths; they keep their existing plain-int counters behind one
-  ``counters()`` face each, and the session layer registers their fold as
-  one gauge *source*, so observation is a read at snapshot time, never a
-  write per event.
+* **Metrics** — a typed registry (:class:`Gauge` pull-read at snapshot
+  time, :class:`Histogram` of observations).  Engine components do
+  **not** call the registry on their hot paths; they keep their existing
+  plain-int counters behind one ``counters()`` face each, and the session
+  layer registers their fold as one gauge *source*, so observation is a
+  read at snapshot time, never a write per event.
 
 Two invariants carry the design (enforced by ``tests/test_obs.py``):
 
@@ -43,7 +42,7 @@ from typing import Any, Callable, Iterator, Optional
 from repro import check_count
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_TELEMETRY",
+    "Gauge", "Histogram", "MetricsRegistry", "NULL_TELEMETRY",
     "Span", "Telemetry", "get_telemetry", "set_telemetry", "use",
 ]
 
@@ -51,22 +50,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Metrics
 # --------------------------------------------------------------------------
-class Counter:
-    """A monotonically increasing count, push-incremented by its owner."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def read(self) -> int:
-        return self.value
-
-
 class Gauge:
     """A pull-based reading: ``fn()`` is called at snapshot time only."""
 
@@ -126,14 +109,9 @@ class MetricsRegistry:
     outlive them)."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._sources: dict[str, Callable[[], dict[str, Any]]] = {}
         self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        self._check_free(name, self._counters)
-        return self._counters.setdefault(name, Counter(name))
 
     def gauge(self, name: str, fn: Callable[[], Any]) -> Gauge:
         self._check_free(name, self._gauges)
@@ -155,7 +133,7 @@ class MetricsRegistry:
         return self._histograms.setdefault(name, Histogram(name))
 
     def _check_free(self, name: str, own: dict) -> None:
-        for kind in (self._counters, self._gauges, self._histograms):
+        for kind in (self._gauges, self._histograms):
             if kind is not own and name in kind:
                 raise ValueError(f"metric {name!r} already registered "
                                  f"with a different type")
@@ -180,8 +158,6 @@ class MetricsRegistry:
             except Exception:            # noqa: BLE001 - snapshot must succeed
                 gauges[name] = None
         return {
-            "counters": {name: self._counters[name].value
-                         for name in sorted(self._counters)},
             "gauges": {name: gauges[name] for name in sorted(gauges)},
             "histograms": {name: self._histograms[name].snapshot()
                            for name in sorted(self._histograms)},

@@ -170,30 +170,16 @@ class Experiment:
                     if isinstance(wspec.workload, str) else wspec.workload
                 self.workloads[wspec.name] = factory(self, **wspec.kwargs)
 
-        # Fault plane (repro.faults): plan resolution and the remediation
-        # loop draw from their own seeds, never self.rng — declaring an
-        # empty plan must leave the event sequence byte-identical.
+        # Fault plane (repro.faults): plan resolution draws from its own
+        # seed, never self.rng — declaring an empty plan must leave the
+        # event sequence byte-identical.
         self.fault_injector = None
-        self.remediation = None
         if spec.faults is not None:
             from repro.faults import FaultInjector
             with span("build.faults"):
                 plan = spec.faults.resolve(self.network)
                 self.fault_injector = FaultInjector(self.network, plan)
                 self.fault_injector.schedule(self.sim)
-        if spec.remediation is not None:
-            from repro.faults import RemediationController
-            rspec = spec.remediation
-            if rspec.app not in self.apps:
-                raise ValueError(
-                    f"remediation watches app {rspec.app!r}, which is not "
-                    f"deployed; have {sorted(self.apps)}")
-            if self.collect_plane is not None:
-                self.collectors["remediation"] = self.collect_plane.front_door(
-                    "remediation", name="remediation-collector")
-            self.remediation = RemediationController(
-                self.network, rspec, self.apps[rspec.app], self.sim)
-            self.remediation.start()
 
         # Flight recorder (repro.obs.flightrec): attached after the fault
         # plane so link-state changes are recorded from the first scheduled
@@ -240,15 +226,12 @@ class Experiment:
 
     def _push_summaries(self, now: float) -> None:
         """The one pusher: every app's ``summarize()`` per receiving host
-        (sorted), then the remediation loop's, into the plane's front
-        doors, stamped ``now``.  Runs at each epoch tick and once at finish."""
+        (sorted) into the plane's front doors, stamped ``now``.  Runs at
+        each epoch tick and once at finish."""
         for name, deployed in self.apps.items():
             door, aggregators = self.collectors[name], deployed.aggregators
             for host in sorted(aggregators):
                 door.submit(host, aggregators[host].summarize(), time=now)
-        if self.remediation is not None:
-            self.collectors["remediation"].submit(
-                "controller", self.remediation.summarize(), time=now)
 
     def _deploy_tpp(self, spec: "TppSpec") -> None:
         """The §4.5 provisioning agent for one ``.tpp(...)`` app: register
@@ -314,7 +297,7 @@ class Experiment:
             ("apps.", [aggregator for deployed in self.apps.values()
                        for aggregator in deployed.aggregators.values()]),
             ("collect.", (self.collect_plane,)),
-            ("faults.", (self.fault_injector, self.remediation)),
+            ("faults.", (self.fault_injector,)),
         )
         faces = [(prefix, component.counters())
                  for prefix, components in groups
@@ -356,8 +339,6 @@ class Experiment:
                 # Quiesce every event source first, or the drain never goes idle.
                 self.network.stop_switch_processes()
                 self._stop_workloads()
-                if self.remediation is not None:
-                    self.remediation.stop()    # the poll loop never idles
                 if self.collect_plane is not None:
                     self.collect_plane.stop()  # epoch clocks are event sources
                 with self.telemetry.span("engine.drain"):
@@ -419,8 +400,6 @@ class Experiment:
     def _finish(self) -> None:
         self.network.stop_switch_processes()
         self._stop_workloads()
-        if self.remediation is not None:
-            self.remediation.stop()
         for callback in reversed(self._stop_callbacks):
             callback()
         for hook in self.spec.finalize_hooks:
@@ -460,8 +439,7 @@ class ExperimentResult(JourneyQueries):
     the aggregators' ``tpps_received`` / ``tpps_truncated``, the
     collection plane's ``collect_shards`` / ``summaries_submitted`` /
     ``summary_*``, the fault plane's ``fault_events_applied`` /
-    ``packets_corrupted`` / ``link_*_transitions`` / ``remediation_actions``
-    — are read-only attributes over it, one per row of
+    ``packets_corrupted`` / ``link_*_transitions`` — are read-only attributes over it, one per row of
     :data:`repro.session.spec.RESULT_COUNTERS` (zero when the run had no
     such plane).  Application data lives in the per-app
     aggregators/collectors and in ``extras``; :meth:`merged_summary` is the
@@ -518,10 +496,6 @@ class ExperimentResult(JourneyQueries):
     @property
     def stacks(self) -> dict[str, "EndHostStack"]:
         return self.experiment.stacks
-
-    @property
-    def sim(self) -> Simulator:
-        return self.experiment.sim
 
     # ------------------------------------------------------------ per-app data
     def _app(self, app: Optional[str]) -> DeployedApplication:

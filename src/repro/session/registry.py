@@ -30,7 +30,7 @@ names, so a typo fails with the full menu instead of a bare ``KeyError``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 __all__ = [
     "Registry", "UnknownRegistration", "DuplicateRegistration",
@@ -95,12 +95,6 @@ class Registry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Registry {self.kind}: {', '.join(self.names()) or '<empty>'}>"

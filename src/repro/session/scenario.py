@@ -52,10 +52,9 @@ every random draw taken from one ``random.Random(seed)``:
    (registered workloads draw their child seed here, also in order);
 7. **fault plane** — with ``.faults(...)``, the resolved
    :class:`~repro.faults.FaultPlan` is scheduled by a
-   :class:`~repro.faults.FaultInjector`; with ``.remediation(...)``, the
-   :class:`~repro.faults.RemediationController` loop is started.  Both
-   draw from their *own* seeds (never the master rng), so an empty plan
-   leaves the run byte-identical to one with no fault plane at all;
+   :class:`~repro.faults.FaultInjector`.  The plan draws from its *own*
+   seed (never the master rng), so an empty plan leaves the run
+   byte-identical to one with no fault plane at all;
 8. **flight recorder** — with ``.flight_recorder(...)``, the
    :class:`~repro.obs.FlightRecorder` is attached to every node, port and
    link.  Recording is pure observation (no random draws, no scheduled
@@ -336,28 +335,6 @@ class Scenario:
         else:
             raise TypeError(f"faults() takes a FaultSpec, a FaultPlan, or "
                             f"generator kwargs; got {type(plan).__name__}")
-        return self
-
-    def remediation(self, policy="do-nothing", **spec_kwargs) -> "Scenario":
-        """Declare the remediation loop (see :mod:`repro.faults.policy`).
-
-        ``policy`` is a registered policy name (resolved eagerly against
-        the ``@register_policy`` registry, so typos fail with the menu) or
-        a pre-built :class:`~repro.faults.RemediationSpec`; keyword knobs
-        (``app``, ``period_s``, ``threshold``, ``min_path_diversity``,
-        ``repair_time_s``) forward to the spec.
-        """
-        from repro.faults import RemediationSpec
-        if isinstance(policy, RemediationSpec):
-            if spec_kwargs:
-                raise ValueError("pass either a RemediationSpec or spec "
-                                 "kwargs, not both")
-            self.spec.remediation = policy
-        elif isinstance(policy, str):
-            self.spec.remediation = RemediationSpec(policy=policy, **spec_kwargs)
-        else:
-            raise TypeError(f"remediation() takes a policy name or a "
-                            f"RemediationSpec; got {type(policy).__name__}")
         return self
 
     def flight_recorder(self, spec=None, *, capacity: int = 4096,

@@ -234,7 +234,8 @@ class ScenarioSpec:
     compile_traces: bool = False
     collector: Optional[Any] = None               # CollectorSpec
     faults: Optional[Any] = None                  # FaultSpec
-    remediation: Optional[Any] = None             # RemediationSpec
+    # Always None; every fingerprint renders it (ROADMAP 1a's suite half removes it).
+    remediation: Optional[Any] = None
     recorder: Optional[Any] = None                # obs.RecorderSpec
     tpps: list[Any] = field(default_factory=list)         # TppSpec
     workloads: list[Any] = field(default_factory=list)    # WorkloadSpec
@@ -261,6 +262,9 @@ class ScenarioSpec:
         if self.compile_traces is not False:
             raise ValueError("compile_traces is gone: every TPP hop runs the "
                              "bound plan")
+        if self.remediation is not None:
+            raise ValueError("remediation is gone: the field stays only "
+                             "until ROADMAP 1a's suite half")
 
     def copy(self) -> "ScenarioSpec":
         """An independent copy: declarations are deep-copied, while hooks and
@@ -276,8 +280,6 @@ class ScenarioSpec:
             ensure_picklable(self.collector, "collector spec")
         if self.faults is not None:
             ensure_picklable(self.faults, "fault spec")
-        if self.remediation is not None:
-            ensure_picklable(self.remediation, "remediation spec")
         if self.recorder is not None:
             ensure_picklable(self.recorder, "recorder spec")
         for tpp in self.tpps:
@@ -354,6 +356,7 @@ RESULT_COUNTERS = {
     "packets_corrupted": "link.packets_corrupted",
     "link_down_transitions": "link.down_transitions",
     "link_up_transitions": "link.up_transitions",
+    # Reads 0; every canonical result renders it (ROADMAP 1a's suite half removes it).
     "remediation_actions": "faults.remediation_actions",
 }
 

@@ -85,6 +85,3 @@ class ExperimentSummary:
         lines = [f"== {self.experiment_id}: {self.title} =="]
         lines.extend(row.formatted() for row in self.rows)
         return "\n".join(lines)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())

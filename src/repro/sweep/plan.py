@@ -25,8 +25,6 @@ Axis paths address the spec declaratively::
                               a default TreeSpec when the base has none
     faults.<field>            a .faults(...) knob (loss_rate, corrupt_links,
                               onset_s, seed, ...)
-    remediation.<field>       a .remediation(...) knob (policy, period_s,
-                              threshold, min_path_diversity, ...)
     recorder.<field>          a .flight_recorder(...) knob (capacity,
                               sample_every, apps, links); materialises a
                               default RecorderSpec when the base has none
@@ -60,7 +58,6 @@ __all__ = ["Axis", "SweepSpec", "SweepTask"]
 #: over seeds never imports the planes it does not sweep.
 _SUBSPEC_PATHS = {"collector": "repro.session.scenario:CollectorSpec",
                   "faults": "repro.faults:FaultSpec",
-                  "remediation": "repro.faults:RemediationSpec",
                   "recorder": "repro.obs:RecorderSpec"}
 
 #: Sub-specs one level further down: ``<root>.<field>.<leaf>``.

@@ -257,9 +257,6 @@ class SweepResult:
     skipped_from_manifest: int = 0
 
     # ------------------------------------------------------------- accessors
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
     @property
     def completed(self) -> list[TaskOutcome]:
         return [o for o in self.outcomes if o.status == DONE]

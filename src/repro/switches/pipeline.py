@@ -63,9 +63,6 @@ class Pipeline:
         self.stages = [Stage(index=i, table=FlowTable(name=f"{name}-stage{i}"))
                        for i in range(num_stages)]
 
-    def __len__(self) -> int:
-        return len(self.stages)
-
     def stage(self, index: int) -> Optional[Stage]:
         if 0 <= index < len(self.stages):
             return self.stages[index]

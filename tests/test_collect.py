@@ -447,8 +447,7 @@ class TestScenarioIntegration:
         assert door.submitted >= 3 * len(result.stacks)  # several epoch rounds
         assert any(submission.time > 0 for shard in plane.shards
                    for submission in shard.state.values())
-        stats = plane.stats()
-        assert stats.epoch_flushes >= 1
+        assert plane.counters()["epoch_flushes"] >= 1
         # Per-source snapshots are cumulative: the merged view reflects the
         # final state, not the sum of every epoch's submission.
         merged = result.merged_summary("monitor")
@@ -500,8 +499,8 @@ def _record_probe_pushes(experiment):
     door.submit = logged
 
 
-def push_schedule_scenario(remediation=False, plane=True):
-    """Two apps (all six hosts / two receivers), optionally a remediation loop."""
+def push_schedule_scenario(plane=True):
+    """Two apps (all six hosts / two receivers)."""
     from repro.apps.microburst import MICROBURST_TPP_SOURCE, MicroburstAggregator
     scenario = (Scenario("dumbbell", seed=3, link_rate_bps=mbps(10))
                 .tpp("monitor", MICROBURST_TPP_SOURCE, num_hops=6,
@@ -514,27 +513,22 @@ def push_schedule_scenario(remediation=False, plane=True):
     if plane:
         (scenario.collector(shards=2, epoch_s=0.03)
          .setup(_record_epoch_ticks).setup(_record_probe_pushes))
-    if remediation:
-        scenario.remediation("do-nothing", app="monitor", period_s=0.02)
     return scenario
 
 
 class TestPushSchedule:
     """The experiment is the only pusher: every receiving host's snapshot
-    (and the remediation loop's) at each epoch tick and once at finish —
-    an oracle built from epoch ticks and receivers, not push counters."""
+    at each epoch tick and once at finish — an oracle built from epoch
+    ticks and receivers, not push counters."""
 
-    @pytest.mark.parametrize("remediation", [False, True])
-    def test_one_round_per_tick_plus_one_at_finish(self, remediation):
-        result = push_schedule_scenario(remediation).run(duration_s=0.1)
+    def test_one_round_per_tick_plus_one_at_finish(self):
+        result = push_schedule_scenario().run(duration_s=0.1)
         ticks = result.extras["ticks"]
         rounds = len(ticks) + 1
         receivers = sum(len(result.aggregators(app)) for app in result.apps)
         assert len(ticks) >= 2 and receivers == 6 + 2
-        assert result.summaries_submitted \
-            == rounds * receivers + (rounds if remediation else 0)
-        assert sorted(result.collectors) \
-            == sorted([*result.apps, *(["remediation"] if remediation else [])])
+        assert result.summaries_submitted == rounds * receivers
+        assert sorted(result.collectors) == sorted(result.apps)
         # The probe app's front door is handed exactly its pushes: hosts in
         # sorted order, each round stamped with its tick (then the finish).
         door, pushes = result.collectors["probe"], result.extras["probe_pushes"]
@@ -544,8 +538,7 @@ class TestPushSchedule:
         assert stamps[::2] == stamps[1::2] == [*ticks, result.end_time_s]
 
     def test_no_plane_pushes_nothing(self):
-        result = push_schedule_scenario(remediation=True,
-                                        plane=False).run(duration_s=0.1)
+        result = push_schedule_scenario(plane=False).run(duration_s=0.1)
         assert result.summaries_submitted == 0
         assert result.collectors == {}
         assert result.collector("probe") is None
@@ -737,11 +730,12 @@ class TestTailDrop:
 
         plane = CollectPlane(4, batch=None, capacity=2, tree=fanin)
         merged = drive(plane)                       # merge() flushes first
-        stats = plane.stats()
-        assert stats.parts_routed == (stats.parts_delivered
-                                      + stats.parts_dropped)
-        assert sum(stats.drops_by_policy.values()) == stats.parts_dropped
-        for entry in stats.per_shard:
+        totals = plane.counters()
+        assert totals["parts_routed"] == totals["delivered"] + totals["dropped"]
+        assert sum(count for name, count in totals.items()
+                   if name.startswith("drops.")) == totals["dropped"]
+        for shard in plane.shards:
+            entry = shard.counters()
             assert entry["submitted"] == entry["delivered"] + entry["dropped"]
         # Same arrivals through a flat plane: the tree must reconstruct the
         # identical view from whatever survived.
@@ -828,7 +822,7 @@ class TestDeltaChannel:
         assert lost.summary.kind == "delta"
         door.submit("h0", counter(n=3))
         plane.flush_all()                   # the gap is found and NACKed
-        assert plane.stats().delta_gaps == 1 and plane.resync_requests == 1
+        assert plane.counters()["delta_gaps"] == 1 and plane.resync_requests == 1
         door.submit("h0", counter(n=4))
         assert plane.shards[0].pending[-1].summary.kind == "full"
         assert door.merged_summary() == counter(n=4)
@@ -866,7 +860,7 @@ class TestAggregationTree:
         depth = 1
         while fanin is not None and fanin ** depth < shards:
             depth += 1
-        assert plane.stats().tree_levels == depth
+        assert plane.tree_levels == depth
 
     @pytest.mark.parametrize("fanin", [1, 2.5, float("nan"), True])
     def test_malformed_fanin_rejected_at_declaration(self, fanin):
@@ -894,7 +888,7 @@ class TestAggregationTree:
                                 }), time=float(push))
             assert {k: summary_jsonable(v) for k, v in flat.merge().items()} \
                 == {k: summary_jsonable(v) for k, v in tree.merge().items()}
-            assert tree.stats().tree_levels >= 1
+            assert tree.tree_levels >= 1
 
     def test_reading_the_merged_view_counts_nothing(self):
         # A view read is not a merge the tier performed: reading it twice
@@ -934,8 +928,8 @@ class TestDeltaBytesRegression:
         cumulative, delta = CollectPlane(2), CollectPlane(2, delta=True)
         assert drive(cumulative) == drive(delta)
         assert delta.bytes_routed < cumulative.bytes_routed
-        stats = delta.stats()
-        assert stats.delta_applied > 0 and stats.delta_gaps == 0
+        totals = delta.counters()
+        assert totals["delta_applied"] > 0 and totals["delta_gaps"] == 0
 
     def test_network_transport_bytes_on_wire(self):
         # The satellite regression: over the simulated fabric, the delta

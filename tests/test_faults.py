@@ -2,24 +2,28 @@
 
 Covers the plan model (validation, canonical ordering, deterministic
 generation), the injector (eager link resolution, scheduled application,
-per-link corruption streams), the remediation policy registry and
-controller, the Scenario / spec / sweep integration, and the end-to-end
-story: an empty plan changes nothing, a seeded corrupting link is named
-by the TPP detector, and the disable-and-repair policy measurably cuts
-the loss penalty versus doing nothing.
+per-link corruption streams), the Scenario / spec / sweep integration,
+and the end-to-end story: an empty plan changes nothing, and a seeded
+corrupting link is named by the TPP detector.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
-from repro.apps.losslocal import LossLocalizationResult, losslocal_scenario
+from repro.apps.losslocal import (LOSSLOCAL_TPP_SOURCE, LinkSuspect,
+                                  LossLocalizationAggregator,
+                                  LossLocalizationResult, localize,
+                                  losslocal_scenario, merged_deficits)
+from repro.core.compiler import compile_tpp
 from repro.faults import (FAULT_KINDS, FaultEvent, FaultInjector, FaultPlan,
-                          FaultSpec, POLICIES, RemediationSpec, link_rng)
-from repro.net import mbps
+                          FaultSpec, link_rng)
+from repro.net import Simulator, mbps, udp_packet
+from repro.net.topology import build_leaf_spine
 from repro.session import ResultSummary, Scenario, SpecError
-from repro.session.registry import UnknownRegistration
 from repro.sweep import SweepSpec
+from tcpu_oracle import push
 from test_flightrec import _app_rows, _canonical_view
 
 #: The link the end-to-end tests corrupt — an edge-to-aggregation link on
@@ -181,27 +185,6 @@ class TestFaultInjector:
         assert link_rng(1, "a").random() != link_rng(2, "a").random()
 
 
-class TestRemediationSpec:
-    def test_knob_validation(self):
-        with pytest.raises(ValueError):
-            RemediationSpec(period_s=0.0)
-        with pytest.raises(ValueError):
-            RemediationSpec(threshold=0)
-        with pytest.raises(ValueError):
-            RemediationSpec(min_path_diversity=-1)
-        with pytest.raises(ValueError):
-            RemediationSpec(repair_time_s=-1.0)
-
-    def test_shipped_policies_registered(self):
-        for name in ("do-nothing", "disable-and-repair",
-                     "capacity-constrained"):
-            assert name in POLICIES
-
-    def test_unknown_policy_fails_with_menu(self):
-        with pytest.raises(UnknownRegistration, match="do-nothing"):
-            POLICIES.get("cold-reboot")
-
-
 class TestScenarioIntegration:
     def test_fault_knobs_validate_eagerly(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
@@ -213,50 +196,99 @@ class TestScenarioIntegration:
         with pytest.raises(TypeError, match="FaultSpec"):
             quick_losslocal().faults("edge0_0<->agg0_0")
 
-    def test_unknown_policy_fails_at_declaration(self):
-        with pytest.raises(UnknownRegistration, match="disable-and-repair"):
-            quick_losslocal().remediation("cold-reboot")
-
-    def test_remediation_needs_its_detector_app(self):
-        scenario = (Scenario("dumbbell", seed=1, hosts_per_side=2)
-                    .workload("messages", offered_load=0.1)
-                    .remediation("do-nothing"))
-        with pytest.raises(ValueError, match="loss-localization"):
-            scenario.build(0.1)
-
 
 class TestSpecAndSweep:
-    def test_round_trip_preserves_faults_and_remediation(self):
-        scenario = quick_losslocal(faults=one_link_plan(),
-                                   remediation="disable-and-repair")
+    def test_round_trip_preserves_faults(self):
+        scenario = quick_losslocal(faults=one_link_plan())
         spec = scenario.to_spec()
         rebuilt = pickle.loads(pickle.dumps(spec)).to_scenario()
         assert rebuilt.spec.faults.plan == one_link_plan()
-        assert rebuilt.spec.remediation.policy == "disable-and-repair"
         assert rebuilt.to_spec().fingerprint() == spec.fingerprint()
 
     def test_fault_axes_expand(self):
         sweep = (SweepSpec(quick_losslocal(faults=one_link_plan()))
                  .axis("faults.loss_rate", [0.05, 0.1])
-                 .axis("remediation.policy",
-                       ["do-nothing", "disable-and-repair"]))
+                 .axis("faults.seed", [7, 8]))
         tasks = sweep.expand()
         assert len(tasks) == 4
         rates = {task.spec.faults.loss_rate for task in tasks}
-        policies = {task.spec.remediation.policy for task in tasks}
+        seeds = {task.spec.faults.seed for task in tasks}
         assert rates == {0.05, 0.1}
-        assert policies == {"do-nothing", "disable-and-repair"}
+        assert seeds == {7, 8}
         assert len({task.fingerprint for task in tasks}) == 4
 
     def test_fault_axes_validate_eagerly(self):
         sweep = SweepSpec(quick_losslocal())
         with pytest.raises(SpecError, match="FaultSpec has no field 'nope'"):
             sweep.axis("faults.nope", [1])
-        with pytest.raises(SpecError,
-                           match="RemediationSpec has no field 'nope'"):
-            sweep.axis("remediation.nope", [1])
         with pytest.raises(SpecError, match="must be faults.<field>"):
             sweep.axis("faults", [1])
+
+
+class TestLocalize:
+    """The detector's arithmetic on hand-made hop stamps and deficits."""
+
+    @staticmethod
+    def result(per_host, app="loss-localization"):
+        """A stand-in result: a 2-leaf, 2-spine fabric (spine0=1, spine1=2,
+        leaf0=3, leaf1=4) and one aggregator per host."""
+        network = build_leaf_spine(Simulator(), num_leaves=2, num_spines=2,
+                                   hosts_per_leaf=1)
+
+        def aggregators(name):
+            assert name == app
+            return per_host
+
+        return SimpleNamespace(network=network, aggregators=aggregators)
+
+    def test_aggregator_diffs_adjacent_hops(self):
+        aggregator = LossLocalizationAggregator("h1_0")
+        tpp = compile_tpp(LOSSLOCAL_TPP_SOURCE, num_hops=4).clone_tpp()
+        # leaf0 sent 10 before this packet; spine0 counts only 7 of them plus
+        # this one arriving; spine0 -> leaf1 is clean (5 sent, 6 counted).
+        for switch_id, rx, tx in ((3, 1, 10), (1, 8, 5), (4, 6, 0)):
+            for word in (switch_id, rx, tx):
+                push(tpp, word)
+            tpp.advance_hop()
+        aggregator.on_tpp(tpp, udp_packet("h0_0", "h1_0", 100))
+        assert aggregator.deficit_samples == 2
+        assert aggregator.link_deficits == {(3, 1): 3, (1, 4): 0}
+        summary = aggregator.summarize()
+        assert summary["counters"]["samples"] == 2
+        assert sorted(summary["max_deficits"].samples) \
+            == [(0.0, "1->4", 0), (0.0, "3->1", 3)]
+
+    def test_merged_deficits_keep_each_pairs_max_across_hosts(self):
+        result = self.result({
+            "h1_0": SimpleNamespace(link_deficits={(3, 1): 2, (1, 4): -1}),
+            "h0_0": SimpleNamespace(link_deficits={(3, 1): 5, (4, 2): 1}),
+            "probe": SimpleNamespace()})         # no link_deficits: adds nothing
+        assert merged_deficits(result) == {(3, 1): 5, (1, 4): -1, (4, 2): 1}
+
+    def test_ranked_worst_first_ties_by_pair(self):
+        result = self.result({"h0_0": SimpleNamespace(
+            link_deficits={(4, 2): 2, (3, 1): 4, (2, 3): 2})})
+        assert localize(result) == [
+            LinkSuspect("leaf0<->spine0", (3, 1), 4),
+            LinkSuspect("leaf0<->spine1", (2, 3), 2),
+            LinkSuspect("leaf1<->spine1", (4, 2), 2)]
+
+    def test_threshold_unknown_ids_and_non_adjacent_pairs_are_skipped(self):
+        result = self.result({"h0_0": SimpleNamespace(
+            link_deficits={(3, 2): 6, (3, 4): 9, (99, 1): 8, (1, 3): 0})})
+        # (3, 4) is leaf0 -> leaf1, no link; 99 is no switch's id.
+        assert localize(result) == [LinkSuspect("leaf0<->spine1", (3, 2), 6)]
+        assert localize(result, threshold=7) == []
+        assert [s.pair for s in localize(result, threshold=0)] == [(3, 2), (1, 3)]
+
+    def test_accused_link_is_the_top_suspect(self):
+        suspect = LinkSuspect("leaf0<->spine0", (3, 1), 4)
+        found = LossLocalizationResult(suspects=[suspect], deficits={(3, 1): 4},
+                                       tpps_received=1, fault_events_applied=0,
+                                       packets_corrupted=0)
+        assert found.accused_link == "leaf0<->spine0"
+        found.suspects = []
+        assert found.accused_link is None
 
 
 class TestEndToEnd:
@@ -308,52 +340,3 @@ class TestEndToEnd:
         assert result.packets_corrupted == 0
         assert result.accused_link is None
         assert all(deficit <= 0 for deficit in result.deficits.values())
-
-    def test_disable_and_repair_cuts_the_penalty(self):
-        plan = one_link_plan()
-        nothing_exp, nothing = self._run_raw(
-            quick_losslocal(faults=plan, remediation="do-nothing"))
-        acting_exp, acting = self._run_raw(
-            quick_losslocal(faults=plan,
-                            remediation=RemediationSpec(
-                                policy="disable-and-repair")))
-        assert nothing_exp.remediation.links_disabled == 0
-        assert acting_exp.remediation.links_disabled == 1
-        assert acting_exp.remediation.reroutes >= 1
-        assert acting.packets_corrupted < nothing.packets_corrupted
-        assert acting_exp.remediation.loss_penalty() \
-            < nothing_exp.remediation.loss_penalty()
-        assert acting.remediation_actions >= 1
-        # Both controllers streamed their metric series.
-        for experiment in (nothing_exp, acting_exp):
-            bundle = experiment.remediation.summarize()
-            assert bundle["timeseries"].keys() == ["loss-penalty",
-                                                   "worst-tor-diversity"]
-            assert bundle["counters"]["ticks"] > 0
-
-    def test_capacity_floor_refuses_the_disable(self):
-        experiment, result = self._run_raw(
-            quick_losslocal(faults=one_link_plan(),
-                            remediation=RemediationSpec(
-                                policy="capacity-constrained",
-                                min_path_diversity=2)))
-        # Disabling the accused link would leave edge0_0 with one fabric
-        # link — below the floor of 2 — so the policy must refuse, once.
-        assert experiment.remediation.refusals == 1
-        assert experiment.remediation.links_disabled == 0
-        assert result.packets_corrupted > 0
-
-    def test_scheduled_repair_restores_the_link(self):
-        experiment, result = self._run_raw(
-            quick_losslocal(faults=one_link_plan(),
-                            remediation=RemediationSpec(
-                                policy="disable-and-repair",
-                                repair_time_s=0.05)))
-        controller = experiment.remediation
-        assert controller.links_disabled == 1
-        assert controller.links_repaired == 1
-        lossy = next(l for l in experiment.network.links
-                     if l.name == LOSSY_LINK)
-        assert lossy.up and lossy.loss_rate == 0.0
-        assert result.link_down_transitions == 1
-        assert result.link_up_transitions == 1

@@ -138,6 +138,15 @@ class TestLazySurface:
                            match=f"module '{package}' has no attribute 'nope'"):
             module.nope
 
+    def test_faults_exports_the_plan_and_its_injector(self):
+        # The remediation loop (policy module, registry, controller and
+        # its spec) is gone from the export table and the package.
+        code = ("import importlib.util, json, repro.faults\n"
+                "print(json.dumps([repro.faults.__all__, importlib.util"
+                ".find_spec('repro.faults.policy') is None]))\n")
+        assert fresh(code) == [["FAULT_KINDS", "FaultEvent", "FaultInjector",
+                                "FaultPlan", "FaultSpec", "link_rng"], True]
+
     def test_app_modules_stay_attributes_of_the_package(self):
         code = ("import json, repro.apps\n"
                 "print(json.dumps(repro.apps.conga.__name__))\n")

@@ -158,14 +158,6 @@ class TestZeroOverheadOff:
 # Metrics
 # ---------------------------------------------------------------------------
 class TestMetrics:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("hits")
-        counter.inc()
-        counter.inc(4)
-        assert counter.read() == 5
-        assert registry.counter("hits") is counter     # same instance
-
     def test_gauge_reads_at_snapshot_time_only(self):
         registry = MetricsRegistry()
         calls = []
@@ -194,9 +186,11 @@ class TestMetrics:
 
     def test_cross_type_name_conflict_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("name")
+        registry.histogram("name")
         with pytest.raises(ValueError, match="different type"):
             registry.gauge("name", lambda: 0)
+        registry = MetricsRegistry()
+        registry.gauge("name", lambda: 0)
         with pytest.raises(ValueError, match="different type"):
             registry.histogram("name")
 
@@ -208,10 +202,13 @@ class TestMetrics:
 
     def test_snapshot_is_sorted_and_json_serializable(self):
         registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc()
+        registry.gauge("b", lambda: 1)
+        registry.gauge("a", lambda: 2)
+        registry.histogram("d").observe(1.0)
+        registry.histogram("c").observe(2.0)
         snapshot = registry.snapshot()
-        assert list(snapshot["counters"]) == ["a", "b"]
+        assert list(snapshot["gauges"]) == ["a", "b"]
+        assert list(snapshot["histograms"]) == ["c", "d"]
         json.dumps(snapshot)                           # must not raise
 
 

@@ -27,6 +27,12 @@ class TestPacketBasics:
         with pytest.raises(ValueError):
             Packet(src="a", dst="b", size=0)
 
+    @pytest.mark.parametrize("protocol", ["UDP", "icmp"])
+    def test_unknown_protocol_rejected(self, protocol):
+        # No PacketFilter could ever select such a packet.
+        with pytest.raises(ValueError, match="protocol"):
+            Packet(src="a", dst="b", size=100, protocol=protocol)
+
     def test_packet_ids_are_unique(self):
         first = udp_packet("a", "b", 10)
         second = udp_packet("a", "b", 10)

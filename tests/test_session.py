@@ -209,10 +209,36 @@ class TestScenarioBuilder:
         with pytest.raises(ValueError, match="compile_traces"):
             ScenarioSpec("dumbbell", compile_traces=True)
 
+    def test_remediation_field_only_takes_none(self):
+        # Kept only because every fingerprint renders it; no fluent method
+        # declares it.
+        assert ScenarioSpec("dumbbell").remediation is None
+        assert not hasattr(Scenario, "remediation")
+        with pytest.raises(ValueError, match="1a"):
+            ScenarioSpec(topology="dumbbell", remediation=object())
+
     def test_copy_is_independent(self):
         base = Scenario("dumbbell").workload("messages")
         variant = base.copy().tpp("t", "PUSH [Switch:SwitchID]")
         assert not base.spec.tpps and len(variant.spec.tpps) == 1
+
+    def test_finalize_hooks_run_after_teardown_and_publish_extras(self):
+        order = []
+
+        def setup(experiment):
+            experiment.on_stop(lambda: order.append("stop"))
+
+        def first(experiment):
+            order.append("first")
+            experiment.extras["now"] = experiment.sim.now
+
+        result = (Scenario("dumbbell", link_rate_bps=mbps(10))
+                  .setup(setup)
+                  .finalize(first)
+                  .finalize(lambda experiment: order.append("second"))
+                  .run(duration_s=0.01))
+        assert order == ["stop", "first", "second"]
+        assert result.extras["now"] == result.end_time_s
 
 
 class TestResultAccessors:

@@ -8,7 +8,7 @@ invariant 3:
   (counted, not timed, so the guard is exact on any machine);
 * **incremental == rebuild** — every ``summarize()`` implementer folds on
   arrival; the from-scratch bodies they replaced live on here as the
-  reference oracles and must render identically after every TPP / tick.
+  reference oracles and must render identically after every TPP.
   The micro-burst oracle rebuilds from queue samples an ``on_tpp``
   callback (``Scenario.collect``) recorded, never from the aggregator's
   own state, so it stays independent of the code it checks;
@@ -22,9 +22,7 @@ import random
 import pytest
 
 import repro.collect.summary as summary_module
-from repro.apps.losslocal import (LOSSLOCAL_TPP_SOURCE,
-                                  LossLocalizationAggregator,
-                                  losslocal_scenario)
+from repro.apps.losslocal import LOSSLOCAL_TPP_SOURCE, LossLocalizationAggregator
 from repro.apps.microburst import (MICROBURST_TPP_SOURCE, OCCUPANCY_EDGES,
                                    MicroburstAggregator)
 from repro.apps.netsight import PACKET_HISTORY_TPP_SOURCE, NetSightAggregator
@@ -34,7 +32,6 @@ from repro.collect import (CollectPlane, CounterSummary, HistogramSummary,
                            summary_jsonable)
 from repro.core.compiler import compile_tpp
 from repro.endhost import PacketFilter
-from repro.faults import FaultEvent, FaultPlan
 from repro.net import mbps, udp_packet
 from repro.session import Scenario
 from tcpu_oracle import push
@@ -96,23 +93,6 @@ def rebuild_sketches(aggregator, samples):
     return SummaryBundle(dict(aggregator.bitmaps))
 
 
-def rebuild_controller(controller, ticks):
-    """``ticks``: the (time, penalty, diversity) the test saw at each tick."""
-    series = SeriesSummary()
-    for time, penalty, _ in ticks:
-        series.add(time, "loss-penalty", penalty)
-    for time, _, diversity in ticks:
-        series.add(time, "worst-tor-diversity", diversity)
-    return SummaryBundle({
-        "counters": CounterSummary({
-            "ticks": controller.ticks, "verdicts": controller.verdicts_seen,
-            "links_disabled": controller.links_disabled,
-            "links_repaired": controller.links_repaired,
-            "reroutes": controller.reroutes, "refusals": controller.refusals,
-            "loss_penalty": controller.loss_penalty()}),
-        "timeseries": series})
-
-
 #: name -> (aggregator class, TPP source, values per hop, reference oracle);
 #: each oracle takes the aggregator and the host's recorded queue samples
 #: (only the micro-burst oracle reads them).
@@ -146,14 +126,6 @@ def feed(aggregator, source, values_per_hop, rng, clock, observed):
     return clock
 
 
-def controller_experiment():
-    plan = FaultPlan(events=(FaultEvent(0.0, "edge0_0<->agg0_0", "loss", 0.10),),
-                     seed=7)
-    return losslocal_scenario(k=4, link_rate_bps=mbps(100), offered_load=0.2,
-                              seed=1, faults=plan,
-                              remediation="disable-and-repair").build(0.2)
-
-
 class TestIncrementalEqualsRebuild:
     @pytest.mark.parametrize("name", sorted(AGGREGATORS))
     @pytest.mark.parametrize("seed", [1, 20140817])
@@ -184,24 +156,6 @@ class TestIncrementalEqualsRebuild:
             assert summary_jsonable(aggregator.summarize()) == summary_jsonable(
                 rebuild_microburst(aggregator, observed.get(host, [])))
 
-    def test_controller_after_every_tick(self):
-        experiment = controller_experiment()
-        controller, ticks = experiment.remediation, []
-        real_tick = controller._tick
-
-        def checked_tick():
-            real_tick()
-            ticks.append((controller.sim.now, controller.loss_penalty(),
-                          controller.worst_tor_diversity()))
-            assert summary_jsonable(controller.summarize()) \
-                == summary_jsonable(rebuild_controller(controller, ticks))
-
-        controller.stop()                   # re-arm the loop on the wrapper
-        controller._tick = checked_tick
-        controller.start()
-        experiment.run(0.2)
-        assert len(ticks) >= 3 and controller.links_disabled == 1
-
 
 class TestSnapshotIsolation:
     @pytest.mark.parametrize("name", sorted(AGGREGATORS))
@@ -225,18 +179,6 @@ class TestSnapshotIsolation:
         snapshot.merge(later)
         assert summary_jsonable(aggregator.summarize()) \
             == summary_jsonable(rebuild(aggregator, observed.get("h9", [])))
-
-    def test_later_ticks_never_show_through_a_controller_snapshot(self):
-        experiment = controller_experiment()
-        controller = experiment.remediation
-        experiment.sim.run(until=0.05)
-        snapshot = controller.summarize()
-        rendered = summary_jsonable(snapshot)
-        assert snapshot["counters"]["ticks"] >= 1
-        experiment.sim.run(until=0.1)
-        assert controller.summarize()["counters"]["ticks"] \
-            > snapshot["counters"]["ticks"]
-        assert summary_jsonable(snapshot) == rendered
 
     def test_unpushed_sketch_bits_stay_out_of_the_collector_view(self):
         # The aliasing bug: summarize() used to ship the live bitmaps, so in

@@ -158,9 +158,8 @@ FINGERPRINT_PINS = {
     "recorder": (lambda: pinned_base().flight_recorder(
         capacity=128, sample_every=4), "6ba5d0c10362dbfa088a8d788b86fef2"),
     "faults": (lambda: pinned_base()
-               .faults(seed=3, corrupt_links=1, loss_rate=0.05)
-               .remediation("disable-and-repair", app="monitor"),
-               "284441c1e7f66aa40431d4366f82fb42"),
+               .faults(seed=3, corrupt_links=1, loss_rate=0.05),
+               "7d4e5bb41f89daff9e9c04320ed50a97"),
     "rcp": (rcp_scenario, "e9326869548e545d540ab15a19462aec"),
     "conga": (conga_scenario, "5ef59e3daef1decf68235b43981a744e"),
     "netsight": (netsight_scenario, "41448385797a891c62007aa69c490fcc"),
@@ -256,7 +255,6 @@ class TestDeclareTimeChecks:
         ("collector.capacity", float("nan")), ("collector.batch", 8.0),
         ("collector.epoch_s", True), ("collector.epoch_s", "1"),
         ("collector.hosts", "h0"),
-        ("remediation.policy", "nope"),
         ("tpp.monitor.sample_frequency", 0), ("tpp.monitor.__class__", 1)])
     def test_bad_axis_values_fail_at_axis(self, path, value):
         sweep = SweepSpec(pinned_base())
@@ -277,8 +275,6 @@ class TestDeclareTimeChecks:
         # 2.5 shards used to pass declaration and raise TypeError at build.
         with pytest.raises(ValueError, match="shards must be an int >= 1"):
             pinned_base().collector(shards=2.5)
-        with pytest.raises(UnknownRegistration, match="nope"):
-            pinned_base().remediation("nope")
         with pytest.raises(ValueError, match="sample_frequency"):
             Scenario("dumbbell").tpp("t", "PUSH [Switch:SwitchID]",
                                      sample_frequency=0)
@@ -287,9 +283,7 @@ class TestDeclareTimeChecks:
         (root, knob, value)
         for root, knob in (("collector", "epoch_s"), ("faults", "onset_s"),
                            ("faults", "fail_at_s"),
-                           ("faults", "repair_after_s"),
-                           ("remediation", "period_s"),
-                           ("remediation", "repair_time_s"))
+                           ("faults", "repair_after_s"))
         for value in (float("nan"), float("inf"))])
     def test_non_finite_times_fail_at_declaration(self, root, knob, value):
         # ``x <= 0`` is False for NaN, so these used to pass declaration and
@@ -343,6 +337,9 @@ class TestSweepSpec:
         sweep = SweepSpec(monitor_scenario())
         with pytest.raises(SpecError, match="unknown root"):
             sweep.axis("nonsense.path", [1])
+        with pytest.raises(SpecError,
+                           match=r"axis path 'remediation\.policy': unknown root"):
+            sweep.axis("remediation.policy", ["do-nothing"])
         with pytest.raises(SpecError, match="no declared workload"):
             sweep.axis("workload.nope.rate", [1])
         with pytest.raises(SpecError, match="no declared TPP"):
@@ -513,6 +510,20 @@ class TestFailurePaths:
                  monitor_scenario().to_spec()]
         result = SweepRunner(workers=1, duration_s=DT).run(specs)
         assert [o.status for o in result.outcomes] == ["failed", "done"]
+
+    def test_result_accessors_split_outcomes_by_status(self):
+        specs = [workload_scenario("sweep-test-explode").to_spec(),
+                 monitor_scenario().to_spec()]
+        result = SweepRunner(workers=1, duration_s=DT).run(specs)
+        failed, done = result.outcomes
+        assert result.failed == [failed] and result.completed == [done]
+        assert result.timeouts == []
+        assert result.summaries() == {done.label: done.summary}
+        assert isinstance(done.summary, ResultSummary)
+        assert result.experiments_per_second() == pytest.approx(1 / result.wall_s)
+        accounting = result.accounting()
+        assert (accounting["tasks"], accounting["completed"], accounting["failed"],
+                accounting["timeouts"]) == (2, 1, 1, 0)
 
     def test_worker_crash_is_accounted_and_pool_recovers(self):
         specs = [workload_scenario("sweep-test-crash").to_spec(),

@@ -335,6 +335,27 @@ class TestExecuteProgramFastPath:
         assert (tcpu.plan_cache_misses, tcpu.plan_cache_hits) == (1, 4)
         assert tcpu.tpps_executed == 5
 
+    def test_write_disable_flip_drops_cached_plans(self):
+        # A bound plan bakes the knob in, so only a real flip clears it, and
+        # the next plan honours the new setting.
+        memory = DictMemory({0x1010: 1})
+        template = make_tpp([Instruction(Opcode.STORE, 0x1010, packet_offset=0)],
+                            num_hops=1, mode=AddressingMode.HOP, initial_values=[9])
+        tcpu = TCPU()
+        assert tcpu.write_enabled is True
+        assert tcpu.execute_program(template.clone(), memory, PacketContext()) \
+            == [InstructionStatus.EXECUTED]
+        assert memory.values[0x1010] == 9
+        tcpu.write_enabled = True
+        assert len(tcpu._plan_cache) == 1
+        tcpu.write_enabled = False
+        assert tcpu.write_enabled is False and len(tcpu._plan_cache) == 0
+        memory.values[0x1010] = 1
+        assert tcpu.execute_program(template.clone(), memory, PacketContext()) \
+            == [InstructionStatus.SKIPPED_WRITE_DISABLED]
+        assert memory.values[0x1010] == 1
+        assert tcpu.plan_cache_misses == 2
+
     def test_each_memory_gets_its_own_pinned_plan(self):
         """A plan is bound to one memory's rows, so a second memory object
         misses; and the entry keeps its memory alive, so the ``id(memory)``
